@@ -3,7 +3,7 @@
 Subcommands:
     balance    read a market file, compute its balanced form, report it
     run        run a config-driven experiment and write result files
-    enumerate  sample one preference draw from a market and list all stable
+    enumerate  sample one latent-value draw from a market and list all stable
                matchings
     summarize  aggregate a previously written trials.csv
 
@@ -16,14 +16,10 @@ import argparse
 import sys
 
 from .errors import MmlError
-from .market import (
-    contiguity_constant,
-    read_market,
-    sinkhorn_balance,
-    write_matrix_pair,
-)
+from .market import read_market, sinkhorn_balance, write_matrix_pair
 from .matching import Side, deferred_acceptance, enumerate_stable
 from .experiments import (
+    format_stats,
     format_summary,
     load_config,
     records_from_csv,
@@ -32,18 +28,16 @@ from .experiments import (
     summarize_experiment,
     write_outputs,
 )
-from .rng import exponentials, stream_key
-from .sampling import LatentValues, prefs_from_latent, sample_latent
+from .sampling import sample_latent
 
 
 def _cmd_balance(args: argparse.Namespace) -> int:
     market = read_market(args.market)
     bal = sinkhorn_balance(market, tol=args.tol, max_iters=args.max_iters)
-    c = contiguity_constant(bal)
     print(f"n: {bal.n}")
     print(f"iterations: {bal.sinkhorn_iters}")
     print(f"residual: {bal.residual:.3e}")
-    print(f"contiguity constant: {c!r}")
+    print(f"contiguity constant: {bal.c_bound!r}")
     print(f"fitness (men):   min {bal.phi.min()!r}  max {bal.phi.max()!r}")
     print(f"fitness (women): min {bal.psi.min()!r}  max {bal.psi.max()!r}")
     if args.out is not None:
@@ -63,25 +57,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if summary["passed"] else 1
 
 
-def _sample_profile(market, seed: int):
-    if market.is_square:
-        return prefs_from_latent(sample_latent(sinkhorn_balance(market), seed))
-    # Off-square there is no balanced form; rankings only depend on
-    # within-row rate ratios, so canonical rates draw the same preferences.
-    values = LatentValues(
-        X=exponentials(stream_key(seed, "X"), market.a_hat),
-        Y=exponentials(stream_key(seed, "Y"), market.b_hat),
-        seed=seed,
-    )
-    return prefs_from_latent(values)
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     market = read_market(args.market)
-    prefs = _sample_profile(market, args.seed)
-    stable = enumerate_stable(prefs)
-    man_optimal, _ = deferred_acceptance(prefs, Side.MEN)
-    woman_optimal, _ = deferred_acceptance(prefs, Side.WOMEN)
+    values = sample_latent(market, args.seed)
+    stable = enumerate_stable(values)
+    man_optimal, _ = deferred_acceptance(values, Side.MEN)
+    woman_optimal, _ = deferred_acceptance(values, Side.WOMEN)
     print(f"stable matchings: {len(stable)}")
     for idx, matching in enumerate(stable, start=1):
         tags = []
@@ -105,14 +86,8 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         summary = summarize_experiment(cfg, records)
         sys.stdout.write(format_summary(summary))
         return 0 if summary["passed"] else 1
-    stats = summarize(records)
     print(f"records: {len(records)}")
-    print(f"{'statistic':<18} {'count':>6} {'mean':>12} {'std':>12} {'min':>12} {'max':>12}")
-    for name, row in stats.items():
-        print(
-            f"{name:<18} {row['count']:>6d} {row['mean']:>12.6g} {row['std']:>12.6g} "
-            f"{row['min']:>12.6g} {row['max']:>12.6g}"
-        )
+    sys.stdout.write(format_stats(summarize(records)))
     return 0
 
 

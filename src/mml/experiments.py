@@ -42,7 +42,7 @@ from .matching import (
 )
 from .probability import chernoff_lower_tail
 from .rng import exponentials, stream_key, unit_uniforms
-from .sampling import LatentValues, PreferenceProfile, prefs_from_latent, sample_latent
+from .sampling import LatentValues, sample_latent
 from .stats import (
     best_fit_exponential,
     dkw_bound,
@@ -179,8 +179,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("n: must be >= 1")
     if cfg.trials < 1:
         raise ConfigError("trials: must be >= 1")
-    if cfg.c < 1.0:
+    # Written so that NaN fails each bound.
+    if not cfg.c >= 1.0:
         raise ConfigError("c: must be >= 1")
+    if not cfg.zeta > 0.0:
+        raise ConfigError("zeta: must be > 0")
+    if not cfg.theta > 0.0:
+        raise ConfigError("theta: must be > 0")
     if not (0.0 <= cfg.delta < 1.0):
         raise ConfigError("delta: must be in [0, 1)")
     if cfg.workers < 1:
@@ -299,10 +304,9 @@ def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = _build_balanced(cfg, t)
     values = sample_latent(bal, trial_seed)
-    prefs = prefs_from_latent(values)
     records = []
     for side, kind in ((Side.MEN, "mosm"), (Side.WOMEN, "wosm")):
-        matching, outcome = deferred_acceptance(prefs, side, values)
+        matching, outcome = deferred_acceptance(values, side)
         rate = None
         if cfg.experiment is ExperimentKind.RANK_DIST:
             sample = rescaled_ranks(outcome.rank_men, bal.phi)
@@ -318,8 +322,7 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = _build_balanced(cfg, t)
     values = sample_latent(bal, trial_seed)
-    prefs = prefs_from_latent(values)
-    matching, outcome = deferred_acceptance(prefs, Side.MEN, values)
+    matching, outcome = deferred_acceptance(values, Side.MEN)
 
     # Perturb the stable matching by k random partner swaps.
     mu = list(matching.mu)
@@ -350,23 +353,23 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
 
 def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
-    n, m = cfg.n, cfg.n - cfg.k
+    m = cfg.n - cfg.k
     rect = _build_rectangular(cfg, t)
     bal = sinkhorn_balance(backfill_imbalanced(rect, cfg.k))
     values = sample_latent(bal, trial_seed)
 
     # The real market is the first m rows/columns of the extension's values.
     rect_values = LatentValues(X=values.X[:m, :], Y=values.Y[:, :m], seed=trial_seed)
-    rect_prefs = prefs_from_latent(rect_values)
-    rect_match, rect_outcome = deferred_acceptance(rect_prefs, Side.MEN, rect_values)
+    rect_match, rect_outcome = deferred_acceptance(rect_values, Side.MEN)
 
     # Completion check: with every woman ranking the k added men below all
-    # real men, square DA must restrict to the rectangular DA exactly.
-    women_completed = np.hstack(
-        [np.argsort(rect_values.Y, axis=1), np.tile(np.arange(m, n), (n, 1))]
-    )
-    completed = PreferenceProfile(
-        men_prefs=np.argsort(values.X, axis=1), women_prefs=women_completed
+    # real men (in index order), square DA must restrict to the rectangular
+    # DA exactly.
+    y_rect = rect_values.Y
+    completed = LatentValues(
+        X=values.X,
+        Y=np.hstack([y_rect, y_rect.max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)]),
+        seed=trial_seed,
     )
     completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
@@ -397,7 +400,7 @@ def _stable_count_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = _build_balanced(cfg, t)
     values = sample_latent(bal, trial_seed)
-    count = len(enumerate_stable(prefs_from_latent(values)))
+    count = len(enumerate_stable(values))
     return [TrialRecord(trial_id=t, matching_kind="all", stable_count=count)]
 
 
@@ -695,9 +698,13 @@ def format_summary(summary: dict) -> str:
                 f"{c['threshold']:>10.6g}  {'PASS' if c['passed'] else 'FAIL'}"
             )
         lines.append(f"overall: {'PASS' if summary['passed'] else 'FAIL'}")
-    lines.append("")
-    lines.append(f"{'statistic':<18} {'count':>6} {'mean':>12} {'std':>12} {'min':>12} {'max':>12}")
-    for name, row in summary["stats"].items():
+    return "\n".join(lines) + "\n\n" + format_stats(summary["stats"])
+
+
+def format_stats(stats: dict[str, dict[str, float]]) -> str:
+    """The per-column table of ``summarize``, one statistic per line."""
+    lines = [f"{'statistic':<18} {'count':>6} {'mean':>12} {'std':>12} {'min':>12} {'max':>12}"]
+    for name, row in stats.items():
         lines.append(
             f"{name:<18} {row['count']:>6d} {row['mean']:>12.6g} {row['std']:>12.6g} "
             f"{row['min']:>12.6g} {row['max']:>12.6g}"

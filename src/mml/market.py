@@ -118,7 +118,8 @@ class BalancedMarket:
 
     ``A = diag(phi) @ a_hat`` and ``B = diag(psi) @ b_hat`` are the canonical
     scores rescaled by the fitness vectors, chosen so the mutual matrix
-    ``M = A * B^T / n`` is doubly stochastic.
+    ``M = A * B^T / n`` is doubly stochastic.  ``c_bound`` is the contiguity
+    constant: the smallest C with every a_ij, b_ji and n*m_ij inside [1/C, C].
     """
 
     A: np.ndarray
@@ -152,14 +153,6 @@ class BalancedMarket:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-
-def contiguity_constant(bal: BalancedMarket) -> float:
-    """Smallest C with every a_ij, b_ji and n*m_ij inside [1/C, C]."""
-    values = np.concatenate(
-        [bal.A.ravel(), bal.B.ravel(), (bal.n * bal.M).ravel()]
-    )
-    return float(np.max(np.maximum(values, 1.0 / values)))
 
 
 def sinkhorn_balance(
@@ -290,31 +283,43 @@ def write_matrix_pair(path, first: np.ndarray, second: np.ndarray) -> None:
 
 
 def read_matrix_pair(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw_lines if ln]
+    """Read two matrices written by ``write_matrix_pair``.
+
+    Any malformed content raises ShapeMismatch naming the file and line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    except UnicodeDecodeError:
+        raise ShapeMismatch(f"{path}: not a UTF-8 text file") from None
     if not lines:
         raise ShapeMismatch(f"{path}: empty market file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ShapeMismatch(f"{path}: header must be 'n_men n_women'")
-    n_men, n_women = int(header[0]), int(header[1])
+
+    def numbers(no: int, tokens: list[str], convert) -> list:
+        try:
+            return [convert(tok) for tok in tokens]
+        except ValueError:
+            raise ShapeMismatch(
+                f"{path}: line {no}: expected numbers, got {' '.join(tokens)!r}"
+            ) from None
+
+    header_no, header = lines[0]
+    dims = numbers(header_no, header, int)
+    if len(dims) != 2 or min(dims) < 1:
+        raise ShapeMismatch(f"{path}: line {header_no}: header must be 'n_men n_women'")
+    n_men, n_women = dims
     body = lines[1:]
     if len(body) != n_men + n_women:
         raise ShapeMismatch(
             f"{path}: expected {n_men + n_women} matrix rows, found {len(body)}"
         )
-
-    def parse_block(rows: list[str], shape: tuple[int, int]) -> np.ndarray:
-        values = [[float(tok) for tok in row.split()] for row in rows]
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != shape:
-            raise ShapeMismatch(f"{path}: matrix block has shape {arr.shape}, expected {shape}")
-        return arr
-
-    first = parse_block(body[:n_men], (n_men, n_women))
-    second = parse_block(body[n_men:], (n_women, n_men))
-    return first, second
+    rows = []
+    for k, (no, tokens) in enumerate(body):
+        width = n_women if k < n_men else n_men
+        if len(tokens) != width:
+            raise ShapeMismatch(f"{path}: line {no}: expected {width} entries, found {len(tokens)}")
+        rows.append(numbers(no, tokens, float))
+    return np.array(rows[:n_men]), np.array(rows[n_men:])
 
 
 def write_market(market: CanonicalMarket, path) -> None:

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
-from .sampling import LatentValues, PreferenceProfile
+from .sampling import LatentValues
 
 ENUMERATION_LIMIT = 10
 EXACT_ALPHA_LIMIT = 12
@@ -115,12 +115,11 @@ class Matching:
 class MatchingOutcome:
     """Per-agent values and ranks of a matching, plus the proposal count.
 
-    Value vectors are None when the matching came from a preference profile
-    with no underlying latent values.  Off-support entries are 0 by convention.
+    Off-support entries are 0 by convention.
     """
 
-    value_men: np.ndarray | None
-    value_women: np.ndarray | None
+    value_men: np.ndarray
+    value_women: np.ndarray
     rank_men: np.ndarray
     rank_women: np.ndarray
     proposal_count: int = 0
@@ -175,34 +174,22 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
     )
 
 
-def _inverse_rows(prefs: np.ndarray) -> np.ndarray:
-    # rank[r, prefs[r, k]] = k for each row r
-    n_rows, n_cols = prefs.shape
-    rank = np.empty((n_rows, n_cols), dtype=np.int64)
-    rank[np.arange(n_rows)[:, None], prefs] = np.arange(n_cols)[None, :]
-    return rank
-
-
 def deferred_acceptance(
-    prefs: PreferenceProfile,
-    proposing_side: Side = Side.MEN,
-    values: LatentValues | None = None,
+    values: LatentValues, proposing_side: Side = Side.MEN
 ) -> tuple[Matching, MatchingOutcome]:
     """Proposal-queue deferred acceptance; optimal for the proposing side.
 
-    Proposers walk down their lists; receivers hold the best offer so far.
-    Works for rectangular markets (agents on the long side can end up
-    unmatched).  Every proposal, including rejected ones, is counted.
+    Proposers walk their value rows in ascending order; a receiver holds the
+    proposer she values lowest so far.  Works for rectangular markets (agents
+    on the long side can end up unmatched).  Every proposal, including
+    rejected ones, is counted.
     """
     if proposing_side == Side.MEN:
-        prop = prefs.men_prefs
-        recv = prefs.women_prefs
+        prop, recv = values.X, values.Y
     else:
-        prop = prefs.women_prefs
-        recv = prefs.men_prefs
-    n_prop, n_recv = prop.shape[0], recv.shape[0]
-    recv_rank = _inverse_rows(recv).tolist()
-    prop_lists = prop.tolist()
+        prop, recv = values.Y, values.X
+    n_prop, n_recv = prop.shape
+    order = np.argsort(prop, axis=1)
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
@@ -210,54 +197,31 @@ def deferred_acceptance(
     pending = list(range(n_prop - 1, -1, -1))
     while pending:
         p = pending.pop()
-        row = prop_lists[p]
         while True:
             k = next_idx[p]
             if k == n_recv:
                 break  # exhausted every receiver; stays unmatched
-            r = row[k]
+            r = order.item(p, k)
             next_idx[p] = k + 1
             proposals += 1
             cur = match_of[r]
             if cur < 0:
                 match_of[r] = p
                 break
-            ranks = recv_rank[r]
-            if ranks[p] < ranks[cur]:
+            if recv.item(r, p) < recv.item(r, cur):
                 match_of[r] = p
                 p = cur  # displaced proposer continues immediately
-                row = prop_lists[p]
 
+    n_men, n_women = values.X.shape
     if proposing_side == Side.MEN:
-        mu = [-1] * prefs.n_men
+        mu = [-1] * n_men
         for woman, man in enumerate(match_of):
             if man >= 0:
                 mu[man] = woman
     else:
-        mu = [-1] * prefs.n_men
-        for man, woman in enumerate(match_of):
-            mu[man] = woman
-    matching = Matching(mu=tuple(mu), n_women=prefs.n_women)
-
-    if values is not None:
-        return matching, outcome_of(matching, values, proposal_count=proposals)
-
-    # Profile-only route: ranks equal list positions, values are unavailable.
-    men_rank_of = _inverse_rows(prefs.men_prefs)
-    women_rank_of = _inverse_rows(prefs.women_prefs)
-    rank_men = np.zeros(prefs.n_men, dtype=np.int64)
-    rank_women = np.zeros(prefs.n_women, dtype=np.int64)
-    for i, j in enumerate(mu):
-        if j >= 0:
-            rank_men[i] = men_rank_of[i, j] + 1
-            rank_women[j] = women_rank_of[j, i] + 1
-    return matching, MatchingOutcome(
-        value_men=None,
-        value_women=None,
-        rank_men=rank_men,
-        rank_women=rank_women,
-        proposal_count=proposals,
-    )
+        mu = match_of
+    matching = Matching(mu=tuple(mu), n_women=n_women)
+    return matching, outcome_of(matching, values, proposal_count=proposals)
 
 
 def _blocking_mask(
@@ -306,7 +270,7 @@ def is_stable(
     ).any()
 
 
-def enumerate_stable(prefs: PreferenceProfile) -> list[Matching]:
+def enumerate_stable(values: LatentValues) -> list[Matching]:
     """All stable matchings, in lexicographic order of (mu[0], mu[1], ...).
 
     Backtracking over men with incremental blocking checks: a blocking pair
@@ -315,14 +279,15 @@ def enumerate_stable(prefs: PreferenceProfile) -> list[Matching]:
     additionally screened against blocks by women left unmatched.  Exhaustive,
     so limited to markets with at most 10 agents per side.
     """
-    n_men, n_women = prefs.n_men, prefs.n_women
+    n_men, n_women = values.X.shape
     if n_men > n_women:
         raise ShapeMismatch("enumeration expects n_men <= n_women")
     if n_women > ENUMERATION_LIMIT:
         raise TooLarge(n_women, ENUMERATION_LIMIT, "enumerate_stable")
 
-    mr = _inverse_rows(prefs.men_prefs).tolist()
-    wr = _inverse_rows(prefs.women_prefs).tolist()
+    # Python floats: the backtracking reads single cells, at most 10 x 10.
+    x = values.X.tolist()
+    y = values.Y.tolist()
     mu = [-1] * n_men
     used = [False] * n_women
     found: list[Matching] = []
@@ -333,22 +298,22 @@ def enumerate_stable(prefs: PreferenceProfile) -> list[Matching]:
                 if not used[j]:
                     # Unmatched woman: blocks with any man who prefers her.
                     for i2 in range(n_men):
-                        if mr[i2][j] < mr[i2][mu[i2]]:
+                        if x[i2][j] < x[i2][mu[i2]]:
                             return
             found.append(Matching(mu=tuple(mu), n_women=n_women))
             return
-        row = mr[i]
+        row = x[i]
         for w in range(n_women):
             if used[w]:
                 continue
             ok = True
             for i2 in range(i):
                 w2 = mu[i2]
-                if row[w2] < row[w] and wr[w2][i] < wr[w2][i2]:
+                if row[w2] < row[w] and y[w2][i] < y[w2][i2]:
                     ok = False  # (i, w2) would block
                     break
-                r2 = mr[i2]
-                if r2[w] < r2[w2] and wr[w][i2] < wr[w][i]:
+                r2 = x[i2]
+                if r2[w] < r2[w2] and y[w][i2] < y[w][i]:
                     ok = False  # (i2, w) would block
                     break
             if ok:
@@ -375,8 +340,6 @@ def truncate_delta(
     """
     if not (0.0 < delta < 1.0):
         raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
-    if outcome.value_men is None or outcome.value_women is None:
-        raise ValueError("truncation needs an outcome with latent values")
 
     mu_arr = mu.mu_array
     support = np.nonzero(mu_arr >= 0)[0]

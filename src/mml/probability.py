@@ -14,10 +14,10 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import NotNormalized, TooLarge
-from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
+from .market import BalancedMarket, CanonicalMarket
 from .matching import ENUMERATION_LIMIT, Matching, enumerate_stable
 from .rng import stream_key, unit_uniforms_batch
-from .sampling import PreferenceProfile, _check_rows_tie_free
+from .sampling import LatentValues, latent_rates
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -104,12 +104,8 @@ def stability_likelihood(
     return StabilityLikelihood(
         p_mu=p_mu(x, y, bal.A, bal.B, mu),
         q_xy=q_xy(x, y, bal.M),
-        naive_upper=naive_p_upper(x, y, mu, bal.A, bal.B, contiguity_of(bal)),
+        naive_upper=naive_p_upper(x, y, mu, bal.A, bal.B, bal.c_bound),
     )
-
-
-def contiguity_of(bal: BalancedMarket) -> float:
-    return bal.c_bound
 
 
 def chernoff_lower_tail(u: np.ndarray, t: float) -> float:
@@ -141,15 +137,12 @@ _MC_CHUNK_CELLS = 1 << 16  # uniforms drawn per batched chunk, both sides combin
 
 def _exponential_batch(trial_seeds: list[int], tag: str, rates: np.ndarray) -> np.ndarray:
     # Stacked exponentials(stream_key(s, tag), rates) over the trial seeds,
-    # bit-identical to drawing each trial alone, with the tie screen applied
-    # to every row of the stack at once.
+    # bit-identical to drawing each trial alone.
     keys = np.fromiter(
         (stream_key(s, tag) for s in trial_seeds), dtype=np.uint64, count=len(trial_seeds)
     )
     u = unit_uniforms_batch(keys, rates.size)
-    draws = (-np.log(u) / rates.ravel()[None, :]).reshape(len(trial_seeds), *rates.shape)
-    _check_rows_tie_free(tag, draws.reshape(-1, rates.shape[1]))
-    return draws
+    return (-np.log(u) / rates.ravel()[None, :]).reshape(len(trial_seeds), *rates.shape)
 
 
 def expected_stable_count_mc(
@@ -169,13 +162,7 @@ def expected_stable_count_mc(
     n_max = max(market.n_men, market.n_women)
     if n_max > ENUMERATION_LIMIT:
         raise TooLarge(n_max, ENUMERATION_LIMIT, "expected_stable_count_mc")
-    if market.is_square:
-        bal = sinkhorn_balance(market)
-        rates_men, rates_women = bal.A, bal.B
-    else:
-        # No balanced form off-square; preferences only depend on within-row
-        # ratios, so canonical rates give the same matching distribution.
-        rates_men, rates_women = market.a_hat, market.b_hat
+    rates_men, rates_women = latent_rates(market)
 
     chunk = max(1, _MC_CHUNK_CELLS // (rates_men.size + rates_women.size))
     counts = np.empty(n_trials)
@@ -184,11 +171,9 @@ def expected_stable_count_mc(
         trial_seeds = [stream_key(seed, "trial", t) for t in trials]
         x = _exponential_batch(trial_seeds, "X", rates_men)
         y = _exponential_batch(trial_seeds, "Y", rates_women)
-        men_prefs = np.argsort(x, axis=2)
-        women_prefs = np.argsort(y, axis=2)
         for i, t in enumerate(trials):
-            prefs = PreferenceProfile(men_prefs=men_prefs[i], women_prefs=women_prefs[i])
-            counts[t] = len(enumerate_stable(prefs))
+            values = LatentValues(X=x[i], Y=y[i], seed=trial_seeds[i])
+            counts[t] = len(enumerate_stable(values))
 
     mean = float(counts.mean())
     stderr = 0.0 if n_trials == 1 else float(counts.std(ddof=1) / math.sqrt(n_trials))

@@ -1,10 +1,10 @@
-"""Seeded sampling of latent values and preference profiles.
+"""Seeded sampling of latent values.
 
 Latent values follow the logit model: man i's value for woman j is
 ``X[i, j] ~ Exp(A[i, j])`` with A the balanced scores, drawn from the per-cell
 stream keyed by (seed, "X", i, j); lower values are better.  Sorting a row of
 values yields exactly the sequential choice distribution of the multinomial
-logit, which `logit_sample_prefs` implements directly as a cross-check.
+logit, so the values are the only representation of preferences.
 """
 from __future__ import annotations
 
@@ -13,8 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
-from .market import BalancedMarket
-from .rng import exponentials, stream_key, unit_uniforms
+from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
+from .rng import exponentials, stream_key
+
+
+def _check_rows_tie_free(name: str, values: np.ndarray) -> None:
+    # One sort serves every test: NaN sorts last, so the last column catches
+    # non-finite values and the first column non-positive ones.
+    ordered = np.sort(values, axis=1)
+    if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
+        raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
 
 
 @dataclass(frozen=True)
@@ -23,95 +33,43 @@ class LatentValues:
 
     ``X[i, j]`` is man i's value for woman j (rate ``A[i, j]``), ``Y[j, i]``
     woman j's value for man i (rate ``B[j, i]``).  Man i prefers j1 to j2 iff
-    ``X[i, j1] < X[i, j2]``.
+    ``X[i, j1] < X[i, j2]``.  Construction rejects mismatched shapes and
+    non-finite, non-positive or tied values, so every row is a strict order.
     """
 
     X: np.ndarray
     Y: np.ndarray
     seed: int
 
-
-@dataclass(frozen=True)
-class PreferenceProfile:
-    """Strict preference lists, best partner first, 0-based indices."""
-
-    men_prefs: np.ndarray
-    women_prefs: np.ndarray
-
     def __post_init__(self):
-        m = np.asarray(self.men_prefs, dtype=np.int64)
-        w = np.asarray(self.women_prefs, dtype=np.int64)
-        if m.ndim != 2 or w.ndim != 2 or w.shape != (m.shape[1], m.shape[0]):
+        x, y = self.X, self.Y
+        if x.ndim != 2 or y.shape != x.shape[::-1]:
             raise ShapeMismatch(
-                f"preference arrays must have transposed shapes, got {m.shape} and {w.shape}"
+                f"value matrices must have transposed shapes, got {x.shape} and {y.shape}"
             )
-        object.__setattr__(self, "men_prefs", m)
-        object.__setattr__(self, "women_prefs", w)
-
-    @property
-    def n_men(self) -> int:
-        return self.men_prefs.shape[0]
-
-    @property
-    def n_women(self) -> int:
-        return self.women_prefs.shape[0]
+        _check_rows_tie_free("X", x)
+        _check_rows_tie_free("Y", y)
 
 
-def _check_rows_tie_free(name: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
-        raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
-    ordered = np.sort(values, axis=1)
-    if values.shape[1] > 1 and np.any(np.diff(ordered, axis=1) == 0.0):
-        raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
+def latent_rates(market: BalancedMarket | CanonicalMarket) -> tuple[np.ndarray, np.ndarray]:
+    """Rates of the men's and the women's values in ``market``.
 
-
-def sample_latent(bal: BalancedMarket, seed: int) -> LatentValues:
-    """Draw one matrix of values per side from per-cell streams of ``seed``."""
-    x = exponentials(stream_key(seed, "X"), bal.A)
-    y = exponentials(stream_key(seed, "Y"), bal.B)
-    _check_rows_tie_free("X", x)
-    _check_rows_tie_free("Y", y)
-    return LatentValues(X=x, Y=y, seed=seed)
-
-
-def prefs_from_latent(values: LatentValues) -> PreferenceProfile:
-    """Sort each agent's values ascending into a strict preference list."""
-    _check_rows_tie_free("X", values.X)
-    _check_rows_tie_free("Y", values.Y)
-    return PreferenceProfile(
-        men_prefs=np.argsort(values.X, axis=1),
-        women_prefs=np.argsort(values.Y, axis=1),
-    )
-
-
-def _sequential_order(scores: np.ndarray, uniforms: np.ndarray) -> list[int]:
-    # Sample without replacement, picking proportionally to the remaining scores.
-    remaining = list(range(scores.size))
-    order: list[int] = []
-    for u in uniforms:
-        weights = np.cumsum(scores[remaining])
-        pick = int(np.searchsorted(weights, u * weights[-1], side="right"))
-        pick = min(pick, len(remaining) - 1)
-        order.append(remaining.pop(pick))
-    return order
-
-
-def logit_sample_prefs(bal: BalancedMarket, seed: int) -> PreferenceProfile:
-    """Sample preference lists by sequential logit choice over canonical scores.
-
-    Distributionally identical to ``prefs_from_latent(sample_latent(bal, seed))``
-    (an exponential race realizes the same choice law), but drawn through a
-    different route and different streams; useful as an independent check.
+    Balanced rates when the market is balanced or square.  An off-square
+    market has no balanced form and uses its canonical rates: preferences
+    depend only on within-row rate ratios, so the preference law is the same.
     """
-    n = bal.n
-    a_hat = bal.A / bal.phi[:, None]
-    b_hat = bal.B / bal.psi[:, None]
-    men = np.empty((n, n), dtype=np.int64)
-    women = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        u = unit_uniforms(stream_key(seed, "logit_men", i), n)
-        men[i] = _sequential_order(a_hat[i], u)
-    for j in range(n):
-        u = unit_uniforms(stream_key(seed, "logit_women", j), n)
-        women[j] = _sequential_order(b_hat[j], u)
-    return PreferenceProfile(men_prefs=men, women_prefs=women)
+    if isinstance(market, CanonicalMarket):
+        if not market.is_square:
+            return market.a_hat, market.b_hat
+        market = sinkhorn_balance(market)
+    return market.A, market.B
+
+
+def sample_latent(market: BalancedMarket | CanonicalMarket, seed: int) -> LatentValues:
+    """Draw one matrix of values per side from per-cell streams of ``seed``."""
+    rates_men, rates_women = latent_rates(market)
+    return LatentValues(
+        X=exponentials(stream_key(seed, "X"), rates_men),
+        Y=exponentials(stream_key(seed, "Y"), rates_women),
+        seed=seed,
+    )

@@ -264,8 +264,6 @@ def rank_value_ratio_report(
     the total score mass pointing at him); reports the fraction off by more
     than theta relative.
     """
-    if outcome.value_men is None:
-        raise ValueError("ratio report needs an outcome with latent values")
     if theta <= 0.0:
         raise ValueError("theta must be positive")
     phi = np.asarray(phi, dtype=np.float64)

@@ -25,7 +25,6 @@ from mml import (
     is_stable,
     load_config,
     p_mu,
-    prefs_from_latent,
     public_scores_market,
     random_cbounded_market,
     run_experiment,
@@ -76,11 +75,10 @@ def test_criterion_02_enumeration_agrees_with_acceptance():
         market = random_cbounded_market(n, c, stream_key(4242, "market", i))
         bal = sinkhorn_balance(market)
         values = sample_latent(bal, stream_key(4242, "values", i))
-        prefs = prefs_from_latent(values)
-        stable = enumerate_stable(prefs)
+        stable = enumerate_stable(values)
         assert all(is_stable(m, values) for m in stable)
-        mosm, _ = deferred_acceptance(prefs, Side.MEN, values)
-        wosm, _ = deferred_acceptance(prefs, Side.WOMEN, values)
+        mosm, _ = deferred_acceptance(values, Side.MEN)
+        wosm, _ = deferred_acceptance(values, Side.WOMEN)
         assert mosm in stable and wosm in stable
         x_mosm = values.X[np.arange(n), mosm.mu_array]
         for m in stable:

@@ -69,6 +69,27 @@ def test_balance_errors_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("2 2\n0.5 0.5\n0.5 abc\n\n0.5 0.5\n0.5 0.5\n", 3),
+        ("2 two\n0.5 0.5\n0.5 0.5\n\n0.5 0.5\n0.5 0.5\n", 1),
+        ("2 2\n0.5 0.5\n0.5\n\n0.5 0.5\n0.5 0.5\n", 3),
+        ("0 0\n", 1),
+    ],
+    ids=["token", "header", "ragged", "empty-header"],
+)
+def test_malformed_market_file_exits_two(tmp_path, capsys, text, line):
+    market_file = tmp_path / "market.txt"
+    market_file.write_text(text, encoding="utf-8")
+    for command in (["balance"], ["enumerate", "--seed", "1"]):
+        rc = main([command[0], str(market_file), *command[1:]])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {market_file}: line {line}:")
+        assert err.count("\n") == 1
+
+
 def test_run_green_config_exits_zero_and_writes_files(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(STABLE_COUNT_CFG, encoding="utf-8")
@@ -110,6 +131,20 @@ def test_run_rejects_bad_inputs(tmp_path, capsys):
     rc = main(["run", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "shoe_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["c = nan", "zeta = 0", "zeta = -0.5", "zeta = nan", "theta = 0", "theta = nan"]
+)
+def test_run_rejects_out_of_range_parameters(tmp_path, capsys, line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(STRICT_VALUE_DIST_CFG + line + "\n", encoding="utf-8")
+    out_dir = tmp_path / "o"
+    rc = main(["run", str(cfg_file), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {line.split()[0]}:")
+    assert not out_dir.exists()
 
 
 def test_enumerate_tags_the_optimal_matchings(tmp_path, capsys):

@@ -20,7 +20,6 @@ from mml import (
     ks_distance_to_exp,
     load_config,
     parse_config,
-    prefs_from_latent,
     records_from_csv,
     records_to_csv,
     records_to_jsonl,
@@ -206,9 +205,8 @@ def test_value_dist_records_the_finite_n_value_law():
     bal = sinkhorn_balance(uniform_market(cfg.n))
     for t in range(cfg.trials):
         values = sample_latent(bal, stream_key(cfg.master_seed, "trial", t))
-        prefs = prefs_from_latent(values)
         for side, kind in ((Side.MEN, "mosm"), (Side.WOMEN, "wosm")):
-            _, outcome = deferred_acceptance(prefs, side, values)
+            _, outcome = deferred_acceptance(values, side)
             u = -np.expm1(-outcome.value_men)
             rate = float((-np.expm1(-outcome.value_women)).sum())
             record = recorded[(t, kind)]
@@ -335,9 +333,8 @@ def test_rank_and_proposal_laws_on_uniform_market():
     bal = sinkhorn_balance(uniform_market(n))
     for t in range(trials):
         values = sample_latent(bal, stream_key(424242, "trial", t))
-        prefs = prefs_from_latent(values)
         for side in (Side.MEN, Side.WOMEN):
-            _, outcome = deferred_acceptance(prefs, side, values)
+            _, outcome = deferred_acceptance(values, side)
             mean_prop = outcome.rank_men.mean() if side is Side.MEN else outcome.rank_women.mean()
             mean_recv = outcome.rank_women.mean() if side is Side.MEN else outcome.rank_men.mean()
             assert 0.5 * log_n <= mean_prop <= 3.0 * log_n

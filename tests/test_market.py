@@ -16,7 +16,6 @@ from mml.market import (
     CanonicalMarket,
     backfill_imbalanced,
     canonical_from_raw,
-    contiguity_constant,
     public_scores_market,
     random_cbounded_market,
     read_market,
@@ -91,7 +90,7 @@ def test_uniform_market_balances_to_all_ones_rates():
     np.testing.assert_allclose(bal.A, np.ones((7, 7)), rtol=1e-12)
     np.testing.assert_allclose(bal.M, np.full((7, 7), 1.0 / 7.0), rtol=1e-12)
     assert bal.residual <= 1e-10
-    assert contiguity_constant(bal) == pytest.approx(1.0, abs=1e-10)
+    assert bal.c_bound == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_by_two_balance_closed_form():

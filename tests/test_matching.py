@@ -3,6 +3,8 @@
 The enumeration tests lean on a permutation brute force as the oracle; DA
 output is checked against the enumeration (membership and optimality) rather
 than against frozen matchings, so the tests pin the semantics, not one run.
+DA on values is also checked, matching and proposal count, against DA on
+explicit preference lists (``tests/oracles.py``).
 """
 
 import itertools
@@ -27,27 +29,21 @@ from mml.matching import (
     outcome_of,
     truncate_delta,
 )
-from mml.sampling import LatentValues, PreferenceProfile, prefs_from_latent, sample_latent
+from mml.sampling import LatentValues, sample_latent
+from oracles import list_deferred_acceptance, prefs_from_values, values_from_prefs
 
 
 def draw_instance(n, seed, c=2.0, n_women=None):
-    market = (
-        sinkhorn_balance(random_cbounded_market(n, c, seed))
-        if n_women is None
-        else None
-    )
-    if market is not None:
-        values = sample_latent(market, seed)
-        return values, prefs_from_latent(values)
+    if n_women is None:
+        return sample_latent(sinkhorn_balance(random_cbounded_market(n, c, seed)), seed)
     rng = np.random.default_rng(seed)
     x = rng.exponential(1.0, (n, n_women))
     y = rng.exponential(1.0, (n_women, n))
-    values = LatentValues(X=x, Y=y, seed=seed)
-    return values, prefs_from_latent(values)
+    return LatentValues(X=x, Y=y, seed=seed)
 
 
-def brute_force_stable(values, prefs):
-    n_men, n_women = prefs.n_men, prefs.n_women
+def brute_force_stable(values):
+    n_men, n_women = values.X.shape
     out = []
     for women in itertools.permutations(range(n_women), n_men):
         mu = Matching(mu=women, n_women=n_women)
@@ -111,7 +107,7 @@ def test_matching_from_text_errors():
 
 def test_da_single_agent():
     values = LatentValues(X=np.array([[0.5]]), Y=np.array([[0.7]]), seed=0)
-    mu, outcome = deferred_acceptance(prefs_from_latent(values), values=values)
+    mu, outcome = deferred_acceptance(values)
     assert mu.mu == (0,)
     assert outcome.value_men[0] == 0.5
     assert outcome.rank_men[0] == 1
@@ -121,24 +117,44 @@ def test_da_single_agent():
 def test_da_hand_worked_three_by_three():
     men = np.array([[0, 1, 2], [0, 2, 1], [1, 0, 2]])
     women = np.array([[1, 0, 2], [2, 0, 1], [0, 1, 2]])
-    prefs = PreferenceProfile(men_prefs=men, women_prefs=women)
+    values = values_from_prefs(men, women)
 
-    mu, outcome = deferred_acceptance(prefs)
+    mu, outcome = deferred_acceptance(values)
     assert mu.mu == (2, 0, 1)
     # m0 walks his whole list (w0 prefers m1, w1 upgrades to m2), so 3 + 1 + 1.
     assert outcome.proposal_count == 5
     np.testing.assert_array_equal(outcome.rank_men, [3, 1, 1])
 
-    mu_w, outcome_w = deferred_acceptance(prefs, proposing_side=Side.WOMEN)
+    mu_w, outcome_w = deferred_acceptance(values, proposing_side=Side.WOMEN)
     assert mu_w.mu == (2, 0, 1)  # unique stable matching here
     assert outcome_w.proposal_count == 3
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_men=st.integers(1, 8),
+    n_women=st.integers(1, 8),
+    side=st.sampled_from(list(Side)),
+)
+@settings(max_examples=300, deadline=None)
+def test_da_on_values_matches_the_list_oracle(seed, n_men, n_women, side):
+    rng = np.random.default_rng(seed)
+    values = LatentValues(
+        X=rng.exponential(1.0, (n_men, n_women)),
+        Y=rng.exponential(1.0, (n_women, n_men)),
+        seed=seed,
+    )
+    mu, outcome = deferred_acceptance(values, proposing_side=side)
+    oracle_mu, oracle_proposals = list_deferred_acceptance(*prefs_from_values(values), side)
+    assert mu.mu == oracle_mu
+    assert outcome.proposal_count == oracle_proposals
+
+
 def test_da_outputs_are_stable():
     for seed in range(50):
-        values, prefs = draw_instance(n=12, seed=seed)
+        values = draw_instance(n=12, seed=seed)
         for side in (Side.MEN, Side.WOMEN):
-            mu, _ = deferred_acceptance(prefs, proposing_side=side, values=values)
+            mu, _ = deferred_acceptance(values, proposing_side=side)
             assert mu.is_full
             assert is_stable(mu, values), f"seed {seed}, side {side}"
 
@@ -147,20 +163,20 @@ def test_da_proposal_count_equals_total_list_walk():
     # Man-proposing DA: each matched man proposes exactly down to his partner,
     # each unmatched man to everyone; the count is order-invariant.
     for seed in range(20):
-        values, prefs = draw_instance(n=9, seed=100 + seed)
-        mu, outcome = deferred_acceptance(prefs, values=values)
+        values = draw_instance(n=9, seed=100 + seed)
+        mu, outcome = deferred_acceptance(values)
         assert outcome.proposal_count == int(outcome.rank_men.sum())
     for seed in range(10):
-        values, prefs = draw_instance(n=4, seed=200 + seed, n_women=6)
-        mu, outcome = deferred_acceptance(prefs, values=values)
+        values = draw_instance(n=4, seed=200 + seed, n_women=6)
+        mu, outcome = deferred_acceptance(values)
         assert outcome.proposal_count == int(outcome.rank_men.sum())
 
 
 def test_da_rectangular_long_side_unmatched():
     # 5 women, 3 men, women propose: exactly two women end unmatched and the
     # result is stable even counting them.
-    values, prefs = draw_instance(n=3, seed=7, n_women=5)
-    mu, _ = deferred_acceptance(prefs, proposing_side=Side.WOMEN, values=values)
+    values = draw_instance(n=3, seed=7, n_women=5)
+    mu, _ = deferred_acceptance(values, proposing_side=Side.WOMEN)
     assert sorted(mu.mu) != [-1, -1, -1]
     assert len(mu.women_support) == 3
     assert is_stable(mu, values, count_unmatched_agents=True)
@@ -169,8 +185,8 @@ def test_da_rectangular_long_side_unmatched():
 def test_swapping_partners_breaks_stability():
     broken = 0
     for seed in range(100):
-        values, prefs = draw_instance(n=50, seed=300 + seed)
-        mu, _ = deferred_acceptance(prefs, values=values)
+        values = draw_instance(n=50, seed=300 + seed)
+        mu, _ = deferred_acceptance(values)
         arr = list(mu.mu)
         arr[3], arr[17] = arr[17], arr[3]
         if not is_stable(Matching(mu=tuple(arr), n_women=50), values):
@@ -210,18 +226,18 @@ def test_unmatched_agents_block_only_when_asked():
 def test_enumeration_matches_brute_force_square():
     for seed in range(40):
         n = 2 + seed % 5
-        values, prefs = draw_instance(n=n, seed=400 + seed)
-        found = enumerate_stable(prefs)
-        oracle = brute_force_stable(values, prefs)
+        values = draw_instance(n=n, seed=400 + seed)
+        found = enumerate_stable(values)
+        oracle = brute_force_stable(values)
         assert found == sorted(oracle, key=lambda m: m.mu)
         assert [m.mu for m in found] == sorted(m.mu for m in found)
 
 
 def test_enumeration_matches_brute_force_rectangular():
     for seed in range(15):
-        values, prefs = draw_instance(n=3, seed=500 + seed, n_women=5)
-        found = enumerate_stable(prefs)
-        oracle = brute_force_stable(values, prefs)
+        values = draw_instance(n=3, seed=500 + seed, n_women=5)
+        found = enumerate_stable(values)
+        oracle = brute_force_stable(values)
         assert sorted(found, key=lambda m: m.mu) == sorted(oracle, key=lambda m: m.mu)
         assert found, "every finite market has a stable matching"
 
@@ -229,10 +245,10 @@ def test_enumeration_matches_brute_force_rectangular():
 def test_da_endpoints_of_the_enumeration():
     for seed in range(30):
         n = 2 + seed % 6
-        values, prefs = draw_instance(n=n, seed=600 + seed)
-        stable_set = enumerate_stable(prefs)
-        mosm, out_m = deferred_acceptance(prefs, values=values)
-        wosm, out_w = deferred_acceptance(prefs, proposing_side=Side.WOMEN, values=values)
+        values = draw_instance(n=n, seed=600 + seed)
+        stable_set = enumerate_stable(values)
+        mosm, out_m = deferred_acceptance(values)
+        wosm, out_w = deferred_acceptance(values, proposing_side=Side.WOMEN)
         assert mosm in stable_set and wosm in stable_set
         for other in stable_set:
             vals = outcome_of(other, values)
@@ -242,12 +258,12 @@ def test_da_endpoints_of_the_enumeration():
 
 def test_enumeration_limits():
     with pytest.raises(TooLarge):
-        enumerate_stable(prefs_from_latent(sample_latent(
+        enumerate_stable(sample_latent(
             sinkhorn_balance(uniform_market(ENUMERATION_LIMIT + 1)), 0
-        )))
-    values, prefs = draw_instance(n=3, seed=1, n_women=2)
+        ))
+    values = draw_instance(n=3, seed=1, n_women=2)
     with pytest.raises(ShapeMismatch):
-        enumerate_stable(prefs)
+        enumerate_stable(values)
 
 
 # --- outcome_of ---------------------------------------------------------------
@@ -276,7 +292,7 @@ def test_outcome_ranks_brute_force():
 
 
 def test_outcome_shape_validation():
-    values = LatentValues(X=np.ones((2, 2)), Y=np.ones((2, 2)), seed=0)
+    values = LatentValues(X=np.eye(2) + 1.0, Y=np.eye(2) + 1.0, seed=0)
     with pytest.raises(ShapeMismatch):
         outcome_of(Matching(mu=(0, 1, 2), n_women=3), values)
 
@@ -288,8 +304,10 @@ def test_truncate_keeps_exact_counts_hand_case():
     # n = 10, delta = 0.2: drop 2 pairs total -- the worst man (value 10) and
     # the partner of the worst woman (woman 0, value 10, partner man 0).
     n = 10
-    x = np.where(np.eye(n, dtype=bool), np.arange(1.0, n + 1.0)[:, None], 100.0)
-    y = np.where(np.eye(n, dtype=bool), (n - np.arange(n, dtype=float))[:, None], 100.0)
+    # Off-diagonal values are large and distinct: latent values never tie.
+    off = 100.0 + np.arange(n * n, dtype=float).reshape(n, n)
+    x = np.where(np.eye(n, dtype=bool), np.arange(1.0, n + 1.0)[:, None], off)
+    y = np.where(np.eye(n, dtype=bool), (n - np.arange(n, dtype=float))[:, None], off)
     values = LatentValues(X=x, Y=y, seed=0)
     mu = Matching(mu=tuple(range(n)), n_women=n)
     truncated, x_d, y_d = truncate_delta(mu, outcome_of(mu, values), 0.2)
@@ -332,20 +350,14 @@ def test_truncate_validation():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(DeltaOutOfRange):
             truncate_delta(mu, outcome, bad)
-    ranks_only = deferred_acceptance(
-        PreferenceProfile(men_prefs=np.array([[0, 1], [1, 0]]),
-                          women_prefs=np.array([[0, 1], [1, 0]]))
-    )[1]
-    with pytest.raises(ValueError):
-        truncate_delta(mu, ranks_only, 0.5)
 
 
 # --- alpha-stability ----------------------------------------------------------
 
 
 def test_da_outcome_is_alpha_zero():
-    values, prefs = draw_instance(n=10, seed=42)
-    mu, _ = deferred_acceptance(prefs, values=values)
+    values = draw_instance(n=10, seed=42)
+    mu, _ = deferred_acceptance(values)
     alpha, remaining = greedy_alpha_certificate(mu, values)
     assert alpha == 0.0
     assert remaining == mu
@@ -354,8 +366,8 @@ def test_da_outcome_is_alpha_zero():
 
 def test_greedy_certificate_is_certified_by_exact_search():
     for seed in range(12):
-        values, prefs = draw_instance(n=8, seed=700 + seed)
-        mu, _ = deferred_acceptance(prefs, values=values)
+        values = draw_instance(n=8, seed=700 + seed)
+        mu, _ = deferred_acceptance(values)
         arr = list(mu.mu)
         arr[0], arr[4] = arr[4], arr[0]
         perturbed = Matching(mu=tuple(arr), n_women=8)
@@ -368,8 +380,8 @@ def test_greedy_certificate_is_certified_by_exact_search():
 def test_exact_alpha_boundary():
     # A single swapped pair at n = 5: some size-4 subset is stable, the full
     # matching is not, so 0.2 passes and anything needing all 5 pairs fails.
-    values, prefs = draw_instance(n=5, seed=61)
-    mu, _ = deferred_acceptance(prefs, values=values)
+    values = draw_instance(n=5, seed=61)
+    mu, _ = deferred_acceptance(values)
     arr = list(mu.mu)
     arr[1], arr[3] = arr[3], arr[1]
     perturbed = Matching(mu=tuple(arr), n_women=5)
@@ -381,16 +393,16 @@ def test_exact_alpha_boundary():
 
 
 def test_exact_alpha_validation():
-    values, _ = draw_instance(n=3, seed=5)
+    values = draw_instance(n=3, seed=5)
     mu = Matching(mu=(0, 1, 2), n_women=3)
     with pytest.raises(ValueError):
         is_alpha_stable_exact(mu, values, -0.1)
-    big_values, _ = draw_instance(n=13, seed=5)
+    big_values = draw_instance(n=13, seed=5)
     with pytest.raises(TooLarge):
         is_alpha_stable_exact(Matching(mu=tuple(range(13)), n_women=13), big_values, 0.5)
 
 
 def test_alpha_one_is_trivially_true():
-    values, _ = draw_instance(n=4, seed=9)
+    values = draw_instance(n=4, seed=9)
     mu = Matching(mu=(1, 0, 3, 2), n_women=4)
     assert is_alpha_stable_exact(mu, values, 1.0)

@@ -17,7 +17,7 @@ from mml.probability import (
     stability_likelihood,
 )
 from mml.rng import exponentials, stream_key
-from mml.sampling import LatentValues, prefs_from_latent, sample_latent
+from mml.sampling import LatentValues, sample_latent
 
 
 def random_instance(n, seed, c=2.0):
@@ -114,9 +114,8 @@ def test_log_q_tracks_log_p_on_stable_outcomes():
     scale = n / math.sqrt(math.log(n))
     for seed in range(6):
         values = sample_latent(bal, seed)
-        prefs = prefs_from_latent(values)
         for side in (Side.MEN, Side.WOMEN):
-            mu, outcome = deferred_acceptance(prefs, proposing_side=side, values=values)
+            mu, outcome = deferred_acceptance(values, proposing_side=side)
             trunc, x_d, y_d = truncate_delta(mu, outcome, 0.05)
             lp = math.log(p_mu(x_d, y_d, bal.A, bal.B, trunc))
             lq = math.log(q_xy(x_d, y_d, bal.M))
@@ -223,7 +222,7 @@ def test_stable_count_batching_matches_per_trial_path():
             x = exponentials(stream_key(trial_seed, "X"), bal.A)
             y = exponentials(stream_key(trial_seed, "Y"), bal.B)
             values = LatentValues(X=x, Y=y, seed=trial_seed)
-            counts[t] = len(enumerate_stable(prefs_from_latent(values)))
+            counts[t] = len(enumerate_stable(values))
         return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(n_trials))
 
     market = random_cbounded_market(3, 2.0, seed=44)

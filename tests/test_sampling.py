@@ -1,4 +1,4 @@
-"""Latent-value sampling and the two routes to logit preference lists."""
+"""Latent-value sampling, its screen, and the sequential-logit cross-check."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,8 @@ import pytest
 from mml.errors import DuplicateValue, ShapeMismatch
 from mml.market import CanonicalMarket, sinkhorn_balance, uniform_market
 from mml.rng import exponentials, stream_key
-from mml.sampling import (
-    LatentValues,
-    PreferenceProfile,
-    logit_sample_prefs,
-    prefs_from_latent,
-    sample_latent,
-)
+from mml.sampling import LatentValues, sample_latent
+from oracles import logit_sample_prefs
 
 CHI2_99_DF2 = 9.210
 CHI2_99_DF5 = 15.086
@@ -24,36 +19,31 @@ def skewed_market():
     return sinkhorn_balance(CanonicalMarket(a, b))
 
 
-def test_prefs_sort_values_ascending():
-    x = np.array([[0.3, 0.1, 0.9], [0.5, 0.6, 0.2], [0.4, 0.8, 0.6]])
-    y = np.array([[2.0, 1.0, 3.0], [0.1, 0.2, 0.3], [9.0, 5.0, 7.0]])
-    prefs = prefs_from_latent(LatentValues(X=x, Y=y, seed=0))
-    np.testing.assert_array_equal(prefs.men_prefs, [[1, 0, 2], [2, 0, 1], [0, 2, 1]])
-    np.testing.assert_array_equal(prefs.women_prefs, [[1, 0, 2], [0, 1, 2], [1, 2, 0]])
-
-
 def test_tied_values_are_rejected():
     x = np.array([[0.3, 0.3], [0.1, 0.2]])
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DuplicateValue):
-        prefs_from_latent(LatentValues(X=x, Y=y, seed=0))
+        LatentValues(X=x, Y=y, seed=0)
+    with pytest.raises(DuplicateValue):
+        LatentValues(X=y, Y=x, seed=0)
 
 
 def test_nonpositive_and_nonfinite_values_are_rejected():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(DuplicateValue):
-        prefs_from_latent(LatentValues(X=np.array([[0.0, 1.0], [1.0, 2.0]]), Y=y, seed=0))
-    with pytest.raises(DuplicateValue):
-        prefs_from_latent(
-            LatentValues(X=np.array([[np.inf, 1.0], [1.0, 2.0]]), Y=y, seed=0)
-        )
+    for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(DuplicateValue):
+            LatentValues(X=np.array([[bad, 1.0], [1.0, 2.0]]), Y=y, seed=0)
+        with pytest.raises(DuplicateValue):
+            LatentValues(X=y, Y=np.array([[1.0, 2.0], [3.0, bad]]), seed=0)
 
 
-def test_preference_profile_shape_validation():
+def test_latent_values_shape_validation():
     with pytest.raises(ShapeMismatch):
-        PreferenceProfile(men_prefs=np.zeros((2, 3)), women_prefs=np.zeros((2, 3)))
+        LatentValues(X=np.ones((2, 3)), Y=np.ones((2, 3)), seed=0)
     with pytest.raises(ShapeMismatch):
-        PreferenceProfile(men_prefs=np.zeros(3), women_prefs=np.zeros(3))
+        LatentValues(X=np.ones(3), Y=np.ones(3), seed=0)
+    values = LatentValues(X=np.array([[1.0, 2.0, 3.0]]), Y=np.ones((3, 1)), seed=0)
+    assert values.X.shape == (1, 3)
 
 
 def test_sample_latent_streams_and_determinism():
@@ -98,8 +88,8 @@ def test_logit_route_matches_sequential_choice_law():
     n_draws = 3000
     counts = dict.fromkeys(orders, 0)
     for s in range(n_draws):
-        prefs = logit_sample_prefs(bal, seed=s)
-        counts[tuple(int(v) for v in prefs.men_prefs[0])] += 1
+        men, _ = logit_sample_prefs(bal, seed=s)
+        counts[tuple(int(v) for v in men[0])] += 1
     chi2 = sum(
         (counts[o] - n_draws * p) ** 2 / (n_draws * p) for o, p in orders.items()
     )
@@ -108,12 +98,12 @@ def test_logit_route_matches_sequential_choice_law():
 
 def test_logit_route_is_deterministic_and_valid():
     bal = skewed_market()
-    p1 = logit_sample_prefs(bal, seed=4)
-    p2 = logit_sample_prefs(bal, seed=4)
-    np.testing.assert_array_equal(p1.men_prefs, p2.men_prefs)
-    np.testing.assert_array_equal(p1.women_prefs, p2.women_prefs)
+    men1, women1 = logit_sample_prefs(bal, seed=4)
+    men2, women2 = logit_sample_prefs(bal, seed=4)
+    np.testing.assert_array_equal(men1, men2)
+    np.testing.assert_array_equal(women1, women2)
     # Every row is a permutation.
-    for row in np.vstack([p1.men_prefs, p1.women_prefs]):
+    for row in np.vstack([men1, women1]):
         assert sorted(row) == [0, 1, 2]
 
 
@@ -124,7 +114,7 @@ def test_two_routes_agree_on_top_choice_distribution():
     counts_logit = np.zeros(3)
     for s in range(n_draws):
         counts_latent[int(np.argmin(sample_latent(bal, seed=s).X[0]))] += 1
-        counts_logit[int(logit_sample_prefs(bal, seed=s).men_prefs[0][0])] += 1
+        counts_logit[int(logit_sample_prefs(bal, seed=s)[0][0][0])] += 1
     # Two-sample chi-square on 3 cells, df = 2.
     total = counts_latent + counts_logit
     expected = total / 2.0

@@ -257,11 +257,5 @@ def test_rank_value_ratio_skips_unmatched_and_validates():
     phi = np.full(3, 2.0)
     outcome = synthetic_outcome(np.array([0, 0, 0]), np.ones(3))
     assert rank_value_ratio_report(outcome, phi, theta=0.5) == 0.0
-    ranks_only = MatchingOutcome(
-        value_men=None, value_women=None,
-        rank_men=np.ones(3, dtype=np.int64), rank_women=np.ones(3, dtype=np.int64),
-    )
-    with pytest.raises(ValueError):
-        rank_value_ratio_report(ranks_only, phi, theta=0.5)
     with pytest.raises(ValueError):
         rank_value_ratio_report(outcome, phi, theta=0.0)
