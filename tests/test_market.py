@@ -286,3 +286,8 @@ def test_read_market_file_errors(tmp_path):
     short.write_text("2 2\n0.5 0.5\n0.5 0.5\n0.5 0.5\n")
     with pytest.raises(ShapeMismatch):
         read_market(short)
+
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"2 2\n\xff\xfe\n")
+    with pytest.raises(ShapeMismatch):
+        read_market(binary)
