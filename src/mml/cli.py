@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import MmlError
+from .errors import MmlError, ShapeMismatch
 from .market import read_market, sinkhorn_balance, write_matrix_pair
 from .matching import Side, deferred_acceptance, enumerate_stable
 from .experiments import (
@@ -79,8 +79,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    with open(args.trials, "r", encoding="utf-8") as fh:
-        records = records_from_csv(fh.read())
+    try:
+        with open(args.trials, "r", encoding="utf-8") as fh:
+            records = records_from_csv(fh.read())
+    except (ShapeMismatch, UnicodeDecodeError) as exc:
+        raise ShapeMismatch(f"{args.trials}: {exc}") from None
     if args.config is not None:
         cfg = load_config(args.config)
         summary = summarize_experiment(cfg, records)

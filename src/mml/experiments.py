@@ -10,26 +10,27 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeMismatch
 from .market import (
     BalancedMarket,
     CanonicalMarket,
     backfill_imbalanced,
-    canonical_from_raw,
     public_scores_market,
     random_cbounded_market,
     sinkhorn_balance,
     uniform_market,
-    _log_uniform_raw,
 )
 from .matching import (
     Matching,
@@ -71,11 +72,6 @@ class MarketKind(Enum):
     CBOUNDED = "cbounded"
 
 
-_VALUE_FAMILY = frozenset(
-    {ExperimentKind.VALUE_DIST, ExperimentKind.RANK_DIST, ExperimentKind.HYPERBOLA}
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: ExperimentKind
@@ -98,27 +94,36 @@ class ExperimentConfig:
     dkw_experiments: int = 1_000
     tolerances: tuple[tuple[str, float], ...] = ()
 
-    def tol(self, name: str, default: float) -> float:
-        for key, value in self.tolerances:
-            if key == name:
-                return value
-        return default
-
-
-_INT_KEYS = {
-    "n", "trials", "master_seed", "k", "workers",
-    "chernoff_samples", "dkw_n", "dkw_experiments",
-}
-_FLOAT_KEYS = {"c", "delta", "zeta", "theta", "dkw_delta", "dkw_band"}
-_LIST_KEYS = {"chernoff_t", "dkw_eps"}
+    def tol(self, name: str | None, default: float | None) -> float | None:
+        return dict(self.tolerances).get(name, default)
 
 
 def _normalize_enum(raw: str) -> str:
     return raw.strip().lower().replace("_", "").replace("-", "")
 
 
-_EXPERIMENT_NAMES = {_normalize_enum(kind.value): kind for kind in ExperimentKind}
-_MARKET_NAMES = {_normalize_enum(kind.value): kind for kind in MarketKind}
+def _parse_value(key: str, field_type, value: str):
+    """Convert a config value to the type of its ``ExperimentConfig`` field."""
+    if isinstance(field_type, type) and issubclass(field_type, Enum):
+        for member in field_type:
+            if _normalize_enum(member.value) == _normalize_enum(value):
+                return member
+        raise ConfigError(
+            f"{key}: unknown kind {value!r} "
+            f"(expected one of {sorted(m.value for m in field_type)})"
+        )
+    if typing.get_origin(field_type) is tuple:
+        return tuple(float(tok) for tok in value.split())
+    return field_type(value)
+
+
+# Config keys are the dataclass fields; tolerances arrive as ``tol.<name>`` lines.
+_FIELD_TYPES = {
+    name: field_type
+    for name, field_type in typing.get_type_hints(ExperimentConfig).items()
+    if name != "tolerances"
+}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -138,29 +143,14 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: no value for key {key!r}")
         try:
             if key.startswith("tol."):
+                if key[4:] not in _TOL_NAMES:
+                    raise ConfigError(
+                        f"line {lineno}: unknown tolerance {key!r} "
+                        f"(expected one of {sorted(_TOL_NAMES)})"
+                    )
                 tolerances[key[4:]] = float(value)
-            elif key in _INT_KEYS:
-                data[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                data[key] = float(value)
-            elif key in _LIST_KEYS:
-                data[key] = tuple(float(tok) for tok in value.split())
-            elif key == "experiment":
-                try:
-                    data[key] = _EXPERIMENT_NAMES[_normalize_enum(value)]
-                except KeyError:
-                    raise ConfigError(
-                        f"experiment: unknown kind {value!r} "
-                        f"(expected one of {sorted(k.value for k in ExperimentKind)})"
-                    ) from None
-            elif key == "market":
-                try:
-                    data[key] = _MARKET_NAMES[_normalize_enum(value)]
-                except KeyError:
-                    raise ConfigError(
-                        f"market: unknown kind {value!r} "
-                        f"(expected one of {sorted(k.value for k in MarketKind)})"
-                    ) from None
+            elif key in _FIELD_TYPES:
+                data[key] = _parse_value(key, _FIELD_TYPES[key], value)
             else:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         except ConfigError:
@@ -168,7 +158,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
 
-    for required in ("experiment", "n", "trials", "master_seed"):
+    for required in _REQUIRED_KEYS:
         if required not in data:
             raise ConfigError(f"{required}: required key is missing")
     if tolerances:
@@ -229,41 +219,27 @@ _INT_COLUMNS = {"trial_id", "proposal_count", "stable_count", "da_agree"}
 
 # --- market construction -----------------------------------------------------
 
-_UNIFORM_CACHE: dict[tuple[int, int], BalancedMarket] = {}
+_UNIFORM_CACHE: dict[int, BalancedMarket] = {}
 
 
-def _uniform_balanced(n: int) -> BalancedMarket:
-    bal = _UNIFORM_CACHE.get((n, n))
-    if bal is None:
-        bal = sinkhorn_balance(uniform_market(n))
-        _UNIFORM_CACHE[(n, n)] = bal
-    return bal
+def _build_market(cfg: ExperimentConfig, t: int, n_men: int) -> CanonicalMarket:
+    """Trial t's market of ``n_men`` men and ``cfg.n`` women."""
+    if cfg.market is MarketKind.UNIFORM:
+        return uniform_market(n_men, cfg.n)
+    if cfg.market is MarketKind.PUBLIC_SCORES:
+        a = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n) - 1.0)
+        b = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_b", t), n_men) - 1.0)
+        return public_scores_market(a, b)
+    return random_cbounded_market(n_men, cfg.c, stream_key(cfg.master_seed, "market", t), cfg.n)
 
 
 def _build_balanced(cfg: ExperimentConfig, t: int) -> BalancedMarket:
-    if cfg.market is MarketKind.UNIFORM:
-        return _uniform_balanced(cfg.n)
-    if cfg.market is MarketKind.PUBLIC_SCORES:
-        a = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n) - 1.0)
-        b = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_b", t), cfg.n) - 1.0)
-        return sinkhorn_balance(public_scores_market(a, b))
-    return sinkhorn_balance(
-        random_cbounded_market(cfg.n, cfg.c, stream_key(cfg.master_seed, "market", t))
-    )
-
-
-def _build_rectangular(cfg: ExperimentConfig, t: int) -> CanonicalMarket:
-    n, m = cfg.n, cfg.n - cfg.k
-    if cfg.market is MarketKind.UNIFORM:
-        return uniform_market(m, n)
-    if cfg.market is MarketKind.PUBLIC_SCORES:
-        a = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_a", t), n) - 1.0)
-        b = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_b", t), m) - 1.0)
-        return public_scores_market(a, b)
-    seed = stream_key(cfg.master_seed, "market", t)
-    a_raw = _log_uniform_raw(m, n, cfg.c, stream_key(seed, "a_raw"))
-    b_raw = _log_uniform_raw(n, m, cfg.c, stream_key(seed, "b_raw"))
-    return canonical_from_raw(a_raw, b_raw)
+    """Trial t's square market, balanced; the uniform one is balanced once per n."""
+    if cfg.market is not MarketKind.UNIFORM:
+        return sinkhorn_balance(_build_market(cfg, t, cfg.n))
+    if cfg.n not in _UNIFORM_CACHE:
+        _UNIFORM_CACHE[cfg.n] = sinkhorn_balance(_build_market(cfg, t, cfg.n))
+    return _UNIFORM_CACHE[cfg.n]
 
 
 # --- trial bodies ------------------------------------------------------------
@@ -273,19 +249,27 @@ def _matching_stats(
     cfg: ExperimentConfig,
     t: int,
     kind: str,
-    bal: BalancedMarket,
     matching: Matching,
     outcome,
     sample: np.ndarray,
     rate: float | None = None,
+    bal: BalancedMarket | None = None,
 ) -> TrialRecord:
-    """One matching's record; ``rate`` defaults to the first-order ``||Y_delta||_1``."""
+    """One matching's record; ``rate`` defaults to the first-order ``||Y_delta||_1``.
+
+    The fitness statistics (dispersion, rank ratio) are recorded only when the
+    balanced market ``bal`` of the matched agents is given.
+    """
     if cfg.delta > 0.0:
         _, x_d, y_d = truncate_delta(matching, outcome, cfg.delta)
     else:
         x_d, y_d = outcome.value_men, outcome.value_women
     lam_ysum = float(y_d.sum()) if rate is None else rate
     fit = best_fit_exponential(sample)
+    dispersion = ratio = None
+    if bal is not None:
+        dispersion = eig_dispersion(bal.M, outcome.value_women, cfg.zeta)[1]
+        ratio = rank_value_ratio_report(outcome, bal.phi, cfg.theta)
     return TrialRecord(
         trial_id=t,
         matching_kind=kind,
@@ -293,9 +277,9 @@ def _matching_stats(
         lambda_ysum=lam_ysum,
         ks_fit=fit.ks_distance,
         ks_ysum=ks_distance_to_exp(sample, lam_ysum),
-        hyperbola=hyperbola_product(x_d, y_d, bal.n),
-        dispersion=eig_dispersion(bal.M, outcome.value_women, cfg.zeta)[1],
-        rank_ratio_frac=rank_value_ratio_report(outcome, bal.phi, cfg.theta),
+        hyperbola=hyperbola_product(x_d, y_d, matching.n_men),
+        dispersion=dispersion,
+        rank_ratio_frac=ratio,
         proposal_count=outcome.proposal_count,
     )
 
@@ -314,7 +298,7 @@ def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
             sample, rate = value_law_sample(outcome.value_men, outcome.value_women)
         else:
             sample = outcome.value_men
-        records.append(_matching_stats(cfg, t, kind, bal, matching, outcome, sample, rate))
+        records.append(_matching_stats(cfg, t, kind, matching, outcome, sample, rate, bal))
     return records
 
 
@@ -346,16 +330,15 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
 
     alpha_cert, _ = greedy_alpha_certificate(perturbed, values)
     record = _matching_stats(
-        cfg, t, "perturbed", bal, perturbed, pert_outcome, pert_outcome.value_men
+        cfg, t, "perturbed", perturbed, pert_outcome, pert_outcome.value_men, bal=bal
     )
-    return [TrialRecord(**{**_as_dict(record), "alpha_cert": alpha_cert})]
+    return [replace(record, alpha_cert=alpha_cert)]
 
 
 def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     m = cfg.n - cfg.k
-    rect = _build_rectangular(cfg, t)
-    bal = sinkhorn_balance(backfill_imbalanced(rect, cfg.k))
+    bal = sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, m), cfg.k))
     values = sample_latent(bal, trial_seed)
 
     # The real market is the first m rows/columns of the extension's values.
@@ -373,27 +356,8 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     )
     completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
-
-    if cfg.delta > 0.0:
-        _, x_d, y_d = truncate_delta(rect_match, rect_outcome, cfg.delta)
-    else:
-        x_d, y_d = rect_outcome.value_men, rect_outcome.value_women
-    lam_ysum = float(y_d.sum())
-    sample = rect_outcome.value_men
-    fit = best_fit_exponential(sample)
-    return [
-        TrialRecord(
-            trial_id=t,
-            matching_kind="mosm",
-            lambda_fit=fit.rate,
-            lambda_ysum=lam_ysum,
-            ks_fit=fit.ks_distance,
-            ks_ysum=ks_distance_to_exp(sample, lam_ysum),
-            hyperbola=hyperbola_product(x_d, y_d, m),
-            proposal_count=rect_outcome.proposal_count,
-            da_agree=int(agree),
-        )
-    ]
+    record = _matching_stats(cfg, t, "mosm", rect_match, rect_outcome, rect_outcome.value_men)
+    return [replace(record, da_agree=int(agree))]
 
 
 def _stable_count_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
@@ -466,10 +430,6 @@ def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     return _TRIAL_BODIES[cfg.experiment](cfg, t)
 
 
-def _run_trial_star(args: tuple[ExperimentConfig, int]) -> list[TrialRecord]:
-    return run_trial(*args)
-
-
 def effective_workers(cfg: ExperimentConfig) -> int:
     env = os.environ.get("MML_WORKERS")
     if env is not None:
@@ -499,10 +459,10 @@ def run_experiment(
             for t in range(cfg.trials):
                 records.extend(run_trial(cfg, t))
         else:
-            args = [(cfg, t) for t in range(cfg.trials)]
+            trial = functools.partial(run_trial, cfg)
             chunk = max(1, cfg.trials // (workers * 4))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for recs in pool.map(_run_trial_star, args, chunksize=chunk):
+                for recs in pool.map(trial, range(cfg.trials), chunksize=chunk):
                     records.extend(recs)
     except KeyboardInterrupt:
         interrupted = True
@@ -515,10 +475,6 @@ def run_experiment(
 
 
 # --- summaries ---------------------------------------------------------------
-
-
-def _as_dict(record: TrialRecord) -> dict:
-    return {name: getattr(record, name) for name in CSV_COLUMNS}
 
 
 def summarize(records: list[TrialRecord]) -> dict[str, dict[str, float]]:
@@ -543,125 +499,72 @@ def summarize(records: list[TrialRecord]) -> dict[str, dict[str, float]]:
     return table
 
 
-def _fraction_check(
-    name: str, values: list[float], limit: float, pass_fraction: float
-) -> dict:
-    ok = sum(1 for v in values if v <= limit)
-    frac = ok / len(values) if values else 0.0
-    return {
-        "name": name,
-        "value": frac,
-        "threshold": pass_fraction,
-        "op": ">=",
-        "passed": bool(frac >= pass_fraction - 1e-12),
-    }
+def _within(xs: list[float], limit: float) -> float:
+    return sum(1 for x in xs if x <= limit) / len(xs)
+
+
+def _mean_distance(xs: list[float], target: float) -> float:
+    return abs(sum(xs) / len(xs) - target)
+
+
+# One row per check, in report order: (experiment, check name, matching kind
+# or None for every record, record statistic, reduction, limit, op, threshold).
+# A check reads its statistic on the records where it is set, reduces those
+# values with the limit to the check's value, and compares the value with the
+# threshold.  Limit and threshold are (tol key, default) pairs: a None key is a
+# fixed value, and a None default runs the check only if the config sets it.
+_E = ExperimentKind
+_col = operator.attrgetter
+_KS = ("ks", 0.05)
+_PASS = ("pass_fraction", 0.9)
+_NO_LIMIT = (None, math.nan)
+_CHECKS = (
+    (_E.VALUE_DIST, "ks_ysum_within[mosm]", "mosm", _col("ks_ysum"), _within, _KS, ">=", _PASS),
+    (_E.VALUE_DIST, "ks_ysum_within[wosm]", "wosm", _col("ks_ysum"), _within, _KS, ">=", _PASS),
+    *(
+        (_E.HYPERBOLA, f"hyperbola_within[{kind}]", kind,
+         lambda r: None if r.hyperbola is None else abs(r.hyperbola - 1.0),
+         _within, ("hyperbola_err", 0.15), ">=", _PASS)
+        for kind in ("mosm", "wosm")
+    ),
+    # Man-proposing ranks concentrate on a handful of lattice points, so the
+    # continuous-fit check is only meaningful on the wosm rows.
+    (_E.RANK_DIST, "rank_ks_fit_within[wosm]", "wosm", _col("ks_fit"), _within, _KS, ">=", _PASS),
+    (_E.APPROX_STABLE, "alpha_cert_within", None, _col("alpha_cert"), _within,
+     ("alpha", 0.05), ">=", _PASS),
+    (_E.APPROX_STABLE, "ks_fit_within", None, _col("ks_fit"), _within, _KS, ">=", _PASS),
+    (_E.IMBALANCE, "ks_ysum_within", None, _col("ks_ysum"), _within, _KS, ">=", _PASS),
+    (_E.IMBALANCE, "da_agrees_with_completion", None, _col("da_agree"),
+     lambda xs, _: float(min(xs)), _NO_LIMIT, ">=", (None, 1.0)),
+    (_E.STABLE_COUNT, "mean_stable_count_near_target", None, _col("stable_count"),
+     _mean_distance, ("target", None), "<=", ("margin", None)),
+    (_E.BOUNDS, "bounds_respected", None,
+     lambda r: None if None in (r.observed, r.bound) else r.observed - r.bound,
+     lambda xs, _: float(max(xs)), _NO_LIMIT, "<=", (None, 0.0)),
+)
+# Every tolerance some check reads; parse_config rejects any other tol.* key.
+_TOL_NAMES = frozenset(
+    key for *_, limit, _op, threshold in _CHECKS for key, _ in (limit, threshold) if key
+)
+_OPS = {">=": lambda value, threshold: value >= threshold - 1e-12, "<=": operator.le}
 
 
 def _checks_for(cfg: ExperimentConfig, records: list[TrialRecord]) -> list[dict]:
-    kind = cfg.experiment
-    checks: list[dict] = []
-    pass_fraction = cfg.tol("pass_fraction", 0.9)
-
-    def rows(matching_kind: str) -> list[TrialRecord]:
-        return [r for r in records if r.matching_kind == matching_kind]
-
-    if kind in (ExperimentKind.VALUE_DIST, ExperimentKind.HYPERBOLA):
-        for mk in ("mosm", "wosm"):
-            sel = rows(mk)
-            if not sel:
-                continue
-            if kind is ExperimentKind.VALUE_DIST:
-                checks.append(
-                    _fraction_check(
-                        f"ks_ysum_within[{mk}]",
-                        [r.ks_ysum for r in sel],
-                        cfg.tol("ks", 0.05),
-                        pass_fraction,
-                    )
-                )
-            else:
-                checks.append(
-                    _fraction_check(
-                        f"hyperbola_within[{mk}]",
-                        [abs(r.hyperbola - 1.0) for r in sel],
-                        cfg.tol("hyperbola_err", 0.15),
-                        pass_fraction,
-                    )
-                )
-    elif kind is ExperimentKind.RANK_DIST:
-        # Man-proposing ranks concentrate on a handful of lattice points, so
-        # the continuous-fit check is only meaningful on the wosm rows.
-        sel = rows("wosm")
-        if sel:
-            checks.append(
-                _fraction_check(
-                    "rank_ks_fit_within[wosm]",
-                    [r.ks_fit for r in sel],
-                    cfg.tol("ks", 0.05),
-                    pass_fraction,
-                )
-            )
-    elif kind is ExperimentKind.APPROX_STABLE:
+    """The experiment's check verdicts; a check with no records to read fails."""
+    checks = []
+    for experiment, name, kind, statistic, reduce, limit_tol, op, threshold_tol in _CHECKS:
+        limit, threshold = cfg.tol(*limit_tol), cfg.tol(*threshold_tol)
+        if experiment is not cfg.experiment or limit is None or threshold is None:
+            continue
+        xs = [
+            x
+            for r in records
+            if kind in (None, r.matching_kind) and (x := statistic(r)) is not None
+        ]
+        value = reduce(xs, limit) if xs else 0.0
+        passed = bool(xs) and bool(_OPS[op](value, threshold))
         checks.append(
-            _fraction_check(
-                "alpha_cert_within",
-                [r.alpha_cert for r in records],
-                cfg.tol("alpha", 0.05),
-                pass_fraction,
-            )
-        )
-        checks.append(
-            _fraction_check(
-                "ks_fit_within",
-                [r.ks_fit for r in records],
-                cfg.tol("ks", 0.05),
-                pass_fraction,
-            )
-        )
-    elif kind is ExperimentKind.IMBALANCE:
-        checks.append(
-            _fraction_check(
-                "ks_ysum_within",
-                [r.ks_ysum for r in records],
-                cfg.tol("ks", 0.05),
-                pass_fraction,
-            )
-        )
-        agree = all(r.da_agree == 1 for r in records)
-        checks.append(
-            {
-                "name": "da_agrees_with_completion",
-                "value": float(agree),
-                "threshold": 1.0,
-                "op": ">=",
-                "passed": bool(agree),
-            }
-        )
-    elif kind is ExperimentKind.STABLE_COUNT:
-        counts = [r.stable_count for r in records]
-        mean = sum(counts) / len(counts) if counts else math.nan
-        target = cfg.tol("target", math.nan)
-        margin = cfg.tol("margin", math.nan)
-        if not math.isnan(target) and not math.isnan(margin):
-            checks.append(
-                {
-                    "name": "mean_stable_count_near_target",
-                    "value": abs(mean - target),
-                    "threshold": margin,
-                    "op": "<=",
-                    "passed": bool(abs(mean - target) <= margin),
-                }
-            )
-    elif kind is ExperimentKind.BOUNDS:
-        excess = max((r.observed - r.bound for r in records), default=-math.inf)
-        checks.append(
-            {
-                "name": "bounds_respected",
-                "value": excess,
-                "threshold": 0.0,
-                "op": "<=",
-                "passed": bool(excess <= 0.0),
-            }
+            {"name": name, "value": value, "threshold": threshold, "op": op, "passed": passed}
         )
     return checks
 
@@ -735,7 +638,11 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
+    """Parse ``records_to_csv`` output; bad content raises ShapeMismatch naming the line."""
     reader = csv.DictReader(io.StringIO(text))
+    missing = [column for column in CSV_COLUMNS if column not in (reader.fieldnames or ())]
+    if missing:
+        raise ShapeMismatch(f"line 1: header lacks the trial column(s) {', '.join(missing)}")
     records = []
     for row in reader:
         kwargs = {}
@@ -745,17 +652,21 @@ def records_from_csv(text: str) -> list[TrialRecord]:
                 kwargs[column] = cell
             elif cell == "" or cell is None:
                 kwargs[column] = None
-            elif column in _INT_COLUMNS:
-                kwargs[column] = int(cell)
             else:
-                kwargs[column] = float(cell)
+                convert = int if column in _INT_COLUMNS else float
+                try:
+                    kwargs[column] = convert(cell)
+                except ValueError:
+                    raise ShapeMismatch(
+                        f"line {reader.line_num}: {column}: expected a number, got {cell!r}"
+                    ) from None
         records.append(TrialRecord(**kwargs))
     return records
 
 
 def records_to_jsonl(records: list[TrialRecord]) -> str:
     lines = [
-        json.dumps({k: v for k, v in _as_dict(r).items() if v is not None})
+        json.dumps({k: getattr(r, k) for k in CSV_COLUMNS if getattr(r, k) is not None})
         for r in records
     ]
     return "\n".join(lines) + ("\n" if lines else "")

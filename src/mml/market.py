@@ -176,19 +176,19 @@ def sinkhorn_balance(
 
     n = market.n_men
     kernel = market.a_hat * market.b_hat.T / n
-    r = np.ones(n)
-    s = np.ones(n)
+    ks = kernel @ np.ones(n)
     iters = 0
     residual = np.inf
     # Converge to half the tolerance internally: the final M is re-assembled
-    # from phi and psi below, which perturbs the sums by a few ulps.
+    # from phi and psi below, which perturbs the sums by a few ulps.  Column
+    # sums are exact up to an ulp right after the s update, so each sweep
+    # checks the rows only, and kernel @ s serves that check and the next r.
     while iters < max_iters:
         iters += 1
-        r = 1.0 / (kernel @ s)
+        r = 1.0 / ks
         s = 1.0 / (kernel.T @ r)
-        row_dev = np.abs(r * (kernel @ s) - 1.0).max()
-        col_dev = np.abs(s * (kernel.T @ r) - 1.0).max()
-        residual = float(max(row_dev, col_dev))
+        ks = kernel @ s
+        residual = float(np.abs(r * ks - 1.0).max())
         if residual <= 0.5 * tol:
             break
     else:
@@ -204,32 +204,34 @@ def sinkhorn_balance(
     residual = float(
         max(np.abs(M.sum(axis=1) - 1.0).max(), np.abs(M.sum(axis=0) - 1.0).max())
     )
-    values = np.concatenate([A.ravel(), B.ravel(), (n * M).ravel()])
-    c_bound = float(np.max(np.maximum(values, 1.0 / values)))
+    # max(v, 1/v) over all entries, from each matrix's extremes (x -> n*x
+    # and x -> 1/x are monotone in floating point, so this is exact).
+    extremes = ((A.min(), A.max()), (B.min(), B.max()), (n * M.min(), n * M.max()))
+    c_bound = float(max(max(hi, 1.0 / lo) for lo, hi in extremes))
     return BalancedMarket(
         A=A, B=B, M=M, phi=phi, psi=psi,
         c_bound=c_bound, sinkhorn_iters=iters, residual=residual,
     )
 
 
-def _log_uniform_raw(n_rows: int, n_cols: int, c_target: float, key: int) -> np.ndarray:
-    u = unit_uniforms(key, n_rows * n_cols).reshape(n_rows, n_cols)
-    return c_target ** (2.0 * u - 1.0)
-
-
-def random_cbounded_market(n: int, c_target: float, seed: int) -> CanonicalMarket:
-    """Random square market with raw scores log-uniform on [1/c_target, c_target].
+def random_cbounded_market(
+    n_men: int, c_target: float, seed: int, n_women: int | None = None
+) -> CanonicalMarket:
+    """Random market with raw scores log-uniform on [1/c_target, c_target].
 
     Within each canonical row the score ratio is therefore at most c_target**2.
-    c_target = 1 gives the uniform market. Deterministic in the seed.
+    c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
+    Deterministic in the seed.
     """
-    if n < 1:
+    if n_women is None:
+        n_women = n_men
+    if n_men < 1 or n_women < 1:
         raise ShapeMismatch("market needs at least one agent per side")
     if c_target < 1.0:
         raise ValueError("c_target must be >= 1")
-    a_raw = _log_uniform_raw(n, n, c_target, stream_key(seed, "a_raw"))
-    b_raw = _log_uniform_raw(n, n, c_target, stream_key(seed, "b_raw"))
-    return canonical_from_raw(a_raw, b_raw)
+    u_a = unit_uniforms(stream_key(seed, "a_raw"), n_men * n_women).reshape(n_men, n_women)
+    u_b = unit_uniforms(stream_key(seed, "b_raw"), n_women * n_men).reshape(n_women, n_men)
+    return canonical_from_raw(c_target ** (2.0 * u_a - 1.0), c_target ** (2.0 * u_b - 1.0))
 
 
 def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from mml import CanonicalMarket, read_matrix_pair, sinkhorn_balance, write_matrix_pair
+from pathlib import Path
+
+from mml import (
+    CSV_COLUMNS,
+    CanonicalMarket,
+    TrialRecord,
+    read_matrix_pair,
+    records_to_csv,
+    sinkhorn_balance,
+    write_matrix_pair,
+)
 from mml.cli import main
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 STABLE_COUNT_CFG = """
 experiment = stable_count
@@ -196,6 +209,41 @@ def test_summarize_with_and_without_config(tmp_path, capsys):
     assert rc == 0
     assert "mean_stable_count_near_target" in out
     assert "overall: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "config", ["value_dist_small", "rank_dist_uniform", "hyperbola_uniform", "approx_stable",
+               "imbalance_uniform", "bounds"]
+)
+def test_summarize_with_no_matching_records_fails(tmp_path, capsys, config):
+    # stable_count rows carry none of the statistics these configs check.
+    trials = tmp_path / "trials.csv"
+    trials.write_text(records_to_csv([TrialRecord(trial_id=0, matching_kind="all", stable_count=1)]))
+    rc = main(["summarize", str(trials), "--config", str(CONFIG_DIR / f"{config}.cfg")])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "overall: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n", "line 1: header lacks the trial column(s) trial_id,"),
+        (CSV_HEADER + "0,all,,,,,,,,,1,,,,\n1,all,,,,,,,,,two,,,,\n",
+         "line 3: stable_count: expected a number, got 'two'"),
+        (CSV_HEADER + "0,mosm,1.5x,,,,,,,,,,,,\n", "line 2: lambda_fit: expected a number"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["header", "int-cell", "float-cell", "non-utf8"],
+)
+def test_summarize_malformed_trials_exits_two(tmp_path, capsys, text, message):
+    trials = tmp_path / "trials.csv"
+    trials.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    rc = main(["summarize", str(trials)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {trials}: {message}")
+    assert err.count("\n") == 1
 
 
 def test_summarize_missing_file_exits_two(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from mml import (
     write_outputs,
 )
 from mml.experiments import effective_workers
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FULL_CONFIG = """
 # exercise every key the parser knows about
@@ -112,6 +115,15 @@ def test_malformed_lines_are_rejected():
     for text, fragment in bad_texts:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
+
+
+def test_misspelled_tolerance_is_rejected():
+    base = "experiment = value_dist\nn = 4\ntrials = 1\nmaster_seed = 0\n"
+    with pytest.raises(ConfigError, match="tol.kss"):
+        parse_config(base + "tol.kss = 0.01\n")
+    # Any tolerance some check reads is accepted, whichever experiment reads it.
+    for name in ("pass_fraction", "ks", "hyperbola_err", "alpha", "target", "margin"):
+        assert parse_config(base + f"tol.{name} = 0.5\n").tol(name, 0.0) == 0.5
 
 
 def test_each_required_key_is_enforced():
@@ -259,17 +271,28 @@ def test_fraction_check_boundary_is_inclusive():
         return [
             TrialRecord(
                 trial_id=i,
-                matching_kind="mosm",
+                matching_kind=kind,
                 ks_ysum=0.01 if i < n_good else 0.5,
             )
             for i in range(20)
+            for kind in ("mosm", "wosm")
         ]
 
     at_bar = summarize_experiment(cfg, fake_records(18))
-    assert at_bar["checks"][0]["value"] == pytest.approx(0.9)
+    assert [c["value"] for c in at_bar["checks"]] == pytest.approx([0.9, 0.9])
     assert at_bar["passed"]  # 18/20 == 0.9 meets a 0.9 bar exactly
     below = summarize_experiment(cfg, fake_records(17))
     assert not below["passed"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_checks_without_records_fail(name):
+    summary = summarize_experiment(load_config(CONFIG_DIR / f"{name}.cfg"), [])
+    assert summary["checks"]
+    for check in summary["checks"]:
+        assert check["value"] == 0.0
+        assert check["passed"] is False
+    assert summary["passed"] is False
 
 
 def test_summarize_skips_unset_columns_and_lone_values():

@@ -166,6 +166,23 @@ def test_cbounded_market_score_ratios():
     assert bal.c_bound <= c**4
 
 
+@pytest.mark.parametrize("n, c, seed", [(1, 2.0, 0), (7, 3.5, 1), (40, 2.0, 2), (120, 6.0, 3)])
+def test_c_bound_equals_the_brute_force_formula(n, c, seed):
+    bal = sinkhorn_balance(random_cbounded_market(n, c, seed))
+    values = np.concatenate([bal.A.ravel(), bal.B.ravel(), (bal.n * bal.M).ravel()])
+    assert bal.c_bound == float(np.max(np.maximum(values, 1.0 / values)))
+
+
+def test_cbounded_market_rectangular():
+    c = 2.5
+    market = random_cbounded_market(4, c, seed=21, n_women=7)
+    assert market.a_hat.shape == (4, 7) and market.b_hat.shape == (7, 4)
+    for scores in (market.a_hat, market.b_hat):
+        assert (scores.max(axis=1) / scores.min(axis=1)).max() <= c * c + 1e-9
+    square = random_cbounded_market(5, c, seed=21, n_women=5)
+    np.testing.assert_array_equal(square.a_hat, random_cbounded_market(5, c, seed=21).a_hat)
+
+
 def test_cbounded_market_c1_is_uniform():
     market = random_cbounded_market(6, 1.0, seed=0)
     np.testing.assert_array_equal(market.a_hat, uniform_market(6).a_hat)
@@ -184,6 +201,8 @@ def test_cbounded_market_validation():
         random_cbounded_market(4, 0.5, seed=1)
     with pytest.raises(ShapeMismatch):
         random_cbounded_market(0, 2.0, seed=1)
+    with pytest.raises(ShapeMismatch):
+        random_cbounded_market(3, 2.0, seed=1, n_women=0)
 
 
 def test_balance_rejects_rectangular_market():
