@@ -25,6 +25,7 @@ from mml.market import (
     write_market,
     write_matrix_pair,
 )
+from mml.rng import stream_key, unit_uniforms
 
 positive_rows = st.lists(
     st.lists(st.floats(0.05, 20.0), min_size=2, max_size=5),
@@ -124,14 +125,36 @@ def test_balance_reconstructs_scores_from_fitness():
     np.testing.assert_allclose(bal.M, bal.A * bal.B.T / bal.n, atol=1e-14)
 
 
-@given(seed=st.integers(0, 1000), n=st.integers(2, 25), c=st.floats(1.0, 4.0))
-@settings(max_examples=40, deadline=None)
-def test_balance_makes_m_doubly_stochastic(seed, n, c):
-    bal = sinkhorn_balance(random_cbounded_market(n, c, seed))
+def square_market(kind, seed, n, c, k):
+    """A square market of each kind the experiments balance."""
+    if kind == "public_scores":
+        u = unit_uniforms(stream_key(seed, "public"), 2 * n)
+        return public_scores_market(c ** (2.0 * u[:n] - 1.0), c ** (2.0 * u[n:] - 1.0))
+    if kind == "backfill":
+        k = min(k, n - 1)
+        return backfill_imbalanced(random_cbounded_market(n - k, c, seed, n_women=n), k)
+    return random_cbounded_market(n, c, seed)
+
+
+@given(
+    seed=st.integers(0, 1000),
+    n=st.integers(2, 25),
+    c=st.floats(1.0, 4.0),
+    kind=st.sampled_from(["cbounded", "public_scores", "backfill"]),
+    k=st.integers(1, 24),
+)
+@settings(max_examples=60, deadline=None)
+def test_balance_makes_m_doubly_stochastic(seed, n, c, kind, k):
+    bal = sinkhorn_balance(square_market(kind, seed, n, c, k))
     assert bal.residual <= 1e-10
     assert np.abs(bal.M.sum(axis=1) - 1.0).max() <= 1e-10
     assert np.abs(bal.M.sum(axis=0) - 1.0).max() <= 1e-10
     assert (bal.A > 0.0).all() and (bal.B > 0.0).all()
+    # M = A * B^T / n, and each fitness is its row's score mass (canonical
+    # rows sum to 1).
+    assert np.abs(bal.M - bal.A * bal.B.T / bal.n).max() <= 1e-12
+    assert np.abs(bal.A.sum(axis=1) - bal.phi).max() <= 1e-10 * bal.phi.max()
+    assert np.abs(bal.B.sum(axis=1) - bal.psi).max() <= 1e-10 * bal.psi.max()
 
 
 def test_public_scores_market_identities():
