@@ -8,7 +8,8 @@ Subcommands:
     summarize  aggregate a previously written trials.csv
 
 Exit codes: 0 on success (and all experiment checks passing), 1 when an
-experiment ran but a check failed, 2 on bad input or usage.
+experiment ran but a check failed, 2 on bad input or usage, or when memory
+runs out.
 """
 from __future__ import annotations
 
@@ -133,11 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MmlError as exc:
+    except (MmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -56,6 +56,18 @@ from .stats import (
 )
 
 
+# Fixed parameters of the trial statistics; no config sets them.
+ZETA = 0.25  # eig_dispersion: a coordinate violates when |e_i - t*| >= sqrt(ZETA) t*
+THETA = 0.5  # rank_value_ratio_report: relative rank/value disagreement allowed
+CHERNOFF_T = (0.1, 0.3, 0.5)  # bounds: lower-tail levels t of the weighted sum
+CHERNOFF_SAMPLES = 100_000  # bounds: unit-exponential batches per trial
+DKW_EPS = (0.1, 0.2)  # bounds: deviations epsilon beyond 2 * DKW_DELTA
+DKW_N = 200  # bounds: draws per empirical CDF
+DKW_DELTA = 0.02  # bounds: KS distance of each draw's law from Exp(1)
+DKW_BAND = 0.02  # bounds: rates jitter inside [1 - DKW_BAND, 1 + DKW_BAND]
+DKW_EXPERIMENTS = 1_000  # bounds: empirical CDFs per trial
+
+
 class ExperimentKind(Enum):
     VALUE_DIST = "value_dist"
     RANK_DIST = "rank_dist"
@@ -82,16 +94,7 @@ class ExperimentConfig:
     c: float = 2.0
     delta: float = 0.05
     k: int = 0
-    zeta: float = 0.25
-    theta: float = 0.5
     workers: int = 1
-    chernoff_t: tuple[float, ...] = (0.1, 0.3, 0.5)
-    chernoff_samples: int = 100_000
-    dkw_eps: tuple[float, ...] = (0.1, 0.2)
-    dkw_n: int = 200
-    dkw_delta: float = 0.02
-    dkw_band: float = 0.02
-    dkw_experiments: int = 1_000
     tolerances: tuple[tuple[str, float], ...] = ()
 
     def tol(self, name: str | None, default: float | None) -> float | None:
@@ -112,8 +115,6 @@ def _parse_value(key: str, field_type, value: str):
             f"{key}: unknown kind {value!r} "
             f"(expected one of {sorted(m.value for m in field_type)})"
         )
-    if typing.get_origin(field_type) is tuple:
-        return tuple(float(tok) for tok in value.split())
     return field_type(value)
 
 
@@ -172,10 +173,6 @@ def parse_config(text: str) -> ExperimentConfig:
     # Written so that NaN fails each bound.
     if not cfg.c >= 1.0:
         raise ConfigError("c: must be >= 1")
-    if not cfg.zeta > 0.0:
-        raise ConfigError("zeta: must be > 0")
-    if not cfg.theta > 0.0:
-        raise ConfigError("theta: must be > 0")
     if not (0.0 <= cfg.delta < 1.0):
         raise ConfigError("delta: must be in [0, 1)")
     if cfg.workers < 1:
@@ -261,15 +258,15 @@ def _matching_stats(
     balanced market ``bal`` of the matched agents is given.
     """
     if cfg.delta > 0.0:
-        _, x_d, y_d = truncate_delta(matching, outcome, cfg.delta)
+        x_d, y_d = truncate_delta(matching, outcome, cfg.delta)
     else:
         x_d, y_d = outcome.value_men, outcome.value_women
     lam_ysum = float(y_d.sum()) if rate is None else rate
     fit = best_fit_exponential(sample)
     dispersion = ratio = None
     if bal is not None:
-        dispersion = eig_dispersion(bal.M, outcome.value_women, cfg.zeta)[1]
-        ratio = rank_value_ratio_report(outcome, bal.phi, cfg.theta)
+        dispersion = eig_dispersion(bal.M, outcome.value_women, ZETA)[1]
+        ratio = rank_value_ratio_report(outcome, bal.phi, THETA)
     return TrialRecord(
         trial_id=t,
         matching_kind=kind,
@@ -342,7 +339,7 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     values = sample_latent(bal, trial_seed)
 
     # The real market is the first m rows/columns of the extension's values.
-    rect_values = LatentValues(X=values.X[:m, :], Y=values.Y[:, :m], seed=trial_seed)
+    rect_values = LatentValues(X=values.X[:m, :], Y=values.Y[:, :m])
     rect_match, rect_outcome = deferred_acceptance(rect_values, Side.MEN)
 
     # Completion check: with every woman ranking the k added men below all
@@ -352,7 +349,6 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     completed = LatentValues(
         X=values.X,
         Y=np.hstack([y_rect, y_rect.max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)]),
-        seed=trial_seed,
     )
     completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
@@ -378,10 +374,10 @@ def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     weights = 2.0 ** (2.0 * u01 - 1.0)
     weights *= n / weights.sum()
     z = exponentials(
-        stream_key(trial_seed, "chernoff_z"), np.ones((cfg.chernoff_samples, n))
+        stream_key(trial_seed, "chernoff_z"), np.ones((CHERNOFF_SAMPLES, n))
     )
     dots = z @ weights
-    for t_val in cfg.chernoff_t:
+    for t_val in CHERNOFF_T:
         records.append(
             TrialRecord(
                 trial_id=t,
@@ -392,23 +388,23 @@ def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
         )
 
     # Empirical-CDF deviation: draws with rates jittered inside [1-band, 1+band]
-    # (each within KS distance ~band/e <= dkw_delta of the unit exponential).
-    e_count, dn = cfg.dkw_experiments, cfg.dkw_n
+    # (each within KS distance ~band/e <= DKW_DELTA of the unit exponential).
+    e_count, dn = DKW_EXPERIMENTS, DKW_N
     jitter = unit_uniforms(stream_key(trial_seed, "dkw_rates"), e_count * dn)
-    rates = 1.0 + cfg.dkw_band * (2.0 * jitter.reshape(e_count, dn) - 1.0)
+    rates = 1.0 + DKW_BAND * (2.0 * jitter.reshape(e_count, dn) - 1.0)
     xs = np.sort(exponentials(stream_key(trial_seed, "dkw_x"), rates), axis=1)
     cdf = -np.expm1(-xs)
     i = np.arange(1, dn + 1, dtype=np.float64) / dn
     dev = np.maximum(
         (i[None, :] - cdf).max(axis=1), (cdf - i[None, :] + 1.0 / dn).max(axis=1)
     )
-    for eps in cfg.dkw_eps:
+    for eps in DKW_EPS:
         records.append(
             TrialRecord(
                 trial_id=t,
                 matching_kind=f"dkw_eps={eps:g}",
-                observed=float(np.mean(dev > 2.0 * cfg.dkw_delta + eps)),
-                bound=dkw_bound(dn, cfg.dkw_delta, eps),
+                observed=float(np.mean(dev > 2.0 * DKW_DELTA + eps)),
+                bound=dkw_bound(dn, DKW_DELTA, eps),
             )
         )
     return records
@@ -448,10 +444,11 @@ def run_experiment(
 ) -> tuple[dict, list[TrialRecord]]:
     """Run all trials (in parallel if configured) and summarize.
 
-    On KeyboardInterrupt the records collected so far are summarized and
-    returned with ``summary["interrupted"] = True`` so callers can flush them.
+    At most one worker process per trial is started.  On KeyboardInterrupt
+    the records collected so far are summarized and returned with
+    ``summary["interrupted"] = True`` so callers can flush them.
     """
-    workers = effective_workers(cfg)
+    workers = min(effective_workers(cfg), cfg.trials)
     records: list[TrialRecord] = []
     interrupted = False
     try:

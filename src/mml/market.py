@@ -120,6 +120,7 @@ class BalancedMarket:
     scores rescaled by the fitness vectors, chosen so the mutual matrix
     ``M = A * B^T / n`` is doubly stochastic.  ``c_bound`` is the contiguity
     constant: the smallest C with every a_ij, b_ji and n*m_ij inside [1/C, C].
+    Built only by ``sinkhorn_balance``, which establishes these identities.
     """
 
     A: np.ndarray
@@ -130,25 +131,6 @@ class BalancedMarket:
     c_bound: float
     sinkhorn_iters: int
     residual: float
-
-    def __post_init__(self):
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.B.shape != (n, n) or self.M.shape != (n, n):
-            raise ShapeMismatch("balanced matrices must be square and same-sized")
-        if np.any(self.A <= 0.0) or np.any(self.B <= 0.0):
-            raise NonPositiveEntry("balanced scores must be strictly positive")
-        if float(np.max(np.abs(self.A * self.B.T / n - self.M))) > 1e-12:
-            raise ShapeMismatch("M must equal A * B^T / n")
-        # Fitness identity: each row of A sums to its fitness because canonical
-        # rows sum to 1.
-        if float(np.max(np.abs(self.A.sum(axis=1) - self.phi))) > 1e-10 * float(
-            np.max(self.phi)
-        ):
-            raise NotNormalized("phi must equal the row sums of A")
-        if float(np.max(np.abs(self.B.sum(axis=1) - self.psi))) > 1e-10 * float(
-            np.max(self.psi)
-        ):
-            raise NotNormalized("psi must equal the row sums of B")
 
     @property
     def n(self) -> int:
@@ -322,10 +304,6 @@ def read_matrix_pair(path) -> tuple[np.ndarray, np.ndarray]:
             raise ShapeMismatch(f"{path}: line {no}: expected {width} entries, found {len(tokens)}")
         rows.append(numbers(no, tokens, float))
     return np.array(rows[:n_men]), np.array(rows[n_men:])
-
-
-def write_market(market: CanonicalMarket, path) -> None:
-    write_matrix_pair(path, market.a_hat, market.b_hat)
 
 
 def read_market(path) -> CanonicalMarket:

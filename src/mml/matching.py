@@ -14,7 +14,6 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +24,6 @@ from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
 from .sampling import LatentValues
 
 ENUMERATION_LIMIT = 10
-EXACT_ALPHA_LIMIT = 12
 
 
 class Side(Enum):
@@ -38,10 +36,6 @@ def _floor_stable(v: float) -> int:
     # (0.3 * 10 == 2.9999999999999996 must count as 3).
     f = math.floor(v)
     return f + 1 if v - f > 1.0 - 1e-9 else f
-
-
-def _ceil_stable(v: float) -> int:
-    return math.ceil(v - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -63,21 +57,8 @@ class Matching:
         return len(self.mu)
 
     @property
-    def men_support(self) -> np.ndarray:
-        return np.nonzero(self.mu_array >= 0)[0]
-
-    @property
-    def women_support(self) -> np.ndarray:
-        arr = self.mu_array
-        return np.sort(arr[arr >= 0])
-
-    @property
     def mu_array(self) -> np.ndarray:
         return np.asarray(self.mu, dtype=np.int64)
-
-    @property
-    def is_full(self) -> bool:
-        return all(j >= 0 for j in self.mu) and len(self.mu) == self.n_women
 
     def inverse(self) -> np.ndarray:
         """Woman-side view: inverse()[j] is the man matched to woman j, or -1."""
@@ -92,28 +73,10 @@ class Matching:
         lines = [f"{i + 1} {j + 1}" for i, j in enumerate(self.mu) if j >= 0]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    @classmethod
-    def from_text(cls, text: str, n_men: int, n_women: int) -> "Matching":
-        mu = [-1] * n_men
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ShapeMismatch(f"matching line {line!r} is not 'man woman'")
-            i, j = int(tokens[0]) - 1, int(tokens[1]) - 1
-            if not (0 <= i < n_men) or not (0 <= j < n_women):
-                raise ShapeMismatch(f"matching line {line!r} is out of range")
-            if mu[i] >= 0:
-                raise ShapeMismatch(f"man {i + 1} listed twice")
-            mu[i] = j
-        return cls(mu=tuple(mu), n_women=n_women)
-
 
 @dataclass(frozen=True)
 class MatchingOutcome:
-    """Per-agent values and ranks of a matching, plus the proposal count.
+    """Per-agent values of a matching, the men's ranks, and the proposal count.
 
     Off-support entries are 0 by convention.
     """
@@ -121,14 +84,7 @@ class MatchingOutcome:
     value_men: np.ndarray
     value_women: np.ndarray
     rank_men: np.ndarray
-    rank_women: np.ndarray
     proposal_count: int = 0
-
-
-@dataclass(frozen=True)
-class BlockingPair:
-    man: int
-    woman: int
 
 
 def _check_values_shape(mu: Matching, values: LatentValues) -> None:
@@ -143,7 +99,7 @@ def _check_values_shape(mu: Matching, values: LatentValues) -> None:
 
 
 def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> MatchingOutcome:
-    """Values and full-market ranks of every matched agent under ``mu``."""
+    """Values of every matched agent under ``mu``, and the men's full-market ranks."""
     _check_values_shape(mu, values)
     x, y = values.X, values.Y
     mu_arr = mu.mu_array
@@ -158,18 +114,13 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
         rank_men[sup_m] = (x[sup_m] <= matched[:, None]).sum(axis=1)
 
     value_women = np.zeros(mu.n_women)
-    rank_women = np.zeros(mu.n_women, dtype=np.int64)
     sup_w = np.nonzero(inv >= 0)[0]
-    if sup_w.size:
-        matched = y[sup_w, inv[sup_w]]
-        value_women[sup_w] = matched
-        rank_women[sup_w] = (y[sup_w] <= matched[:, None]).sum(axis=1)
+    value_women[sup_w] = y[sup_w, inv[sup_w]]
 
     return MatchingOutcome(
         value_men=value_men,
         value_women=value_women,
         rank_men=rank_men,
-        rank_women=rank_women,
         proposal_count=proposal_count,
     )
 
@@ -248,19 +199,6 @@ def _blocking_mask(
     return block
 
 
-def find_blocking_pairs(
-    mu: Matching, values: LatentValues, count_unmatched_agents: bool = False
-) -> list[BlockingPair]:
-    """All pairs that both strictly prefer each other over their partners.
-
-    By default only matched agents can block (the sub-market spanned by the
-    matching); with ``count_unmatched_agents=True`` unmatched agents block too.
-    """
-    _check_values_shape(mu, values)
-    block = _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents)
-    return [BlockingPair(int(i), int(j)) for i, j in np.argwhere(block)]
-
-
 def is_stable(
     mu: Matching, values: LatentValues, count_unmatched_agents: bool = False
 ) -> bool:
@@ -329,14 +267,14 @@ def enumerate_stable(values: LatentValues) -> list[Matching]:
 
 def truncate_delta(
     mu: Matching, outcome: MatchingOutcome, delta: float
-) -> tuple[Matching, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Drop the least happy fringe of a matching, keeping exact counts.
 
     With s matched pairs, the floor(delta*s/2) matched men with the largest
     values and the partners of the floor(delta*s/2) matched women with the
     largest values are excluded; among the remaining men the s - floor(delta*s)
-    with the lowest indices are kept.  Returns the partial matching and the
-    kept value vectors (zeros off support).
+    with the lowest indices are kept.  Returns the kept pairs' value vectors
+    (zeros off the kept pairs).
     """
     if not (0.0 < delta < 1.0):
         raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
@@ -362,17 +300,12 @@ def truncate_delta(
     eligible = [int(i) for i in support if int(i) not in excluded]
     kept_men = eligible[:keep]
 
-    new_mu = [-1] * mu.n_men
-    for i in kept_men:
-        new_mu[i] = mu.mu[i]
-    truncated = Matching(mu=tuple(new_mu), n_women=mu.n_women)
-
     x_delta = np.zeros(mu.n_men)
     y_delta = np.zeros(mu.n_women)
     for i in kept_men:
         x_delta[i] = outcome.value_men[i]
         y_delta[mu.mu[i]] = outcome.value_women[mu.mu[i]]
-    return truncated, x_delta, y_delta
+    return x_delta, y_delta
 
 
 def greedy_alpha_certificate(
@@ -396,39 +329,3 @@ def greedy_alpha_certificate(
         removed += 1
     remaining = Matching(mu=tuple(int(v) for v in cur), n_women=mu.n_women)
     return removed / mu.n_men, remaining
-
-
-def is_alpha_stable_exact(mu: Matching, values: LatentValues, alpha: float) -> bool:
-    """Exhaustively decide whether some (1-alpha) fraction of pairs is stable.
-
-    Uses the fact that sub-sets of a stable pair set are stable: it suffices to
-    scan pair subsets of size exactly ceil((1-alpha)*n).  Exponential, so
-    limited to n <= 12.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    _check_values_shape(mu, values)
-    n = mu.n_men
-    if n > EXACT_ALPHA_LIMIT:
-        raise TooLarge(n, EXACT_ALPHA_LIMIT, "is_alpha_stable_exact")
-    need = _ceil_stable((1.0 - alpha) * n)
-    if need <= 0:
-        return True
-    mu_arr = mu.mu_array
-    men = np.nonzero(mu_arr >= 0)[0]
-    if need > men.size:
-        return False
-
-    block = _blocking_mask(values.X, values.Y, mu_arr, count_unmatched=False)
-    # conflict[p, q]: pairs p and q cannot coexist in a stable subset.
-    adj = block[np.ix_(men, mu_arr[men])]
-    conflict = adj | adj.T
-    masks = [int(sum(1 << q for q in np.nonzero(conflict[p])[0])) for p in range(men.size)]
-
-    for combo in itertools.combinations(range(men.size), need):
-        chosen = 0
-        for p in combo:
-            chosen |= 1 << p
-        if all(masks[p] & chosen == 0 for p in combo):
-            return True
-    return False

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import NotNormalized, TooLarge
-from .market import BalancedMarket, CanonicalMarket
+from .market import CanonicalMarket
 from .matching import ENUMERATION_LIMIT, Matching, enumerate_stable
 from .rng import stream_key, unit_uniforms_batch
 from .sampling import LatentValues, latent_rates
@@ -90,24 +89,6 @@ def naive_p_upper(
     return math.exp(_masked_log1p_sum(t, mu))
 
 
-@dataclass(frozen=True)
-class StabilityLikelihood:
-    p_mu: float
-    q_xy: float
-    naive_upper: float
-
-
-def stability_likelihood(
-    x: np.ndarray, y: np.ndarray, bal: BalancedMarket, mu: Matching
-) -> StabilityLikelihood:
-    """Bundle the exact likelihood with its two closed-form companions."""
-    return StabilityLikelihood(
-        p_mu=p_mu(x, y, bal.A, bal.B, mu),
-        q_xy=q_xy(x, y, bal.M),
-        naive_upper=naive_p_upper(x, y, mu, bal.A, bal.B, bal.c_bound),
-    )
-
-
 def chernoff_lower_tail(u: np.ndarray, t: float) -> float:
     """Bound P(sum u_i Z_i <= t n) for unit exponentials Z and weights with sum n.
 
@@ -172,7 +153,7 @@ def expected_stable_count_mc(
         x = _exponential_batch(trial_seeds, "X", rates_men)
         y = _exponential_batch(trial_seeds, "Y", rates_women)
         for i, t in enumerate(trials):
-            values = LatentValues(X=x[i], Y=y[i], seed=trial_seeds[i])
+            values = LatentValues(X=x[i], Y=y[i])
             counts[t] = len(enumerate_stable(values))
 
     mean = float(counts.mean())

@@ -39,7 +39,6 @@ class LatentValues:
 
     X: np.ndarray
     Y: np.ndarray
-    seed: int
 
     def __post_init__(self):
         x, y = self.X, self.Y
@@ -71,5 +70,4 @@ def sample_latent(market: BalancedMarket | CanonicalMarket, seed: int) -> Latent
     return LatentValues(
         X=exponentials(stream_key(seed, "X"), rates_men),
         Y=exponentials(stream_key(seed, "Y"), rates_women),
-        seed=seed,
     )

@@ -1,9 +1,8 @@
-"""Empirical distributions, exponential fits, and distributional diagnostics."""
+"""KS distances to exponential laws, exponential fits, and distributional diagnostics."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,29 +17,6 @@ from .matching import MatchingOutcome
 _GRID_POINTS = 64
 _GOLDEN_STEPS = 40
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    """Right-continuous empirical CDF of a sample."""
-
-    sorted_samples: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "EmpiricalCDF":
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.size == 0:
-            raise EmptySample("empirical CDF needs at least one sample")
-        return cls(sorted_samples=np.sort(samples))
-
-    @property
-    def n(self) -> int:
-        return self.sorted_samples.size
-
-    def evaluate(self, t) -> np.ndarray | float:
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = np.searchsorted(self.sorted_samples, t_arr, side="right") / self.n
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def _check_sample(samples: np.ndarray) -> np.ndarray:
@@ -72,28 +48,12 @@ def ks_distance_to_exp(samples: np.ndarray, rate: float) -> float:
     return _ks_exp_sorted(np.sort(samples), rate)
 
 
-class FitMethod(Enum):
-    GRID_REFINE = "grid_refine"
-    CLOSED_FORM_YSUM = "closed_form_ysum"
-    INVERSE_MEAN = "inverse_mean"
-
-
 @dataclass(frozen=True)
 class ExponentialFit:
-    """An exponential rate, the KS distance it achieves, and how it was chosen."""
+    """An exponential rate and the KS distance it achieves."""
 
     rate: float
     ks_distance: float
-    method: FitMethod
-
-
-def exponential_fit_at(
-    samples: np.ndarray, rate: float, method: FitMethod = FitMethod.CLOSED_FORM_YSUM
-) -> ExponentialFit:
-    """Evaluate a caller-supplied rate (e.g. a partner-value sum or 1/mean)."""
-    return ExponentialFit(
-        rate=float(rate), ks_distance=ks_distance_to_exp(samples, rate), method=method
-    )
 
 
 def best_fit_exponential(samples: np.ndarray) -> ExponentialFit:
@@ -133,9 +93,7 @@ def best_fit_exponential(samples: np.ndarray) -> ExponentialFit:
     grid_best = float(ks_grid[best])
     if grid_best < ks:  # never return worse than the raw grid
         log_rate, ks = log_grid[best], grid_best
-    return ExponentialFit(
-        rate=math.exp(log_rate), ks_distance=float(ks), method=FitMethod.GRID_REFINE
-    )
+    return ExponentialFit(rate=math.exp(log_rate), ks_distance=float(ks))
 
 
 def rescaled_ranks(rank_men: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -195,50 +153,6 @@ def eig_dispersion(M: np.ndarray, y: np.ndarray, zeta: float) -> tuple[float, fl
     t_star = float(np.median(e))
     violating = float(np.mean(np.abs(e - t_star) >= math.sqrt(zeta) * t_star))
     return t_star, violating
-
-
-@dataclass(frozen=True)
-class RegionFlags:
-    in_r1_u: bool
-    in_r1_v: bool
-    in_r2: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.in_r1_u and self.in_r1_v and self.in_r2
-
-
-def region_check(
-    u: np.ndarray,
-    v: np.ndarray,
-    M: np.ndarray,
-    c1_lo: float,
-    c1_hi: float,
-    c2: float,
-) -> RegionFlags:
-    """Check the norm and bilinear-form windows used by the tail analysis.
-
-    A vector is inside its window when c1_lo * log n <= ||.||_1 <= c1_hi * n *
-    (log n)^(-7/8); the pair is inside the bilinear window when u' M v <=
-    c2 * (log n)^(1/8).  All boundaries inclusive.  Needs n >= 2 (log 1 = 0
-    degenerates the window).
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    n = u.size
-    if n < 2:
-        raise ValueError("region check needs n >= 2")
-    log_n = math.log(n)
-    lo = c1_lo * log_n
-    hi = c1_hi * n * log_n ** (-7.0 / 8.0)
-    norm_u = float(np.abs(u).sum())
-    norm_v = float(np.abs(v).sum())
-    bilinear = float(u @ np.asarray(M, dtype=np.float64) @ v)
-    return RegionFlags(
-        in_r1_u=lo <= norm_u <= hi,
-        in_r1_v=lo <= norm_v <= hi,
-        in_r2=bilinear <= c2 * log_n ** 0.125,
-    )
 
 
 def dkw_bound(n: int, delta: float, epsilon: float) -> float:

@@ -6,13 +6,24 @@
   an independent route to the law that sorting latent values realizes.
 * ``prefs_from_values`` / ``values_from_prefs``: the two directions between
   value matrices and preference lists (best partner first, 0-based).
+* ``is_alpha_stable_exact``: exhaustive search for a stable (1 - alpha)
+  fraction of pairs, the exact counterpart of ``greedy_alpha_certificate``.
+* ``EmpiricalCDF``: the right-continuous empirical CDF, evaluated on a grid
+  to check the exact ``ks_distance_to_exp``.
 """
+
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from mml.matching import Side
+from mml.errors import EmptySample, TooLarge
+from mml.matching import Matching, Side, _blocking_mask, _check_values_shape
 from mml.rng import stream_key, unit_uniforms
 from mml.sampling import LatentValues
+
+EXACT_ALPHA_LIMIT = 12
 
 
 def prefs_from_values(values: LatentValues) -> tuple[np.ndarray, np.ndarray]:
@@ -30,7 +41,7 @@ def values_from_prefs(men_prefs, women_prefs) -> LatentValues:
         out[np.arange(prefs.shape[0])[:, None], prefs] = np.arange(1.0, prefs.shape[1] + 1.0)
         return out
 
-    return LatentValues(X=positions(men_prefs), Y=positions(women_prefs), seed=0)
+    return LatentValues(X=positions(men_prefs), Y=positions(women_prefs))
 
 
 def list_deferred_acceptance(men_prefs, women_prefs, proposing_side=Side.MEN):
@@ -107,3 +118,66 @@ def logit_sample_prefs(bal, seed: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(n):
         women[j] = _sequential_order(b_hat[j], unit_uniforms(stream_key(seed, "logit_women", j), n))
     return men, women
+
+
+def _ceil_stable(v: float) -> int:
+    return math.ceil(v - 1e-9)
+
+
+def is_alpha_stable_exact(mu: Matching, values: LatentValues, alpha: float) -> bool:
+    """Exhaustively decide whether some (1-alpha) fraction of pairs is stable.
+
+    Uses the fact that sub-sets of a stable pair set are stable: it suffices to
+    scan pair subsets of size exactly ceil((1-alpha)*n).  Exponential, so
+    limited to n <= 12.
+    """
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_values_shape(mu, values)
+    n = mu.n_men
+    if n > EXACT_ALPHA_LIMIT:
+        raise TooLarge(n, EXACT_ALPHA_LIMIT, "is_alpha_stable_exact")
+    need = _ceil_stable((1.0 - alpha) * n)
+    if need <= 0:
+        return True
+    mu_arr = mu.mu_array
+    men = np.nonzero(mu_arr >= 0)[0]
+    if need > men.size:
+        return False
+
+    block = _blocking_mask(values.X, values.Y, mu_arr, count_unmatched=False)
+    # conflict[p, q]: pairs p and q cannot coexist in a stable subset.
+    adj = block[np.ix_(men, mu_arr[men])]
+    conflict = adj | adj.T
+    masks = [int(sum(1 << q for q in np.nonzero(conflict[p])[0])) for p in range(men.size)]
+
+    for combo in itertools.combinations(range(men.size), need):
+        chosen = 0
+        for p in combo:
+            chosen |= 1 << p
+        if all(masks[p] & chosen == 0 for p in combo):
+            return True
+    return False
+
+
+@dataclass(frozen=True)
+class EmpiricalCDF:
+    """Right-continuous empirical CDF of a sample."""
+
+    sorted_samples: np.ndarray
+
+    @classmethod
+    def from_samples(cls, samples: np.ndarray) -> "EmpiricalCDF":
+        samples = np.asarray(samples, dtype=np.float64)
+        if samples.size == 0:
+            raise EmptySample("empirical CDF needs at least one sample")
+        return cls(sorted_samples=np.sort(samples))
+
+    @property
+    def n(self) -> int:
+        return self.sorted_samples.size
+
+    def evaluate(self, t) -> np.ndarray | float:
+        t_arr = np.asarray(t, dtype=np.float64)
+        out = np.searchsorted(self.sorted_samples, t_arr, side="right") / self.n
+        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out

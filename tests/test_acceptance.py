@@ -33,6 +33,7 @@ from mml import (
     stream_key,
     uniform_market,
 )
+from mml import experiments
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -171,8 +172,8 @@ def test_criterion_07_imbalanced_market_run():
 
 def test_criterion_08_tail_bounds_never_violated():
     cfg, summary, records, checks = _run_config("bounds.cfg")
-    weighted_total = cfg.chernoff_samples * cfg.trials
-    band_total = cfg.dkw_experiments * cfg.trials
+    weighted_total = experiments.CHERNOFF_SAMPLES * cfg.trials
+    band_total = experiments.DKW_EXPERIMENTS * cfg.trials
     worst_excess = max(r.observed - r.bound for r in records)
     ok = (
         summary["passed"]

@@ -1,5 +1,6 @@
 """Config parsing, the trial runner, summaries, and record serialization."""
 
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
@@ -47,16 +48,7 @@ master_seed = 801
 c = 2.5
 delta = 0.1
 k = 0
-zeta = 0.3
-theta = 0.6
 workers = 2
-chernoff_t = 0.1 0.3 0.5
-chernoff_samples = 1000
-dkw_eps = 0.1 0.2
-dkw_n = 200
-dkw_delta = 0.02
-dkw_band = 0.02
-dkw_experiments = 50
 tol.ks = 0.04          # trailing comments are stripped
 tol.pass_fraction = 0.85
 """
@@ -76,17 +68,8 @@ def test_parse_config_reads_all_keys():
     assert cfg.experiment is ExperimentKind.BOUNDS
     assert cfg.market is MarketKind.CBOUNDED
     assert (cfg.n, cfg.trials, cfg.master_seed) == (50, 10, 801)
-    assert (cfg.c, cfg.delta, cfg.zeta, cfg.theta) == (2.5, 0.1, 0.3, 0.6)
+    assert (cfg.c, cfg.delta, cfg.k) == (2.5, 0.1, 0)
     assert cfg.workers == 2
-    assert cfg.chernoff_t == (0.1, 0.3, 0.5)
-    assert cfg.chernoff_samples == 1000
-    assert cfg.dkw_eps == (0.1, 0.2)
-    assert (cfg.dkw_n, cfg.dkw_delta, cfg.dkw_band, cfg.dkw_experiments) == (
-        200,
-        0.02,
-        0.02,
-        50,
-    )
     assert cfg.tol("ks", 0.05) == 0.04
     assert cfg.tol("pass_fraction", 0.9) == 0.85
     # unset tolerance falls back to the caller's default
@@ -124,6 +107,17 @@ def test_misspelled_tolerance_is_rejected():
     # Any tolerance some check reads is accepted, whichever experiment reads it.
     for name in ("pass_fraction", "ks", "hyperbola_err", "alpha", "target", "margin"):
         assert parse_config(base + f"tol.{name} = 0.5\n").tol(name, 0.0) == 0.5
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["zeta", "theta", "chernoff_t", "chernoff_samples", "dkw_eps", "dkw_n", "dkw_delta",
+     "dkw_band", "dkw_experiments"],
+)
+def test_fixed_statistic_parameters_are_not_config_keys(key):
+    base = "experiment = bounds\nn = 4\ntrials = 1\nmaster_seed = 0\n"
+    with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+        parse_config(base + f"{key} = 0.5\n")
 
 
 def test_each_required_key_is_enforced():
@@ -232,6 +226,39 @@ def test_worker_count_is_invisible_in_output():
     _, serial = run_experiment(cfg)
     _, parallel = run_experiment(replace(cfg, workers=3))
     assert records_to_csv(serial) == records_to_csv(parallel)
+
+
+def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size and runs the trials in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = parse_config(TINY_VALUE_DIST)
+    monkeypatch.delenv("MML_WORKERS", raising=False)
+    _, serial = run_experiment(cfg)
+    assert sizes == []
+
+    monkeypatch.setenv("MML_WORKERS", "5000")
+    _, pooled = run_experiment(cfg)
+    assert sizes == [cfg.trials]
+    assert records_to_csv(pooled) == records_to_csv(serial)
+    # A single trial runs in this process, without a pool.
+    run_experiment(replace(cfg, trials=1))
+    assert sizes == [cfg.trials]
 
 
 def test_effective_workers_env_override(monkeypatch):
@@ -358,8 +385,11 @@ def test_rank_and_proposal_laws_on_uniform_market():
         values = sample_latent(bal, stream_key(424242, "trial", t))
         for side in (Side.MEN, Side.WOMEN):
             _, outcome = deferred_acceptance(values, side)
-            mean_prop = outcome.rank_men.mean() if side is Side.MEN else outcome.rank_women.mean()
-            mean_recv = outcome.rank_women.mean() if side is Side.MEN else outcome.rank_men.mean()
+            mean_men = outcome.rank_men.mean()
+            mean_women = (values.Y <= outcome.value_women[:, None]).sum(axis=1).mean()
+            mean_prop, mean_recv = (
+                (mean_men, mean_women) if side is Side.MEN else (mean_women, mean_men)
+            )
             assert 0.5 * log_n <= mean_prop <= 3.0 * log_n
             assert 0.2 * n / log_n <= mean_recv <= 3.0 * n / log_n
             assert 0.5 <= mean_prop * mean_recv / n <= 2.0

@@ -20,17 +20,21 @@ from mml.matching import (
     ENUMERATION_LIMIT,
     Matching,
     Side,
+    _blocking_mask,
     deferred_acceptance,
     enumerate_stable,
-    find_blocking_pairs,
     greedy_alpha_certificate,
-    is_alpha_stable_exact,
     is_stable,
     outcome_of,
     truncate_delta,
 )
 from mml.sampling import LatentValues, sample_latent
-from oracles import list_deferred_acceptance, prefs_from_values, values_from_prefs
+from oracles import (
+    is_alpha_stable_exact,
+    list_deferred_acceptance,
+    prefs_from_values,
+    values_from_prefs,
+)
 
 
 def draw_instance(n, seed, c=2.0, n_women=None):
@@ -39,7 +43,16 @@ def draw_instance(n, seed, c=2.0, n_women=None):
     rng = np.random.default_rng(seed)
     x = rng.exponential(1.0, (n, n_women))
     y = rng.exponential(1.0, (n_women, n))
-    return LatentValues(X=x, Y=y, seed=seed)
+    return LatentValues(X=x, Y=y)
+
+
+def matched_count(mu):
+    return sum(1 for j in mu.mu if j >= 0)
+
+
+def blocking_pairs(mu, values, count_unmatched_agents=False):
+    mask = _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents)
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
 def brute_force_stable(values):
@@ -66,18 +79,15 @@ def test_matching_validation():
 
 def test_matching_views():
     mu = Matching(mu=(2, -1, 0), n_women=4)
-    np.testing.assert_array_equal(mu.men_support, [0, 2])
-    np.testing.assert_array_equal(mu.women_support, [0, 2])
+    np.testing.assert_array_equal(mu.mu_array, [2, -1, 0])
     np.testing.assert_array_equal(mu.inverse(), [2, -1, 0, -1])
-    assert mu.n_men == 3 and not mu.is_full
-    assert Matching(mu=(1, 0), n_women=2).is_full
+    assert mu.n_men == 3
 
 
 def test_matching_text_round_trip():
     mu = Matching(mu=(2, -1, 0), n_women=4)
     assert mu.to_text() == "1 3\n3 1\n"
-    back = Matching.from_text(mu.to_text(), n_men=3, n_women=4)
-    assert back == mu
+    assert Matching(mu=(-1, -1), n_women=2).to_text() == ""
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
@@ -90,23 +100,18 @@ def test_matching_text_round_trip_partial(seed, n):
         mu=tuple(int(w) if keep else -1 for w, keep in zip(perm, mask)),
         n_women=n + 2,
     )
-    assert Matching.from_text(mu.to_text(), n, n + 2) == mu
-
-
-def test_matching_from_text_errors():
-    with pytest.raises(ShapeMismatch):
-        Matching.from_text("1 2 3\n", 2, 2)
-    with pytest.raises(ShapeMismatch):
-        Matching.from_text("1 5\n", 2, 2)
-    with pytest.raises(ShapeMismatch):
-        Matching.from_text("1 1\n1 2\n", 2, 2)
+    back = [-1] * n
+    for line in mu.to_text().splitlines():
+        man, woman = (int(tok) for tok in line.split())
+        back[man - 1] = woman - 1
+    assert tuple(back) == mu.mu
 
 
 # --- deferred acceptance ------------------------------------------------------
 
 
 def test_da_single_agent():
-    values = LatentValues(X=np.array([[0.5]]), Y=np.array([[0.7]]), seed=0)
+    values = LatentValues(X=np.array([[0.5]]), Y=np.array([[0.7]]))
     mu, outcome = deferred_acceptance(values)
     assert mu.mu == (0,)
     assert outcome.value_men[0] == 0.5
@@ -142,7 +147,6 @@ def test_da_on_values_matches_the_list_oracle(seed, n_men, n_women, side):
     values = LatentValues(
         X=rng.exponential(1.0, (n_men, n_women)),
         Y=rng.exponential(1.0, (n_women, n_men)),
-        seed=seed,
     )
     mu, outcome = deferred_acceptance(values, proposing_side=side)
     oracle_mu, oracle_proposals = list_deferred_acceptance(*prefs_from_values(values), side)
@@ -155,7 +159,7 @@ def test_da_outputs_are_stable():
         values = draw_instance(n=12, seed=seed)
         for side in (Side.MEN, Side.WOMEN):
             mu, _ = deferred_acceptance(values, proposing_side=side)
-            assert mu.is_full
+            assert matched_count(mu) == 12
             assert is_stable(mu, values), f"seed {seed}, side {side}"
 
 
@@ -178,7 +182,7 @@ def test_da_rectangular_long_side_unmatched():
     values = draw_instance(n=3, seed=7, n_women=5)
     mu, _ = deferred_acceptance(values, proposing_side=Side.WOMEN)
     assert sorted(mu.mu) != [-1, -1, -1]
-    assert len(mu.women_support) == 3
+    assert matched_count(mu) == 3
     assert is_stable(mu, values, count_unmatched_agents=True)
 
 
@@ -202,9 +206,8 @@ def test_find_blocking_pairs_hand_case():
     x = np.array([[0.5, 0.1], [0.9, 0.4]])
     y = np.array([[0.6, 0.2], [0.3, 0.8]])
     mu = Matching(mu=(0, 1), n_women=2)
-    values = LatentValues(X=x, Y=y, seed=0)
-    pairs = find_blocking_pairs(mu, values)
-    assert [(p.man, p.woman) for p in pairs] == [(0, 1)]
+    values = LatentValues(X=x, Y=y)
+    assert blocking_pairs(mu, values) == [(0, 1)]
     assert not is_stable(mu, values)
     assert is_stable(Matching(mu=(1, 0), n_women=2), values)
 
@@ -212,12 +215,14 @@ def test_find_blocking_pairs_hand_case():
 def test_unmatched_agents_block_only_when_asked():
     x = np.array([[0.5, 0.1], [0.9, 0.4]])
     y = np.array([[0.6, 0.2], [0.3, 0.8]])
-    values = LatentValues(X=x, Y=y, seed=0)
+    values = LatentValues(X=x, Y=y)
     mu = Matching(mu=(0, -1), n_women=2)  # man 1 and woman 1 unmatched
-    assert find_blocking_pairs(mu, values) == []
-    pairs = find_blocking_pairs(mu, values, count_unmatched_agents=True)
+    assert blocking_pairs(mu, values) == []
+    assert is_stable(mu, values)
+    pairs = blocking_pairs(mu, values, count_unmatched_agents=True)
     # Woman 0 also prefers the unmatched man 1 (0.2 < 0.6), so (1, 0) blocks.
-    assert {(p.man, p.woman) for p in pairs} == {(0, 1), (1, 0), (1, 1)}
+    assert set(pairs) == {(0, 1), (1, 0), (1, 1)}
+    assert not is_stable(mu, values, count_unmatched_agents=True)
 
 
 # --- enumeration --------------------------------------------------------------
@@ -273,7 +278,7 @@ def test_outcome_ranks_brute_force():
     rng = np.random.default_rng(12)
     x = rng.exponential(1.0, (6, 6))
     y = rng.exponential(1.0, (6, 6))
-    values = LatentValues(X=x, Y=y, seed=0)
+    values = LatentValues(X=x, Y=y)
     mu = Matching(mu=(3, 0, 5, 1, -1, 2), n_women=6)
     outcome = outcome_of(mu, values)
     for i, j in enumerate(mu.mu):
@@ -285,14 +290,13 @@ def test_outcome_ranks_brute_force():
     inv = mu.inverse()
     for j, i in enumerate(inv):
         if i < 0:
-            assert outcome.value_women[j] == 0.0 and outcome.rank_women[j] == 0
+            assert outcome.value_women[j] == 0.0
             continue
         assert outcome.value_women[j] == y[j, i]
-        assert outcome.rank_women[j] == int((y[j] <= y[j, i]).sum())
 
 
 def test_outcome_shape_validation():
-    values = LatentValues(X=np.eye(2) + 1.0, Y=np.eye(2) + 1.0, seed=0)
+    values = LatentValues(X=np.eye(2) + 1.0, Y=np.eye(2) + 1.0)
     with pytest.raises(ShapeMismatch):
         outcome_of(Matching(mu=(0, 1, 2), n_women=3), values)
 
@@ -308,10 +312,11 @@ def test_truncate_keeps_exact_counts_hand_case():
     off = 100.0 + np.arange(n * n, dtype=float).reshape(n, n)
     x = np.where(np.eye(n, dtype=bool), np.arange(1.0, n + 1.0)[:, None], off)
     y = np.where(np.eye(n, dtype=bool), (n - np.arange(n, dtype=float))[:, None], off)
-    values = LatentValues(X=x, Y=y, seed=0)
+    values = LatentValues(X=x, Y=y)
     mu = Matching(mu=tuple(range(n)), n_women=n)
-    truncated, x_d, y_d = truncate_delta(mu, outcome_of(mu, values), 0.2)
-    np.testing.assert_array_equal(truncated.men_support, np.arange(1, 9))
+    x_d, y_d = truncate_delta(mu, outcome_of(mu, values), 0.2)
+    np.testing.assert_array_equal(np.nonzero(x_d)[0], np.arange(1, 9))
+    np.testing.assert_array_equal(np.nonzero(y_d)[0], np.arange(1, 9))
     assert x_d.sum() == pytest.approx(sum(range(2, 10)))
     assert y_d.sum() == pytest.approx(sum(n - j for j in range(1, 9)))
     assert x_d[0] == 0.0 and x_d[9] == 0.0
@@ -322,29 +327,30 @@ def test_truncate_keeps_exact_counts_hand_case():
 def test_truncate_size_and_support(seed, n, delta):
     rng = np.random.default_rng(seed)
     values = LatentValues(
-        X=rng.exponential(1.0, (n, n)), Y=rng.exponential(1.0, (n, n)), seed=0
+        X=rng.exponential(1.0, (n, n)), Y=rng.exponential(1.0, (n, n))
     )
     mu = Matching(mu=tuple(int(v) for v in rng.permutation(n)), n_women=n)
     outcome = outcome_of(mu, values)
-    truncated, x_d, y_d = truncate_delta(mu, outcome, delta)
+    x_d, y_d = truncate_delta(mu, outcome, delta)
 
     drop = int(delta * n + 1e-9)
-    assert truncated.men_support.size == n - drop
-    # Kept values sit exactly where the kept pairs are; zeros elsewhere.
-    np.testing.assert_array_equal(np.nonzero(x_d)[0], truncated.men_support)
-    np.testing.assert_array_equal(np.nonzero(y_d)[0], truncated.women_support)
-    for i in truncated.men_support:
-        assert truncated.mu[i] == mu.mu[i]
+    kept_men = np.nonzero(x_d)[0]
+    kept_women = mu.mu_array[kept_men]
+    assert kept_men.size == n - drop
+    # Kept values are the kept pairs' own values; zeros elsewhere.
+    np.testing.assert_array_equal(np.nonzero(y_d)[0], np.sort(kept_women))
+    np.testing.assert_array_equal(x_d[kept_men], outcome.value_men[kept_men])
+    np.testing.assert_array_equal(y_d[kept_women], outcome.value_women[kept_women])
     # Neither the worst man nor the worst woman's partner survives.
     if drop >= 2:
-        assert int(np.argmax(outcome.value_men)) not in truncated.men_support
+        assert int(np.argmax(outcome.value_men)) not in kept_men
         worst_woman = int(np.argmax(outcome.value_women))
-        assert worst_woman not in truncated.women_support
+        assert worst_woman not in kept_women
 
 
 def test_truncate_validation():
     values = LatentValues(X=np.ones((2, 2)) + np.diag([0.1, 0.2]),
-                          Y=np.ones((2, 2)) + np.diag([0.3, 0.4]), seed=0)
+                          Y=np.ones((2, 2)) + np.diag([0.3, 0.4]))
     mu = Matching(mu=(0, 1), n_women=2)
     outcome = outcome_of(mu, values)
     for bad in (0.0, 1.0, -0.5, 1.5):
@@ -374,7 +380,7 @@ def test_greedy_certificate_is_certified_by_exact_search():
         alpha, remaining = greedy_alpha_certificate(perturbed, values)
         assert is_stable(remaining, values)
         assert is_alpha_stable_exact(perturbed, values, alpha)
-        assert remaining.men_support.size == 8 - round(alpha * 8)
+        assert matched_count(remaining) == 8 - round(alpha * 8)
 
 
 def test_exact_alpha_boundary():

@@ -23,26 +23,26 @@ def test_tied_values_are_rejected():
     x = np.array([[0.3, 0.3], [0.1, 0.2]])
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DuplicateValue):
-        LatentValues(X=x, Y=y, seed=0)
+        LatentValues(X=x, Y=y)
     with pytest.raises(DuplicateValue):
-        LatentValues(X=y, Y=x, seed=0)
+        LatentValues(X=y, Y=x)
 
 
 def test_nonpositive_and_nonfinite_values_are_rejected():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
         with pytest.raises(DuplicateValue):
-            LatentValues(X=np.array([[bad, 1.0], [1.0, 2.0]]), Y=y, seed=0)
+            LatentValues(X=np.array([[bad, 1.0], [1.0, 2.0]]), Y=y)
         with pytest.raises(DuplicateValue):
-            LatentValues(X=y, Y=np.array([[1.0, 2.0], [3.0, bad]]), seed=0)
+            LatentValues(X=y, Y=np.array([[1.0, 2.0], [3.0, bad]]))
 
 
 def test_latent_values_shape_validation():
     with pytest.raises(ShapeMismatch):
-        LatentValues(X=np.ones((2, 3)), Y=np.ones((2, 3)), seed=0)
+        LatentValues(X=np.ones((2, 3)), Y=np.ones((2, 3)))
     with pytest.raises(ShapeMismatch):
-        LatentValues(X=np.ones(3), Y=np.ones(3), seed=0)
-    values = LatentValues(X=np.array([[1.0, 2.0, 3.0]]), Y=np.ones((3, 1)), seed=0)
+        LatentValues(X=np.ones(3), Y=np.ones(3))
+    values = LatentValues(X=np.array([[1.0, 2.0, 3.0]]), Y=np.ones((3, 1)))
     assert values.X.shape == (1, 3)
 
 
