@@ -339,16 +339,16 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     values = sample_latent(bal, trial_seed)
 
     # The real market is the first m rows/columns of the extension's values.
-    rect_values = LatentValues(X=values.X[:m, :], Y=values.Y[:, :m])
+    rect_values = LatentValues._screened(values.X[:m, :], values.Y[:, :m])
     rect_match, rect_outcome = deferred_acceptance(rect_values, Side.MEN)
 
     # Completion check: with every woman ranking the k added men below all
     # real men (in index order), square DA must restrict to the rectangular
     # DA exactly.
     y_rect = rect_values.Y
-    completed = LatentValues(
-        X=values.X,
-        Y=np.hstack([y_rect, y_rect.max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)]),
+    completed = LatentValues._screened(
+        values.X,
+        np.hstack([y_rect, y_rect.max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)]),
     )
     completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu

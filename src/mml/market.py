@@ -157,7 +157,11 @@ def sinkhorn_balance(
         raise ValueError("max_iters must be at least 1")
 
     n = market.n_men
-    kernel = market.a_hat * market.b_hat.T / n
+    # In-place divisions and the early `del` keep at most five n x n arrays
+    # alive (a_hat, b_hat and the three results), which sets the memory peak
+    # of a uniform-market run.
+    kernel = market.a_hat * market.b_hat.T
+    kernel /= n
     ks = kernel @ np.ones(n)
     iters = 0
     residual = np.inf
@@ -177,12 +181,14 @@ def sinkhorn_balance(
         raise NoConvergence(iters, residual)
 
     # Geometric-mean-symmetric gauge: scale so GM(phi) == GM(psi).
+    del kernel
     c = float(np.exp(0.5 * (np.mean(np.log(s)) - np.mean(np.log(r)))))
     phi = c * r
     psi = s / c
     A = phi[:, None] * market.a_hat
     B = psi[:, None] * market.b_hat
-    M = A * B.T / n
+    M = A * B.T
+    M /= n
     residual = float(
         max(np.abs(M.sum(axis=1) - 1.0).max(), np.abs(M.sum(axis=0) - 1.0).max())
     )

@@ -21,9 +21,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
+from .rng import row_blocks
 from .sampling import LatentValues
 
 ENUMERATION_LIMIT = 10
+# Depth of each proposer's presorted list.  A proposer's walk ends at its
+# final partner's rank, which averages 6-10 and peaks at 39-81 for
+# n = 1000-4000 in uniform markets; deeper walks sort their whole row.
+TOP_L = 64
 
 
 class Side(Enum):
@@ -106,12 +111,12 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
     inv = mu.inverse()
 
     value_men = np.zeros(mu.n_men)
-    rank_men = np.zeros(mu.n_men, dtype=np.int64)
     sup_m = np.nonzero(mu_arr >= 0)[0]
-    if sup_m.size:
-        matched = x[sup_m, mu_arr[sup_m]]
-        value_men[sup_m] = matched
-        rank_men[sup_m] = (x[sup_m] <= matched[:, None]).sum(axis=1)
+    value_men[sup_m] = x[sup_m, mu_arr[sup_m]]
+    # Values are positive, so an unmatched man's threshold 0 counts rank 0.
+    rank_men = np.zeros(mu.n_men, dtype=np.int64)
+    for rows in row_blocks(*x.shape):
+        rank_men[rows] = (x[rows] <= value_men[rows, None]).sum(axis=1)
 
     value_women = np.zeros(mu.n_women)
     sup_w = np.nonzero(inv >= 0)[0]
@@ -125,6 +130,23 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
     )
 
 
+def _top_l(prop: np.ndarray) -> np.ndarray:
+    """Each row's TOP_L lowest columns (all, if fewer), lowest first, as int32.
+
+    Rows are tie-free, so this is the leading part of the row's argsort.
+    Partitioned per row block: no full-size index array is allocated.
+    """
+    n_prop, n_recv = prop.shape
+    width = min(TOP_L, n_recv)
+    top = np.empty((n_prop, width), dtype=np.int32)
+    for rows in row_blocks(n_prop, n_recv):
+        block = prop[rows]
+        idx = np.argpartition(block, width - 1, axis=1)[:, :width]
+        order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
+        top[rows] = np.take_along_axis(idx, order, axis=1)
+    return top
+
+
 def deferred_acceptance(
     values: LatentValues, proposing_side: Side = Side.MEN
 ) -> tuple[Matching, MatchingOutcome]:
@@ -133,14 +155,17 @@ def deferred_acceptance(
     Proposers walk their value rows in ascending order; a receiver holds the
     proposer she values lowest so far.  Works for rectangular markets (agents
     on the long side can end up unmatched).  Every proposal, including
-    rejected ones, is counted.
+    rejected ones, is counted.  A walk reads its row's presorted top-L and
+    argsorts the whole row only if it goes deeper.
     """
     if proposing_side == Side.MEN:
         prop, recv = values.X, values.Y
     else:
         prop, recv = values.Y, values.X
     n_prop, n_recv = prop.shape
-    order = np.argsort(prop, axis=1)
+    top = _top_l(prop)
+    width = top.shape[1]
+    deep: dict[int, list[int]] = {}  # full order of each row walked past the top-L
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
@@ -152,7 +177,12 @@ def deferred_acceptance(
             k = next_idx[p]
             if k == n_recv:
                 break  # exhausted every receiver; stays unmatched
-            r = order.item(p, k)
+            if k < width:
+                r = top.item(p, k)
+            else:
+                if p not in deep:
+                    deep[p] = np.argsort(prop[p]).tolist()
+                r = deep[p][k]
             next_idx[p] = k + 1
             proposals += 1
             cur = match_of[r]

@@ -9,11 +9,13 @@ The generator is a stateless splitmix64-style hash: the counter is spread with
 one 64-bit finalizer, folded into the key, and finalized again.  All hot-path
 arithmetic is vectorized uint64 (wraparound is the intended modular
 arithmetic), which keeps tiny markets cheap (no per-stream object setup) and
-large matrices fast (~20M draws/s).
+large matrices fast: matrices are filled in place, one block of cells at a
+time, at 60-75M exponential draws/s on one core of a 2-core Xeon.
 """
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -21,6 +23,16 @@ _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
 _MIX_2 = _U64(0x94D049BB133111EB)
+
+# Cells per block of every n^2 stage: large enough to amortize numpy's
+# per-call cost, small enough that a block's scratch stays in cache.
+BLOCK = 1 << 16
+
+
+def row_blocks(nrows: int, ncols: int) -> Iterator[slice]:
+    """Slices of consecutive rows of an nrows x ncols matrix, about BLOCK cells each."""
+    step = max(1, BLOCK // max(ncols, 1))
+    return (slice(start, start + step) for start in range(0, nrows, step))
 
 
 def stream_key(*tokens: int | str) -> int:
@@ -40,15 +52,49 @@ def stream_key(*tokens: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer: a bijection on 64-bit words with full avalanche.
-    z = (z ^ (z >> _U64(30))) * _MIX_1
-    z = (z ^ (z >> _U64(27))) * _MIX_2
-    return z ^ (z >> _U64(31))
+def _mix(z: np.ndarray, t: np.ndarray) -> None:
+    # splitmix64 finalizer, in place on z (t is scratch of z's shape): a
+    # bijection on 64-bit words with full avalanche.
+    for shift, mult in ((_U64(30), _MIX_1), (_U64(27), _MIX_2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
 
 
-def _bits(key: int, counters: np.ndarray) -> np.ndarray:
-    return _mix(_mix(counters * _GOLDEN + _GOLDEN) ^ _U64(key))
+# k * golden for the block's k-th cell; adding (start + 1) * golden
+# gives the word of counter start + k.
+_BLOCK_STEPS = np.arange(BLOCK, dtype=np.uint64) * _GOLDEN
+_BLOCK_STEPS.flags.writeable = False
+
+
+def _fill(key: int, offset: int, out: np.ndarray, rates: np.ndarray | None) -> None:
+    """Write the uniforms (or, given rates, exponentials) of ``out``'s cells.
+
+    Flat cell c gets counter offset + c.  Blocks of BLOCK cells reuse two
+    uint64 scratch buffers and every step writes in place, so the only
+    full-size array is ``out``; any blocking yields the same bits.
+    """
+    flat = out.reshape(-1)
+    size = flat.size
+    z = np.empty(min(size, BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    key = _U64(key)
+    for start in range(0, size, BLOCK):
+        k = min(BLOCK, size - start)
+        zb, tb, ob = z[:k], t[:k], flat[start : start + k]
+        np.add(_BLOCK_STEPS[:k], _U64((offset + start + 1) * int(_GOLDEN) % 2**64), out=zb)
+        _mix(zb, tb)
+        zb ^= key
+        _mix(zb, tb)
+        zb >>= _U64(11)
+        np.add(zb, 0.5, out=ob)
+        ob *= 2.0**-53
+        if rates is not None:
+            np.log(ob, out=ob)
+            np.negative(ob, out=ob)
+            ob /= rates[start : start + k]
 
 
 def unit_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
@@ -57,9 +103,9 @@ def unit_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     Values are centered on (k + 0.5) * 2^-53, so 0 and 1 are unreachable and
     logs of either tail stay finite.
     """
-    counters = np.arange(offset, offset + count, dtype=np.uint64)
-    bits = _bits(key, counters)
-    return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    out = np.empty(count)
+    _fill(key, offset, out, None)
+    return out
 
 
 def exponentials(key: int, rates: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -69,8 +115,9 @@ def exponentials(key: int, rates: np.ndarray, offset: int = 0) -> np.ndarray:
     regardless of how many draws are requested elsewhere.
     """
     rates = np.asarray(rates, dtype=np.float64)
-    u = unit_uniforms(key, rates.size, offset).reshape(rates.shape)
-    return -np.log(u) / rates
+    out = np.empty(rates.shape)
+    _fill(key, offset, out, rates.reshape(-1))
+    return out
 
 
 def unit_uniforms_batch(keys: np.ndarray, count: int) -> np.ndarray:
@@ -81,6 +128,10 @@ def unit_uniforms_batch(keys: np.ndarray, count: int) -> np.ndarray:
     one stream per Monte Carlo trial of a 2x2 market).
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    counters = np.arange(count, dtype=np.uint64)
-    bits = _mix(_mix(counters[None, :] * _GOLDEN + _GOLDEN) ^ keys[:, None])
-    return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    z = np.empty((keys.size, count), dtype=np.uint64)
+    z[:] = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
+    t = np.empty_like(z)
+    _mix(z, t)
+    z ^= keys[:, None]
+    _mix(z, t)
+    return ((z >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53

@@ -14,17 +14,18 @@ import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
-from .rng import exponentials, stream_key
+from .rng import exponentials, row_blocks, stream_key
 
 
 def _check_rows_tie_free(name: str, values: np.ndarray) -> None:
-    # One sort serves every test: NaN sorts last, so the last column catches
-    # non-finite values and the first column non-positive ones.
-    ordered = np.sort(values, axis=1)
-    if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
-        raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
+    # One sort per row block serves every test: NaN sorts last, so the last
+    # column catches non-finite values and the first column non-positive ones.
+    for rows in row_blocks(*values.shape):
+        ordered = np.sort(values[rows], axis=1)
+        if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
+            raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,19 @@ class LatentValues:
             )
         _check_rows_tie_free("X", x)
         _check_rows_tie_free("Y", y)
+
+    @classmethod
+    def _screened(cls, X: np.ndarray, Y: np.ndarray) -> LatentValues:
+        """Values derived from screened rows, built without screening them again.
+
+        For views of a checked draw and for rows extended by values that are
+        distinct and above every value already in the row: each row is then
+        still a strict order.  Fresh values go through the constructor.
+        """
+        values = object.__new__(cls)
+        object.__setattr__(values, "X", X)
+        object.__setattr__(values, "Y", Y)
+        return values
 
 
 def latent_rates(market: BalancedMarket | CanonicalMarket) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,8 @@
   fraction of pairs, the exact counterpart of ``greedy_alpha_certificate``.
 * ``EmpiricalCDF``: the right-continuous empirical CDF, evaluated on a grid
   to check the exact ``ks_distance_to_exp``.
+* ``reference_uniforms``: the counter stream computed in one shot over all
+  counters, the formula the blocked in-place kernel of ``mml.rng`` realizes.
 """
 
 import itertools
@@ -20,10 +22,23 @@ import numpy as np
 
 from mml.errors import EmptySample, TooLarge
 from mml.matching import Matching, Side, _blocking_mask, _check_values_shape
-from mml.rng import stream_key, unit_uniforms
+from mml.rng import _GOLDEN, _MIX_1, _MIX_2, _U64, stream_key, unit_uniforms
 from mml.sampling import LatentValues
 
 EXACT_ALPHA_LIMIT = 12
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _U64(30))) * _MIX_1
+    z = (z ^ (z >> _U64(27))) * _MIX_2
+    return z ^ (z >> _U64(31))
+
+
+def reference_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
+    """Uniforms at counters offset..offset+count-1, each step on the whole array."""
+    counters = np.arange(offset, offset + count, dtype=np.uint64)
+    bits = _mix(_mix(counters * _GOLDEN + _GOLDEN) ^ _U64(key))
+    return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 def prefs_from_values(values: LatentValues) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,8 @@ from mml import (
     uniform_market,
     write_outputs,
 )
-from mml.experiments import effective_workers
+import mml.sampling
+from mml.experiments import effective_workers, run_trial
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -226,6 +227,23 @@ def test_worker_count_is_invisible_in_output():
     _, serial = run_experiment(cfg)
     _, parallel = run_experiment(replace(cfg, workers=3))
     assert records_to_csv(serial) == records_to_csv(parallel)
+
+
+def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
+    # The rectangular view and the completed profile derive from the draw's
+    # screened rows, so only the draw's X and Y are screened.
+    screened = []
+    check = mml.sampling._check_rows_tie_free
+
+    def recording_check(name, values):
+        screened.append((name, values.shape))
+        check(name, values)
+
+    monkeypatch.setattr(mml.sampling, "_check_rows_tie_free", recording_check)
+    cfg = parse_config(TINY_VALUE_DIST.replace("value_dist", "imbalance") + "k = 3\n")
+    records = run_trial(cfg, 0)
+    assert screened == [("X", (30, 30)), ("Y", (30, 30))]
+    assert records[0].da_agree == 1
 
 
 def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):

@@ -4,7 +4,8 @@ The enumeration tests lean on a permutation brute force as the oracle; DA
 output is checked against the enumeration (membership and optimality) rather
 than against frozen matchings, so the tests pin the semantics, not one run.
 DA on values is also checked, matching and proposal count, against DA on
-explicit preference lists (``tests/oracles.py``).
+explicit preference lists (``tests/oracles.py``), on small markets and on
+correlated ones whose walks run past the presorted top-L.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from mml.errors import DeltaOutOfRange, ShapeMismatch, TooLarge
 from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
 from mml.matching import (
     ENUMERATION_LIMIT,
+    TOP_L,
     Matching,
     Side,
     _blocking_mask,
@@ -152,6 +154,60 @@ def test_da_on_values_matches_the_list_oracle(seed, n_men, n_women, side):
     oracle_mu, oracle_proposals = list_deferred_acceptance(*prefs_from_values(values), side)
     assert mu.mu == oracle_mu
     assert outcome.proposal_count == oracle_proposals
+
+
+def test_deep_walks_match_the_list_oracle():
+    # A shared base row plus small noise makes every proposer chase the same
+    # few receivers, so walks run past the TOP_L presorted columns and read
+    # the full-row fallback.
+    deepest = []
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_men=st.integers(TOP_L + 1, 160),
+        n_women=st.integers(TOP_L + 1, 160),
+        noise=st.sampled_from([1e-3, 0.05, 0.3]),
+        side=st.sampled_from(list(Side)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def check(seed, n_men, n_women, noise, side):
+        rng = np.random.default_rng(seed)
+        values = LatentValues(
+            X=1.0 + rng.random(n_women) + noise * rng.random((n_men, n_women)),
+            Y=1.0 + rng.random(n_men) + noise * rng.random((n_women, n_men)),
+        )
+        mu, outcome = deferred_acceptance(values, proposing_side=side)
+        men_prefs, women_prefs = prefs_from_values(values)
+        oracle_mu, oracle_proposals = list_deferred_acceptance(men_prefs, women_prefs, side)
+        assert mu.mu == oracle_mu
+        assert outcome.proposal_count == oracle_proposals
+
+        # Values and ranks from the oracle's matching and preference lists.
+        mu_arr = np.array(oracle_mu)
+        men = np.nonzero(mu_arr >= 0)[0]
+        women = mu_arr[men]
+        value_men = np.zeros(n_men)
+        value_men[men] = values.X[men, women]
+        value_women = np.zeros(n_women)
+        value_women[women] = values.Y[women, men]
+        rank_men = np.zeros(n_men, dtype=np.int64)
+        rank_men[men] = np.argmax(men_prefs[men] == women[:, None], axis=1) + 1
+        np.testing.assert_array_equal(outcome.value_men, value_men)
+        np.testing.assert_array_equal(outcome.value_women, value_women)
+        np.testing.assert_array_equal(outcome.rank_men, rank_men)
+
+        # A proposer's walk ends at its partner's rank, or covers its row.
+        prop_prefs = men_prefs if side is Side.MEN else women_prefs
+        partner = mu_arr if side is Side.MEN else Matching(oracle_mu, n_women).inverse()
+        depth = np.where(
+            partner >= 0,
+            np.argmax(prop_prefs == partner[:, None], axis=1) + 1,
+            prop_prefs.shape[1],
+        )
+        deepest.append(int(depth.max()))
+
+    check()
+    assert max(deepest) > TOP_L
 
 
 def test_da_outputs_are_stable():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mml.rng import exponentials, stream_key, unit_uniforms, unit_uniforms_batch
+from mml.rng import BLOCK, exponentials, stream_key, unit_uniforms, unit_uniforms_batch
+from oracles import reference_uniforms
 
 # Generated once from the implementation at freeze time.
 FROZEN_KEYS = {
@@ -113,6 +114,19 @@ def test_exponentials_counter_layout():
     rates = np.full((3, 4), 2.0)
     expected = -np.log(unit_uniforms(key, 12).reshape(3, 4)) / 2.0
     np.testing.assert_array_equal(exponentials(key, rates), expected)
+
+
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+@pytest.mark.parametrize("offset", [0, 1, BLOCK])
+def test_blocked_draws_match_the_one_shot_reference(count, offset):
+    key = stream_key(count, offset, "blocked")
+    reference = reference_uniforms(key, count, offset)
+    np.testing.assert_array_equal(unit_uniforms(key, count, offset), reference)
+    # A matrix whose rows straddle block boundaries, with distinct rates.
+    cols = max(d for d in range(1, 301) if count % d == 0)
+    rates = np.linspace(0.5, 3.0, count).reshape(count // cols, cols)
+    expected = -np.log(reference.reshape(rates.shape)) / rates
+    np.testing.assert_array_equal(exponentials(key, rates, offset), expected)
 
 
 def test_exponentials_rate_scaling_is_exact():

@@ -37,6 +37,22 @@ def test_nonpositive_and_nonfinite_values_are_rejected():
             LatentValues(X=y, Y=np.array([[1.0, 2.0], [3.0, bad]]))
 
 
+def test_ties_are_caught_in_every_row_block():
+    # 700 rows of 300 span four screen blocks; a bad cell in any row raises,
+    # including the last row of the last, partial block.
+    base = 1.0 + np.arange(700 * 300, dtype=np.float64).reshape(700, 300)
+    other = 1.0 + np.arange(300 * 700, dtype=np.float64).reshape(300, 700)
+    LatentValues(X=base, Y=other)
+    for row in (0, 217, 218, 699):
+        for bad in ("tie", np.nan, 0.0):
+            x = base.copy()
+            x[row, 7] = x[row, 123] if bad == "tie" else bad
+            with pytest.raises(DuplicateValue):
+                LatentValues(X=x, Y=other)
+            with pytest.raises(DuplicateValue):
+                LatentValues(X=other, Y=x)
+
+
 def test_latent_values_shape_validation():
     with pytest.raises(ShapeMismatch):
         LatentValues(X=np.ones((2, 3)), Y=np.ones((2, 3)))
