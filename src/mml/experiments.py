@@ -216,6 +216,7 @@ _INT_COLUMNS = {"trial_id", "proposal_count", "stable_count", "da_agree"}
 
 # --- market construction -----------------------------------------------------
 
+# The uniform market, balanced once per n and process; it holds O(n) memory.
 _UNIFORM_CACHE: dict[int, BalancedMarket] = {}
 
 
@@ -250,12 +251,13 @@ def _matching_stats(
     outcome,
     sample: np.ndarray,
     rate: float | None = None,
-    bal: BalancedMarket | None = None,
+    fitness: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TrialRecord:
     """One matching's record; ``rate`` defaults to the first-order ``||Y_delta||_1``.
 
-    The fitness statistics (dispersion, rank ratio) are recorded only when the
-    balanced market ``bal`` of the matched agents is given.
+    The fitness statistics (dispersion, rank ratio) are recorded only when
+    ``fitness`` gives ``M @ y`` for this matching's women's values and the
+    men's fitness ``phi`` of the balanced market.
     """
     if cfg.delta > 0.0:
         x_d, y_d = truncate_delta(matching, outcome, cfg.delta)
@@ -264,9 +266,10 @@ def _matching_stats(
     lam_ysum = float(y_d.sum()) if rate is None else rate
     fit = best_fit_exponential(sample)
     dispersion = ratio = None
-    if bal is not None:
-        dispersion = eig_dispersion(bal.M, outcome.value_women, ZETA)[1]
-        ratio = rank_value_ratio_report(outcome, bal.phi, THETA)
+    if fitness is not None:
+        mutual_y, phi = fitness
+        dispersion = eig_dispersion(mutual_y, ZETA)[1]
+        ratio = rank_value_ratio_report(outcome, phi, THETA)
     return TrialRecord(
         trial_id=t,
         matching_kind=kind,
@@ -285,9 +288,11 @@ def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = _build_balanced(cfg, t)
     values = sample_latent(bal, trial_seed)
+    solved = [deferred_acceptance(values, side) for side in (Side.MEN, Side.WOMEN)]
+    # Both matchings' M @ y in one pass over the factors.
+    mutual_y = bal.mutual_matmul(np.column_stack([o.value_women for _, o in solved]))
     records = []
-    for side, kind in ((Side.MEN, "mosm"), (Side.WOMEN, "wosm")):
-        matching, outcome = deferred_acceptance(values, side)
+    for col, (kind, (matching, outcome)) in enumerate(zip(("mosm", "wosm"), solved)):
         rate = None
         if cfg.experiment is ExperimentKind.RANK_DIST:
             sample = rescaled_ranks(outcome.rank_men, bal.phi)
@@ -295,7 +300,8 @@ def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
             sample, rate = value_law_sample(outcome.value_men, outcome.value_women)
         else:
             sample = outcome.value_men
-        records.append(_matching_stats(cfg, t, kind, matching, outcome, sample, rate, bal))
+        fitness = (mutual_y[:, col], bal.phi)
+        records.append(_matching_stats(cfg, t, kind, matching, outcome, sample, rate, fitness))
     return records
 
 
@@ -326,8 +332,9 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     pert_outcome = outcome_of(perturbed, values, proposal_count=outcome.proposal_count)
 
     alpha_cert, _ = greedy_alpha_certificate(perturbed, values)
+    fitness = (bal.mutual_matmul(pert_outcome.value_women), bal.phi)
     record = _matching_stats(
-        cfg, t, "perturbed", perturbed, pert_outcome, pert_outcome.value_men, bal=bal
+        cfg, t, "perturbed", perturbed, pert_outcome, pert_outcome.value_men, fitness=fitness
     )
     return [replace(record, alpha_cert=alpha_cert)]
 
@@ -344,12 +351,11 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
 
     # Completion check: with every woman ranking the k added men below all
     # real men (in index order), square DA must restrict to the rectangular
-    # DA exactly.
-    y_rect = rect_values.Y
-    completed = LatentValues._screened(
-        values.X,
-        np.hstack([y_rect, y_rect.max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)]),
-    )
+    # DA exactly.  The added men's drawn values are spent, so the completion
+    # overwrites them in place rather than copying Y.
+    y = values.Y
+    y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
+    completed = LatentValues._screened(values.X, y)
     completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
     record = _matching_stats(cfg, t, "mosm", rect_match, rect_outcome, rect_outcome.value_men)
@@ -439,16 +445,54 @@ def effective_workers(cfg: ExperimentConfig) -> int:
     return cfg.workers
 
 
+# Memory model of one trial process (README, "Memory and scale"): the
+# interpreter and numpy, plus bytes per cell of the n x n stages.  Every trial
+# holds the values X and Y (16 bytes) and row-block scratch; a C-bounded or
+# backfilled market adds its n x n scores (16), and imbalance the real market
+# it backfills (8).  The bounds experiment's cells are its Chernoff batches,
+# drawn with a rate matrix.
+_BASE_BYTES = 40 << 20
+
+
+def memory_estimate(cfg: ExperimentConfig) -> int:
+    """Estimated peak bytes of one process running cfg's trials."""
+    if cfg.experiment is ExperimentKind.BOUNDS:
+        return _BASE_BYTES + 16 * CHERNOFF_SAMPLES * cfg.n
+    per_cell = 20
+    if cfg.market is MarketKind.CBOUNDED or cfg.experiment is ExperimentKind.IMBALANCE:
+        per_cell += 16
+    if cfg.experiment is ExperimentKind.IMBALANCE:
+        per_cell += 8
+    return _BASE_BYTES + per_cell * cfg.n**2
+
+
+def _check_memory(cfg: ExperimentConfig, workers: int) -> None:
+    """Raise MemoryError if the model says the run cannot fit in physical memory."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ValueError, OSError):  # not reported on this platform
+        return
+    per_process = memory_estimate(cfg)
+    if workers * per_process > physical:
+        raise MemoryError(
+            f"n = {cfg.n} needs an estimated {workers * per_process / 2**30:.1f} GiB "
+            f"({workers} process(es) x {per_process / 2**30:.1f} GiB), "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def run_experiment(
     cfg: ExperimentConfig,
 ) -> tuple[dict, list[TrialRecord]]:
     """Run all trials (in parallel if configured) and summarize.
 
-    At most one worker process per trial is started.  On KeyboardInterrupt
-    the records collected so far are summarized and returned with
-    ``summary["interrupted"] = True`` so callers can flush them.
+    At most one worker process per trial is started.  A run that the memory
+    model says cannot fit raises MemoryError before any trial starts.  On
+    KeyboardInterrupt the records collected so far are summarized and
+    returned with ``summary["interrupted"] = True`` so callers can flush them.
     """
     workers = min(effective_workers(cfg), cfg.trials)
+    _check_memory(cfg, workers)
     records: list[TrialRecord] = []
     interrupted = False
     try:

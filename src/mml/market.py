@@ -25,23 +25,44 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import stream_key, unit_uniforms
+from .rng import BLOCK, row_blocks, stream_key, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
+
+
+def _distinct_rows(scores: np.ndarray) -> np.ndarray:
+    """The rows worth reading: one row of a broadcast view (row stride 0), else all."""
+    return scores[:1] if scores.strides[0] == 0 else scores
 
 
 def _check_scores(name: str, scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ShapeMismatch(f"{name} must be a non-empty 2-d array, got shape {scores.shape}")
-    if not np.all(np.isfinite(scores)) or np.any(scores <= 0.0):
+    rows = _distinct_rows(scores)
+    # The extremes decide it without an n x n mask: NaN fails both comparisons.
+    if not (rows.min() > 0.0 and rows.max() < np.inf):
         raise NonPositiveEntry(f"{name} must have strictly positive finite entries")
     return scores
 
 
+def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Checked raw scores divided by their row sums (in place if the caller owns them)."""
+    raw = _check_scores(name, raw)
+    sums = raw.sum(axis=1, keepdims=True)
+    if in_place:
+        raw /= sums
+        return raw
+    return raw / sums
+
+
 @dataclass(frozen=True)
 class CanonicalMarket:
-    """Row-stochastic score matrices for the two sides of a market."""
+    """Row-stochastic score matrices for the two sides of a market.
+
+    Markets whose rows all agree (uniform, public scores) hold their shared
+    row as a read-only broadcast view, so they take O(n) memory.
+    """
 
     a_hat: np.ndarray
     b_hat: np.ndarray
@@ -55,7 +76,7 @@ class CanonicalMarket:
                 f"got {b.shape}"
             )
         for name, m in (("a_hat", a), ("b_hat", b)):
-            dev = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
+            dev = float(np.max(np.abs(_distinct_rows(m).sum(axis=1) - 1.0)))
             if dev > ROW_SUM_TOL:
                 raise NotNormalized(
                     f"{name} rows must sum to 1 within {ROW_SUM_TOL:g} "
@@ -79,9 +100,11 @@ class CanonicalMarket:
 
 def canonical_from_raw(a_raw: np.ndarray, b_raw: np.ndarray) -> CanonicalMarket:
     """Normalize raw positive scores row-by-row into a canonical market."""
-    a = _check_scores("a_raw", a_raw)
-    b = _check_scores("b_raw", b_raw)
-    return CanonicalMarket(a / a.sum(axis=1, keepdims=True), b / b.sum(axis=1, keepdims=True))
+    return CanonicalMarket(_normalized("a_raw", a_raw), _normalized("b_raw", b_raw))
+
+
+def _shared_rows(row: np.ndarray, nrows: int) -> np.ndarray:
+    return np.broadcast_to(row, (nrows, row.size))
 
 
 def uniform_market(n_men: int, n_women: int | None = None) -> CanonicalMarket:
@@ -91,8 +114,8 @@ def uniform_market(n_men: int, n_women: int | None = None) -> CanonicalMarket:
     if n_men < 1 or n_women < 1:
         raise ShapeMismatch("market needs at least one agent per side")
     return CanonicalMarket(
-        np.full((n_men, n_women), 1.0 / n_women),
-        np.full((n_women, n_men), 1.0 / n_men),
+        _shared_rows(np.full(n_women, 1.0 / n_women), n_men),
+        _shared_rows(np.full(n_men, 1.0 / n_men), n_women),
     )
 
 
@@ -106,26 +129,31 @@ def public_scores_market(a_scores: np.ndarray, b_scores: np.ndarray) -> Canonica
     b_scores = np.asarray(b_scores, dtype=np.float64)
     if a_scores.ndim != 1 or b_scores.ndim != 1:
         raise ShapeMismatch("public score vectors must be 1-d")
-    return canonical_from_raw(
-        np.tile(a_scores, (b_scores.size, 1)),
-        np.tile(b_scores, (a_scores.size, 1)),
+    return CanonicalMarket(
+        _shared_rows(_normalized("a_raw", a_scores[None, :])[0], b_scores.size),
+        _shared_rows(_normalized("b_raw", b_scores[None, :])[0], a_scores.size),
     )
 
 
 @dataclass(frozen=True)
 class BalancedMarket:
-    """Balanced form of a square market.
+    """Balanced form of a square market, held as canonical scores and fitness factors.
 
     ``A = diag(phi) @ a_hat`` and ``B = diag(psi) @ b_hat`` are the canonical
     scores rescaled by the fitness vectors, chosen so the mutual matrix
     ``M = A * B^T / n`` is doubly stochastic.  ``c_bound`` is the contiguity
     constant: the smallest C with every a_ij, b_ji and n*m_ij inside [1/C, C].
     Built only by ``sinkhorn_balance``, which establishes these identities.
+
+    A balanced market stores no n x n array of its own: ``a_hat`` and ``b_hat``
+    are the canonical market's (broadcast views of one row on the uniform and
+    public-scores markets), and A, B and M are materialised only on request.
+    Trials use the factors: ``exponentials(key, a_hat, scale=phi)`` draws
+    with the rates of A, and ``mutual_matmul`` multiplies by M.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    M: np.ndarray
+    a_hat: np.ndarray
+    b_hat: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
     c_bound: float
@@ -134,7 +162,35 @@ class BalancedMarket:
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.phi.size
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.phi[:, None] * self.a_hat
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.psi[:, None] * self.b_hat
+
+    @property
+    def M(self) -> np.ndarray:
+        M = self.A * self.B.T
+        M /= self.n
+        return M
+
+    def mutual_matmul(self, y: np.ndarray) -> np.ndarray:
+        """``M @ y`` for a vector or an n x k matrix y, from the factors.
+
+        ``(M @ y)_i = phi_i / n * sum_j a_ij b_ji (psi_j y_j)``, one row
+        block at a time; it agrees with the materialised product to rounding.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        weighted = (self.psi * y.T).T
+        out = np.empty(y.shape)
+        for rows in row_blocks(self.n, self.n):
+            kernel = self.a_hat[rows] * self.b_hat[:, rows].T
+            out[rows] = kernel @ weighted
+        return (out.T * (self.phi / self.n)).T
 
 
 def sinkhorn_balance(
@@ -157,9 +213,8 @@ def sinkhorn_balance(
         raise ValueError("max_iters must be at least 1")
 
     n = market.n_men
-    # In-place divisions and the early `del` keep at most five n x n arrays
-    # alive (a_hat, b_hat and the three results), which sets the memory peak
-    # of a uniform-market run.
+    # The kernel is the one n x n array balancing allocates; it is freed
+    # before the result is checked a row block at a time.
     kernel = market.a_hat * market.b_hat.T
     kernel /= n
     ks = kernel @ np.ones(n)
@@ -185,19 +240,27 @@ def sinkhorn_balance(
     c = float(np.exp(0.5 * (np.mean(np.log(s)) - np.mean(np.log(r)))))
     phi = c * r
     psi = s / c
-    A = phi[:, None] * market.a_hat
-    B = psi[:, None] * market.b_hat
-    M = A * B.T
-    M /= n
-    residual = float(
-        max(np.abs(M.sum(axis=1) - 1.0).max(), np.abs(M.sum(axis=0) - 1.0).max())
-    )
-    # max(v, 1/v) over all entries, from each matrix's extremes (x -> n*x
-    # and x -> 1/x are monotone in floating point, so this is exact).
-    extremes = ((A.min(), A.max()), (B.min(), B.max()), (n * M.min(), n * M.max()))
-    c_bound = float(max(max(hi, 1.0 / lo) for lo, hi in extremes))
+    # Residual and contiguity constant of the re-assembled M, one row block
+    # at a time: A[rows], B[:, rows].T and M[rows] carry the bits of the
+    # materialised A, B and M.  Row 0 of the column-sum buffer carries the
+    # running sums, so the columns add up row by row in the order of
+    # M.sum(axis=0).  c_bound is max(v, 1/v) over all entries, from each
+    # block's extremes (x -> n*x and x -> 1/x are monotone in floating point,
+    # so this is exact).
+    col = np.zeros((1 + max(1, BLOCK // n), n))
+    residual = c_bound = 0.0
+    for rows in row_blocks(n, n):
+        a = phi[rows, None] * market.a_hat[rows]
+        bt = (psi[:, None] * market.b_hat[:, rows]).T
+        m = np.multiply(a, bt, out=col[1 : 1 + a.shape[0]])
+        m /= n
+        residual = max(residual, float(np.abs(m.sum(axis=1) - 1.0).max()))
+        for part, scale in ((a, 1.0), (bt, 1.0), (m, n)):
+            c_bound = max(c_bound, float(scale * part.max()), float(1.0 / (scale * part.min())))
+        col[0] = col[: 1 + a.shape[0]].sum(axis=0)
+    residual = max(residual, float(np.abs(col[0] - 1.0).max()))
     return BalancedMarket(
-        A=A, B=B, M=M, phi=phi, psi=psi,
+        a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi,
         c_bound=c_bound, sinkhorn_iters=iters, residual=residual,
     )
 
@@ -217,9 +280,15 @@ def random_cbounded_market(
         raise ShapeMismatch("market needs at least one agent per side")
     if c_target < 1.0:
         raise ValueError("c_target must be >= 1")
-    u_a = unit_uniforms(stream_key(seed, "a_raw"), n_men * n_women).reshape(n_men, n_women)
-    u_b = unit_uniforms(stream_key(seed, "b_raw"), n_women * n_men).reshape(n_women, n_men)
-    return canonical_from_raw(c_target ** (2.0 * u_a - 1.0), c_target ** (2.0 * u_b - 1.0))
+    scores = []
+    for name, shape in (("a_raw", (n_men, n_women)), ("b_raw", (n_women, n_men))):
+        # c ** (2u - 1), then the row normalisation, all in the uniforms' array.
+        u = unit_uniforms(stream_key(seed, name), shape[0] * shape[1]).reshape(shape)
+        u *= 2.0
+        u -= 1.0
+        np.power(c_target, u, out=u)
+        scores.append(_normalized(name, u, in_place=True))
+    return CanonicalMarket(*scores)
 
 
 def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
@@ -242,8 +311,7 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
         )
     a_new = np.vstack([market.a_hat, np.full((k, n), 1.0 / n)])
     b_raw = np.hstack([market.b_hat, np.full((n, k), 1.0 / m)])
-    b_new = b_raw / b_raw.sum(axis=1, keepdims=True)
-    return CanonicalMarket(a_new, b_new)
+    return CanonicalMarket(a_new, _normalized("b_raw", b_raw, in_place=True))
 
 
 # --- matrix file format ------------------------------------------------------

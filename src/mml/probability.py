@@ -143,7 +143,11 @@ def expected_stable_count_mc(
     n_max = max(market.n_men, market.n_women)
     if n_max > ENUMERATION_LIMIT:
         raise TooLarge(n_max, ENUMERATION_LIMIT, "expected_stable_count_mc")
-    rates_men, rates_women = latent_rates(market)
+    # Ten agents at most: the rate matrices are small enough to materialise.
+    rates_men, rates_women = (
+        rates if scale is None else scale[:, None] * rates
+        for rates, scale in latent_rates(market)
+    )
 
     chunk = max(1, _MC_CHUNK_CELLS // (rates_men.size + rates_women.size))
     counts = np.empty(n_trials)

@@ -15,6 +15,7 @@ time, at 60-75M exponential draws/s on one core of a 2-core Xeon.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -69,32 +70,48 @@ _BLOCK_STEPS = np.arange(BLOCK, dtype=np.uint64) * _GOLDEN
 _BLOCK_STEPS.flags.writeable = False
 
 
-def _fill(key: int, offset: int, out: np.ndarray, rates: np.ndarray | None) -> None:
+def _fill(
+    key: int, offset: int, out: np.ndarray, rates: np.ndarray | None, scale: np.ndarray | None
+) -> None:
     """Write the uniforms (or, given rates, exponentials) of ``out``'s cells.
 
-    Flat cell c gets counter offset + c.  Blocks of BLOCK cells reuse two
-    uint64 scratch buffers and every step writes in place, so the only
-    full-size array is ``out``; any blocking yields the same bits.
+    Flat cell c gets counter offset + c.  The cells are walked in row blocks
+    of about BLOCK cells (a 1-d ``out`` counts as one column) that reuse two
+    uint64 scratch buffers, and every step writes in place, so the only
+    full-size array is ``out``; any blocking yields the same bits.  With
+    ``scale``, row i's rates are ``scale[i] * rates[i]``, multiplied into the
+    spent scratch one block at a time: the same float product as a
+    materialised rate matrix.
     """
-    flat = out.reshape(-1)
-    size = flat.size
-    z = np.empty(min(size, BLOCK), dtype=np.uint64)
+    shape = (out.shape[0], math.prod(out.shape[1:])) if out.ndim >= 2 else (out.size, 1)
+    grid = out.reshape(shape)
+    if rates is not None:
+        rates = rates.reshape(shape)
+    nrows, ncols = grid.shape
+    z = np.empty(min(grid.size, max(1, BLOCK // ncols) * ncols), dtype=np.uint64)
     t = np.empty_like(z)
     key = _U64(key)
-    for start in range(0, size, BLOCK):
-        k = min(BLOCK, size - start)
-        zb, tb, ob = z[:k], t[:k], flat[start : start + k]
-        np.add(_BLOCK_STEPS[:k], _U64((offset + start + 1) * int(_GOLDEN) % 2**64), out=zb)
+    for rows in row_blocks(nrows, ncols):
+        ob = grid[rows]
+        k = ob.size
+        zb, tb, start = z[:k], t[:k], rows.start * ncols
+        steps = _BLOCK_STEPS[:k] if k <= BLOCK else np.arange(k, dtype=np.uint64) * _GOLDEN
+        np.add(steps, _U64((offset + start + 1) * int(_GOLDEN) % 2**64), out=zb)
         _mix(zb, tb)
         zb ^= key
         _mix(zb, tb)
         zb >>= _U64(11)
-        np.add(zb, 0.5, out=ob)
+        np.add(zb.reshape(ob.shape), 0.5, out=ob)
         ob *= 2.0**-53
         if rates is not None:
             np.log(ob, out=ob)
             np.negative(ob, out=ob)
-            ob /= rates[start : start + k]
+            if scale is None:
+                ob /= rates[rows]
+            else:
+                rb = tb.view(np.float64).reshape(ob.shape)
+                np.multiply(scale[rows, None], rates[rows], out=rb)
+                ob /= rb
 
 
 def unit_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
@@ -104,19 +121,27 @@ def unit_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     logs of either tail stay finite.
     """
     out = np.empty(count)
-    _fill(key, offset, out, None)
+    _fill(key, offset, out, None, None)
     return out
 
 
-def exponentials(key: int, rates: np.ndarray, offset: int = 0) -> np.ndarray:
+def exponentials(
+    key: int, rates: np.ndarray, offset: int = 0, scale: np.ndarray | None = None
+) -> np.ndarray:
     """Exponential draws with the given (elementwise) rates, one counter per cell.
 
     Cell (i, j) of a matrix of rates always consumes counter i*ncols + j + offset,
-    regardless of how many draws are requested elsewhere.
+    regardless of how many draws are requested elsewhere.  Given ``scale``,
+    the rate of cell (i, j) is ``scale[i] * rates[i, j]``, and ``rates`` may
+    be a broadcast view: no rate matrix is materialised.
     """
     rates = np.asarray(rates, dtype=np.float64)
     out = np.empty(rates.shape)
-    _fill(key, offset, out, rates.reshape(-1))
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)
+        if rates.ndim != 2 or scale.shape != rates.shape[:1]:
+            raise ValueError("scale needs one entry per row of a 2-d rate matrix")
+    _fill(key, offset, out, rates, scale)
     return out
 
 

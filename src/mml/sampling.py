@@ -2,9 +2,11 @@
 
 Latent values follow the logit model: man i's value for woman j is
 ``X[i, j] ~ Exp(A[i, j])`` with A the balanced scores, drawn from the per-cell
-stream keyed by (seed, "X", i, j); lower values are better.  Sorting a row of
-values yields exactly the sequential choice distribution of the multinomial
-logit, so the values are the only representation of preferences.
+stream keyed by (seed, "X", i, j); lower values are better.  The rates come
+in factored form, ``A[i, j] = phi[i] * a_hat[i, j]``, and are multiplied out
+one block at a time inside the draw.  Sorting a row of values yields exactly
+the sequential choice distribution of the multinomial logit, so the values
+are the only representation of preferences.
 """
 from __future__ import annotations
 
@@ -64,24 +66,28 @@ class LatentValues:
         return values
 
 
-def latent_rates(market: BalancedMarket | CanonicalMarket) -> tuple[np.ndarray, np.ndarray]:
-    """Rates of the men's and the women's values in ``market``.
+def latent_rates(
+    market: BalancedMarket | CanonicalMarket,
+) -> tuple[tuple[np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray | None]]:
+    """Rates of the men's and the women's values in ``market``, as (rates, scale).
 
-    Balanced rates when the market is balanced or square.  An off-square
-    market has no balanced form and uses its canonical rates: preferences
-    depend only on within-row rate ratios, so the preference law is the same.
+    Row i of a side's rates is ``scale[i] * rates[i]``; a None scale leaves
+    the rates as they are.  Balanced rates, in their factored form, when the
+    market is balanced or square.  An off-square market has no balanced form
+    and uses its canonical rates: preferences depend only on within-row rate
+    ratios, so the preference law is the same.
     """
     if isinstance(market, CanonicalMarket):
         if not market.is_square:
-            return market.a_hat, market.b_hat
+            return (market.a_hat, None), (market.b_hat, None)
         market = sinkhorn_balance(market)
-    return market.A, market.B
+    return (market.a_hat, market.phi), (market.b_hat, market.psi)
 
 
 def sample_latent(market: BalancedMarket | CanonicalMarket, seed: int) -> LatentValues:
     """Draw one matrix of values per side from per-cell streams of ``seed``."""
-    rates_men, rates_women = latent_rates(market)
+    (rates_men, phi), (rates_women, psi) = latent_rates(market)
     return LatentValues(
-        X=exponentials(stream_key(seed, "X"), rates_men),
-        Y=exponentials(stream_key(seed, "Y"), rates_women),
+        X=exponentials(stream_key(seed, "X"), rates_men, scale=phi),
+        Y=exponentials(stream_key(seed, "Y"), rates_women, scale=psi),
     )

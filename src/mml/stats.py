@@ -141,15 +141,17 @@ def hyperbola_product(x_delta: np.ndarray, y_delta: np.ndarray, n: int) -> float
     return float(np.abs(x_delta).sum() * np.abs(y_delta).sum() / n)
 
 
-def eig_dispersion(M: np.ndarray, y: np.ndarray, zeta: float) -> tuple[float, float]:
-    """How far M @ y is from a constant vector.
+def eig_dispersion(e: np.ndarray, zeta: float) -> tuple[float, float]:
+    """How far ``e = M @ y`` is from a constant vector.
 
-    Returns (t_star, violating_fraction) with t_star the median of e = M @ y
-    and the fraction of coordinates where |e_i - t_star| >= sqrt(zeta) * t_star.
+    Returns (t_star, violating_fraction) with t_star the median of e and the
+    fraction of coordinates where |e_i - t_star| >= sqrt(zeta) * t_star.
+    The caller forms the product (``BalancedMarket.mutual_matmul`` does it
+    from the fitness factors, for several y in one pass).
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
-    e = np.asarray(M, dtype=np.float64) @ np.asarray(y, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
     t_star = float(np.median(e))
     violating = float(np.mean(np.abs(e - t_star) >= math.sqrt(zeta) * t_star))
     return t_star, violating

@@ -123,9 +123,7 @@ def logit_sample_prefs(bal, seed: int) -> tuple[np.ndarray, np.ndarray]:
     seed))`` (an exponential race realizes the same choice law), but drawn
     through a different route and different streams.
     """
-    n = bal.n
-    a_hat = bal.A / bal.phi[:, None]
-    b_hat = bal.B / bal.psi[:, None]
+    n, a_hat, b_hat = bal.n, bal.a_hat, bal.b_hat
     men = np.empty((n, n), dtype=np.int64)
     women = np.empty((n, n), dtype=np.int64)
     for i in range(n):

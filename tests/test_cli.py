@@ -14,6 +14,7 @@ from mml import (
     sinkhorn_balance,
     write_matrix_pair,
 )
+import mml.experiments
 from mml.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -174,6 +175,26 @@ def test_run_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a market was built")
+
+    monkeypatch.setattr(mml.experiments, "_build_market", refuse)
+    monkeypatch.setenv("MML_WORKERS", "2")
+    cfg_file = tmp_path / "big.cfg"
+    cfg_file.write_text(
+        "experiment = rank_dist\nmarket = cbounded\nn = 1000000\ntrials = 3\n"
+        "master_seed = 0\n",
+        encoding="utf-8",
+    )
+    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("error: out of memory: n = 1000000 needs an estimated ")
+    assert "(2 process(es) x " in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_enumerate_tags_the_optimal_matchings(tmp_path, capsys):

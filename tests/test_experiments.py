@@ -3,6 +3,8 @@
 import concurrent.futures
 import json
 import math
+import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +36,8 @@ from mml import (
     uniform_market,
     write_outputs,
 )
+import mml.experiments
+import mml.market
 import mml.sampling
 from mml.experiments import effective_workers, run_trial
 
@@ -412,3 +416,73 @@ def test_rank_and_proposal_laws_on_uniform_market():
             assert 0.2 * n / log_n <= mean_recv <= 3.0 * n / log_n
             assert 0.5 <= mean_prop * mean_recv / n <= 2.0
             assert 0.3 * n * log_n <= outcome.proposal_count <= 3.0 * n * log_n
+
+
+def test_uniform_trial_holds_only_its_two_value_matrices():
+    # After set-up, a uniform value_dist trial allocates X and Y (2 x 8n^2
+    # bytes) plus O(n * TOP_L) and fixed row-block scratch (about 1.3 MB, so
+    # n is large enough for the bound to be about the n x n arrays).  The
+    # cached balanced market itself holds O(n).
+    n = 800
+    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", f"n = {n}"))
+    mml.experiments._UNIFORM_CACHE.pop(n, None)
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 0)
+        retained = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_trial(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        mml.experiments._UNIFORM_CACHE.pop(n, None)
+    assert retained < 0.05 * 8 * n * n
+    assert peak < 2.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("experiment", ["value_dist", "rank_dist", "hyperbola",
+                                        "approx_stable", "imbalance"])
+@pytest.mark.parametrize("market", ["uniform", "public_scores", "cbounded"])
+def test_trials_never_materialise_a_b_or_m(monkeypatch, experiment, market):
+    def refuse(self):
+        raise AssertionError("a trial materialised an n x n balanced matrix")
+
+    for name in ("A", "B", "M"):
+        monkeypatch.setattr(mml.market.BalancedMarket, name, property(refuse))
+    cfg = parse_config(
+        TINY_VALUE_DIST.replace("value_dist", experiment).replace("uniform", market)
+        + "k = 3\n"
+    )
+    assert run_trial(cfg, 1)
+
+
+def _refuse_to_build(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a market was built")
+
+    for name in ("_build_market", "_build_balanced", "sinkhorn_balance"):
+        monkeypatch.setattr(mml.experiments, name, refuse)
+
+
+def test_size_guard_refuses_runs_past_physical_memory(monkeypatch):
+    # The guard reads only the memory model and os.sysconf: no market is
+    # built and nothing of size n^2 is allocated.
+    _refuse_to_build(monkeypatch)
+    monkeypatch.delenv("MML_WORKERS", raising=False)
+    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", "n = 1000000"))
+    with pytest.raises(MemoryError, match=r"^n = 1000000 needs an estimated \d"):
+        run_experiment(cfg)
+
+
+def test_size_guard_counts_every_worker_process(monkeypatch):
+    _refuse_to_build(monkeypatch)
+    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", "n = 4000") + "workers = 4\n")
+    per_process = mml.experiments.memory_estimate(cfg)
+    assert per_process > 20 * 4000**2
+    # A machine with room for three processes of this run, not four.
+    pages = 3 * per_process // 4096 + 1
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.get)
+    monkeypatch.setenv("MML_WORKERS", "4")
+    with pytest.raises(MemoryError, match=r"\(4 process\(es\) x"):
+        run_experiment(cfg)
+    mml.experiments._check_memory(cfg, 3)

@@ -129,6 +129,22 @@ def test_blocked_draws_match_the_one_shot_reference(count, offset):
     np.testing.assert_array_equal(exponentials(key, rates, offset), expected)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (300, 301), (2, BLOCK + 5)])
+def test_factored_rates_match_the_one_shot_reference(shape):
+    # Row i's rates are scale[i] * rates[i], for dense and broadcast rates,
+    # including rows longer than a block.
+    rows, cols = shape
+    key = stream_key(rows, cols, "factored")
+    scale = np.linspace(0.5, 2.0, rows)
+    reference = reference_uniforms(key, rows * cols, 3).reshape(shape)
+    for rates in (np.linspace(0.25, 4.0, rows * cols).reshape(shape),
+                  np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)):
+        expected = -np.log(reference) / (scale[:, None] * rates)
+        np.testing.assert_array_equal(exponentials(key, rates, 3, scale=scale), expected)
+    with pytest.raises(ValueError, match="scale"):
+        exponentials(key, np.ones(shape), scale=np.ones(rows + 1))
+
+
 def test_exponentials_rate_scaling_is_exact():
     key = stream_key(22, "scaling")
     ones = np.ones(500)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from mml.errors import DuplicateValue, ShapeMismatch
-from mml.market import CanonicalMarket, sinkhorn_balance, uniform_market
-from mml.rng import exponentials, stream_key
+from mml.market import (
+    CanonicalMarket,
+    backfill_imbalanced,
+    public_scores_market,
+    random_cbounded_market,
+    sinkhorn_balance,
+    uniform_market,
+)
+from mml.rng import BLOCK, exponentials, stream_key
 from mml.sampling import LatentValues, sample_latent
 from oracles import logit_sample_prefs
 
@@ -139,3 +146,39 @@ def test_two_routes_agree_on_top_choice_distribution():
         + ((counts_logit - expected) ** 2 / expected).sum()
     )
     assert chi2 < CHI2_99_DF2, f"chi2 = {chi2:.2f}"
+
+
+
+def _markets(n):
+    """Square markets of every construction: shared rows or n x n scores."""
+    u = np.random.default_rng(n).uniform(0.5, 2.0, size=(2, n))
+    return {
+        "uniform": uniform_market(n),
+        "public_scores": public_scores_market(u[0], u[1]),
+        "cbounded": random_cbounded_market(n, 2.5, seed=n),
+        "backfilled": backfill_imbalanced(random_cbounded_market(n - 3, 2.0, n, n_women=n), 3),
+    }
+
+
+# n^2 below, at and above one block of BLOCK = 256^2 cells, and sizes whose
+# row blocks do not divide n.
+@pytest.mark.parametrize("n", [255, 256, 257, 300, 700])
+def test_factored_draws_equal_draws_at_materialised_rates(n):
+    assert BLOCK == 256**2
+    for name, market in _markets(n).items():
+        bal = sinkhorn_balance(market)
+        values = sample_latent(bal, seed=n)
+        assert np.array_equal(values.X, exponentials(stream_key(n, "X"), bal.A)), name
+        assert np.array_equal(values.Y, exponentials(stream_key(n, "Y"), bal.B)), name
+
+
+@pytest.mark.parametrize("n", [4, 257, 700])
+def test_factored_mutual_product_matches_materialised_m(n):
+    ys = np.random.default_rng(n).exponential(size=(n, 2))
+    for name, market in _markets(n).items():
+        bal = sinkhorn_balance(market)
+        m = bal.M
+        for y in (ys, ys[:, 0]):
+            np.testing.assert_allclose(
+                bal.mutual_matmul(y), m @ y, rtol=1e-13, atol=0, err_msg=name
+            )

@@ -160,7 +160,7 @@ def test_hyperbola_product():
 
 def test_eig_dispersion_constant_vector():
     M = np.full((4, 4), 0.25)
-    t_star, frac = eig_dispersion(M, np.array([1.0, 2.0, 3.0, 4.0]), zeta=0.25)
+    t_star, frac = eig_dispersion(M @ np.array([1.0, 2.0, 3.0, 4.0]), zeta=0.25)
     assert t_star == pytest.approx(2.5)
     assert frac == 0.0
 
@@ -168,10 +168,10 @@ def test_eig_dispersion_constant_vector():
 def test_eig_dispersion_counts_outliers_inclusively():
     M = np.eye(3)
     # e = y; median 1; |1.5 - 1| == sqrt(0.25) * 1 counts as violating.
-    _, frac = eig_dispersion(M, np.array([1.0, 1.0, 1.5]), zeta=0.25)
+    _, frac = eig_dispersion(M @ np.array([1.0, 1.0, 1.5]), zeta=0.25)
     assert frac == pytest.approx(1.0 / 3.0)
     with pytest.raises(ValueError):
-        eig_dispersion(M, np.ones(3), zeta=0.0)
+        eig_dispersion(M @ np.ones(3), zeta=0.0)
 
 
 # --- DKW-style bound ------------------------------------------------------------
