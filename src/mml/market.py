@@ -103,10 +103,6 @@ def canonical_from_raw(a_raw: np.ndarray, b_raw: np.ndarray) -> CanonicalMarket:
     return CanonicalMarket(_normalized("a_raw", a_raw), _normalized("b_raw", b_raw))
 
 
-def _shared_rows(row: np.ndarray, nrows: int) -> np.ndarray:
-    return np.broadcast_to(row, (nrows, row.size))
-
-
 def uniform_market(n_men: int, n_women: int | None = None) -> CanonicalMarket:
     """The market where every agent scores all partners equally."""
     if n_women is None:
@@ -114,8 +110,8 @@ def uniform_market(n_men: int, n_women: int | None = None) -> CanonicalMarket:
     if n_men < 1 or n_women < 1:
         raise ShapeMismatch("market needs at least one agent per side")
     return CanonicalMarket(
-        _shared_rows(np.full(n_women, 1.0 / n_women), n_men),
-        _shared_rows(np.full(n_men, 1.0 / n_men), n_women),
+        np.broadcast_to(np.full(n_women, 1.0 / n_women), (n_men, n_women)),
+        np.broadcast_to(np.full(n_men, 1.0 / n_men), (n_women, n_men)),
     )
 
 
@@ -129,9 +125,10 @@ def public_scores_market(a_scores: np.ndarray, b_scores: np.ndarray) -> Canonica
     b_scores = np.asarray(b_scores, dtype=np.float64)
     if a_scores.ndim != 1 or b_scores.ndim != 1:
         raise ShapeMismatch("public score vectors must be 1-d")
+    shape = (b_scores.size, a_scores.size)
     return CanonicalMarket(
-        _shared_rows(_normalized("a_raw", a_scores[None, :])[0], b_scores.size),
-        _shared_rows(_normalized("b_raw", b_scores[None, :])[0], a_scores.size),
+        np.broadcast_to(_normalized("a_raw", a_scores[None, :]), shape),
+        np.broadcast_to(_normalized("b_raw", b_scores[None, :]), shape[::-1]),
     )
 
 

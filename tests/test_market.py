@@ -63,6 +63,22 @@ def test_canonical_market_rejects_nonpositive_and_nonfinite():
         CanonicalMarket(np.array([[np.nan, 1.0], [0.5, 0.5]]), b)
 
 
+def test_canonical_checks_read_every_row_of_dense_scores():
+    # Only a broadcast view (row stride 0) is checked through its one row.
+    good = np.full((4, 4), 0.25)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        a = good.copy()
+        a[3, 2] = bad
+        with pytest.raises(NonPositiveEntry):
+            CanonicalMarket(a, good)
+    a = good.copy()
+    a[3] *= 1.5
+    with pytest.raises(NotNormalized):
+        CanonicalMarket(a, good)
+    shared = uniform_market(4, 4)
+    assert shared.a_hat.strides[0] == 0 and shared.b_hat.strides[0] == 0
+
+
 def test_canonical_market_rejects_bad_shapes():
     with pytest.raises(ShapeMismatch):
         CanonicalMarket(np.full((2, 3), 1.0 / 3.0), np.full((2, 3), 1.0 / 3.0))
@@ -193,6 +209,20 @@ def test_c_bound_equals_the_brute_force_formula(n, c, seed):
     bal = sinkhorn_balance(random_cbounded_market(n, c, seed))
     values = np.concatenate([bal.A.ravel(), bal.B.ravel(), (bal.n * bal.M).ravel()])
     assert bal.c_bound == float(np.max(np.maximum(values, 1.0 / values)))
+
+
+@pytest.mark.parametrize("n", [7, 300, 700])
+def test_residual_equals_the_materialised_formula(n):
+    # Row-block evaluation (several blocks from n = 300 on) keeps the bits of
+    # the materialised residual.  On shared-row markets the column sums set
+    # it, so their order of addition matters.
+    u = np.random.default_rng(n).uniform(0.5, 2.0, size=(2, n))
+    for market in (uniform_market(n), public_scores_market(u[0], u[1]),
+                   random_cbounded_market(n, 3.0, n)):
+        bal = sinkhorn_balance(market)
+        m = bal.M
+        rows, cols = np.abs(m.sum(axis=1) - 1.0).max(), np.abs(m.sum(axis=0) - 1.0).max()
+        assert bal.residual == float(max(rows, cols))
 
 
 def test_cbounded_market_rectangular():
