@@ -38,9 +38,9 @@ def _cmd_balance(args: argparse.Namespace) -> int:
     print(f"n: {bal.n}")
     print(f"iterations: {bal.sinkhorn_iters}")
     print(f"residual: {bal.residual:.3e}")
-    print(f"contiguity constant: {bal.c_bound!r}")
-    print(f"fitness (men):   min {bal.phi.min()!r}  max {bal.phi.max()!r}")
-    print(f"fitness (women): min {bal.psi.min()!r}  max {bal.psi.max()!r}")
+    print(f"contiguity constant: {float(bal.c_bound)!r}")
+    print(f"fitness (men):   min {float(bal.phi.min())!r}  max {float(bal.phi.max())!r}")
+    print(f"fitness (women): min {float(bal.psi.min())!r}  max {float(bal.psi.max())!r}")
     if args.out is not None:
         write_matrix_pair(args.out, bal.A, bal.B)
         print(f"balanced scores written to {args.out}")

@@ -42,7 +42,7 @@ from .matching import (
     truncate_delta,
 )
 from .probability import chernoff_lower_tail
-from .rng import exponentials, stream_key, unit_uniforms
+from .rng import exponentials, stream_key, thread_budget, unit_uniforms, usable_cores
 from .sampling import LatentValues, sample_latent
 from .stats import (
     best_fit_exponential,
@@ -432,6 +432,12 @@ def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     return _TRIAL_BODIES[cfg.experiment](cfg, t)
 
 
+def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
+    """``run_trial`` in a worker process that may use ``threads`` threads."""
+    with thread_budget(threads):
+        return run_trial(cfg, t)
+
+
 def effective_workers(cfg: ExperimentConfig) -> int:
     env = os.environ.get("MML_WORKERS")
     if env is not None:
@@ -447,10 +453,11 @@ def effective_workers(cfg: ExperimentConfig) -> int:
 
 # Memory model of one trial process (README, "Memory and scale"): the
 # interpreter and numpy, plus bytes per cell of the n x n stages.  Every trial
-# holds the values X and Y (16 bytes) and row-block scratch; a C-bounded or
-# backfilled market adds its n x n scores (16), and imbalance the real market
-# it backfills (8).  The bounds experiment's cells are its Chernoff batches,
-# drawn with a rate matrix.
+# holds the values X and Y (16 bytes) and row-block scratch; a C-bounded
+# market adds its n x n scores (16).  Backfilling keeps shared rows shared,
+# so imbalance adds only the stacked men's scores of a public-scores market,
+# or the real C-bounded market while it is backfilled (8).  The bounds
+# experiment's cells are its Chernoff batches, drawn with a rate matrix.
 _BASE_BYTES = 40 << 20
 
 
@@ -459,9 +466,9 @@ def memory_estimate(cfg: ExperimentConfig) -> int:
     if cfg.experiment is ExperimentKind.BOUNDS:
         return _BASE_BYTES + 16 * CHERNOFF_SAMPLES * cfg.n
     per_cell = 20
-    if cfg.market is MarketKind.CBOUNDED or cfg.experiment is ExperimentKind.IMBALANCE:
+    if cfg.market is MarketKind.CBOUNDED:
         per_cell += 16
-    if cfg.experiment is ExperimentKind.IMBALANCE:
+    if cfg.experiment is ExperimentKind.IMBALANCE and cfg.market is not MarketKind.UNIFORM:
         per_cell += 8
     return _BASE_BYTES + per_cell * cfg.n**2
 
@@ -486,10 +493,12 @@ def run_experiment(
 ) -> tuple[dict, list[TrialRecord]]:
     """Run all trials (in parallel if configured) and summarize.
 
-    At most one worker process per trial is started.  A run that the memory
-    model says cannot fit raises MemoryError before any trial starts.  On
-    KeyboardInterrupt the records collected so far are summarized and
-    returned with ``summary["interrupted"] = True`` so callers can flush them.
+    At most one worker process per trial is started, and each runs its row
+    blocks on an equal share of the usable cores (see ``rng.map_row_blocks``);
+    a serial run uses them all.  A run that the memory model says cannot fit
+    raises MemoryError before any trial starts.  On KeyboardInterrupt the
+    records collected so far are summarized and returned with
+    ``summary["interrupted"] = True`` so callers can flush them.
     """
     workers = min(effective_workers(cfg), cfg.trials)
     _check_memory(cfg, workers)
@@ -500,7 +509,9 @@ def run_experiment(
             for t in range(cfg.trials):
                 records.extend(run_trial(cfg, t))
         else:
-            trial = functools.partial(run_trial, cfg)
+            # The worker processes share the usable cores; a worker with a
+            # budget of one thread runs its row blocks inline.
+            trial = functools.partial(_budgeted_trial, max(1, usable_cores() // workers), cfg)
             chunk = max(1, cfg.trials // (workers * 4))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for recs in pool.map(trial, range(cfg.trials), chunksize=chunk):

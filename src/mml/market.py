@@ -25,7 +25,7 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import BLOCK, row_blocks, stream_key, unit_uniforms
+from .rng import BLOCK, map_row_blocks, row_blocks, stream_key, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
 
@@ -279,12 +279,19 @@ def random_cbounded_market(
         raise ValueError("c_target must be >= 1")
     scores = []
     for name, shape in (("a_raw", (n_men, n_women)), ("b_raw", (n_women, n_men))):
-        # c ** (2u - 1), then the row normalisation, all in the uniforms' array.
         u = unit_uniforms(stream_key(seed, name), shape[0] * shape[1]).reshape(shape)
-        u *= 2.0
-        u -= 1.0
-        np.power(c_target, u, out=u)
-        scores.append(_normalized(name, u, in_place=True))
+
+        def score_rows(blocks):
+            # c ** (2u - 1), then the row normalisation, all in the uniforms' array.
+            for rows in blocks:
+                raw = u[rows]
+                raw *= 2.0
+                raw -= 1.0
+                np.power(c_target, raw, out=raw)
+                _normalized(name, raw, in_place=True)
+
+        map_row_blocks(score_rows, *shape)
+        scores.append(u)
     return CanonicalMarket(*scores)
 
 
@@ -306,9 +313,21 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
         raise ShapeMismatch(
             f"backfill needs n_men + k == n_women, got {m} + {k} != {n}"
         )
-    a_new = np.vstack([market.a_hat, np.full((k, n), 1.0 / n)])
-    b_raw = np.hstack([market.b_hat, np.full((n, k), 1.0 / m)])
-    return CanonicalMarket(a_new, _normalized("b_raw", b_raw, in_place=True))
+    # Shared rows (broadcast views) stay shared: the women's rows still agree
+    # once the k columns are appended, and the men's rows agree with the
+    # dummies' only when every man scores each woman 1/n (the uniform market).
+    dummy = np.full((1, n), 1.0 / n)
+    a_rows = _distinct_rows(market.a_hat)
+    if a_rows.shape[0] == 1 and np.array_equal(a_rows, dummy):
+        a_new = np.broadcast_to(dummy, (n, n))
+    else:
+        a_new = np.vstack([market.a_hat, np.full((k, n), 1.0 / n)])
+    b_rows = _distinct_rows(market.b_hat)
+    b_raw = np.hstack([b_rows, np.full((b_rows.shape[0], k), 1.0 / m)])
+    b_new = _normalized("b_raw", b_raw, in_place=True)
+    if b_rows.shape[0] == 1:
+        b_new = np.broadcast_to(b_new, (n, n))
+    return CanonicalMarket(a_new, b_new)
 
 
 # --- matrix file format ------------------------------------------------------

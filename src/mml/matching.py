@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
-from .rng import row_blocks
+from .rng import map_row_blocks
 from .sampling import LatentValues
 
 ENUMERATION_LIMIT = 10
@@ -115,8 +115,12 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
     value_men[sup_m] = x[sup_m, mu_arr[sup_m]]
     # Values are positive, so an unmatched man's threshold 0 counts rank 0.
     rank_men = np.zeros(mu.n_men, dtype=np.int64)
-    for rows in row_blocks(*x.shape):
-        rank_men[rows] = (x[rows] <= value_men[rows, None]).sum(axis=1)
+
+    def count_ranks(blocks):
+        for rows in blocks:
+            rank_men[rows] = (x[rows] <= value_men[rows, None]).sum(axis=1)
+
+    map_row_blocks(count_ranks, *x.shape)
 
     value_women = np.zeros(mu.n_women)
     sup_w = np.nonzero(inv >= 0)[0]
@@ -139,11 +143,15 @@ def _top_l(prop: np.ndarray) -> np.ndarray:
     n_prop, n_recv = prop.shape
     width = min(TOP_L, n_recv)
     top = np.empty((n_prop, width), dtype=np.int32)
-    for rows in row_blocks(n_prop, n_recv):
-        block = prop[rows]
-        idx = np.argpartition(block, width - 1, axis=1)[:, :width]
-        order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
-        top[rows] = np.take_along_axis(idx, order, axis=1)
+
+    def partition_rows(blocks):
+        for rows in blocks:
+            block = prop[rows]
+            idx = np.argpartition(block, width - 1, axis=1)[:, :width]
+            order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
+            top[rows] = np.take_along_axis(idx, order, axis=1)
+
+    map_row_blocks(partition_rows, n_prop, n_recv)
     return top
 
 

@@ -16,18 +16,21 @@ import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
-from .rng import exponentials, row_blocks, stream_key
+from .rng import exponentials, map_row_blocks, stream_key
 
 
 def _check_rows_tie_free(name: str, values: np.ndarray) -> None:
     # One sort per row block serves every test: NaN sorts last, so the last
     # column catches non-finite values and the first column non-positive ones.
-    for rows in row_blocks(*values.shape):
-        ordered = np.sort(values[rows], axis=1)
-        if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
-            raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
-        if (ordered[:, 1:] == ordered[:, :-1]).any():
-            raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
+    def check_rows(blocks):
+        for rows in blocks:
+            ordered = np.sort(values[rows], axis=1)
+            if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
+                raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
+            if (ordered[:, 1:] == ordered[:, :-1]).any():
+                raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
+
+    map_row_blocks(check_rows, *values.shape)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,21 @@ def test_balance_reports_market_and_writes_scores(tmp_path, capsys):
     np.testing.assert_array_equal(disk_b, bal.B)
 
 
+def test_balance_prints_plain_floats(tmp_path, capsys):
+    market_file = tmp_path / "market.txt"
+    a, b = skew_market_file(market_file)
+    assert main(["balance", str(market_file)]) == 0
+    out = capsys.readouterr().out
+    assert "np.float64" not in out
+    bal = sinkhorn_balance(CanonicalMarket(a, b))
+    lines = dict(line.split(":", 1) for line in out.splitlines())
+    assert float(lines["contiguity constant"]) == bal.c_bound
+    for name, fitness in (("fitness (men)", bal.phi), ("fitness (women)", bal.psi)):
+        words = lines[name].split()
+        assert words[0::2] == ["min", "max"]
+        assert [float(w) for w in words[1::2]] == [fitness.min(), fitness.max()]
+
+
 def test_balance_errors_exit_two(tmp_path, capsys):
     rc = main(["balance", str(tmp_path / "missing.txt")])
     assert rc == 2

@@ -182,3 +182,22 @@ def test_factored_mutual_product_matches_materialised_m(n):
             np.testing.assert_allclose(
                 bal.mutual_matmul(y), m @ y, rtol=1e-13, atol=0, err_msg=name
             )
+
+
+@pytest.mark.parametrize("n", [80, 1000])
+def test_backfilled_uniform_market_keeps_shared_rows_and_bits(n):
+    # The completion of a uniform market is uniform again: both sides stay
+    # broadcast views, with the values and draws of the stacked matrices.
+    k = n // 10
+    real = uniform_market(n - k, n)
+    full = backfill_imbalanced(real, k)
+    assert full.a_hat.strides[0] == full.b_hat.strides[0] == 0
+    a_stacked = np.vstack([real.a_hat, np.full((k, n), 1.0 / n)])
+    b_raw = np.hstack([real.b_hat, np.full((n, k), 1.0 / (n - k))])
+    b_stacked = b_raw / b_raw.sum(axis=1, keepdims=True)
+    assert full.a_hat.tobytes() == a_stacked.tobytes()
+    assert full.b_hat.tobytes() == b_stacked.tobytes()
+    values = sample_latent(sinkhorn_balance(full), seed=n)
+    stacked = sample_latent(sinkhorn_balance(CanonicalMarket(a_stacked, b_stacked)), seed=n)
+    assert values.X.tobytes() == stacked.X.tobytes()
+    assert values.Y.tobytes() == stacked.Y.tobytes()
