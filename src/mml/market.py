@@ -184,9 +184,13 @@ class BalancedMarket:
         y = np.asarray(y, dtype=np.float64)
         weighted = (self.psi * y.T).T
         out = np.empty(y.shape)
-        for rows in row_blocks(self.n, self.n):
-            kernel = self.a_hat[rows] * self.b_hat[:, rows].T
-            out[rows] = kernel @ weighted
+
+        def multiply_rows(blocks):
+            for rows in blocks:
+                kernel = self.a_hat[rows] * self.b_hat[:, rows].T
+                out[rows] = kernel @ weighted
+
+        map_row_blocks(multiply_rows, self.n, self.n)
         return (out.T * (self.phi / self.n)).T
 
 

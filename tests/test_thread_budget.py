@@ -17,6 +17,7 @@ import pytest
 
 import mml
 from mml.errors import DuplicateValue
+from mml.market import random_cbounded_market, sinkhorn_balance
 from mml.experiments import parse_config, records_to_csv, run_experiment
 from mml.matching import Side, _top_l, deferred_acceptance
 from mml.rng import exponentials, map_row_blocks, row_blocks, stream_key, thread_budget, unit_uniforms
@@ -89,6 +90,22 @@ def test_top_l_and_ranks_are_bit_identical_at_every_budget(shape):
         return out
 
     assert_bit_identical(at_every_budget(stages))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_scores_and_mutual_product_are_bit_identical_at_every_budget(shape):
+    n_men, n_women = shape
+
+    def build():
+        market = random_cbounded_market(n_men, 2.5, seed=n_women, n_women=n_women)
+        out = [market.a_hat, market.b_hat]
+        if market.is_square:
+            bal = sinkhorn_balance(market)
+            y = np.linspace(0.5, 2.0, 2 * n_men).reshape(n_men, 2)
+            out += [bal.mutual_matmul(y), bal.mutual_matmul(y[:, 0])]
+        return out
+
+    assert_bit_identical(at_every_budget(build))
 
 
 def planted_values(faults):
