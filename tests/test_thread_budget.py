@@ -17,10 +17,12 @@ import pytest
 
 import mml
 from mml.errors import DuplicateValue
-from mml.market import random_cbounded_market, sinkhorn_balance
 from mml.experiments import parse_config, records_to_csv, run_experiment
+from mml.market import random_cbounded_market, sinkhorn_balance
 from mml.matching import Side, _top_l, deferred_acceptance
-from mml.rng import exponentials, map_row_blocks, row_blocks, stream_key, thread_budget, unit_uniforms
+from mml.rng import (
+    exponentials, map_row_blocks, row_blocks, stream_key, thread_budget, unit_uniforms,
+)
 from mml.sampling import LatentValues
 
 BUDGETS = (1, 2, 3)
