@@ -325,6 +325,8 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
     if a_rows.shape[0] == 1 and np.array_equal(a_rows, dummy):
         a_new = np.broadcast_to(dummy, (n, n))
     else:
+        # Dense dummies keep the stack C-ordered (a stack of broadcast views
+        # comes out F-ordered), and the kernel's layout sets Sinkhorn's bits.
         a_new = np.vstack([market.a_hat, np.full((k, n), 1.0 / n)])
     b_rows = _distinct_rows(market.b_hat)
     b_raw = np.hstack([b_rows, np.full((b_rows.shape[0], k), 1.0 / m)])
