@@ -42,7 +42,9 @@ from .matching import (
     truncate_delta,
 )
 from .probability import chernoff_lower_tail
-from .rng import exponentials, stream_key, thread_budget, unit_uniforms, usable_cores
+from .rng import (
+    exponentials, single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores,
+)
 from .sampling import LatentValues, sample_latent
 from .stats import (
     best_fit_exponential,
@@ -428,8 +430,13 @@ _TRIAL_BODIES = {
 
 
 def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
-    """All records of trial t; a pure function of (cfg, t)."""
-    return _TRIAL_BODIES[cfg.experiment](cfg, t)
+    """All records of trial t; a pure function of (cfg, t).
+
+    BLAS runs every call on the calling thread, so the row-block threads
+    (``rng.map_row_blocks``) and the pool's worker processes own the cores.
+    """
+    with single_threaded_blas():
+        return _TRIAL_BODIES[cfg.experiment](cfg, t)
 
 
 def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRecord]:

@@ -19,11 +19,20 @@ It spreads the row blocks over the process's thread budget: every usable
 core in a serial run, an equal share of them in each worker process of a
 pool.  A block computes the same bits on any thread, so no output depends on
 the budget.
+
+BLAS is the one other source of threads.  Within :func:`single_threaded_blas`,
+which every trial enters, numpy's OpenBLAS runs each call on its calling
+thread: its own worker threads would spin between calls and take cores from
+the row blocks, and a threaded matvec may round differently from one with
+another thread count, so a trial's bits would depend on the machine.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import ctypes
+import functools
+import glob
 import hashlib
 import itertools
 import math
@@ -84,6 +93,43 @@ def thread_budget(threads: int) -> Iterator[None]:
         yield
     finally:
         _budget = saved
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS numpy loaded, or None."""
+    lib_dir = os.path.dirname(os.path.dirname(np.__file__))
+    for path in glob.glob(os.path.join(lib_dir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas() -> Iterator[None]:
+    """Within the ``with`` statement, numpy's OpenBLAS runs each call on its calling thread.
+
+    The thread count OpenBLAS had is restored on exit.  Like
+    :func:`thread_budget`, the setting is the whole process's.  Without an
+    OpenBLAS found beside numpy this does nothing.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
 
 
 def _executor(workers: int) -> concurrent.futures.ThreadPoolExecutor:
@@ -218,7 +264,9 @@ def _fill(
             zb ^= key
             _mix(zb, tb)
             zb >>= _U64(11)
-            np.add(zb.reshape(ob.shape), 0.5, out=ob)
+            # Every word is below 2^53, so the int64 view converts exactly.
+            np.copyto(ob, zb.view(np.int64).reshape(ob.shape), casting="unsafe")
+            ob += 0.5
             ob *= 2.0**-53
             if rates is not None:
                 np.log(ob, out=ob)

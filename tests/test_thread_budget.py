@@ -4,6 +4,8 @@
 may use.  Each block writes only its own rows, so every stage routed through
 it must give bit-identical results at any budget, raise the sequential walk's
 exception, run nested calls inline, and survive a fork into pool workers.
+A trial's BLAS calls run on its calling thread, whatever thread count
+numpy's OpenBLAS had before the trial.
 """
 
 import os
@@ -16,12 +18,14 @@ import numpy as np
 import pytest
 
 import mml
+from mml import experiments
 from mml.errors import DuplicateValue
-from mml.experiments import parse_config, records_to_csv, run_experiment
-from mml.market import random_cbounded_market, sinkhorn_balance
+from mml.experiments import parse_config, records_to_csv, run_experiment, run_trial
+from mml.market import backfill_imbalanced, random_cbounded_market, sinkhorn_balance
 from mml.matching import Side, _top_l, deferred_acceptance
 from mml.rng import (
-    exponentials, map_row_blocks, row_blocks, stream_key, thread_budget, unit_uniforms,
+    _openblas, exponentials, map_row_blocks, row_blocks, single_threaded_blas, stream_key,
+    thread_budget, unit_uniforms,
 )
 from mml.sampling import LatentValues
 
@@ -240,3 +244,116 @@ def test_forked_pool_workers_use_threads_and_keep_the_bytes(monkeypatch):
     with thread_budget(1):
         _, serial = run_experiment(parse_config(POOL_CONFIG))
     assert stdout == records_to_csv(serial)
+
+
+needs_openblas = pytest.mark.skipif(
+    _openblas() is None, reason="numpy's BLAS is not an OpenBLAS found beside numpy"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread getter and setter; the count is restored after the test."""
+    get, set_ = _openblas()
+    saved = get()
+    yield get, set_
+    set_(saved)
+
+
+def market_of(kind, n):
+    """Trial 0's square market of the given kind, each side of size n."""
+    market = kind.removesuffix(" backfilled")
+    cfg = parse_config(
+        f"experiment = rank_dist\nmarket = {market}\nc = 2.5\nn = {n}\n"
+        "trials = 1\nmaster_seed = 3\n"
+    )
+    if kind == market:
+        return experiments._build_market(cfg, 0, n)
+    k = min(10, n - 1)  # k = 0 (n = 1) leaves the market as it is
+    return backfill_imbalanced(experiments._build_market(cfg, 0, n - k), k)
+
+
+def balance_fields(bal):
+    return (bal.phi.tobytes(), bal.psi.tobytes(), bal.residual, bal.c_bound, bal.sinkhorn_iters)
+
+
+# Around one row block, and two sizes where OpenBLAS's 2-thread matvecs
+# round differently from its 1-thread ones.
+@needs_openblas
+@pytest.mark.parametrize("n", [1, 255, 257, 700, 1001])
+@pytest.mark.parametrize(
+    "kind", ["cbounded", "public_scores", "cbounded backfilled", "public_scores backfilled"]
+)
+def test_balance_under_the_blas_cap_keeps_its_bits_at_any_thread_count(kind, n, blas_threads):
+    get, set_ = blas_threads
+    market = market_of(kind, n)
+    threaded = sinkhorn_balance(market)
+    capped = []
+    for threads in (1, 2, 3):
+        set_(threads)
+        with single_threaded_blas():
+            assert get() == 1
+            capped.append(balance_fields(sinkhorn_balance(market)))
+        assert get() == threads
+    assert capped[1:] == capped[:1] * 2
+    # Without the cap, a threaded matvec may round differently in the last
+    # ulps (seen at n = 700 and 1001 on 2 threads): the sweeps, not the bits,
+    # are the same.
+    phi, psi, residual, c_bound, sweeps = capped[0]
+    assert sweeps == threaded.sinkhorn_iters
+    np.testing.assert_allclose(np.frombuffer(phi), threaded.phi, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(np.frombuffer(psi), threaded.psi, rtol=1e-13, atol=0)
+    assert abs(residual - threaded.residual) <= 1e-14
+    assert c_bound == pytest.approx(threaded.c_bound, rel=1e-14, abs=0)
+
+
+@needs_openblas
+@pytest.mark.parametrize("n", [50, 257])
+def test_bounds_records_are_equal_with_and_without_the_cap(n, blas_threads):
+    _, set_ = blas_threads
+    cfg = parse_config(f"experiment = bounds\nn = {n}\ntrials = 1\nmaster_seed = 4\n")
+    body = experiments._TRIAL_BODIES[cfg.experiment]
+    records = []
+    for threads in (1, 2, 3):
+        set_(threads)
+        records.append(body(cfg, 0))
+        with single_threaded_blas():
+            records.append(body(cfg, 0))
+    assert records[1:] == records[:1] * 5
+
+
+@needs_openblas
+def test_run_trial_holds_blas_at_one_thread_and_restores_it(monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    cfg = parse_config("experiment = bounds\nn = 5\ntrials = 1\nmaster_seed = 4\n")
+    seen = []
+
+    def body(cfg, t):
+        seen.append(get())
+        if t:
+            raise KeyError(t)
+        return []
+
+    monkeypatch.setitem(experiments._TRIAL_BODIES, cfg.experiment, body)
+    for threads in (1, 2, 3):
+        set_(threads)
+        assert run_trial(cfg, 0) == []
+        assert get() == threads
+        with pytest.raises(KeyError):
+            run_trial(cfg, 1)
+        assert get() == threads
+    assert seen == [1] * 6
+
+
+@needs_openblas
+def test_trial_records_do_not_depend_on_blas_threads(blas_threads):
+    # Uncapped, 1 and 2 OpenBLAS threads give different last bits here.
+    _, set_ = blas_threads
+    cfg = parse_config(
+        "experiment = rank_dist\nmarket = cbounded\nn = 700\ntrials = 1\nmaster_seed = 4\n"
+    )
+    csvs = []
+    for threads in (1, 2, 3):
+        set_(threads)
+        csvs.append(records_to_csv(run_trial(cfg, 0)))
+    assert csvs[1:] == csvs[:1] * 2
