@@ -7,6 +7,9 @@ Subcommands:
                matchings
     summarize  aggregate a previously written trials.csv
 
+Every subcommand runs numpy's BLAS calls on the calling thread, as trials do,
+so that `balance --out` writes the same bytes on any machine.
+
 Exit codes: 0 on success (and all experiment checks passing), 1 when an
 experiment ran but a check failed, 2 on bad input or usage, or when memory
 runs out.
@@ -29,6 +32,7 @@ from .experiments import (
     summarize_experiment,
     write_outputs,
 )
+from .rng import single_threaded_blas
 from .sampling import sample_latent
 
 
@@ -133,7 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with single_threaded_blas():
+            return args.func(args)
     except (MmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,18 +34,20 @@ from .market import (
 )
 from .matching import (
     Matching,
+    MatchingOutcome,
     Side,
     deferred_acceptance,
     enumerate_stable,
     greedy_alpha_certificate,
     outcome_of,
+    proposer_tables,
     truncate_delta,
 )
 from .probability import chernoff_lower_tail
 from .rng import (
     exponentials, single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores,
 )
-from .sampling import LatentValues, sample_latent
+from .sampling import LatentValues, latent_streams, sample_latent
 from .stats import (
     best_fit_exponential,
     dkw_bound,
@@ -286,11 +288,25 @@ def _matching_stats(
     )
 
 
+def _optimal_matchings(bal: BalancedMarket, seed: int) -> list[tuple[Matching, MatchingOutcome]]:
+    """The man- and woman-optimal matchings of ``seed``'s draw, holding neither value matrix.
+
+    The women's pass feeds the woman-proposing walk; the men's pass also
+    counts each man's rank of his woman-optimal partner.
+    """
+    x, y = latent_streams(bal, seed)
+    wosm, wosm_outcome = deferred_acceptance(proposer_tables(y, x)[0], Side.WOMEN)
+    men, wosm_ranks = proposer_tables(x, y, thresholds=wosm_outcome.value_men)
+    return [
+        deferred_acceptance(men, Side.MEN),
+        (wosm, replace(wosm_outcome, rank_men=wosm_ranks)),
+    ]
+
+
 def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = _build_balanced(cfg, t)
-    values = sample_latent(bal, trial_seed)
-    solved = [deferred_acceptance(values, side) for side in (Side.MEN, Side.WOMEN)]
+    solved = _optimal_matchings(bal, trial_seed)
     # Both matchings' M @ y in one pass over the factors.
     mutual_y = bal.mutual_matmul(np.column_stack([o.value_women for _, o in solved]))
     records = []
@@ -459,9 +475,11 @@ def effective_workers(cfg: ExperimentConfig) -> int:
 
 
 # Memory model of one trial process (README, "Memory and scale"): the
-# interpreter and numpy, plus bytes per cell of the n x n stages.  Every trial
-# holds the values X and Y (16 bytes) and row-block scratch; a C-bounded
-# market adds its n x n scores (16).  Backfilling keeps shared rows shared,
+# interpreter and numpy, plus bytes per cell of the n x n stages.  A
+# value-family trial streams its values, so its n x n term is the kernel
+# that balancing allocates (8); every other trial holds the values X and Y
+# (16 bytes) and row-block scratch.  A C-bounded market adds its n x n
+# scores (16).  Backfilling keeps shared rows shared,
 # so imbalance adds only the stacked men's scores of a public-scores market,
 # or the real C-bounded market while it is backfilled (8).  The bounds
 # experiment's cells are its Chernoff batches, drawn with a rate matrix.
@@ -472,7 +490,7 @@ def memory_estimate(cfg: ExperimentConfig) -> int:
     """Estimated peak bytes of one process running cfg's trials."""
     if cfg.experiment is ExperimentKind.BOUNDS:
         return _BASE_BYTES + 16 * CHERNOFF_SAMPLES * cfg.n
-    per_cell = 20
+    per_cell = 8 if _TRIAL_BODIES[cfg.experiment] is _value_family_records else 20
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 16
     if cfg.experiment is ExperimentKind.IMBALANCE and cfg.market is not MarketKind.UNIFORM:

@@ -15,6 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
 from .rng import map_row_blocks
-from .sampling import LatentValues
+from .sampling import LatentValues, ValueStream, lowest_columns
 
 ENUMERATION_LIMIT = 10
 # Depth of each proposer's presorted list.  A proposer's walk ends at its
@@ -83,12 +84,13 @@ class Matching:
 class MatchingOutcome:
     """Per-agent values of a matching, the men's ranks, and the proposal count.
 
-    Off-support entries are 0 by convention.
+    Off-support entries are 0 by convention.  ``rank_men`` is None when a
+    walk on streamed values had the men receive: it read no man's whole row.
     """
 
     value_men: np.ndarray
     value_women: np.ndarray
-    rank_men: np.ndarray
+    rank_men: np.ndarray | None
     proposal_count: int = 0
 
 
@@ -146,17 +148,69 @@ def _top_l(prop: np.ndarray) -> np.ndarray:
 
     def partition_rows(blocks):
         for rows in blocks:
-            block = prop[rows]
-            idx = np.argpartition(block, width - 1, axis=1)[:, :width]
-            order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
-            top[rows] = np.take_along_axis(idx, order, axis=1)
+            top[rows] = lowest_columns(prop[rows], width)
 
     map_row_blocks(partition_rows, n_prop, n_recv)
     return top
 
 
+@dataclass(frozen=True)
+class ProposerTables:
+    """What deferred acceptance reads of the proposing side's walks.
+
+    ``top[p, k]`` is proposer p's k-th best receiver, ``own[p, k]`` p's value
+    for it and ``recv[p, k]`` that receiver's value for p, for k below the
+    tables' width.  A walk that goes deeper calls ``deep(p)`` once for the
+    same three lists over p's whole row, best first.
+    """
+
+    top: np.ndarray
+    own: np.ndarray
+    recv: np.ndarray
+    n_recv: int
+    deep: Callable[[int], tuple[list[int], list[float], list[float]]]
+
+
+def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
+    if proposing_side == Side.MEN:
+        prop, recv = values.X, values.Y
+    else:
+        prop, recv = values.Y, values.X
+    top = _top_l(prop)
+
+    def deep(p: int):
+        order = np.argsort(prop[p])
+        return order.tolist(), prop[p, order].tolist(), recv[order, p].tolist()
+
+    proposers = np.arange(prop.shape[0])[:, None]
+    return ProposerTables(
+        top, np.take_along_axis(prop, top, axis=1), recv[top, proposers], prop.shape[1], deep
+    )
+
+
+def proposer_tables(
+    prop: ValueStream, recv: ValueStream, thresholds: np.ndarray | None = None
+) -> tuple[ProposerTables, np.ndarray | None]:
+    """The proposers' tables from one screened pass over their rows, and its counts.
+
+    No matrix is held: the receivers' values at the proposers' top cells, and
+    a deep walk's row and cells, are drawn by counter.  The counts are
+    ``ValueStream.screen``'s.
+    """
+    n_prop, n_recv = prop.shape
+    top, own, counts = prop.screen(min(TOP_L, n_recv), thresholds)
+
+    def deep(p: int):
+        row = prop.row(p)
+        order = np.argsort(row)
+        return order.tolist(), row[order].tolist(), recv.cells(order, p).tolist()
+
+    tables = ProposerTables(top, own, recv.cells(top, np.arange(n_prop)[:, None]), n_recv, deep)
+    return tables, counts
+
+
 def deferred_acceptance(
-    values: LatentValues, proposing_side: Side = Side.MEN
+    values: LatentValues | ProposerTables, proposing_side: Side = Side.MEN
 ) -> tuple[Matching, MatchingOutcome]:
     """Proposal-queue deferred acceptance; optimal for the proposing side.
 
@@ -164,19 +218,22 @@ def deferred_acceptance(
     proposer she values lowest so far.  Works for rectangular markets (agents
     on the long side can end up unmatched).  Every proposal, including
     rejected ones, is counted.  A walk reads its row's presorted top-L and
-    argsorts the whole row only if it goes deeper.
+    the whole row only if it goes deeper.
+
+    On a draw's matrices the outcome is ``outcome_of``'s.  On the tables of
+    ``proposer_tables`` it holds the values the walks read, and a
+    proposer's rank of its partner is its walk's depth; the men's ranks are
+    None when they receive.
     """
-    if proposing_side == Side.MEN:
-        prop, recv = values.X, values.Y
-    else:
-        prop, recv = values.Y, values.X
-    n_prop, n_recv = prop.shape
-    top = _top_l(prop)
-    width = top.shape[1]
-    deep: dict[int, list[int]] = {}  # full order of each row walked past the top-L
+    streamed = isinstance(values, ProposerTables)
+    tables = values if streamed else _matrix_tables(values, proposing_side)
+    top, recv, n_recv = tables.top, tables.recv, tables.n_recv
+    n_prop, width = top.shape
+    deep: dict[int, tuple[list[int], list[float], list[float]]] = {}
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
+    held = [0.0] * n_recv  # each receiver's value for the proposer it holds
     proposals = 0
     pending = list(range(n_prop - 1, -1, -1))
     while pending:
@@ -186,31 +243,42 @@ def deferred_acceptance(
             if k == n_recv:
                 break  # exhausted every receiver; stays unmatched
             if k < width:
-                r = top.item(p, k)
+                r, v = top.item(p, k), recv.item(p, k)
             else:
                 if p not in deep:
-                    deep[p] = np.argsort(prop[p]).tolist()
-                r = deep[p][k]
+                    deep[p] = tables.deep(p)
+                r, v = deep[p][0][k], deep[p][2][k]
             next_idx[p] = k + 1
             proposals += 1
             cur = match_of[r]
             if cur < 0:
-                match_of[r] = p
+                match_of[r], held[r] = p, v
                 break
-            if recv.item(r, p) < recv.item(r, cur):
-                match_of[r] = p
+            if v < held[r]:
+                match_of[r], held[r] = p, v
                 p = cur  # displaced proposer continues immediately
 
-    n_men, n_women = values.X.shape
     if proposing_side == Side.MEN:
-        mu = [-1] * n_men
+        mu = [-1] * n_prop
         for woman, man in enumerate(match_of):
             if man >= 0:
                 mu[man] = woman
+        matching = Matching(mu=tuple(mu), n_women=n_recv)
     else:
-        mu = match_of
-    matching = Matching(mu=tuple(mu), n_women=n_women)
-    return matching, outcome_of(matching, values, proposal_count=proposals)
+        matching = Matching(mu=tuple(match_of), n_women=n_prop)
+    if not streamed:
+        return matching, outcome_of(matching, values, proposal_count=proposals)
+
+    own = np.zeros(n_prop)
+    rank = np.zeros(n_prop, dtype=np.int64)
+    for p in match_of:
+        if p >= 0:
+            k = next_idx[p] - 1
+            own[p] = tables.own.item(p, k) if k < width else deep[p][1][k]
+            rank[p] = k + 1
+    if proposing_side == Side.MEN:
+        return matching, MatchingOutcome(own, np.array(held), rank, proposals)
+    return matching, MatchingOutcome(np.array(held), own, None, proposals)
 
 
 def _blocking_mask(

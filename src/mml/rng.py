@@ -11,7 +11,11 @@ arithmetic is vectorized uint64 (wraparound is the intended modular
 arithmetic), which keeps tiny markets cheap (no per-stream object setup) and
 large matrices fast: matrices are filled in place, one block of cells at a
 time, at 60-75M exponential draws/s on one core of a 2-core Xeon and
-85-110M/s on both (n = 2000, depending on the host's load).
+85-110M/s on both (n = 2000, depending on the host's load).  A matrix need
+not be stored at all: :func:`exponential_blocks` hands each block to a
+consumer, and :func:`exponential_cells` draws chosen cells from their
+counters alone.  Blocks and cells share one copy of the per-cell arithmetic,
+so a cell has the same bits however it is drawn.
 
 The fill, like every n^2 stage whose blocks write disjoint slices and whose
 result does not depend on block order, runs through :func:`map_row_blocks`.
@@ -21,10 +25,11 @@ pool.  A block computes the same bits on any thread, so no output depends on
 the budget.
 
 BLAS is the one other source of threads.  Within :func:`single_threaded_blas`,
-which every trial enters, numpy's OpenBLAS runs each call on its calling
-thread: its own worker threads would spin between calls and take cores from
-the row blocks, and a threaded matvec may round differently from one with
-another thread count, so a trial's bits would depend on the machine.
+which every trial and every ``mml`` subcommand enters, numpy's OpenBLAS runs
+each call on its calling thread: its own worker threads would spin between
+calls and take cores from the row blocks, and a threaded matvec may round
+differently from one with another thread count, so a trial's bits would
+depend on the machine.
 """
 from __future__ import annotations
 
@@ -231,52 +236,78 @@ _BLOCK_STEPS = np.arange(BLOCK, dtype=np.uint64) * _GOLDEN
 _BLOCK_STEPS.flags.writeable = False
 
 
-def _fill(
-    key: int, offset: int, out: np.ndarray, rates: np.ndarray | None, scale: np.ndarray | None
+def _cell_values(
+    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
+    rates: np.ndarray | None, scale: np.ndarray | None,
 ) -> None:
-    """Write the uniforms (or, given rates, exponentials) of ``out``'s cells.
+    """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
+
+    z holds ``(counter + 1) * golden`` per cell of ``out`` and is spent, as
+    is t, scratch of z's size.  A rate is ``scale * rates`` when scale is
+    given: the same float product as a materialised rate matrix.  Row blocks
+    and gathered cells both come here, so a cell has the same bits either way.
+    """
+    _mix(z, t)
+    z ^= key
+    _mix(z, t)
+    z >>= _U64(11)
+    # Every word is below 2^53, so the int64 view converts exactly.
+    np.copyto(out, z.view(np.int64).reshape(out.shape), casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
+    if rates is None:
+        return
+    np.log(out, out=out)
+    np.negative(out, out=out)
+    if scale is None:
+        out /= rates
+    else:
+        product = t.view(np.float64).reshape(out.shape)
+        np.multiply(scale, rates, out=product)
+        out /= product
+
+
+def _fill(
+    key: int, offset: int, shape: tuple[int, ...], rates: np.ndarray | None,
+    scale: np.ndarray | None, out: np.ndarray | None = None,
+    consume: Callable[[slice, np.ndarray], None] | None = None,
+) -> None:
+    """Draw the uniforms (or, given rates, exponentials) of a ``shape`` grid.
 
     Flat cell c gets counter offset + c.  The cells are walked in row blocks
-    of about BLOCK cells (a 1-d ``out`` counts as one column); each thread
-    that walks them reuses two uint64 scratch buffers of its own, and every
-    step writes in place, so the only full-size array is ``out``; any
-    blocking yields the same bits.  With ``scale``, row i's rates are
-    ``scale[i] * rates[i]``, multiplied into the spent scratch one block at a
-    time: the same float product as a materialised rate matrix.
+    of about BLOCK cells (a 1-d grid counts as one column), so any blocking
+    yields the same bits.  A block is written into its rows of ``out``, or,
+    without ``out``, into a block buffer of the walking thread's own; then
+    ``consume(rows, block)`` is called on it.  Each thread also reuses two
+    uint64 scratch buffers, and every step writes in place, so the only
+    full-size array is ``out``.
     """
-    shape = (out.shape[0], math.prod(out.shape[1:])) if out.ndim >= 2 else (out.size, 1)
-    grid = out.reshape(shape)
+    nrows = shape[0]
+    ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
+    grid = None if out is None else out.reshape(nrows, ncols)
     if rates is not None:
-        rates = rates.reshape(shape)
-    nrows, ncols = grid.shape
+        rates = rates.reshape(nrows, ncols)
     key = _U64(key)
 
     def fill_rows(blocks: Iterable[slice]) -> None:
-        z = np.empty(min(grid.size, max(1, BLOCK // ncols) * ncols), dtype=np.uint64)
+        size = min(nrows * ncols, max(1, BLOCK // ncols) * ncols)
+        z = np.empty(size, dtype=np.uint64)
         t = np.empty_like(z)
+        buffer = np.empty(size) if grid is None else None
         for rows in blocks:
-            ob = grid[rows]
-            k = ob.size
-            zb, tb, start = z[:k], t[:k], rows.start * ncols
+            rows = slice(rows.start, min(rows.stop, nrows))
+            k = (rows.stop - rows.start) * ncols
+            ob = buffer[:k].reshape(-1, ncols) if grid is None else grid[rows]
+            zb, start = z[:k], rows.start * ncols
             steps = _BLOCK_STEPS[:k] if k <= BLOCK else np.arange(k, dtype=np.uint64) * _GOLDEN
             np.add(steps, _U64((offset + start + 1) * int(_GOLDEN) % 2**64), out=zb)
-            _mix(zb, tb)
-            zb ^= key
-            _mix(zb, tb)
-            zb >>= _U64(11)
-            # Every word is below 2^53, so the int64 view converts exactly.
-            np.copyto(ob, zb.view(np.int64).reshape(ob.shape), casting="unsafe")
-            ob += 0.5
-            ob *= 2.0**-53
-            if rates is not None:
-                np.log(ob, out=ob)
-                np.negative(ob, out=ob)
-                if scale is None:
-                    ob /= rates[rows]
-                else:
-                    rb = tb.view(np.float64).reshape(ob.shape)
-                    np.multiply(scale[rows, None], rates[rows], out=rb)
-                    ob /= rb
+            _cell_values(
+                zb, t[:k], key, ob,
+                None if rates is None else rates[rows],
+                None if scale is None else scale[rows, None],
+            )
+            if consume is not None:
+                consume(rows, ob)
 
     map_row_blocks(fill_rows, nrows, ncols)
 
@@ -288,8 +319,19 @@ def unit_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     logs of either tail stay finite.
     """
     out = np.empty(count)
-    _fill(key, offset, out, None, None)
+    _fill(key, offset, out.shape, None, None, out=out)
     return out
+
+
+def _exponential_rates(
+    rates: np.ndarray, scale: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    rates = np.asarray(rates, dtype=np.float64)
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)
+        if rates.ndim != 2 or scale.shape != rates.shape[:1]:
+            raise ValueError("scale needs one entry per row of a 2-d rate matrix")
+    return rates, scale
 
 
 def exponentials(
@@ -302,14 +344,58 @@ def exponentials(
     the rate of cell (i, j) is ``scale[i] * rates[i, j]``, and ``rates`` may
     be a broadcast view: no rate matrix is materialised.
     """
-    rates = np.asarray(rates, dtype=np.float64)
+    rates, scale = _exponential_rates(rates, scale)
     out = np.empty(rates.shape)
-    if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)
-        if rates.ndim != 2 or scale.shape != rates.shape[:1]:
-            raise ValueError("scale needs one entry per row of a 2-d rate matrix")
-    _fill(key, offset, out, rates, scale)
+    _fill(key, offset, rates.shape, rates, scale, out=out)
     return out
+
+
+def exponential_blocks(
+    key: int, rates: np.ndarray, consume: Callable[[slice, np.ndarray], None],
+    offset: int = 0, scale: np.ndarray | None = None,
+) -> None:
+    """``consume(rows, block)`` on each row block of ``exponentials(key, rates, offset, scale)``.
+
+    The blocks run on the thread budget, each in a buffer of its thread's
+    that is valid only during the call: no full-size array is allocated.
+    """
+    rates, scale = _exponential_rates(rates, scale)
+    _fill(key, offset, rates.shape, rates, scale, consume=consume)
+
+
+def exponential_cells(
+    key: int, rates: np.ndarray, index: tuple[np.ndarray, ...], offset: int = 0,
+    scale: np.ndarray | None = None,
+) -> np.ndarray:
+    """``exponentials(key, rates, offset, scale)[index]``, drawn from the cells' counters alone.
+
+    ``index`` holds one integer array per axis of ``rates``, broadcast
+    together as in numpy's advanced indexing.  The cells have the bits of
+    the full draw, and only they are drawn.
+    """
+    rates, scale = _exponential_rates(rates, scale)
+    index = np.broadcast_arrays(*(np.asarray(ix, dtype=np.intp) for ix in index))
+    shape = index[0].shape
+    flat = np.ravel_multi_index(index, rates.shape).ravel()
+    index = [ix.ravel() for ix in index]
+    out = np.empty(flat.size)
+    key = _U64(key)
+
+    def gather(blocks: Iterable[slice]) -> None:
+        z = np.empty(min(flat.size, BLOCK), dtype=np.uint64)
+        t = np.empty_like(z)
+        for cells in blocks:
+            cells = slice(cells.start, min(cells.stop, flat.size))
+            k = cells.stop - cells.start
+            at = tuple(ix[cells] for ix in index)
+            zb = z[:k]
+            np.add(flat[cells], offset + 1, out=zb, casting="unsafe")
+            zb *= _GOLDEN
+            _cell_values(zb, t[:k], key, out[cells], rates[at],
+                         None if scale is None else scale[at[0]])
+
+    map_row_blocks(gather, flat.size, 1)
+    return out.reshape(shape)
 
 
 def unit_uniforms_batch(keys: np.ndarray, count: int) -> np.ndarray:

@@ -7,6 +7,11 @@ in factored form, ``A[i, j] = phi[i] * a_hat[i, j]``, and are multiplied out
 one block at a time inside the draw.  Sorting a row of values yields exactly
 the sequential choice distribution of the multinomial logit, so the values
 are the only representation of preferences.
+
+The experiments that read every cell draw both matrices (:func:`sample_latent`).
+The others hold each side as a :class:`ValueStream`: one screened pass over
+its rows, block by block, keeps each row's best columns, and any other cell
+is drawn from its counter on demand, with the bits the matrix would have.
 """
 from __future__ import annotations
 
@@ -16,21 +21,38 @@ import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
-from .rng import exponentials, map_row_blocks, stream_key
+from .rng import (
+    exponential_blocks, exponential_cells, exponentials, map_row_blocks, stream_key,
+)
+
+
+def _screened_rows(name: str, block: np.ndarray) -> np.ndarray:
+    """The rows of ``block`` sorted, once they are found tie-free, finite and positive.
+
+    One sort serves every test: NaN sorts last, so the last column catches
+    non-finite values and the first column non-positive ones.
+    """
+    ordered = np.sort(block, axis=1)
+    if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
+        raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
+    return ordered
 
 
 def _check_rows_tie_free(name: str, values: np.ndarray) -> None:
-    # One sort per row block serves every test: NaN sorts last, so the last
-    # column catches non-finite values and the first column non-positive ones.
     def check_rows(blocks):
         for rows in blocks:
-            ordered = np.sort(values[rows], axis=1)
-            if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
-                raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
-            if (ordered[:, 1:] == ordered[:, :-1]).any():
-                raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
+            _screened_rows(name, values[rows])
 
     map_row_blocks(check_rows, *values.shape)
+
+
+def lowest_columns(block: np.ndarray, width: int) -> np.ndarray:
+    """Each tie-free row's ``width`` lowest columns, lowest first."""
+    idx = np.argpartition(block, width - 1, axis=1)[:, :width]
+    order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
+    return np.take_along_axis(idx, order, axis=1)
 
 
 @dataclass(frozen=True)
@@ -89,8 +111,71 @@ def latent_rates(
 
 def sample_latent(market: BalancedMarket | CanonicalMarket, seed: int) -> LatentValues:
     """Draw one matrix of values per side from per-cell streams of ``seed``."""
-    (rates_men, phi), (rates_women, psi) = latent_rates(market)
+    x, y = latent_streams(market, seed)
     return LatentValues(
-        X=exponentials(stream_key(seed, "X"), rates_men, scale=phi),
-        Y=exponentials(stream_key(seed, "Y"), rates_women, scale=psi),
+        X=exponentials(x.key, x.rates, scale=x.scale),
+        Y=exponentials(y.key, y.rates, scale=y.scale),
+    )
+
+
+@dataclass(frozen=True)
+class ValueStream:
+    """One side's values, held as their stream rather than as a matrix.
+
+    Cell (i, j) is ``Exp(scale[i] * rates[i, j])`` at counter
+    ``i * ncols + j`` of ``key`` (a None scale leaves the rates as they are):
+    the cell of :func:`sample_latent`'s matrix ``name``, with its bits.
+    """
+
+    name: str
+    key: int
+    rates: np.ndarray
+    scale: np.ndarray | None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rates.shape
+
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The values at (rows, cols), broadcast together, drawn by counter."""
+        return exponential_cells(self.key, self.rates, (rows, cols), scale=self.scale)
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i, drawn on its own at its counters."""
+        scale = None if self.scale is None else self.scale[i:i + 1]
+        return exponentials(self.key, self.rates[i:i + 1], i * self.shape[1], scale)[0]
+
+    def screen(
+        self, width: int, thresholds: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """One pass over the rows, block by block, holding no full-size array.
+
+        Blocks are screened as :class:`LatentValues` screens a matrix.
+        Returns each row's ``width`` lowest columns (int32) and values, lowest
+        first, and, given ``thresholds``, the count of row i's values at most
+        ``thresholds[i]``.
+        """
+        nrows = self.shape[0]
+        top = np.empty((nrows, width), dtype=np.int32)
+        lowest = np.empty((nrows, width))
+        counts = None if thresholds is None else np.empty(nrows, dtype=np.int64)
+
+        def consume(rows, block):
+            lowest[rows] = _screened_rows(self.name, block)[:, :width]
+            top[rows] = lowest_columns(block, width)
+            if counts is not None:
+                counts[rows] = (block <= thresholds[rows, None]).sum(axis=1)
+
+        exponential_blocks(self.key, self.rates, consume, scale=self.scale)
+        return top, lowest, counts
+
+
+def latent_streams(
+    market: BalancedMarket | CanonicalMarket, seed: int
+) -> tuple[ValueStream, ValueStream]:
+    """The streams of the men's values X and the women's values Y of ``seed``."""
+    (rates_men, phi), (rates_women, psi) = latent_rates(market)
+    return (
+        ValueStream("X", stream_key(seed, "X"), rates_men, phi),
+        ValueStream("Y", stream_key(seed, "Y"), rates_women, psi),
     )

@@ -9,6 +9,7 @@ from mml import (
     CSV_COLUMNS,
     CanonicalMarket,
     TrialRecord,
+    random_cbounded_market,
     read_matrix_pair,
     records_to_csv,
     sinkhorn_balance,
@@ -16,6 +17,7 @@ from mml import (
 )
 import mml.experiments
 from mml.cli import main
+from mml.rng import _openblas
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
@@ -84,6 +86,30 @@ def test_balance_prints_plain_floats(tmp_path, capsys):
         words = lines[name].split()
         assert words[0::2] == ["min", "max"]
         assert [float(w) for w in words[1::2]] == [fitness.min(), fitness.max()]
+
+
+@pytest.mark.skipif(
+    _openblas() is None, reason="numpy's BLAS is not an OpenBLAS found beside numpy"
+)
+def test_balance_out_does_not_depend_on_blas_threads(tmp_path, capsys):
+    # At n = 700, a 2-thread OpenBLAS matvec rounds differently from a
+    # 1-thread one, so uncapped sweeps would write other balanced scores.
+    market = random_cbounded_market(700, 2.5, seed=12)
+    market_file = tmp_path / "market.txt"
+    write_market(market_file, market.a_hat, market.b_hat)
+    get, set_ = _openblas()
+    saved = get()
+    outputs = []
+    try:
+        for threads in (2, 1):
+            set_(threads)
+            out_file = tmp_path / f"balanced_{threads}.txt"
+            assert main(["balance", str(market_file), "--out", str(out_file)]) == 0
+            assert get() == threads
+            outputs.append((capsys.readouterr().out.split("balanced")[0], out_file.read_bytes()))
+    finally:
+        set_(saved)
+    assert outputs[0] == outputs[1]
 
 
 def test_balance_errors_exit_two(tmp_path, capsys):

@@ -1,0 +1,135 @@
+"""Value-family trials stream their values and hold no n x n array.
+
+A value_dist, rank_dist or hyperbola trial draws X and Y once, a row block
+at a time: each block is screened and keeps its rows' best columns, and the
+few other cells the walks read are drawn from their counters.  Its records
+must equal those of the matrix path: ``sample_latent``, then
+``deferred_acceptance`` and ``outcome_of`` on both matrices.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import mml.matching
+from mml import experiments
+from mml.errors import DuplicateValue
+from mml.experiments import parse_config, records_to_csv, run_trial
+from mml.market import random_cbounded_market, sinkhorn_balance
+from mml.matching import Side, deferred_acceptance
+from mml.rng import row_blocks, stream_key, thread_budget
+from mml.sampling import sample_latent
+
+BUDGETS = (1, 2, 3)
+EXPERIMENTS = ("value_dist", "rank_dist", "hyperbola")
+
+
+def matrix_matchings(bal, seed):
+    """The man- and woman-optimal matchings and outcomes, from both matrices."""
+    values = sample_latent(bal, seed)
+    return [deferred_acceptance(values, side) for side in (Side.MEN, Side.WOMEN)]
+
+
+def config(experiment, market, n):
+    return parse_config(
+        f"experiment = {experiment}\nmarket = {market}\nc = 2.5\nn = {n}\n"
+        "trials = 1\nmaster_seed = 17\n"
+    )
+
+
+def solutions(cfg):
+    """Trial 0's streamed and matrix solutions, as comparable bytes."""
+    bal = experiments._build_balanced(cfg, 0)
+    seed = stream_key(cfg.master_seed, "trial", 0)
+    out = []
+    for solve in (experiments._optimal_matchings, matrix_matchings):
+        out.append([
+            (matching.mu, outcome.proposal_count, outcome.rank_men.dtype,
+             outcome.value_men.tobytes(), outcome.value_women.tobytes(),
+             outcome.rank_men.tobytes())
+            for matching, outcome in solve(bal, seed)
+        ])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
+@pytest.mark.parametrize("market", ["uniform", "public_scores", "cbounded"])
+def test_streamed_records_equal_the_matrix_records(monkeypatch, market, n):
+    for budget in BUDGETS:
+        with thread_budget(budget):
+            streamed, matrix = solutions(config("value_dist", market, n))
+            assert streamed == matrix
+            for experiment in EXPERIMENTS:
+                cfg = config(experiment, market, n)
+                records = records_to_csv(run_trial(cfg, 0))
+                with monkeypatch.context() as patch:
+                    patch.setattr(experiments, "_optimal_matchings", matrix_matchings)
+                    assert records_to_csv(run_trial(cfg, 0)) == records
+
+
+@pytest.mark.parametrize("market", ["uniform", "cbounded"])
+def test_deep_walks_keep_the_matchings(monkeypatch, market):
+    cfg = config("rank_dist", market, 257)
+    full_top = solutions(cfg)
+    records = records_to_csv(run_trial(cfg, 0))
+    monkeypatch.setattr(mml.matching, "TOP_L", 2)
+    for budget in BUDGETS:
+        with thread_budget(budget):
+            assert solutions(cfg) == full_top
+            assert records_to_csv(run_trial(cfg, 0)) == records
+    # Most walks of both sides went past the two presorted columns.
+    bal = experiments._build_balanced(cfg, 0)
+    values = sample_latent(bal, stream_key(cfg.master_seed, "trial", 0))
+    (_, mosm), (_, wosm) = matrix_matchings(bal, stream_key(cfg.master_seed, "trial", 0))
+    women_ranks = (values.Y <= wosm.value_women[:, None]).sum(axis=1)
+    assert np.median(mosm.rank_men) > 2 and np.median(women_ranks) > 2
+
+
+def faulty_market(sides):
+    """A balanced 700 x 700 market with a NaN rate in a late block of each side named."""
+    bal = sinkhorn_balance(random_cbounded_market(700, 2.5, seed=9))
+    late = [rows.start for rows in row_blocks(700, 700)][-1] + 3
+    scores = {}
+    for side, name in (("X", "a_hat"), ("Y", "b_hat")):
+        if side in sides:
+            scores[name] = getattr(bal, name).copy()
+            scores[name][late, 5] = np.nan
+    return dataclasses.replace(bal, **scores)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("sides", ["X", "Y", "XY"])
+def test_a_fault_in_a_late_block_raises_the_matrix_message(budget, sides):
+    bal = faulty_market(sides)
+    with thread_budget(budget):
+        with pytest.raises(DuplicateValue) as matrix:
+            sample_latent(bal, 4)
+        with pytest.raises(DuplicateValue) as streamed:
+            experiments._optimal_matchings(bal, 4)
+    assert str(matrix.value) == f"non-finite or non-positive {sides[0]} value drawn; reseed"
+    # The women's values are screened first: only when both sides fault
+    # does the streamed trial name Y where the matrices name X.
+    assert str(streamed.value) == str(matrix.value).replace("X", sides[-1])
+
+
+def test_uniform_trial_peaks_below_one_value_matrix():
+    # After set-up (the cached uniform market holds O(n)), a trial holds
+    # O(n * TOP_L) tables and row-block scratch: less than one n x n array.
+    n = 1500
+    cfg = parse_config(
+        f"experiment = value_dist\nmarket = uniform\nn = {n}\ntrials = 2\nmaster_seed = 3\n"
+    )
+    experiments._UNIFORM_CACHE.pop(n, None)
+    try:
+        run_trial(cfg, 0)
+        tracemalloc.start()
+        try:
+            run_trial(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        experiments._UNIFORM_CACHE.pop(n, None)
+    assert peak < 8 * n * n

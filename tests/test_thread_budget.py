@@ -24,8 +24,8 @@ from mml.experiments import parse_config, records_to_csv, run_experiment, run_tr
 from mml.market import backfill_imbalanced, random_cbounded_market, sinkhorn_balance
 from mml.matching import Side, _top_l, deferred_acceptance
 from mml.rng import (
-    _openblas, exponentials, map_row_blocks, row_blocks, single_threaded_blas, stream_key,
-    thread_budget, unit_uniforms,
+    BLOCK, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
+    single_threaded_blas, stream_key, thread_budget, unit_uniforms,
 )
 from mml.sampling import LatentValues
 
@@ -76,6 +76,38 @@ def test_draws_are_bit_identical_at_every_budget(shape):
         ]
 
     assert_bit_identical(at_every_budget(draws))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 700), (257, 257), (300, 700)], ids=str)
+def test_gathered_cells_equal_the_full_draw_at_every_budget(shape):
+    rows, cols = shape
+    key = stream_key(rows, cols, "gather")
+    dense = np.linspace(0.25, 4.0, rows * cols).reshape(shape)
+    broadcast = np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)
+    flat = dense.ravel()
+    scale = np.linspace(0.5, 2.0, rows)
+    # More cells than two gather blocks, and not a multiple of one.
+    picked = np.random.default_rng(rows * cols).integers(0, rows * cols, 2 * BLOCK + 17)
+    i, j = np.divmod(picked, cols)
+    # A table of each row's columns, as deferred acceptance gathers it.
+    table = (np.arange(rows)[:, None], j[: 5 * rows].reshape(rows, 5))
+    cases = [
+        (dense, (i, j), 0, None),
+        (dense, (i, j), 3, scale),
+        (broadcast, (i, j), 5, None),
+        (broadcast, (i, j), 0, scale),
+        (broadcast, table, 7, scale),
+        (flat, (picked,), 0, None),
+        (flat, (picked,), 11, None),
+    ]
+    expected = [exponentials(key, rates, offset, scale)[index]
+                for rates, index, offset, scale in cases]
+
+    def gathered():
+        return [exponential_cells(key, rates, index, offset, scale)
+                for rates, index, offset, scale in cases]
+
+    assert_bit_identical([expected, *at_every_budget(gathered)])
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
