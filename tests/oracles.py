@@ -12,6 +12,14 @@
   to check the exact ``ks_distance_to_exp``.
 * ``reference_uniforms``: the counter stream computed in one shot over all
   counters, the formula the blocked in-place kernel of ``mml.rng`` realizes.
+* ``two_pass_cbounded_market``: a C-bounded market built in two passes (all
+  uniforms, then all scores), the arithmetic ``random_cbounded_market`` fuses
+  into its draw.
+* ``argpartition_lowest_columns``: each row's lowest columns by a selection
+  pass and a sort of the selected values.
+* ``strided_mutual_matmul``: ``BalancedMarket.mutual_matmul`` with each
+  kernel block multiplied by a transposed view of ``b_hat``.
+* ``loop_truncate_delta``: ``truncate_delta`` with a Python loop over the men.
 """
 
 import itertools
@@ -21,8 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from mml.errors import EmptySample, TooLarge
-from mml.matching import Matching, Side, _blocking_mask, _check_values_shape
-from mml.rng import _GOLDEN, _MIX_1, _MIX_2, _U64, stream_key, unit_uniforms
+from mml.market import BalancedMarket, CanonicalMarket
+from mml.matching import (
+    Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
+)
+from mml.rng import _GOLDEN, _MIX_1, _MIX_2, _U64, row_blocks, stream_key, unit_uniforms
 from mml.sampling import LatentValues
 
 EXACT_ALPHA_LIMIT = 12
@@ -39,6 +50,63 @@ def reference_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     counters = np.arange(offset, offset + count, dtype=np.uint64)
     bits = _mix(_mix(counters * _GOLDEN + _GOLDEN) ^ _U64(key))
     return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def two_pass_cbounded_market(
+    n_men: int, c_target: float, seed: int, n_women: int | None = None
+) -> CanonicalMarket:
+    """The market of ``random_cbounded_market``: every uniform, then every score."""
+    n_women = n_men if n_women is None else n_women
+    scores = []
+    for name, shape in (("a_raw", (n_men, n_women)), ("b_raw", (n_women, n_men))):
+        u = unit_uniforms(stream_key(seed, name), shape[0] * shape[1]).reshape(shape)
+        raw = c_target ** (2.0 * u - 1.0)
+        scores.append(raw / raw.sum(axis=1, keepdims=True))
+    return CanonicalMarket(*scores)
+
+
+def argpartition_lowest_columns(block: np.ndarray, width: int) -> np.ndarray:
+    """Each tie-free row's ``width`` lowest columns, lowest first."""
+    idx = np.argpartition(block, width - 1, axis=1)[:, :width]
+    order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
+    return np.take_along_axis(idx, order, axis=1)
+
+
+def strided_mutual_matmul(bal: BalancedMarket, y: np.ndarray) -> np.ndarray:
+    """``M @ y`` from the factors, one row block of the kernel at a time."""
+    weighted = (bal.psi * y.T).T
+    out = np.empty(y.shape)
+    for rows in row_blocks(bal.n, bal.n):
+        out[rows] = (bal.a_hat[rows] * bal.b_hat[:, rows].T) @ weighted
+    return (out.T * (bal.phi / bal.n)).T
+
+
+def loop_truncate_delta(
+    mu: Matching, outcome: MatchingOutcome, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``truncate_delta`` for delta in (0, 1), its kept men chosen one by one."""
+    mu_arr = mu.mu_array
+    support = np.nonzero(mu_arr >= 0)[0]
+    s = int(support.size)
+    drop_total = _floor_stable(delta * s)
+    drop_half = drop_total // 2
+    keep = s - drop_total
+
+    men_vals = outcome.value_men[support]
+    worst_men = support[np.lexsort((support, -men_vals))[:drop_half]]
+    women = mu_arr[support]
+    women_vals = outcome.value_women[women]
+    worst_women = women[np.lexsort((women, -women_vals))[:drop_half]]
+    partners = mu.inverse()[worst_women]
+
+    excluded = set(worst_men.tolist()) | set(partners.tolist())
+    eligible = [int(i) for i in support if int(i) not in excluded]
+    x_delta = np.zeros(mu.n_men)
+    y_delta = np.zeros(mu.n_women)
+    for i in eligible[:keep]:
+        x_delta[i] = outcome.value_men[i]
+        y_delta[mu.mu[i]] = outcome.value_women[mu.mu[i]]
+    return x_delta, y_delta
 
 
 def prefs_from_values(values: LatentValues) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 """Canonical/balanced market construction and the market file format."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,10 @@ from mml.market import (
     uniform_market,
     write_matrix_pair,
 )
-from mml.rng import stream_key, unit_uniforms
+from mml.rng import stream_key, thread_budget, unit_uniforms
+from oracles import two_pass_cbounded_market
+
+BUDGETS = (1, 2, 3)
 
 positive_rows = st.lists(
     st.lists(st.floats(0.05, 20.0), min_size=2, max_size=5),
@@ -233,6 +238,30 @@ def test_cbounded_market_rectangular():
         assert (scores.max(axis=1) / scores.min(axis=1)).max() <= c * c + 1e-9
     square = random_cbounded_market(5, c, seed=21, n_women=5)
     np.testing.assert_array_equal(square.a_hat, random_cbounded_market(5, c, seed=21).a_hat)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 10.0])
+@pytest.mark.parametrize("n", [1, 2, 255, 257, 700])
+def test_cbounded_scores_equal_the_two_pass_build(n, c):
+    # Square, a few women more, and twice as many women: the row blocks of
+    # the two sides then split differently.
+    for n_women in (n, n + 3, 2 * n + 1):
+        expected = two_pass_cbounded_market(n, c, 31, n_women)
+        for budget in BUDGETS:
+            with thread_budget(budget):
+                market = random_cbounded_market(n, c, 31, n_women)
+            assert market.a_hat.tobytes() == expected.a_hat.tobytes()
+            assert market.b_hat.tobytes() == expected.b_hat.tobytes()
+            assert market.a_hat.flags.c_contiguous and market.b_hat.flags.c_contiguous
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_non_finite_c_raises_the_raw_score_message(c):
+    for budget in BUDGETS:
+        with thread_budget(budget), pytest.raises(
+            NonPositiveEntry, match=r"^a_raw must have strictly positive finite entries$"
+        ):
+            random_cbounded_market(300, c, seed=5)
 
 
 def test_cbounded_market_c1_is_uniform():

@@ -21,6 +21,7 @@ from mml.matching import (
     ENUMERATION_LIMIT,
     TOP_L,
     Matching,
+    MatchingOutcome,
     Side,
     _blocking_mask,
     deferred_acceptance,
@@ -34,6 +35,7 @@ from mml.sampling import LatentValues, sample_latent
 from oracles import (
     is_alpha_stable_exact,
     list_deferred_acceptance,
+    loop_truncate_delta,
     prefs_from_values,
     values_from_prefs,
 )
@@ -402,6 +404,37 @@ def test_truncate_size_and_support(seed, n, delta):
         assert int(np.argmax(outcome.value_men)) not in kept_men
         worst_woman = int(np.argmax(outcome.value_women))
         assert worst_woman not in kept_women
+
+
+@given(
+    seed=st.integers(0, 2_000),
+    n_men=st.integers(1, 40),
+    extra_women=st.integers(0, 10),
+    unmatched=st.floats(0.0, 1.0),
+    delta=st.one_of(
+        st.floats(0.0, 1e-3, exclude_min=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0 - 1e-3, 1.0, exclude_max=True),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_truncate_equals_the_loop_oracle(seed, n_men, extra_women, unmatched, delta):
+    # Rectangular matchings with unmatched men, values with ties, and delta
+    # near both ends of (0, 1).
+    rng = np.random.default_rng(seed)
+    n_women = n_men + extra_women
+    mu_arr = rng.permutation(n_women)[:n_men]
+    mu_arr[rng.random(n_men) < unmatched] = -1
+    mu = Matching(mu=tuple(int(j) for j in mu_arr), n_women=n_women)
+    matched_women = mu_arr[mu_arr >= 0]
+    value_men = np.where(mu_arr >= 0, rng.integers(1, 6, n_men) / 4.0, 0.0)
+    value_women = np.zeros(n_women)
+    value_women[matched_women] = rng.integers(1, 6, matched_women.size) / 4.0
+    outcome = MatchingOutcome(value_men, value_women, None)
+    got = truncate_delta(mu, outcome, delta)
+    expected = loop_truncate_delta(mu, outcome, delta)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
 
 def test_truncate_validation():

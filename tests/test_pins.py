@@ -5,7 +5,8 @@ that keeps the statistics keeps these bytes.  A deliberate change to a
 statistic must update its pin here and say so in CHANGES.md.  The pinned
 configs are the cheap shipped ones plus tiny inline configs for the market
 kinds that no shipped config runs through an experiment.  The two benchmark
-workloads are pinned in ``mmlbench/pins.json`` instead.
+workloads are pinned in ``mmlbench/pins.json``; a C-bounded rank_dist run
+small enough for Tier-1 is pinned inline here as well.
 """
 
 import dataclasses
@@ -38,6 +39,10 @@ INLINE_CONFIGS = {
         "experiment = value_dist\nmarket = public_scores\nc = 2.5\nn = 80\n"
         "trials = 3\ndelta = 0.05\nmaster_seed = 111\n"
     ),
+    "rank_dist_cbounded": (
+        "experiment = rank_dist\nmarket = cbounded\nc = 2\nn = 80\n"
+        "trials = 3\ndelta = 0.05\nmaster_seed = 113\n"
+    ),
 }
 
 # (config, trials override, trials.csv sha256, summary.json sha256)
@@ -66,6 +71,9 @@ PINS = [
     ("value_dist_public_scores", None,
      "a936064261279b96659649956c95eec3c2f0954c1592413dafbf82ec00c7f1d9",
      "f2608589d012cf253d1c954c54f8268218ad06746c95e3652a7ac919674a1814"),
+    ("rank_dist_cbounded", None,
+     "769006a7a38de66ef34330e6d89194dc6ecf0c9c85ac98f3629e494110c0aacc",
+     "cf30b439ce39d6c675902cee7766acbe108b304242a6a0352aeba7891e33859d"),
 ]
 
 

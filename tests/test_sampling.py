@@ -12,9 +12,10 @@ from mml.market import (
     sinkhorn_balance,
     uniform_market,
 )
-from mml.rng import BLOCK, exponentials, stream_key
-from mml.sampling import LatentValues, sample_latent
-from oracles import logit_sample_prefs
+from mml.matching import TOP_L, _top_l
+from mml.rng import BLOCK, exponentials, stream_key, thread_budget
+from mml.sampling import LatentValues, latent_streams, sample_latent
+from oracles import argpartition_lowest_columns, logit_sample_prefs, strided_mutual_matmul
 
 CHI2_99_DF2 = 9.210
 CHI2_99_DF5 = 15.086
@@ -182,6 +183,44 @@ def test_factored_mutual_product_matches_materialised_m(n):
             np.testing.assert_allclose(
                 bal.mutual_matmul(y), m @ y, rtol=1e-13, atol=0, err_msg=name
             )
+
+
+@pytest.mark.parametrize("n", [4, 257, 700])
+def test_mutual_product_equals_the_strided_product_bit_for_bit(n):
+    ys = np.random.default_rng(n).exponential(size=(n, 2))
+    for name, market in _markets(n).items():
+        bal = sinkhorn_balance(market)
+        for y in (ys, ys[:, 0]):
+            expected = strided_mutual_matmul(bal, y)
+            for budget in (1, 2, 3):
+                with thread_budget(budget):
+                    assert bal.mutual_matmul(y).tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "n_men, n_women", [(1, 1), (2, 2), (5, 5), (63, 63), (64, 64), (65, 65), (300, 300),
+                       (30, 64), (64, 30), (70, 300)],
+)
+def test_top_columns_equal_the_argpartition_selection(n_men, n_women):
+    # Below, at and above TOP_L columns, square and rectangular, from the
+    # matrices (_top_l) and from one screened pass per side (screen).
+    market = random_cbounded_market(n_men, 2.5, seed=n_men, n_women=n_women)
+    values = sample_latent(market, seed=n_women)
+    streams = latent_streams(market, seed=n_women)
+    for budget in (1, 2, 3):
+        with thread_budget(budget):
+            for matrix, stream in zip((values.X, values.Y), streams):
+                for width in {min(TOP_L, matrix.shape[1]), 1, matrix.shape[1]}:
+                    expected = argpartition_lowest_columns(matrix, width)
+                    top, lowest, _ = stream.screen(width)
+                    assert top.dtype == np.int32
+                    np.testing.assert_array_equal(top, expected)
+                    assert lowest.tobytes() == np.take_along_axis(matrix, expected, 1).tobytes()
+                top = _top_l(matrix)
+                assert top.dtype == np.int32
+                np.testing.assert_array_equal(
+                    top, argpartition_lowest_columns(matrix, min(TOP_L, matrix.shape[1]))
+                )
 
 
 @pytest.mark.parametrize("n", [80, 1000])
