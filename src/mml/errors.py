@@ -68,4 +68,4 @@ class DegenerateSample(MmlError, ValueError):
 
 
 class ConfigError(MmlError, ValueError):
-    """Experiment configuration is missing, malformed, or inconsistent."""
+    """Experiment configuration or a run parameter is missing, malformed, or inconsistent."""

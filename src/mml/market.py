@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     NoConvergence,
     NonPositiveEntry,
     NonSquare,
@@ -56,6 +57,18 @@ def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarra
     return raw / sums
 
 
+def _row_sum_deviation(scores: np.ndarray) -> float:
+    return float(np.max(np.abs(_distinct_rows(scores).sum(axis=1) - 1.0)))
+
+
+def _check_normalized(name: str, deviation: float) -> None:
+    if deviation > ROW_SUM_TOL:
+        raise NotNormalized(
+            f"{name} rows must sum to 1 within {ROW_SUM_TOL:g} "
+            f"(worst deviation {deviation:.3e}); use canonical_from_raw for raw scores"
+        )
+
+
 @dataclass(frozen=True)
 class CanonicalMarket:
     """Row-stochastic score matrices for the two sides of a market.
@@ -76,14 +89,17 @@ class CanonicalMarket:
                 f"got {b.shape}"
             )
         for name, m in (("a_hat", a), ("b_hat", b)):
-            dev = float(np.max(np.abs(_distinct_rows(m).sum(axis=1) - 1.0)))
-            if dev > ROW_SUM_TOL:
-                raise NotNormalized(
-                    f"{name} rows must sum to 1 within {ROW_SUM_TOL:g} "
-                    f"(worst deviation {dev:.3e}); use canonical_from_raw for raw scores"
-                )
+            _check_normalized(name, _row_sum_deviation(m))
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "b_hat", b)
+
+    @classmethod
+    def _checked(cls, a_hat: np.ndarray, b_hat: np.ndarray) -> CanonicalMarket:
+        """A market of scores already checked as the constructor checks them."""
+        market = object.__new__(cls)
+        object.__setattr__(market, "a_hat", a_hat)
+        object.__setattr__(market, "b_hat", b_hat)
+        return market
 
     @property
     def n_men(self) -> int:
@@ -186,12 +202,23 @@ class BalancedMarket:
         out = np.empty(y.shape)
 
         def multiply_rows(blocks):
+            buffer = np.empty((min(self.n, max(1, BLOCK // self.n)), self.n))
             for rows in blocks:
-                kernel = self.a_hat[rows] * self.b_hat[:, rows].T
+                # The block's rows of B^T copied into C order, then times A's rows.
+                kernel = _transposed_rows(self.b_hat, rows, buffer)
+                kernel *= self.a_hat[rows]
                 out[rows] = kernel @ weighted
 
         map_row_blocks(multiply_rows, self.n, self.n)
         return (out.T * (self.phi / self.n)).T
+
+
+def _transposed_rows(b_hat: np.ndarray, rows: slice, buffer: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of ``b_hat.T``, copied into the leading rows of a C-ordered buffer."""
+    view = b_hat[:, rows].T
+    bt = buffer[: view.shape[0]]
+    np.copyto(bt, view)
+    return bt
 
 
 def sinkhorn_balance(
@@ -202,16 +229,18 @@ def sinkhorn_balance(
     Raises NoConvergence if the max row/column-sum deviation of M is still
     above ``tol`` after ``max_iters`` sweeps; the theory guarantees convergence
     for strictly positive matrices, so hitting the limit signals an
-    ill-conditioned input rather than a modeling situation.
+    ill-conditioned input rather than a modeling situation.  A ``tol`` that
+    is not positive (or NaN) or a ``max_iters`` below 1 raises ConfigError.
     """
     if not market.is_square:
         raise NonSquare(
             f"balancing needs a square market, got {market.n_men} men x {market.n_women} women"
         )
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    # Written so that a NaN tolerance fails too.
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
     if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
 
     n = market.n_men
     # The kernel is the one n x n array balancing allocates; it is freed
@@ -249,10 +278,12 @@ def sinkhorn_balance(
     # block's extremes (x -> n*x and x -> 1/x are monotone in floating point,
     # so this is exact).
     col = np.zeros((1 + max(1, BLOCK // n), n))
+    a_rows, bt_rows = np.empty((2, min(n, max(1, BLOCK // n)), n))
     residual = c_bound = 0.0
     for rows in row_blocks(n, n):
-        a = phi[rows, None] * market.a_hat[rows]
-        bt = (psi[:, None] * market.b_hat[:, rows]).T
+        bt = _transposed_rows(market.b_hat, rows, bt_rows)
+        bt *= psi
+        a = np.multiply(phi[rows, None], market.a_hat[rows], out=a_rows[: bt.shape[0]])
         m = np.multiply(a, bt, out=col[1 : 1 + a.shape[0]])
         m /= n
         residual = max(residual, float(np.abs(m.sum(axis=1) - 1.0).max()))
@@ -273,7 +304,8 @@ def random_cbounded_market(
 
     Within each canonical row the score ratio is therefore at most c_target**2.
     c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
-    Deterministic in the seed.
+    Deterministic in the seed.  Each row block of uniforms becomes canonical
+    scores, checked as the constructor checks them, while it is in cache.
     """
     if n_women is None:
         n_women = n_men
@@ -281,22 +313,34 @@ def random_cbounded_market(
         raise ShapeMismatch("market needs at least one agent per side")
     if c_target < 1.0:
         raise ValueError("c_target must be >= 1")
-    scores = []
-    for name, shape in (("a_raw", (n_men, n_women)), ("b_raw", (n_women, n_men))):
-        u = unit_uniforms(stream_key(seed, name), shape[0] * shape[1]).reshape(shape)
+    return CanonicalMarket._checked(
+        _cbounded_scores(seed, "a", (n_men, n_women), c_target),
+        _cbounded_scores(seed, "b", (n_women, n_men), c_target),
+    )
 
-        def score_rows(blocks):
-            # c ** (2u - 1), then the row normalisation, all in the uniforms' array.
-            for rows in blocks:
-                raw = u[rows]
-                raw *= 2.0
-                raw -= 1.0
-                np.power(c_target, raw, out=raw)
-                _normalized(name, raw, in_place=True)
 
-        map_row_blocks(score_rows, *shape)
-        scores.append(u)
-    return CanonicalMarket(*scores)
+def _cbounded_scores(seed: int, side: str, shape: tuple[int, int], c_target: float) -> np.ndarray:
+    """One side's canonical scores, built from its uniforms as they are drawn.
+
+    Each row block of uniforms u becomes c ** (2u - 1), is checked as raw
+    scores (``a_raw`` or ``b_raw``), normalised and checked as canonical
+    scores (``a_hat`` or ``b_hat``) while it is in cache.
+    """
+    raw_name, name = f"{side}_raw", f"{side}_hat"
+    # np.power runs faster on a row of c than on the scalar, with the same bits.
+    base = np.full(shape[1], float(c_target))
+    worst: list[float] = []  # list.append is atomic under the interpreter lock
+
+    def score_rows(rows, raw):
+        raw *= 2.0
+        raw -= 1.0
+        np.power(base, raw, out=raw)
+        _check_scores(name, _normalized(raw_name, raw, in_place=True))
+        worst.append(_row_sum_deviation(raw))
+
+    scores = unit_uniforms(stream_key(seed, raw_name), shape, consume=score_rows)
+    _check_normalized(name, max(worst))
+    return scores
 
 
 def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:

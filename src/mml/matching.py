@@ -140,17 +140,18 @@ def _top_l(prop: np.ndarray) -> np.ndarray:
     """Each row's TOP_L lowest columns (all, if fewer), lowest first, as int32.
 
     Rows are tie-free, so this is the leading part of the row's argsort.
-    Partitioned per row block: no full-size index array is allocated.
+    Sorted per row block: no full-size index array is allocated.
     """
     n_prop, n_recv = prop.shape
     width = min(TOP_L, n_recv)
     top = np.empty((n_prop, width), dtype=np.int32)
 
-    def partition_rows(blocks):
+    def select_rows(blocks):
         for rows in blocks:
-            top[rows] = lowest_columns(prop[rows], width)
+            block = prop[rows]
+            top[rows] = lowest_columns(block, np.sort(block, axis=1), width)
 
-    map_row_blocks(partition_rows, n_prop, n_recv)
+    map_row_blocks(select_rows, n_prop, n_recv)
     return top
 
 
@@ -386,7 +387,7 @@ def truncate_delta(
         raise DeltaOutOfRange(f"delta must be in (0, 1), got {delta}")
 
     mu_arr = mu.mu_array
-    support = np.nonzero(mu_arr >= 0)[0]
+    support = np.flatnonzero(mu_arr >= 0)
     s = int(support.size)
     drop_total = _floor_stable(delta * s)
     drop_half = drop_total // 2
@@ -398,19 +399,19 @@ def truncate_delta(
 
     women = mu_arr[support]
     women_vals = outcome.value_women[women]
-    worst_women = women[np.lexsort((women, -women_vals))[:drop_half]]
-    inv = mu.inverse()
-    partners = inv[worst_women]
+    # Woman women[k] is matched to man support[k].
+    partners = support[np.lexsort((women, -women_vals))[:drop_half]]
 
-    excluded = set(worst_men.tolist()) | set(partners.tolist())
-    eligible = [int(i) for i in support if int(i) not in excluded]
-    kept_men = eligible[:keep]
+    eligible = mu_arr >= 0
+    eligible[worst_men] = False
+    eligible[partners] = False
+    kept_men = np.flatnonzero(eligible)[:keep]
+    kept_women = mu_arr[kept_men]
 
     x_delta = np.zeros(mu.n_men)
     y_delta = np.zeros(mu.n_women)
-    for i in kept_men:
-        x_delta[i] = outcome.value_men[i]
-        y_delta[mu.mu[i]] = outcome.value_women[mu.mu[i]]
+    x_delta[kept_men] = outcome.value_men[kept_men]
+    y_delta[kept_women] = outcome.value_women[kept_women]
     return x_delta, y_delta
 
 

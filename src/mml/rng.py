@@ -312,14 +312,19 @@ def _fill(
     map_row_blocks(fill_rows, nrows, ncols)
 
 
-def unit_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
-    """Uniform draws in the open interval (0, 1) at counters offset..offset+count-1.
+def unit_uniforms(
+    key: int, shape: int | tuple[int, ...], offset: int = 0,
+    consume: Callable[[slice, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """Uniform draws in the open interval (0, 1) at counters offset, offset + 1, ...
 
     Values are centered on (k + 0.5) * 2^-53, so 0 and 1 are unreachable and
-    logs of either tail stay finite.
+    logs of either tail stay finite.  Given ``consume``, ``consume(rows,
+    block)`` is called on each row block of the result right after it is
+    drawn, on the thread that drew it, and may rewrite the block in place.
     """
-    out = np.empty(count)
-    _fill(key, offset, out.shape, None, None, out=out)
+    out = np.empty(shape)
+    _fill(key, offset, out.shape, None, None, out=out, consume=consume)
     return out
 
 

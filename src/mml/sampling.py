@@ -35,7 +35,11 @@ def _screened_rows(name: str, block: np.ndarray) -> np.ndarray:
     ordered = np.sort(block, axis=1)
     if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
         raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
+    # Neighbours in the flat sorted block, minus the pairs that straddle two rows.
+    flat = ordered.reshape(-1)
+    tied = flat[1:] == flat[:-1]
+    tied[block.shape[1] - 1 :: block.shape[1]] = False
+    if tied.any():
         raise DuplicateValue(f"tied {name} values drawn (probability-zero event); reseed")
     return ordered
 
@@ -48,11 +52,20 @@ def _check_rows_tie_free(name: str, values: np.ndarray) -> None:
     map_row_blocks(check_rows, *values.shape)
 
 
-def lowest_columns(block: np.ndarray, width: int) -> np.ndarray:
-    """Each tie-free row's ``width`` lowest columns, lowest first."""
-    idx = np.argpartition(block, width - 1, axis=1)[:, :width]
-    order = np.argsort(np.take_along_axis(block, idx, axis=1), axis=1)
-    return np.take_along_axis(idx, order, axis=1)
+def lowest_columns(block: np.ndarray, ordered: np.ndarray, width: int) -> np.ndarray:
+    """Each tie-free row's ``width`` lowest columns, lowest first.
+
+    ``ordered`` holds the block's rows sorted.  A row's columns at most its
+    ``width``-th value are exactly its ``width`` lowest, in column order;
+    sorting those few values puts them lowest first.
+    """
+    nrows, ncols = block.shape
+    flat = np.flatnonzero(block <= ordered[:, width - 1 : width])
+    order = np.argsort(block.reshape(-1)[flat].reshape(nrows, width), axis=1)
+    order += np.arange(0, nrows * width, width)[:, None]
+    cols = flat[order]
+    cols -= np.arange(0, nrows * ncols, ncols)[:, None]
+    return cols
 
 
 @dataclass(frozen=True)
@@ -161,8 +174,9 @@ class ValueStream:
         counts = None if thresholds is None else np.empty(nrows, dtype=np.int64)
 
         def consume(rows, block):
-            lowest[rows] = _screened_rows(self.name, block)[:, :width]
-            top[rows] = lowest_columns(block, width)
+            ordered = _screened_rows(self.name, block)
+            lowest[rows] = ordered[:, :width]
+            top[rows] = lowest_columns(block, ordered, width)
             if counts is not None:
                 counts[rows] = (block <= thresholds[rows, None]).sum(axis=1)
 

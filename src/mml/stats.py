@@ -13,6 +13,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matching import MatchingOutcome
+from .rng import row_blocks
 
 _GRID_POINTS = 64
 _GOLDEN_STEPS = 40
@@ -31,13 +32,21 @@ def _check_sample(samples: np.ndarray) -> np.ndarray:
 
 
 def _ks_exp_sorted(xs: np.ndarray, rate: float) -> float:
+    return float(_ks_exp_grid(xs, np.array([rate]))[0])
+
+
+def _ks_exp_grid(xs: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """``_ks_exp_sorted(xs, rate)`` for each rate, a block of rates at a time."""
     # Exact sup-distance: the extremes sit just before/after the sample jumps.
     n = xs.size
-    cdf = -np.expm1(-rate * xs)
     i = np.arange(1, n + 1, dtype=np.float64)
-    upper = np.max(i / n - cdf)
-    lower = np.max(cdf - (i - 1.0) / n)
-    return float(max(upper, lower))
+    above, below = i / n, (i - 1.0) / n
+    out = np.empty(rates.size)
+    for block in row_blocks(rates.size, n):
+        cdf = np.multiply(np.negative(rates[block, None]), xs)
+        np.negative(np.expm1(cdf, out=cdf), out=cdf)
+        out[block] = np.maximum((above - cdf).max(axis=1), (cdf - below).max(axis=1))
+    return out
 
 
 def ks_distance_to_exp(samples: np.ndarray, rate: float) -> float:
@@ -69,7 +78,7 @@ def best_fit_exponential(samples: np.ndarray) -> ExponentialFit:
     xs = np.sort(samples)
 
     log_grid = np.linspace(math.log(0.01 / mean), math.log(100.0 / mean), _GRID_POINTS)
-    ks_grid = [_ks_exp_sorted(xs, math.exp(g)) for g in log_grid]
+    ks_grid = _ks_exp_grid(xs, np.array([math.exp(g) for g in log_grid]))
     best = int(np.argmin(ks_grid))
     lo = log_grid[max(best - 1, 0)]
     hi = log_grid[min(best + 1, _GRID_POINTS - 1)]

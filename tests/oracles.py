@@ -19,6 +19,7 @@
   pass and a sort of the selected values.
 * ``strided_mutual_matmul``: ``BalancedMarket.mutual_matmul`` with each
   kernel block multiplied by a transposed view of ``b_hat``.
+* ``scalar_ks_exp``: the exact KS distance to Exp(rate), one rate per call.
 * ``loop_truncate_delta``: ``truncate_delta`` with a Python loop over the men.
 """
 
@@ -79,6 +80,14 @@ def strided_mutual_matmul(bal: BalancedMarket, y: np.ndarray) -> np.ndarray:
     for rows in row_blocks(bal.n, bal.n):
         out[rows] = (bal.a_hat[rows] * bal.b_hat[:, rows].T) @ weighted
     return (out.T * (bal.phi / bal.n)).T
+
+
+def scalar_ks_exp(xs: np.ndarray, rate: float) -> float:
+    """Exact KS distance between the sorted sample ``xs`` and Exp(rate)."""
+    n = xs.size
+    cdf = -np.expm1(-rate * xs)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1.0) / n)))
 
 
 def loop_truncate_delta(

@@ -123,6 +123,14 @@ def test_balance_errors_exit_two(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
 
+    market_file = tmp_path / "market.txt"
+    write_matrix_pair(market_file, np.full((2, 2), 0.5), np.full((2, 2), 0.5))
+    for flags in (["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--max-iters", "0"]):
+        rc = main(["balance", str(market_file), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2, flags
+        assert err.startswith("error:") and err.count("\n") == 1, flags
+
 
 @pytest.mark.parametrize(
     "text, line",

@@ -255,6 +255,16 @@ def test_cbounded_scores_equal_the_two_pass_build(n, c):
             assert market.a_hat.flags.c_contiguous and market.b_hat.flags.c_contiguous
 
 
+@pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 2.5, 3.0, 10.0, 1e300, math.inf, math.nan])
+def test_power_of_a_row_of_c_equals_the_power_of_the_scalar(c):
+    # random_cbounded_market raises a row of c, not the scalar, to its
+    # exponents 2u - 1, in place; both forms must give the same bits.
+    exponents = 2.0 * unit_uniforms(stream_key(7, "power"), (2048, 1000)) - 1.0
+    expected = np.power(c, exponents)
+    np.power(np.full(1000, c), exponents, out=exponents)
+    assert exponents.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf])
 def test_non_finite_c_raises_the_raw_score_message(c):
     for budget in BUDGETS:

@@ -45,6 +45,13 @@ def test_nonpositive_and_nonfinite_values_are_rejected():
             LatentValues(X=y, Y=np.array([[1.0, 2.0], [3.0, bad]]))
 
 
+def test_equal_values_in_different_rows_are_not_ties():
+    # The screen compares neighbours of the flat sorted block; the pairs that
+    # straddle two rows are not ties.
+    x = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
+    LatentValues(X=x, Y=np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
+
+
 def test_ties_are_caught_in_every_row_block():
     # 700 rows of 300 span four screen blocks; a bad cell in any row raises,
     # including the last row of the last, partial block.

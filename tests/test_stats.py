@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from mml.errors import DegenerateSample, EmptySample, NonPositiveRate, ShapeMismatch
 from mml.matching import MatchingOutcome
 from mml.stats import (
+    _GRID_POINTS,
+    _ks_exp_grid,
+    _ks_exp_sorted,
     best_fit_exponential,
     dkw_bound,
     eig_dispersion,
@@ -18,7 +21,7 @@ from mml.stats import (
     rank_value_ratio_report,
     rescaled_ranks,
 )
-from oracles import EmpiricalCDF
+from oracles import EmpiricalCDF, scalar_ks_exp
 
 
 def exp_quantile_sample(n, rate):
@@ -225,3 +228,16 @@ def test_rank_value_ratio_skips_unmatched_and_validates():
     assert rank_value_ratio_report(outcome, phi, theta=0.5) == 0.0
     with pytest.raises(ValueError):
         rank_value_ratio_report(outcome, phi, theta=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 2500])
+def test_ks_grid_equals_the_per_rate_distance_bit_for_bit(n):
+    # 2500 samples split the 64 rates into several blocks.
+    xs = np.sort(np.random.default_rng(n).exponential(0.7, n))
+    mean = float(xs.mean())
+    grid = np.linspace(math.log(0.01 / mean), math.log(100.0 / mean), _GRID_POINTS)
+    rates = np.array([math.exp(g) for g in grid])
+    ks = _ks_exp_grid(xs, rates)
+    assert ks.shape == (_GRID_POINTS,)
+    for rate, value in zip(rates, ks.tolist()):
+        assert value == _ks_exp_sorted(xs, float(rate)) == scalar_ks_exp(xs, float(rate))
