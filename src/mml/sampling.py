@@ -62,6 +62,7 @@ def lowest_columns(block: np.ndarray, ordered: np.ndarray, width: int) -> np.nda
     nrows, ncols = block.shape
     flat = np.flatnonzero(block <= ordered[:, width - 1 : width])
     order = np.argsort(block.reshape(-1)[flat].reshape(nrows, width), axis=1)
+    # Row r's survivors sit at flat[r * width : (r + 1) * width].
     order += np.arange(0, nrows * width, width)[:, None]
     cols = flat[order]
     cols -= np.arange(0, nrows * ncols, ncols)[:, None]

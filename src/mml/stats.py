@@ -36,7 +36,7 @@ def _ks_exp_sorted(xs: np.ndarray, rate: float) -> float:
 
 
 def _ks_exp_grid(xs: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """``_ks_exp_sorted(xs, rate)`` for each rate, a block of rates at a time."""
+    """The KS distance of the sorted sample ``xs`` to Exp(rate), for each rate."""
     # Exact sup-distance: the extremes sit just before/after the sample jumps.
     n = xs.size
     i = np.arange(1, n + 1, dtype=np.float64)
