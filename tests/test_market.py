@@ -15,6 +15,7 @@ from mml.errors import (
     ShapeMismatch,
 )
 from mml.market import (
+    ROW_SUM_TOL,
     CanonicalMarket,
     backfill_imbalanced,
     canonical_from_raw,
@@ -401,3 +402,45 @@ def test_read_market_file_errors(tmp_path):
     binary.write_bytes(b"2 2\n\xff\xfe\n")
     with pytest.raises(ShapeMismatch):
         read_market(binary)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (5, 9), (9, 5), (2000, 2000)])
+def test_uniform_market_is_the_broadcast_of_one_over_n(m, n):
+    market = uniform_market(m, n)
+    for got, want in (
+        (market.a_hat, np.broadcast_to(np.full(n, 1.0 / n), (m, n))),
+        (market.b_hat, np.broadcast_to(np.full(m, 1.0 / m), (n, m))),
+    ):
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert not got.flags.writeable and not want.flags.writeable
+        # Row stride 0: one row holds every byte of the view.
+        assert got.strides[0] == 0 and got[0].tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("excess, canonical", [(0.5, True), (-0.5, True), (2.0, False), (-2.0, False)])
+def test_read_market_takes_rows_within_the_tolerance_as_canonical(tmp_path, side, excess, canonical):
+    a = np.array([[0.25, 0.75], [0.5, 0.5], [0.125, 0.875]])
+    b = np.array([[0.25, 0.5, 0.25], [0.5, 0.25, 0.25]])
+    off = a if side == "a" else b
+    off[1, 0] += excess * ROW_SUM_TOL
+    assert abs(off[1].sum() - 1.0) / ROW_SUM_TOL == pytest.approx(abs(excess), rel=0.05)
+    path = tmp_path / "market.txt"
+    write_matrix_pair(path, a, b)
+    read = read_market(path)
+    want = CanonicalMarket(a, b) if canonical else canonical_from_raw(a, b)
+    assert read.a_hat.tobytes() == want.a_hat.tobytes()
+    assert read.b_hat.tobytes() == want.b_hat.tobytes()
+    # Canonical rows keep the file's bits; raw rows are divided by their sums.
+    assert (read.a_hat.tobytes() + read.b_hat.tobytes() == a.tobytes() + b.tobytes()) == canonical
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_read_market_sends_a_nan_row_down_the_raw_path(tmp_path, side):
+    a = np.array([[0.25, 0.75], [0.5, 0.5]])
+    b = np.array([[0.5, 0.5], [0.75, 0.25]])
+    (a if side == "a" else b)[0, 1] = np.nan
+    path = tmp_path / "market.txt"
+    write_matrix_pair(path, a, b)
+    with pytest.raises(NonPositiveEntry, match=f"^{side}_raw "):
+        read_market(path)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mml import matching as matching_module
 from mml.errors import DeltaOutOfRange, ShapeMismatch, TooLarge
 from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
 from mml.matching import (
@@ -351,6 +352,27 @@ def test_outcome_ranks_brute_force():
             assert outcome.value_women[j] == 0.0
             continue
         assert outcome.value_women[j] == y[j, i]
+
+
+def assert_same_outcome(got, want):
+    assert got.proposal_count == want.proposal_count
+    for name in ("value_men", "value_women", "rank_men"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("top_l", [TOP_L, 2])
+@pytest.mark.parametrize("side", list(Side))
+@pytest.mark.parametrize("n_men, n_women", [(1, 1), (6, 6), (90, 90), (4, 9), (9, 4), (70, 83), (83, 70)])
+def test_da_outcome_on_held_values_is_outcome_of(monkeypatch, top_l, side, n_men, n_women):
+    # A width of 2 sends most walks past the presorted lists into deep walks.
+    monkeypatch.setattr(matching_module, "TOP_L", top_l)
+    for seed in range(3):
+        square = n_men == n_women
+        values = draw_instance(n_men, seed, n_women=None if square else n_women)
+        mu, outcome = deferred_acceptance(values, side)
+        assert_same_outcome(outcome, outcome_of(mu, values, outcome.proposal_count))
 
 
 def test_outcome_shape_validation():

@@ -9,6 +9,7 @@ from mml.errors import NotNormalized, TooLarge
 from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
 from mml.matching import Matching, Side, deferred_acceptance, enumerate_stable, truncate_delta
 from mml.probability import (
+    _exponential_batch,
     chernoff_lower_tail,
     expected_stable_count_mc,
     naive_p_upper,
@@ -219,6 +220,16 @@ def test_stable_count_batching_matches_per_trial_path():
 
     market = random_cbounded_market(3, 2.0, seed=44)
     assert expected_stable_count_mc(market, 200, seed=91) == naive(market, 200, seed=91)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (10, 10)])
+def test_batched_draws_equal_the_single_trial_draws(shape):
+    rates = np.random.default_rng(shape[0]).uniform(0.5, 2.0, shape)
+    seeds = [stream_key(8, "trial", t) for t in range(13)]
+    batch = _exponential_batch(seeds, "X", rates)
+    assert batch.shape == (len(seeds), *shape)
+    for draw, seed in zip(batch, seeds):
+        assert draw.tobytes() == exponentials(stream_key(seed, "X"), rates).tobytes()
 
 
 def test_stable_count_two_by_two_benchmark():
