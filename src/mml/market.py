@@ -120,15 +120,12 @@ def canonical_from_raw(a_raw: np.ndarray, b_raw: np.ndarray) -> CanonicalMarket:
 
 
 def uniform_market(n_men: int, n_women: int | None = None) -> CanonicalMarket:
-    """The market where every agent scores all partners equally."""
+    """The market where every agent scores all partners equally: public scores of ones."""
     if n_women is None:
         n_women = n_men
     if n_men < 1 or n_women < 1:
         raise ShapeMismatch("market needs at least one agent per side")
-    return CanonicalMarket(
-        np.broadcast_to(np.full(n_women, 1.0 / n_women), (n_men, n_women)),
-        np.broadcast_to(np.full(n_men, 1.0 / n_men), (n_women, n_men)),
-    )
+    return public_scores_market(np.ones(n_women), np.ones(n_men))
 
 
 def public_scores_market(a_scores: np.ndarray, b_scores: np.ndarray) -> CanonicalMarket:
@@ -449,10 +446,6 @@ def read_matrix_pair(path) -> tuple[np.ndarray, np.ndarray]:
 def read_market(path) -> CanonicalMarket:
     """Read a market file; rows that are not normalized are treated as raw scores."""
     a, b = read_matrix_pair(path)
-    sums_ok = (
-        np.max(np.abs(a.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
-        and np.max(np.abs(b.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
-    )
-    if sums_ok:
+    if _row_sum_deviation(a) <= ROW_SUM_TOL and _row_sum_deviation(b) <= ROW_SUM_TOL:
         return CanonicalMarket(a, b)  # bit-exact round trip for canonical files
     return canonical_from_raw(a, b)

@@ -221,10 +221,10 @@ def deferred_acceptance(
     rejected ones, is counted.  A walk reads its row's presorted top-L and
     the whole row only if it goes deeper.
 
-    On a draw's matrices the outcome is ``outcome_of``'s.  On the tables of
-    ``proposer_tables`` it holds the values the walks read, and a
-    proposer's rank of its partner is its walk's depth; the men's ranks are
-    None when they receive.
+    The outcome holds the values the walks read, and a proposer's rank of
+    its partner is its walk's depth.  When the men receive, no walk read
+    their rows: on a draw's matrices their ranks are ``outcome_of``'s count
+    over those rows, and on the tables of ``proposer_tables`` they are None.
     """
     streamed = isinstance(values, ProposerTables)
     tables = values if streamed else _matrix_tables(values, proposing_side)
@@ -267,7 +267,7 @@ def deferred_acceptance(
         matching = Matching(mu=tuple(mu), n_women=n_recv)
     else:
         matching = Matching(mu=tuple(match_of), n_women=n_prop)
-    if not streamed:
+    if proposing_side == Side.WOMEN and not streamed:
         return matching, outcome_of(matching, values, proposal_count=proposals)
 
     own = np.zeros(n_prop)

@@ -122,8 +122,8 @@ def _exponential_batch(trial_seeds: list[int], tag: str, rates: np.ndarray) -> n
     keys = np.fromiter(
         (stream_key(s, tag) for s in trial_seeds), dtype=np.uint64, count=len(trial_seeds)
     )
-    u = unit_uniforms_batch(keys, rates.size)
-    return (-np.log(u) / rates.ravel()[None, :]).reshape(len(trial_seeds), *rates.shape)
+    draws = unit_uniforms_batch(keys, rates.size, rates.ravel())
+    return draws.reshape(len(trial_seeds), *rates.shape)
 
 
 def expected_stable_count_mc(

@@ -60,7 +60,7 @@ BLOCK = 1 << 16
 def row_blocks(nrows: int, ncols: int) -> Iterator[slice]:
     """Slices of consecutive rows of an nrows x ncols matrix, about BLOCK cells each."""
     step = max(1, BLOCK // max(ncols, 1))
-    return (slice(start, start + step) for start in range(0, nrows, step))
+    return (slice(start, min(start + step, nrows)) for start in range(0, nrows, step))
 
 
 def usable_cores() -> int:
@@ -237,15 +237,17 @@ _BLOCK_STEPS.flags.writeable = False
 
 
 def _cell_values(
-    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
+    z: np.ndarray, t: np.ndarray, key: np.uint64 | np.ndarray, out: np.ndarray,
     rates: np.ndarray | None, scale: np.ndarray | None,
 ) -> None:
     """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
 
     z holds ``(counter + 1) * golden`` per cell of ``out`` and is spent, as
-    is t, scratch of z's size.  A rate is ``scale * rates`` when scale is
-    given: the same float product as a materialised rate matrix.  Row blocks
-    and gathered cells both come here, so a cell has the same bits either way.
+    is t, scratch of z's size.  ``key`` is one key, or a column of keys with
+    one per row of z.  A rate is ``scale * rates`` when scale is given: the
+    same float product as a materialised rate matrix.  Row blocks, gathered
+    cells and batched streams all come here, so a cell has the same bits
+    however it is drawn.
     """
     _mix(z, t)
     z ^= key
@@ -295,7 +297,6 @@ def _fill(
         t = np.empty_like(z)
         buffer = np.empty(size) if grid is None else None
         for rows in blocks:
-            rows = slice(rows.start, min(rows.stop, nrows))
             k = (rows.stop - rows.start) * ncols
             ob = buffer[:k].reshape(-1, ncols) if grid is None else grid[rows]
             zb, start = z[:k], rows.start * ncols
@@ -390,7 +391,6 @@ def exponential_cells(
         z = np.empty(min(flat.size, BLOCK), dtype=np.uint64)
         t = np.empty_like(z)
         for cells in blocks:
-            cells = slice(cells.start, min(cells.stop, flat.size))
             k = cells.stop - cells.start
             at = tuple(ix[cells] for ix in index)
             zb = z[:k]
@@ -403,18 +403,20 @@ def exponential_cells(
     return out.reshape(shape)
 
 
-def unit_uniforms_batch(keys: np.ndarray, count: int) -> np.ndarray:
+def unit_uniforms_batch(
+    keys: np.ndarray, count: int, rates: np.ndarray | None = None
+) -> np.ndarray:
     """Row k: the first ``count`` uniforms of stream ``keys[k]``.
 
-    Bit-identical to calling :func:`unit_uniforms` per key, but amortizes the
-    per-call array overhead when many tiny streams are consumed at once (e.g.
-    one stream per Monte Carlo trial of a 2x2 market).
+    Given ``rates`` (one per counter), the exponentials of those rates
+    instead.  Bit-identical to calling :func:`unit_uniforms` (or
+    :func:`exponentials`) per key, but amortizes the per-call array overhead
+    when many tiny streams are consumed at once (e.g. one stream per Monte
+    Carlo trial of a 2x2 market).
     """
     keys = np.asarray(keys, dtype=np.uint64)
     z = np.empty((keys.size, count), dtype=np.uint64)
     z[:] = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
-    t = np.empty_like(z)
-    _mix(z, t)
-    z ^= keys[:, None]
-    _mix(z, t)
-    return ((z >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    out = np.empty(z.shape)
+    _cell_values(z, np.empty_like(z), keys[:, None], out, rates, None)
+    return out
