@@ -132,9 +132,13 @@ _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSI
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config (``#`` comments, blank lines ignored)."""
+    """Parse a flat ``key = value`` config (``#`` comments, blank lines ignored).
+
+    Keys are case-insensitive, and each may be set once.
+    """
     data: dict[str, object] = {}
     tolerances: dict[str, float] = {}
+    line_of: dict[str, int] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -146,6 +150,9 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if not value:
             raise ConfigError(f"line {lineno}: no value for key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             if key.startswith("tol."):
                 if key[4:] not in _TOL_NAMES:
@@ -154,6 +161,8 @@ def parse_config(text: str) -> ExperimentConfig:
                         f"(expected one of {sorted(_TOL_NAMES)})"
                     )
                 tolerances[key[4:]] = float(value)
+                if not math.isfinite(tolerances[key[4:]]):
+                    raise ConfigError(f"line {lineno}: {key} must be finite, got {value!r}")
             elif key in _FIELD_TYPES:
                 data[key] = _parse_value(key, _FIELD_TYPES[key], value)
             else:
@@ -717,27 +726,31 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 def records_from_csv(text: str) -> list[TrialRecord]:
     """Parse ``records_to_csv`` output; bad content raises ShapeMismatch naming the line."""
     reader = csv.DictReader(io.StringIO(text))
-    missing = [column for column in CSV_COLUMNS if column not in (reader.fieldnames or ())]
-    if missing:
-        raise ShapeMismatch(f"line 1: header lacks the trial column(s) {', '.join(missing)}")
-    records = []
-    for row in reader:
-        kwargs = {}
-        for column in CSV_COLUMNS:
-            cell = row.get(column, "")
-            if column == "matching_kind":
-                kwargs[column] = cell
-            elif cell == "" or cell is None:
-                kwargs[column] = None
-            else:
-                convert = int if column in _INT_COLUMNS else float
-                try:
-                    kwargs[column] = convert(cell)
-                except ValueError:
-                    raise ShapeMismatch(
-                        f"line {reader.line_num}: {column}: expected a number, got {cell!r}"
-                    ) from None
-        records.append(TrialRecord(**kwargs))
+    try:
+        missing = [column for column in CSV_COLUMNS if column not in (reader.fieldnames or ())]
+        if missing:
+            raise ShapeMismatch(f"line 1: header lacks the trial column(s) {', '.join(missing)}")
+        records = []
+        for row in reader:
+            kwargs = {}
+            for column in CSV_COLUMNS:
+                cell = row.get(column, "")
+                if column == "matching_kind":
+                    kwargs[column] = cell
+                elif cell == "" or cell is None:
+                    kwargs[column] = None
+                else:
+                    convert = int if column in _INT_COLUMNS else float
+                    try:
+                        kwargs[column] = convert(cell)
+                    except ValueError:
+                        raise ShapeMismatch(
+                            f"line {reader.line_num}: {column}: expected a number, got {cell!r}"
+                        ) from None
+            records.append(TrialRecord(**kwargs))
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        # The DictReader's own line count moves only past a good row.
+        raise ShapeMismatch(f"line {reader.reader.line_num}: {exc}") from None
     return records
 
 

@@ -50,7 +50,10 @@ def _check_scores(name: str, scores: np.ndarray) -> np.ndarray:
 def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Checked raw scores divided by their row sums (in place if the caller owns them)."""
     raw = _check_scores(name, raw)
-    sums = raw.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        sums = raw.sum(axis=1, keepdims=True)
+    if not sums.max() < np.inf:
+        raise NonPositiveEntry(f"{name} rows must have a finite sum")
     if in_place:
         raw /= sums
         return raw
@@ -58,7 +61,9 @@ def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarra
 
 
 def _row_sum_deviation(scores: np.ndarray) -> float:
-    return float(np.max(np.abs(_distinct_rows(scores).sum(axis=1) - 1.0)))
+    # Unchecked scores may overflow their sums (or meet inf - inf): those read inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(_distinct_rows(scores).sum(axis=1) - 1.0)))
 
 
 def _check_normalized(name: str, deviation: float) -> None:

@@ -47,6 +47,8 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .errors import ConfigError
+
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MIX_1 = _U64(0xBF58476D1CE4E5B9)
@@ -206,14 +208,20 @@ def stream_key(*tokens: int | str) -> int:
     """Hash a (seed, label, index...) tuple into a 64-bit stream key.
 
     Tokens are length-prefixed and type-tagged before hashing so that, e.g.,
-    ``(1, "ab")`` and ``(1, "a", "b")`` produce unrelated keys.
+    ``(1, "ab")`` and ``(1, "a", "b")`` produce unrelated keys.  An int
+    token outside the signed 128-bit range raises ConfigError.
     """
     h = hashlib.blake2b(digest_size=8)
     for token in tokens:
         if isinstance(token, str):
             data = b"s" + token.encode("utf-8")
         else:
-            data = b"i" + int(token).to_bytes(16, "little", signed=True)
+            token = int(token)
+            if not -(2**127) <= token < 2**127:
+                raise ConfigError(
+                    f"seed {token} is outside the signed 128-bit range [-2**127, 2**127)"
+                )
+            data = b"i" + token.to_bytes(16, "little", signed=True)
         h.update(len(data).to_bytes(2, "little"))
         h.update(data)
     return int.from_bytes(h.digest(), "little")

@@ -1,5 +1,7 @@
 """End-to-end checks of the ``mml`` command-line interface."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,19 @@ def test_balance_errors_exit_two(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1, flags
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_overflowing_row_sums_exit_two_with_one_line(tmp_path, capsys, side):
+    huge, fine = [[1e308, 1e308], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]
+    market_file = tmp_path / "market.txt"
+    write_market(market_file, *((huge, fine) if side == "a" else (fine, huge)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["balance", str(market_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {side}_raw rows must have a finite sum\n"
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -208,6 +223,19 @@ def test_run_rejects_out_of_range_parameters(tmp_path, capsys, line):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_with_an_out_of_range_seed_exits_two(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("MML_WORKERS", workers)
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text(
+        f"experiment = value_dist\nn = 4\ntrials = 2\nmaster_seed = {2**200}\n", encoding="utf-8"
+    )
+    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: seed {2**200} is outside the signed 128-bit range [-2**127, 2**127)\n"
+
+
 def test_run_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     # One n x n float64 matrix at n = 2e7 is 2.8 PiB, above the 128 TiB user
     # address space, so the first allocation fails at once.
@@ -266,6 +294,15 @@ def test_enumerate_tags_the_optimal_matchings(tmp_path, capsys):
     assert len(pair_lines) == 3 * count
 
 
+def test_enumerate_with_an_out_of_range_seed_exits_two(tmp_path, capsys):
+    market_file = tmp_path / "market.txt"
+    skew_market_file(market_file)
+    rc = main(["enumerate", str(market_file), "--seed", str(-(2**200))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: seed {-(2**200)} is outside") and err.count("\n") == 1
+
+
 def test_enumerate_handles_rectangular_markets(tmp_path, capsys):
     market_file = tmp_path / "rect.txt"
     write_market(market_file, np.full((2, 4), 0.25), np.full((4, 2), 0.5))
@@ -319,8 +356,10 @@ def test_summarize_with_no_matching_records_fails(tmp_path, capsys, config):
          "line 3: stable_count: expected a number, got 'two'"),
         (CSV_HEADER + "0,mosm,1.5x,,,,,,,,,,,,\n", "line 2: lambda_fit: expected a number"),
         (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+        (CSV_HEADER + "0,all,,,,,,,,,1,,,,\n" + "7" * 140_000 + ",all,,,,,,,,,1,,,,\n",
+         "line 3: field larger than field limit (131072)"),
     ],
-    ids=["header", "int-cell", "float-cell", "non-utf8"],
+    ids=["header", "int-cell", "float-cell", "non-utf8", "oversized-field"],
 )
 def test_summarize_malformed_trials_exits_two(tmp_path, capsys, text, message):
     trials = tmp_path / "trials.csv"

@@ -14,6 +14,7 @@ import pytest
 from mml import (
     CSV_COLUMNS,
     ConfigError,
+    ShapeMismatch,
     ExperimentKind,
     MarketKind,
     Side,
@@ -166,6 +167,28 @@ def test_semantic_validation():
     assert parse_config(cfg_text(experiment="imbalance", n=5, k=4)).k == 4
 
 
+@pytest.mark.parametrize(
+    "text, first, second",
+    [
+        ("n = 10\nn = 12\n", 5, 6),
+        ("N = 10\n\n# again\nn = 12\n", 5, 8),
+        ("tol.ks = 0.05\ntol.ks = 0.5\n", 5, 6),
+    ],
+)
+def test_a_key_set_twice_is_refused(text, first, second):
+    base = "experiment = value_dist\ntrials = 1\nmaster_seed = 0\nmarket = uniform\n"
+    key = text.split("=")[0].strip().lower()
+    with pytest.raises(ConfigError, match=f"line {second}: {key!r} is already set on line {first}"):
+        parse_config(base + text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "+Infinity", "NaN"])
+def test_non_finite_tolerances_are_refused(value):
+    base = "experiment = value_dist\nn = 4\ntrials = 1\nmaster_seed = 0\n"
+    with pytest.raises(ConfigError, match="line 5: tol.ks must be finite"):
+        parse_config(base + f"tol.ks = {value}\n")
+
+
 def test_load_config_round_trips_file(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(FULL_CONFIG, encoding="utf-8")
@@ -186,6 +209,13 @@ def test_csv_round_trip_preserves_records():
         # columns this experiment never fills come back as None, not 0 or nan
         assert record.stable_count is None
         assert record.bound is None
+
+
+def test_an_oversized_csv_field_names_its_line():
+    header = ",".join(CSV_COLUMNS)
+    text = f"{header}\n0,all,,,,,,,,,1,,,,\n1,{'x' * 200_000},,,,,,,,,1,,,,\n"
+    with pytest.raises(ShapeMismatch, match="^line 3: field larger than field limit"):
+        records_from_csv(text)
 
 
 def test_jsonl_skips_unset_fields():

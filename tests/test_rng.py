@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mml.errors import ConfigError
 from mml.rng import BLOCK, exponentials, stream_key, unit_uniforms, unit_uniforms_batch
 from oracles import reference_uniforms
 
@@ -193,3 +194,10 @@ def test_negative_and_large_int_tokens():
     assert stream_key(-1) != stream_key(1)
     assert stream_key(2**80) != stream_key(2**80 + 1)
     assert isinstance(stream_key(-(2**70)), int)
+
+
+def test_int_tokens_span_the_signed_128_bit_range():
+    assert stream_key(2**127 - 1) != stream_key(-(2**127))
+    for token in (2**127, -(2**127) - 1, 2**200):
+        with pytest.raises(ConfigError, match=f"^seed {token} is outside the signed 128-bit range"):
+            stream_key(token, "trial", 0)
