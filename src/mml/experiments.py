@@ -406,8 +406,9 @@ def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     u01 = unit_uniforms(stream_key(trial_seed, "chernoff_u"), n)
     weights = 2.0 ** (2.0 * u01 - 1.0)
     weights *= n / weights.sum()
+    # A broadcast rate of 1: unit exponentials with no rate matrix held.
     z = exponentials(
-        stream_key(trial_seed, "chernoff_z"), np.ones((CHERNOFF_SAMPLES, n))
+        stream_key(trial_seed, "chernoff_z"), np.broadcast_to(1.0, (CHERNOFF_SAMPLES, n))
     )
     dots = z @ weights
     for t_val in CHERNOFF_T:
@@ -491,14 +492,14 @@ def effective_workers(cfg: ExperimentConfig) -> int:
 # scores (16).  Backfilling keeps shared rows shared,
 # so imbalance adds only the stacked men's scores of a public-scores market,
 # or the real C-bounded market while it is backfilled (8).  The bounds
-# experiment's cells are its Chernoff batches, drawn with a rate matrix.
+# experiment's cells are its Chernoff batches (8), drawn at a broadcast rate.
 _BASE_BYTES = 40 << 20
 
 
 def memory_estimate(cfg: ExperimentConfig) -> int:
     """Estimated peak bytes of one process running cfg's trials."""
     if cfg.experiment is ExperimentKind.BOUNDS:
-        return _BASE_BYTES + 16 * CHERNOFF_SAMPLES * cfg.n
+        return _BASE_BYTES + 8 * CHERNOFF_SAMPLES * cfg.n
     per_cell = 8 if _TRIAL_BODIES[cfg.experiment] is _value_family_records else 20
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 16
