@@ -216,12 +216,12 @@ def stream_key(*tokens: int | str) -> int:
         if isinstance(token, str):
             data = b"s" + token.encode("utf-8")
         else:
-            token = int(token)
-            if not -(2**127) <= token < 2**127:
+            try:
+                data = b"i" + int(token).to_bytes(16, "little", signed=True)
+            except OverflowError:
                 raise ConfigError(
                     f"seed {token} is outside the signed 128-bit range [-2**127, 2**127)"
-                )
-            data = b"i" + token.to_bytes(16, "little", signed=True)
+                ) from None
         h.update(len(data).to_bytes(2, "little"))
         h.update(data)
     return int.from_bytes(h.digest(), "little")
