@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml.errors import MmlError
-from mml.experiments import CSV_COLUMNS, ExperimentConfig, TrialRecord, parse_config, records_from_csv
+from mml.experiments import (
+    CSV_COLUMNS, ExperimentConfig, TrialRecord, parse_config, records_from_csv,
+)
 from mml.market import CanonicalMarket, read_market
 
 FUZZ = settings(max_examples=100, deadline=None)

@@ -418,8 +418,12 @@ def test_uniform_market_is_the_broadcast_of_one_over_n(m, n):
 
 
 @pytest.mark.parametrize("side", ["a", "b"])
-@pytest.mark.parametrize("excess, canonical", [(0.5, True), (-0.5, True), (2.0, False), (-2.0, False)])
-def test_read_market_takes_rows_within_the_tolerance_as_canonical(tmp_path, side, excess, canonical):
+@pytest.mark.parametrize(
+    "excess, canonical", [(0.5, True), (-0.5, True), (2.0, False), (-2.0, False)]
+)
+def test_read_market_takes_rows_within_the_tolerance_as_canonical(
+    tmp_path, side, excess, canonical
+):
     a = np.array([[0.25, 0.75], [0.5, 0.5], [0.125, 0.875]])
     b = np.array([[0.25, 0.5, 0.25], [0.5, 0.25, 0.25]])
     off = a if side == "a" else b

@@ -364,7 +364,9 @@ def assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("top_l", [TOP_L, 2])
 @pytest.mark.parametrize("side", list(Side))
-@pytest.mark.parametrize("n_men, n_women", [(1, 1), (6, 6), (90, 90), (4, 9), (9, 4), (70, 83), (83, 70)])
+@pytest.mark.parametrize(
+    "n_men, n_women", [(1, 1), (6, 6), (90, 90), (4, 9), (9, 4), (70, 83), (83, 70)]
+)
 def test_da_outcome_on_held_values_is_outcome_of(monkeypatch, top_l, side, n_men, n_women):
     # A width of 2 sends most walks past the presorted lists into deep walks.
     monkeypatch.setattr(matching_module, "TOP_L", top_l)
