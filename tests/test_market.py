@@ -210,21 +210,30 @@ def test_cbounded_market_score_ratios():
     assert bal.c_bound <= c**4
 
 
+def shared_and_backfilled_markets(n, c, seed):
+    """Public-scores, uniform and C-bounded markets backfilled from n - n // 3 men."""
+    u = np.random.default_rng(seed).uniform(0.5, 2.0, size=(2, n))
+    k = n // 3
+    return (
+        uniform_market(n), public_scores_market(u[0], u[1]),
+        backfill_imbalanced(uniform_market(n - k, n), k),
+        backfill_imbalanced(random_cbounded_market(n - k, c, seed, n_women=n), k),
+    )
+
+
 @pytest.mark.parametrize("n, c, seed", [(1, 2.0, 0), (7, 3.5, 1), (40, 2.0, 2), (120, 6.0, 3)])
 def test_c_bound_equals_the_brute_force_formula(n, c, seed):
-    bal = sinkhorn_balance(random_cbounded_market(n, c, seed))
-    values = np.concatenate([bal.A.ravel(), bal.B.ravel(), (bal.n * bal.M).ravel()])
-    assert bal.c_bound == float(np.max(np.maximum(values, 1.0 / values)))
+    for market in (random_cbounded_market(n, c, seed), *shared_and_backfilled_markets(n, c, seed)):
+        bal = sinkhorn_balance(market)
+        values = np.concatenate([bal.A.ravel(), bal.B.ravel(), (bal.n * bal.M).ravel()])
+        assert bal.c_bound == float(np.max(np.maximum(values, 1.0 / values)))
 
 
 @pytest.mark.parametrize("n", [7, 300, 700])
 def test_residual_equals_the_materialised_formula(n):
-    # Row-block evaluation (several blocks from n = 300 on) keeps the bits of
-    # the materialised residual.  On shared-row markets the column sums set
-    # it, so their order of addition matters.
-    u = np.random.default_rng(n).uniform(0.5, 2.0, size=(2, n))
-    for market in (uniform_market(n), public_scores_market(u[0], u[1]),
-                   random_cbounded_market(n, 3.0, n)):
+    # The largest deviation of M's row and column sums from 1.  On shared-row
+    # markets the column sums set it, so their order of addition matters.
+    for market in (random_cbounded_market(n, 3.0, n), *shared_and_backfilled_markets(n, 3.0, n)):
         bal = sinkhorn_balance(market)
         m = bal.M
         rows, cols = np.abs(m.sum(axis=1) - 1.0).max(), np.abs(m.sum(axis=0) - 1.0).max()
