@@ -26,7 +26,7 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import BLOCK, map_row_blocks, row_blocks, stream_key, unit_uniforms
+from .rng import BLOCK, map_row_blocks, stream_key, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
 
@@ -156,13 +156,13 @@ class BalancedMarket:
 
     ``A = diag(phi) @ a_hat`` and ``B = diag(psi) @ b_hat`` are the canonical
     scores rescaled by the fitness vectors, chosen so the mutual matrix
-    ``M = A * B^T / n`` is doubly stochastic.  ``c_bound`` is the contiguity
-    constant: the smallest C with every a_ij, b_ji and n*m_ij inside [1/C, C].
-    Built only by ``sinkhorn_balance``, which establishes these identities.
+    ``M = A * B^T / n`` is doubly stochastic.  Built only by
+    ``sinkhorn_balance``, which establishes these identities.
 
     A balanced market stores no n x n array of its own: ``a_hat`` and ``b_hat``
     are the canonical market's (broadcast views of one row on the uniform and
-    public-scores markets), and A, B and M are materialised only on request.
+    public-scores markets), and A, B and M, with the ``residual`` and
+    ``c_bound`` read from them, are materialised only on request.
     Trials use the factors: ``exponentials(key, a_hat, scale=phi)`` draws
     with the rates of A, and ``mutual_matmul`` multiplies by M.
     """
@@ -171,9 +171,7 @@ class BalancedMarket:
     b_hat: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    c_bound: float
     sinkhorn_iters: int
-    residual: float
 
     @property
     def n(self) -> int:
@@ -193,6 +191,25 @@ class BalancedMarket:
         M /= self.n
         return M
 
+    @property
+    def residual(self) -> float:
+        """The largest deviation of a row or column sum of M from 1."""
+        M = self.M
+        return float(max(np.abs(M.sum(axis=1) - 1.0).max(), np.abs(M.sum(axis=0) - 1.0).max()))
+
+    @property
+    def c_bound(self) -> float:
+        """The contiguity constant: the smallest C with every a_ij, b_ji and n*m_ij in [1/C, C]."""
+        # x -> n*x and x -> 1/x are monotone in floating point, so each
+        # matrix's extremes give max(v, 1/v) over its entries exactly.  One
+        # matrix at a time; an entry that underflows reads as C = inf.
+        c_bound = 0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            for name, scale in (("A", 1.0), ("B", 1.0), ("M", self.n)):
+                part = getattr(self, name)
+                c_bound = max(c_bound, float(scale * part.max()), float(1.0 / (scale * part.min())))
+        return c_bound
+
     def mutual_matmul(self, y: np.ndarray) -> np.ndarray:
         """``M @ y`` for a vector or an n x k matrix y, from the factors.
 
@@ -207,20 +224,13 @@ class BalancedMarket:
             buffer = np.empty((min(self.n, max(1, BLOCK // self.n)), self.n))
             for rows in blocks:
                 # The block's rows of B^T copied into C order, then times A's rows.
-                kernel = _transposed_rows(self.b_hat, rows, buffer)
+                kernel = buffer[: rows.stop - rows.start]
+                np.copyto(kernel, self.b_hat[:, rows].T)
                 kernel *= self.a_hat[rows]
                 out[rows] = kernel @ weighted
 
         map_row_blocks(multiply_rows, self.n, self.n)
         return (out.T * (self.phi / self.n)).T
-
-
-def _transposed_rows(b_hat: np.ndarray, rows: slice, buffer: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of ``b_hat.T``, copied into the leading rows of a C-ordered buffer."""
-    view = b_hat[:, rows].T
-    bt = buffer[: view.shape[0]]
-    np.copyto(bt, view)
-    return bt
 
 
 def sinkhorn_balance(
@@ -245,17 +255,17 @@ def sinkhorn_balance(
         raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
 
     n = market.n_men
-    # The kernel is the one n x n array balancing allocates; it is freed
-    # before the result is checked a row block at a time.
+    # The kernel is the one n x n array balancing allocates.
     kernel = market.a_hat * market.b_hat.T
     kernel /= n
     ks = kernel @ np.ones(n)
     iters = 0
     residual = np.inf
-    # Converge to half the tolerance internally: the final M is re-assembled
-    # from phi and psi below, which perturbs the sums by a few ulps.  Column
-    # sums are exact up to an ulp right after the s update, so each sweep
-    # checks the rows only, and kernel @ s serves that check and the next r.
+    # Converge to half the tolerance internally: the result's residual
+    # re-assembles M from phi and psi, which perturbs the sums by a few ulps.
+    # Column sums are exact up to an ulp right after the s update, so each
+    # sweep checks the rows only, and kernel @ s serves that check and the
+    # next r.
     while iters < max_iters:
         iters += 1
         r = 1.0 / ks
@@ -268,34 +278,11 @@ def sinkhorn_balance(
         raise NoConvergence(iters, residual)
 
     # Geometric-mean-symmetric gauge: scale so GM(phi) == GM(psi).
-    del kernel
     c = float(np.exp(0.5 * (np.mean(np.log(s)) - np.mean(np.log(r)))))
     phi = c * r
     psi = s / c
-    # Residual and contiguity constant of the re-assembled M, one row block
-    # at a time: A[rows], B[:, rows].T and M[rows] carry the bits of the
-    # materialised A, B and M.  Row 0 of the column-sum buffer carries the
-    # running sums, so the columns add up row by row in the order of
-    # M.sum(axis=0).  c_bound is max(v, 1/v) over all entries, from each
-    # block's extremes (x -> n*x and x -> 1/x are monotone in floating point,
-    # so this is exact).
-    col = np.zeros((1 + max(1, BLOCK // n), n))
-    a_rows, bt_rows = np.empty((2, min(n, max(1, BLOCK // n)), n))
-    residual = c_bound = 0.0
-    for rows in row_blocks(n, n):
-        bt = _transposed_rows(market.b_hat, rows, bt_rows)
-        bt *= psi
-        a = np.multiply(phi[rows, None], market.a_hat[rows], out=a_rows[: bt.shape[0]])
-        m = np.multiply(a, bt, out=col[1 : 1 + a.shape[0]])
-        m /= n
-        residual = max(residual, float(np.abs(m.sum(axis=1) - 1.0).max()))
-        for part, scale in ((a, 1.0), (bt, 1.0), (m, n)):
-            c_bound = max(c_bound, float(scale * part.max()), float(1.0 / (scale * part.min())))
-        col[0] = col[: 1 + a.shape[0]].sum(axis=0)
-    residual = max(residual, float(np.abs(col[0] - 1.0).max()))
     return BalancedMarket(
-        a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi,
-        c_bound=c_bound, sinkhorn_iters=iters, residual=residual,
+        a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi, sinkhorn_iters=iters
     )
 
 
