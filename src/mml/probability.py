@@ -16,7 +16,7 @@ from .errors import NotNormalized, TooLarge
 from .market import CanonicalMarket
 from .matching import ENUMERATION_LIMIT, Matching, enumerate_stable
 from .rng import stream_key, unit_uniforms_batch
-from .sampling import LatentValues, latent_rates
+from .sampling import LatentValues, _screened_rows, latent_rates
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -156,9 +156,12 @@ def expected_stable_count_mc(
         trial_seeds = [stream_key(seed, "trial", t) for t in trials]
         x = _exponential_batch(trial_seeds, "X", rates_men)
         y = _exponential_batch(trial_seeds, "Y", rates_women)
+        # One screen per side covers the chunk's stacked rows, as
+        # LatentValues would screen each trial's.
+        for name, draws in (("X", x), ("Y", y)):
+            _screened_rows(name, draws.reshape(-1, draws.shape[-1]))
         for i, t in enumerate(trials):
-            values = LatentValues(X=x[i], Y=y[i])
-            counts[t] = len(enumerate_stable(values))
+            counts[t] = len(enumerate_stable(LatentValues._screened(x[i], y[i])))
 
     mean = float(counts.mean())
     stderr = 0.0 if n_trials == 1 else float(counts.std(ddof=1) / math.sqrt(n_trials))
