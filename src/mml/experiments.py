@@ -225,6 +225,7 @@ class TrialRecord:
 
 CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 _INT_COLUMNS = {"trial_id", "proposal_count", "stable_count", "da_agree"}
+_REQUIRED_COLUMNS = {"trial_id", "matching_kind"}
 
 
 # --- market construction -----------------------------------------------------
@@ -726,19 +727,30 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
 def records_from_csv(text: str) -> list[TrialRecord]:
     """Parse ``records_to_csv`` output; bad content raises ShapeMismatch naming the line."""
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
     try:
-        missing = [column for column in CSV_COLUMNS if column not in (reader.fieldnames or ())]
+        header = next(reader, [])
+        missing = [column for column in CSV_COLUMNS if column not in header]
         if missing:
             raise ShapeMismatch(f"line 1: header lacks the trial column(s) {', '.join(missing)}")
         records = []
-        for row in reader:
+        for fields_ in reader:
+            if not fields_:  # a blank line
+                continue
+            if len(fields_) != len(header):
+                raise ShapeMismatch(
+                    f"line {reader.line_num}: expected {len(header)} fields as in the header, "
+                    f"found {len(fields_)}"
+                )
+            row = dict(zip(header, fields_))
             kwargs = {}
             for column in CSV_COLUMNS:
-                cell = row.get(column, "")
+                cell = row[column]
+                if cell == "" and column in _REQUIRED_COLUMNS:
+                    raise ShapeMismatch(f"line {reader.line_num}: {column} is empty")
                 if column == "matching_kind":
                     kwargs[column] = cell
-                elif cell == "" or cell is None:
+                elif cell == "":
                     kwargs[column] = None
                 else:
                     convert = int if column in _INT_COLUMNS else float
@@ -750,8 +762,7 @@ def records_from_csv(text: str) -> list[TrialRecord]:
                         ) from None
             records.append(TrialRecord(**kwargs))
     except csv.Error as exc:  # e.g. a field past the csv module's size limit
-        # The DictReader's own line count moves only past a good row.
-        raise ShapeMismatch(f"line {reader.reader.line_num}: {exc}") from None
+        raise ShapeMismatch(f"line {reader.line_num}: {exc}") from None
     return records
 
 

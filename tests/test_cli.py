@@ -358,8 +358,14 @@ def test_summarize_with_no_matching_records_fails(tmp_path, capsys, config):
         (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
         (CSV_HEADER + "0,all,,,,,,,,,1,,,,\n" + "7" * 140_000 + ",all,,,,,,,,,1,,,,\n",
          "line 3: field larger than field limit (131072)"),
+        (CSV_HEADER + "0,all,,,,,,,,,1,,,,\n3\n", "line 3: expected 15 fields as in the header, found 1"),
+        (CSV_HEADER + ",,,,\n", "line 2: expected 15 fields as in the header, found 5"),
+        (CSV_HEADER + "0,all,,,,,,,,,1,,,,,9\n", "line 2: expected 15 fields as in the header, found 16"),
+        (CSV_HEADER + ",,,,,,,,,,,,,,\n", "line 2: trial_id is empty"),
+        (CSV_HEADER + "0,,,,,,,,,,1,,,,\n", "line 2: matching_kind is empty"),
     ],
-    ids=["header", "int-cell", "float-cell", "non-utf8", "oversized-field"],
+    ids=["header", "int-cell", "float-cell", "non-utf8", "oversized-field", "short-row",
+         "empty-fields", "long-row", "empty-row", "no-kind"],
 )
 def test_summarize_malformed_trials_exits_two(tmp_path, capsys, text, message):
     trials = tmp_path / "trials.csv"
