@@ -14,6 +14,7 @@ choice that is symmetric between the two sides.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,12 @@ def _check_scores(name: str, scores: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"{name} must be a non-empty 2-d array, got shape {scores.shape}")
     rows = _distinct_rows(scores)
     # The extremes decide it without an n x n mask: NaN fails both comparisons.
-    if not (rows.min() > 0.0 and rows.max() < np.inf):
+    low = float(rows.min())
+    if not (low > 0.0 and rows.max() < np.inf):
         raise NonPositiveEntry(f"{name} must have strictly positive finite entries")
+    # A score too small for a finite reciprocal (a subnormal) cannot be balanced.
+    if 1.0 / low == math.inf:
+        raise NonPositiveEntry(f"{name} entries must have finite reciprocals, got {low!r}")
     return scores
 
 
@@ -265,22 +270,26 @@ def sinkhorn_balance(
     # re-assembles M from phi and psi, which perturbs the sums by a few ulps.
     # Column sums are exact up to an ulp right after the s update, so each
     # sweep checks the rows only, and kernel @ s serves that check and the
-    # next r.
-    while iters < max_iters:
-        iters += 1
-        r = 1.0 / ks
-        s = 1.0 / (kernel.T @ r)
-        ks = kernel @ s
-        residual = float(np.abs(r * ks - 1.0).max())
-        if residual <= 0.5 * tol:
-            break
-    else:
-        raise NoConvergence(iters, residual)
+    # next r.  Scores that underflow the kernel may overflow a sweep: its
+    # residual is then inf or NaN, and balancing stops without a warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while iters < max_iters:
+            iters += 1
+            r = 1.0 / ks
+            s = 1.0 / (kernel.T @ r)
+            ks = kernel @ s
+            residual = float(np.abs(r * ks - 1.0).max())
+            if residual <= 0.5 * tol:
+                break
+            if not residual < np.inf:
+                raise NoConvergence(iters, residual)
+        else:
+            raise NoConvergence(iters, residual)
 
-    # Geometric-mean-symmetric gauge: scale so GM(phi) == GM(psi).
-    c = float(np.exp(0.5 * (np.mean(np.log(s)) - np.mean(np.log(r)))))
-    phi = c * r
-    psi = s / c
+        # Geometric-mean-symmetric gauge: scale so GM(phi) == GM(psi).
+        c = float(np.exp(0.5 * (np.mean(np.log(s)) - np.mean(np.log(r)))))
+        phi = c * r
+        psi = s / c
     return BalancedMarket(
         a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi, sinkhorn_iters=iters
     )

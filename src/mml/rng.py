@@ -269,12 +269,14 @@ def _cell_values(
         return
     np.log(out, out=out)
     np.negative(out, out=out)
-    if scale is None:
-        out /= rates
-    else:
-        product = t.view(np.float64).reshape(out.shape)
-        np.multiply(scale, rates, out=product)
-        out /= product
+    # A rate too small for a finite value draws inf, which the screens refuse.
+    with np.errstate(over="ignore", divide="ignore"):
+        if scale is None:
+            out /= rates
+        else:
+            product = t.view(np.float64).reshape(out.shape)
+            np.multiply(scale, rates, out=product)
+            out /= product
 
 
 def _fill(

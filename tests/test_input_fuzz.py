@@ -3,16 +3,20 @@
 The parsers of configs, market files and trial CSVs take text from outside
 the package.  Whatever that text holds, they either return a value or raise
 an ``MmlError`` (which the command line prints as one ``error:`` line, exit
-2); any other exception, and any warning, fails these tests.
+2); any other exception, and any warning, fails these tests.  The command
+line's ``balance`` and ``enumerate`` are fuzzed the same way on market files.
 """
 
+import contextlib
+import io
 import os
 import tempfile
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mml.cli import main
 from mml.errors import MmlError
 from mml.experiments import (
     CSV_COLUMNS, ExperimentConfig, TrialRecord, parse_config, records_from_csv,
@@ -110,6 +114,41 @@ def market_texts(draw):
 def test_read_market_reads_or_refuses_market_files(text):
     market = read_market_text(text.encode("utf-8"))
     assert market is None or isinstance(market, CanonicalMarket)
+
+
+@given(text=market_texts(), seed=st.integers(-1, 2**64))
+@settings(max_examples=40, deadline=None)
+# Subnormal scores, whose reciprocals overflow: balancing warned and then
+# swept 10,000 times on a NaN residual, or printed an infinite contiguity
+# constant; the draws warned before asking for a reseed.
+@example(text="2 2\n1.516845439156578 0.25\n5e-324 1.7106299971879277\n\n"
+              "0.1677886659921286 1.341016483918883\n1e308 0.8955131950125015\n", seed=0)
+@example(text="3 3\n0.9337243293074923 1.5345437204714476 1.242926852151309\n"
+              "0.018750782214071792 1.0351513008819797 0.1896673163245391\n"
+              "1.3074426082066373 1.8355618203789827 1.5305494382318143\n\n"
+              "0.16102035182024613 0.4301263498047172 1.995379090724963\n"
+              "1e-320 0.6405159137989879 1.6707599891953948\n"
+              "0.9895491978028382 0.21281702097244828 1.6026447723820798\n", seed=0)
+@example(text="1 2\n1e-320 1\n\n1\n1\n", seed=1)
+# A score with a finite reciprocal may still draw an infinite value: refused, without a warning.
+@example(text="1 2\n1e-308 1\n\n1\n1\n", seed=13)
+def test_cli_balances_and_enumerates_or_refuses_market_files(text, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "balanced.txt")
+        for argv in (["balance", path], ["balance", path, "--out", out],
+                     ["enumerate", path, "--seed", str(seed)]):
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 2), argv
+            # Exit 2 prints one error line; success prints nothing to stderr.
+            assert err.getvalue().count("\n") == (code == 2), err.getvalue()
+            assert code == 0 or err.getvalue().startswith("error: "), err.getvalue()
 
 
 @given(data=st.binary(max_size=60))
