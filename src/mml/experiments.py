@@ -734,24 +734,20 @@ def records_from_csv(text: str) -> list[TrialRecord]:
         if missing:
             raise ShapeMismatch(f"line 1: header lacks the trial column(s) {', '.join(missing)}")
         records = []
-        for fields_ in reader:
-            if not fields_:  # a blank line
-                continue
-            if len(fields_) != len(header):
+        for cells in filter(None, reader):  # a blank line holds no cells
+            if len(cells) != len(header):
                 raise ShapeMismatch(
                     f"line {reader.line_num}: expected {len(header)} fields as in the header, "
-                    f"found {len(fields_)}"
+                    f"found {len(cells)}"
                 )
-            row = dict(zip(header, fields_))
+            row = dict(zip(header, cells))
             kwargs = {}
             for column in CSV_COLUMNS:
                 cell = row[column]
-                if cell == "" and column in _REQUIRED_COLUMNS:
+                if not cell and column in _REQUIRED_COLUMNS:
                     raise ShapeMismatch(f"line {reader.line_num}: {column} is empty")
-                if column == "matching_kind":
-                    kwargs[column] = cell
-                elif cell == "":
-                    kwargs[column] = None
+                if column == "matching_kind" or not cell:
+                    kwargs[column] = cell or None
                 else:
                     convert = int if column in _INT_COLUMNS else float
                     try:

@@ -14,7 +14,6 @@ choice that is symmetric between the two sides.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ def _check_scores(name: str, scores: np.ndarray) -> np.ndarray:
     if not (low > 0.0 and rows.max() < np.inf):
         raise NonPositiveEntry(f"{name} must have strictly positive finite entries")
     # A score too small for a finite reciprocal (a subnormal) cannot be balanced.
-    if 1.0 / low == math.inf:
+    if 1.0 / low == np.inf:
         raise NonPositiveEntry(f"{name} entries must have finite reciprocals, got {low!r}")
     return scores
 
@@ -205,9 +204,8 @@ class BalancedMarket:
     @property
     def c_bound(self) -> float:
         """The contiguity constant: the smallest C with every a_ij, b_ji and n*m_ij in [1/C, C]."""
-        # x -> n*x and x -> 1/x are monotone in floating point, so each
-        # matrix's extremes give max(v, 1/v) over its entries exactly.  One
-        # matrix at a time; an entry that underflows reads as C = inf.
+        # Exact from each matrix's extremes, one matrix at a time: x -> n*x and
+        # x -> 1/x are monotone in floating point.  An underflowed entry reads C = inf.
         c_bound = 0.0
         with np.errstate(divide="ignore", over="ignore"):
             for name, scale in (("A", 1.0), ("B", 1.0), ("M", self.n)):
@@ -244,9 +242,9 @@ def sinkhorn_balance(
     """Balance a square canonical market by alternating row/column normalization.
 
     Raises NoConvergence if the max row/column-sum deviation of M is still
-    above ``tol`` after ``max_iters`` sweeps; the theory guarantees convergence
-    for strictly positive matrices, so hitting the limit signals an
-    ill-conditioned input rather than a modeling situation.  A ``tol`` that
+    above ``tol`` after ``max_iters`` sweeps, or once it is not finite; the
+    theory guarantees convergence for strictly positive matrices, so either
+    signals an ill-conditioned input rather than a modeling situation.  A ``tol`` that
     is not positive (or NaN) or a ``max_iters`` below 1 raises ConfigError.
     """
     if not market.is_square:
@@ -264,26 +262,20 @@ def sinkhorn_balance(
     kernel = market.a_hat * market.b_hat.T
     kernel /= n
     ks = kernel @ np.ones(n)
-    iters = 0
-    residual = np.inf
-    # Converge to half the tolerance internally: the result's residual
-    # re-assembles M from phi and psi, which perturbs the sums by a few ulps.
-    # Column sums are exact up to an ulp right after the s update, so each
-    # sweep checks the rows only, and kernel @ s serves that check and the
-    # next r.  Scores that underflow the kernel may overflow a sweep: its
-    # residual is then inf or NaN, and balancing stops without a warning.
+    # Converge to half the tolerance: the result's residual re-assembles M
+    # from phi and psi, a few ulps off.  Column sums are exact up to an ulp
+    # after the s update, so a sweep checks the rows, with kernel @ s serving
+    # that check and the next r.  A sweep that overflows (scores underflowed
+    # the kernel) reads a non-finite residual and stops, without a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while iters < max_iters:
-            iters += 1
+        for iters in range(1, max_iters + 1):
             r = 1.0 / ks
             s = 1.0 / (kernel.T @ r)
             ks = kernel @ s
             residual = float(np.abs(r * ks - 1.0).max())
-            if residual <= 0.5 * tol:
+            if residual <= 0.5 * tol or not residual < np.inf:
                 break
-            if not residual < np.inf:
-                raise NoConvergence(iters, residual)
-        else:
+        if not residual <= 0.5 * tol:
             raise NoConvergence(iters, residual)
 
         # Geometric-mean-symmetric gauge: scale so GM(phi) == GM(psi).

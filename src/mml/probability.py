@@ -156,8 +156,7 @@ def expected_stable_count_mc(
         trial_seeds = [stream_key(seed, "trial", t) for t in trials]
         x = _exponential_batch(trial_seeds, "X", rates_men)
         y = _exponential_batch(trial_seeds, "Y", rates_women)
-        # One screen per side covers the chunk's stacked rows, as
-        # LatentValues would screen each trial's.
+        # One screen per side covers the rows of all the chunk's trials.
         for name, draws in (("X", x), ("Y", y)):
             _screened_rows(name, draws.reshape(-1, draws.shape[-1]))
         for i, t in enumerate(trials):
