@@ -242,10 +242,10 @@ def sinkhorn_balance(
     """Balance a square canonical market by alternating row/column normalization.
 
     Raises NoConvergence if the max row/column-sum deviation of M is still
-    above ``tol`` after ``max_iters`` sweeps, or once it is not finite; the
-    theory guarantees convergence for strictly positive matrices, so either
-    signals an ill-conditioned input rather than a modeling situation.  A ``tol`` that
-    is not positive (or NaN) or a ``max_iters`` below 1 raises ConfigError.
+    above ``tol`` after ``max_iters`` sweeps, or is not finite; the theory
+    guarantees convergence for strictly positive matrices, so either signals
+    an ill-conditioned input rather than a modeling situation.  A ``tol``
+    that is not positive (or NaN) or a ``max_iters`` below 1 raises ConfigError.
     """
     if not market.is_square:
         raise NonSquare(
