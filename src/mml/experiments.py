@@ -225,7 +225,7 @@ class TrialRecord:
 
 CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 _INT_COLUMNS = {"trial_id", "proposal_count", "stable_count", "da_agree"}
-_REQUIRED_COLUMNS = {"trial_id", "matching_kind"}
+_REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING]
 
 
 # --- market construction -----------------------------------------------------

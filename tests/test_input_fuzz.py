@@ -118,9 +118,8 @@ def test_read_market_reads_or_refuses_market_files(text):
 
 @given(text=market_texts(), seed=st.integers(-1, 2**64))
 @settings(max_examples=40, deadline=None)
-# Subnormal scores, whose reciprocals overflow: balancing warned and then
-# swept 10,000 times on a NaN residual, or printed an infinite contiguity
-# constant; the draws warned before asking for a reseed.
+# Subnormal scores have no finite reciprocal: no balance or draw can use them,
+# so they are refused on reading, with one line and no warning.
 @example(text="2 2\n1.516845439156578 0.25\n5e-324 1.7106299971879277\n\n"
               "0.1677886659921286 1.341016483918883\n1e308 0.8955131950125015\n", seed=0)
 @example(text="3 3\n0.9337243293074923 1.5345437204714476 1.242926852151309\n"

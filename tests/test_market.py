@@ -211,7 +211,8 @@ def test_cbounded_market_score_ratios():
 
 
 def shared_and_backfilled_markets(n, c, seed):
-    """Public-scores, uniform and C-bounded markets backfilled from n - n // 3 men."""
+    """The uniform and a public-scores market of n agents a side, and the
+    backfilled completions of a uniform and a C-bounded market of n - n // 3 men."""
     u = np.random.default_rng(seed).uniform(0.5, 2.0, size=(2, n))
     k = n // 3
     return (
@@ -231,8 +232,8 @@ def test_c_bound_equals_the_brute_force_formula(n, c, seed):
 
 @pytest.mark.parametrize("n", [7, 300, 700])
 def test_residual_equals_the_materialised_formula(n):
-    # The largest deviation of M's row and column sums from 1.  On shared-row
-    # markets the column sums set it, so their order of addition matters.
+    # The largest deviation of M's row and column sums from 1, to the bit.  On
+    # shared-row markets the column sums set it.
     for market in (random_cbounded_market(n, 3.0, n), *shared_and_backfilled_markets(n, 3.0, n)):
         bal = sinkhorn_balance(market)
         m = bal.M
