@@ -241,15 +241,19 @@ trials = 4
 master_seed = 5
 """
 
-# Starts the row-block pool in this process, then runs a two-worker pool on
-# a simulated four-core machine, so each forked worker gets two threads.
+# Walks row blocks on several threads in this process, then runs a two-worker
+# pool on a simulated four-core machine, so each forked worker gets two threads.
 FORKED_RUN = """
-import os, sys
+import os, sys, threading, time
 os.sched_getaffinity = lambda pid: set(range(4))
-import numpy as np
 from mml import experiments, rng
-rng.exponentials(1, np.ones((700, 700)))
-assert rng._pool is not None, "the row-block pool did not start"
+idents = set()
+def walk(blocks):
+    for _ in blocks:
+        idents.add(threading.get_ident())
+        time.sleep(0.001)
+rng.map_row_blocks(walk, 700, 700)
+assert len(idents) > 1, "the row blocks ran on one thread"
 _, records = experiments.run_experiment(experiments.parse_config(sys.argv[1]))
 sys.stdout.write(experiments.records_to_csv(records))
 """
