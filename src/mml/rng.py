@@ -33,7 +33,6 @@ depend on the machine.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import ctypes
 import functools
@@ -75,20 +74,8 @@ def usable_cores() -> int:
 
 # Threads this process may use for row blocks; None means usable_cores().
 _budget: int | None = None
-# The shared pool (its size, the executor), started on first need.  A forked
-# child inherits the executor without its threads, so it starts its own.
-_pool: tuple[int, concurrent.futures.ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
 # Set on a thread while it walks row blocks: nested calls run inline.
 _walking = threading.local()
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_pool)
 
 
 @contextlib.contextmanager
@@ -139,17 +126,6 @@ def single_threaded_blas() -> Iterator[None]:
         set_(saved)
 
 
-def _executor(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < workers:
-            # A pool too small is dropped; its threads end once it is collected.
-            _pool = (workers, concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="mml-rows"
-            ))
-        return _pool[1]
-
-
 def map_row_blocks(fn: Callable[[Iterable[slice]], None], nrows: int, ncols: int) -> None:
     """Call ``fn`` on the row blocks of an nrows x ncols matrix, on the thread budget.
 
@@ -157,12 +133,14 @@ def map_row_blocks(fn: Callable[[Iterable[slice]], None], nrows: int, ncols: int
     its own rows' slice of the output, so the bits do not depend on which
     thread runs it.  With a budget of one thread, within another call's walk
     (nested use), or with a single block, this is ``fn(row_blocks(nrows, ncols))``.
-    Otherwise the caller and up to budget - 1 pool threads each run ``fn``
-    once, on blocks they claim in increasing order from a shared counter, so
-    a thread that starts late or runs slow takes fewer blocks.  No thread
-    claims a block after one has raised, and every block below a failed one
-    was claimed before it and runs to its end: the exception of the lowest
-    failed block, raised once all threads stop, is the sequential walk's.
+    Otherwise the caller and up to budget - 1 threads started for the call
+    each run ``fn`` once, on blocks they claim in increasing order from a
+    shared counter, so a thread that starts late or runs slow takes fewer
+    blocks.  The threads are joined before this returns: none outlives the
+    call, so a forked process inherits none.  No thread claims a block after
+    one has raised, and every block below a failed one was claimed before it
+    and runs to its end: the exception of the lowest failed block, raised
+    once all threads stop, is the sequential walk's.
     """
     threads = 1 if getattr(_walking, "active", False) else _budget or usable_cores()
     blocks = row_blocks(nrows, ncols)
@@ -194,12 +172,12 @@ def map_row_blocks(fn: Callable[[Iterable[slice]], None], nrows: int, ncols: int
         finally:
             _walking.active = False
 
-    pool = _executor(threads - 1)
-    futures = [pool.submit(walk) for _ in range(threads - 1)]
+    helpers = [threading.Thread(target=walk, name="mml-rows") for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
     walk()
-    concurrent.futures.wait(futures)
-    for future in futures:
-        future.result()
+    for helper in helpers:
+        helper.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
 

@@ -3,7 +3,8 @@
 ``map_row_blocks`` spreads a stage's row blocks over the threads the process
 may use.  Each block writes only its own rows, so every stage routed through
 it must give bit-identical results at any budget, raise the sequential walk's
-exception, run nested calls inline, and survive a fork into pool workers.
+exception, run nested calls inline, leave no thread alive once it returns,
+and survive a fork into pool workers.
 A trial's BLAS calls run on its calling thread, whatever thread count
 numpy's OpenBLAS had before the trial.
 """
@@ -233,6 +234,16 @@ def test_the_budget_sets_the_walks_and_is_restored():
     assert sorted(r.start for _, bs in claimed for r in bs) == [r.start for r in everything]
 
 
+def test_no_row_block_thread_outlives_its_call():
+    before = threading.active_count()
+    walks = []
+    with thread_budget(3):
+        map_row_blocks(lambda blocks: walks.append(list(blocks)), 700, 700)
+    assert len(walks) == 3
+    assert threading.active_count() == before
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("mml-rows")]
+
+
 POOL_CONFIG = """
 experiment = hyperbola
 market = uniform
@@ -243,6 +254,8 @@ master_seed = 5
 
 # Walks row blocks on several threads in this process, then runs a two-worker
 # pool on a simulated four-core machine, so each forked worker gets two threads.
+# The fork must find no other thread alive: Python >= 3.12 warns when a
+# process with live threads forks, and the test makes that warning an error.
 FORKED_RUN = """
 import os, sys, threading, time
 os.sched_getaffinity = lambda pid: set(range(4))
@@ -254,6 +267,7 @@ def walk(blocks):
         time.sleep(0.001)
 rng.map_row_blocks(walk, 700, 700)
 assert len(idents) > 1, "the row blocks ran on one thread"
+assert threading.active_count() == 1, "a row-block thread outlived its walk"
 _, records = experiments.run_experiment(experiments.parse_config(sys.argv[1]))
 sys.stdout.write(experiments.records_to_csv(records))
 """
@@ -265,7 +279,8 @@ def test_forked_pool_workers_use_threads_and_keep_the_bytes(monkeypatch):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     # Its own session, so that a hang also stops the pool workers.
     with subprocess.Popen(
-        [sys.executable, "-c", FORKED_RUN, POOL_CONFIG], env=env, text=True,
+        [sys.executable, "-W", "error:This process:DeprecationWarning", "-c", FORKED_RUN,
+         POOL_CONFIG], env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     ) as proc:
         try:
