@@ -196,6 +196,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("n: stable_count enumerates exhaustively and needs n <= 10")
     if cfg.experiment is ExperimentKind.IMBALANCE and not (1 <= cfg.k < cfg.n):
         raise ConfigError("k: imbalance needs 1 <= k < n")
+    if cfg.experiment is ExperimentKind.APPROX_STABLE and cfg.k > 0 and cfg.n < 2:
+        raise ConfigError("k: approx_stable swaps the partners of two men and needs n >= 2")
     return cfg
 
 

@@ -155,6 +155,7 @@ def test_semantic_validation():
         (cfg_text(experiment="stable_count", n=11), "n <= 10"),
         (cfg_text(experiment="imbalance", k=0), "k"),
         (cfg_text(experiment="imbalance", n=5, k=5), "k"),
+        (cfg_text(experiment="approx_stable", n=1, k=1), "k"),
     ]
     for text, fragment in cases:
         with pytest.raises(ConfigError, match=fragment):
@@ -164,6 +165,8 @@ def test_semantic_validation():
     assert parse_config(cfg_text(c=1.0)).c == 1.0
     assert parse_config(cfg_text(experiment="stable_count", n=10)).n == 10
     assert parse_config(cfg_text(experiment="imbalance", n=5, k=4)).k == 4
+    assert parse_config(cfg_text(experiment="approx_stable", n=1, k=0)).k == 0
+    assert parse_config(cfg_text(experiment="approx_stable", n=2, k=1)).k == 1
 
 
 @pytest.mark.parametrize(
