@@ -261,12 +261,14 @@ def sinkhorn_balance(
     # The kernel is the one n x n array balancing allocates.
     kernel = market.a_hat * market.b_hat.T
     kernel /= n
+    if not kernel.min() > 0.0:
+        raise NonPositiveEntry("the balancing kernel a_hat * b_hat^T / n underflows to zero")
     ks = kernel @ np.ones(n)
     # Converge to half the tolerance: the result's residual re-assembles M
     # from phi and psi, a few ulps off.  Column sums are exact up to an ulp
     # after the s update, so a sweep checks the rows, with kernel @ s serving
-    # that check and the next r.  A sweep that overflows (scores underflowed
-    # the kernel) reads a non-finite residual and stops, without a warning.
+    # that check and the next r.  A sweep that overflows reads a non-finite
+    # residual and stops, without a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for iters in range(1, max_iters + 1):
             r = 1.0 / ks

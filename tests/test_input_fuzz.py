@@ -131,6 +131,9 @@ def test_read_market_reads_or_refuses_market_files(text):
 @example(text="1 2\n1e-320 1\n\n1\n1\n", seed=1)
 # A score with a finite reciprocal may still draw an infinite value: refused, without a warning.
 @example(text="1 2\n1e-308 1\n\n1\n1\n", seed=13)
+# Scores whose products underflow the balancing kernel: refused before any sweep.
+@example(text="2 2\n1e-300 1\n1 1e-300\n\n1e-300 1\n1 1e-300\n", seed=0)
+@example(text="2 2\n1e-200 1\n1 1\n\n1e-200 1\n1e-300 1\n", seed=0)
 def test_cli_balances_and_enumerates_or_refuses_market_files(text, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "market.txt")

@@ -319,6 +319,21 @@ def test_balance_reports_no_convergence():
     assert "1" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "a_raw, b_raw",
+    [
+        # M would be [[0, 1], [1, 0]], which is not strictly positive.
+        ([[1e-300, 1], [1, 1e-300]], [[1e-300, 1], [1, 1e-300]]),
+        # One zero cell of the kernel: the sweeps would run to max_iters.
+        ([[1e-200, 1], [1, 1]], [[1e-200, 1], [1e-300, 1]]),
+    ],
+)
+def test_balance_refuses_a_kernel_that_underflows(a_raw, b_raw):
+    market = canonical_from_raw(np.array(a_raw), np.array(b_raw))
+    with pytest.raises(NonPositiveEntry, match="balancing kernel"):
+        sinkhorn_balance(market)
+
+
 def test_balance_parameter_validation():
     market = uniform_market(2)
     with pytest.raises(ValueError):
