@@ -36,6 +36,7 @@ from .matching import (
     Matching,
     MatchingOutcome,
     Side,
+    _matrix_tables,
     deferred_acceptance,
     enumerate_stable,
     greedy_alpha_certificate,
@@ -47,7 +48,7 @@ from .probability import chernoff_lower_tail
 from .rng import (
     exponentials, single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores,
 )
-from .sampling import LatentValues, latent_streams, sample_latent
+from .sampling import latent_streams, sample_latent
 from .stats import (
     best_fit_exponential,
     dkw_bound,
@@ -184,8 +185,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.trials < 1:
         raise ConfigError("trials: must be >= 1")
     # Written so that NaN fails each bound.
-    if not cfg.c >= 1.0:
-        raise ConfigError("c: must be >= 1")
+    if not 1.0 <= cfg.c < math.inf:
+        raise ConfigError("c: must be finite and >= 1")
     if not (0.0 <= cfg.delta < 1.0):
         raise ConfigError("delta: must be in [0, 1)")
     if cfg.workers < 1:
@@ -375,18 +376,18 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     bal = sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, m), cfg.k))
     values = sample_latent(bal, trial_seed)
 
-    # The real market is the first m rows/columns of the extension's values.
-    rect_values = LatentValues._screened(values.X[:m, :], values.Y[:, :m])
-    rect_match, rect_outcome = deferred_acceptance(rect_values, Side.MEN)
-
     # Completion check: with every woman ranking the k added men below all
     # real men (in index order), square DA must restrict to the rectangular
     # DA exactly.  The added men's drawn values are spent, so the completion
-    # overwrites them in place rather than copying Y.
+    # overwrites them in place; the real men's columns keep their values.
     y = values.Y
     y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
-    completed = LatentValues._screened(values.X, y)
-    completed_match, _ = deferred_acceptance(completed, Side.MEN)
+    # The men's tables, built once on the completed Y; the real market is their
+    # first m proposers.  The women's stored tables are stale; nothing walks them.
+    men = _matrix_tables(values, Side.MEN)
+    rect = replace(men, top=men.top[:m], own=men.own[:m], recv=men.recv[:m])
+    rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)
+    completed_match, _ = deferred_acceptance(men, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
     record = _matching_stats(cfg, t, "mosm", rect_match, rect_outcome, rect_outcome.value_men)
     return [replace(record, da_agree=int(agree))]
@@ -735,6 +736,9 @@ def records_from_csv(text: str) -> list[TrialRecord]:
         missing = [column for column in CSV_COLUMNS if column not in header]
         if missing:
             raise ShapeMismatch(f"line 1: header lacks the trial column(s) {', '.join(missing)}")
+        repeated = [column for k, column in enumerate(header) if column in header[:k]]
+        if repeated:
+            raise ShapeMismatch(f"line 1: header names the column {repeated[0]} twice")
         records = []
         for cells in filter(None, reader):  # a blank line holds no cells
             if len(cells) != len(header):

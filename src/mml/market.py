@@ -245,15 +245,15 @@ def sinkhorn_balance(
     above ``tol`` after ``max_iters`` sweeps, or is not finite; the theory
     guarantees convergence for strictly positive matrices, so either signals
     an ill-conditioned input rather than a modeling situation.  A ``tol``
-    that is not positive (or NaN) or a ``max_iters`` below 1 raises ConfigError.
+    that is not positive and finite or a ``max_iters`` below 1 raises ConfigError.
     """
     if not market.is_square:
         raise NonSquare(
             f"balancing needs a square market, got {market.n_men} men x {market.n_women} women"
         )
     # Written so that a NaN tolerance fails too.
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
     if max_iters < 1:
         raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
 

@@ -21,15 +21,12 @@ from enum import Enum
 
 import numpy as np
 
+from . import sampling
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
 from .rng import map_row_blocks
-from .sampling import LatentValues, ValueStream, lowest_columns
+from .sampling import LatentValues, ValueStream
 
 ENUMERATION_LIMIT = 10
-# Depth of each proposer's presorted list.  A proposer's walk ends at its
-# final partner's rank, which averages 6-10 and peaks at 39-81 for
-# n = 1000-4000 in uniform markets; deeper walks sort their whole row.
-TOP_L = 64
 
 
 class Side(Enum):
@@ -136,25 +133,6 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
     )
 
 
-def _top_l(prop: np.ndarray) -> np.ndarray:
-    """Each row's TOP_L lowest columns (all, if fewer), lowest first, as int32.
-
-    Rows are tie-free, so this is the leading part of the row's argsort.
-    Sorted per row block: no full-size index array is allocated.
-    """
-    n_prop, n_recv = prop.shape
-    width = min(TOP_L, n_recv)
-    top = np.empty((n_prop, width), dtype=np.int32)
-
-    def select_rows(blocks):
-        for rows in blocks:
-            block = prop[rows]
-            top[rows] = lowest_columns(block, np.sort(block, axis=1), width)
-
-    map_row_blocks(select_rows, n_prop, n_recv)
-    return top
-
-
 @dataclass(frozen=True)
 class ProposerTables:
     """What deferred acceptance reads of the proposing side's walks.
@@ -173,20 +151,18 @@ class ProposerTables:
 
 
 def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
+    """The proposers' tables from the lists the draw's screen kept."""
     if proposing_side == Side.MEN:
-        prop, recv = values.X, values.Y
+        prop, recv, (top, own) = values.X, values.Y, values.lowest[0]
     else:
-        prop, recv = values.Y, values.X
-    top = _top_l(prop)
+        prop, recv, (top, own) = values.Y, values.X, values.lowest[1]
 
     def deep(p: int):
         order = np.argsort(prop[p])
         return order.tolist(), prop[p, order].tolist(), recv[order, p].tolist()
 
     proposers = np.arange(prop.shape[0])[:, None]
-    return ProposerTables(
-        top, np.take_along_axis(prop, top, axis=1), recv[top, proposers], prop.shape[1], deep
-    )
+    return ProposerTables(top, own, recv[top, proposers], prop.shape[1], deep)
 
 
 def proposer_tables(
@@ -199,7 +175,7 @@ def proposer_tables(
     ``ValueStream.screen``'s.
     """
     n_prop, n_recv = prop.shape
-    top, own, counts = prop.screen(min(TOP_L, n_recv), thresholds)
+    top, own, counts = prop.screen(min(sampling.TOP_L, n_recv), thresholds)
 
     def deep(p: int):
         row = prop.row(p)
@@ -426,13 +402,16 @@ def greedy_alpha_certificate(
     """
     _check_values_shape(mu, values)
     cur = np.array(mu.mu, dtype=np.int64)
+    block = _blocking_mask(values.X, values.Y, cur, count_unmatched=False)
+    degree = block.sum(axis=1)
     removed = 0
-    while True:
-        block = _blocking_mask(values.X, values.Y, cur, count_unmatched=False)
-        if not block.any():
-            break
-        degree = block.sum(axis=1)
-        cur[int(np.argmax(degree))] = -1
+    # A peel zeroes the man's row and his partner's column; no other threshold moves.
+    while degree.any():
+        i = int(np.argmax(degree))
+        degree -= block[:, cur[i]]
+        degree[i] = 0
+        block[:, cur[i]] = block[i] = False
+        cur[i] = -1
         removed += 1
     remaining = Matching(mu=tuple(int(v) for v in cur), n_women=mu.n_women)
     return removed / mu.n_men, remaining

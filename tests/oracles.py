@@ -8,6 +8,8 @@
   value matrices and preference lists (best partner first, 0-based).
 * ``is_alpha_stable_exact``: exhaustive search for a stable (1 - alpha)
   fraction of pairs, the exact counterpart of ``greedy_alpha_certificate``.
+* ``rebuilt_alpha_certificate``: ``greedy_alpha_certificate`` with the
+  blocking mask rebuilt from scratch after every peel.
 * ``EmpiricalCDF``: the right-continuous empirical CDF, evaluated on a grid
   to check the exact ``ks_distance_to_exp``.
 * ``reference_uniforms``: the counter stream computed in one shot over all
@@ -248,6 +250,19 @@ def is_alpha_stable_exact(mu: Matching, values: LatentValues, alpha: float) -> b
         if all(masks[p] & chosen == 0 for p in combo):
             return True
     return False
+
+
+def rebuilt_alpha_certificate(mu: Matching, values: LatentValues) -> tuple[float, Matching]:
+    """The greedy peel, rebuilding the blocking mask and degrees after each peel."""
+    cur = np.array(mu.mu, dtype=np.int64)
+    removed = 0
+    while True:
+        block = _blocking_mask(values.X, values.Y, cur, count_unmatched=False)
+        if not block.any():
+            break
+        cur[int(np.argmax(block.sum(axis=1)))] = -1
+        removed += 1
+    return removed / mu.n_men, Matching(mu=tuple(int(v) for v in cur), n_women=mu.n_women)
 
 
 @dataclass(frozen=True)

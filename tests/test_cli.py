@@ -127,7 +127,9 @@ def test_balance_errors_exit_two(tmp_path, capsys):
 
     market_file = tmp_path / "market.txt"
     write_matrix_pair(market_file, np.full((2, 2), 0.5), np.full((2, 2), 0.5))
-    for flags in (["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--max-iters", "0"]):
+    for flags in (
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"], ["--max-iters", "0"]
+    ):
         rc = main(["balance", str(market_file), *flags])
         err = capsys.readouterr().err
         assert rc == 2, flags
@@ -363,9 +365,11 @@ def test_summarize_with_no_matching_records_fails(tmp_path, capsys, config):
         (CSV_HEADER + "0,all,,,,,,,,,1,,,,,9\n", "line 2: expected 15 fields as in the header, found 16"),
         (CSV_HEADER + ",,,,,,,,,,,,,,\n", "line 2: trial_id is empty"),
         (CSV_HEADER + "0,,,,,,,,,,1,,,,\n", "line 2: matching_kind is empty"),
+        (CSV_HEADER[:-1] + ",ks_fit\n" + "0,mosm,1,1,0.01,,,,,,,,,,,0.5\n",
+         "line 1: header names the column ks_fit twice"),
     ],
     ids=["header", "int-cell", "float-cell", "non-utf8", "oversized-field", "short-row",
-         "empty-fields", "long-row", "empty-row", "no-kind"],
+         "empty-fields", "long-row", "empty-row", "no-kind", "repeated-column"],
 )
 def test_summarize_malformed_trials_exits_two(tmp_path, capsys, text, message):
     trials = tmp_path / "trials.csv"

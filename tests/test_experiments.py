@@ -148,6 +148,8 @@ def test_semantic_validation():
         (cfg_text(n=0), "n"),
         (cfg_text(trials=0), "trials"),
         (cfg_text(c=0.9), "c"),
+        (cfg_text(c="inf"), "c: must be finite"),
+        (cfg_text(market="cbounded", c="inf"), "c: must be finite"),
         (cfg_text(delta=1.0), "delta"),
         (cfg_text(delta=-0.1), "delta"),
         (cfg_text(workers=0), "workers"),
@@ -262,13 +264,13 @@ def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
     # The rectangular view and the completed profile derive from the draw's
     # screened rows, so only the draw's X and Y are screened.
     screened = []
-    check = mml.sampling._check_rows_tie_free
+    screen = mml.sampling._screen_matrix
 
-    def recording_check(name, values):
+    def recording_screen(name, values):
         screened.append((name, values.shape))
-        check(name, values)
+        return screen(name, values)
 
-    monkeypatch.setattr(mml.sampling, "_check_rows_tie_free", recording_check)
+    monkeypatch.setattr(mml.sampling, "_screen_matrix", recording_screen)
     cfg = parse_config(TINY_VALUE_DIST.replace("value_dist", "imbalance") + "k = 3\n")
     records = run_trial(cfg, 0)
     assert screened == [("X", (30, 30)), ("Y", (30, 30))]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml.errors import (
+    ConfigError,
     NoConvergence,
     NonPositiveEntry,
     NonSquare,
@@ -338,6 +339,8 @@ def test_balance_parameter_validation():
     market = uniform_market(2)
     with pytest.raises(ValueError):
         sinkhorn_balance(market, tol=0.0)
+    with pytest.raises(ConfigError, match="tol must be positive and finite, got inf"):
+        sinkhorn_balance(market, tol=float("inf"))
     with pytest.raises(ValueError):
         sinkhorn_balance(market, max_iters=0)
 

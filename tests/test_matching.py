@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mml import matching as matching_module
+from mml import sampling as sampling_module
 from mml.errors import DeltaOutOfRange, ShapeMismatch, TooLarge
 from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
 from mml.matching import (
     ENUMERATION_LIMIT,
-    TOP_L,
     Matching,
     MatchingOutcome,
     Side,
@@ -32,12 +31,13 @@ from mml.matching import (
     outcome_of,
     truncate_delta,
 )
-from mml.sampling import LatentValues, sample_latent
+from mml.sampling import TOP_L, LatentValues, sample_latent
 from oracles import (
     is_alpha_stable_exact,
     list_deferred_acceptance,
     loop_truncate_delta,
     prefs_from_values,
+    rebuilt_alpha_certificate,
     values_from_prefs,
 )
 
@@ -369,7 +369,7 @@ def assert_same_outcome(got, want):
 )
 def test_da_outcome_on_held_values_is_outcome_of(monkeypatch, top_l, side, n_men, n_women):
     # A width of 2 sends most walks past the presorted lists into deep walks.
-    monkeypatch.setattr(matching_module, "TOP_L", top_l)
+    monkeypatch.setattr(sampling_module, "TOP_L", top_l)
     for seed in range(3):
         square = n_men == n_women
         values = draw_instance(n_men, seed, n_women=None if square else n_women)
@@ -494,6 +494,27 @@ def test_greedy_certificate_is_certified_by_exact_search():
         assert is_stable(remaining, values)
         assert is_alpha_stable_exact(perturbed, values, alpha)
         assert matched_count(remaining) == 8 - round(alpha * 8)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_men=st.integers(1, 40),
+    extra_women=st.integers(0, 3),
+    unmatched=st.floats(0.0, 0.5),
+)
+@settings(max_examples=200, deadline=None)
+def test_greedy_certificate_equals_the_rebuilt_peel(seed, n_men, extra_women, unmatched):
+    # Integer-permutation rows make blocking degrees tie often, and random
+    # partial matchings take many peels.
+    rng = np.random.default_rng(seed)
+    n_women = n_men + extra_women
+    values = LatentValues(
+        X=rng.permuted(np.tile(np.arange(1.0, n_women + 1), (n_men, 1)), axis=1),
+        Y=rng.permuted(np.tile(np.arange(1.0, n_men + 1), (n_women, 1)), axis=1),
+    )
+    partners = rng.permutation(n_women)[:n_men]
+    mu = Matching(tuple(np.where(rng.random(n_men) < unmatched, -1, partners).tolist()), n_women)
+    assert greedy_alpha_certificate(mu, values) == rebuilt_alpha_certificate(mu, values)
 
 
 def test_exact_alpha_boundary():

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import mml.matching
+import mml.sampling
 from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_trial
@@ -74,7 +74,7 @@ def test_deep_walks_keep_the_matchings(monkeypatch, market):
     cfg = config("rank_dist", market, 257)
     full_top = solutions(cfg)
     records = records_to_csv(run_trial(cfg, 0))
-    monkeypatch.setattr(mml.matching, "TOP_L", 2)
+    monkeypatch.setattr(mml.sampling, "TOP_L", 2)
     for budget in BUDGETS:
         with thread_budget(budget):
             assert solutions(cfg) == full_top

@@ -23,7 +23,7 @@ from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_experiment, run_trial
 from mml.market import backfill_imbalanced, random_cbounded_market, sinkhorn_balance
-from mml.matching import Side, _top_l, deferred_acceptance
+from mml.matching import Side, deferred_acceptance
 from mml.rng import (
     BLOCK, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
     single_threaded_blas, stream_key, thread_budget, unit_uniforms,
@@ -122,7 +122,7 @@ def test_top_l_and_ranks_are_bit_identical_at_every_budget(shape):
     def stages():
         # The tie screen runs again in the constructor.
         screened = LatentValues(X=values.X, Y=values.Y)
-        out = [_top_l(screened.X), _top_l(screened.Y)]
+        out = [table for side in screened.lowest for table in side]
         for side in Side:
             matching, outcome = deferred_acceptance(screened, side)
             out += [matching.mu_array, outcome.rank_men]
