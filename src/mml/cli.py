@@ -17,6 +17,7 @@ runs out.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import MmlError, ShapeMismatch
@@ -53,7 +54,16 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    summary, records = run_experiment(cfg)
+    # An --out that cannot be a directory fails here, before any trial runs;
+    # a run refused with exit 2 leaves no directory behind.
+    made = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
+    try:
+        summary, records = run_experiment(cfg)
+    except (MmlError, MemoryError):
+        if made:
+            os.rmdir(args.out)
+        raise
     write_outputs(args.out, cfg, summary, records)
     sys.stdout.write(format_summary(summary))
     print(f"outputs written to {args.out}")

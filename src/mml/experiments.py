@@ -99,7 +99,6 @@ class ExperimentConfig:
     c: float = 2.0
     delta: float = 0.05
     k: int = 0
-    workers: int = 1
     tolerances: tuple[tuple[str, float], ...] = ()
 
     def tol(self, name: str | None, default: float | None) -> float | None:
@@ -189,8 +188,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("c: must be finite and >= 1")
     if not (0.0 <= cfg.delta < 1.0):
         raise ConfigError("delta: must be in [0, 1)")
-    if cfg.workers < 1:
-        raise ConfigError("workers: must be >= 1")
     if cfg.k < 0:
         raise ConfigError("k: must be >= 0")
     if cfg.experiment is ExperimentKind.STABLE_COUNT and cfg.n > 10:
@@ -415,6 +412,7 @@ def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
         stream_key(trial_seed, "chernoff_z"), np.broadcast_to(1.0, (CHERNOFF_SAMPLES, n))
     )
     dots = z @ weights
+    del z  # the batch is spent: the DKW draws below need no room beside it
     for t_val in CHERNOFF_T:
         records.append(
             TrialRecord(
@@ -475,8 +473,48 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
         return run_trial(cfg, t)
 
 
-def effective_workers(cfg: ExperimentConfig) -> int:
+# Memory model of one trial process (README, "Memory and scale"): the
+# interpreter and numpy with one row-block thread's block scratch, 3 MiB of
+# scratch per further thread, and bytes per cell of the n x n stages.  A
+# value-family trial streams its values, so its n x n term is the kernel that
+# balancing allocates (8).  Where the market is balanced every trial, it adds
+# 12 KiB per row: the walks hold about 4 KiB per row (their best-64 tables),
+# and the allocator keeps that two or three times over beside the next
+# trial's kernel.  Every other trial holds the values X and Y (16 bytes) and
+# row-block scratch.  A C-bounded market adds its n x n scores (16).
+# Backfilling keeps shared rows shared, so imbalance adds only the stacked
+# men's scores of a public-scores market, or the real C-bounded market while
+# it is backfilled (8).  The bounds experiment's cells are its Chernoff
+# batches (8), drawn at a broadcast rate.
+_BASE_BYTES = 40 << 20
+_THREAD_BYTES = 3 << 20
+
+
+def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
+    """Estimated peak bytes of one process running cfg's trials on ``threads`` threads."""
+    base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES
+    if cfg.experiment is ExperimentKind.BOUNDS:
+        return base + 8 * CHERNOFF_SAMPLES * cfg.n
+    per_cell = 20
+    if _TRIAL_BODIES[cfg.experiment] is _value_family_records:
+        per_cell = 8
+        if cfg.market is not MarketKind.UNIFORM:
+            base += (12 << 10) * cfg.n
+    if cfg.market is MarketKind.CBOUNDED:
+        per_cell += 16
+    if cfg.experiment is ExperimentKind.IMBALANCE and cfg.market is not MarketKind.UNIFORM:
+        per_cell += 8
+    return base + per_cell * cfg.n**2
+
+
+def _pool_size(cfg: ExperimentConfig) -> int:
+    """The worker processes of cfg's run: ``MML_WORKERS`` if set, else one per
+    usable core, or as many as the memory model fits in physical memory if
+    that is fewer; at most one per trial.  Raises MemoryError, before any
+    market is built, if the count does not fit.
+    """
     env = os.environ.get("MML_WORKERS")
+    cores = workers = usable_cores()
     if env is not None:
         try:
             workers = int(env)
@@ -484,63 +522,37 @@ def effective_workers(cfg: ExperimentConfig) -> int:
             raise ConfigError(f"MML_WORKERS must be an integer, got {env!r}") from None
         if workers < 1:
             raise ConfigError("MML_WORKERS must be >= 1")
-        return workers
-    return cfg.workers
-
-
-# Memory model of one trial process (README, "Memory and scale"): the
-# interpreter and numpy, plus bytes per cell of the n x n stages.  A
-# value-family trial streams its values, so its n x n term is the kernel
-# that balancing allocates (8); every other trial holds the values X and Y
-# (16 bytes) and row-block scratch.  A C-bounded market adds its n x n
-# scores (16).  Backfilling keeps shared rows shared,
-# so imbalance adds only the stacked men's scores of a public-scores market,
-# or the real C-bounded market while it is backfilled (8).  The bounds
-# experiment's cells are its Chernoff batches (8), drawn at a broadcast rate.
-_BASE_BYTES = 40 << 20
-
-
-def memory_estimate(cfg: ExperimentConfig) -> int:
-    """Estimated peak bytes of one process running cfg's trials."""
-    if cfg.experiment is ExperimentKind.BOUNDS:
-        return _BASE_BYTES + 8 * CHERNOFF_SAMPLES * cfg.n
-    per_cell = 8 if _TRIAL_BODIES[cfg.experiment] is _value_family_records else 20
-    if cfg.market is MarketKind.CBOUNDED:
-        per_cell += 16
-    if cfg.experiment is ExperimentKind.IMBALANCE and cfg.market is not MarketKind.UNIFORM:
-        per_cell += 8
-    return _BASE_BYTES + per_cell * cfg.n**2
-
-
-def _check_memory(cfg: ExperimentConfig, workers: int) -> None:
-    """Raise MemoryError if the model says the run cannot fit in physical memory."""
+    workers = min(workers, cfg.trials)
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):  # not reported on this platform
-        return
-    per_process = memory_estimate(cfg)
+        return workers
+    # A worker runs its row blocks on its share of the cores.
+    per_process = memory_estimate(cfg, max(1, cores // workers))
+    while env is None and workers > 1 and workers * per_process > physical:
+        workers -= 1
+        per_process = memory_estimate(cfg, max(1, cores // workers))
     if workers * per_process > physical:
         raise MemoryError(
             f"n = {cfg.n} needs an estimated {workers * per_process / 2**30:.1f} GiB "
             f"({workers} process(es) x {per_process / 2**30:.1f} GiB), "
             f"more than the {physical / 2**30:.1f} GiB of physical memory"
         )
+    return workers
 
 
 def run_experiment(
     cfg: ExperimentConfig,
 ) -> tuple[dict, list[TrialRecord]]:
-    """Run all trials (in parallel if configured) and summarize.
+    """Run all trials, on as many worker processes as ``_pool_size`` gives, and summarize.
 
-    At most one worker process per trial is started, and each runs its row
-    blocks on an equal share of the usable cores (see ``rng.map_row_blocks``);
-    a serial run uses them all.  A run that the memory model says cannot fit
-    raises MemoryError before any trial starts.  On KeyboardInterrupt the
-    records collected so far are summarized and returned with
-    ``summary["interrupted"] = True`` so callers can flush them.
+    Each worker process runs its row blocks on an equal share of the usable
+    cores (see ``rng.map_row_blocks``); a serial run uses them all.  A run the
+    memory model says cannot fit raises MemoryError before any trial starts.
+    On KeyboardInterrupt the records collected so far are summarized and
+    returned with ``summary["interrupted"] = True`` so callers can flush them.
     """
-    workers = min(effective_workers(cfg), cfg.trials)
-    _check_memory(cfg, workers)
+    workers = _pool_size(cfg)
     records: list[TrialRecord] = []
     interrupted = False
     try:

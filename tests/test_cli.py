@@ -276,6 +276,24 @@ def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, m
     assert not (tmp_path / "o").exists()
 
 
+def test_run_with_an_out_naming_a_file_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
+    def refuse(cfg, t):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mml.experiments, "run_trial", refuse)
+    monkeypatch.setenv("MML_WORKERS", "1")
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("experiment = value_dist\nn = 4\ntrials = 2\nmaster_seed = 0\n",
+                        encoding="utf-8")
+    out_file = tmp_path / "afile"
+    out_file.write_text("kept\n", encoding="utf-8")
+    rc = main(["run", str(cfg_file), "--out", str(out_file)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: [Errno 17] File exists:") and err.count("\n") == 1
+    assert out_file.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_enumerate_tags_the_optimal_matchings(tmp_path, capsys):
     market_file = tmp_path / "market.txt"
     skew_market_file(market_file)

@@ -4,6 +4,8 @@ import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -39,7 +41,7 @@ from mml import (
 import mml.experiments
 import mml.market
 import mml.sampling
-from mml.experiments import effective_workers, run_trial
+from mml.experiments import _pool_size, run_trial
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,7 +55,6 @@ master_seed = 801
 c = 2.5
 delta = 0.1
 k = 0
-workers = 2
 tol.ks = 0.04          # trailing comments are stripped
 tol.pass_fraction = 0.85
 """
@@ -74,7 +75,6 @@ def test_parse_config_reads_all_keys():
     assert cfg.market is MarketKind.CBOUNDED
     assert (cfg.n, cfg.trials, cfg.master_seed) == (50, 10, 801)
     assert (cfg.c, cfg.delta, cfg.k) == (2.5, 0.1, 0)
-    assert cfg.workers == 2
     assert cfg.tol("ks", 0.05) == 0.04
     assert cfg.tol("pass_fraction", 0.9) == 0.85
     # unset tolerance falls back to the caller's default
@@ -152,7 +152,7 @@ def test_semantic_validation():
         (cfg_text(market="cbounded", c="inf"), "c: must be finite"),
         (cfg_text(delta=1.0), "delta"),
         (cfg_text(delta=-0.1), "delta"),
-        (cfg_text(workers=0), "workers"),
+        (cfg_text(workers=0), "unknown config key 'workers'"),
         (cfg_text(k=-1), "k"),
         (cfg_text(experiment="stable_count", n=11), "n <= 10"),
         (cfg_text(experiment="imbalance", k=0), "k"),
@@ -253,10 +253,12 @@ def test_value_dist_records_the_finite_n_value_law():
             assert record.ks_ysum != ks_distance_to_exp(outcome.value_men, rate)
 
 
-def test_worker_count_is_invisible_in_output():
+def test_worker_count_is_invisible_in_output(monkeypatch):
     cfg = parse_config(TINY_VALUE_DIST)
+    monkeypatch.setenv("MML_WORKERS", "1")
     _, serial = run_experiment(cfg)
-    _, parallel = run_experiment(replace(cfg, workers=3))
+    monkeypatch.setenv("MML_WORKERS", "3")
+    _, parallel = run_experiment(cfg)
     assert records_to_csv(serial) == records_to_csv(parallel)
 
 
@@ -297,7 +299,7 @@ def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = parse_config(TINY_VALUE_DIST)
-    monkeypatch.delenv("MML_WORKERS", raising=False)
+    monkeypatch.setenv("MML_WORKERS", "1")
     _, serial = run_experiment(cfg)
     assert sizes == []
 
@@ -305,23 +307,29 @@ def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
     _, pooled = run_experiment(cfg)
     assert sizes == [cfg.trials]
     assert records_to_csv(pooled) == records_to_csv(serial)
+    # Unset, one worker per core, and again no more than the trials.
+    monkeypatch.delenv("MML_WORKERS")
+    monkeypatch.setattr(mml.experiments, "usable_cores", lambda: 8)
+    run_experiment(cfg)
+    assert sizes == [cfg.trials] * 2
     # A single trial runs in this process, without a pool.
     run_experiment(replace(cfg, trials=1))
-    assert sizes == [cfg.trials]
+    assert sizes == [cfg.trials] * 2
 
 
-def test_effective_workers_env_override(monkeypatch):
+def test_pool_size_is_the_cores_unless_the_environment_sets_it(monkeypatch):
     cfg = parse_config(TINY_VALUE_DIST)
+    monkeypatch.setattr(mml.experiments, "usable_cores", lambda: 3)
     monkeypatch.delenv("MML_WORKERS", raising=False)
-    assert effective_workers(cfg) == cfg.workers
-    monkeypatch.setenv("MML_WORKERS", "3")
-    assert effective_workers(cfg) == 3
+    assert _pool_size(cfg) == 3
+    monkeypatch.setenv("MML_WORKERS", "2")
+    assert _pool_size(cfg) == 2
     monkeypatch.setenv("MML_WORKERS", "zero")
     with pytest.raises(ConfigError, match="MML_WORKERS"):
-        effective_workers(cfg)
+        _pool_size(cfg)
     monkeypatch.setenv("MML_WORKERS", "0")
     with pytest.raises(ConfigError, match="MML_WORKERS"):
-        effective_workers(cfg)
+        _pool_size(cfg)
 
 
 def test_stable_count_run_matches_direct_estimator():
@@ -503,8 +511,10 @@ def test_size_guard_refuses_runs_past_physical_memory(monkeypatch):
 
 def test_size_guard_counts_every_worker_process(monkeypatch):
     _refuse_to_build(monkeypatch)
-    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", "n = 4000") + "workers = 4\n")
-    per_process = mml.experiments.memory_estimate(cfg)
+    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", "n = 4000"))
+    # Eight cores, so a pool of three or four workers runs two threads each.
+    monkeypatch.setattr(mml.experiments, "usable_cores", lambda: 8)
+    per_process = mml.experiments.memory_estimate(cfg, 2)
     assert per_process > 8 * 4000**2
     # A machine with room for three processes of this run, not four.
     pages = 3 * per_process // 4096 + 1
@@ -512,4 +522,40 @@ def test_size_guard_counts_every_worker_process(monkeypatch):
     monkeypatch.setenv("MML_WORKERS", "4")
     with pytest.raises(MemoryError, match=r"\(4 process\(es\) x"):
         run_experiment(cfg)
-    mml.experiments._check_memory(cfg, 3)
+    monkeypatch.setenv("MML_WORKERS", "3")
+    assert _pool_size(cfg) == 3
+    # Unset, the pool shrinks from one worker per core to what fits.
+    monkeypatch.delenv("MML_WORKERS")
+    assert _pool_size(cfg) == 3
+
+
+# One process runs up to five trials of a config, then prints its peak RSS
+# and the model's estimate for a process on every usable core, in bytes.  The
+# peak is VmHWM: ru_maxrss also keeps the high-water mark of the process that
+# started it (the test runner), which execve carries over.
+PEAK_RUN = """
+import dataclasses, re, sys
+from mml import experiments, rng
+cfg = experiments.load_config(sys.argv[1])
+cfg = dataclasses.replace(cfg, trials=min(cfg.trials, 5))
+experiments.run_experiment(cfg)
+with open("/proc/self/status") as fh:
+    peak = 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+print(peak, experiments.memory_estimate(cfg, rng.usable_cores()))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+def test_memory_model_bounds_the_measured_peak(path):
+    # The pool is sized from the model, so it must not under-count a process.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mml.__file__)))
+    env = dict(os.environ, MML_WORKERS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RUN, str(path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak, model = map(int, proc.stdout.split())
+    assert peak <= model, f"peak {peak / 2**20:.1f} MiB, model {model / 2**20:.1f} MiB"

@@ -26,7 +26,7 @@ from mml.market import CanonicalMarket, read_market
 FUZZ = settings(max_examples=100, deadline=None)
 
 CONFIG_KEYS = (
-    "experiment", "market", "n", "trials", "master_seed", "c", "delta", "k", "workers",
+    "experiment", "market", "n", "trials", "master_seed", "c", "delta", "k",
     "tol.ks", "tol.pass_fraction", "tol.hyperbola_err", "tol.alpha", "tol.target", "tol.margin",
     "tol.kss", "shoe_size",
 )

@@ -291,7 +291,7 @@ def test_forked_pool_workers_use_threads_and_keep_the_bytes(monkeypatch):
             pytest.fail("a forked pool worker hung")
     assert proc.returncode == 0, stderr
 
-    monkeypatch.delenv("MML_WORKERS", raising=False)
+    monkeypatch.setenv("MML_WORKERS", "1")
     with thread_budget(1):
         _, serial = run_experiment(parse_config(POOL_CONFIG))
     assert stdout == records_to_csv(serial)
