@@ -380,7 +380,7 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     y = values.Y
     y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
     # The men's tables, built once on the completed Y; the real market is their
-    # first m proposers.  The women's stored tables are stale; nothing walks them.
+    # first m proposers.  The women's stored best values are stale; nothing walks them.
     men = _matrix_tables(values, Side.MEN)
     rect = replace(men, top=men.top[:m], own=men.own[:m], recv=men.recv[:m])
     rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)

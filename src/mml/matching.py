@@ -151,11 +151,18 @@ class ProposerTables:
 
 
 def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
-    """The proposers' tables from the lists the draw's screen kept."""
+    """The proposers' tables, their columns found from the best values the draw's screen kept."""
     if proposing_side == Side.MEN:
-        prop, recv, (top, own) = values.X, values.Y, values.lowest[0]
+        prop, recv, own = values.X, values.Y, values.lowest[0]
     else:
-        prop, recv, (top, own) = values.Y, values.X, values.lowest[1]
+        prop, recv, own = values.Y, values.X, values.lowest[1]
+    top = np.empty(own.shape, dtype=np.int32)
+
+    def find_columns(blocks):
+        for rows in blocks:
+            top[rows] = sampling.lowest_columns(prop[rows], own[rows], own.shape[1])
+
+    map_row_blocks(find_columns, *prop.shape)
 
     def deep(p: int):
         order = np.argsort(prop[p])
@@ -178,7 +185,7 @@ def proposer_tables(
     top, own, counts = prop.screen(min(sampling.TOP_L, n_recv), thresholds)
 
     def deep(p: int):
-        row = prop.row(p)
+        row = prop.cells(p, np.arange(n_recv))
         order = np.argsort(row)
         return order.tolist(), row[order].tolist(), recv.cells(order, p).tolist()
 

@@ -13,9 +13,9 @@ large matrices fast: matrices are filled in place, one block of cells at a
 time, at 60-75M exponential draws/s on one core of a 2-core Xeon and
 85-110M/s on both (n = 2000, depending on the host's load).  A matrix need
 not be stored at all: :func:`exponential_blocks` hands each block to a
-consumer, and :func:`exponential_cells` draws chosen cells from their
-counters alone.  Blocks and cells share one copy of the per-cell arithmetic,
-so a cell has the same bits however it is drawn.
+consumer, and :func:`exponential_cells` draws the cells at chosen (row,
+column) pairs from their counters alone.  Blocks and cells share one copy of
+the per-cell arithmetic, so a cell has the same bits however it is drawn.
 
 The fill, like every n^2 stage whose blocks write disjoint slices and whose
 result does not depend on block order, runs through :func:`map_row_blocks`.
@@ -358,37 +358,39 @@ def exponential_blocks(
 
 
 def exponential_cells(
-    key: int, rates: np.ndarray, index: tuple[np.ndarray, ...], offset: int = 0,
+    key: int, rates: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     scale: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``exponentials(key, rates, offset, scale)[index]``, drawn from the cells' counters alone.
+    """``exponentials(key, rates, scale=scale)[rows, cols]``, drawn from the cells' counters alone.
 
-    ``index`` holds one integer array per axis of ``rates``, broadcast
-    together as in numpy's advanced indexing.  The cells have the bits of
-    the full draw, and only they are drawn.
+    ``rows`` and ``cols`` are broadcast together as in numpy's advanced
+    indexing.  Only the chosen cells are drawn, each with the bits of the full
+    draw; each rate is read once, from the one row of a broadcast rate view.
     """
     rates, scale = _exponential_rates(rates, scale)
-    index = np.broadcast_arrays(*(np.asarray(ix, dtype=np.intp) for ix in index))
-    shape = index[0].shape
-    flat = np.ravel_multi_index(index, rates.shape).ravel()
-    index = [ix.ravel() for ix in index]
-    out = np.empty(flat.size)
+    rows, cols = np.broadcast_arrays(np.asarray(rows, np.intp), np.asarray(cols, np.intp))
+    out = np.empty(rows.shape)
+    rows, cols, flat_out = rows.ravel(), cols.ravel(), out.reshape(-1)
     key = _U64(key)
 
     def gather(blocks: Iterable[slice]) -> None:
-        z = np.empty(min(flat.size, BLOCK), dtype=np.uint64)
+        z = np.empty(min(rows.size, BLOCK), dtype=np.uint64)
         t = np.empty_like(z)
         for cells in blocks:
-            k = cells.stop - cells.start
-            at = tuple(ix[cells] for ix in index)
-            zb = z[:k]
-            np.add(flat[cells], offset + 1, out=zb, casting="unsafe")
+            r, c = rows[cells], cols[cells]
+            zb = z[: r.size]
+            # Counters are below 2^63, so the int64 view holds them exactly.
+            counter = zb.view(np.int64)
+            np.multiply(r, rates.shape[1], out=counter)
+            counter += c
+            counter += 1
             zb *= _GOLDEN
-            _cell_values(zb, t[:k], key, out[cells], rates[at],
-                         None if scale is None else scale[at[0]])
+            _cell_values(zb, t[: r.size], key, flat_out[cells],
+                         rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
+                         None if scale is None else scale.take(r))
 
-    map_row_blocks(gather, flat.size, 1)
-    return out.reshape(shape)
+    map_row_blocks(gather, rows.size, 1)
+    return out
 
 
 def unit_uniforms_batch(

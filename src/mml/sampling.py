@@ -66,22 +66,17 @@ def lowest_columns(block: np.ndarray, ordered: np.ndarray, width: int) -> np.nda
     return cols
 
 
-def _screen_matrix(name: str, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Screen per row block; each row's min(TOP_L, ncols) lowest columns and values."""
+def _screen_matrix(name: str, values: np.ndarray) -> np.ndarray:
+    """Screen per row block; each row's min(TOP_L, ncols) lowest values, lowest first."""
     nrows, ncols = values.shape
-    width = min(TOP_L, ncols)
-    top = np.empty((nrows, width), dtype=np.int32)
-    lowest = np.empty((nrows, width))
+    lowest = np.empty((nrows, min(TOP_L, ncols)))
 
     def screen_rows(blocks):
         for rows in blocks:
-            block = values[rows]
-            ordered = _screened_rows(name, block)
-            lowest[rows] = ordered[:, :width]
-            top[rows] = lowest_columns(block, ordered, width)
+            lowest[rows] = _screened_rows(name, values[rows])[:, : lowest.shape[1]]
 
     map_row_blocks(screen_rows, nrows, ncols)
-    return top, lowest
+    return lowest
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,9 @@ class LatentValues:
     woman j's value for man i (rate ``B[j, i]``).  Man i prefers j1 to j2 iff
     ``X[i, j1] < X[i, j2]``.  Construction rejects mismatched shapes and
     non-finite, non-positive or tied values, so every row is a strict order.
-    The screen's sort also gives ``lowest``, per side the (columns, values)
-    of ``_screen_matrix``: deferred acceptance's presorted lists.
+    The screen's sort also gives ``lowest``, per side each row's
+    min(TOP_L, ncols) lowest values, lowest first: deferred acceptance finds
+    the proposing side's columns from them when it walks that side.
     """
 
     X: np.ndarray
@@ -110,7 +106,7 @@ class LatentValues:
 
     @classmethod
     def _screened(cls, X: np.ndarray, Y: np.ndarray) -> LatentValues:
-        """Values screened elsewhere, with no ``lowest`` tables: for enumeration only.
+        """Values screened elsewhere, with no ``lowest`` kept: for enumeration only.
 
         The batched Monte Carlo of ``probability`` screens a chunk's draws at
         once, then enumerates each trial's; it never walks them.
@@ -168,12 +164,7 @@ class ValueStream:
 
     def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The values at (rows, cols), broadcast together, drawn by counter."""
-        return exponential_cells(self.key, self.rates, (rows, cols), scale=self.scale)
-
-    def row(self, i: int) -> np.ndarray:
-        """Row i, drawn on its own at its counters."""
-        scale = None if self.scale is None else self.scale[i:i + 1]
-        return exponentials(self.key, self.rates[i:i + 1], i * self.shape[1], scale)[0]
+        return exponential_cells(self.key, self.rates, rows, cols, self.scale)
 
     def screen(
         self, width: int, thresholds: np.ndarray | None = None

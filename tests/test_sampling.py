@@ -12,6 +12,7 @@ from mml.market import (
     sinkhorn_balance,
     uniform_market,
 )
+from mml.matching import Side, _matrix_tables
 from mml.rng import BLOCK, exponentials, stream_key, thread_budget
 from mml.sampling import TOP_L, LatentValues, latent_streams, sample_latent
 from oracles import argpartition_lowest_columns, logit_sample_prefs, strided_mutual_matmul
@@ -209,22 +210,23 @@ def test_mutual_product_equals_the_strided_product_bit_for_bit(n):
 )
 def test_top_columns_equal_the_argpartition_selection(n_men, n_women):
     # Below, at and above TOP_L columns, square and rectangular, from the
-    # matrices (the constructor's screen) and from one screened pass per side
-    # (screen).
+    # matrices (the constructor's screen, then the proposing side's tables)
+    # and from one screened pass per side (screen).
     market = random_cbounded_market(n_men, 2.5, seed=n_men, n_women=n_women)
     values = sample_latent(market, seed=n_women)
     streams = latent_streams(market, seed=n_women)
     for budget in (1, 2, 3):
         with thread_budget(budget):
             screened = LatentValues(X=values.X, Y=values.Y)
-            for matrix, stream, kept in zip((values.X, values.Y), streams, screened.lowest):
+            for matrix, stream, side in zip((values.X, values.Y), streams, Side):
                 for width in {min(TOP_L, matrix.shape[1]), 1, matrix.shape[1]}:
                     expected = argpartition_lowest_columns(matrix, width)
                     top, lowest, _ = stream.screen(width)
                     assert top.dtype == np.int32
                     np.testing.assert_array_equal(top, expected)
                     assert lowest.tobytes() == np.take_along_axis(matrix, expected, 1).tobytes()
-                top, lowest = kept
+                tables = _matrix_tables(screened, side)
+                top, lowest = tables.top, tables.own
                 expected = argpartition_lowest_columns(matrix, min(TOP_L, matrix.shape[1]))
                 assert top.dtype == np.int32
                 np.testing.assert_array_equal(top, expected)

@@ -23,7 +23,7 @@ from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_experiment, run_trial
 from mml.market import backfill_imbalanced, random_cbounded_market, sinkhorn_balance
-from mml.matching import Side, deferred_acceptance
+from mml.matching import Side, _matrix_tables, deferred_acceptance
 from mml.rng import (
     BLOCK, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
     single_threaded_blas, stream_key, thread_budget, unit_uniforms,
@@ -85,28 +85,26 @@ def test_gathered_cells_equal_the_full_draw_at_every_budget(shape):
     key = stream_key(rows, cols, "gather")
     dense = np.linspace(0.25, 4.0, rows * cols).reshape(shape)
     broadcast = np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)
-    flat = dense.ravel()
     scale = np.linspace(0.5, 2.0, rows)
     # More cells than two gather blocks, and not a multiple of one.
     picked = np.random.default_rng(rows * cols).integers(0, rows * cols, 2 * BLOCK + 17)
     i, j = np.divmod(picked, cols)
-    # A table of each row's columns, as deferred acceptance gathers it.
-    table = (np.arange(rows)[:, None], j[: 5 * rows].reshape(rows, 5))
+    # A table of each column's rows, as deferred acceptance gathers the
+    # receivers' values at the proposers' best 64: int32 against a column.
+    table = np.random.default_rng(cols).integers(0, rows, (cols, 64)).astype(np.int32)
+    proposers = np.arange(cols)[:, None]
     cases = [
-        (dense, (i, j), 0, None),
-        (dense, (i, j), 3, scale),
-        (broadcast, (i, j), 5, None),
-        (broadcast, (i, j), 0, scale),
-        (broadcast, table, 7, scale),
-        (flat, (picked,), 0, None),
-        (flat, (picked,), 11, None),
+        (dense, i, j, None),
+        (dense, i, j, scale),
+        (broadcast, i, j, None),
+        (broadcast, i, j, scale),
+        (dense, table, proposers, scale),
+        (broadcast, table, proposers, scale),
     ]
-    expected = [exponentials(key, rates, offset, scale)[index]
-                for rates, index, offset, scale in cases]
+    expected = [exponentials(key, rates, scale=scale)[r, c] for rates, r, c, scale in cases]
 
     def gathered():
-        return [exponential_cells(key, rates, index, offset, scale)
-                for rates, index, offset, scale in cases]
+        return [exponential_cells(key, rates, r, c, scale) for rates, r, c, scale in cases]
 
     assert_bit_identical([expected, *at_every_budget(gathered)])
 
@@ -122,8 +120,10 @@ def test_top_l_and_ranks_are_bit_identical_at_every_budget(shape):
     def stages():
         # The tie screen runs again in the constructor.
         screened = LatentValues(X=values.X, Y=values.Y)
-        out = [table for side in screened.lowest for table in side]
+        out = []
         for side in Side:
+            tables = _matrix_tables(screened, side)
+            out += [tables.top, tables.own, tables.recv]
             matching, outcome = deferred_acceptance(screened, side)
             out += [matching.mu_array, outcome.rank_men]
         return out
