@@ -1,4 +1,4 @@
-"""Closed-form stability likelihoods, concentration bounds, and MC estimators.
+"""Closed-form stability likelihoods and concentration bounds.
 
 ``p_mu`` is the exact probability that a given matching is stable conditional
 on the matched values: each unmatched pair (i, j) fails to block unless both
@@ -12,11 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import NotNormalized, TooLarge
-from .market import CanonicalMarket
-from .matching import ENUMERATION_LIMIT, Matching, enumerate_stable
-from .rng import stream_key, unit_uniforms_batch
-from .sampling import LatentValues, _screened_rows, latent_rates
+from .errors import NotNormalized
+from .matching import Matching
 
 _WEIGHT_SUM_TOL = 1e-9
 
@@ -111,57 +108,3 @@ def chernoff_lower_tail(u: np.ndarray, t: float) -> float:
         return 0.0
     log_bound = n * (math.log(t) + 1.0 - t) - float(np.log(u).sum())
     return 1.0 if log_bound >= 0.0 else math.exp(log_bound)
-
-
-_MC_CHUNK_CELLS = 1 << 16  # uniforms drawn per batched chunk, both sides combined
-
-
-def _exponential_batch(trial_seeds: list[int], tag: str, rates: np.ndarray) -> np.ndarray:
-    # Stacked exponentials(stream_key(s, tag), rates) over the trial seeds,
-    # bit-identical to drawing each trial alone.
-    keys = np.fromiter(
-        (stream_key(s, tag) for s in trial_seeds), dtype=np.uint64, count=len(trial_seeds)
-    )
-    draws = unit_uniforms_batch(keys, rates.size, rates.ravel())
-    return draws.reshape(len(trial_seeds), *rates.shape)
-
-
-def expected_stable_count_mc(
-    market: CanonicalMarket, n_trials: int, seed: int
-) -> tuple[float, float]:
-    """Mean and standard error of the number of stable matchings.
-
-    One latent draw per trial (trial t uses the stream seeded by (seed,
-    "trial", t), matching the experiment runner), exhaustively enumerated.
-    Values are drawn in batches of trials to keep per-call array overhead
-    off the hot path; the draws themselves match the single-trial streams
-    bit for bit.  Exhaustive, so limited to markets with at most 10 agents
-    per side.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
-    n_max = max(market.n_men, market.n_women)
-    if n_max > ENUMERATION_LIMIT:
-        raise TooLarge(n_max, ENUMERATION_LIMIT, "expected_stable_count_mc")
-    # Ten agents at most: the rate matrices are small enough to materialise.
-    rates_men, rates_women = (
-        rates if scale is None else scale[:, None] * rates
-        for rates, scale in latent_rates(market)
-    )
-
-    chunk = max(1, _MC_CHUNK_CELLS // (rates_men.size + rates_women.size))
-    counts = np.empty(n_trials)
-    for start in range(0, n_trials, chunk):
-        trials = range(start, min(start + chunk, n_trials))
-        trial_seeds = [stream_key(seed, "trial", t) for t in trials]
-        x = _exponential_batch(trial_seeds, "X", rates_men)
-        y = _exponential_batch(trial_seeds, "Y", rates_women)
-        # One screen per side covers the rows of all the chunk's trials.
-        for name, draws in (("X", x), ("Y", y)):
-            _screened_rows(name, draws.reshape(-1, draws.shape[-1]))
-        for i, t in enumerate(trials):
-            counts[t] = len(enumerate_stable(LatentValues._screened(x[i], y[i])))
-
-    mean = float(counts.mean())
-    stderr = 0.0 if n_trials == 1 else float(counts.std(ddof=1) / math.sqrt(n_trials))
-    return mean, stderr

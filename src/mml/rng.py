@@ -223,17 +223,16 @@ _BLOCK_STEPS.flags.writeable = False
 
 
 def _cell_values(
-    z: np.ndarray, t: np.ndarray, key: np.uint64 | np.ndarray, out: np.ndarray,
+    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
     rates: np.ndarray | None, scale: np.ndarray | None,
 ) -> None:
     """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
 
     z holds ``(counter + 1) * golden`` per cell of ``out`` and is spent, as
-    is t, scratch of z's size.  ``key`` is one key, or a column of keys with
-    one per row of z.  A rate is ``scale * rates`` when scale is given: the
-    same float product as a materialised rate matrix.  Row blocks, gathered
-    cells and batched streams all come here, so a cell has the same bits
-    however it is drawn.
+    is t, scratch of z's size.  A rate is ``scale * rates`` when scale is
+    given: the same float product as a materialised rate matrix.  Row blocks
+    and gathered cells both come here, so a cell has the same bits however
+    it is drawn.
     """
     _mix(z, t)
     z ^= key
@@ -329,32 +328,32 @@ def _exponential_rates(
 
 
 def exponentials(
-    key: int, rates: np.ndarray, offset: int = 0, scale: np.ndarray | None = None
+    key: int, rates: np.ndarray, scale: np.ndarray | None = None
 ) -> np.ndarray:
     """Exponential draws with the given (elementwise) rates, one counter per cell.
 
-    Cell (i, j) of a matrix of rates always consumes counter i*ncols + j + offset,
+    Cell (i, j) of a matrix of rates always consumes counter i*ncols + j,
     regardless of how many draws are requested elsewhere.  Given ``scale``,
     the rate of cell (i, j) is ``scale[i] * rates[i, j]``, and ``rates`` may
     be a broadcast view: no rate matrix is materialised.
     """
     rates, scale = _exponential_rates(rates, scale)
     out = np.empty(rates.shape)
-    _fill(key, offset, rates.shape, rates, scale, out=out)
+    _fill(key, 0, rates.shape, rates, scale, out=out)
     return out
 
 
 def exponential_blocks(
     key: int, rates: np.ndarray, consume: Callable[[slice, np.ndarray], None],
-    offset: int = 0, scale: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
 ) -> None:
-    """``consume(rows, block)`` on each row block of ``exponentials(key, rates, offset, scale)``.
+    """``consume(rows, block)`` on each row block of ``exponentials(key, rates, scale)``.
 
     The blocks run on the thread budget, each in a buffer of its thread's
     that is valid only during the call: no full-size array is allocated.
     """
     rates, scale = _exponential_rates(rates, scale)
-    _fill(key, offset, rates.shape, rates, scale, consume=consume)
+    _fill(key, 0, rates.shape, rates, scale, consume=consume)
 
 
 def exponential_cells(
@@ -392,21 +391,3 @@ def exponential_cells(
     map_row_blocks(gather, rows.size, 1)
     return out
 
-
-def unit_uniforms_batch(
-    keys: np.ndarray, count: int, rates: np.ndarray | None = None
-) -> np.ndarray:
-    """Row k: the first ``count`` uniforms of stream ``keys[k]``.
-
-    Given ``rates`` (one per counter), the exponentials of those rates
-    instead.  Bit-identical to calling :func:`unit_uniforms` (or
-    :func:`exponentials`) per key, but amortizes the per-call array overhead
-    when many tiny streams are consumed at once (e.g. one stream per Monte
-    Carlo trial of a 2x2 market).
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    z = np.empty((keys.size, count), dtype=np.uint64)
-    z[:] = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
-    out = np.empty(z.shape)
-    _cell_values(z, np.empty_like(z), keys[:, None], out, rates, None)
-    return out

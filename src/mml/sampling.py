@@ -104,18 +104,6 @@ class LatentValues:
             )
         object.__setattr__(self, "lowest", (_screen_matrix("X", x), _screen_matrix("Y", y)))
 
-    @classmethod
-    def _screened(cls, X: np.ndarray, Y: np.ndarray) -> LatentValues:
-        """Values screened elsewhere, with no ``lowest`` kept: for enumeration only.
-
-        The batched Monte Carlo of ``probability`` screens a chunk's draws at
-        once, then enumerates each trial's; it never walks them.
-        """
-        values = object.__new__(cls)
-        object.__setattr__(values, "X", X)
-        object.__setattr__(values, "Y", Y)
-        return values
-
 
 def latent_rates(
     market: BalancedMarket | CanonicalMarket,

@@ -23,8 +23,15 @@
   kernel block multiplied by a transposed view of ``b_hat``.
 * ``scalar_ks_exp``: the exact KS distance to Exp(rate), one rate per call.
 * ``loop_truncate_delta``: ``truncate_delta`` with a Python loop over the men.
+* ``profile_table`` / ``exact_laws``: every profile of strict orders of a
+  small square market, each checked against the definition of stability,
+  weighted by its Plackett-Luce probability: the exact law of the stable
+  count and of the man-optimal stable matching.
+* ``g_test``: the G statistic of a histogram against a law, with its
+  chi-square p-value.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -286,3 +293,121 @@ class EmpiricalCDF:
         t_arr = np.asarray(t, dtype=np.float64)
         out = np.searchsorted(self.sorted_samples, t_arr, side="right") / self.n
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class ProfileTable:
+    """Every profile of strict orders of an n x n market, and its stable matchings.
+
+    ``orders[k]`` is a strict order of the n partners, best first; read as
+    a matching (man i gets woman ``orders[k][i]``) it is the k-th perfect
+    matching.  Profile p gives man i the order ``orders[men[p, i]]`` and
+    woman j the order ``orders[women[p, j]]``.  ``stable[p, k]`` says
+    whether the k-th matching is stable in profile p, and ``mosm[p]`` is the
+    k of its man-optimal stable matching.
+    """
+
+    orders: np.ndarray
+    men: np.ndarray
+    women: np.ndarray
+    stable: np.ndarray
+    mosm: np.ndarray
+
+
+@functools.cache
+def profile_table(n: int) -> ProfileTable:
+    """All (n!)^(2n) profiles: 16 at n = 2, 46,656 at n = 3.
+
+    Stability is checked against its definition, vectorized over profiles:
+    a perfect matching is stable unless some man and woman each rank the
+    other above their partner.  Every man weakly prefers the man-optimal
+    stable matching to any other stable one, so it has the least sum of the
+    men's partner ranks.
+    """
+    orders = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    rank_of = np.argsort(orders, axis=1)  # rank_of[k][partner]: its place in order k
+    profiles = np.indices((len(orders),) * (2 * n)).reshape(2 * n, -1).T
+    men, women = profiles[:, :n], profiles[:, n:]
+    men_rank, women_rank = rank_of[men], rank_of[women]  # [p, i, j] and [p, j, i]
+    agents = np.arange(n)
+    stable = np.empty((len(profiles), len(orders)), dtype=bool)
+    men_cost = np.empty(stable.shape, dtype=np.int64)
+    for k, mu in enumerate(orders):
+        own = men_rank[:, agents, mu]
+        men_want = men_rank < own[:, :, None]
+        # A permutation's argsort is its inverse: rank_of[k][j] is woman j's partner.
+        women_want = women_rank < women_rank[:, agents, rank_of[k]][:, :, None]
+        stable[:, k] = ~(men_want & women_want.transpose(0, 2, 1)).any(axis=(1, 2))
+        men_cost[:, k] = own.sum(axis=1)
+    mosm = np.where(stable, men_cost, np.iinfo(np.int64).max).argmin(axis=1)
+    # Cached, so every caller shares these arrays: none may write to them.
+    for array in (orders, men, women, stable, mosm):
+        array.flags.writeable = False
+    return ProfileTable(orders, men, women, stable, mosm)
+
+
+def plackett_luce(rates: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """``[i, k]``: the probability that row i of ``rates`` ranks its partners as ``orders[k]``.
+
+    ``PL(a, sigma) = prod_k a[sigma_k] / sum_{l >= k} a[sigma_l]``, the law of
+    sorting independent Exp(a) values ascending.
+    """
+    chosen = np.asarray(rates, dtype=np.float64)[:, orders]
+    remaining = np.cumsum(chosen[..., ::-1], axis=-1)[..., ::-1]
+    return np.prod(chosen / remaining, axis=-1)
+
+
+def profile_probabilities(bal: BalancedMarket, table: ProfileTable) -> np.ndarray:
+    """Each profile's probability: the product of its 2n agents' Plackett-Luce terms."""
+    rows = [*plackett_luce(bal.A, table.orders), *plackett_luce(bal.B, table.orders)]
+    prob = rows[0]
+    for row in rows[1:]:
+        prob = np.multiply.outer(prob, row).ravel()
+    return prob
+
+
+def exact_laws(bal: BalancedMarket) -> tuple[np.ndarray, np.ndarray]:
+    """The exact laws of the stable count and of the man-optimal stable matching.
+
+    ``count_law[c]`` is P(c stable matchings); ``mosm_law[k]`` is P(the
+    man-optimal matching is ``profile_table(n).orders[k]``).
+    """
+    table = profile_table(bal.n)
+    prob = profile_probabilities(bal, table)
+    count_law = np.bincount(table.stable.sum(axis=1), weights=prob)
+    mosm_law = np.bincount(table.mosm, weights=prob, minlength=len(table.orders))
+    return count_law, mosm_law
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """P(chi-square with ``df`` degrees of freedom > x), for integer df >= 1.
+
+    From Q(x; 1) = erfc(sqrt(x / 2)) or Q(x; 2) = e^{-x/2}, stepping up by
+    Q(x; k + 2) = Q(x; k) + (x/2)^{k/2} e^{-x/2} / Gamma(k/2 + 1).
+    """
+    if x <= 0.0:
+        return 1.0
+    q, k = (math.erfc(math.sqrt(x / 2.0)), 1) if df % 2 else (math.exp(-x / 2.0), 2)
+    for k in range(k, df, 2):
+        q += math.exp(k / 2.0 * math.log(x / 2.0) - x / 2.0 - math.lgamma(k / 2.0 + 1.0))
+    return q
+
+
+def g_test(observed: np.ndarray, law: np.ndarray) -> tuple[float, int, float]:
+    """G statistic, degrees of freedom and p-value of a histogram against ``law``.
+
+    ``observed[k]`` counts outcome k, of probability ``law[k]``.  Outcomes of
+    probability zero count for no degree of freedom; one observed anyway
+    gives G = inf.
+    """
+    observed = np.asarray(observed, dtype=np.float64)
+    law = np.asarray(law, dtype=np.float64)
+    if observed.shape != law.shape:
+        raise ValueError(f"histogram {observed.shape} and law {law.shape} differ in shape")
+    if observed[law == 0.0].any():
+        return math.inf, 0, 0.0
+    seen = observed > 0.0
+    expected = observed.sum() * law[seen]
+    g = 2.0 * float((observed[seen] * np.log(observed[seen] / expected)).sum())
+    df = int((law > 0.0).sum()) - 1
+    return g, df, chi2_sf(g, df)

@@ -21,7 +21,6 @@ from mml import (
     canonical_from_raw,
     deferred_acceptance,
     enumerate_stable,
-    expected_stable_count_mc,
     is_stable,
     load_config,
     p_mu,
@@ -34,6 +33,7 @@ from mml import (
     uniform_market,
 )
 from mml import experiments
+from oracles import exact_laws, g_test
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -55,13 +55,23 @@ def _run_config(name: str):
 
 
 def test_criterion_01_small_market_stable_count():
+    # (a) the exact 2x2 uniform law, (b) the shipped 20,000-trial run's own
+    # check (mean within 0.02 of 9/8), (c) its histogram against (a)'s law,
+    # a G-test at alpha = 1e-3 (df 1, critical value 10.83).
     start = time.perf_counter()
-    mean, stderr = expected_stable_count_mc(uniform_market(2), 100_000, seed=202)
+    law, _ = exact_laws(sinkhorn_balance(uniform_market(2)))
+    exact_mean = float(law @ np.arange(law.size))
+    _, summary, records, checks = _run_config("stable_count_2x2.cfg")
+    counts = np.bincount([r.stable_count for r in records], minlength=law.size)
+    g, _, p_value = g_test(counts, law)
     elapsed = time.perf_counter() - start
-    ok = abs(mean - 1.125) <= 0.02 and elapsed < 10.0
+    ok = (abs(exact_mean - 1.125) <= 1e-12 and summary["passed"] and p_value >= 1e-3
+          and elapsed < 10.0)
+    sampled_mean = float(counts @ np.arange(counts.size)) / counts.sum()
     line = _report(
-        1, ok, f"2x2 mean stable count {mean:.4f} vs 1.125 +/- 0.02 "
-        f"(stderr {stderr:.4f}) in {elapsed:.1f}s (budget 10s)"
+        1, ok, f"2x2 mean stable count: exact {exact_mean:.12g} (9/8), sampled "
+        f"{sampled_mean:.4f} over {counts.sum()} trials [{checks}], G {g:.2f} "
+        f"(p {p_value:.3g} >= 1e-3) in {elapsed:.1f}s (budget 10s)"
     )
     assert ok, line
 

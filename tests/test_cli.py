@@ -212,6 +212,12 @@ def test_run_rejects_bad_inputs(tmp_path, capsys):
     assert rc == 2
     assert "shoe_size" in capsys.readouterr().err
 
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    rc = main(["run", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 text file\n"
+    assert not (tmp_path / "o").exists()
+
 
 @pytest.mark.parametrize("line", ["c = nan"])
 def test_run_rejects_out_of_range_parameters(tmp_path, capsys, line):
@@ -403,6 +409,16 @@ def test_summarize_missing_file_exits_two(tmp_path, capsys):
     rc = main(["summarize", str(tmp_path / "nope.csv")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_summarize_with_a_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    trials = tmp_path / "trials.csv"
+    trials.write_text(records_to_csv([TrialRecord(trial_id=0, matching_kind="all", stable_count=1)]))
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    rc = main(["summarize", str(trials), "--config", str(bad)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 text file\n"
 
 
 def test_usage_errors_raise_system_exit():

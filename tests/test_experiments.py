@@ -21,7 +21,6 @@ from mml import (
     Side,
     TrialRecord,
     deferred_acceptance,
-    expected_stable_count_mc,
     format_summary,
     ks_distance_to_exp,
     load_config,
@@ -330,19 +329,6 @@ def test_pool_size_is_the_cores_unless_the_environment_sets_it(monkeypatch):
     monkeypatch.setenv("MML_WORKERS", "0")
     with pytest.raises(ConfigError, match="MML_WORKERS"):
         _pool_size(cfg)
-
-
-def test_stable_count_run_matches_direct_estimator():
-    # The runner's per-trial pipeline on a uniform market draws the same
-    # streams as the standalone estimator, so the two must agree exactly.
-    cfg = parse_config(
-        "experiment = stable_count\nmarket = uniform\nn = 3\ntrials = 40\nmaster_seed = 777\n"
-    )
-    _, records = run_experiment(cfg)
-    counts = np.array([r.stable_count for r in records], dtype=np.float64)
-    mean, stderr = expected_stable_count_mc(uniform_market(3), 40, 777)
-    assert counts.mean() == mean
-    assert math.isclose(counts.std(ddof=1) / math.sqrt(40), stderr, rel_tol=1e-12)
 
 
 def test_fraction_check_boundary_is_inclusive():

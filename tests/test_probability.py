@@ -1,23 +1,15 @@
-"""Stability likelihoods, concentration bounds, and the stable-count estimator."""
+"""Stability likelihoods and concentration bounds."""
 
 import math
 
 import numpy as np
 import pytest
 
-from mml.errors import NotNormalized, TooLarge
+from mml.errors import NotNormalized
 from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
-from mml.matching import Matching, Side, deferred_acceptance, enumerate_stable, truncate_delta
-from mml.probability import (
-    _exponential_batch,
-    chernoff_lower_tail,
-    expected_stable_count_mc,
-    naive_p_upper,
-    p_mu,
-    q_xy,
-)
-from mml.rng import exponentials, stream_key
-from mml.sampling import LatentValues, sample_latent
+from mml.matching import Matching, Side, deferred_acceptance, truncate_delta
+from mml.probability import chernoff_lower_tail, naive_p_upper, p_mu, q_xy
+from mml.sampling import sample_latent
 
 
 def random_instance(n, seed, c=2.0):
@@ -188,60 +180,3 @@ def test_chernoff_bound_holds_in_simulation():
     for t in (0.2, 0.4):
         empirical = float(np.mean(z @ u <= t * 6.0))
         assert empirical <= chernoff_lower_tail(u, t)
-
-
-# --- expected stable count --------------------------------------------------------
-
-
-def test_stable_count_single_agent():
-    mean, stderr = expected_stable_count_mc(uniform_market(1), 50, seed=0)
-    assert mean == 1.0 and stderr == 0.0
-
-
-def test_stable_count_validation():
-    with pytest.raises(ValueError):
-        expected_stable_count_mc(uniform_market(2), 0, seed=0)
-    with pytest.raises(TooLarge):
-        expected_stable_count_mc(uniform_market(11), 10, seed=0)
-
-
-def test_stable_count_batching_matches_per_trial_path():
-    # The batched sampler must reproduce the single-trial streams bit for bit.
-    def naive(market, n_trials, seed):
-        bal = sinkhorn_balance(market)
-        counts = np.empty(n_trials)
-        for t in range(n_trials):
-            trial_seed = stream_key(seed, "trial", t)
-            x = exponentials(stream_key(trial_seed, "X"), bal.A)
-            y = exponentials(stream_key(trial_seed, "Y"), bal.B)
-            values = LatentValues(X=x, Y=y)
-            counts[t] = len(enumerate_stable(values))
-        return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(n_trials))
-
-    market = random_cbounded_market(3, 2.0, seed=44)
-    assert expected_stable_count_mc(market, 200, seed=91) == naive(market, 200, seed=91)
-
-
-@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2), (10, 10)])
-def test_batched_draws_equal_the_single_trial_draws(shape):
-    rates = np.random.default_rng(shape[0]).uniform(0.5, 2.0, shape)
-    seeds = [stream_key(8, "trial", t) for t in range(13)]
-    batch = _exponential_batch(seeds, "X", rates)
-    assert batch.shape == (len(seeds), *shape)
-    for draw, seed in zip(batch, seeds):
-        assert draw.tobytes() == exponentials(stream_key(seed, "X"), rates).tobytes()
-
-
-def test_stable_count_two_by_two_benchmark():
-    mean, stderr = expected_stable_count_mc(uniform_market(2), 20_000, seed=5)
-    assert abs(mean - 1.125) <= 3.0 * stderr
-
-
-def test_independent_blocks_multiply():
-    # Two disjoint 2x2 markets: the mean stable count of the product market is
-    # the product of the means ((9/8)^2 at the uniform market).
-    m1, se1 = expected_stable_count_mc(uniform_market(2), 20_000, seed=31)
-    m2, se2 = expected_stable_count_mc(uniform_market(2), 20_000, seed=32)
-    product = m1 * m2
-    sigma = math.sqrt((se1 * m2) ** 2 + (se2 * m1) ** 2)
-    assert abs(product - (9.0 / 8.0) ** 2) <= 3.0 * sigma

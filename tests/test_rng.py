@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml.errors import ConfigError
-from mml.rng import BLOCK, exponentials, stream_key, unit_uniforms, unit_uniforms_batch
+from mml.rng import BLOCK, exponentials, stream_key, unit_uniforms
 from oracles import reference_uniforms
 
 # Generated once from the implementation at freeze time.
@@ -121,13 +121,14 @@ def test_exponentials_counter_layout():
 @pytest.mark.parametrize("offset", [0, 1, BLOCK])
 def test_blocked_draws_match_the_one_shot_reference(count, offset):
     key = stream_key(count, offset, "blocked")
-    reference = reference_uniforms(key, count, offset)
-    np.testing.assert_array_equal(unit_uniforms(key, count, offset), reference)
+    np.testing.assert_array_equal(
+        unit_uniforms(key, count, offset), reference_uniforms(key, count, offset)
+    )
     # A matrix whose rows straddle block boundaries, with distinct rates.
     cols = max(d for d in range(1, 301) if count % d == 0)
     rates = np.linspace(0.5, 3.0, count).reshape(count // cols, cols)
-    expected = -np.log(reference.reshape(rates.shape)) / rates
-    np.testing.assert_array_equal(exponentials(key, rates, offset), expected)
+    expected = -np.log(reference_uniforms(key, count).reshape(rates.shape)) / rates
+    np.testing.assert_array_equal(exponentials(key, rates), expected)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (300, 301), (2, BLOCK + 5)])
@@ -137,11 +138,11 @@ def test_factored_rates_match_the_one_shot_reference(shape):
     rows, cols = shape
     key = stream_key(rows, cols, "factored")
     scale = np.linspace(0.5, 2.0, rows)
-    reference = reference_uniforms(key, rows * cols, 3).reshape(shape)
+    reference = reference_uniforms(key, rows * cols).reshape(shape)
     for rates in (np.linspace(0.25, 4.0, rows * cols).reshape(shape),
                   np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)):
         expected = -np.log(reference) / (scale[:, None] * rates)
-        np.testing.assert_array_equal(exponentials(key, rates, 3, scale=scale), expected)
+        np.testing.assert_array_equal(exponentials(key, rates, scale=scale), expected)
     with pytest.raises(ValueError, match="scale"):
         exponentials(key, np.ones(shape), scale=np.ones(rows + 1))
 
@@ -159,24 +160,6 @@ def test_exponentials_mean():
     draws = exponentials(stream_key(23, "mean"), np.full(n, 3.0))
     assert abs(draws.mean() - 1.0 / 3.0) < 3.0 / (3.0 * math.sqrt(n))
     assert (draws > 0.0).all()
-
-
-def test_exponentials_offset():
-    key = stream_key(24, "offset")
-    rates = np.ones(6)
-    shifted = exponentials(key, rates, offset=6)
-    whole = exponentials(key, np.ones(12))
-    np.testing.assert_array_equal(shifted, whole[6:])
-
-
-def test_unit_uniforms_batch_matches_per_key_calls():
-    keys = np.array(
-        [stream_key(t, "batch") for t in range(17)], dtype=np.uint64
-    )
-    batch = unit_uniforms_batch(keys, 9)
-    assert batch.shape == (17, 9)
-    for row, key in enumerate(keys):
-        np.testing.assert_array_equal(batch[row], unit_uniforms(int(key), 9))
 
 
 @given(count=st.integers(1, 1000))

@@ -70,9 +70,9 @@ def test_draws_are_bit_identical_at_every_budget(shape):
     def draws():
         return [
             exponentials(key, dense),
-            exponentials(key, broadcast, offset=5),
+            exponentials(key, broadcast),
             exponentials(key, broadcast, scale=scale),
-            exponentials(key, dense, offset=3, scale=scale),
+            exponentials(key, dense, scale=scale),
             unit_uniforms(key, rows * cols, offset=7),
         ]
 
