@@ -43,6 +43,19 @@ INLINE_CONFIGS = {
         "experiment = rank_dist\nmarket = cbounded\nc = 2\nn = 80\n"
         "trials = 3\ndelta = 0.05\nmaster_seed = 113\n"
     ),
+    "approx_stable_cbounded": (
+        "experiment = approx_stable\nmarket = cbounded\nc = 3\nn = 200\nk = 7\n"
+        "trials = 3\ndelta = 0.05\nmaster_seed = 511\n"
+    ),
+    "approx_stable_public_scores": (
+        "experiment = approx_stable\nmarket = public_scores\nc = 2.5\nn = 200\nk = 7\n"
+        "trials = 3\ndelta = 0.05\nmaster_seed = 512\n"
+    ),
+    # The 150 added men walk past their presorted columns 7 times over the 3 trials.
+    "imbalance_deep_walks": (
+        "experiment = imbalance\nmarket = uniform\nn = 200\nk = 150\n"
+        "trials = 3\ndelta = 0.05\nmaster_seed = 12\n"
+    ),
 }
 
 # (config, trials override, trials.csv sha256, summary.json sha256)
@@ -74,6 +87,15 @@ PINS = [
     ("rank_dist_cbounded", None,
      "769006a7a38de66ef34330e6d89194dc6ecf0c9c85ac98f3629e494110c0aacc",
      "cf30b439ce39d6c675902cee7766acbe108b304242a6a0352aeba7891e33859d"),
+    ("approx_stable_cbounded", None,
+     "6f9774fca539b46d160e97a8385fd817f06cb530014a65a44bbb8664f84bc0a2",
+     "2df6d6e8f6a90f609d20a19583310b32d94133a01c682f97f5e9a66e0dda3b12"),
+    ("approx_stable_public_scores", None,
+     "fe608d5e56b6f6a8bab9536310ba867bffbd311918e8d01619a52a6745dcac2f",
+     "bbcb0fc216c4ce4f0b6cae63418debaff5faf3627120797720920a825f87adef"),
+    ("imbalance_deep_walks", None,
+     "f24ad006bc2a7114bd75ee02f1667f73ba7dd8813928609b49fc6ea3bd214870",
+     "f657b48ccfa50b0ee4bb439b92158118d9f5d343d9c5edd4b32c76b06a612bdf"),
 ]
 
 
