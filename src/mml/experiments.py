@@ -12,6 +12,7 @@ import concurrent.futures
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -36,17 +37,16 @@ from .matching import (
     Matching,
     MatchingOutcome,
     Side,
-    _matrix_tables,
     deferred_acceptance,
     enumerate_stable,
-    greedy_alpha_certificate,
-    outcome_of,
+    peel_blocking_pairs,
     proposer_tables,
     truncate_delta,
 )
 from .probability import chernoff_lower_tail
 from .rng import (
-    exponentials, single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores,
+    exponential_blocks, exponentials, single_threaded_blas, stream_key, thread_budget,
+    unit_uniforms, usable_cores,
 )
 from .sampling import latent_streams, sample_latent
 from .stats import (
@@ -340,33 +340,51 @@ def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
 def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = _build_balanced(cfg, t)
-    values = sample_latent(bal, trial_seed)
-    matching, outcome = deferred_acceptance(values, Side.MEN)
+    x, y = latent_streams(bal, trial_seed)
+    men, _ = proposer_tables(x, y)
+    y.row_max(cfg.n)  # the women never walk: their one pass only screens their values
+    matching, outcome = deferred_acceptance(men, Side.MEN)
 
     # Perturb the stable matching by k random partner swaps.
-    mu = list(matching.mu)
     key = stream_key(trial_seed, "swaps")
-    cursor = 0
-
-    def draw_index() -> int:
-        nonlocal cursor
-        u = unit_uniforms(key, 1, offset=cursor)[0]
-        cursor += 1
-        return int(u * cfg.n)
-
+    draws = (int(unit_uniforms(key, 1, offset=c)[0] * cfg.n) for c in itertools.count())
+    mu = list(matching.mu)
     for _ in range(cfg.k):
-        i1 = draw_index()
-        i2 = draw_index()
+        i1, i2 = next(draws), next(draws)
         while i2 == i1:
-            i2 = draw_index()
+            i2 = next(draws)
         mu[i1], mu[i2] = mu[i2], mu[i1]
     perturbed = Matching(mu=tuple(mu), n_women=cfg.n)
-    pert_outcome = outcome_of(perturbed, values, proposal_count=outcome.proposal_count)
 
-    alpha_cert, _ = greedy_alpha_certificate(perturbed, values)
-    fitness = (bal.mutual_matmul(pert_outcome.value_women), bal.phi)
+    # Every agent is matched.  Only the moved men and their women change
+    # partner: their entries of the outcome are drawn afresh by counter.
+    pert = perturbed.mu_array
+    moved = np.flatnonzero(pert != matching.mu_array)
+    women = pert[moved]
+    agents = np.arange(cfg.n)
+    value_men, value_women = outcome.value_men.copy(), outcome.value_women.copy()
+    value_men[moved] = x.cells(moved, women)
+    value_women[women] = y.cells(women, moved)
+    rank_men = outcome.rank_men.copy()
+    rank_men[moved] = (x.cells(moved[:, None], agents) <= value_men[moved, None]).sum(axis=1)
+    pert_outcome = MatchingOutcome(value_men, value_women, rank_men, outcome.proposal_count)
+
+    def blocking(i, j):
+        """Whether each pair of man i and woman j, broadcast together, blocks."""
+        return (x.cells(i, j) < value_men[i]) & (y.cells(j, i) < value_women[j])
+
+    # A pair of two unmoved agents keeps both thresholds, so it would block the
+    # stable matching too: only the moved men's rows and the moved women's
+    # columns can block.
+    block = np.zeros((cfg.n, cfg.n), dtype=bool)
+    block[moved] = blocking(moved[:, None], agents)
+    block[:, women] = blocking(agents[:, None], women)
+    block[moved, women] = False
+    alpha_cert, _ = peel_blocking_pairs(perturbed, block)
+
+    fitness = (bal.mutual_matmul(value_women), bal.phi)
     record = _matching_stats(
-        cfg, t, "perturbed", perturbed, pert_outcome, pert_outcome.value_men, fitness=fitness
+        cfg, t, "perturbed", perturbed, pert_outcome, value_men, fitness=fitness
     )
     return [replace(record, alpha_cert=alpha_cert)]
 
@@ -375,20 +393,23 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     m = cfg.n - cfg.k
     bal = sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, m), cfg.k))
-    values = sample_latent(bal, trial_seed)
+    x, y = latent_streams(bal, trial_seed)
+    men, _ = proposer_tables(x, y)
+    worst = y.row_max(m)  # each woman's largest value over the real men
 
     # Completion check: with every woman ranking the k added men below all
     # real men (in index order), square DA must restrict to the rectangular
-    # DA exactly.  The added men's drawn values are spent, so the completion
-    # overwrites them in place; the real men's columns keep their values.
-    y = values.Y
-    y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
-    # The men's tables, built once on the completed Y; the real market is their
-    # first m proposers.  The women's stored best values are stale; nothing walks them.
-    men = _matrix_tables(values, Side.MEN)
+    # DA exactly.  The real market is the first m proposers; added man m + a
+    # gets the receiver values worst + a + 1, in his tables and in a deep walk.
+    def completed_deep(p: int):
+        order, own, recv = men.deep(p)
+        return (order, own, recv) if p < m else (order, own, (worst[order] + (p - m + 1)).tolist())
+
+    added = worst[men.top[m:]] + np.arange(1.0, cfg.k + 1)[:, None]
+    completed = replace(men, recv=np.vstack([men.recv[:m], added]), deep=completed_deep)
     rect = replace(men, top=men.top[:m], own=men.own[:m], recv=men.recv[:m])
     rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)
-    completed_match, _ = deferred_acceptance(men, Side.MEN)
+    completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
     record = _matching_stats(cfg, t, "mosm", rect_match, rect_outcome, rect_outcome.value_men)
     return [replace(record, da_agree=int(agree))]
@@ -411,12 +432,15 @@ def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     u01 = unit_uniforms(stream_key(trial_seed, "chernoff_u"), n)
     weights = 2.0 ** (2.0 * u01 - 1.0)
     weights *= n / weights.sum()
-    # A broadcast rate of 1: unit exponentials with no rate matrix held.
-    z = exponentials(
-        stream_key(trial_seed, "chernoff_z"), np.broadcast_to(1.0, (CHERNOFF_SAMPLES, n))
+    # Unit exponentials at a broadcast rate of 1, reduced one row block at a time.
+    dots = np.empty(CHERNOFF_SAMPLES)
+
+    def weigh(rows, block):
+        dots[rows] = block @ weights
+
+    exponential_blocks(
+        stream_key(trial_seed, "chernoff_z"), np.broadcast_to(1.0, (CHERNOFF_SAMPLES, n)), weigh
     )
-    dots = z @ weights
-    del z  # the batch is spent: the DKW draws below need no room beside it
     for t_val in CHERNOFF_T:
         records.append(
             TrialRecord(
@@ -478,36 +502,36 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 
 
 # Memory model of one trial process (README, "Memory and scale"): the
-# interpreter and numpy with one row-block thread's block scratch, 3 MiB of
-# scratch per further thread, and bytes per cell of the n x n stages.  A
-# value-family trial streams its values, so its n x n term is the kernel that
-# balancing allocates (8).  Where the market is balanced every trial, it adds
-# 12 KiB per row: the walks hold about 4 KiB per row (their best-64 tables),
-# and the allocator keeps that two or three times over beside the next
-# trial's kernel.  Every other trial holds the values X and Y (16 bytes) and
-# row-block scratch.  A C-bounded market adds its n x n scores (16).
-# Backfilling keeps shared rows shared, so imbalance adds only the stacked
-# men's scores of a public-scores market, or the real C-bounded market while
-# it is backfilled (8).  The bounds experiment's cells are its Chernoff
-# batches (8), drawn at a broadcast rate.
+# interpreter and numpy with one row-block thread's block scratch, 5 MiB of
+# scratch per further thread, and bytes per cell of the n x n stages.  Trials
+# stream their values, so the n x n term is the kernel that balancing
+# allocates (8).  A market balanced every trial (imbalance, or off the uniform
+# market) adds 12 KiB per row: the walks' best-64 tables, about 4 KiB per row,
+# kept two or three times over beside the next trial's kernel.  A C-bounded
+# market adds its scores (16).  Backfilling keeps shared rows shared, so
+# imbalance adds only the stacked men's scores of a public-scores market, or
+# the real C-bounded market while it is backfilled (8).  approx_stable adds
+# its blocking mask (1).  bounds reduces its Chernoff batches a row block at a
+# time, and 8 MiB covers its fixed-size arrays.
 _BASE_BYTES = 40 << 20
-_THREAD_BYTES = 3 << 20
+_THREAD_BYTES = 5 << 20
+_BOUNDS_BYTES = 8 << 20
 
 
 def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     """Estimated peak bytes of one process running cfg's trials on ``threads`` threads."""
     base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES
     if cfg.experiment is ExperimentKind.BOUNDS:
-        return base + 8 * CHERNOFF_SAMPLES * cfg.n
-    per_cell = 20
-    if _TRIAL_BODIES[cfg.experiment] is _value_family_records:
-        per_cell = 8
-        if cfg.market is not MarketKind.UNIFORM:
-            base += (12 << 10) * cfg.n
+        return base + _BOUNDS_BYTES
+    per_cell = 8
+    if cfg.market is not MarketKind.UNIFORM or cfg.experiment is ExperimentKind.IMBALANCE:
+        base += (12 << 10) * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 16
     if cfg.experiment is ExperimentKind.IMBALANCE and cfg.market is not MarketKind.UNIFORM:
         per_cell += 8
+    if cfg.experiment is ExperimentKind.APPROX_STABLE:
+        per_cell += 1
     return base + per_cell * cfg.n**2
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import sampling
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
-from .rng import map_row_blocks
 from .sampling import LatentValues, ValueStream
 
 ENUMERATION_LIMIT = 10
@@ -92,10 +91,7 @@ class MatchingOutcome:
 
 
 def _check_values_shape(mu: Matching, values: LatentValues) -> None:
-    if values.X.shape != (mu.n_men, mu.n_women) or values.Y.shape != (
-        mu.n_women,
-        mu.n_men,
-    ):
+    if values.X.shape != (mu.n_men, mu.n_women) or values.Y.shape != (mu.n_women, mu.n_men):
         raise ShapeMismatch(
             f"latent values {values.X.shape}/{values.Y.shape} do not match a "
             f"{mu.n_men} x {mu.n_women} matching"
@@ -113,24 +109,12 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
     sup_m = np.nonzero(mu_arr >= 0)[0]
     value_men[sup_m] = x[sup_m, mu_arr[sup_m]]
     # Values are positive, so an unmatched man's threshold 0 counts rank 0.
-    rank_men = np.zeros(mu.n_men, dtype=np.int64)
-
-    def count_ranks(blocks):
-        for rows in blocks:
-            rank_men[rows] = (x[rows] <= value_men[rows, None]).sum(axis=1)
-
-    map_row_blocks(count_ranks, *x.shape)
+    rank_men = (x <= value_men[:, None]).sum(axis=1)
 
     value_women = np.zeros(mu.n_women)
     sup_w = np.nonzero(inv >= 0)[0]
     value_women[sup_w] = y[sup_w, inv[sup_w]]
-
-    return MatchingOutcome(
-        value_men=value_men,
-        value_women=value_women,
-        rank_men=rank_men,
-        proposal_count=proposal_count,
-    )
+    return MatchingOutcome(value_men, value_women, rank_men, proposal_count)
 
 
 @dataclass(frozen=True)
@@ -151,25 +135,16 @@ class ProposerTables:
 
 
 def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
-    """The proposers' tables, their columns found from the best values the draw's screen kept."""
-    if proposing_side == Side.MEN:
-        prop, recv, own = values.X, values.Y, values.lowest[0]
-    else:
-        prop, recv, own = values.Y, values.X, values.lowest[1]
-    top = np.empty(own.shape, dtype=np.int32)
-
-    def find_columns(blocks):
-        for rows in blocks:
-            top[rows] = sampling.lowest_columns(prop[rows], own[rows], own.shape[1])
-
-    map_row_blocks(find_columns, *prop.shape)
+    """The proposers' tables from one argsort of each of their held rows."""
+    prop, recv = (values.X, values.Y) if proposing_side == Side.MEN else (values.Y, values.X)
+    order = np.argsort(prop, axis=1)
+    top = order[:, : sampling.TOP_L].astype(np.int32)
+    proposers = np.arange(prop.shape[0])[:, None]
 
     def deep(p: int):
-        order = np.argsort(prop[p])
-        return order.tolist(), prop[p, order].tolist(), recv[order, p].tolist()
+        return order[p].tolist(), prop[p, order[p]].tolist(), recv[order[p], p].tolist()
 
-    proposers = np.arange(prop.shape[0])[:, None]
-    return ProposerTables(top, own, recv[top, proposers], prop.shape[1], deep)
+    return ProposerTables(top, prop[proposers, top], recv[top, proposers], prop.shape[1], deep)
 
 
 def proposer_tables(
@@ -403,13 +378,23 @@ def greedy_alpha_certificate(
 ) -> tuple[float, Matching]:
     """Upper-bound the instability fraction by peeling off troublesome pairs.
 
+    The peel of :func:`peel_blocking_pairs` on the blocking pairs among
+    ``mu``'s matched agents.
+    """
+    _check_values_shape(mu, values)
+    block = _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched=False)
+    return peel_blocking_pairs(mu, block)
+
+
+def peel_blocking_pairs(mu: Matching, block: np.ndarray) -> tuple[float, Matching]:
+    """Peel ``mu`` until none of the blocking pairs in ``block`` is left.
+
+    ``block[i, j]`` marks (man i, woman j) as blocking; the mask is consumed.
     Repeatedly removes the matched pair whose man appears in the most blocking
     pairs (ties toward the lowest index) until the remaining sub-matching is
     internally stable.  Returns (removed / n_men, remaining matching).
     """
-    _check_values_shape(mu, values)
-    cur = np.array(mu.mu, dtype=np.int64)
-    block = _blocking_mask(values.X, values.Y, cur, count_unmatched=False)
+    cur = mu.mu_array
     degree = block.sum(axis=1)
     removed = 0
     # A peel zeroes the man's row and his partner's column; no other threshold moves.

@@ -8,14 +8,16 @@ one block at a time inside the draw.  Sorting a row of values yields exactly
 the sequential choice distribution of the multinomial logit, so the values
 are the only representation of preferences.
 
-The experiments that read every cell draw both matrices (:func:`sample_latent`).
-The others hold each side as a :class:`ValueStream`: one screened pass over
-its rows, block by block, keeps each row's best columns, and any other cell
-is drawn from its counter on demand, with the bits the matrix would have.
+The trials hold each side as a :class:`ValueStream`: one screened pass over
+its rows, block by block, keeps what the trial reads of them (the proposers'
+best columns, a count or a row maximum), and any other cell is drawn from its
+counter on demand, with the bits the matrix would have.  Only exhaustive
+enumeration, at most 10 agents per side, draws both matrices
+(:func:`sample_latent`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,34 +51,14 @@ def _screened_rows(name: str, block: np.ndarray) -> np.ndarray:
     return ordered
 
 
-def lowest_columns(block: np.ndarray, ordered: np.ndarray, width: int) -> np.ndarray:
-    """Each tie-free row's ``width`` lowest columns, lowest first.
-
-    ``ordered`` holds the block's rows sorted.  A row's columns at most its
-    ``width``-th value are exactly its ``width`` lowest, in column order;
-    sorting those few values puts them lowest first.
-    """
-    nrows, ncols = block.shape
-    flat = np.flatnonzero(block <= ordered[:, width - 1 : width])
-    order = np.argsort(block.reshape(-1)[flat].reshape(nrows, width), axis=1)
-    # Row r's survivors sit at flat[r * width : (r + 1) * width].
-    order += np.arange(0, nrows * width, width)[:, None]
-    cols = flat[order]
-    cols -= np.arange(0, nrows * ncols, ncols)[:, None]
-    return cols
-
-
-def _screen_matrix(name: str, values: np.ndarray) -> np.ndarray:
-    """Screen per row block; each row's min(TOP_L, ncols) lowest values, lowest first."""
-    nrows, ncols = values.shape
-    lowest = np.empty((nrows, min(TOP_L, ncols)))
+def _screen_matrix(name: str, values: np.ndarray) -> None:
+    """Screen per row block, so that a fault names the lowest block that has one."""
 
     def screen_rows(blocks):
         for rows in blocks:
-            lowest[rows] = _screened_rows(name, values[rows])[:, : lowest.shape[1]]
+            _screened_rows(name, values[rows])
 
-    map_row_blocks(screen_rows, nrows, ncols)
-    return lowest
+    map_row_blocks(screen_rows, *values.shape)
 
 
 @dataclass(frozen=True)
@@ -87,14 +69,12 @@ class LatentValues:
     woman j's value for man i (rate ``B[j, i]``).  Man i prefers j1 to j2 iff
     ``X[i, j1] < X[i, j2]``.  Construction rejects mismatched shapes and
     non-finite, non-positive or tied values, so every row is a strict order.
-    The screen's sort also gives ``lowest``, per side each row's
-    min(TOP_L, ncols) lowest values, lowest first: deferred acceptance finds
-    the proposing side's columns from them when it walks that side.
+    Holding both matrices is the small-market form: the trials stream their
+    values (:class:`ValueStream`), and this one serves enumeration and tests.
     """
 
     X: np.ndarray
     Y: np.ndarray
-    lowest: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x, y = self.X, self.Y
@@ -102,25 +82,8 @@ class LatentValues:
             raise ShapeMismatch(
                 f"value matrices must have transposed shapes, got {x.shape} and {y.shape}"
             )
-        object.__setattr__(self, "lowest", (_screen_matrix("X", x), _screen_matrix("Y", y)))
-
-
-def latent_rates(
-    market: BalancedMarket | CanonicalMarket,
-) -> tuple[tuple[np.ndarray, np.ndarray | None], tuple[np.ndarray, np.ndarray | None]]:
-    """Rates of the men's and the women's values in ``market``, as (rates, scale).
-
-    Row i of a side's rates is ``scale[i] * rates[i]``; a None scale leaves
-    the rates as they are.  Balanced rates, in their factored form, when the
-    market is balanced or square.  An off-square market has no balanced form
-    and uses its canonical rates: preferences depend only on within-row rate
-    ratios, so the preference law is the same.
-    """
-    if isinstance(market, CanonicalMarket):
-        if not market.is_square:
-            return (market.a_hat, None), (market.b_hat, None)
-        market = sinkhorn_balance(market)
-    return (market.a_hat, market.phi), (market.b_hat, market.psi)
+        _screen_matrix("X", x)
+        _screen_matrix("Y", y)
 
 
 def sample_latent(market: BalancedMarket | CanonicalMarket, seed: int) -> LatentValues:
@@ -172,20 +135,47 @@ class ValueStream:
         def consume(rows, block):
             ordered = _screened_rows(self.name, block)
             lowest[rows] = ordered[:, :width]
-            top[rows] = lowest_columns(block, ordered, width)
+            # A row's columns at most its width-th value are exactly its width
+            # lowest, in column order: row r's sit at flat[r * width : (r + 1) * width].
+            flat = np.flatnonzero(block <= ordered[:, width - 1 : width])
+            order = np.argsort(block.reshape(-1)[flat].reshape(-1, width), axis=1)
+            order += np.arange(0, order.size, width)[:, None]
+            top[rows] = flat[order] - np.arange(0, block.size, block.shape[1])[:, None]
             if counts is not None:
                 counts[rows] = (block <= thresholds[rows, None]).sum(axis=1)
 
         exponential_blocks(self.key, self.rates, consume, scale=self.scale)
         return top, lowest, counts
 
+    def row_max(self, ncols: int) -> np.ndarray:
+        """One pass over the rows, screened as :meth:`screen` screens them.
+
+        Returns each row's largest value among its first ``ncols`` columns.
+        """
+        largest = np.empty(self.shape[0])
+
+        def consume(rows, block):
+            _screened_rows(self.name, block)
+            largest[rows] = block[:, :ncols].max(axis=1)
+
+        exponential_blocks(self.key, self.rates, consume, scale=self.scale)
+        return largest
+
 
 def latent_streams(
     market: BalancedMarket | CanonicalMarket, seed: int
 ) -> tuple[ValueStream, ValueStream]:
-    """The streams of the men's values X and the women's values Y of ``seed``."""
-    (rates_men, phi), (rates_women, psi) = latent_rates(market)
+    """The streams of the men's values X and the women's values Y of ``seed``.
+
+    Balanced rates, in their factored form, when the market is balanced or
+    square.  An off-square market has no balanced form and uses its canonical
+    rates: preferences depend only on within-row rate ratios, so the
+    preference law is the same.
+    """
+    if isinstance(market, CanonicalMarket) and market.is_square:
+        market = sinkhorn_balance(market)
+    phi, psi = (market.phi, market.psi) if isinstance(market, BalancedMarket) else (None, None)
     return (
-        ValueStream("X", stream_key(seed, "X"), rates_men, phi),
-        ValueStream("Y", stream_key(seed, "Y"), rates_women, psi),
+        ValueStream("X", stream_key(seed, "X"), market.a_hat, phi),
+        ValueStream("Y", stream_key(seed, "Y"), market.b_hat, psi),
     )

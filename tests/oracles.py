@@ -29,8 +29,13 @@
   count and of the man-optimal stable matching.
 * ``g_test``: the G statistic of a histogram against a law, with its
   chi-square p-value.
+* ``held_approx_stable_records`` / ``held_imbalance_records``: the
+  approx_stable and imbalance trials on both held value matrices: the
+  perturbed outcome by ``outcome_of``, the certificate on the whole blocking
+  mask, and the completion written into the drawn Y.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -38,13 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mml import experiments
 from mml.errors import EmptySample, TooLarge
-from mml.market import BalancedMarket, CanonicalMarket
+from mml.market import BalancedMarket, CanonicalMarket, backfill_imbalanced, sinkhorn_balance
 from mml.matching import (
     Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
+    _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
 )
 from mml.rng import _GOLDEN, _MIX_1, _MIX_2, _U64, row_blocks, stream_key, unit_uniforms
-from mml.sampling import LatentValues
+from mml.sampling import LatentValues, sample_latent
 
 EXACT_ALPHA_LIMIT = 12
 
@@ -411,3 +418,51 @@ def g_test(observed: np.ndarray, law: np.ndarray) -> tuple[float, int, float]:
     g = 2.0 * float((observed[seen] * np.log(observed[seen] / expected)).sum())
     df = int((law > 0.0).sum()) - 1
     return g, df, chi2_sf(g, df)
+
+
+def held_approx_stable_records(cfg, t: int) -> list:
+    """The approx_stable trial on both held matrices."""
+    trial_seed = stream_key(cfg.master_seed, "trial", t)
+    bal = experiments._build_balanced(cfg, t)
+    values = sample_latent(bal, trial_seed)
+    matching, outcome = deferred_acceptance(values, Side.MEN)
+    mu = list(matching.mu)
+    key = stream_key(trial_seed, "swaps")
+    draws = itertools.count()
+
+    def draw_index() -> int:
+        return int(unit_uniforms(key, 1, offset=next(draws))[0] * cfg.n)
+
+    for _ in range(cfg.k):
+        i1 = draw_index()
+        i2 = draw_index()
+        while i2 == i1:
+            i2 = draw_index()
+        mu[i1], mu[i2] = mu[i2], mu[i1]
+    perturbed = Matching(mu=tuple(mu), n_women=cfg.n)
+    pert_outcome = outcome_of(perturbed, values, proposal_count=outcome.proposal_count)
+    alpha_cert, _ = greedy_alpha_certificate(perturbed, values)
+    fitness = (bal.mutual_matmul(pert_outcome.value_women), bal.phi)
+    record = experiments._matching_stats(
+        cfg, t, "perturbed", perturbed, pert_outcome, pert_outcome.value_men, fitness=fitness
+    )
+    return [dataclasses.replace(record, alpha_cert=alpha_cert)]
+
+
+def held_imbalance_records(cfg, t: int) -> list:
+    """The imbalance trial on both held matrices, the completion written into Y."""
+    trial_seed = stream_key(cfg.master_seed, "trial", t)
+    m = cfg.n - cfg.k
+    bal = sinkhorn_balance(backfill_imbalanced(experiments._build_market(cfg, t, m), cfg.k))
+    values = sample_latent(bal, trial_seed)
+    y = values.Y
+    y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
+    men = _matrix_tables(values, Side.MEN)
+    rect = dataclasses.replace(men, top=men.top[:m], own=men.own[:m], recv=men.recv[:m])
+    rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)
+    completed_match, _ = deferred_acceptance(men, Side.MEN)
+    agree = completed_match.mu[:m] == rect_match.mu
+    record = experiments._matching_stats(
+        cfg, t, "mosm", rect_match, rect_outcome, rect_outcome.value_men
+    )
+    return [dataclasses.replace(record, da_agree=int(agree))]

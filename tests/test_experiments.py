@@ -262,19 +262,26 @@ def test_worker_count_is_invisible_in_output(monkeypatch):
 
 
 def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
-    # The rectangular view and the completed profile derive from the draw's
-    # screened rows, so only the draw's X and Y are screened.
+    # The men's tables and the women's largest values come from one streamed
+    # pass per side; no value matrix is held, so none is screened.
     screened = []
-    screen = mml.sampling._screen_matrix
+    screen = mml.sampling._screened_rows
 
-    def recording_screen(name, values):
-        screened.append((name, values.shape))
-        return screen(name, values)
+    def recording_screen(name, block):
+        screened.append((name, block.shape))
+        return screen(name, block)
 
-    monkeypatch.setattr(mml.sampling, "_screen_matrix", recording_screen)
+    def refuse(name, values):
+        raise AssertionError(f"a held {name} was screened")
+
+    monkeypatch.setattr(mml.sampling, "_screened_rows", recording_screen)
+    monkeypatch.setattr(mml.sampling, "_screen_matrix", refuse)
     cfg = parse_config(TINY_VALUE_DIST.replace("value_dist", "imbalance") + "k = 3\n")
     records = run_trial(cfg, 0)
-    assert screened == [("X", (30, 30)), ("Y", (30, 30))]
+    for side in ("X", "Y"):
+        shapes = [shape for name, shape in screened if name == side]
+        assert {cols for _, cols in shapes} == {30}
+        assert sum(rows for rows, _ in shapes) == 30
     assert records[0].da_agree == 1
 
 

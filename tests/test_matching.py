@@ -377,31 +377,6 @@ def test_da_outcome_on_held_values_is_outcome_of(monkeypatch, top_l, side, n_men
         assert_same_outcome(outcome, outcome_of(mu, values, outcome.proposal_count))
 
 
-@pytest.mark.parametrize("side", list(Side))
-def test_held_draw_finds_only_the_proposing_sides_columns(monkeypatch, side):
-    # The draw keeps both sides' best values; only a walk finds columns, and
-    # only for the side that proposes.  300 rows span two row blocks.
-    values = draw_instance(300, seed=5)
-    walked, other = (values.X, values.Y) if side is Side.MEN else (values.Y, values.X)
-    found = []
-    lowest_columns = sampling_module.lowest_columns
-
-    def recording(block, ordered, width):
-        found.append(block)
-        return lowest_columns(block, ordered, width)
-
-    monkeypatch.setattr(sampling_module, "lowest_columns", recording)
-    held = LatentValues(X=values.X, Y=values.Y)
-    deferred_acceptance(held, side)
-    assert not any(np.shares_memory(block, other) for block in found)
-    rows = []
-    for block in found:
-        assert np.shares_memory(block, walked)
-        start = (block.ctypes.data - walked.ctypes.data) // walked.strides[0]
-        rows += range(start, start + block.shape[0])
-    assert sorted(rows) == list(range(walked.shape[0]))
-
-
 def test_outcome_shape_validation():
     values = LatentValues(X=np.eye(2) + 1.0, Y=np.eye(2) + 1.0)
     with pytest.raises(ShapeMismatch):

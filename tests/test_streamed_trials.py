@@ -5,13 +5,21 @@ at a time: each block is screened and keeps its rows' best columns, and the
 few other cells the walks read are drawn from their counters.  Its records
 must equal those of the matrix path: ``sample_latent``, then
 ``deferred_acceptance`` and ``outcome_of`` on both matrices.
+
+The approx_stable and imbalance trials stream their values too.  Their
+records must equal those of the same trials on both held matrices: the
+perturbed outcome by ``outcome_of``, the certificate on the whole blocking
+mask, and the completion written into the drawn Y.
 """
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mml.sampling
 from mml import experiments
@@ -19,8 +27,9 @@ from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_trial
 from mml.market import random_cbounded_market, sinkhorn_balance
 from mml.matching import Side, deferred_acceptance
-from mml.rng import row_blocks, stream_key, thread_budget
+from mml.rng import row_blocks, single_threaded_blas, stream_key, thread_budget
 from mml.sampling import sample_latent
+from oracles import held_approx_stable_records, held_imbalance_records
 
 BUDGETS = (1, 2, 3)
 EXPERIMENTS = ("value_dist", "rank_dist", "hyperbola")
@@ -85,6 +94,41 @@ def test_deep_walks_keep_the_matchings(monkeypatch, market):
     (_, mosm), (_, wosm) = matrix_matchings(bal, stream_key(cfg.master_seed, "trial", 0))
     women_ranks = (values.Y <= wosm.value_women[:, None]).sum(axis=1)
     assert np.median(mosm.rank_men) > 2 and np.median(women_ranks) > 2
+
+
+MARKETS = ("uniform", "public_scores", "cbounded")
+
+
+def assert_trial_equals_the_held_draws(data, experiment, k_range, held_records):
+    n = data.draw(st.integers(2, 40), label="n")
+    cfg = parse_config(
+        f"experiment = {experiment}\nmarket = {data.draw(st.sampled_from(MARKETS))}\n"
+        f"c = 2.5\nn = {n}\nk = {data.draw(st.integers(*k_range(n)), label='k')}\n"
+        f"trials = 1\nmaster_seed = {data.draw(st.integers(0, 2**32), label='seed')}\n"
+    )
+    # A width of 2 sends walks past their presorted columns into deep walks.
+    with mock.patch.object(mml.sampling, "TOP_L", data.draw(st.sampled_from([2, 64]))):
+        records = records_to_csv(run_trial(cfg, 0))
+        with single_threaded_blas():
+            assert records == records_to_csv(held_records(cfg, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_approx_stable_records_equal_the_held_draws(data):
+    # The certificate reads only the moved men's rows and women's columns.
+    assert_trial_equals_the_held_draws(
+        data, "approx_stable", lambda n: (0, 3 * n), held_approx_stable_records
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_imbalance_records_equal_the_held_draws(data):
+    # The completion is streamed: the added men's receiver values are derived.
+    assert_trial_equals_the_held_draws(
+        data, "imbalance", lambda n: (1, n - 1), held_imbalance_records
+    )
 
 
 def faulty_market(sides):
