@@ -435,7 +435,7 @@ def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     # Unit exponentials at a broadcast rate of 1, reduced one row block at a time.
     dots = np.empty(CHERNOFF_SAMPLES)
 
-    def weigh(rows, block):
+    def weigh(rows, block, _spare):
         dots[rows] = block @ weights
 
     exponential_blocks(

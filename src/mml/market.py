@@ -223,8 +223,7 @@ class BalancedMarket:
         weighted = (self.psi * y.T).T
         out = np.empty(y.shape)
 
-        def multiply_rows(blocks):
-            buffer = np.empty((min(self.n, max(1, BLOCK // self.n)), self.n))
+        def multiply_rows(blocks, buffer):
             for rows in blocks:
                 # The block's rows of B^T copied into C order, then times A's rows.
                 kernel = buffer[: rows.stop - rows.start]
@@ -232,7 +231,8 @@ class BalancedMarket:
                 kernel *= self.a_hat[rows]
                 out[rows] = kernel @ weighted
 
-        map_row_blocks(multiply_rows, self.n, self.n)
+        block_shape = (min(self.n, max(1, BLOCK // self.n)), self.n)
+        map_row_blocks(multiply_rows, self.n, self.n, lambda: np.empty(block_shape))
         return (out.T * (self.phi / self.n)).T
 
 
@@ -323,7 +323,7 @@ def _cbounded_scores(seed: int, side: str, shape: tuple[int, int], c_target: flo
     base = np.full(shape[1], float(c_target))
     worst: list[float] = []  # list.append is atomic under the interpreter lock
 
-    def score_rows(rows, raw):
+    def score_rows(rows, raw, _spare):
         raw *= 2.0
         raw -= 1.0
         np.power(base, raw, out=raw)

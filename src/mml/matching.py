@@ -176,8 +176,9 @@ def deferred_acceptance(
     Proposers walk their value rows in ascending order; a receiver holds the
     proposer she values lowest so far.  Works for rectangular markets (agents
     on the long side can end up unmatched).  Every proposal, including
-    rejected ones, is counted.  A walk reads its row's presorted top-L and
-    the whole row only if it goes deeper.
+    rejected ones, is counted: the count is the sum of the walks' depths.  A
+    walk reads its row's presorted top-L, through flat typed views of the
+    tables, and the whole row only if it goes deeper.
 
     The outcome holds the values the walks read, and a proposer's rank of
     its partner is its walk's depth.  When the men receive, no walk read
@@ -186,29 +187,28 @@ def deferred_acceptance(
     """
     streamed = isinstance(values, ProposerTables)
     tables = values if streamed else _matrix_tables(values, proposing_side)
-    top, recv, n_recv = tables.top, tables.recv, tables.n_recv
-    n_prop, width = top.shape
+    n_prop, width = tables.top.shape
+    n_recv = tables.n_recv
+    # Flat views whose items read as Python ints and floats: cell (p, k) of
+    # a table sits at p * width + k.
+    top, recv = memoryview(tables.top.ravel()), memoryview(tables.recv.ravel())
     deep: dict[int, tuple[list[int], list[float], list[float]]] = {}
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
     held = [0.0] * n_recv  # each receiver's value for the proposer it holds
-    proposals = 0
-    pending = list(range(n_prop - 1, -1, -1))
-    while pending:
-        p = pending.pop()
+    for p in range(n_prop):
         while True:
             k = next_idx[p]
             if k == n_recv:
                 break  # exhausted every receiver; stays unmatched
             if k < width:
-                r, v = top.item(p, k), recv.item(p, k)
+                r, v = top[p * width + k], recv[p * width + k]
             else:
                 if p not in deep:
                     deep[p] = tables.deep(p)
                 r, v = deep[p][0][k], deep[p][2][k]
             next_idx[p] = k + 1
-            proposals += 1
             cur = match_of[r]
             if cur < 0:
                 match_of[r], held[r] = p, v
@@ -216,6 +216,7 @@ def deferred_acceptance(
             if v < held[r]:
                 match_of[r], held[r] = p, v
                 p = cur  # displaced proposer continues immediately
+    proposals = sum(next_idx)
 
     if proposing_side == Side.MEN:
         mu = [-1] * n_prop

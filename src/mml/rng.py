@@ -22,7 +22,9 @@ result does not depend on block order, runs through :func:`map_row_blocks`.
 It spreads the row blocks over the process's thread budget: every usable
 core in a serial run, an equal share of them in each worker process of a
 pool.  A block computes the same bits on any thread, so no output depends on
-the budget.
+the budget.  Each walk's block scratch is allocated by the calling thread
+before the helper threads start, so a helper allocates no block buffer and
+its malloc arena holds none between calls.
 
 BLAS is the one other source of threads.  Within :func:`single_threaded_blas`,
 which every trial and every ``mml`` subcommand enters, numpy's OpenBLAS runs
@@ -126,7 +128,7 @@ def single_threaded_blas() -> Iterator[None]:
         set_(saved)
 
 
-def map_row_blocks(fn: Callable[[Iterable[slice]], None], nrows: int, ncols: int) -> None:
+def map_row_blocks(fn: Callable, nrows: int, ncols: int, scratch: Callable | None = None) -> None:
     """Call ``fn`` on the row blocks of an nrows x ncols matrix, on the thread budget.
 
     ``fn`` walks the blocks it is given in order; each block must write only
@@ -141,20 +143,26 @@ def map_row_blocks(fn: Callable[[Iterable[slice]], None], nrows: int, ncols: int
     one has raised, and every block below a failed one was claimed before it
     and runs to its end: the exception of the lowest failed block, raised
     once all threads stop, is the sequential walk's.
+
+    Given ``scratch``, each walk is ``fn(blocks, scratch())``, its own set of
+    buffers, and the calling thread makes every walk's set before any thread
+    starts.  A helper thread then allocates no block buffers, so its malloc
+    arena does not grow to keep them between calls.
     """
     threads = 1 if getattr(_walking, "active", False) else _budget or usable_cores()
     blocks = row_blocks(nrows, ncols)
     if threads > 1:
         blocks = list(blocks)
         threads = min(threads, len(blocks))
+    sets = [() if scratch is None else (scratch(),) for _ in range(max(threads, 1))]
     if threads <= 1:
-        fn(blocks)
+        fn(blocks, *sets[0])
         return
     # next() on a count and list.append are atomic under the interpreter lock.
     counter = itertools.count()
     failures: list[tuple[int, BaseException]] = []
 
-    def walk() -> None:
+    def walk(own: tuple) -> None:
         claimed = -1
 
         def claim() -> Iterator[slice]:
@@ -166,16 +174,16 @@ def map_row_blocks(fn: Callable[[Iterable[slice]], None], nrows: int, ncols: int
 
         _walking.active = True
         try:
-            fn(claim())
+            fn(claim(), *own)
         except BaseException as exc:  # raised again by the caller below
             failures.append((claimed, exc))
         finally:
             _walking.active = False
 
-    helpers = [threading.Thread(target=walk, name="mml-rows") for _ in range(threads - 1)]
+    helpers = [threading.Thread(target=walk, args=(own,), name="mml-rows") for own in sets[1:]]
     for helper in helpers:
         helper.start()
-    walk()
+    walk(sets[0])
     for helper in helpers:
         helper.join()
     if failures:
@@ -259,17 +267,19 @@ def _cell_values(
 def _fill(
     key: int, offset: int, shape: tuple[int, ...], rates: np.ndarray | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
-    consume: Callable[[slice, np.ndarray], None] | None = None,
+    consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
 ) -> None:
     """Draw the uniforms (or, given rates, exponentials) of a ``shape`` grid.
 
     Flat cell c gets counter offset + c.  The cells are walked in row blocks
     of about BLOCK cells (a 1-d grid counts as one column), so any blocking
     yields the same bits.  A block is written into its rows of ``out``, or,
-    without ``out``, into a block buffer of the walking thread's own; then
-    ``consume(rows, block)`` is called on it.  Each thread also reuses two
-    uint64 scratch buffers, and every step writes in place, so the only
-    full-size array is ``out``.
+    without ``out``, into a block buffer of the walk's own; then
+    ``consume(rows, block, spare)`` is called on it, with ``spare`` a float
+    buffer of the block's shape that the consumer may overwrite.  Each walk
+    also reuses two uint64 scratch buffers (one of them, spent, is
+    ``spare``), and every step writes in place, so the only full-size array
+    is ``out``.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
@@ -277,12 +287,14 @@ def _fill(
     if rates is not None:
         rates = rates.reshape(nrows, ncols)
     key = _U64(key)
+    size = min(nrows * ncols, max(1, BLOCK // ncols) * ncols)
 
-    def fill_rows(blocks: Iterable[slice]) -> None:
-        size = min(nrows * ncols, max(1, BLOCK // ncols) * ncols)
+    def scratch() -> tuple:
         z = np.empty(size, dtype=np.uint64)
-        t = np.empty_like(z)
-        buffer = np.empty(size) if grid is None else None
+        return z, np.empty_like(z), np.empty(size) if grid is None else None
+
+    def fill_rows(blocks: Iterable[slice], buffers: tuple) -> None:
+        z, t, buffer = buffers
         for rows in blocks:
             k = (rows.stop - rows.start) * ncols
             ob = buffer[:k].reshape(-1, ncols) if grid is None else grid[rows]
@@ -295,21 +307,22 @@ def _fill(
                 None if scale is None else scale[rows, None],
             )
             if consume is not None:
-                consume(rows, ob)
+                consume(rows, ob, t[:k].view(np.float64).reshape(ob.shape))
 
-    map_row_blocks(fill_rows, nrows, ncols)
+    map_row_blocks(fill_rows, nrows, ncols, scratch)
 
 
 def unit_uniforms(
     key: int, shape: int | tuple[int, ...], offset: int = 0,
-    consume: Callable[[slice, np.ndarray], None] | None = None,
+    consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Uniform draws in the open interval (0, 1) at counters offset, offset + 1, ...
 
     Values are centered on (k + 0.5) * 2^-53, so 0 and 1 are unreachable and
     logs of either tail stay finite.  Given ``consume``, ``consume(rows,
-    block)`` is called on each row block of the result right after it is
-    drawn, on the thread that drew it, and may rewrite the block in place.
+    block, spare)`` is called on each row block of the result right after it
+    is drawn, on the thread that drew it, and may rewrite the block in place
+    and overwrite ``spare``, float scratch of the block's shape.
     """
     out = np.empty(shape)
     _fill(key, offset, out.shape, None, None, out=out, consume=consume)
@@ -344,13 +357,15 @@ def exponentials(
 
 
 def exponential_blocks(
-    key: int, rates: np.ndarray, consume: Callable[[slice, np.ndarray], None],
+    key: int, rates: np.ndarray, consume: Callable[[slice, np.ndarray, np.ndarray], None],
     scale: np.ndarray | None = None,
 ) -> None:
-    """``consume(rows, block)`` on each row block of ``exponentials(key, rates, scale)``.
+    """``consume(rows, block, spare)`` on each row block of ``exponentials(key, rates, scale)``.
 
-    The blocks run on the thread budget, each in a buffer of its thread's
-    that is valid only during the call: no full-size array is allocated.
+    The blocks run on the thread budget, each in a buffer of its walk's that
+    is valid only during the call, and so is ``spare``, float scratch of the
+    block's shape that the consumer may overwrite: no full-size array is
+    allocated.
     """
     rates, scale = _exponential_rates(rates, scale)
     _fill(key, 0, rates.shape, rates, scale, consume=consume)
@@ -372,9 +387,12 @@ def exponential_cells(
     rows, cols, flat_out = rows.ravel(), cols.ravel(), out.reshape(-1)
     key = _U64(key)
 
-    def gather(blocks: Iterable[slice]) -> None:
+    def scratch() -> tuple:
         z = np.empty(min(rows.size, BLOCK), dtype=np.uint64)
-        t = np.empty_like(z)
+        return z, np.empty_like(z)
+
+    def gather(blocks: Iterable[slice], buffers: tuple) -> None:
+        z, t = buffers
         for cells in blocks:
             r, c = rows[cells], cols[cells]
             zb = z[: r.size]
@@ -388,6 +406,6 @@ def exponential_cells(
                          rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
                          None if scale is None else scale.take(r))
 
-    map_row_blocks(gather, rows.size, 1)
+    map_row_blocks(gather, rows.size, 1, scratch)
     return out
 

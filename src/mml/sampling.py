@@ -33,13 +33,16 @@ from .rng import (
 TOP_L = 64
 
 
-def _screened_rows(name: str, block: np.ndarray) -> np.ndarray:
+def _screened_rows(name: str, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The rows of ``block`` sorted, once they are found tie-free, finite and positive.
 
     One sort serves every test: NaN sorts last, so the last column catches
-    non-finite values and the first column non-positive ones.
+    non-finite values and the first column non-positive ones.  The sorted
+    rows are written into ``out`` (of block's shape) when it is given.
     """
-    ordered = np.sort(block, axis=1)
+    ordered = np.empty_like(block) if out is None else out
+    np.copyto(ordered, block)
+    ordered.sort(axis=1)
     if not ((ordered[:, 0] > 0.0).all() and (ordered[:, -1] < np.inf).all()):
         raise DuplicateValue(f"non-finite or non-positive {name} value drawn; reseed")
     # Neighbours in the flat sorted block, minus the pairs that straddle two rows.
@@ -132,8 +135,8 @@ class ValueStream:
         lowest = np.empty((nrows, width))
         counts = None if thresholds is None else np.empty(nrows, dtype=np.int64)
 
-        def consume(rows, block):
-            ordered = _screened_rows(self.name, block)
+        def consume(rows, block, spare):
+            ordered = _screened_rows(self.name, block, spare)
             lowest[rows] = ordered[:, :width]
             # A row's columns at most its width-th value are exactly its width
             # lowest, in column order: row r's sit at flat[r * width : (r + 1) * width].
@@ -154,8 +157,8 @@ class ValueStream:
         """
         largest = np.empty(self.shape[0])
 
-        def consume(rows, block):
-            _screened_rows(self.name, block)
+        def consume(rows, block, spare):
+            _screened_rows(self.name, block, spare)
             largest[rows] = block[:, :ncols].max(axis=1)
 
         exponential_blocks(self.key, self.rates, consume, scale=self.scale)

@@ -160,8 +160,15 @@ def eig_dispersion(e: np.ndarray, zeta: float) -> tuple[float, float]:
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")
-    e = np.asarray(e, dtype=np.float64)
-    t_star = float(np.median(e))
+    e = np.asarray(e, dtype=np.float64).ravel()
+    if e.size == 0:
+        raise EmptySample("eig_dispersion needs at least one coordinate")
+    # np.median to the bit (the mean of the middle one or two, NaN if e has
+    # one), without the numpy.ma import of its NaN check (15 ms, 1.2 MB).
+    half = e.size // 2
+    middle = [half] if e.size % 2 else [half - 1, half]
+    part = np.partition(e, middle + [e.size - 1])  # NaN sorts last
+    t_star = math.nan if np.isnan(part[-1]) else float(np.mean(part[middle]))
     violating = float(np.mean(np.abs(e - t_star) >= math.sqrt(zeta) * t_star))
     return t_star, violating
 

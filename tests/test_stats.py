@@ -177,6 +177,24 @@ def test_eig_dispersion_counts_outliers_inclusively():
         eig_dispersion(M @ np.ones(3), zeta=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 999, 1000, 2001])
+def test_eig_dispersion_median_is_np_median_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    samples = [
+        rng.exponential(size=n),
+        rng.integers(0, 4, n) * 0.1,  # repeated values, middle pairs often equal
+        np.full(n, 1.0 / 3.0),
+        np.full(n, -0.0),  # np.median's sum reads it as 0.0
+        np.repeat(rng.exponential(size=(n + 1) // 2), 2)[:n],
+    ]
+    for e in samples:
+        t_star, _ = eig_dispersion(e, zeta=0.25)
+        assert np.float64(t_star).tobytes() == np.median(e).tobytes()
+    assert math.isnan(eig_dispersion(np.append(samples[0], np.nan), zeta=0.25)[0])
+    with pytest.raises(EmptySample):
+        eig_dispersion(np.array([]), zeta=0.25)
+
+
 # --- DKW-style bound ------------------------------------------------------------
 
 

@@ -177,13 +177,15 @@ def test_a_fault_in_a_late_block_raises_its_message(budget, faults, message):
 
 
 def test_nested_calls_run_inline_on_their_thread():
-    calls = []  # (outer block, its thread, [(inner thread, inner blocks)])
+    # (outer block, its thread, [(inner thread, inner scratch's thread, inner blocks)])
+    calls = []
 
     def outer(blocks):
         for rows in blocks:
             inner = []
             map_row_blocks(
-                lambda bs: inner.append((threading.get_ident(), len(list(bs)))), 700, 700
+                lambda bs, made_on: inner.append((threading.get_ident(), made_on, len(list(bs)))),
+                700, 700, threading.get_ident,
             )
             calls.append((rows.start, threading.get_ident(), inner))
 
@@ -198,7 +200,24 @@ def test_nested_calls_run_inline_on_their_thread():
     n_blocks = len(list(row_blocks(700, 700)))
     assert sorted(start for start, _, _ in calls) == [r.start for r in row_blocks(700, 700)]
     for _, thread, inner in calls:
-        assert inner == [(thread, n_blocks)]
+        assert inner == [(thread, thread, n_blocks)]
+
+
+def test_every_walk_gets_its_own_scratch_made_on_the_calling_thread():
+    caller = threading.get_ident()
+    for budget in BUDGETS:
+        walks = []  # (walking thread, its scratch)
+        with thread_budget(budget):
+            map_row_blocks(
+                lambda bs, own: walks.append((threading.get_ident(), own, list(bs))),
+                700, 700, lambda: [threading.get_ident()],
+            )
+        # A helper's ident may be reused once it ends: count the walks instead.
+        assert len(walks) == budget
+        assert sum(thread != caller for thread, _, _ in walks) == budget - 1
+        assert len({id(own) for _, own, _ in walks}) == budget
+        # Helper threads walk, but only the caller allocates.
+        assert [own for _, own, _ in walks] == [[caller]] * budget
 
 
 def test_an_exception_in_a_pool_thread_reaches_the_caller():
