@@ -234,8 +234,8 @@ _REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING
 
 # --- market construction -----------------------------------------------------
 
-# The uniform market, balanced once per n and process; it holds O(n) memory.
-_UNIFORM_CACHE: dict[int, BalancedMarket] = {}
+# The uniform market, balanced once per (n, k) and process; it holds O(n) memory.
+_UNIFORM_CACHE: dict[tuple[int, int], BalancedMarket] = {}
 
 
 def _build_market(cfg: ExperimentConfig, t: int, n_men: int) -> CanonicalMarket:
@@ -250,12 +250,18 @@ def _build_market(cfg: ExperimentConfig, t: int, n_men: int) -> CanonicalMarket:
 
 
 def _build_balanced(cfg: ExperimentConfig, t: int) -> BalancedMarket:
-    """Trial t's square market, balanced; the uniform one is balanced once per n."""
-    if cfg.market is not MarketKind.UNIFORM:
-        return sinkhorn_balance(_build_market(cfg, t, cfg.n))
-    if cfg.n not in _UNIFORM_CACHE:
-        _UNIFORM_CACHE[cfg.n] = sinkhorn_balance(_build_market(cfg, t, cfg.n))
-    return _UNIFORM_CACHE[cfg.n]
+    """Trial t's square market, balanced; the uniform one is balanced once per (n, k).
+
+    ``imbalance`` adds its last ``cfg.k`` men by ``backfill_imbalanced``; elsewhere k adds none.
+    """
+    k = cfg.k if cfg.experiment is ExperimentKind.IMBALANCE else 0
+    cached = cfg.market is MarketKind.UNIFORM
+    if cached and (cfg.n, k) in _UNIFORM_CACHE:
+        return _UNIFORM_CACHE[cfg.n, k]
+    bal = sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, cfg.n - k), k))
+    if cached:
+        _UNIFORM_CACHE[cfg.n, k] = bal
+    return bal
 
 
 # --- trial bodies ------------------------------------------------------------
@@ -392,8 +398,7 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
 def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     m = cfg.n - cfg.k
-    bal = sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, m), cfg.k))
-    x, y = latent_streams(bal, trial_seed)
+    x, y = latent_streams(_build_balanced(cfg, t), trial_seed)
     men, _ = proposer_tables(x, y)
     worst = y.row_max(m)  # each woman's largest value over the real men
 
@@ -502,11 +507,11 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 
 
 # Memory model of one trial process (README, "Memory and scale"): the
-# interpreter and numpy with one row-block thread's block scratch, 5 MiB of
+# interpreter and numpy with one row-block thread's block scratch, 3 MiB of
 # scratch per further thread, and bytes per cell of the n x n stages.  Trials
 # stream their values, so the n x n term is the kernel that balancing
-# allocates (8).  A market balanced every trial (imbalance, or off the uniform
-# market) adds 12 KiB per row: the walks' best-64 tables, about 4 KiB per row,
+# allocates (8).  A market balanced every trial (any but the uniform one)
+# adds 12 KiB per row: the walks' best-64 tables, about 4 KiB per row,
 # kept two or three times over beside the next trial's kernel.  A C-bounded
 # market adds its scores (16).  Backfilling keeps shared rows shared, so
 # imbalance adds only the stacked men's scores of a public-scores market, or
@@ -514,7 +519,7 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # its blocking mask (1).  bounds reduces its Chernoff batches a row block at a
 # time, and 8 MiB covers its fixed-size arrays.
 _BASE_BYTES = 40 << 20
-_THREAD_BYTES = 5 << 20
+_THREAD_BYTES = 3 << 20
 _BOUNDS_BYTES = 8 << 20
 
 
@@ -524,7 +529,7 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.experiment is ExperimentKind.BOUNDS:
         return base + _BOUNDS_BYTES
     per_cell = 8
-    if cfg.market is not MarketKind.UNIFORM or cfg.experiment is ExperimentKind.IMBALANCE:
+    if cfg.market is not MarketKind.UNIFORM:
         base += (12 << 10) * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 16

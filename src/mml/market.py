@@ -26,7 +26,7 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import BLOCK, map_row_blocks, stream_key, unit_uniforms
+from .rng import BLOCK, row_blocks, stream_key, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
 
@@ -222,17 +222,13 @@ class BalancedMarket:
         y = np.asarray(y, dtype=np.float64)
         weighted = (self.psi * y.T).T
         out = np.empty(y.shape)
-
-        def multiply_rows(blocks, buffer):
-            for rows in blocks:
-                # The block's rows of B^T copied into C order, then times A's rows.
-                kernel = buffer[: rows.stop - rows.start]
-                np.copyto(kernel, self.b_hat[:, rows].T)
-                kernel *= self.a_hat[rows]
-                out[rows] = kernel @ weighted
-
-        block_shape = (min(self.n, max(1, BLOCK // self.n)), self.n)
-        map_row_blocks(multiply_rows, self.n, self.n, lambda: np.empty(block_shape))
+        buffer = np.empty((min(self.n, max(1, BLOCK // self.n)), self.n))
+        for rows in row_blocks(self.n, self.n):
+            # The block's rows of B^T copied into C order, then times A's rows.
+            kernel = buffer[: rows.stop - rows.start]
+            np.copyto(kernel, self.b_hat[:, rows].T)
+            kernel *= self.a_hat[rows]
+            out[rows] = kernel @ weighted
         return (out.T * (self.phi / self.n)).T
 
 

@@ -17,14 +17,17 @@ consumer, and :func:`exponential_cells` draws the cells at chosen (row,
 column) pairs from their counters alone.  Blocks and cells share one copy of
 the per-cell arithmetic, so a cell has the same bits however it is drawn.
 
-The fill, like every n^2 stage whose blocks write disjoint slices and whose
-result does not depend on block order, runs through :func:`map_row_blocks`.
-It spreads the row blocks over the process's thread budget: every usable
-core in a serial run, an equal share of them in each worker process of a
-pool.  A block computes the same bits on any thread, so no output depends on
-the budget.  Each walk's block scratch is allocated by the calling thread
-before the helper threads start, so a helper allocates no block buffer and
-its malloc arena holds none between calls.
+The fill is the one stage that runs on threads, through
+:func:`map_row_blocks`: the counter draw of every screened pass, score build
+and batch.  It spreads the row blocks over the process's thread budget:
+every usable core in a serial run, an equal share of them in each worker
+process of a pool.  A block computes the same bits on any thread, so no
+output depends on the budget.  Each walk's block scratch is allocated by the
+calling thread before the helper threads start, so a helper allocates no
+block buffer and its malloc arena holds none between calls.  The other
+blocked stages (the cell gather, ``M @ y`` and the held draw's screen) walk
+their blocks in order on the calling thread, where their threads did not
+measurably pay.
 
 BLAS is the one other source of threads.  Within :func:`single_threaded_blas`,
 which every trial and every ``mml`` subcommand enters, numpy's OpenBLAS runs
@@ -76,8 +79,6 @@ def usable_cores() -> int:
 
 # Threads this process may use for row blocks; None means usable_cores().
 _budget: int | None = None
-# Set on a thread while it walks row blocks: nested calls run inline.
-_walking = threading.local()
 
 
 @contextlib.contextmanager
@@ -128,41 +129,41 @@ def single_threaded_blas() -> Iterator[None]:
         set_(saved)
 
 
-def map_row_blocks(fn: Callable, nrows: int, ncols: int, scratch: Callable | None = None) -> None:
-    """Call ``fn`` on the row blocks of an nrows x ncols matrix, on the thread budget.
+def map_row_blocks(fn: Callable, nrows: int, ncols: int, scratch: Callable) -> None:
+    """Call ``fn(blocks, scratch())`` on the row blocks of an nrows x ncols matrix.
 
     ``fn`` walks the blocks it is given in order; each block must write only
     its own rows' slice of the output, so the bits do not depend on which
-    thread runs it.  With a budget of one thread, within another call's walk
-    (nested use), or with a single block, this is ``fn(row_blocks(nrows, ncols))``.
-    Otherwise the caller and up to budget - 1 threads started for the call
-    each run ``fn`` once, on blocks they claim in increasing order from a
-    shared counter, so a thread that starts late or runs slow takes fewer
-    blocks.  The threads are joined before this returns: none outlives the
-    call, so a forked process inherits none.  No thread claims a block after
-    one has raised, and every block below a failed one was claimed before it
-    and runs to its end: the exception of the lowest failed block, raised
-    once all threads stop, is the sequential walk's.
+    thread runs it.  With a budget of one thread, or with a single block,
+    this is ``fn(row_blocks(nrows, ncols), scratch())``.  Otherwise the
+    caller and up to budget - 1 threads started for the call each run ``fn``
+    once, on blocks they claim in increasing order from a shared counter, so
+    a thread that starts late or runs slow takes fewer blocks.  The threads
+    are joined before this returns: none outlives the call, so a forked
+    process inherits none.  No thread claims a block after one has raised,
+    and every block below a failed one was claimed before it and runs to its
+    end: the exception of the lowest failed block, raised once all threads
+    stop, is the sequential walk's.
 
-    Given ``scratch``, each walk is ``fn(blocks, scratch())``, its own set of
-    buffers, and the calling thread makes every walk's set before any thread
-    starts.  A helper thread then allocates no block buffers, so its malloc
-    arena does not grow to keep them between calls.
+    Each walk gets its own set of buffers from ``scratch()``, and the calling
+    thread makes every walk's set before any thread starts.  A helper thread
+    then allocates no block buffers, so its malloc arena does not grow to
+    keep them between calls.
     """
-    threads = 1 if getattr(_walking, "active", False) else _budget or usable_cores()
+    threads = _budget or usable_cores()
     blocks = row_blocks(nrows, ncols)
     if threads > 1:
         blocks = list(blocks)
         threads = min(threads, len(blocks))
-    sets = [() if scratch is None else (scratch(),) for _ in range(max(threads, 1))]
+    sets = [scratch() for _ in range(max(threads, 1))]
     if threads <= 1:
-        fn(blocks, *sets[0])
+        fn(blocks, sets[0])
         return
     # next() on a count and list.append are atomic under the interpreter lock.
     counter = itertools.count()
     failures: list[tuple[int, BaseException]] = []
 
-    def walk(own: tuple) -> None:
+    def walk(own) -> None:
         claimed = -1
 
         def claim() -> Iterator[slice]:
@@ -172,13 +173,10 @@ def map_row_blocks(fn: Callable, nrows: int, ncols: int, scratch: Callable | Non
                     return
                 yield blocks[claimed]
 
-        _walking.active = True
         try:
-            fn(claim(), *own)
+            fn(claim(), own)
         except BaseException as exc:  # raised again by the caller below
             failures.append((claimed, exc))
-        finally:
-            _walking.active = False
 
     helpers = [threading.Thread(target=walk, args=(own,), name="mml-rows") for own in sets[1:]]
     for helper in helpers:
@@ -386,26 +384,18 @@ def exponential_cells(
     out = np.empty(rows.shape)
     rows, cols, flat_out = rows.ravel(), cols.ravel(), out.reshape(-1)
     key = _U64(key)
-
-    def scratch() -> tuple:
-        z = np.empty(min(rows.size, BLOCK), dtype=np.uint64)
-        return z, np.empty_like(z)
-
-    def gather(blocks: Iterable[slice], buffers: tuple) -> None:
-        z, t = buffers
-        for cells in blocks:
-            r, c = rows[cells], cols[cells]
-            zb = z[: r.size]
-            # Counters are below 2^63, so the int64 view holds them exactly.
-            counter = zb.view(np.int64)
-            np.multiply(r, rates.shape[1], out=counter)
-            counter += c
-            counter += 1
-            zb *= _GOLDEN
-            _cell_values(zb, t[: r.size], key, flat_out[cells],
-                         rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
-                         None if scale is None else scale.take(r))
-
-    map_row_blocks(gather, rows.size, 1, scratch)
+    z = np.empty(min(rows.size, BLOCK), dtype=np.uint64)
+    t = np.empty_like(z)
+    for cells in row_blocks(rows.size, 1):
+        r, c = rows[cells], cols[cells]
+        zb = z[: r.size]
+        # Counters are below 2^63, so the int64 view holds them exactly.
+        counter = zb.view(np.int64)
+        np.multiply(r, rates.shape[1], out=counter)
+        counter += c
+        counter += 1
+        zb *= _GOLDEN
+        _cell_values(zb, t[: r.size], key, flat_out[cells],
+                     rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
+                     None if scale is None else scale.take(r))
     return out
-

@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
-from .rng import (
-    exponential_blocks, exponential_cells, exponentials, map_row_blocks, stream_key,
-)
+from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks, stream_key
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
 # walk ends at its final partner's rank: mean 6-10, peak 39-81 for n = 1000-4000
@@ -56,12 +54,8 @@ def _screened_rows(name: str, block: np.ndarray, out: np.ndarray | None = None) 
 
 def _screen_matrix(name: str, values: np.ndarray) -> None:
     """Screen per row block, so that a fault names the lowest block that has one."""
-
-    def screen_rows(blocks):
-        for rows in blocks:
-            _screened_rows(name, values[rows])
-
-    map_row_blocks(screen_rows, *values.shape)
+    for rows in row_blocks(*values.shape):
+        _screened_rows(name, values[rows])
 
 
 @dataclass(frozen=True)

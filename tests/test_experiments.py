@@ -453,7 +453,7 @@ def test_uniform_trial_holds_only_its_two_value_matrices():
     # cached balanced market itself holds O(n).
     n = 800
     cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", f"n = {n}"))
-    mml.experiments._UNIFORM_CACHE.pop(n, None)
+    mml.experiments._UNIFORM_CACHE.pop((n, 0), None)
     tracemalloc.start()
     try:
         run_trial(cfg, 0)
@@ -463,7 +463,7 @@ def test_uniform_trial_holds_only_its_two_value_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        mml.experiments._UNIFORM_CACHE.pop(n, None)
+        mml.experiments._UNIFORM_CACHE.pop((n, 0), None)
     assert retained < 0.05 * 8 * n * n
     assert peak < 2.5 * 8 * n * n
 

@@ -5,13 +5,15 @@ that keeps the statistics keeps these bytes.  A deliberate change to a
 statistic must update its pin here and say so in CHANGES.md.  The pinned
 configs are the cheap shipped ones plus tiny inline configs for the market
 kinds that no shipped config runs through an experiment.  The two benchmark
-workloads are pinned in ``mmlbench/pins.json``; a C-bounded rank_dist run
-small enough for Tier-1 is pinned inline here as well.
+workloads are pinned in ``mmlbench/pins.json``, which is read here too, so a
+change to their bytes fails this suite as well as the benchmark; a C-bounded
+rank_dist run small enough for Tier-1 is pinned inline.
 """
 
 import dataclasses
 import functools
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,14 @@ from mml.experiments import (
     write_outputs,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+BENCH_PINS = json.loads((ROOT / "mmlbench" / "pins.json").read_text(encoding="utf-8"))
+# The shipped config each benchmark workload runs (mmlbench/run.py).
+BENCH_CONFIGS = {
+    "hyperbola_uniform_n2000": "hyperbola_uniform",
+    "rank_dist_cbounded_n1000": "rank_dist_cbounded",
+}
 
 INLINE_CONFIGS = {
     "imbalance_cbounded": (
@@ -129,3 +138,13 @@ def test_summary_json_bytes_are_pinned(name, trials, _, summary_sha256, tmp_path
     cfg, summary, records = pinned_run(name, trials)
     write_outputs(tmp_path, cfg, summary, records)
     assert sha256((tmp_path / "summary.json").read_bytes()) == summary_sha256
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_PINS))
+def test_benchmark_workload_bytes_match_its_pin(workload, monkeypatch):
+    monkeypatch.setenv("MML_WORKERS", "1")
+    pin = BENCH_PINS[workload]
+    cfg = load_config(CONFIG_DIR / f"{BENCH_CONFIGS[workload]}.cfg")
+    cfg = dataclasses.replace(cfg, master_seed=pin["seed"], trials=pin["trials"])
+    _, records = run_experiment(cfg)
+    assert sha256(records_to_csv(records).encode("utf-8")) == pin["sha256"]

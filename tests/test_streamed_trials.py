@@ -165,7 +165,7 @@ def test_uniform_trial_peaks_below_one_value_matrix():
     cfg = parse_config(
         f"experiment = value_dist\nmarket = uniform\nn = {n}\ntrials = 2\nmaster_seed = 3\n"
     )
-    experiments._UNIFORM_CACHE.pop(n, None)
+    experiments._UNIFORM_CACHE.pop((n, 0), None)
     try:
         run_trial(cfg, 0)
         tracemalloc.start()
@@ -175,5 +175,5 @@ def test_uniform_trial_peaks_below_one_value_matrix():
         finally:
             tracemalloc.stop()
     finally:
-        experiments._UNIFORM_CACHE.pop(n, None)
+        experiments._UNIFORM_CACHE.pop((n, 0), None)
     assert peak < 8 * n * n

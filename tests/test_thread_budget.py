@@ -1,10 +1,10 @@
 """Row blocks on the thread budget: the same bits at every budget, and fork safety.
 
-``map_row_blocks`` spreads a stage's row blocks over the threads the process
-may use.  Each block writes only its own rows, so every stage routed through
-it must give bit-identical results at any budget, raise the sequential walk's
-exception, run nested calls inline, leave no thread alive once it returns,
-and survive a fork into pool workers.
+``map_row_blocks`` spreads the counter draw's row blocks over the threads the
+process may use; the other blocked stages walk on the calling thread.  Each
+block writes only its own rows, so every stage must give bit-identical
+results at any budget, raise the sequential walk's exception, leave no
+thread alive once it returns, and survive a fork into pool workers.
 A trial's BLAS calls run on its calling thread, whatever thread count
 numpy's OpenBLAS had before the trial.
 """
@@ -176,33 +176,6 @@ def test_a_fault_in_a_late_block_raises_its_message(budget, faults, message):
         LatentValues(X=x, Y=y)
 
 
-def test_nested_calls_run_inline_on_their_thread():
-    # (outer block, its thread, [(inner thread, inner scratch's thread, inner blocks)])
-    calls = []
-
-    def outer(blocks):
-        for rows in blocks:
-            inner = []
-            map_row_blocks(
-                lambda bs, made_on: inner.append((threading.get_ident(), made_on, len(list(bs)))),
-                700, 700, threading.get_ident,
-            )
-            calls.append((rows.start, threading.get_ident(), inner))
-
-    def run():
-        with thread_budget(3):
-            map_row_blocks(outer, 700, 700)
-
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive(), "nested map_row_blocks did not finish"
-    n_blocks = len(list(row_blocks(700, 700)))
-    assert sorted(start for start, _, _ in calls) == [r.start for r in row_blocks(700, 700)]
-    for _, thread, inner in calls:
-        assert inner == [(thread, thread, n_blocks)]
-
-
 def test_every_walk_gets_its_own_scratch_made_on_the_calling_thread():
     caller = threading.get_ident()
     for budget in BUDGETS:
@@ -221,14 +194,14 @@ def test_every_walk_gets_its_own_scratch_made_on_the_calling_thread():
 
 
 def test_an_exception_in_a_pool_thread_reaches_the_caller():
-    def fail_late(blocks):
+    def fail_late(blocks, _scratch):
         for rows in blocks:
             if rows.start >= 600:
                 raise KeyError(rows.start)
 
     for budget in BUDGETS:
         with thread_budget(budget), pytest.raises(KeyError) as excinfo:
-            map_row_blocks(fail_late, 700, 700)
+            map_row_blocks(fail_late, 700, 700, tuple)
         assert excinfo.value.args[0] == min(
             r.start for r in row_blocks(700, 700) if r.start >= 600
         )
@@ -237,7 +210,9 @@ def test_an_exception_in_a_pool_thread_reaches_the_caller():
 def test_the_budget_sets_the_walks_and_is_restored():
     def walks(nrows, ncols):
         threads = []
-        map_row_blocks(lambda bs: threads.append((threading.get_ident(), list(bs))), nrows, ncols)
+        map_row_blocks(
+            lambda bs, _: threads.append((threading.get_ident(), list(bs))), nrows, ncols, tuple
+        )
         return threads
 
     everything = list(row_blocks(700, 700))
@@ -257,10 +232,37 @@ def test_no_row_block_thread_outlives_its_call():
     before = threading.active_count()
     walks = []
     with thread_budget(3):
-        map_row_blocks(lambda blocks: walks.append(list(blocks)), 700, 700)
+        map_row_blocks(lambda blocks, _: walks.append(list(blocks)), 700, 700, tuple)
     assert len(walks) == 3
     assert threading.active_count() == before
     assert not [t.name for t in threading.enumerate() if t.name.startswith("mml-rows")]
+
+
+def test_only_the_counter_draw_starts_threads(monkeypatch):
+    key = stream_key(3, "threads")
+    rates = np.ones((700, 700))
+    cells = np.arange(3 * BLOCK) % rates.size
+    bal = sinkhorn_balance(random_cbounded_market(600, 2.5, seed=3))
+    x, y = exponentials(key, rates), exponentials(key + 1, rates)
+    y_vector = np.linspace(0.5, 2.0, 600)
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    with thread_budget(3):
+        for stage in (
+            lambda: exponential_cells(key, rates, *np.divmod(cells, 700)),
+            lambda: bal.mutual_matmul(y_vector),
+            lambda: LatentValues(X=x, Y=y),
+        ):
+            stage()
+            assert started == []
+        unit_uniforms(key, (700, 700))
+    assert started == ["mml-rows"] * 2
 
 
 POOL_CONFIG = """
@@ -280,11 +282,11 @@ import os, sys, threading, time
 os.sched_getaffinity = lambda pid: set(range(4))
 from mml import experiments, rng
 idents = set()
-def walk(blocks):
+def walk(blocks, _scratch):
     for _ in blocks:
         idents.add(threading.get_ident())
         time.sleep(0.001)
-rng.map_row_blocks(walk, 700, 700)
+rng.map_row_blocks(walk, 700, 700, tuple)
 assert len(idents) > 1, "the row blocks ran on one thread"
 assert threading.active_count() == 1, "a row-block thread outlived its walk"
 _, records = experiments.run_experiment(experiments.parse_config(sys.argv[1]))
