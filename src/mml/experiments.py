@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import ctypes
 import functools
 import io
 import itertools
@@ -408,7 +409,7 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     # gets the receiver values worst + a + 1, in his tables and in a deep walk.
     def completed_deep(p: int):
         order, own, recv = men.deep(p)
-        return (order, own, recv) if p < m else (order, own, (worst[order] + (p - m + 1)).tolist())
+        return (order, own, recv) if p < m else (order, own, worst[order] + (p - m + 1))
 
     added = worst[men.top[m:]] + np.arange(1.0, cfg.k + 1)[:, None]
     completed = replace(men, recv=np.vstack([men.recv[:m], added]), deep=completed_deep)
@@ -490,12 +491,40 @@ _TRIAL_BODIES = {
 }
 
 
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_heap() -> bool:
+    """Have glibc's malloc keep freed memory for the next trial; False where libc has no mallopt.
+
+    Blocks below 32 MiB come from the heap rather than from their own
+    mappings, and up to 64 MiB of free heap stays mapped, so a trial reuses
+    the pages that the one before it touched instead of faulting in fresh
+    ones.  Set once per process.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # no C library to load on this platform
+        return False
+    if mallopt is None:
+        return False
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return True
+
+
 def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     """All records of trial t; a pure function of (cfg, t).
 
     BLAS runs every call on the calling thread, so the row-block threads
-    (``rng.map_row_blocks``) and the pool's worker processes own the cores.
+    (``rng.map_row_blocks``) and the pool's worker processes own the cores,
+    and malloc keeps its heap between trials (``_keep_heap``).
     """
+    _keep_heap()
     with single_threaded_blas():
         return _TRIAL_BODIES[cfg.experiment](cfg, t)
 
@@ -508,18 +537,23 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 
 # Memory model of one trial process (README, "Memory and scale"): the
 # interpreter and numpy with one row-block thread's block scratch, 3 MiB of
-# scratch per further thread, and bytes per cell of the n x n stages.  Trials
-# stream their values, so the n x n term is the kernel that balancing
-# allocates (8).  A market balanced every trial (any but the uniform one)
-# adds 12 KiB per row: the walks' best-64 tables, about 4 KiB per row,
-# kept two or three times over beside the next trial's kernel.  A C-bounded
-# market adds its scores (16).  Backfilling keeps shared rows shared, so
-# imbalance adds only the stacked men's scores of a public-scores market, or
-# the real C-bounded market while it is backfilled (8).  approx_stable adds
-# its blocking mask (1).  bounds reduces its Chernoff batches a row block at a
-# time, and 8 MiB covers its fixed-size arrays.
+# scratch per further thread, bytes per row and bytes per cell of the n x n
+# stages.  Every trial holds 3 KiB per row: the walks' best-64 tables and
+# the balancing products' block buffer (1 KiB).  A market balanced
+# every trial (any but the uniform one) adds 12 KiB per row: the tables kept
+# two or three times over by the allocator.  Trials stream their values, so
+# the n x n terms are what is held: the balancing kernel (8) of a market
+# whose two sides do not each share one row (C-bounded, or a backfilled
+# public-scores stack), the scores of a C-bounded market (16), the stacked
+# men's scores of a backfilled public-scores market or the real C-bounded
+# market while it is backfilled (8), the deep walks of a public-scores
+# market, whose low-fitness proposers read past their best 64 (12), and
+# approx_stable's blocking mask (1).  bounds reduces its Chernoff batches a
+# row block at a time, and 8 MiB covers its fixed-size arrays.
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 3 << 20
+_ROW_BYTES = 3 << 10
+_REBALANCED_ROW_BYTES = 12 << 10
 _BOUNDS_BYTES = 8 << 20
 
 
@@ -528,12 +562,16 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES
     if cfg.experiment is ExperimentKind.BOUNDS:
         return base + _BOUNDS_BYTES
-    per_cell = 8
+    base += _ROW_BYTES * cfg.n
+    imbalance = cfg.experiment is ExperimentKind.IMBALANCE
+    per_cell = 0
     if cfg.market is not MarketKind.UNIFORM:
-        base += (12 << 10) * cfg.n
+        base += _REBALANCED_ROW_BYTES * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
-        per_cell += 16
-    if cfg.experiment is ExperimentKind.IMBALANCE and cfg.market is not MarketKind.UNIFORM:
+        per_cell += 8 + 16
+    if cfg.market is MarketKind.PUBLIC_SCORES:
+        per_cell += 12 + (8 if imbalance else 0)
+    if imbalance and cfg.market is not MarketKind.UNIFORM:
         per_cell += 8
     if cfg.experiment is ExperimentKind.APPROX_STABLE:
         per_cell += 1

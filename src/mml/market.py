@@ -14,6 +14,7 @@ choice that is symmetric between the two sides.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,71 @@ class BalancedMarket:
         return (out.T * (self.phi / self.n)).T
 
 
+# Rows (or columns) per block of the balancing products.  In single-threaded
+# OpenBLAS each output of a matvec depends only on its own row and on where
+# that row falls in the matrix's row groups: a block of at least 64 rows,
+# starting at a multiple of 64, keeps every row's place, so the blocked
+# products have the bits of the whole ones.  The last block takes the
+# remainder (64 to 127 rows), as a block of 1 to 3 rows would not.
+_KERNEL_ROWS = 64
+
+
+def _kernel_blocks(n: int) -> list[slice]:
+    """Blocks of 64 consecutive indices of 0..n-1, the last one taking the remainder."""
+    stops = [*range(_KERNEL_ROWS, n - _KERNEL_ROWS + 1, _KERNEL_ROWS), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
+def _kernel_products(market: CanonicalMarket) -> tuple[Callable, Callable]:
+    """``v -> K @ v`` and ``v -> K.T @ v`` for the kernel K = a_hat * b_hat^T / n.
+
+    The products walk K in blocks of rows (``K @ v``) or of columns
+    (``K.T @ v``).  When both sides share one row (uniform and public
+    scores), K[i, j] = a[j] * b[i] / n and each block is built from the two
+    rows into one reused buffer, so no n x n array is allocated.  Any other
+    market holds K, and the blocks are views of it.  Raises
+    NonPositiveEntry if an entry of K underflows to zero.
+    """
+    n = market.n_men
+    blocks, whole = _kernel_blocks(n), slice(0, n)
+    a_rows, b_rows = _distinct_rows(market.a_hat), _distinct_rows(market.b_hat)
+    if a_rows.shape[0] == b_rows.shape[0] == 1:
+        a, b = a_rows[0], b_rows[0]
+        # Rounding is monotone, so the least entry is the one of the least scores.
+        low = a.min() * b.min() / n
+        buffer = np.empty(max(part.stop - part.start for part in blocks) * n)
+
+        def block(rows: slice, cols: slice) -> np.ndarray:
+            shape = (rows.stop - rows.start, cols.stop - cols.start)
+            out = buffer[: shape[0] * shape[1]].reshape(shape)
+            np.multiply(a[cols], b[rows, None], out=out)
+            out /= n
+            return out
+    else:
+        kernel = market.a_hat * market.b_hat.T
+        kernel /= n
+        low = kernel.min()
+
+        def block(rows: slice, cols: slice) -> np.ndarray:
+            return kernel[rows, cols]
+    if not low > 0.0:
+        raise NonPositiveEntry("the balancing kernel a_hat * b_hat^T / n underflows to zero")
+
+    def times(v: np.ndarray) -> np.ndarray:
+        out = np.empty(n)
+        for rows in blocks:
+            np.matmul(block(rows, whole), v, out=out[rows])
+        return out
+
+    def transposed_times(v: np.ndarray) -> np.ndarray:
+        out = np.empty(n)
+        for cols in blocks:
+            np.matmul(block(whole, cols).T, v, out=out[cols])
+        return out
+
+    return times, transposed_times
+
+
 def sinkhorn_balance(
     market: CanonicalMarket, tol: float = 1e-10, max_iters: int = 10_000
 ) -> BalancedMarket:
@@ -254,22 +320,18 @@ def sinkhorn_balance(
         raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
 
     n = market.n_men
-    # The kernel is the one n x n array balancing allocates.
-    kernel = market.a_hat * market.b_hat.T
-    kernel /= n
-    if not kernel.min() > 0.0:
-        raise NonPositiveEntry("the balancing kernel a_hat * b_hat^T / n underflows to zero")
-    ks = kernel @ np.ones(n)
+    times, transposed_times = _kernel_products(market)
+    ks = times(np.ones(n))
     # Converge to half the tolerance: the result's residual re-assembles M
     # from phi and psi, a few ulps off.  Column sums are exact up to an ulp
-    # after the s update, so a sweep checks the rows, with kernel @ s serving
+    # after the s update, so a sweep checks the rows, with K @ s serving
     # that check and the next r.  A sweep that overflows reads a non-finite
     # residual and stops, without a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for iters in range(1, max_iters + 1):
             r = 1.0 / ks
-            s = 1.0 / (kernel.T @ r)
-            ks = kernel @ s
+            s = 1.0 / transposed_times(r)
+            ks = times(s)
             residual = float(np.abs(r * ks - 1.0).max())
             if residual <= 0.5 * tol or not residual < np.inf:
                 break

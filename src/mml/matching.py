@@ -124,14 +124,14 @@ class ProposerTables:
     ``top[p, k]`` is proposer p's k-th best receiver, ``own[p, k]`` p's value
     for it and ``recv[p, k]`` that receiver's value for p, for k below the
     tables' width.  A walk that goes deeper calls ``deep(p)`` once for the
-    same three lists over p's whole row, best first.
+    same three arrays over p's whole row, best first.
     """
 
     top: np.ndarray
     own: np.ndarray
     recv: np.ndarray
     n_recv: int
-    deep: Callable[[int], tuple[list[int], list[float], list[float]]]
+    deep: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
@@ -142,7 +142,7 @@ def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables
     proposers = np.arange(prop.shape[0])[:, None]
 
     def deep(p: int):
-        return order[p].tolist(), prop[p, order[p]].tolist(), recv[order[p], p].tolist()
+        return order[p], prop[p, order[p]], recv[order[p], p]
 
     return ProposerTables(top, prop[proposers, top], recv[top, proposers], prop.shape[1], deep)
 
@@ -162,7 +162,7 @@ def proposer_tables(
     def deep(p: int):
         row = prop.cells(p, np.arange(n_recv))
         order = np.argsort(row)
-        return order.tolist(), row[order].tolist(), recv.cells(order, p).tolist()
+        return order, row[order], recv.cells(order, p)
 
     tables = ProposerTables(top, own, recv.cells(top, np.arange(n_prop)[:, None]), n_recv, deep)
     return tables, counts
@@ -190,9 +190,9 @@ def deferred_acceptance(
     n_prop, width = tables.top.shape
     n_recv = tables.n_recv
     # Flat views whose items read as Python ints and floats: cell (p, k) of
-    # a table sits at p * width + k.
+    # a table sits at p * width + k.  A deep walk's arrays are read the same way.
     top, recv = memoryview(tables.top.ravel()), memoryview(tables.recv.ravel())
-    deep: dict[int, tuple[list[int], list[float], list[float]]] = {}
+    deep: dict[int, tuple[memoryview, ...]] = {}
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
@@ -206,7 +206,7 @@ def deferred_acceptance(
                 r, v = top[p * width + k], recv[p * width + k]
             else:
                 if p not in deep:
-                    deep[p] = tables.deep(p)
+                    deep[p] = tuple(map(memoryview, tables.deep(p)))
                 r, v = deep[p][0][k], deep[p][2][k]
             next_idx[p] = k + 1
             cur = match_of[r]

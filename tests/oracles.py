@@ -21,6 +21,8 @@
   pass and a sort of the selected values.
 * ``strided_mutual_matmul``: ``BalancedMarket.mutual_matmul`` with each
   kernel block multiplied by a transposed view of ``b_hat``.
+* ``held_kernel_balance``: ``sinkhorn_balance`` on the whole n x n kernel,
+  each sweep two full matvecs, the form its blocked products realize.
 * ``scalar_ks_exp``: the exact KS distance to Exp(rate), one rate per call.
 * ``loop_truncate_delta``: ``truncate_delta`` with a Python loop over the men.
 * ``profile_table`` / ``exact_laws``: every profile of strict orders of a
@@ -96,6 +98,23 @@ def strided_mutual_matmul(bal: BalancedMarket, y: np.ndarray) -> np.ndarray:
     for rows in row_blocks(bal.n, bal.n):
         out[rows] = (bal.a_hat[rows] * bal.b_hat[:, rows].T) @ weighted
     return (out.T * (bal.phi / bal.n)).T
+
+
+def held_kernel_balance(market: CanonicalMarket, tol: float = 1e-10) -> BalancedMarket:
+    """Sinkhorn's sweeps as whole products of the held kernel ``a_hat * b_hat^T / n``."""
+    n = market.n_men
+    kernel = market.a_hat * market.b_hat.T
+    kernel /= n
+    ks = kernel @ np.ones(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for iters in range(1, 10_001):
+            r = 1.0 / ks
+            s = 1.0 / (kernel.T @ r)
+            ks = kernel @ s
+            if float(np.abs(r * ks - 1.0).max()) <= 0.5 * tol:
+                break
+        c = float(np.exp(0.5 * (np.mean(np.log(s)) - np.mean(np.log(r)))))
+    return BalancedMarket(market.a_hat, market.b_hat, c * r, s / c, iters)
 
 
 def scalar_ks_exp(xs: np.ndarray, rate: float) -> float:

@@ -41,6 +41,7 @@ import mml.experiments
 import mml.market
 import mml.sampling
 from mml.experiments import _pool_size, run_trial
+from mml.rng import usable_cores
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -492,19 +493,23 @@ def _refuse_to_build(monkeypatch):
         monkeypatch.setattr(mml.experiments, name, refuse)
 
 
+# The uniform market holds no n x n array; a C-bounded one holds its scores.
+CBOUNDED_VALUE_DIST = TINY_VALUE_DIST.replace("market = uniform", "market = cbounded")
+
+
 def test_size_guard_refuses_runs_past_physical_memory(monkeypatch):
     # The guard reads only the memory model and os.sysconf: no market is
     # built and nothing of size n^2 is allocated.
     _refuse_to_build(monkeypatch)
     monkeypatch.delenv("MML_WORKERS", raising=False)
-    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", "n = 1000000"))
+    cfg = parse_config(CBOUNDED_VALUE_DIST.replace("n = 30", "n = 1000000"))
     with pytest.raises(MemoryError, match=r"^n = 1000000 needs an estimated \d"):
         run_experiment(cfg)
 
 
 def test_size_guard_counts_every_worker_process(monkeypatch):
     _refuse_to_build(monkeypatch)
-    cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", "n = 4000"))
+    cfg = parse_config(CBOUNDED_VALUE_DIST.replace("n = 30", "n = 4000"))
     # Eight cores, so a pool of three or four workers runs two threads each.
     monkeypatch.setattr(mml.experiments, "usable_cores", lambda: 8)
     per_process = mml.experiments.memory_estimate(cfg, 2)
@@ -550,19 +555,53 @@ def test_no_trial_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
-# One process runs up to five trials of a config, then prints its peak RSS
-# and the model's estimate for a process on every usable core, in bytes.  The
-# peak is VmHWM: ru_maxrss also keeps the high-water mark of the process that
-# started it (the test runner), which execve carries over.
+# Five C-bounded rank trials in one process; prints each trial's minor page
+# faults, or nothing where libc has no mallopt.
+FAULTS_RUN = """
+from mml import experiments
+if experiments._keep_heap():
+    import resource
+    cfg = experiments.parse_config(
+        "experiment = rank_dist\\nmarket = cbounded\\nn = 300\\ntrials = 5\\nmaster_seed = 11\\n"
+    )
+    for t in range(cfg.trials):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        experiments.run_trial(cfg, t)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_trials_reuse_the_heap_of_the_trials_before_them():
+    # A trial's arrays (720 KB each at n = 300) used to be mapped afresh and
+    # fault their pages in again: about 2,100 faults per trial.
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_RUN],
+        env=subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.split()]
+    if not faults:
+        pytest.skip("libc has no mallopt")
+    assert len(faults) == 5
+    assert max(faults[1:]) < 200, faults
+
+
+# One process runs up to five trials of a config on a budget of argv[2]
+# threads, then prints its peak RSS and the model's estimate for a process on
+# that budget, in bytes.  The peak is VmHWM: ru_maxrss also keeps the
+# high-water mark of the process that started it (the test runner), which
+# execve carries over.
 PEAK_RUN = """
 import dataclasses, re, sys
 from mml import experiments, rng
 cfg = experiments.parse_config(sys.argv[1])
 cfg = dataclasses.replace(cfg, trials=min(cfg.trials, 5))
-experiments.run_experiment(cfg)
+threads = int(sys.argv[2])
+with rng.thread_budget(threads):
+    experiments.run_experiment(cfg)
 with open("/proc/self/status") as fh:
     peak = 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
-print(peak, experiments.memory_estimate(cfg, rng.usable_cores()))
+print(peak, experiments.memory_estimate(cfg, threads))
 """
 
 
@@ -582,11 +621,21 @@ master_seed = 7
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
 @pytest.mark.parametrize("text", PEAK_CONFIGS.values(), ids=PEAK_CONFIGS)
 def test_memory_model_bounds_the_measured_peak(text):
-    # The pool is sized from the model, so it must not under-count a process.
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RUN, text],
-        env=subprocess_env(MML_WORKERS="1"), capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    peak, model = map(int, proc.stdout.split())
-    assert peak <= model, f"peak {peak / 2**20:.1f} MiB, model {model / 2**20:.1f} MiB"
+    # The pool is sized from the model, so it must not under-count a process:
+    # neither a serial run on every core nor a pool worker on one thread.
+    budgets = sorted({1, usable_cores()})
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", PEAK_RUN, text, str(threads)],
+            env=subprocess_env(MML_WORKERS="1"), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        for threads in budgets
+    ]
+    for threads, proc in zip(budgets, procs):
+        stdout, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        peak, model = map(int, stdout.split())
+        assert peak <= model, (
+            f"{threads} thread(s): peak {peak / 2**20:.1f} MiB, model {model / 2**20:.1f} MiB"
+        )

@@ -29,6 +29,7 @@ from mml.rng import (
     single_threaded_blas, stream_key, thread_budget, unit_uniforms,
 )
 from mml.sampling import LatentValues
+from oracles import held_kernel_balance
 
 BUDGETS = (1, 2, 3)
 # Square sizes below, at and above one block of 256^2 cells, and a
@@ -377,6 +378,58 @@ def test_balance_under_the_blas_cap_keeps_its_bits_at_any_thread_count(kind, n, 
     np.testing.assert_allclose(np.frombuffer(psi), threaded.psi, rtol=1e-13, atol=0)
     assert abs(residual - threaded.residual) <= 1e-14
     assert c_bound == pytest.approx(threaded.c_bound, rel=1e-14, abs=0)
+
+
+# Around the 64-row blocks of the balancing products, whose last block takes
+# the remainder, and one size with a 41-row remainder.
+BLOCKED_SIZES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 255, 257, 1001]
+BLOCKED_KINDS = [
+    "uniform", "public_scores", "cbounded", "public_scores backfilled", "cbounded backfilled",
+]
+
+
+def blocked_balance_mismatches(kinds=BLOCKED_KINDS, sizes=BLOCKED_SIZES):
+    """The (kind, n) whose blocked balance differs in a bit from the held kernel's sweeps."""
+    mismatches = []
+    with single_threaded_blas():
+        for kind in kinds:
+            for n in sizes:
+                market = market_of(kind, n)
+                blocked, held = sinkhorn_balance(market), held_kernel_balance(market)
+                if (blocked.phi.tobytes(), blocked.psi.tobytes(), blocked.sinkhorn_iters) != (
+                    held.phi.tobytes(), held.psi.tobytes(), held.sinkhorn_iters
+                ):
+                    mismatches.append((kind, n))
+    return mismatches
+
+
+@needs_openblas
+@pytest.mark.parametrize("kind", BLOCKED_KINDS)
+def test_blocked_balance_equals_the_held_kernel_bit_for_bit(kind):
+    assert blocked_balance_mismatches([kind]) == []
+
+
+CORETYPE_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_thread_budget
+print(test_thread_budget.blocked_balance_mismatches())
+"""
+
+
+# OpenBLAS picks other matvec kernels on these CPUs; each walks rows in its own groups.
+@needs_openblas
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_blocked_balance_keeps_the_held_bits_on_other_blas_kernels(coretype):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mml.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CORETYPE_RUN, os.path.dirname(os.path.abspath(__file__))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @needs_openblas
