@@ -56,13 +56,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # An --out that cannot be a directory fails here, before any trial runs;
     # a run refused with exit 2 leaves no directory behind.
-    made = not os.path.isdir(args.out)
+    made = []  # the directories makedirs creates, deepest first
+    path = os.path.abspath(args.out)
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
     try:
         summary, records = run_experiment(cfg)
     except (MmlError, MemoryError):
-        if made:
-            os.rmdir(args.out)
+        for path in made:
+            os.rmdir(path)
         raise
     write_outputs(args.out, cfg, summary, records)
     sys.stdout.write(format_summary(summary))

@@ -44,15 +44,10 @@ from .matching import (
     proposer_tables,
     truncate_delta,
 )
-from .probability import chernoff_lower_tail
-from .rng import (
-    exponential_blocks, exponentials, single_threaded_blas, stream_key, thread_budget,
-    unit_uniforms, usable_cores,
-)
+from .rng import single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores
 from .sampling import latent_streams, sample_latent
 from .stats import (
     best_fit_exponential,
-    dkw_bound,
     eig_dispersion,
     hyperbola_product,
     ks_distance_to_exp,
@@ -65,13 +60,6 @@ from .stats import (
 # Fixed parameters of the trial statistics; no config sets them.
 ZETA = 0.25  # eig_dispersion: a coordinate violates when |e_i - t*| >= sqrt(ZETA) t*
 THETA = 0.5  # rank_value_ratio_report: relative rank/value disagreement allowed
-CHERNOFF_T = (0.1, 0.3, 0.5)  # bounds: lower-tail levels t of the weighted sum
-CHERNOFF_SAMPLES = 100_000  # bounds: unit-exponential batches per trial
-DKW_EPS = (0.1, 0.2)  # bounds: deviations epsilon beyond 2 * DKW_DELTA
-DKW_N = 200  # bounds: draws per empirical CDF
-DKW_DELTA = 0.02  # bounds: KS distance of each draw's law from Exp(1)
-DKW_BAND = 0.02  # bounds: rates jitter inside [1 - DKW_BAND, 1 + DKW_BAND]
-DKW_EXPERIMENTS = 1_000  # bounds: empirical CDFs per trial
 
 
 class ExperimentKind(Enum):
@@ -81,7 +69,6 @@ class ExperimentKind(Enum):
     APPROX_STABLE = "approx_stable"
     IMBALANCE = "imbalance"
     STABLE_COUNT = "stable_count"
-    BOUNDS = "bounds"
 
 
 class MarketKind(Enum):
@@ -197,6 +184,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("k: imbalance needs 1 <= k < n")
     if cfg.experiment is ExperimentKind.APPROX_STABLE and cfg.k > 0 and cfg.n < 2:
         raise ConfigError("k: approx_stable swaps the partners of two men and needs n >= 2")
+    reads_k = (ExperimentKind.APPROX_STABLE, ExperimentKind.IMBALANCE)
+    if cfg.k > 0 and cfg.experiment not in reads_k:
+        raise ConfigError(f"k: {cfg.experiment.value} runs a square market and reads no k")
     return cfg
 
 
@@ -429,57 +419,6 @@ def _stable_count_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     return [TrialRecord(trial_id=t, matching_kind="all", stable_count=count)]
 
 
-def _bounds_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
-    trial_seed = stream_key(cfg.master_seed, "trial", t)
-    records = []
-
-    # Weighted-sum lower tail: fixed weights, many unit-exponential batches.
-    n = cfg.n
-    u01 = unit_uniforms(stream_key(trial_seed, "chernoff_u"), n)
-    weights = 2.0 ** (2.0 * u01 - 1.0)
-    weights *= n / weights.sum()
-    # Unit exponentials at a broadcast rate of 1, reduced one row block at a time.
-    dots = np.empty(CHERNOFF_SAMPLES)
-
-    def weigh(rows, block, _spare):
-        dots[rows] = block @ weights
-
-    exponential_blocks(
-        stream_key(trial_seed, "chernoff_z"), np.broadcast_to(1.0, (CHERNOFF_SAMPLES, n)), weigh
-    )
-    for t_val in CHERNOFF_T:
-        records.append(
-            TrialRecord(
-                trial_id=t,
-                matching_kind=f"chernoff_t={t_val:g}",
-                observed=float(np.mean(dots <= t_val * n)),
-                bound=chernoff_lower_tail(weights, t_val),
-            )
-        )
-
-    # Empirical-CDF deviation: draws with rates jittered inside [1-band, 1+band]
-    # (each within KS distance ~band/e <= DKW_DELTA of the unit exponential).
-    e_count, dn = DKW_EXPERIMENTS, DKW_N
-    jitter = unit_uniforms(stream_key(trial_seed, "dkw_rates"), e_count * dn)
-    rates = 1.0 + DKW_BAND * (2.0 * jitter.reshape(e_count, dn) - 1.0)
-    xs = np.sort(exponentials(stream_key(trial_seed, "dkw_x"), rates), axis=1)
-    cdf = -np.expm1(-xs)
-    i = np.arange(1, dn + 1, dtype=np.float64) / dn
-    dev = np.maximum(
-        (i[None, :] - cdf).max(axis=1), (cdf - i[None, :] + 1.0 / dn).max(axis=1)
-    )
-    for eps in DKW_EPS:
-        records.append(
-            TrialRecord(
-                trial_id=t,
-                matching_kind=f"dkw_eps={eps:g}",
-                observed=float(np.mean(dev > 2.0 * DKW_DELTA + eps)),
-                bound=dkw_bound(dn, DKW_DELTA, eps),
-            )
-        )
-    return records
-
-
 _TRIAL_BODIES = {
     ExperimentKind.VALUE_DIST: _value_family_records,
     ExperimentKind.RANK_DIST: _value_family_records,
@@ -487,7 +426,6 @@ _TRIAL_BODIES = {
     ExperimentKind.APPROX_STABLE: _approx_stable_records,
     ExperimentKind.IMBALANCE: _imbalance_records,
     ExperimentKind.STABLE_COUNT: _stable_count_records,
-    ExperimentKind.BOUNDS: _bounds_records,
 }
 
 
@@ -548,21 +486,16 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # men's scores of a backfilled public-scores market or the real C-bounded
 # market while it is backfilled (8), the deep walks of a public-scores
 # market, whose low-fitness proposers read past their best 64 (12), and
-# approx_stable's blocking mask (1).  bounds reduces its Chernoff batches a
-# row block at a time, and 8 MiB covers its fixed-size arrays.
+# approx_stable's blocking mask (1).
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 3 << 20
 _ROW_BYTES = 3 << 10
 _REBALANCED_ROW_BYTES = 12 << 10
-_BOUNDS_BYTES = 8 << 20
 
 
 def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     """Estimated peak bytes of one process running cfg's trials on ``threads`` threads."""
-    base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES
-    if cfg.experiment is ExperimentKind.BOUNDS:
-        return base + _BOUNDS_BYTES
-    base += _ROW_BYTES * cfg.n
+    base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES + _ROW_BYTES * cfg.n
     imbalance = cfg.experiment is ExperimentKind.IMBALANCE
     per_cell = 0
     if cfg.market is not MarketKind.UNIFORM:
@@ -712,9 +645,6 @@ _CHECKS = (
      lambda xs, _: float(min(xs)), _NO_LIMIT, ">=", (None, 1.0)),
     (_E.STABLE_COUNT, "mean_stable_count_near_target", None, _col("stable_count"),
      _mean_distance, ("target", None), "<=", ("margin", None)),
-    (_E.BOUNDS, "bounds_respected", None,
-     lambda r: None if None in (r.observed, r.bound) else r.observed - r.bound,
-     lambda xs, _: float(max(xs)), _NO_LIMIT, "<=", (None, 0.0)),
 )
 # Every tolerance some check reads; parse_config rejects any other tol.* key.
 _TOL_NAMES = frozenset(

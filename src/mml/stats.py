@@ -173,20 +173,6 @@ def eig_dispersion(e: np.ndarray, zeta: float) -> tuple[float, float]:
     return t_star, violating
 
 
-def dkw_bound(n: int, delta: float, epsilon: float) -> float:
-    """Tail bound 4 * exp(-2 n eps^2 / 9) for empirical-CDF deviation.
-
-    Bounds the probability that the empirical CDF of n independent draws, each
-    within KS distance delta of a common F, deviates from F by more than
-    2*delta + epsilon.  (delta shifts the event, not the bound.)
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if delta < 0.0 or epsilon <= 0.0:
-        raise ValueError("need delta >= 0 and epsilon > 0")
-    return 4.0 * math.exp(-2.0 * n * epsilon * epsilon / 9.0)
-
-
 def rank_value_ratio_report(
     outcome: MatchingOutcome, phi: np.ndarray, theta: float
 ) -> float:

@@ -35,6 +35,14 @@
   approx_stable and imbalance trials on both held value matrices: the
   perturbed outcome by ``outcome_of``, the certificate on the whole blocking
   mask, and the completion written into the drawn Y.
+* ``p_mu`` / ``q_xy`` / ``naive_p_upper`` / ``chernoff_lower_tail`` /
+  ``dkw_bound``: the closed forms and inequalities of the proofs, which no
+  trial reads: the exact probability that a matching is stable given its
+  matched values, its small-value surrogate, its bound under contiguity, the
+  Chernoff lower tail of a weighted exponential sum and the generalized DKW
+  band bound.
+* ``bounds_records`` / ``bounds_run``: the two bounds checked on synthetic
+  exponentials, as trial records (criterion 8).
 """
 
 import dataclasses
@@ -46,13 +54,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from mml import experiments
-from mml.errors import EmptySample, TooLarge
+from mml.errors import EmptySample, NotNormalized, TooLarge
 from mml.market import BalancedMarket, CanonicalMarket, backfill_imbalanced, sinkhorn_balance
 from mml.matching import (
     Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
     _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
 )
-from mml.rng import _GOLDEN, _MIX_1, _MIX_2, _U64, row_blocks, stream_key, unit_uniforms
+from mml.rng import (
+    _GOLDEN, _MIX_1, _MIX_2, _U64, exponential_blocks, exponentials, row_blocks, stream_key,
+    unit_uniforms,
+)
 from mml.sampling import LatentValues, sample_latent
 
 EXACT_ALPHA_LIMIT = 12
@@ -485,3 +496,189 @@ def held_imbalance_records(cfg, t: int) -> list:
         cfg, t, "mosm", rect_match, rect_outcome, rect_outcome.value_men
     )
     return [dataclasses.replace(record, da_agree=int(agree))]
+
+
+# --- The proofs' closed forms and bounds ----------------------------------------
+#
+# p_mu is the exact probability that a given matching is stable conditional on
+# the matched values: each unmatched pair (i, j) fails to block unless both
+# X_ij < x_i and Y_ji < y_j, independently across cells.
+
+_WEIGHT_SUM_TOL = 1e-9
+
+
+def _masked_log1p_sum(t: np.ndarray, mu: Matching) -> float:
+    # t[i, j] = (1 - e^{-a x_i})(1 - e^{-b y_j}); matched cells contribute 1.
+    terms = np.log1p(-t)
+    mu_arr = mu.mu_array
+    sup = np.nonzero(mu_arr >= 0)[0]
+    if sup.size:
+        terms[sup, mu_arr[sup]] = 0.0
+    return float(terms.sum())
+
+
+def p_mu(
+    x: np.ndarray, y: np.ndarray, A: np.ndarray, B: np.ndarray, mu: Matching
+) -> float:
+    """Probability that matching ``mu`` is stable given the matched values.
+
+    ``x`` and ``y`` are per-agent value vectors (zeros off support; off-support
+    agents contribute factors of 1).  Computed in log space, so products of
+    thousands of near-one factors stay exact to machine precision.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    # expm1(-a x_i) * expm1(-b y_j) = (1 - e^{-a x_i})(1 - e^{-b y_j}) >= 0
+    t = np.expm1(-np.asarray(A) * x[:, None]) * np.expm1(-np.asarray(B).T * y[None, :])
+    return math.exp(_masked_log1p_sum(t, mu))
+
+
+def q_xy(x: np.ndarray, y: np.ndarray, M: np.ndarray) -> float:
+    """Small-value surrogate exp(-n * x' M y) for the stability probability."""
+    M = np.asarray(M, dtype=np.float64)
+    n = M.shape[0]
+    return math.exp(-float(n) * float(np.asarray(x) @ M @ np.asarray(y)))
+
+
+def naive_p_upper(
+    x: np.ndarray,
+    y: np.ndarray,
+    mu: Matching,
+    A: np.ndarray,
+    B: np.ndarray,
+    C: float,
+) -> float:
+    """Upper bound on p_mu with every cross rate slowed to its 1/C^2 extreme.
+
+    Uses the matched-pair rates to normalize the values (x_hat_i = x_i * a_{i, mu(i)}),
+    then treats every unmatched cell as if its rates were at the contiguity floor.
+    Equals p_mu exactly for the uniform market (C = 1).
+    """
+    if C < 1.0:
+        raise ValueError("contiguity constant must be >= 1")
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    mu_arr = mu.mu_array
+    inv = mu.inverse()
+
+    x_hat = np.zeros_like(x)
+    sup_m = np.nonzero(mu_arr >= 0)[0]
+    x_hat[sup_m] = x[sup_m] * A[sup_m, mu_arr[sup_m]]
+    y_hat = np.zeros_like(y)
+    sup_w = np.nonzero(inv >= 0)[0]
+    y_hat[sup_w] = y[sup_w] * B[sup_w, inv[sup_w]]
+
+    c2 = C * C
+    t = np.expm1(-x_hat / c2)[:, None] * np.expm1(-y_hat / c2)[None, :]
+    return math.exp(_masked_log1p_sum(t, mu))
+
+
+def chernoff_lower_tail(u: np.ndarray, t: float) -> float:
+    """Bound P(sum u_i Z_i <= t n) for unit exponentials Z and weights with sum n.
+
+    Returns min(1, (t e^{1-t})^n * prod(1 / u_i)); for t >= 1 the bound is
+    trivially 1.  Weights must be positive with ||u||_1 = n within 1e-9.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u <= 0.0):
+        raise ValueError("weights must be strictly positive")
+    n = u.size
+    if abs(float(u.sum()) - n) > _WEIGHT_SUM_TOL:
+        raise NotNormalized(
+            f"weights must sum to n = {n} within {_WEIGHT_SUM_TOL:g}, got {float(u.sum())!r}"
+        )
+    if t < 0.0:
+        raise ValueError("t must be non-negative")
+    if t >= 1.0:
+        return 1.0
+    if t == 0.0:
+        return 0.0
+    log_bound = n * (math.log(t) + 1.0 - t) - float(np.log(u).sum())
+    return 1.0 if log_bound >= 0.0 else math.exp(log_bound)
+
+
+def dkw_bound(n: int, delta: float, epsilon: float) -> float:
+    """Tail bound 4 * exp(-2 n eps^2 / 9) for empirical-CDF deviation.
+
+    Bounds the probability that the empirical CDF of n independent draws, each
+    within KS distance delta of a common F, deviates from F by more than
+    2*delta + epsilon.  (delta shifts the event, not the bound.)
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if delta < 0.0 or epsilon <= 0.0:
+        raise ValueError("need delta >= 0 and epsilon > 0")
+    return 4.0 * math.exp(-2.0 * n * epsilon * epsilon / 9.0)
+
+
+# Fixed sizes and levels of one bounds trial.
+CHERNOFF_T = (0.1, 0.3, 0.5)  # lower-tail levels t of the weighted sum
+CHERNOFF_SAMPLES = 100_000  # unit-exponential batches per trial
+DKW_EPS = (0.1, 0.2)  # deviations epsilon beyond 2 * DKW_DELTA
+DKW_N = 200  # draws per empirical CDF
+DKW_DELTA = 0.02  # KS distance of each draw's law from Exp(1)
+DKW_BAND = 0.02  # rates jitter inside [1 - DKW_BAND, 1 + DKW_BAND]
+DKW_EXPERIMENTS = 1_000  # empirical CDFs per trial
+# Criterion 8's run: weights of length n, trials, master seed.
+BOUNDS_N, BOUNDS_TRIALS, BOUNDS_SEED = 50, 10, 801
+
+
+def bounds_records(n: int, master_seed: int, t: int) -> list:
+    """Trial t's observed frequency and bound for each Chernoff level and DKW deviation."""
+    trial_seed = stream_key(master_seed, "trial", t)
+    records = []
+
+    # Weighted-sum lower tail: fixed weights, many unit-exponential batches.
+    u01 = unit_uniforms(stream_key(trial_seed, "chernoff_u"), n)
+    weights = 2.0 ** (2.0 * u01 - 1.0)
+    weights *= n / weights.sum()
+    # Unit exponentials at a broadcast rate of 1, reduced one row block at a time.
+    dots = np.empty(CHERNOFF_SAMPLES)
+
+    def weigh(rows, block, _spare):
+        dots[rows] = block @ weights
+
+    exponential_blocks(
+        stream_key(trial_seed, "chernoff_z"), np.broadcast_to(1.0, (CHERNOFF_SAMPLES, n)), weigh
+    )
+    for t_val in CHERNOFF_T:
+        records.append(
+            experiments.TrialRecord(
+                trial_id=t,
+                matching_kind=f"chernoff_t={t_val:g}",
+                observed=float(np.mean(dots <= t_val * n)),
+                bound=chernoff_lower_tail(weights, t_val),
+            )
+        )
+
+    # Empirical-CDF deviation: draws with rates jittered inside [1-band, 1+band]
+    # (each within KS distance ~band/e <= DKW_DELTA of the unit exponential).
+    e_count, dn = DKW_EXPERIMENTS, DKW_N
+    jitter = unit_uniforms(stream_key(trial_seed, "dkw_rates"), e_count * dn)
+    rates = 1.0 + DKW_BAND * (2.0 * jitter.reshape(e_count, dn) - 1.0)
+    xs = np.sort(exponentials(stream_key(trial_seed, "dkw_x"), rates), axis=1)
+    cdf = -np.expm1(-xs)
+    i = np.arange(1, dn + 1, dtype=np.float64) / dn
+    dev = np.maximum(
+        (i[None, :] - cdf).max(axis=1), (cdf - i[None, :] + 1.0 / dn).max(axis=1)
+    )
+    for eps in DKW_EPS:
+        records.append(
+            experiments.TrialRecord(
+                trial_id=t,
+                matching_kind=f"dkw_eps={eps:g}",
+                observed=float(np.mean(dev > 2.0 * DKW_DELTA + eps)),
+                bound=dkw_bound(dn, DKW_DELTA, eps),
+            )
+        )
+    return records
+
+
+@functools.cache
+def bounds_run() -> tuple:
+    """Criterion 8's records, trial by trial in the order a run writes them."""
+    return tuple(
+        record for t in range(BOUNDS_TRIALS) for record in bounds_records(BOUNDS_N, BOUNDS_SEED, t)
+    )

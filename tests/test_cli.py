@@ -254,12 +254,12 @@ def test_run_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
         "master_seed = 0\n",
         encoding="utf-8",
     )
-    out_dir = tmp_path / "o"
-    rc = main(["run", str(cfg_file), "--out", str(out_dir)])
+    # Every directory the run made goes again, deepest first.
+    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "t1" / "a" / "b")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: out of memory:") and err.count("\n") == 1
-    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == [cfg_file]
 
 
 def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, monkeypatch):
@@ -274,12 +274,27 @@ def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, m
         "master_seed = 0\n",
         encoding="utf-8",
     )
-    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+    # The directories the run made go again; the one that was there stays.
+    (tmp_path / "t1").mkdir()
+    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "t1" / "a" / "b")])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1
     assert err.startswith("error: out of memory: n = 1000000 needs an estimated ")
     assert "(2 process(es) x " in err
-    assert not (tmp_path / "o").exists()
+    assert not list((tmp_path / "t1").iterdir())
+
+
+def test_run_of_an_unknown_experiment_lists_the_known_kinds(tmp_path, capsys):
+    cfg_file = tmp_path / "bounds.cfg"
+    cfg_file.write_text(
+        "experiment = bounds\nn = 50\ntrials = 10\nmaster_seed = 801\n", encoding="utf-8"
+    )
+    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    kinds = ["approx_stable", "hyperbola", "imbalance", "rank_dist", "stable_count", "value_dist"]
+    assert rc == 2
+    assert err == f"error: experiment: unknown kind 'bounds' (expected one of {kinds})\n"
+    assert list(tmp_path.iterdir()) == [cfg_file]
 
 
 def test_run_with_an_out_naming_a_file_exits_two_before_any_trial(tmp_path, capsys, monkeypatch):
@@ -362,7 +377,7 @@ def test_summarize_with_and_without_config(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config", ["value_dist_small", "rank_dist_uniform", "hyperbola_uniform", "approx_stable",
-               "imbalance_uniform", "bounds"]
+               "imbalance_uniform"]
 )
 def test_summarize_with_no_matching_records_fails(tmp_path, capsys, config):
     # stable_count rows carry none of the statistics these configs check.

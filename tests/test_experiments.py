@@ -42,19 +42,20 @@ import mml.market
 import mml.sampling
 from mml.experiments import _pool_size, run_trial
 from mml.rng import usable_cores
+from oracles import bounds_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 FULL_CONFIG = """
 # exercise every key the parser knows about
-experiment = bounds
+experiment = approx_stable
 market     = cbounded
 n = 50
 trials = 10
 master_seed = 801
 c = 2.5
 delta = 0.1
-k = 0
+k = 3
 tol.ks = 0.04          # trailing comments are stripped
 tol.pass_fraction = 0.85
 """
@@ -71,10 +72,10 @@ delta = 0.1
 
 def test_parse_config_reads_all_keys():
     cfg = parse_config(FULL_CONFIG)
-    assert cfg.experiment is ExperimentKind.BOUNDS
+    assert cfg.experiment is ExperimentKind.APPROX_STABLE
     assert cfg.market is MarketKind.CBOUNDED
     assert (cfg.n, cfg.trials, cfg.master_seed) == (50, 10, 801)
-    assert (cfg.c, cfg.delta, cfg.k) == (2.5, 0.1, 0)
+    assert (cfg.c, cfg.delta, cfg.k) == (2.5, 0.1, 3)
     assert cfg.tol("ks", 0.05) == 0.04
     assert cfg.tol("pass_fraction", 0.9) == 0.85
     # unset tolerance falls back to the caller's default
@@ -99,6 +100,11 @@ def test_malformed_lines_are_rejected():
         ("experiment = value_dist\nn = four\ntrials = 1\nmaster_seed = 0\n", "n"),
         ("experiment = mystery\nn = 4\ntrials = 1\nmaster_seed = 0\n", "mystery"),
         ("experiment = value_dist\nmarket = bazaar\nn = 4\ntrials = 1\nmaster_seed = 0\n", "bazaar"),
+        *(
+            (f"experiment = {kind}\nn = 4\ntrials = 1\nmaster_seed = 0\nk = 10\n",
+             f"^k: {kind} runs a square market and reads no k$")
+            for kind in ("value_dist", "rank_dist", "hyperbola", "stable_count")
+        ),
     ]
     for text, fragment in bad_texts:
         with pytest.raises(ConfigError, match=fragment):
@@ -120,7 +126,7 @@ def test_misspelled_tolerance_is_rejected():
      "dkw_band", "dkw_experiments"],
 )
 def test_fixed_statistic_parameters_are_not_config_keys(key):
-    base = "experiment = bounds\nn = 4\ntrials = 1\nmaster_seed = 0\n"
+    base = "experiment = value_dist\nn = 4\ntrials = 1\nmaster_seed = 0\n"
     with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
         parse_config(base + f"{key} = 0.5\n")
 
@@ -213,6 +219,12 @@ def test_csv_round_trip_preserves_records():
         # columns this experiment never fills come back as None, not 0 or nan
         assert record.stable_count is None
         assert record.bound is None
+
+
+def test_csv_round_trip_preserves_the_bound_columns():
+    # Criterion 8's oracle is the one writer of bound and observed.
+    records = list(bounds_run())
+    assert records_from_csv(records_to_csv(records)) == records
 
 
 def test_jsonl_skips_unset_fields():
@@ -480,7 +492,7 @@ def test_trials_never_materialise_a_b_or_m(monkeypatch, experiment, market):
         monkeypatch.setattr(mml.market.BalancedMarket, name, property(refuse))
     cfg = parse_config(
         TINY_VALUE_DIST.replace("value_dist", experiment).replace("uniform", market)
-        + "k = 3\n"
+        + ("k = 3\n" if experiment in ("approx_stable", "imbalance") else "")
     )
     assert run_trial(cfg, 1)
 

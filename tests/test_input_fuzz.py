@@ -41,6 +41,7 @@ numbers = st.one_of(
 )
 words = st.one_of(
     numbers,
+    # "bounds" names no experiment: the parser refuses it like any unknown kind.
     st.sampled_from(["value_dist", "Rank-Dist", "HYPERBOLA", "imbalance", "stable_count",
                      "bounds", "approx_stable", "uniform", "public_scores", "C_Bounded"]),
     st.text(max_size=12),

@@ -4,7 +4,8 @@ Every trial record is a pure function of (config, trial id), so a refactor
 that keeps the statistics keeps these bytes.  A deliberate change to a
 statistic must update its pin here and say so in CHANGES.md.  The pinned
 configs are the cheap shipped ones plus tiny inline configs for the market
-kinds that no shipped config runs through an experiment.  The two benchmark
+kinds that no shipped config runs through an experiment, and criterion 8's
+bounds records (``tests/oracles.py``), written as a run writes them.  The two benchmark
 workloads are pinned in ``mmlbench/pins.json``, which is read here too, so a
 change to their bytes fails this suite as well as the benchmark; a C-bounded
 rank_dist run small enough for Tier-1 is pinned inline.
@@ -25,6 +26,7 @@ from mml.experiments import (
     run_experiment,
     write_outputs,
 )
+from oracles import bounds_run
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -78,9 +80,6 @@ PINS = [
     ("stable_count_2x2", None,
      "f478dfdd4ae8d2809dbed85fe7e17a4aa30cefa9b9da6ef24da6a6213f53757b",
      "44887d51aa21b3038b2e6be5043a64734692bcf10f591bcf96e95af684846b23"),
-    ("bounds", None,
-     "21f53b66e028d53e4861f167cb5084f83f5a5e771ee66f376347ea02bb0fcbd8",
-     "570291bd5b35ca457eb37854c0b5c28fabb56de8d9c4b02814d0cc1e67665a56"),
     ("imbalance_uniform", 2,
      "c86e56b8901d826f74491d1e8b00723e3ed19f47514e4a4f508a9ee17e7116da",
      "9264893f28835c531f0dd18353fb5d50b4b44351e3e1a47aaba909a416874150"),
@@ -138,6 +137,11 @@ def test_summary_json_bytes_are_pinned(name, trials, _, summary_sha256, tmp_path
     cfg, summary, records = pinned_run(name, trials)
     write_outputs(tmp_path, cfg, summary, records)
     assert sha256((tmp_path / "summary.json").read_bytes()) == summary_sha256
+
+
+def test_bounds_records_csv_bytes_are_pinned():
+    csv_sha256 = "21f53b66e028d53e4861f167cb5084f83f5a5e771ee66f376347ea02bb0fcbd8"
+    assert sha256(records_to_csv(list(bounds_run())).encode("utf-8")) == csv_sha256
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_PINS))

@@ -1,4 +1,4 @@
-"""Stability likelihoods and concentration bounds."""
+"""The proofs' closed forms and bounds (``tests/oracles.py``), which criteria 8 and 9 read."""
 
 import math
 
@@ -8,8 +8,8 @@ import pytest
 from mml.errors import NotNormalized
 from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
 from mml.matching import Matching, Side, deferred_acceptance, truncate_delta
-from mml.probability import chernoff_lower_tail, naive_p_upper, p_mu, q_xy
 from mml.sampling import sample_latent
+from oracles import chernoff_lower_tail, dkw_bound, naive_p_upper, p_mu, q_xy
 
 
 def random_instance(n, seed, c=2.0):
@@ -180,3 +180,23 @@ def test_chernoff_bound_holds_in_simulation():
     for t in (0.2, 0.4):
         empirical = float(np.mean(z @ u <= t * 6.0))
         assert empirical <= chernoff_lower_tail(u, t)
+
+
+# --- DKW-style bound ------------------------------------------------------------
+
+
+def test_dkw_bound_frozen_value():
+    # 2 n eps^2 / 9 = 2 at n = 9, eps = 1.
+    assert dkw_bound(9, 0.5, 1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-15)
+    assert dkw_bound(9, 0.0, 1.0) == dkw_bound(9, 0.9, 1.0)  # delta shifts the event
+
+
+def test_dkw_bound_monotonicity_and_validation():
+    assert dkw_bound(200, 0.02, 0.2) < dkw_bound(100, 0.02, 0.2)
+    assert dkw_bound(100, 0.02, 0.3) < dkw_bound(100, 0.02, 0.2)
+    with pytest.raises(ValueError):
+        dkw_bound(0, 0.02, 0.1)
+    with pytest.raises(ValueError):
+        dkw_bound(10, -0.1, 0.1)
+    with pytest.raises(ValueError):
+        dkw_bound(10, 0.1, 0.0)

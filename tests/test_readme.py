@@ -1,9 +1,12 @@
-"""The python code blocks of README.md run as written."""
+"""README.md's code runs as written, and its check table is the program's."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from mml.experiments import _CHECKS, _TRIAL_BODIES, ExperimentKind, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run():
@@ -11,3 +14,21 @@ def test_readme_python_blocks_run():
     assert blocks
     for number, code in enumerate(blocks, start=1):
         exec(compile(code, f"README.md python block {number}", "exec"), {"__name__": "readme"})
+
+
+def test_readme_check_table_names_the_checks_of_each_experiment():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| experiment | checks | tolerances |\n|---|---|---|\n", 1)[1]
+    rows = {}
+    for line in table.split("\n\n", 1)[0].splitlines():
+        experiment, checks = line.strip("| ").split(" | ")[:2]
+        rows[experiment.strip("`")] = re.findall(r"`([^`]+)`", checks)
+    expected = {}
+    for experiment, name, *_ in _CHECKS:
+        expected.setdefault(experiment.value, []).append(name)
+    assert rows == expected
+
+
+def test_each_experiment_kind_has_a_trial_body_and_a_shipped_config():
+    shipped = {load_config(path).experiment for path in (ROOT / "configs").glob("*.cfg")}
+    assert set(_TRIAL_BODIES) == set(ExperimentKind) == shipped

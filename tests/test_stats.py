@@ -14,7 +14,6 @@ from mml.stats import (
     _ks_exp_grid,
     _ks_exp_sorted,
     best_fit_exponential,
-    dkw_bound,
     eig_dispersion,
     hyperbola_product,
     ks_distance_to_exp,
@@ -193,26 +192,6 @@ def test_eig_dispersion_median_is_np_median_to_the_bit(n):
     assert math.isnan(eig_dispersion(np.append(samples[0], np.nan), zeta=0.25)[0])
     with pytest.raises(EmptySample):
         eig_dispersion(np.array([]), zeta=0.25)
-
-
-# --- DKW-style bound ------------------------------------------------------------
-
-
-def test_dkw_bound_frozen_value():
-    # 2 n eps^2 / 9 = 2 at n = 9, eps = 1.
-    assert dkw_bound(9, 0.5, 1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-15)
-    assert dkw_bound(9, 0.0, 1.0) == dkw_bound(9, 0.9, 1.0)  # delta shifts the event
-
-
-def test_dkw_bound_monotonicity_and_validation():
-    assert dkw_bound(200, 0.02, 0.2) < dkw_bound(100, 0.02, 0.2)
-    assert dkw_bound(100, 0.02, 0.3) < dkw_bound(100, 0.02, 0.2)
-    with pytest.raises(ValueError):
-        dkw_bound(0, 0.02, 0.1)
-    with pytest.raises(ValueError):
-        dkw_bound(10, -0.1, 0.1)
-    with pytest.raises(ValueError):
-        dkw_bound(10, 0.1, 0.0)
 
 
 # --- rank/value ratio -----------------------------------------------------------

@@ -29,7 +29,7 @@ from mml.rng import (
     single_threaded_blas, stream_key, thread_budget, unit_uniforms,
 )
 from mml.sampling import LatentValues
-from oracles import held_kernel_balance
+from oracles import bounds_records, held_kernel_balance
 
 BUDGETS = (1, 2, 3)
 # Square sizes below, at and above one block of 256^2 cells, and a
@@ -435,22 +435,21 @@ def test_blocked_balance_keeps_the_held_bits_on_other_blas_kernels(coretype):
 @needs_openblas
 @pytest.mark.parametrize("n", [50, 257])
 def test_bounds_records_are_equal_with_and_without_the_cap(n, blas_threads):
+    # The Chernoff batch's matvecs are the only BLAS calls that run on the row-block threads.
     _, set_ = blas_threads
-    cfg = parse_config(f"experiment = bounds\nn = {n}\ntrials = 1\nmaster_seed = 4\n")
-    body = experiments._TRIAL_BODIES[cfg.experiment]
     records = []
     for threads in (1, 2, 3):
         set_(threads)
-        records.append(body(cfg, 0))
+        records.append(bounds_records(n, 4, 0))
         with single_threaded_blas():
-            records.append(body(cfg, 0))
+            records.append(bounds_records(n, 4, 0))
     assert records[1:] == records[:1] * 5
 
 
 @needs_openblas
 def test_run_trial_holds_blas_at_one_thread_and_restores_it(monkeypatch, blas_threads):
     get, set_ = blas_threads
-    cfg = parse_config("experiment = bounds\nn = 5\ntrials = 1\nmaster_seed = 4\n")
+    cfg = parse_config("experiment = stable_count\nn = 5\ntrials = 1\nmaster_seed = 4\n")
     seen = []
 
     def body(cfg, t):
