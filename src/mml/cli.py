@@ -55,12 +55,18 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # An --out that cannot be a directory fails here, before any trial runs;
-    # a run refused with exit 2 leaves no directory behind.
-    made = []  # the directories makedirs creates, deepest first
-    path = os.path.abspath(args.out)
-    while not os.path.isdir(path):
-        made.append(path)
-        path = os.path.dirname(path)
+    # a run refused with exit 2 leaves no directory behind.  ``made`` lists
+    # the directories makedirs creates, deepest first: it splits the path as
+    # given, so "x/../y" makes x, and a "." or ".." component names none.
+    made = []
+    path = args.out
+    while path and not os.path.isdir(path):
+        head, tail = os.path.split(path)
+        if not tail:  # a trailing separator
+            head, tail = os.path.split(head)
+        if tail not in (os.curdir, os.pardir):
+            made.append(path)
+        path = head
     os.makedirs(args.out, exist_ok=True)
     try:
         summary, records = run_experiment(cfg)

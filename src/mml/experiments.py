@@ -397,13 +397,13 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     # real men (in index order), square DA must restrict to the rectangular
     # DA exactly.  The real market is the first m proposers; added man m + a
     # gets the receiver values worst + a + 1, in his tables and in a deep walk.
-    def completed_deep(p: int):
-        order, own, recv = men.deep(p)
-        return (order, own, recv) if p < m else (order, own, worst[order] + (p - m + 1))
+    def completed_deep(p: int, stop: int):
+        order, recv = men.deep(p, stop)
+        return (order, recv) if p < m else (order, worst[order] + (p - m + 1))
 
     added = worst[men.top[m:]] + np.arange(1.0, cfg.k + 1)[:, None]
     completed = replace(men, recv=np.vstack([men.recv[:m], added]), deep=completed_deep)
-    rect = replace(men, top=men.top[:m], own=men.own[:m], recv=men.recv[:m])
+    rect = replace(men, top=men.top[:m], recv=men.recv[:m])
     rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)
     completed_match, _ = deferred_acceptance(completed, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu
@@ -476,20 +476,21 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # Memory model of one trial process (README, "Memory and scale"): the
 # interpreter and numpy with one row-block thread's block scratch, 3 MiB of
 # scratch per further thread, bytes per row and bytes per cell of the n x n
-# stages.  Every trial holds 3 KiB per row: the walks' best-64 tables and
-# the balancing products' block buffer (1 KiB).  A market balanced
-# every trial (any but the uniform one) adds 12 KiB per row: the tables kept
-# two or three times over by the allocator.  Trials stream their values, so
-# the n x n terms are what is held: the balancing kernel (8) of a market
-# whose two sides do not each share one row (C-bounded, or a backfilled
-# public-scores stack), the scores of a C-bounded market (16), the stacked
-# men's scores of a backfilled public-scores market or the real C-bounded
-# market while it is backfilled (8), the deep walks of a public-scores
-# market, whose low-fitness proposers read past their best 64 (12), and
-# approx_stable's blocking mask (1).
+# stages.  Every trial holds 1.5 KiB per row: a side's best-64 columns and
+# their receivers' values, with what deferred acceptance keeps per agent, or,
+# while a market is balanced, the balancing products' block buffer.  A market
+# balanced every trial (any but the uniform one) adds 12 KiB per row: the
+# tables kept two or three times over by the allocator.  Trials stream their
+# values, so the n x n terms are what is held: the balancing kernel (8) of a
+# market whose two sides do not each share one row (C-bounded, or a
+# backfilled public-scores stack), the scores of a C-bounded market (16), the
+# stacked men's scores of a backfilled public-scores market or the real
+# C-bounded market while it is backfilled (8), the deep walks of a
+# public-scores market, whose low-fitness proposers read far past their best
+# 64 (6), and approx_stable's blocking mask (1).
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 3 << 20
-_ROW_BYTES = 3 << 10
+_ROW_BYTES = 3 << 9
 _REBALANCED_ROW_BYTES = 12 << 10
 
 
@@ -503,7 +504,7 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 8 + 16
     if cfg.market is MarketKind.PUBLIC_SCORES:
-        per_cell += 12 + (8 if imbalance else 0)
+        per_cell += 6 + (8 if imbalance else 0)
     if imbalance and cfg.market is not MarketKind.UNIFORM:
         per_cell += 8
     if cfg.experiment is ExperimentKind.APPROX_STABLE:

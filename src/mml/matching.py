@@ -121,17 +121,20 @@ def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> M
 class ProposerTables:
     """What deferred acceptance reads of the proposing side's walks.
 
-    ``top[p, k]`` is proposer p's k-th best receiver, ``own[p, k]`` p's value
-    for it and ``recv[p, k]`` that receiver's value for p, for k below the
-    tables' width.  A walk that goes deeper calls ``deep(p)`` once for the
-    same three arrays over p's whole row, best first.
+    ``top[p, k]`` is proposer p's k-th best receiver and ``recv[p, k]`` that
+    receiver's value for p, for k below the tables' width.  A walk that goes
+    deeper calls ``deep(p, stop)`` for the same two arrays over p's ``stop``
+    best receivers (all of them if there are fewer), best first.
+    ``own(proposers, receivers)`` reads the proposers' values for the
+    receivers, broadcast together: the walks compare only the receivers'
+    values, so their own are read once, for the final partners.
     """
 
     top: np.ndarray
-    own: np.ndarray
     recv: np.ndarray
     n_recv: int
-    deep: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    own: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    deep: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
@@ -141,10 +144,13 @@ def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables
     top = order[:, : sampling.TOP_L].astype(np.int32)
     proposers = np.arange(prop.shape[0])[:, None]
 
-    def deep(p: int):
-        return order[p], prop[p, order[p]], recv[order[p], p]
+    def own(rows, cols):
+        return prop[rows, cols]
 
-    return ProposerTables(top, prop[proposers, top], recv[top, proposers], prop.shape[1], deep)
+    def deep(p: int, stop: int):
+        return order[p, :stop], recv[order[p, :stop], p]
+
+    return ProposerTables(top, recv[top, proposers], prop.shape[1], own, deep)
 
 
 def proposer_tables(
@@ -152,19 +158,22 @@ def proposer_tables(
 ) -> tuple[ProposerTables, np.ndarray | None]:
     """The proposers' tables from one screened pass over their rows, and its counts.
 
-    No matrix is held: the receivers' values at the proposers' top cells, and
-    a deep walk's row and cells, are drawn by counter.  The counts are
-    ``ValueStream.screen``'s.
+    No matrix is held: the receivers' values at the proposers' top cells, the
+    proposers' own values and a deep walk's row and cells are drawn by
+    counter.  The counts are ``ValueStream.screen``'s.
     """
     n_prop, n_recv = prop.shape
-    top, own, counts = prop.screen(min(sampling.TOP_L, n_recv), thresholds)
+    top, counts = prop.screen(min(sampling.TOP_L, n_recv), thresholds)
 
-    def deep(p: int):
+    def deep(p: int, stop: int):
         row = prop.cells(p, np.arange(n_recv))
-        order = np.argsort(row)
-        return order, row[order], recv.cells(order, p)
+        best = np.argpartition(row, min(stop, n_recv) - 1)[:stop]
+        order = best[np.argsort(row[best])]
+        return order, recv.cells(order, p)
 
-    tables = ProposerTables(top, own, recv.cells(top, np.arange(n_prop)[:, None]), n_recv, deep)
+    tables = ProposerTables(
+        top, recv.cells(top, np.arange(n_prop)[:, None]), n_recv, prop.cells, deep
+    )
     return tables, counts
 
 
@@ -178,7 +187,11 @@ def deferred_acceptance(
     on the long side can end up unmatched).  Every proposal, including
     rejected ones, is counted: the count is the sum of the walks' depths.  A
     walk reads its row's presorted top-L, through flat typed views of the
-    tables, and the whole row only if it goes deeper.
+    tables.  Past them, a walk at depth k reads its row's best 4k receivers
+    and their values for it, and does so again when it reaches the end of
+    those, so it holds at most four times what it has walked, not its whole
+    row.  Each matched proposer's value for its partner is read once, after
+    the walks.
 
     The outcome holds the values the walks read, and a proposer's rank of
     its partner is its walk's depth.  When the men receive, no walk read
@@ -192,7 +205,7 @@ def deferred_acceptance(
     # Flat views whose items read as Python ints and floats: cell (p, k) of
     # a table sits at p * width + k.  A deep walk's arrays are read the same way.
     top, recv = memoryview(tables.top.ravel()), memoryview(tables.recv.ravel())
-    deep: dict[int, tuple[memoryview, ...]] = {}
+    deep: dict[int, tuple[memoryview, memoryview]] = {}  # each deep walk's best receivers
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
@@ -205,9 +218,10 @@ def deferred_acceptance(
             if k < width:
                 r, v = top[p * width + k], recv[p * width + k]
             else:
-                if p not in deep:
-                    deep[p] = tuple(map(memoryview, tables.deep(p)))
-                r, v = deep[p][0][k], deep[p][2][k]
+                walk = deep.get(p)
+                if walk is None or k == len(walk[0]):
+                    walk = deep[p] = tuple(map(memoryview, tables.deep(p, 4 * k)))
+                r, v = walk[0][k], walk[1][k]
             next_idx[p] = k + 1
             cur = match_of[r]
             if cur < 0:
@@ -229,13 +243,13 @@ def deferred_acceptance(
     if proposing_side == Side.WOMEN and not streamed:
         return matching, outcome_of(matching, values, proposal_count=proposals)
 
+    partner_of = np.array(match_of, dtype=np.int64)
+    receivers = np.flatnonzero(partner_of >= 0)
+    proposers = partner_of[receivers]
     own = np.zeros(n_prop)
+    own[proposers] = tables.own(proposers, receivers)
     rank = np.zeros(n_prop, dtype=np.int64)
-    for p in match_of:
-        if p >= 0:
-            k = next_idx[p] - 1
-            own[p] = tables.own.item(p, k) if k < width else deep[p][1][k]
-            rank[p] = k + 1
+    rank[proposers] = np.array(next_idx, dtype=np.int64)[proposers]
     if proposing_side == Side.MEN:
         return matching, MatchingOutcome(own, np.array(held), rank, proposals)
     return matching, MatchingOutcome(np.array(held), own, None, proposals)

@@ -376,26 +376,42 @@ def exponential_cells(
     """``exponentials(key, rates, scale=scale)[rows, cols]``, drawn from the cells' counters alone.
 
     ``rows`` and ``cols`` are broadcast together as in numpy's advanced
-    indexing.  Only the chosen cells are drawn, each with the bits of the full
-    draw; each rate is read once, from the one row of a broadcast rate view.
+    indexing, and walked a block of the result's leading axis at a time as
+    given: an int32 table against a column of rows is read in place, and no
+    full-size index array is made.  Only the chosen cells are drawn, each
+    with the bits of the full draw; each rate is read once, from the one row
+    of a broadcast rate view, or from a C-ordered rate matrix at the cell's
+    counter.
     """
     rates, scale = _exponential_rates(rates, scale)
-    rows, cols = np.broadcast_arrays(np.asarray(rows, np.intp), np.asarray(cols, np.intp))
-    out = np.empty(rows.shape)
-    rows, cols, flat_out = rows.ravel(), cols.ravel(), out.reshape(-1)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = np.empty(np.broadcast_shapes(rows.shape, cols.shape))
+    # A 0-d result counts as one cell.  Each index gets the result's axes, so
+    # a block of leading rows is a view of any index that spans them.
+    grid = out.reshape(out.shape or (1,))
+    rows, cols = (a.reshape((1,) * (grid.ndim - a.ndim) + a.shape) for a in (rows, cols))
+    width = math.prod(grid.shape[1:])
+    flat_rates = rates.reshape(-1) if rates.flags.c_contiguous else None
     key = _U64(key)
-    z = np.empty(min(rows.size, BLOCK), dtype=np.uint64)
+    z = np.empty(min(grid.size, max(1, BLOCK // max(width, 1)) * width), dtype=np.uint64)
     t = np.empty_like(z)
-    for cells in row_blocks(rows.size, 1):
-        r, c = rows[cells], cols[cells]
-        zb = z[: r.size]
-        # Counters are below 2^63, so the int64 view holds them exactly.
-        counter = zb.view(np.int64)
-        np.multiply(r, rates.shape[1], out=counter)
+    for block in row_blocks(grid.shape[0], width):
+        r, c = (a if a.shape[0] == 1 else a[block] for a in (rows, cols))
+        ob = grid[block]
+        zb = z[: ob.size]
+        # Counters are below 2^63, so the int64 view holds them exactly; the
+        # product is taken in int64 whatever the indices' type.
+        counter = zb.view(np.int64).reshape(ob.shape)
+        np.multiply(r, rates.shape[1], out=counter, dtype=np.int64)
         counter += c
+        if rates.strides[0] == 0:
+            block_rates = rates[0].take(c)
+        elif flat_rates is not None:
+            block_rates = flat_rates.take(counter)
+        else:
+            block_rates = rates[r, c]
         counter += 1
         zb *= _GOLDEN
-        _cell_values(zb, t[: r.size], key, flat_out[cells],
-                     rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
+        _cell_values(zb, t[: ob.size], key, ob, block_rates,
                      None if scale is None else scale.take(r))
     return out

@@ -10,10 +10,10 @@ are the only representation of preferences.
 
 The trials hold each side as a :class:`ValueStream`: one screened pass over
 its rows, block by block, keeps what the trial reads of them (the proposers'
-best columns, a count or a row maximum), and any other cell is drawn from its
-counter on demand, with the bits the matrix would have.  Only exhaustive
-enumeration, at most 10 agents per side, draws both matrices
-(:func:`sample_latent`).
+best columns, a count or a row maximum), and any cell, the values at those
+columns too, is drawn from its counter on demand, with the bits the matrix
+would have.  Only exhaustive enumeration, at most 10 agents per side, draws
+both matrices (:func:`sample_latent`).
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
 # walk ends at its final partner's rank: mean 6-10, peak 39-81 for n = 1000-4000
-# in uniform markets; deeper walks sort their whole row.
+# in uniform markets.  A walk past them draws its row again for its best 4k
+# columns at depth k (``matching.deferred_acceptance``).
 TOP_L = 64
 
 
@@ -116,22 +117,21 @@ class ValueStream:
 
     def screen(
         self, width: int, thresholds: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """One pass over the rows, block by block, holding no full-size array.
 
         Blocks are screened as :class:`LatentValues` screens a matrix.
-        Returns each row's ``width`` lowest columns (int32) and values, lowest
-        first, and, given ``thresholds``, the count of row i's values at most
-        ``thresholds[i]``.
+        Returns each row's ``width`` lowest columns (int32), lowest first, and,
+        given ``thresholds``, the count of row i's values at most
+        ``thresholds[i]``.  The values themselves are not kept: any of them
+        is drawn again by :meth:`cells`.
         """
         nrows = self.shape[0]
         top = np.empty((nrows, width), dtype=np.int32)
-        lowest = np.empty((nrows, width))
         counts = None if thresholds is None else np.empty(nrows, dtype=np.int64)
 
         def consume(rows, block, spare):
             ordered = _screened_rows(self.name, block, spare)
-            lowest[rows] = ordered[:, :width]
             # A row's columns at most its width-th value are exactly its width
             # lowest, in column order: row r's sit at flat[r * width : (r + 1) * width].
             flat = np.flatnonzero(block <= ordered[:, width - 1 : width])
@@ -142,7 +142,7 @@ class ValueStream:
                 counts[rows] = (block <= thresholds[rows, None]).sum(axis=1)
 
         exponential_blocks(self.key, self.rates, consume, scale=self.scale)
-        return top, lowest, counts
+        return top, counts
 
     def row_max(self, ncols: int) -> np.ndarray:
         """One pass over the rows, screened as :meth:`screen` screens them.

@@ -488,7 +488,7 @@ def held_imbalance_records(cfg, t: int) -> list:
     y = values.Y
     y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
     men = _matrix_tables(values, Side.MEN)
-    rect = dataclasses.replace(men, top=men.top[:m], own=men.own[:m], recv=men.recv[:m])
+    rect = dataclasses.replace(men, top=men.top[:m], recv=men.recv[:m])
     rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)
     completed_match, _ = deferred_acceptance(men, Side.MEN)
     agree = completed_match.mu[:m] == rect_match.mu

@@ -274,14 +274,16 @@ def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, m
         "master_seed = 0\n",
         encoding="utf-8",
     )
-    # The directories the run made go again; the one that was there stays.
+    # The directories the run made go again, x too on the way to x/..; the
+    # one that was there stays.
     (tmp_path / "t1").mkdir()
-    rc = main(["run", str(cfg_file), "--out", str(tmp_path / "t1" / "a" / "b")])
-    err = capsys.readouterr().err
-    assert rc == 2 and err.count("\n") == 1
-    assert err.startswith("error: out of memory: n = 1000000 needs an estimated ")
-    assert "(2 process(es) x " in err
-    assert not list((tmp_path / "t1").iterdir())
+    for out in ("t1/a/b", "t1/x/../a/b"):
+        rc = main(["run", str(cfg_file), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1
+        assert err.startswith("error: out of memory: n = 1000000 needs an estimated ")
+        assert "(2 process(es) x " in err
+        assert not list((tmp_path / "t1").iterdir()), out
 
 
 def test_run_of_an_unknown_experiment_lists_the_known_kinds(tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""README.md's code runs as written, and its check table is the program's."""
+"""README.md's code runs as written, and its check table and memory model are the program's."""
 
 import re
 from pathlib import Path
 
-from mml.experiments import _CHECKS, _TRIAL_BODIES, ExperimentKind, load_config
+from mml.experiments import (
+    _BASE_BYTES, _CHECKS, _REBALANCED_ROW_BYTES, _ROW_BYTES, _THREAD_BYTES, _TRIAL_BODIES,
+    ExperimentKind, load_config,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -32,3 +35,18 @@ def test_readme_check_table_names_the_checks_of_each_experiment():
 def test_each_experiment_kind_has_a_trial_body_and_a_shipped_config():
     shipped = {load_config(path).experiment for path in (ROOT / "configs").glob("*.cfg")}
     assert set(_TRIAL_BODIES) == set(ExperimentKind) == shipped
+
+
+def test_readme_memory_model_quotes_its_constants():
+    text = README.read_text(encoding="utf-8")
+    model = text.split("of one process from its config and its number of row-block threads:")[1]
+    bullets = " ".join(model.split("\n\nIt is an upper bound")[0].split())
+    units = {"KiB": 2**10, "MiB": 2**20}
+    for constant, pattern in [
+        (_BASE_BYTES, r"^- ([\d.]+) (MiB) for the interpreter"),
+        (_THREAD_BYTES, r"plus ([\d.]+) (MiB) for each further thread"),
+        (_ROW_BYTES, r"- ([\d.]+) (KiB) per row for every trial"),
+        (_REBALANCED_ROW_BYTES, r"any but the uniform one\), ([\d.]+) (KiB) per row more"),
+    ]:
+        value, unit = re.search(pattern, bullets).groups()
+        assert float(value) * units[unit] == constant, pattern

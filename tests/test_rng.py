@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml.errors import ConfigError
-from mml.rng import BLOCK, exponentials, stream_key, unit_uniforms
+from mml.rng import BLOCK, exponential_cells, exponentials, stream_key, unit_uniforms
 from oracles import reference_uniforms
 
 # Generated once from the implementation at freeze time.
@@ -145,6 +145,41 @@ def test_factored_rates_match_the_one_shot_reference(shape):
         np.testing.assert_array_equal(exponentials(key, rates, scale=scale), expected)
     with pytest.raises(ValueError, match="scale"):
         exponentials(key, np.ones(shape), scale=np.ones(rows + 1))
+
+
+@pytest.mark.parametrize("layout", ["broadcast_row", "c_order", "f_order"])
+def test_gathered_cells_equal_the_full_draw_across_blocks(layout):
+    # An int32 (n, L) table against an (n, 1) column, as the walks gather
+    # them, over more than one block of cells, and 0-d and 1-d indices:
+    # broadcast-row rates are read from their row, C-ordered ones at the
+    # cell's counter and others by their two indices.
+    n, width = 1100, 64
+    key = stream_key(n, "cells")
+    dense = np.linspace(0.25, 4.0, n * n).reshape(n, n)
+    rates = {
+        "broadcast_row": np.broadcast_to(np.linspace(0.25, 4.0, n), (n, n)),
+        "c_order": dense,
+        "f_order": dense.T,
+    }[layout]
+    table = np.random.default_rng(n).integers(0, n, (n, width)).astype(np.int32)
+    column = np.arange(n)[:, None]
+    picked = np.random.default_rng(width).integers(0, n, 3 * BLOCK // 2)
+    assert table.size > BLOCK and picked.size > BLOCK
+    cases = [
+        (table, column),
+        (column, table),
+        (7, 1099),
+        (np.int32(5), picked.astype(np.int32)),
+        (picked, 3),
+        (picked, picked[::-1]),
+    ]
+    for scale in (None, np.linspace(0.5, 2.0, n)):
+        full = exponentials(key, rates, scale=scale)
+        for rows, cols in cases:
+            expected = full[rows, cols]
+            got = exponential_cells(key, rates, rows, cols, scale)
+            assert got.shape == np.shape(expected)
+            assert got.tobytes() == np.asarray(expected).tobytes()
 
 
 def test_exponentials_rate_scaling_is_exact():

@@ -219,14 +219,16 @@ def test_top_columns_equal_the_argpartition_selection(n_men, n_women):
         with thread_budget(budget):
             screened = LatentValues(X=values.X, Y=values.Y)
             for matrix, stream, side in zip((values.X, values.Y), streams, Side):
+                proposers = np.arange(matrix.shape[0])[:, None]
                 for width in {min(TOP_L, matrix.shape[1]), 1, matrix.shape[1]}:
                     expected = argpartition_lowest_columns(matrix, width)
-                    top, lowest, _ = stream.screen(width)
+                    top, _ = stream.screen(width)
                     assert top.dtype == np.int32
                     np.testing.assert_array_equal(top, expected)
+                    lowest = stream.cells(proposers, top)
                     assert lowest.tobytes() == np.take_along_axis(matrix, expected, 1).tobytes()
                 tables = _matrix_tables(screened, side)
-                top, lowest = tables.top, tables.own
+                top, lowest = tables.top, tables.own(proposers, tables.top)
                 expected = argpartition_lowest_columns(matrix, min(TOP_L, matrix.shape[1]))
                 assert top.dtype == np.int32
                 np.testing.assert_array_equal(top, expected)

@@ -26,9 +26,9 @@ from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_trial
 from mml.market import random_cbounded_market, sinkhorn_balance
-from mml.matching import Side, deferred_acceptance
-from mml.rng import row_blocks, single_threaded_blas, stream_key, thread_budget
-from mml.sampling import sample_latent
+from mml.matching import Side, deferred_acceptance, proposer_tables
+from mml.rng import BLOCK, row_blocks, single_threaded_blas, stream_key, thread_budget
+from mml.sampling import latent_streams, sample_latent
 from oracles import held_approx_stable_records, held_imbalance_records
 
 BUDGETS = (1, 2, 3)
@@ -78,7 +78,7 @@ def test_streamed_records_equal_the_matrix_records(monkeypatch, market, n):
                     assert records_to_csv(run_trial(cfg, 0)) == records
 
 
-@pytest.mark.parametrize("market", ["uniform", "cbounded"])
+@pytest.mark.parametrize("market", ["uniform", "public_scores", "cbounded"])
 def test_deep_walks_keep_the_matchings(monkeypatch, market):
     cfg = config("rank_dist", market, 257)
     full_top = solutions(cfg)
@@ -94,6 +94,34 @@ def test_deep_walks_keep_the_matchings(monkeypatch, market):
     (_, mosm), (_, wosm) = matrix_matchings(bal, stream_key(cfg.master_seed, "trial", 0))
     women_ranks = (values.Y <= wosm.value_women[:, None]).sum(axis=1)
     assert np.median(mosm.rank_men) > 2 and np.median(women_ranks) > 2
+
+
+def test_deep_walks_read_four_times_their_depth():
+    # Past its 64 presorted columns a walk at depth k reads its best 4k
+    # receivers, and 4k more each time it reaches their end, not its row.
+    # Fitness spread over a factor of 100 sends many walks deep.
+    cfg = parse_config(
+        "experiment = value_dist\nmarket = public_scores\nc = 100\nn = 600\n"
+        "trials = 1\nmaster_seed = 17\n"
+    )
+    bal = experiments._build_balanced(cfg, 0)
+    seed = stream_key(cfg.master_seed, "trial", 0)
+    tables, _ = proposer_tables(*latent_streams(bal, seed))
+    asked = []
+
+    def deep(p, stop):
+        order, recv = tables.deep(p, stop)
+        asked.append((stop, order.size, recv.size))
+        return order, recv
+
+    matching, outcome = deferred_acceptance(dataclasses.replace(tables, deep=deep), Side.MEN)
+    held_matching, held = deferred_acceptance(sample_latent(bal, seed), Side.MEN)
+    assert matching == held_matching
+    assert outcome.value_men.tobytes() == held.value_men.tobytes()
+    assert outcome.rank_men.tobytes() == held.rank_men.tobytes()
+    assert {stop for stop, _, _ in asked} == {256, 1024}
+    assert all(size == recv_size == min(stop, cfg.n) for stop, size, recv_size in asked)
+    assert np.count_nonzero(held.rank_men > 64) == sum(stop == 256 for stop, _, _ in asked)
 
 
 MARKETS = ("uniform", "public_scores", "cbounded")
@@ -159,21 +187,26 @@ def test_a_fault_in_a_late_block_raises_the_matrix_message(budget, sides):
 
 
 def test_uniform_trial_peaks_below_one_value_matrix():
-    # After set-up (the cached uniform market holds O(n)), a trial holds
-    # O(n * TOP_L) tables and row-block scratch: less than one n x n array.
+    # After set-up (the cached uniform market holds O(n)), a trial on one
+    # thread holds that thread's block scratch (three buffers of BLOCK
+    # cells) and 1.5 KiB per row: its walks' tables and what their gathers
+    # make, 1.2 KiB measured here (2.7 when the screen kept each row's best
+    # values and a gather copied its indices to full size), far below one
+    # n x n array.
     n = 1500
     cfg = parse_config(
         f"experiment = value_dist\nmarket = uniform\nn = {n}\ntrials = 2\nmaster_seed = 3\n"
     )
     experiments._UNIFORM_CACHE.pop((n, 0), None)
     try:
-        run_trial(cfg, 0)
-        tracemalloc.start()
-        try:
-            run_trial(cfg, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with thread_budget(1):
+            run_trial(cfg, 0)
+            tracemalloc.start()
+            try:
+                run_trial(cfg, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
     finally:
         experiments._UNIFORM_CACHE.pop((n, 0), None)
-    assert peak < 8 * n * n
+    assert peak < 3 * 8 * BLOCK + 1536 * n, f"{(peak - 3 * 8 * BLOCK) / n:.0f} bytes per row"

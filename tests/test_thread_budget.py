@@ -124,7 +124,8 @@ def test_top_l_and_ranks_are_bit_identical_at_every_budget(shape):
         out = []
         for side in Side:
             tables = _matrix_tables(screened, side)
-            out += [tables.top, tables.own, tables.recv]
+            own = tables.own(np.arange(tables.top.shape[0])[:, None], tables.top)
+            out += [tables.top, own, tables.recv]
             matching, outcome = deferred_acceptance(screened, side)
             out += [matching.mu_array, outcome.rank_men]
         return out
