@@ -56,16 +56,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # An --out that cannot be a directory fails here, before any trial runs;
     # a run refused with exit 2 leaves no directory behind.  ``made`` lists
-    # the directories makedirs creates, deepest first: it splits the path as
-    # given, so "x/../y" makes x, and a "." or ".." component names none.
+    # the directories makedirs creates, deepest first and each once by its
+    # real path: it splits the path as given, so "x/../y" makes x, a "." or
+    # ".." component names none, and "a/../a" names a again.
     made = []
     path = args.out
     while path and not os.path.isdir(path):
         head, tail = os.path.split(path)
         if not tail:  # a trailing separator
             head, tail = os.path.split(head)
-        if tail not in (os.curdir, os.pardir):
-            made.append(path)
+        real = os.path.realpath(path)
+        if tail not in (os.curdir, os.pardir) and real not in made:
+            made.append(real)
         path = head
     os.makedirs(args.out, exist_ok=True)
     try:

@@ -487,7 +487,8 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # stacked men's scores of a backfilled public-scores market or the real
 # C-bounded market while it is backfilled (8), the deep walks of a
 # public-scores market, whose low-fitness proposers read far past their best
-# 64 (6), and approx_stable's blocking mask (1).
+# 64, the further the wider the fitness spread (10, for c up to 10^10), and
+# approx_stable's blocking mask (1).
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 3 << 20
 _ROW_BYTES = 3 << 9
@@ -504,7 +505,7 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 8 + 16
     if cfg.market is MarketKind.PUBLIC_SCORES:
-        per_cell += 6 + (8 if imbalance else 0)
+        per_cell += 10 + (8 if imbalance else 0)
     if imbalance and cfg.market is not MarketKind.UNIFORM:
         per_cell += 8
     if cfg.experiment is ExperimentKind.APPROX_STABLE:

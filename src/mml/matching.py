@@ -187,11 +187,12 @@ def deferred_acceptance(
     on the long side can end up unmatched).  Every proposal, including
     rejected ones, is counted: the count is the sum of the walks' depths.  A
     walk reads its row's presorted top-L, through flat typed views of the
-    tables.  Past them, a walk at depth k reads its row's best 4k receivers
+    tables.  Past them, a walk at depth k reads its row's best 16k receivers
     and their values for it, and does so again when it reaches the end of
-    those, so it holds at most four times what it has walked, not its whole
-    row.  Each matched proposer's value for its partner is read once, after
-    the walks.
+    those, so it holds at most 16 times what it has walked, not its whole
+    row, and draws its row at most ceil(log16(n / L)) times: a walk through
+    most of a row of 2000 draws it twice.  Each matched proposer's value
+    for its partner is read once, after the walks.
 
     The outcome holds the values the walks read, and a proposer's rank of
     its partner is its walk's depth.  When the men receive, no walk read
@@ -206,6 +207,7 @@ def deferred_acceptance(
     # a table sits at p * width + k.  A deep walk's arrays are read the same way.
     top, recv = memoryview(tables.top.ravel()), memoryview(tables.recv.ravel())
     deep: dict[int, tuple[memoryview, memoryview]] = {}  # each deep walk's best receivers
+    deep_end = [width] * n_prop  # where each walk's current table ends
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
@@ -218,10 +220,11 @@ def deferred_acceptance(
             if k < width:
                 r, v = top[p * width + k], recv[p * width + k]
             else:
-                walk = deep.get(p)
-                if walk is None or k == len(walk[0]):
-                    walk = deep[p] = tuple(map(memoryview, tables.deep(p, 4 * k)))
-                r, v = walk[0][k], walk[1][k]
+                if k == deep_end[p]:
+                    deep[p] = tuple(map(memoryview, tables.deep(p, 16 * k)))
+                    deep_end[p] = len(deep[p][0])
+                walk_r, walk_v = deep[p]
+                r, v = walk_r[k], walk_v[k]
             next_idx[p] = k + 1
             cur = match_of[r]
             if cur < 0:

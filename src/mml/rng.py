@@ -380,8 +380,7 @@ def exponential_cells(
     given: an int32 table against a column of rows is read in place, and no
     full-size index array is made.  Only the chosen cells are drawn, each
     with the bits of the full draw; each rate is read once, from the one row
-    of a broadcast rate view, or from a C-ordered rate matrix at the cell's
-    counter.
+    of a broadcast rate view.
     """
     rates, scale = _exponential_rates(rates, scale)
     rows, cols = np.asarray(rows), np.asarray(cols)
@@ -391,7 +390,6 @@ def exponential_cells(
     grid = out.reshape(out.shape or (1,))
     rows, cols = (a.reshape((1,) * (grid.ndim - a.ndim) + a.shape) for a in (rows, cols))
     width = math.prod(grid.shape[1:])
-    flat_rates = rates.reshape(-1) if rates.flags.c_contiguous else None
     key = _U64(key)
     z = np.empty(min(grid.size, max(1, BLOCK // max(width, 1)) * width), dtype=np.uint64)
     t = np.empty_like(z)
@@ -404,14 +402,9 @@ def exponential_cells(
         counter = zb.view(np.int64).reshape(ob.shape)
         np.multiply(r, rates.shape[1], out=counter, dtype=np.int64)
         counter += c
-        if rates.strides[0] == 0:
-            block_rates = rates[0].take(c)
-        elif flat_rates is not None:
-            block_rates = flat_rates.take(counter)
-        else:
-            block_rates = rates[r, c]
         counter += 1
         zb *= _GOLDEN
-        _cell_values(zb, t[: ob.size], key, ob, block_rates,
+        _cell_values(zb, t[: ob.size], key, ob,
+                     rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
                      None if scale is None else scale.take(r))
     return out

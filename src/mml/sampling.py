@@ -27,7 +27,7 @@ from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
 # walk ends at its final partner's rank: mean 6-10, peak 39-81 for n = 1000-4000
-# in uniform markets.  A walk past them draws its row again for its best 4k
+# in uniform markets.  A walk past them draws its row again for its best 16k
 # columns at depth k (``matching.deferred_acceptance``).
 TOP_L = 64
 

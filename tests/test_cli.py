@@ -274,10 +274,10 @@ def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, m
         "master_seed = 0\n",
         encoding="utf-8",
     )
-    # The directories the run made go again, x too on the way to x/..; the
-    # one that was there stays.
+    # The directories the run made go again, x too on the way to x/.., and a
+    # once when a/../a names it again; the one that was there stays.
     (tmp_path / "t1").mkdir()
-    for out in ("t1/a/b", "t1/x/../a/b"):
+    for out in ("t1/a/b", "t1/x/../a/b", "t1/a/../a/b"):
         rc = main(["run", str(cfg_file), "--out", str(tmp_path / out)])
         err = capsys.readouterr().err
         assert rc == 2 and err.count("\n") == 1

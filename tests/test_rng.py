@@ -147,19 +147,17 @@ def test_factored_rates_match_the_one_shot_reference(shape):
         exponentials(key, np.ones(shape), scale=np.ones(rows + 1))
 
 
-@pytest.mark.parametrize("layout", ["broadcast_row", "c_order", "f_order"])
+@pytest.mark.parametrize("layout", ["broadcast_row", "dense"])
 def test_gathered_cells_equal_the_full_draw_across_blocks(layout):
     # An int32 (n, L) table against an (n, 1) column, as the walks gather
     # them, over more than one block of cells, and 0-d and 1-d indices:
-    # broadcast-row rates are read from their row, C-ordered ones at the
-    # cell's counter and others by their two indices.
+    # broadcast-row rates are read from their row, dense ones by the cells'
+    # two indices.
     n, width = 1100, 64
     key = stream_key(n, "cells")
-    dense = np.linspace(0.25, 4.0, n * n).reshape(n, n)
     rates = {
         "broadcast_row": np.broadcast_to(np.linspace(0.25, 4.0, n), (n, n)),
-        "c_order": dense,
-        "f_order": dense.T,
+        "dense": np.linspace(0.25, 4.0, n * n).reshape(n, n),
     }[layout]
     table = np.random.default_rng(n).integers(0, n, (n, width)).astype(np.int32)
     column = np.arange(n)[:, None]

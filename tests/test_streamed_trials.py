@@ -27,7 +27,9 @@ from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_trial
 from mml.market import random_cbounded_market, sinkhorn_balance
 from mml.matching import Side, deferred_acceptance, proposer_tables
-from mml.rng import BLOCK, row_blocks, single_threaded_blas, stream_key, thread_budget
+from mml.rng import (
+    BLOCK, row_blocks, single_threaded_blas, stream_key, thread_budget, usable_cores,
+)
 from mml.sampling import latent_streams, sample_latent
 from oracles import held_approx_stable_records, held_imbalance_records
 
@@ -96,10 +98,12 @@ def test_deep_walks_keep_the_matchings(monkeypatch, market):
     assert np.median(mosm.rank_men) > 2 and np.median(women_ranks) > 2
 
 
-def test_deep_walks_read_four_times_their_depth():
-    # Past its 64 presorted columns a walk at depth k reads its best 4k
-    # receivers, and 4k more each time it reaches their end, not its row.
+def test_deep_walks_read_sixteen_times_their_depth(monkeypatch):
+    # Past its presorted columns a walk at depth k reads its best 16k
+    # receivers, and 16k more each time it reaches their end, not its row.
+    # With 4 presorted columns a walk reads 64, then its whole row of 600.
     # Fitness spread over a factor of 100 sends many walks deep.
+    monkeypatch.setattr(mml.sampling, "TOP_L", 4)
     cfg = parse_config(
         "experiment = value_dist\nmarket = public_scores\nc = 100\nn = 600\n"
         "trials = 1\nmaster_seed = 17\n"
@@ -119,9 +123,10 @@ def test_deep_walks_read_four_times_their_depth():
     assert matching == held_matching
     assert outcome.value_men.tobytes() == held.value_men.tobytes()
     assert outcome.rank_men.tobytes() == held.rank_men.tobytes()
-    assert {stop for stop, _, _ in asked} == {256, 1024}
+    assert {stop for stop, _, _ in asked} == {64, 1024}
     assert all(size == recv_size == min(stop, cfg.n) for stop, size, recv_size in asked)
-    assert np.count_nonzero(held.rank_men > 64) == sum(stop == 256 for stop, _, _ in asked)
+    assert np.count_nonzero(held.rank_men > 4) == sum(stop == 64 for stop, _, _ in asked)
+    assert np.count_nonzero(held.rank_men > 64) == sum(stop == 1024 for stop, _, _ in asked)
 
 
 MARKETS = ("uniform", "public_scores", "cbounded")
@@ -187,11 +192,10 @@ def test_a_fault_in_a_late_block_raises_the_matrix_message(budget, sides):
 
 
 def test_uniform_trial_peaks_below_one_value_matrix():
-    # After set-up (the cached uniform market holds O(n)), a trial on one
-    # thread holds that thread's block scratch (three buffers of BLOCK
-    # cells) and 1.5 KiB per row: its walks' tables and what their gathers
-    # make, 1.2 KiB measured here (2.7 when the screen kept each row's best
-    # values and a gather copied its indices to full size), far below one
+    # After set-up (the cached uniform market holds O(n)), a trial holds one
+    # thread's block scratch (three buffers of BLOCK cells), 1.5 KiB per row
+    # (its walks' tables and what their gathers make, 1.2 KiB measured here
+    # on one thread) and the scratch of each further thread: far below one
     # n x n array.
     n = 1500
     cfg = parse_config(
@@ -199,14 +203,17 @@ def test_uniform_trial_peaks_below_one_value_matrix():
     )
     experiments._UNIFORM_CACHE.pop((n, 0), None)
     try:
-        with thread_budget(1):
-            run_trial(cfg, 0)
-            tracemalloc.start()
-            try:
-                run_trial(cfg, 1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        run_trial(cfg, 0)
+        for threads in sorted({1, usable_cores()}):
+            with thread_budget(threads):
+                tracemalloc.start()
+                try:
+                    run_trial(cfg, 1)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            bound = 3 * 8 * BLOCK + 1536 * n + (threads - 1) * experiments._THREAD_BYTES
+            per_row = (peak - 3 * 8 * BLOCK) / n
+            assert peak < bound, f"{threads} thread(s): {per_row:.0f} bytes per row"
     finally:
         experiments._UNIFORM_CACHE.pop((n, 0), None)
-    assert peak < 3 * 8 * BLOCK + 1536 * n, f"{(peak - 3 * 8 * BLOCK) / n:.0f} bytes per row"
