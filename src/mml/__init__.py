@@ -78,68 +78,3 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BalancedMarket",
-    "CSV_COLUMNS",
-    "CanonicalMarket",
-    "ConfigError",
-    "DegenerateSample",
-    "DeltaOutOfRange",
-    "DuplicateValue",
-    "ENUMERATION_LIMIT",
-    "EmptySample",
-    "ExperimentConfig",
-    "ExperimentKind",
-    "ExponentialFit",
-    "LatentValues",
-    "Matching",
-    "MatchingOutcome",
-    "MarketKind",
-    "MmlError",
-    "NoConvergence",
-    "NonPositiveEntry",
-    "NonPositiveRate",
-    "NonSquare",
-    "NotNormalized",
-    "ShapeMismatch",
-    "Side",
-    "TooLarge",
-    "TrialRecord",
-    "backfill_imbalanced",
-    "best_fit_exponential",
-    "canonical_from_raw",
-    "deferred_acceptance",
-    "eig_dispersion",
-    "enumerate_stable",
-    "exponentials",
-    "format_summary",
-    "greedy_alpha_certificate",
-    "hyperbola_product",
-    "is_stable",
-    "ks_distance_to_exp",
-    "load_config",
-    "outcome_of",
-    "parse_config",
-    "public_scores_market",
-    "random_cbounded_market",
-    "rank_value_ratio_report",
-    "read_market",
-    "read_matrix_pair",
-    "records_from_csv",
-    "records_to_csv",
-    "records_to_jsonl",
-    "rescaled_ranks",
-    "run_experiment",
-    "run_trial",
-    "sample_latent",
-    "sinkhorn_balance",
-    "stream_key",
-    "summarize",
-    "summarize_experiment",
-    "truncate_delta",
-    "uniform_market",
-    "unit_uniforms",
-    "write_matrix_pair",
-    "write_outputs",
-]

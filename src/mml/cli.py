@@ -55,28 +55,23 @@ def _cmd_balance(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     # An --out that cannot be a directory fails here, before any trial runs;
-    # a run refused with exit 2 leaves no directory behind.  ``made`` lists
-    # the directories makedirs creates, deepest first and each once by its
-    # real path: it splits the path as given, so "x/../y" makes x, a "." or
-    # ".." component names none, and "a/../a" names a again.
+    # a run refused with exit 2 leaves no directory behind.  The path is
+    # resolved once, as the system resolves it (so "x/../y" makes no x), and
+    # ``made`` lists the directories makedirs creates on it, deepest first.
+    out = os.path.realpath(args.out)
     made = []
-    path = args.out
-    while path and not os.path.isdir(path):
-        head, tail = os.path.split(path)
-        if not tail:  # a trailing separator
-            head, tail = os.path.split(head)
-        real = os.path.realpath(path)
-        if tail not in (os.curdir, os.pardir) and real not in made:
-            made.append(real)
-        path = head
-    os.makedirs(args.out, exist_ok=True)
+    path = out
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(out, exist_ok=True)
     try:
         summary, records = run_experiment(cfg)
     except (MmlError, MemoryError):
         for path in made:
             os.rmdir(path)
         raise
-    write_outputs(args.out, cfg, summary, records)
+    write_outputs(out, cfg, summary, records)
     sys.stdout.write(format_summary(summary))
     print(f"outputs written to {args.out}")
     if summary.get("interrupted"):

@@ -225,9 +225,6 @@ _REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING
 
 # --- market construction -----------------------------------------------------
 
-# The uniform market, balanced once per (n, k) and process; it holds O(n) memory.
-_UNIFORM_CACHE: dict[tuple[int, int], BalancedMarket] = {}
-
 
 def _build_market(cfg: ExperimentConfig, t: int, n_men: int) -> CanonicalMarket:
     """Trial t's market of ``n_men`` men and ``cfg.n`` women."""
@@ -246,13 +243,15 @@ def _build_balanced(cfg: ExperimentConfig, t: int) -> BalancedMarket:
     ``imbalance`` adds its last ``cfg.k`` men by ``backfill_imbalanced``; elsewhere k adds none.
     """
     k = cfg.k if cfg.experiment is ExperimentKind.IMBALANCE else 0
-    cached = cfg.market is MarketKind.UNIFORM
-    if cached and (cfg.n, k) in _UNIFORM_CACHE:
-        return _UNIFORM_CACHE[cfg.n, k]
-    bal = sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, cfg.n - k), k))
-    if cached:
-        _UNIFORM_CACHE[cfg.n, k] = bal
-    return bal
+    if cfg.market is MarketKind.UNIFORM:
+        return _uniform_balanced(cfg.n, k)
+    return sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, cfg.n - k), k))
+
+
+@functools.cache
+def _uniform_balanced(n: int, k: int) -> BalancedMarket:
+    """The uniform market, balanced once per (n, k) and process; it holds O(n) memory."""
+    return sinkhorn_balance(backfill_imbalanced(uniform_market(n - k, n), k))
 
 
 # --- trial bodies ------------------------------------------------------------
@@ -569,7 +568,8 @@ def run_experiment(
             # The worker processes share the usable cores; a worker with a
             # budget of one thread runs its row blocks inline.
             trial = functools.partial(_budgeted_trial, max(1, usable_cores() // workers), cfg)
-            chunk = max(1, cfg.trials // (workers * 4))
+            # Ctrl-C keeps only the chunks that came back: at most 16 trials each.
+            chunk = max(1, min(16, cfg.trials // (workers * 4)))
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for recs in pool.map(trial, range(cfg.trials), chunksize=chunk):
                     records.extend(recs)

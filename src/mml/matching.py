@@ -40,6 +40,14 @@ def _floor_stable(v: float) -> int:
     return f + 1 if v - f > 1.0 - 1e-9 else f
 
 
+def _inverse(partner: np.ndarray, size: int) -> np.ndarray:
+    """The other side's view of a matching: ``inv[partner[a]] = a``, or -1 if unmatched."""
+    inv = np.full(size, -1, dtype=np.int64)
+    matched = np.flatnonzero(partner >= 0)
+    inv[partner[matched]] = matched
+    return inv
+
+
 @dataclass(frozen=True)
 class Matching:
     """Man-side matching; hashable and comparable by value."""
@@ -64,11 +72,7 @@ class Matching:
 
     def inverse(self) -> np.ndarray:
         """Woman-side view: inverse()[j] is the man matched to woman j, or -1."""
-        inv = np.full(self.n_women, -1, dtype=np.int64)
-        for i, j in enumerate(self.mu):
-            if j >= 0:
-                inv[j] = i
-        return inv
+        return _inverse(self.mu_array, self.n_women)
 
     def to_text(self) -> str:
         """One 'man woman' pair per line, 1-based, sorted by man index."""
@@ -196,8 +200,8 @@ def deferred_acceptance(
 
     The outcome holds the values the walks read, and a proposer's rank of
     its partner is its walk's depth.  When the men receive, no walk read
-    their rows: on a draw's matrices their ranks are ``outcome_of``'s count
-    over those rows, and on the tables of ``proposer_tables`` they are None.
+    their rows: on a draw's matrices their ranks are counted over those
+    rows, and on the tables of ``proposer_tables`` they are None.
     """
     streamed = isinstance(values, ProposerTables)
     tables = values if streamed else _matrix_tables(values, proposing_side)
@@ -235,27 +239,21 @@ def deferred_acceptance(
                 p = cur  # displaced proposer continues immediately
     proposals = sum(next_idx)
 
-    if proposing_side == Side.MEN:
-        mu = [-1] * n_prop
-        for woman, man in enumerate(match_of):
-            if man >= 0:
-                mu[man] = woman
-        matching = Matching(mu=tuple(mu), n_women=n_recv)
-    else:
-        matching = Matching(mu=tuple(match_of), n_women=n_prop)
-    if proposing_side == Side.WOMEN and not streamed:
-        return matching, outcome_of(matching, values, proposal_count=proposals)
-
     partner_of = np.array(match_of, dtype=np.int64)
     receivers = np.flatnonzero(partner_of >= 0)
     proposers = partner_of[receivers]
     own = np.zeros(n_prop)
     own[proposers] = tables.own(proposers, receivers)
-    rank = np.zeros(n_prop, dtype=np.int64)
-    rank[proposers] = np.array(next_idx, dtype=np.int64)[proposers]
     if proposing_side == Side.MEN:
+        rank = np.zeros(n_prop, dtype=np.int64)
+        rank[proposers] = np.array(next_idx, dtype=np.int64)[proposers]
+        matching = Matching(mu=tuple(_inverse(partner_of, n_prop).tolist()), n_women=n_recv)
         return matching, MatchingOutcome(own, np.array(held), rank, proposals)
-    return matching, MatchingOutcome(np.array(held), own, None, proposals)
+    value_men = np.array(held)
+    # Values are positive, so an unmatched man's held 0 counts rank 0.
+    rank = None if streamed else (values.X <= value_men[:, None]).sum(axis=1)
+    matching = Matching(mu=tuple(match_of), n_women=n_prop)
+    return matching, MatchingOutcome(value_men, own, rank, proposals)
 
 
 def _blocking_mask(
@@ -263,8 +261,7 @@ def _blocking_mask(
 ) -> np.ndarray:
     n_men, n_women = x.shape
     sup_m = np.nonzero(mu_arr >= 0)[0]
-    inv = np.full(n_women, -1, dtype=np.int64)
-    inv[mu_arr[sup_m]] = sup_m
+    inv = _inverse(mu_arr, n_women)
     sup_w = np.nonzero(inv >= 0)[0]
 
     # Unmatched agents prefer anyone to staying single: threshold +inf.

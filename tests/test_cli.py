@@ -286,6 +286,28 @@ def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, m
         assert not list((tmp_path / "t1").iterdir()), out
 
 
+def test_run_resolves_out_once_as_the_system_does(tmp_path, capsys, monkeypatch):
+    # x/../y makes no x, and link/../y lands beside the link's target, as
+    # mkdir -p does; a run refused there leaves nothing behind.
+    monkeypatch.setenv("MML_WORKERS", "1")
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("experiment = value_dist\nn = 4\ntrials = 2\nmaster_seed = 0\n",
+                        encoding="utf-8")
+    big_file = tmp_path / "big.cfg"
+    big_file.write_text("experiment = rank_dist\nmarket = cbounded\nn = 1000000\ntrials = 3\n"
+                        "master_seed = 0\n", encoding="utf-8")
+    (tmp_path / "far" / "target").mkdir(parents=True)
+    (tmp_path / "near").mkdir()
+    (tmp_path / "near" / "link").symlink_to(tmp_path / "far" / "target")
+    for out, written in (("near/x/../y", "near/y"), ("near/link/../y", "far/y")):
+        assert main(["run", str(cfg_file), "--out", str(tmp_path / out)]) in (0, 1)
+        assert (tmp_path / written / "trials.csv").is_file(), out
+    assert main(["run", str(big_file), "--out", str(tmp_path / "near/link/../z/w")]) == 2
+    assert capsys.readouterr().err.startswith("error: out of memory:")
+    assert sorted(p.name for p in (tmp_path / "near").iterdir()) == ["link", "y"]
+    assert sorted(p.name for p in (tmp_path / "far").iterdir()) == ["target", "y"]
+
+
 def test_run_of_an_unknown_experiment_lists_the_known_kinds(tmp_path, capsys):
     cfg_file = tmp_path / "bounds.cfg"
     cfg_file.write_text(

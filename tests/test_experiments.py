@@ -298,12 +298,12 @@ def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
     assert records[0].da_agree == 1
 
 
-def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
-    sizes = []
+def record_pools(monkeypatch, run=lambda fn, trials, chunksize: map(fn, trials)):
+    """Replace the process pool by one that maps ``run(fn, trials, chunksize)``
+    in this process; returns the lists of each pool's size and chunk size."""
+    sizes, chunks = [], []
 
     class RecordingPool:
-        """Records the pool size and runs the trials in this process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -314,9 +314,15 @@ def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            chunks.append(chunksize)
+            return run(fn, iterable, chunksize)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes, chunks
+
+
+def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
+    sizes, _ = record_pools(monkeypatch)
     cfg = parse_config(TINY_VALUE_DIST)
     monkeypatch.setenv("MML_WORKERS", "1")
     _, serial = run_experiment(cfg)
@@ -334,6 +340,29 @@ def test_worker_processes_are_capped_at_the_trial_count(monkeypatch):
     # A single trial runs in this process, without a pool.
     run_experiment(replace(cfg, trials=1))
     assert sizes == [cfg.trials] * 2
+
+
+def test_pool_chunks_hold_at_most_sixteen_trials(monkeypatch):
+    # Ctrl-C keeps only the chunks that came back, so a long run's chunks stay short.
+    sizes, chunks = record_pools(monkeypatch, run=lambda fn, trials, chunksize: [])
+    monkeypatch.setenv("MML_WORKERS", "2")
+    run_experiment(replace(parse_config(TINY_VALUE_DIST), trials=20_000))
+    assert sizes == [2] and 1 <= chunks[0] <= 16
+
+
+def test_interrupted_pool_keeps_the_chunks_that_came_back(monkeypatch):
+    def first_chunk_then_interrupt(fn, trials, chunksize):
+        yield from map(fn, list(trials)[:chunksize])
+        raise KeyboardInterrupt
+
+    _, chunks = record_pools(monkeypatch, run=first_chunk_then_interrupt)
+    monkeypatch.setenv("MML_WORKERS", "2")
+    cfg = replace(parse_config(TINY_VALUE_DIST), trials=40)
+    summary, records = run_experiment(cfg)
+    assert chunks == [5]
+    assert summary["interrupted"] is True and summary["passed"] is False
+    kept = [rec for t in range(5) for rec in run_trial(cfg, t)]
+    assert records_to_csv(records) == records_to_csv(kept)
 
 
 def test_pool_size_is_the_cores_unless_the_environment_sets_it(monkeypatch):
@@ -460,13 +489,14 @@ def test_rank_and_proposal_laws_on_uniform_market():
 
 
 def test_uniform_trial_holds_only_its_two_value_matrices():
-    # After set-up, a uniform value_dist trial allocates X and Y (2 x 8n^2
-    # bytes) plus O(n * TOP_L) and fixed row-block scratch (about 1.3 MB, so
-    # n is large enough for the bound to be about the n x n arrays).  The
-    # cached balanced market itself holds O(n).
+    # Bounds what a uniform value_dist trial keeps (under 5% of one n x n
+    # float matrix: the cached balanced market holds O(n)) and its traced
+    # peak: under what X and Y would take held (2 x 8n^2 bytes), with half a
+    # matrix to spare.  A trial streams X and Y, so it holds O(n * TOP_L)
+    # and fixed row-block scratch (about 1.3 MB).
     n = 800
     cfg = parse_config(TINY_VALUE_DIST.replace("n = 30", f"n = {n}"))
-    mml.experiments._UNIFORM_CACHE.pop((n, 0), None)
+    mml.experiments._uniform_balanced.cache_clear()
     tracemalloc.start()
     try:
         run_trial(cfg, 0)
@@ -476,7 +506,7 @@ def test_uniform_trial_holds_only_its_two_value_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        mml.experiments._UNIFORM_CACHE.pop((n, 0), None)
+        mml.experiments._uniform_balanced.cache_clear()
     assert retained < 0.05 * 8 * n * n
     assert peak < 2.5 * 8 * n * n
 

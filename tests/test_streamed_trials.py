@@ -201,7 +201,7 @@ def test_uniform_trial_peaks_below_one_value_matrix():
     cfg = parse_config(
         f"experiment = value_dist\nmarket = uniform\nn = {n}\ntrials = 2\nmaster_seed = 3\n"
     )
-    experiments._UNIFORM_CACHE.pop((n, 0), None)
+    experiments._uniform_balanced.cache_clear()
     try:
         run_trial(cfg, 0)
         for threads in sorted({1, usable_cores()}):
@@ -216,4 +216,4 @@ def test_uniform_trial_peaks_below_one_value_matrix():
             per_row = (peak - 3 * 8 * BLOCK) / n
             assert peak < bound, f"{threads} thread(s): {per_row:.0f} bytes per row"
     finally:
-        experiments._UNIFORM_CACHE.pop((n, 0), None)
+        experiments._uniform_balanced.cache_clear()

@@ -1,0 +1,23 @@
+"""The scripts under tools/, run as a user runs them."""
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_output_hashes_agree_across_worker_counts():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_hashes.py"),
+         str(ROOT / "configs" / "value_dist_small.cfg")],
+        capture_output=True, text=True, check=True,
+    )
+    hashes: dict[str, dict[str, str]] = {}
+    for line in run.stdout.splitlines():
+        config, workers, name, digest = line.split()
+        assert config == "value_dist_small.cfg"
+        hashes.setdefault(name, {})[workers] = digest
+    assert sorted(hashes) == ["summary.json", "summary.txt", "trials.csv", "trials.jsonl"]
+    for name, by_workers in hashes.items():
+        assert sorted(by_workers) == ["1", "2"], name
+        assert len(set(by_workers.values())) == 1, name
