@@ -8,7 +8,6 @@ byte-for-byte reproducible.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import ctypes
 import functools
@@ -473,9 +472,9 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 
 
 # Memory model of one trial process (README, "Memory and scale"): the
-# interpreter and numpy with one row-block thread's block scratch, 3 MiB of
+# interpreter and numpy with one row-block thread's block scratch, 2 MiB of
 # scratch per further thread, bytes per row and bytes per cell of the n x n
-# stages.  Every trial holds 1.5 KiB per row: a side's best-64 columns and
+# stages.  Every trial holds 1.25 KiB per row: a side's best-64 columns and
 # their receivers' values, with what deferred acceptance keeps per agent, or,
 # while a market is balanced, the balancing products' block buffer.  A market
 # balanced every trial (any but the uniform one) adds 12 KiB per row: the
@@ -485,12 +484,14 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # backfilled public-scores stack), the scores of a C-bounded market (16), the
 # stacked men's scores of a backfilled public-scores market or the real
 # C-bounded market while it is backfilled (8), the deep walks of a
-# public-scores market, whose low-fitness proposers read far past their best
-# 64, the further the wider the fitness spread (10, for c up to 10^10), and
-# approx_stable's blocking mask (1).
+# public-scores market and approx_stable's blocking mask (1).  A
+# public-scores market's least fit proposers walk past their best 64
+# columns, the further the wider the fitness spread and the larger n: its
+# peaks at c = 2, 10, 100 and 10^10 and n = 2000 to 8000 (README) grow by
+# about 0, 0.8, 5.5 and 12 bytes a cell, and a walk holds at most its row (16).
 _BASE_BYTES = 40 << 20
-_THREAD_BYTES = 3 << 20
-_ROW_BYTES = 3 << 9
+_THREAD_BYTES = 2 << 20
+_ROW_BYTES = 5 << 8
 _REBALANCED_ROW_BYTES = 12 << 10
 
 
@@ -498,18 +499,18 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     """Estimated peak bytes of one process running cfg's trials on ``threads`` threads."""
     base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES + _ROW_BYTES * cfg.n
     imbalance = cfg.experiment is ExperimentKind.IMBALANCE
-    per_cell = 0
+    per_cell = 0.0
     if cfg.market is not MarketKind.UNIFORM:
         base += _REBALANCED_ROW_BYTES * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 8 + 16
     if cfg.market is MarketKind.PUBLIC_SCORES:
-        per_cell += 10 + (8 if imbalance else 0)
+        per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0)) + (8 if imbalance else 0)
     if imbalance and cfg.market is not MarketKind.UNIFORM:
         per_cell += 8
     if cfg.experiment is ExperimentKind.APPROX_STABLE:
         per_cell += 1
-    return base + per_cell * cfg.n**2
+    return base + math.ceil(per_cell * cfg.n**2)
 
 
 def _pool_size(cfg: ExperimentConfig) -> int:
@@ -570,6 +571,8 @@ def run_experiment(
             trial = functools.partial(_budgeted_trial, max(1, usable_cores() // workers), cfg)
             # Ctrl-C keeps only the chunks that came back: at most 16 trials each.
             chunk = max(1, min(16, cfg.trials // (workers * 4)))
+            import concurrent.futures  # only a pool run pays for the import
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for recs in pool.map(trial, range(cfg.trials), chunksize=chunk):
                     records.extend(recs)

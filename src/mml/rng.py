@@ -63,9 +63,9 @@ _MIX_2 = _U64(0x94D049BB133111EB)
 BLOCK = 1 << 16
 
 
-def row_blocks(nrows: int, ncols: int) -> Iterator[slice]:
-    """Slices of consecutive rows of an nrows x ncols matrix, about BLOCK cells each."""
-    step = max(1, BLOCK // max(ncols, 1))
+def row_blocks(nrows: int, ncols: int, cells: int = BLOCK) -> Iterator[slice]:
+    """Slices of consecutive rows of an nrows x ncols matrix, about ``cells`` cells each."""
+    step = max(1, cells // max(ncols, 1))
     return (slice(start, min(start + step, nrows)) for start in range(0, nrows, step))
 
 
@@ -230,35 +230,37 @@ _BLOCK_STEPS.flags.writeable = False
 
 def _cell_values(
     z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
-    rates: np.ndarray | None, scale: np.ndarray | None,
+    rates: np.ndarray | None, neg_scale: np.ndarray | None,
 ) -> None:
     """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
 
-    z holds ``(counter + 1) * golden`` per cell of ``out`` and is spent, as
-    is t, scratch of z's size.  A rate is ``scale * rates`` when scale is
-    given: the same float product as a materialised rate matrix.  Row blocks
-    and gathered cells both come here, so a cell has the same bits however
-    it is drawn.
+    z holds ``(counter + 1) * golden`` per cell of ``out``, and t is scratch
+    of z's size; ``out`` may be t's float view.  Both are spent: the hash
+    runs in z with t as its scratch, and once its words are converted into
+    ``out``, z holds the rate product.  Given ``neg_scale``, a cell's rate
+    is ``-neg_scale * rates``, and its draw ``log(u) / (neg_scale * rates)``:
+    the same bits as ``-log(u)`` over a materialised rate matrix.  Row
+    blocks and gathered cells both come here, so a cell has the same bits
+    however it is drawn.
     """
     _mix(z, t)
     z ^= key
     _mix(z, t)
     z >>= _U64(11)
     # Every word is below 2^53, so the int64 view converts exactly.
-    np.copyto(out, z.view(np.int64).reshape(out.shape), casting="unsafe")
-    out += 0.5
+    np.add(z.view(np.int64).reshape(out.shape), 0.5, out=out)
     out *= 2.0**-53
     if rates is None:
         return
     np.log(out, out=out)
-    np.negative(out, out=out)
     # A rate too small for a finite value draws inf, which the screens refuse.
     with np.errstate(over="ignore", divide="ignore"):
-        if scale is None:
+        if neg_scale is None:
+            np.negative(out, out=out)
             out /= rates
         else:
-            product = t.view(np.float64).reshape(out.shape)
-            np.multiply(scale, rates, out=product)
+            product = z.view(np.float64).reshape(out.shape)
+            np.multiply(neg_scale, rates, out=product)
             out /= product
 
 
@@ -271,13 +273,12 @@ def _fill(
 
     Flat cell c gets counter offset + c.  The cells are walked in row blocks
     of about BLOCK cells (a 1-d grid counts as one column), so any blocking
-    yields the same bits.  A block is written into its rows of ``out``, or,
-    without ``out``, into a block buffer of the walk's own; then
-    ``consume(rows, block, spare)`` is called on it, with ``spare`` a float
-    buffer of the block's shape that the consumer may overwrite.  Each walk
-    also reuses two uint64 scratch buffers (one of them, spent, is
-    ``spare``), and every step writes in place, so the only full-size array
-    is ``out``.
+    yields the same bits.  Each walk reuses two uint64 buffers of a block's
+    size.  A block is written into its rows of ``out``, or, without ``out``,
+    into the spent hash scratch; then ``consume(rows, block, spare)`` is
+    called on it, with ``spare`` the other buffer, spent, as floats of the
+    block's shape that the consumer may overwrite.  Every step writes in
+    place, so the only full-size array is ``out``.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
@@ -287,25 +288,25 @@ def _fill(
     key = _U64(key)
     size = min(nrows * ncols, max(1, BLOCK // ncols) * ncols)
 
-    def scratch() -> tuple:
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
         z = np.empty(size, dtype=np.uint64)
-        return z, np.empty_like(z), np.empty(size) if grid is None else None
+        return z, np.empty_like(z)
 
-    def fill_rows(blocks: Iterable[slice], buffers: tuple) -> None:
-        z, t, buffer = buffers
+    def fill_rows(blocks: Iterable[slice], buffers: tuple[np.ndarray, np.ndarray]) -> None:
+        z, t = buffers
         for rows in blocks:
             k = (rows.stop - rows.start) * ncols
-            ob = buffer[:k].reshape(-1, ncols) if grid is None else grid[rows]
-            zb, start = z[:k], rows.start * ncols
+            zb, tb, start = z[:k], t[:k], rows.start * ncols
+            ob = tb.view(np.float64).reshape(-1, ncols) if grid is None else grid[rows]
             steps = _BLOCK_STEPS[:k] if k <= BLOCK else np.arange(k, dtype=np.uint64) * _GOLDEN
             np.add(steps, _U64((offset + start + 1) * int(_GOLDEN) % 2**64), out=zb)
             _cell_values(
-                zb, t[:k], key, ob,
+                zb, tb, key, ob,
                 None if rates is None else rates[rows],
-                None if scale is None else scale[rows, None],
+                None if scale is None else np.negative(scale[rows, None]),
             )
             if consume is not None:
-                consume(rows, ob, t[:k].view(np.float64).reshape(ob.shape))
+                consume(rows, ob, zb.view(np.float64).reshape(ob.shape))
 
     map_row_blocks(fill_rows, nrows, ncols, scratch)
 
@@ -369,6 +370,11 @@ def exponential_blocks(
     _fill(key, 0, rates.shape, rates, scale, consume=consume)
 
 
+# Cells per block of a gather: its two uint64 buffers take 128 KiB whatever
+# it gathers, a fixed cost beside tables of n x 64 cells.
+_GATHER_BLOCK = BLOCK // 8
+
+
 def exponential_cells(
     key: int, rates: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     scale: np.ndarray | None = None,
@@ -377,10 +383,11 @@ def exponential_cells(
 
     ``rows`` and ``cols`` are broadcast together as in numpy's advanced
     indexing, and walked a block of the result's leading axis at a time as
-    given: an int32 table against a column of rows is read in place, and no
-    full-size index array is made.  Only the chosen cells are drawn, each
-    with the bits of the full draw; each rate is read once, from the one row
-    of a broadcast rate view.
+    given, at most BLOCK / 8 cells unless one row holds more: an int32 table
+    against a column of rows is read in place, and no full-size index array
+    is made.  Only the chosen cells are drawn, each with the bits of the
+    full draw; each rate is read once, from the one row of a broadcast rate
+    view.
     """
     rates, scale = _exponential_rates(rates, scale)
     rows, cols = np.asarray(rows), np.asarray(cols)
@@ -391,9 +398,9 @@ def exponential_cells(
     rows, cols = (a.reshape((1,) * (grid.ndim - a.ndim) + a.shape) for a in (rows, cols))
     width = math.prod(grid.shape[1:])
     key = _U64(key)
-    z = np.empty(min(grid.size, max(1, BLOCK // max(width, 1)) * width), dtype=np.uint64)
+    z = np.empty(min(grid.size, max(1, _GATHER_BLOCK // max(width, 1)) * width), dtype=np.uint64)
     t = np.empty_like(z)
-    for block in row_blocks(grid.shape[0], width):
+    for block in row_blocks(grid.shape[0], width, _GATHER_BLOCK):
         r, c = (a if a.shape[0] == 1 else a[block] for a in (rows, cols))
         ob = grid[block]
         zb = z[: ob.size]
@@ -406,5 +413,5 @@ def exponential_cells(
         zb *= _GOLDEN
         _cell_values(zb, t[: ob.size], key, ob,
                      rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
-                     None if scale is None else scale.take(r))
+                     None if scale is None else np.negative(scale.take(r)))
     return out

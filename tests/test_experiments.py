@@ -597,6 +597,16 @@ def test_no_trial_imports_numpy_ma():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_mml_leaves_the_process_pool_out():
+    # Only a pool run imports concurrent.futures (about 4 ms and its modules).
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mml, mml.cli; assert 'concurrent.futures' not in sys.modules"],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # Five C-bounded rank trials in one process; prints each trial's minor page
 # faults, or nothing where libc has no mallopt.
 FAULTS_RUN = """
@@ -657,6 +667,16 @@ n = 2000
 k = 1500
 trials = 3
 master_seed = 7
+"""
+# Public scores at c = 100: the least fit proposers walk deep, and the model's
+# deep-walk term follows c.
+PEAK_CONFIGS["value_dist_public_scores_c100"] = """
+experiment = value_dist
+market = public_scores
+c = 100
+n = 4000
+trials = 3
+master_seed = 3
 """
 
 

@@ -6,6 +6,7 @@ depends on it, so a change here is a breaking format change, not a refactor.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,28 @@ def test_gathered_cells_equal_the_full_draw_across_blocks(layout):
             got = exponential_cells(key, rates, rows, cols, scale)
             assert got.shape == np.shape(expected)
             assert got.tobytes() == np.asarray(expected).tobytes()
+
+
+def test_gather_scratch_does_not_grow_with_the_table():
+    # A walk's (n, 64) table against its column of rows, with a broadcast
+    # rate row and a scale, as the trials gather the receivers' values.  The
+    # scratch is two uint64 buffers of BLOCK / 8 cells and block-sized
+    # temporaries (the rates taken, numpy's casting buffer): about 260 KB at
+    # every n, where buffers of BLOCK cells took 2.1 MB.
+    extras = []
+    for n in (1000, 3000):
+        rates = np.broadcast_to(np.linspace(0.25, 4.0, n), (n, n))
+        scale = np.linspace(0.5, 2.0, n)
+        table = np.random.default_rng(n).integers(0, n, (n, 64)).astype(np.int32)
+        column = np.arange(n)[:, None]
+        tracemalloc.start()
+        try:
+            got = exponential_cells(stream_key(n, "gather"), rates, column, table, scale)
+            extras.append(tracemalloc.get_traced_memory()[1] - got.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert abs(extras[0] - extras[1]) < 4096, extras
+    assert max(extras) < 5 * 8 * (BLOCK // 8), extras
 
 
 def test_exponentials_rate_scaling_is_exact():

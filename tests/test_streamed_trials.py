@@ -193,8 +193,8 @@ def test_a_fault_in_a_late_block_raises_the_matrix_message(budget, sides):
 
 def test_uniform_trial_peaks_below_one_value_matrix():
     # After set-up (the cached uniform market holds O(n)), a trial holds one
-    # thread's block scratch (three buffers of BLOCK cells), 1.5 KiB per row
-    # (its walks' tables and what their gathers make, 1.2 KiB measured here
+    # thread's block scratch (two buffers of BLOCK cells), 1.5 KiB per row
+    # (its walks' tables and what their gathers make, 0.4 KiB measured here
     # on one thread) and the scratch of each further thread: far below one
     # n x n array.
     n = 1500
@@ -212,8 +212,8 @@ def test_uniform_trial_peaks_below_one_value_matrix():
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            bound = 3 * 8 * BLOCK + 1536 * n + (threads - 1) * experiments._THREAD_BYTES
-            per_row = (peak - 3 * 8 * BLOCK) / n
+            bound = 2 * 8 * BLOCK + 1536 * n + (threads - 1) * experiments._THREAD_BYTES
+            per_row = (peak - 2 * 8 * BLOCK) / n
             assert peak < bound, f"{threads} thread(s): {per_row:.0f} bytes per row"
     finally:
         experiments._uniform_balanced.cache_clear()

@@ -1,7 +1,10 @@
 """The scripts under tools/, run as a user runs them."""
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,3 +24,16 @@ def test_output_hashes_agree_across_worker_counts():
     for name, by_workers in hashes.items():
         assert sorted(by_workers) == ["1", "2"], name
         assert len(set(by_workers.values())) == 1, name
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_peak_memory_prints_the_peak_beside_the_model():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "peak_memory.py"), "--trials", "1",
+         "--threads", "1,2", str(ROOT / "configs" / "value_dist_small.cfg")],
+        capture_output=True, text=True, check=True,
+    )
+    lines = [line.split() for line in run.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [["value_dist_small", "1"], ["value_dist_small", "2"]]
+    for _, _, peak, model in lines:
+        assert 0.0 < float(peak) <= float(model)
