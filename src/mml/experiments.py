@@ -479,12 +479,14 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # while a market is balanced, the balancing products' block buffer.  A market
 # balanced every trial (any but the uniform one) adds 12 KiB per row: the
 # tables kept two or three times over by the allocator.  Trials stream their
-# values, so the n x n terms are what is held: the balancing kernel (8) of a
-# market whose two sides do not each share one row (C-bounded, or a
-# backfilled public-scores stack), the scores of a C-bounded market (16), the
-# stacked men's scores of a backfilled public-scores market or the real
-# C-bounded market while it is backfilled (8), the deep walks of a
-# public-scores market and approx_stable's blocking mask (1).  A
+# values, so the n x n terms are what is held: the scores of a C-bounded
+# market (16), the stacked men's scores of a backfilled public-scores market
+# (8), the offsets that undo the balancing kernel written over the men's
+# scores of either (1), and approx_stable's blocking mask (1).  A trial's
+# dense men's scores are C-ordered and writable, so only a kernel entry
+# below the normal float range would hold the kernel's 8 bytes instead.
+# Backfilling a C-bounded market holds the real market beside the stack:
+# 32 bytes a cell, more than its balance's 17.  A
 # public-scores market's least fit proposers walk past their best 64
 # columns, the further the wider the fitness spread and the larger n: its
 # peaks at c = 2, 10, 100 and 10^10 and n = 2000 to 8000 (README) grow by
@@ -503,11 +505,9 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.market is not MarketKind.UNIFORM:
         base += _REBALANCED_ROW_BYTES * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
-        per_cell += 8 + 16
+        per_cell += 16 + (16 if imbalance else 1)
     if cfg.market is MarketKind.PUBLIC_SCORES:
-        per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0)) + (8 if imbalance else 0)
-    if imbalance and cfg.market is not MarketKind.UNIFORM:
-        per_cell += 8
+        per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0)) + (8 + 1 if imbalance else 0)
     if cfg.experiment is ExperimentKind.APPROX_STABLE:
         per_cell += 1
     return base + math.ceil(per_cell * cfg.n**2)

@@ -14,7 +14,8 @@ choice that is symmetric between the two sides.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,11 @@ class CanonicalMarket:
 
     Markets whose rows all agree (uniform, public scores) hold their shared
     row as a read-only broadcast view, so they take O(n) memory.
+
+    The arrays are the caller's, not copies.  ``sinkhorn_balance`` on a dense
+    market writes its balancing kernel into a writable, C-ordered ``a_hat``
+    during the call and restores ``a_hat``, bit for bit, before it returns or
+    raises; no other thread may read the market in the meantime.
     """
 
     a_hat: np.ndarray
@@ -240,6 +246,8 @@ class BalancedMarket:
 # products have the bits of the whole ones.  The last block takes the
 # remainder (64 to 127 rows), as a block of 1 to 3 rows would not.
 _KERNEL_ROWS = 64
+# The least positive normal float64.
+_NORMAL = np.finfo(np.float64).tiny
 
 
 def _kernel_blocks(n: int) -> list[slice]:
@@ -248,19 +256,84 @@ def _kernel_blocks(n: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def _kernel_products(market: CanonicalMarket) -> tuple[Callable, Callable]:
+def _kernel_over_scores(market: CanonicalMarket) -> Callable[[], None] | None:
+    """Write the kernel K = a_hat * b_hat^T / n over ``a_hat``; the call that restores it.
+
+    ``a_hat`` is rewritten one row block at a time, and each block keeps, in
+    an n x n int8 array, the ulp offset of the old ``a_hat`` from
+    ``K / b_hat^T * n``.  The restore recomputes that quotient from K and
+    ``b_hat`` and adds the offsets, giving ``a_hat`` back bit for bit.
+    Returns None, with ``a_hat`` as it was, if ``a_hat`` is read-only, not
+    C-ordered or shares memory with ``b_hat``, or if an entry of K is below
+    the normal float range; ``a_hat`` is restored too if building raises.
+    """
+    a_hat, b_hat = market.a_hat, market.b_hat
+    if not (a_hat.flags.c_contiguous and a_hat.flags.writeable) or np.may_share_memory(
+        a_hat, b_hat
+    ):
+        return None
+    n = market.n_men
+    offsets = np.empty((n, n), dtype=np.int8)
+    # Two buffers of a row block: b_hat's block transposed into C order, and K's.
+    buffers = np.empty((2, max(1, BLOCK // n) * n))
+    written: list[slice] = []
+
+    def restore() -> None:
+        for rows in written:
+            scores = a_hat[rows]
+            b_t = buffers[0, : scores.size].reshape(scores.shape)
+            np.copyto(b_t, b_hat[:, rows].T)
+            scores /= b_t
+            scores *= n
+            ulps = scores.view(np.int64)
+            ulps += offsets[rows]
+
+    try:
+        for rows in row_blocks(n, n):
+            scores = a_hat[rows]
+            b_t, k = (buffer[: scores.size].reshape(scores.shape) for buffer in buffers)
+            np.copyto(b_t, b_hat[:, rows].T)
+            np.multiply(scores, b_t, out=k)
+            k /= n
+            if not k.min() >= _NORMAL:
+                restore()
+                return None
+            # Four roundings of relative size at most 2^-53 each, none of them
+            # below the normal range: the quotient is within 8 ulps of a_hat.
+            np.divide(k, b_t, out=b_t)
+            b_t *= n
+            np.subtract(
+                scores.view(np.int64), b_t.view(np.int64), out=offsets[rows], casting="unsafe"
+            )
+            np.copyto(scores, k)
+            written.append(rows)
+    except BaseException:
+        restore()
+        raise
+    return restore
+
+
+@contextmanager
+def _kernel_products(market: CanonicalMarket) -> Iterator[tuple[Callable, Callable]]:
     """``v -> K @ v`` and ``v -> K.T @ v`` for the kernel K = a_hat * b_hat^T / n.
 
     The products walk K in blocks of rows (``K @ v``) or of columns
     (``K.T @ v``).  When both sides share one row (uniform and public
     scores), K[i, j] = a[j] * b[i] / n and each block is built from the two
     rows into one reused buffer, so no n x n array is allocated.  Any other
-    market holds K, and the blocks are views of it.  Raises
-    NonPositiveEntry if an entry of K underflows to zero.
+    market holds K, and the blocks are views of it.  K is written over
+    ``a_hat`` while the context is open (``_kernel_over_scores``), so a dense
+    balance writes into ``a_hat`` during the call; ``a_hat`` is restored bit
+    for bit when the context exits, by a return or by an exception, and no
+    other thread may read the market until then.  A read-only or
+    non-C-ordered ``a_hat``, or a K with an entry below the normal float
+    range, takes an array of its own instead.  Raises NonPositiveEntry, with
+    ``a_hat`` as it was, if an entry of K underflows to zero.
     """
     n = market.n_men
     blocks, whole = _kernel_blocks(n), slice(0, n)
     a_rows, b_rows = _distinct_rows(market.a_hat), _distinct_rows(market.b_hat)
+    restore = None
     if a_rows.shape[0] == b_rows.shape[0] == 1:
         a, b = a_rows[0], b_rows[0]
         # Rounding is monotone, so the least entry is the one of the least scores.
@@ -274,9 +347,14 @@ def _kernel_products(market: CanonicalMarket) -> tuple[Callable, Callable]:
             out /= n
             return out
     else:
-        kernel = market.a_hat * market.b_hat.T
-        kernel /= n
-        low = kernel.min()
+        restore = _kernel_over_scores(market)
+        if restore is None:
+            kernel = market.a_hat * market.b_hat.T
+            kernel /= n
+            low = kernel.min()
+        else:
+            # Every entry of K written over a_hat is normal, so positive.
+            kernel, low = market.a_hat, 1.0
 
         def block(rows: slice, cols: slice) -> np.ndarray:
             return kernel[rows, cols]
@@ -295,7 +373,11 @@ def _kernel_products(market: CanonicalMarket) -> tuple[Callable, Callable]:
             np.matmul(block(whole, cols).T, v, out=out[cols])
         return out
 
-    return times, transposed_times
+    try:
+        yield times, transposed_times
+    finally:
+        if restore is not None:
+            restore()
 
 
 def sinkhorn_balance(
@@ -308,6 +390,13 @@ def sinkhorn_balance(
     guarantees convergence for strictly positive matrices, so either signals
     an ill-conditioned input rather than a modeling situation.  A ``tol``
     that is not positive and finite or a ``max_iters`` below 1 raises ConfigError.
+
+    On a dense market (C-bounded, or a backfilled public-scores stack) whose
+    ``a_hat`` is writable and C-ordered, the balancing kernel is written over
+    ``a_hat`` during the call (``_kernel_products``), with a 1-byte offset a
+    cell to undo it, instead of taking 8 bytes a cell of its own.  ``a_hat``
+    is restored, bit for bit, before this returns or raises, whatever it
+    raises; no other thread may read the market in the meantime.
     """
     if not market.is_square:
         raise NonSquare(
@@ -320,14 +409,15 @@ def sinkhorn_balance(
         raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
 
     n = market.n_men
-    times, transposed_times = _kernel_products(market)
-    ks = times(np.ones(n))
     # Converge to half the tolerance: the result's residual re-assembles M
     # from phi and psi, a few ulps off.  Column sums are exact up to an ulp
     # after the s update, so a sweep checks the rows, with K @ s serving
     # that check and the next r.  A sweep that overflows reads a non-finite
     # residual and stops, without a warning.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with _kernel_products(market) as (times, transposed_times), np.errstate(
+        divide="ignore", over="ignore", invalid="ignore"
+    ):
+        ks = times(np.ones(n))
         for iters in range(1, max_iters + 1):
             r = 1.0 / ks
             s = 1.0 / transposed_times(r)

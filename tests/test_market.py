@@ -1,6 +1,7 @@
 """Canonical/balanced market construction and the market file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mml.errors import (
 from mml.market import (
     ROW_SUM_TOL,
     CanonicalMarket,
+    _kernel_over_scores,
     backfill_imbalanced,
     canonical_from_raw,
     public_scores_market,
@@ -28,8 +30,8 @@ from mml.market import (
     uniform_market,
     write_matrix_pair,
 )
-from mml.rng import stream_key, thread_budget, unit_uniforms
-from oracles import two_pass_cbounded_market
+from mml.rng import row_blocks, single_threaded_blas, stream_key, thread_budget, unit_uniforms
+from oracles import separate_kernel_balance, two_pass_cbounded_market
 
 BUDGETS = (1, 2, 3)
 
@@ -333,6 +335,112 @@ def test_balance_refuses_a_kernel_that_underflows(a_raw, b_raw):
     market = canonical_from_raw(np.array(a_raw), np.array(b_raw))
     with pytest.raises(NonPositiveEntry, match="balancing kernel"):
         sinkhorn_balance(market)
+
+
+def balance_bits(bal):
+    return bal.phi.tobytes(), bal.psi.tobytes(), bal.sinkhorn_iters
+
+
+def assert_balances_in_place(market):
+    """The balance gives a_hat back to the bit, with the separate kernel's phi and psi."""
+    before = market.a_hat.tobytes()
+    with single_threaded_blas():
+        bal = sinkhorn_balance(market)
+        assert market.a_hat.tobytes() == before
+        assert balance_bits(bal) == balance_bits(separate_kernel_balance(market))
+    assert bal.a_hat is market.a_hat
+
+
+@pytest.mark.parametrize("c", [2.0, 10.0, 1e6])
+@pytest.mark.parametrize("n", [1, 64, 65, 257, 1001])
+def test_dense_balance_restores_a_hat_bit_for_bit(n, c):
+    market = random_cbounded_market(n, c, seed=n)
+    # The kernel goes over a_hat, not into an array of its own.
+    restore = _kernel_over_scores(market)
+    assert restore is not None
+    restore()
+    assert_balances_in_place(market)
+
+
+def test_backfilled_public_scores_balance_restores_a_hat_bit_for_bit():
+    n, k = 300, 200
+    u = unit_uniforms(stream_key(5, "public"), 2 * n)
+    scores = public_scores_market(10.0 ** (2.0 * u[:n] - 1.0), 10.0 ** (2.0 * u[n + k :] - 1.0))
+    market = backfill_imbalanced(scores, k)
+    assert market.a_hat.flags.c_contiguous and market.b_hat.strides[0] == 0
+    assert_balances_in_place(market)
+
+
+def test_balance_restores_a_hat_when_it_does_not_converge():
+    market = random_cbounded_market(300, 10.0, seed=2)
+    before = market.a_hat.tobytes()
+    with pytest.raises(NoConvergence):
+        sinkhorn_balance(market, tol=1e-12, max_iters=1)
+    assert market.a_hat.tobytes() == before
+
+
+def cbounded_with_one_small_cell(n, score):
+    """A C-bounded market whose last man and woman score each other about ``score``."""
+    a_raw = np.array(random_cbounded_market(n, 2.0, seed=4).a_hat)
+    b_raw = np.array(random_cbounded_market(n, 2.0, seed=5).b_hat)
+    a_raw[-1, -1] = b_raw[-1, -1] = score
+    return canonical_from_raw(a_raw, b_raw)
+
+
+def test_balance_restores_a_hat_when_the_kernel_underflows_mid_build():
+    n = 300
+    # The kernel's last row block underflows after its first one was written.
+    assert len(list(row_blocks(n, n))) > 1
+    market = cbounded_with_one_small_cell(n, 1e-170)
+    before = market.a_hat.tobytes()
+    with pytest.raises(NonPositiveEntry, match="balancing kernel"):
+        sinkhorn_balance(market)
+    assert market.a_hat.tobytes() == before
+
+
+def test_a_kernel_below_the_normal_range_is_held_on_its_own():
+    n = 300
+    market = cbounded_with_one_small_cell(n, 1e-154)
+    kernel = market.a_hat * market.b_hat.T / n
+    assert 0.0 < kernel.min() < np.finfo(np.float64).tiny
+    before = market.a_hat.tobytes()
+    assert _kernel_over_scores(market) is None
+    assert market.a_hat.tobytes() == before
+    assert_balances_in_place(market)
+
+
+@pytest.mark.parametrize("layout", ["read-only", "F-ordered", "b_hat is its transpose"])
+def test_a_hat_that_cannot_hold_the_kernel_is_never_written(layout):
+    dense = random_cbounded_market(130, 3.0, seed=6)
+    a_hat, b_hat = np.array(dense.a_hat), dense.b_hat
+    if layout == "read-only":
+        a_hat.flags.writeable = False
+    elif layout == "F-ordered":
+        a_hat = np.asfortranarray(a_hat)
+    else:
+        a_hat = np.full((130, 130), 1.0 / 130)
+        b_hat = a_hat.T
+    market = CanonicalMarket(a_hat, b_hat)
+    # The kernel takes an array of its own (F-ordered like a_hat in the second
+    # case, which sets other bits than a C-ordered one).
+    assert _kernel_over_scores(market) is None
+    assert_balances_in_place(market)
+
+
+def test_dense_balance_holds_one_byte_a_cell_beside_the_scores():
+    # Scores 16 bytes a cell, the offsets 1, and two row-block buffers: the
+    # separate kernel took 8 bytes a cell more.
+    n = 1000
+    tracemalloc.start()
+    try:
+        with thread_budget(1):
+            market = random_cbounded_market(n, 2.0, seed=8)
+        tracemalloc.reset_peak()
+        sinkhorn_balance(market)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n + 2 * n * n + 64 * n * 32
 
 
 def test_balance_parameter_validation():

@@ -1,7 +1,7 @@
 """Hash every output file of configs run at one and at two worker processes.
 
 Usage:
-    python tools/output_hashes.py [CONFIG ...]
+    python tools/output_hashes.py [--against FILE] [CONFIG ...]
 
 Runs each config (default: every ``configs/*.cfg``) through ``mml run`` from
 this tree's ``src/``, with ``MML_WORKERS=1`` and ``=2``, each into a new
@@ -10,12 +10,17 @@ temporary directory, and prints one line per output file, sorted:
     config workers file sha256
 
 Diff this output between two trees to check that a change keeps every
-output byte.  A run that exits 1 (a check failed) still writes its files
-and is hashed; any other exit code stops the script, which prints the
-run's error output and exits 1.
+output byte, or save it from one tree and pass it to the other with
+``--against FILE``.  The script then compares its lines with the saved
+lines of the configs it ran, prints each line found on one side only,
+marked ``saved`` or ``now``, and exits 1 if there is one; else it prints
+how many lines match.  A run that exits 1 (a check failed) still writes
+its files and is hashed; any other exit code stops the script, which
+prints the run's error output and exits 1.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -46,10 +51,34 @@ def output_hashes(config: Path, workers: str) -> list[str]:
         ]
 
 
+def differences(saved: list[str], lines: list[str]) -> list[str]:
+    """The saved lines of the configs in ``lines`` that these lines do not
+    repeat, and the lines the saved ones lack, each marked with its side."""
+    configs = {line.split()[0] for line in lines}
+    saved_set = {line for line in saved if line.split()[0] in configs}
+    now = set(lines)
+    return sorted(
+        [f"saved {line}" for line in saved_set - now] + [f"now {line}" for line in now - saved_set],
+        key=lambda line: line.split(maxsplit=1)[1],
+    )
+
+
 def main(argv: list[str]) -> None:
-    configs = [Path(arg) for arg in argv] or sorted((ROOT / "configs").glob("*.cfg"))
-    lines = [line for cfg in configs for w in WORKERS for line in output_hashes(cfg, w)]
-    print("\n".join(sorted(lines)))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG")
+    parser.add_argument("--against", type=Path, metavar="FILE")
+    args = parser.parse_args(argv)
+    configs = args.configs or sorted((ROOT / "configs").glob("*.cfg"))
+    lines = sorted(line for cfg in configs for w in WORKERS for line in output_hashes(cfg, w))
+    if args.against is None:
+        print("\n".join(lines))
+        return
+    saved = args.against.read_text(encoding="utf-8").splitlines()
+    differ = differences([line for line in saved if line.strip()], lines)
+    if differ:
+        print("\n".join(differ))
+        sys.exit(1)
+    print(f"{len(lines)} lines match {args.against}")
 
 
 if __name__ == "__main__":
