@@ -225,26 +225,27 @@ _REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING
 # --- market construction -----------------------------------------------------
 
 
-def _build_market(cfg: ExperimentConfig, t: int, n_men: int) -> CanonicalMarket:
-    """Trial t's market of ``n_men`` men and ``cfg.n`` women."""
+def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket:
+    """Trial t's square market of ``cfg.n`` agents a side; its last k men are backfilled dummies."""
+    n_men = cfg.n - k
     if cfg.market is MarketKind.UNIFORM:
-        return uniform_market(n_men, cfg.n)
+        return backfill_imbalanced(uniform_market(n_men, cfg.n), k)
     if cfg.market is MarketKind.PUBLIC_SCORES:
         a = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n) - 1.0)
         b = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_b", t), n_men) - 1.0)
-        return public_scores_market(a, b)
-    return random_cbounded_market(n_men, cfg.c, stream_key(cfg.master_seed, "market", t), cfg.n)
+        return backfill_imbalanced(public_scores_market(a, b), k)
+    return random_cbounded_market(n_men, cfg.c, stream_key(cfg.master_seed, "market", t), cfg.n, k)
 
 
 def _build_balanced(cfg: ExperimentConfig, t: int) -> BalancedMarket:
     """Trial t's square market, balanced; the uniform one is balanced once per (n, k).
 
-    ``imbalance`` adds its last ``cfg.k`` men by ``backfill_imbalanced``; elsewhere k adds none.
+    ``imbalance`` backfills its last ``cfg.k`` men; elsewhere k adds none.
     """
     k = cfg.k if cfg.experiment is ExperimentKind.IMBALANCE else 0
     if cfg.market is MarketKind.UNIFORM:
         return _uniform_balanced(cfg.n, k)
-    return sinkhorn_balance(backfill_imbalanced(_build_market(cfg, t, cfg.n - k), k))
+    return sinkhorn_balance(_build_market(cfg, t, k))
 
 
 @functools.cache
@@ -436,15 +437,23 @@ _M_MMAP_THRESHOLD = -3
 def _keep_heap() -> bool:
     """Have glibc's malloc keep freed memory for the next trial; False where libc has no mallopt.
 
-    Blocks below 32 MiB come from the heap rather than from their own
-    mappings, and up to 64 MiB of free heap stays mapped, so a trial reuses
-    the pages that the one before it touched instead of faulting in fresh
-    ones.  Set once per process.
+    First the heap freed before the first trial, most of it while the
+    sources compiled at import, is returned to the system (``malloc_trim``,
+    where libc has it): no trial would reuse it.  Then blocks below 32 MiB
+    come from the heap rather than from their own mappings, and up to
+    64 MiB of free heap stays mapped, so a trial reuses the pages that the
+    one before it touched instead of faulting in fresh ones.  Runs once per
+    process, so only the first trial is preceded by a trim.
     """
     try:
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        libc = ctypes.CDLL(None)
     except (OSError, TypeError):  # no C library to load on this platform
         return False
+    trim = getattr(libc, "malloc_trim", None)
+    if trim is not None:
+        trim.restype, trim.argtypes = ctypes.c_int, [ctypes.c_size_t]
+        trim(0)
+    mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:
         return False
     mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
@@ -457,8 +466,9 @@ def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     """All records of trial t; a pure function of (cfg, t).
 
     BLAS runs every call on the calling thread, so the row-block threads
-    (``rng.map_row_blocks``) and the pool's worker processes own the cores,
-    and malloc keeps its heap between trials (``_keep_heap``).
+    (``rng.map_row_blocks``) and the pool's worker processes own the cores.
+    Before a process's first trial malloc returns the heap the import freed,
+    and from then on it keeps its heap between trials (``_keep_heap``).
     """
     _keep_heap()
     with single_threaded_blas():
@@ -485,12 +495,12 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # scores of either (1), and approx_stable's blocking mask (1).  A trial's
 # dense men's scores are C-ordered and writable, so only a kernel entry
 # below the normal float range would hold the kernel's 8 bytes instead.
-# Backfilling a C-bounded market holds the real market beside the stack:
-# 32 bytes a cell, more than its balance's 17.  A
-# public-scores market's least fit proposers walk past their best 64
-# columns, the further the wider the fitness spread and the larger n: its
-# peaks at c = 2, 10, 100 and 10^10 and n = 2000 to 8000 (README) grow by
-# about 0, 0.8, 5.5 and 12 bytes a cell, and a walk holds at most its row (16).
+# A backfilled C-bounded market draws its real scores into the square
+# stacks, so it holds the same 17.  A public-scores market's least fit
+# proposers walk past their best 64 columns, the further the wider the
+# fitness spread and the larger n: its peaks at c = 2, 10, 100 and 10^10 and
+# n = 2000 to 8000 (README) grow by about 0, 0.8, 5.5 and 12 bytes a cell,
+# and a walk holds at most its row (16).
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 2 << 20
 _ROW_BYTES = 5 << 8
@@ -505,7 +515,7 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.market is not MarketKind.UNIFORM:
         base += _REBALANCED_ROW_BYTES * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
-        per_cell += 16 + (16 if imbalance else 1)
+        per_cell += 16 + 1
     if cfg.market is MarketKind.PUBLIC_SCORES:
         per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0)) + (8 + 1 if imbalance else 0)
     if cfg.experiment is ExperimentKind.APPROX_STABLE:

@@ -438,7 +438,7 @@ def sinkhorn_balance(
 
 
 def random_cbounded_market(
-    n_men: int, c_target: float, seed: int, n_women: int | None = None
+    n_men: int, c_target: float, seed: int, n_women: int | None = None, k: int = 0
 ) -> CanonicalMarket:
     """Random market with raw scores log-uniform on [1/c_target, c_target].
 
@@ -446,6 +446,13 @@ def random_cbounded_market(
     c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
     Deterministic in the seed.  Each row block of uniforms becomes canonical
     scores, checked as the constructor checks them, while it is in cache.
+
+    Given k, the market has the scores of
+    ``backfill_imbalanced(random_cbounded_market(n_men, c_target, seed,
+    n_women), k)``, bit for bit, built in place: the real scores are drawn
+    into the first n_men rows of the men's square stack and the first n_men
+    columns of the women's, so the real market is never held beside the
+    stacks.
     """
     if n_women is None:
         n_women = n_men
@@ -453,22 +460,26 @@ def random_cbounded_market(
         raise ShapeMismatch("market needs at least one agent per side")
     if c_target < 1.0:
         raise ValueError("c_target must be >= 1")
-    return CanonicalMarket._checked(
-        _cbounded_scores(seed, "a", (n_men, n_women), c_target),
-        _cbounded_scores(seed, "b", (n_women, n_men), c_target),
-    )
+    _check_backfill(n_men, k, n_women)
+    a, b = np.empty((n_men + k, n_women)), np.empty((n_women, n_men + k))
+    _cbounded_scores(seed, "a", a[:n_men], c_target)
+    _cbounded_scores(seed, "b", b[:, :n_men], c_target)
+    if k == 0:
+        return CanonicalMarket._checked(a, b)
+    return _backfilled(a, b, n_men)
 
 
-def _cbounded_scores(seed: int, side: str, shape: tuple[int, int], c_target: float) -> np.ndarray:
-    """One side's canonical scores, built from its uniforms as they are drawn.
+def _cbounded_scores(seed: int, side: str, out: np.ndarray, c_target: float) -> None:
+    """Write one side's canonical scores into ``out``, built from its uniforms as they are drawn.
 
     Each row block of uniforms u becomes c ** (2u - 1), is checked as raw
     scores (``a_raw`` or ``b_raw``), normalised and checked as canonical
-    scores (``a_hat`` or ``b_hat``) while it is in cache.
+    scores (``a_hat`` or ``b_hat``) while it is in cache.  ``out`` may be a
+    column slice of a wider array.
     """
     raw_name, name = f"{side}_raw", f"{side}_hat"
     # np.power runs faster on a row of c than on the scalar, with the same bits.
-    base = np.full(shape[1], float(c_target))
+    base = np.full(out.shape[1], float(c_target))
     worst: list[float] = []  # list.append is atomic under the interpreter lock
 
     def score_rows(rows, raw, _spare):
@@ -478,9 +489,31 @@ def _cbounded_scores(seed: int, side: str, shape: tuple[int, int], c_target: flo
         _check_scores(name, _normalized(raw_name, raw, in_place=True))
         worst.append(_row_sum_deviation(raw))
 
-    scores = unit_uniforms(stream_key(seed, raw_name), shape, consume=score_rows)
+    unit_uniforms(stream_key(seed, raw_name), out.shape, consume=score_rows, out=out)
     _check_normalized(name, max(worst))
-    return scores
+
+
+def _check_backfill(n_men: int, k: int, n_women: int) -> None:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k and n_men + k != n_women:
+        raise ShapeMismatch(
+            f"backfill needs n_men + k == n_women, got {n_men} + {k} != {n_women}"
+        )
+
+
+def _backfilled(a: np.ndarray, b: np.ndarray, m: int) -> CanonicalMarket:
+    """The square market whose m real men's scores are a's first m rows and b's first m columns.
+
+    The dummies' scores are written into the other rows of ``a`` and columns
+    of ``b``, and b's rows are normalised, in place.  A one-row ``a`` or
+    ``b`` is the row every agent of its side shares, and is broadcast.
+    """
+    n = a.shape[1]
+    a[m:] = 1.0 / n
+    b[:, m:] = 1.0 / m
+    b = _normalized("b_raw", b, in_place=True)
+    return CanonicalMarket(*(np.broadcast_to(s, (n, n)) if s.shape[0] == 1 else s for s in (a, b)))
 
 
 def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
@@ -491,33 +524,25 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
     after renormalization each dummy carries weight exactly 1/n.  k = 0 returns
     the market unchanged.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    n, m = market.n_women, market.n_men
+    _check_backfill(m, k, n)
     if k == 0:
         return market
-    n = market.n_women
-    m = market.n_men
-    if m + k != n:
-        raise ShapeMismatch(
-            f"backfill needs n_men + k == n_women, got {m} + {k} != {n}"
-        )
     # Shared rows (broadcast views) stay shared: the women's rows still agree
     # once the k columns are appended, and the men's rows agree with the
     # dummies' only when every man scores each woman 1/n (the uniform market).
     dummy = np.full((1, n), 1.0 / n)
-    a_rows = _distinct_rows(market.a_hat)
+    a_rows, b_rows = _distinct_rows(market.a_hat), _distinct_rows(market.b_hat)
     if a_rows.shape[0] == 1 and np.array_equal(a_rows, dummy):
-        a_new = np.broadcast_to(dummy, (n, n))
+        a = dummy
     else:
-        # Dense dummies keep the stack C-ordered (a stack of broadcast views
-        # comes out F-ordered), and the kernel's layout sets Sinkhorn's bits.
-        a_new = np.vstack([market.a_hat, np.full((k, n), 1.0 / n)])
-    b_rows = _distinct_rows(market.b_hat)
-    b_raw = np.hstack([b_rows, np.full((b_rows.shape[0], k), 1.0 / m)])
-    b_new = _normalized("b_raw", b_raw, in_place=True)
-    if b_rows.shape[0] == 1:
-        b_new = np.broadcast_to(b_new, (n, n))
-    return CanonicalMarket(a_new, b_new)
+        # A dense stack is C-ordered whatever the real scores' layout, and
+        # the kernel's layout sets Sinkhorn's bits.
+        a = np.empty((n, n))
+        a[:m] = market.a_hat
+    b = np.empty((b_rows.shape[0], n))
+    b[:, :m] = b_rows
+    return _backfilled(a, b, m)
 
 
 # --- matrix file format ------------------------------------------------------

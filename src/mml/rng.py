@@ -222,10 +222,25 @@ def _mix(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
-# k * golden for the block's k-th cell; adding (start + 1) * golden
-# gives the word of counter start + k.
-_BLOCK_STEPS = np.arange(BLOCK, dtype=np.uint64) * _GOLDEN
-_BLOCK_STEPS.flags.writeable = False
+# k * golden for the k-th cell of a chunk of BLOCK / 8 cells (64 KiB): a
+# run of counter words is its chunks' first words plus this table.
+_CHUNK = BLOCK // 8
+_STEPS = np.arange(_CHUNK, dtype=np.uint64)
+_STEPS *= _GOLDEN
+_STEPS.flags.writeable = False
+
+
+def _counter_words(z: np.ndarray, first: int) -> None:
+    """Write into z the words ``(c + 1) * golden`` of counters c = first, first + 1, ...
+
+    One add covers z's whole chunks, one the rest: at any length, no table but _STEPS.
+    """
+    whole, rest = divmod(z.size, _CHUNK)
+    golden = int(_GOLDEN)
+    heads = np.array([(first + 1 + j * _CHUNK) * golden % 2**64 for j in range(whole + 1)],
+                     dtype=np.uint64)
+    np.add(_STEPS, heads[:whole, None], out=z[: whole * _CHUNK].reshape(whole, _CHUNK))
+    np.add(_STEPS[:rest], heads[whole], out=z[whole * _CHUNK :])
 
 
 def _cell_values(
@@ -298,8 +313,7 @@ def _fill(
             k = (rows.stop - rows.start) * ncols
             zb, tb, start = z[:k], t[:k], rows.start * ncols
             ob = tb.view(np.float64).reshape(-1, ncols) if grid is None else grid[rows]
-            steps = _BLOCK_STEPS[:k] if k <= BLOCK else np.arange(k, dtype=np.uint64) * _GOLDEN
-            np.add(steps, _U64((offset + start + 1) * int(_GOLDEN) % 2**64), out=zb)
+            _counter_words(zb, offset + start)
             _cell_values(
                 zb, tb, key, ob,
                 None if rates is None else rates[rows],
@@ -314,6 +328,7 @@ def _fill(
 def unit_uniforms(
     key: int, shape: int | tuple[int, ...], offset: int = 0,
     consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform draws in the open interval (0, 1) at counters offset, offset + 1, ...
 
@@ -321,9 +336,12 @@ def unit_uniforms(
     logs of either tail stay finite.  Given ``consume``, ``consume(rows,
     block, spare)`` is called on each row block of the result right after it
     is drawn, on the thread that drew it, and may rewrite the block in place
-    and overwrite ``spare``, float scratch of the block's shape.
+    and overwrite ``spare``, float scratch of the block's shape.  Given
+    ``out``, a float array of the shape (a 2-d one may be a column slice of
+    a wider array), the draws are written into it and it is returned.
     """
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
     _fill(key, offset, out.shape, None, None, out=out, consume=consume)
     return out
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from mml import experiments
 from mml.errors import EmptySample, NotNormalized, TooLarge
-from mml.market import BalancedMarket, CanonicalMarket, backfill_imbalanced, sinkhorn_balance
+from mml.market import BalancedMarket, CanonicalMarket, sinkhorn_balance
 from mml.matching import (
     Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
     _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
@@ -513,7 +513,7 @@ def held_imbalance_records(cfg, t: int) -> list:
     """The imbalance trial on both held matrices, the completion written into Y."""
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     m = cfg.n - cfg.k
-    bal = sinkhorn_balance(backfill_imbalanced(experiments._build_market(cfg, t, m), cfg.k))
+    bal = sinkhorn_balance(experiments._build_market(cfg, t, cfg.k))
     values = sample_latent(bal, trial_seed)
     y = values.Y
     y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)

@@ -473,6 +473,33 @@ def test_backfill_dummy_weights():
     np.testing.assert_allclose(new, orig, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, k, c", [(2, 1, 2.0), (65, 10, 3.0), (300, 7, 10.0), (1001, 500, 1e6)])
+def test_cbounded_market_backfilled_in_place_matches_the_stacked_one(n, k, c):
+    real = random_cbounded_market(n - k, c, seed=n, n_women=n)
+    b_raw = np.hstack([real.b_hat, np.full((n, k), 1.0 / (n - k))])
+    stacked = (np.vstack([real.a_hat, np.full((k, n), 1.0 / n)]),
+               b_raw / b_raw.sum(axis=1, keepdims=True))
+    in_place = random_cbounded_market(n - k, c, n, n_women=n, k=k)
+    for market in (in_place, backfill_imbalanced(real, k)):
+        for got, want in zip((market.a_hat, market.b_hat), stacked):
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+def test_cbounded_market_backfilled_in_place_holds_only_the_stacks():
+    # The two n x n stacks and two row-block buffers: drawing the real market
+    # apart and stacking it took 32 bytes a cell.
+    n, k = 1000, 10
+    tracemalloc.start()
+    try:
+        with thread_budget(1):
+            random_cbounded_market(n - k, 2.0, 8, n_women=n, k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n + 64 * n * 32
+
+
 def test_backfill_uniform_completes_to_uniform():
     full = backfill_imbalanced(uniform_market(6, 10), 4)
     np.testing.assert_allclose(full.a_hat, uniform_market(10).a_hat, atol=1e-15)
@@ -484,6 +511,10 @@ def test_backfill_validation():
         backfill_imbalanced(uniform_market(3, 5), -1)
     with pytest.raises(ShapeMismatch):
         backfill_imbalanced(uniform_market(3, 5), 1)
+    with pytest.raises(ValueError):
+        random_cbounded_market(3, 2.0, 1, n_women=5, k=-1)
+    with pytest.raises(ShapeMismatch):
+        random_cbounded_market(3, 2.0, 1, n_women=5, k=1)
 
 
 def test_market_file_round_trip_is_bit_exact(tmp_path):

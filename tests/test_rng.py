@@ -118,12 +118,21 @@ def test_exponentials_counter_layout():
     np.testing.assert_array_equal(exponentials(key, rates), expected)
 
 
-@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+# Around a chunk of counter words (BLOCK / 8) and a block.
+@pytest.mark.parametrize(
+    "count",
+    [1, BLOCK // 8 - 1, BLOCK // 8, BLOCK // 8 + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17],
+)
 @pytest.mark.parametrize("offset", [0, 1, BLOCK])
 def test_blocked_draws_match_the_one_shot_reference(count, offset):
     key = stream_key(count, offset, "blocked")
+    reference = reference_uniforms(key, count, offset)
+    np.testing.assert_array_equal(unit_uniforms(key, count, offset), reference)
+    # The same counters as one or two rows: an odd count above BLOCK is one
+    # row wider than a block.
+    rows = 2 if count % 2 == 0 else 1
     np.testing.assert_array_equal(
-        unit_uniforms(key, count, offset), reference_uniforms(key, count, offset)
+        unit_uniforms(key, (rows, count // rows), offset), reference.reshape(rows, -1)
     )
     # A matrix whose rows straddle block boundaries, with distinct rates.
     cols = max(d for d in range(1, 301) if count % d == 0)
@@ -132,7 +141,11 @@ def test_blocked_draws_match_the_one_shot_reference(count, offset):
     np.testing.assert_array_equal(exponentials(key, rates), expected)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (300, 301), (2, BLOCK + 5)])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (3, 7), (300, 301), (2, BLOCK + 5),
+     (3, BLOCK // 8 - 1), (2, BLOCK // 8), (9, BLOCK // 8 + 1)],
+)
 def test_factored_rates_match_the_one_shot_reference(shape):
     # Row i's rates are scale[i] * rates[i], for dense and broadcast rates,
     # including rows longer than a block.

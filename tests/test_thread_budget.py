@@ -22,7 +22,7 @@ import mml
 from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_experiment, run_trial
-from mml.market import backfill_imbalanced, random_cbounded_market, sinkhorn_balance
+from mml.market import random_cbounded_market, sinkhorn_balance
 from mml.matching import Side, _matrix_tables, deferred_acceptance
 from mml.rng import (
     BLOCK, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
@@ -341,10 +341,8 @@ def market_of(kind, n):
         f"experiment = rank_dist\nmarket = {market}\nc = 2.5\nn = {n}\n"
         "trials = 1\nmaster_seed = 3\n"
     )
-    if kind == market:
-        return experiments._build_market(cfg, 0, n)
-    k = min(10, n - 1)  # k = 0 (n = 1) leaves the market as it is
-    return backfill_imbalanced(experiments._build_market(cfg, 0, n - k), k)
+    # k = 0 (n = 1) leaves the market as it is.
+    return experiments._build_market(cfg, 0, 0 if kind == market else min(10, n - 1))
 
 
 def balance_fields(bal):

@@ -55,7 +55,8 @@ def test_peak_memory_prints_the_peak_beside_the_model():
          "--threads", "1,2", str(ROOT / "configs" / "value_dist_small.cfg")],
         capture_output=True, text=True, check=True,
     )
-    lines = [line.split() for line in run.stdout.splitlines()]
+    floor, *lines = [line.split() for line in run.stdout.splitlines()]
+    assert floor[:2] == ["import-only", "-"] and floor[3] == "-"
     assert [line[:2] for line in lines] == [["value_dist_small", "1"], ["value_dist_small", "2"]]
     for _, _, peak, model in lines:
-        assert 0.0 < float(peak) <= float(model)
+        assert 0.0 < float(floor[2]) <= float(peak) <= float(model)

@@ -13,8 +13,10 @@ at a time, and each prints one line:
     config threads peak_MiB model_MiB
 
 The peak is the process's VmHWM, so this needs Linux; the model is
-``experiments.memory_estimate`` for that config and budget.  These are the
-numbers of README's "Memory and scale" tables and of the model's fits.
+``experiments.memory_estimate`` for that config and budget.  A first line,
+``import-only - peak_MiB -``, gives the floor under them all: a process
+that imports ``mml`` and runs no trial.  These are the numbers of README's
+"Memory and scale" tables and of the model's fits.
 """
 from __future__ import annotations
 
@@ -26,35 +28,42 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Prints VmHWM and the model in bytes.  VmHWM rather than ru_maxrss, which
-# keeps the high-water mark of the process that started this one.
+# Prints VmHWM and the model in bytes, or "-" for the model of a process
+# given no config.  VmHWM rather than ru_maxrss, which keeps the high-water
+# mark of the process that started this one.
 CHILD = """
 import dataclasses, re, sys
 from mml import experiments, rng
-cfg = experiments.load_config(sys.argv[1])
-cfg = dataclasses.replace(cfg, trials=min(cfg.trials, int(sys.argv[2])))
-threads = int(sys.argv[3])
-with rng.thread_budget(threads):
-    experiments.run_experiment(cfg)
+model = "-"
+if len(sys.argv) > 1:
+    cfg = experiments.load_config(sys.argv[1])
+    cfg = dataclasses.replace(cfg, trials=min(cfg.trials, int(sys.argv[2])))
+    threads = int(sys.argv[3])
+    with rng.thread_budget(threads):
+        experiments.run_experiment(cfg)
+    model = experiments.memory_estimate(cfg, threads)
 with open("/proc/self/status") as fh:
     peak = 1024 * int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
-print(peak, experiments.memory_estimate(cfg, threads))
+print(peak, model)
 """
 
 
-def peak_memory(config: Path, trials: int, threads: int) -> tuple[int, int]:
-    """(VmHWM, model) in bytes of one process running config's first trials."""
+def peak_memory(*run_args: str) -> tuple[int, int | None]:
+    """(VmHWM, model) in bytes of one process.
+
+    Given ``config, trials, threads`` it runs config's first trials on that
+    budget; given nothing it only imports ``mml``, and has no model.
+    """
     env = dict(os.environ, MML_WORKERS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", CHILD, str(config), str(trials), str(threads)],
-        env=env, capture_output=True, text=True,
+        [sys.executable, "-c", CHILD, *run_args], env=env, capture_output=True, text=True,
     )
     if run.returncode != 0:
         sys.stderr.write(run.stderr)
-        sys.exit(f"{config} on {threads} thread(s) exited {run.returncode}")
-    peak, model = map(int, run.stdout.split())
-    return peak, model
+        sys.exit(f"{' '.join(run_args) or 'import-only'} exited {run.returncode}")
+    peak, model = run.stdout.split()
+    return int(peak), None if model == "-" else int(model)
 
 
 def main(argv: list[str]) -> None:
@@ -65,9 +74,10 @@ def main(argv: list[str]) -> None:
     args = parser.parse_args(argv)
     configs = args.configs or sorted((ROOT / "configs").glob("*.cfg"))
     budgets = args.threads or sorted({1, len(os.sched_getaffinity(0))})
+    print(f"import-only - {peak_memory()[0] / 2**20:.1f} -", flush=True)
     for config in configs:
         for threads in budgets:
-            peak, model = peak_memory(config, args.trials, threads)
+            peak, model = peak_memory(str(config), str(args.trials), str(threads))
             print(f"{config.stem} {threads} {peak / 2**20:.1f} {model / 2**20:.1f}", flush=True)
 
 
