@@ -28,6 +28,7 @@ from .market import (
     CanonicalMarket,
     backfill_imbalanced,
     canonical_from_raw,
+    cbounded_kernel_market,
     public_scores_market,
     random_cbounded_market,
     read_market,

@@ -27,9 +27,10 @@ from .errors import ConfigError, ShapeMismatch
 from .market import (
     BalancedMarket,
     CanonicalMarket,
+    KernelMarket,
     backfill_imbalanced,
+    cbounded_kernel_market,
     public_scores_market,
-    random_cbounded_market,
     sinkhorn_balance,
     uniform_market,
 )
@@ -225,8 +226,11 @@ _REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING
 # --- market construction -----------------------------------------------------
 
 
-def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket:
-    """Trial t's square market of ``cfg.n`` agents a side; its last k men are backfilled dummies."""
+def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket | KernelMarket:
+    """Trial t's square market of ``cfg.n`` agents a side; its last k men are backfilled dummies.
+
+    A C-bounded market is held as its balancing kernel, its scores drawn by counter.
+    """
     n_men = cfg.n - k
     if cfg.market is MarketKind.UNIFORM:
         return backfill_imbalanced(uniform_market(n_men, cfg.n), k)
@@ -234,7 +238,7 @@ def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket:
         a = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n) - 1.0)
         b = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_b", t), n_men) - 1.0)
         return backfill_imbalanced(public_scores_market(a, b), k)
-    return random_cbounded_market(n_men, cfg.c, stream_key(cfg.master_seed, "market", t), cfg.n, k)
+    return cbounded_kernel_market(cfg.n, cfg.c, stream_key(cfg.master_seed, "market", t), k)
 
 
 def _build_balanced(cfg: ExperimentConfig, t: int) -> BalancedMarket:
@@ -483,24 +487,23 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 
 # Memory model of one trial process (README, "Memory and scale"): the
 # interpreter and numpy with one row-block thread's block scratch, 2 MiB of
-# scratch per further thread, bytes per row and bytes per cell of the n x n
-# stages.  Every trial holds 1.25 KiB per row: a side's best-64 columns and
-# their receivers' values, with what deferred acceptance keeps per agent, or,
-# while a market is balanced, the balancing products' block buffer.  A market
-# balanced every trial (any but the uniform one) adds 12 KiB per row: the
-# tables kept two or three times over by the allocator.  Trials stream their
-# values, so the n x n terms are what is held: the scores of a C-bounded
-# market (16), the stacked men's scores of a backfilled public-scores market
-# (8), the offsets that undo the balancing kernel written over the men's
-# scores of either (1), and approx_stable's blocking mask (1).  A trial's
-# dense men's scores are C-ordered and writable, so only a kernel entry
-# below the normal float range would hold the kernel's 8 bytes instead.
-# A backfilled C-bounded market draws its real scores into the square
-# stacks, so it holds the same 17.  A public-scores market's least fit
-# proposers walk past their best 64 columns, the further the wider the
-# fitness spread and the larger n: its peaks at c = 2, 10, 100 and 10^10 and
-# n = 2000 to 8000 (README) grow by about 0, 0.8, 5.5 and 12 bytes a cell,
-# and a walk holds at most its row (16).
+# scratch per further thread (a walk's two block buffers, or three of half
+# the size where its rates are drawn by counter), bytes per row and bytes per
+# cell of the n x n stages.  Every trial holds 1.25 KiB per row: a side's best-64 columns
+# and their receivers' values, with what deferred acceptance keeps per agent,
+# or, while a market is balanced, the balancing products' block buffer.  A
+# market balanced every trial (any but the uniform one) adds 12 KiB per row:
+# the tables kept two or three times over by the allocator.  Trials stream
+# their values, so the n x n terms are what is held: a C-bounded market's
+# balancing kernel, square or backfilled (8), its scores drawn again by
+# counter wherever they are read; a backfilled public-scores market's
+# stacked men's scores (8) and the offsets that undo the kernel written over
+# them (1), where a kernel entry below the normal float range would hold the
+# kernel's 8 bytes instead; and approx_stable's blocking mask (1).  A
+# public-scores market's least fit proposers walk past their best 64
+# columns, the further the wider the fitness spread and the larger n: its
+# peaks at c = 2, 10, 100 and 10^10 and n = 2000 to 8000 (README) grow by
+# about 0, 0.8, 5.5 and 12 bytes a cell, and a walk holds at most its row (16).
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 2 << 20
 _ROW_BYTES = 5 << 8
@@ -515,7 +518,7 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.market is not MarketKind.UNIFORM:
         base += _REBALANCED_ROW_BYTES * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
-        per_cell += 16 + 1
+        per_cell += 8
     if cfg.market is MarketKind.PUBLIC_SCORES:
         per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0)) + (8 + 1 if imbalance else 0)
     if cfg.experiment is ExperimentKind.APPROX_STABLE:

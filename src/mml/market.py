@@ -11,6 +11,11 @@ Balancing multiplies each row by a fitness so that the mutual matrix
 competitive agent.  The leftover scalar gauge (phi, psi) -> (c*phi, psi/c) is
 pinned by making the geometric means of phi and psi equal, which is the unique
 choice that is symmetric between the two sides.
+
+A random C-bounded market in a trial (:func:`cbounded_kernel_market`) is held
+as its balancing kernel alone: every score is a function of its counter and
+of its row's sum (:class:`CounterScores`), so it is drawn again where it is
+read rather than kept.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import BLOCK, row_blocks, stream_key, unit_uniforms
+from .rng import BLOCK, CounterRates, row_blocks, stream_key, uniform_blocks, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
 
@@ -53,13 +58,19 @@ def _check_scores(name: str, scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Checked raw scores divided by their row sums (in place if the caller owns them)."""
-    raw = _check_scores(name, raw)
+def _row_sums(name: str, raw: np.ndarray) -> np.ndarray:
+    """The row sums (a column) of checked raw scores, once they are found finite."""
     with np.errstate(over="ignore"):
         sums = raw.sum(axis=1, keepdims=True)
     if not sums.max() < np.inf:
         raise NonPositiveEntry(f"{name} rows must have a finite sum")
+    return sums
+
+
+def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Checked raw scores divided by their row sums (in place if the caller owns them)."""
+    raw = _check_scores(name, raw)
+    sums = _row_sums(name, raw)
     if in_place:
         raw /= sums
         return raw
@@ -161,6 +172,120 @@ def public_scores_market(a_scores: np.ndarray, b_scores: np.ndarray) -> Canonica
     )
 
 
+def _raw_scores(u: np.ndarray, base: float | np.ndarray) -> np.ndarray:
+    """The raw C-bounded scores ``c ** (2u - 1)`` of uniforms u, in place; base is c or a row of c."""
+    u *= 2.0
+    u -= 1.0
+    # np.power runs faster on a row of c than on the scalar, with the same bits.
+    return np.power(base, u, out=u)
+
+
+def _cbounded_pass(
+    seed: int, side: str, shape: tuple[int, int], c_target: float,
+    into: Callable[[slice, np.ndarray], None],
+) -> np.ndarray:
+    """Draw one side's canonical C-bounded scores a row block at a time; their raw row sums.
+
+    Each block of uniforms u of ``(seed, "a_raw")`` or ``(seed, "b_raw")``
+    becomes ``c ** (2u - 1)``, checked as raw scores, then its rows are
+    divided by their sums and checked as canonical scores, as the
+    constructors check them, while it is in cache; ``into(rows, block)``
+    then reads it, on the thread that drew it.
+    """
+    base = np.full(shape[1], float(c_target))
+    sums = np.empty(shape[0])
+    worst: list[float] = []  # list.append is atomic under the interpreter lock
+
+    def score_rows(rows, raw, _spare):
+        _check_scores(f"{side}_raw", _raw_scores(raw, base))
+        block_sums = _row_sums(f"{side}_raw", raw)
+        raw /= block_sums
+        worst.append(_row_sum_deviation(_check_scores(f"{side}_hat", raw)))
+        sums[rows] = block_sums[:, 0]
+        into(rows, raw)
+
+    uniform_blocks(stream_key(seed, f"{side}_raw"), shape, score_rows)
+    _check_normalized(f"{side}_hat", max(worst))
+    return sums
+
+
+@dataclass(frozen=True, eq=False)
+class CounterScores(CounterRates):
+    """One side's canonical C-bounded scores, held as their raw row sums and drawn by counter.
+
+    Cell (i, j) with i < ``sums.size`` and j < ``width`` is
+    ``c ** (2u - 1) / sums[i]``, u the uniform of ``key`` at counter
+    ``i * width + j``: the bits ``random_cbounded_market`` holds.  Every
+    other cell, a backfilled market's dummy, is ``fill``.  Given
+    ``resums``, row i is then divided by ``resums[i]``: a backfilled
+    market's women's rows, normalised again once the dummies' columns are
+    appended.  ``np.asarray`` materialises the scores.
+    """
+
+    key: int
+    c: float
+    shape: tuple[int, int]
+    width: int
+    sums: np.ndarray
+    fill: float = 0.0
+    resums: np.ndarray | None = None
+
+    @property
+    def _dummies(self) -> bool:
+        return self.sums.size < self.shape[0] or self.width < self.shape[1]
+
+    def rows(self, rows: slice, out: np.ndarray) -> None:
+        drawn = out[: max(0, min(rows.stop, self.sums.size) - rows.start), : self.width]
+        _raw_scores(drawn, np.full(self.width, self.c))
+        drawn /= self.sums[rows.start : rows.start + drawn.shape[0], None]
+        if self._dummies:
+            out[drawn.shape[0] :] = self.fill
+            out[:, self.width :] = self.fill
+        if self.resums is not None:
+            out /= self.resums[rows, None]
+
+    def cells(self, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+        _raw_scores(out, self.c)
+        # A dummy row's index may pass the sums; its cells are overwritten.
+        out /= self.sums.take(r, mode="clip")
+        if self._dummies:
+            np.copyto(out, self.fill, where=(r >= self.sums.size) | (c >= self.width))
+        if self.resums is not None:
+            out /= self.resums.take(r)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape, dtype=np.float64)
+        unit_uniforms(self.key, (self.sums.size, self.width), out=out[: self.sums.size, : self.width])
+        self.rows(slice(0, self.shape[0]), out)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
+class KernelMarket:
+    """A square market held as its balancing kernel ``K = a_hat * b_hat^T / n`` alone.
+
+    Built by :func:`cbounded_kernel_market`.  ``a_hat`` and ``b_hat`` are
+    :class:`CounterScores`: any row or cell of them is drawn again with
+    the held market's bits, and ``np.asarray`` materialises a side.
+    """
+
+    a_hat: CounterScores
+    b_hat: CounterScores
+    kernel: np.ndarray
+
+    @property
+    def n_men(self) -> int:
+        return self.kernel.shape[0]
+
+    @property
+    def n_women(self) -> int:
+        return self.kernel.shape[1]
+
+    @property
+    def is_square(self) -> bool:
+        return True
+
+
 @dataclass(frozen=True)
 class BalancedMarket:
     """Balanced form of a square market, held as canonical scores and fitness factors.
@@ -170,19 +295,22 @@ class BalancedMarket:
     ``M = A * B^T / n`` is doubly stochastic.  Built only by
     ``sinkhorn_balance``, which establishes these identities.
 
-    A balanced market stores no n x n array of its own: ``a_hat`` and ``b_hat``
-    are the canonical market's (broadcast views of one row on the uniform and
-    public-scores markets), and A, B and M, with the ``residual`` and
-    ``c_bound`` read from them, are materialised only on request.
-    Trials use the factors: ``exponentials(key, a_hat, scale=phi)`` draws
-    with the rates of A, and ``mutual_matmul`` multiplies by M.
+    ``a_hat`` and ``b_hat`` are the canonical market's: broadcast views of
+    one row on the uniform and public-scores markets, and
+    :class:`CounterScores` on a market held as its kernel, which is then
+    kept as ``kernel``, the one n x n array a balanced market may hold.  A,
+    B and M, with the ``residual`` and ``c_bound`` read from them, are
+    materialised only on request.  Trials use the factors:
+    ``exponentials(key, a_hat, scale=phi)`` draws with the rates of A, and
+    ``mutual_matmul`` multiplies by M.
     """
 
-    a_hat: np.ndarray
-    b_hat: np.ndarray
+    a_hat: np.ndarray | CounterScores
+    b_hat: np.ndarray | CounterScores
     phi: np.ndarray
     psi: np.ndarray
     sinkhorn_iters: int
+    kernel: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -190,11 +318,11 @@ class BalancedMarket:
 
     @property
     def A(self) -> np.ndarray:
-        return self.phi[:, None] * self.a_hat
+        return self.phi[:, None] * np.asarray(self.a_hat)
 
     @property
     def B(self) -> np.ndarray:
-        return self.psi[:, None] * self.b_hat
+        return self.psi[:, None] * np.asarray(self.b_hat)
 
     @property
     def M(self) -> np.ndarray:
@@ -224,10 +352,13 @@ class BalancedMarket:
         """``M @ y`` for a vector or an n x k matrix y, from the factors.
 
         ``(M @ y)_i = phi_i / n * sum_j a_ij b_ji (psi_j y_j)``, one row
-        block at a time; it agrees with the materialised product to rounding.
+        block at a time, or ``phi_i * (K @ (psi * y))_i`` from a held
+        kernel; it agrees with the materialised product to rounding.
         """
         y = np.asarray(y, dtype=np.float64)
         weighted = (self.psi * y.T).T
+        if self.kernel is not None:
+            return (np.matmul(self.kernel, weighted).T * self.phi).T
         out = np.empty(y.shape)
         buffer = np.empty((min(self.n, max(1, BLOCK // self.n)), self.n))
         for rows in row_blocks(self.n, self.n):
@@ -259,6 +390,9 @@ def _kernel_blocks(n: int) -> list[slice]:
 def _kernel_over_scores(market: CanonicalMarket) -> Callable[[], None] | None:
     """Write the kernel K = a_hat * b_hat^T / n over ``a_hat``; the call that restores it.
 
+    Only a held dense market comes here: a market file's, or a backfilled
+    public-scores stack.  A trial's C-bounded market is built as its kernel
+    (:func:`cbounded_kernel_market`) and holds no scores to write over.
     ``a_hat`` is rewritten one row block at a time, and each block keeps, in
     an n x n int8 array, the ulp offset of the old ``a_hat`` from
     ``K / b_hat^T * n``.  The restore recomputes that quotient from K and
@@ -313,14 +447,36 @@ def _kernel_over_scores(market: CanonicalMarket) -> Callable[[], None] | None:
     return restore
 
 
+def _blocked_products(n: int, block: Callable[[slice, slice], np.ndarray]) -> tuple[Callable, Callable]:
+    """``v -> K @ v`` and ``v -> K.T @ v``, walking K's 64-row (or column) blocks from ``block``."""
+    blocks, whole = _kernel_blocks(n), slice(0, n)
+
+    def times(v: np.ndarray) -> np.ndarray:
+        out = np.empty(n)
+        for rows in blocks:
+            np.matmul(block(rows, whole), v, out=out[rows])
+        return out
+
+    def transposed_times(v: np.ndarray) -> np.ndarray:
+        out = np.empty(n)
+        for cols in blocks:
+            np.matmul(block(whole, cols).T, v, out=out[cols])
+        return out
+
+    return times, transposed_times
+
+
 @contextmanager
-def _kernel_products(market: CanonicalMarket) -> Iterator[tuple[Callable, Callable]]:
+def _kernel_products(
+    market: CanonicalMarket | KernelMarket,
+) -> Iterator[tuple[Callable, Callable]]:
     """``v -> K @ v`` and ``v -> K.T @ v`` for the kernel K = a_hat * b_hat^T / n.
 
     The products walk K in blocks of rows (``K @ v``) or of columns
-    (``K.T @ v``).  When both sides share one row (uniform and public
-    scores), K[i, j] = a[j] * b[i] / n and each block is built from the two
-    rows into one reused buffer, so no n x n array is allocated.  Any other
+    (``K.T @ v``).  A market held as its kernel gives the blocks as views
+    of it.  When both sides share one row (uniform and public scores),
+    K[i, j] = a[j] * b[i] / n and each block is built from the two rows
+    into one reused buffer, so no n x n array is allocated.  Any other
     market holds K, and the blocks are views of it.  K is written over
     ``a_hat`` while the context is open (``_kernel_over_scores``), so a dense
     balance writes into ``a_hat`` during the call; ``a_hat`` is restored bit
@@ -331,14 +487,16 @@ def _kernel_products(market: CanonicalMarket) -> Iterator[tuple[Callable, Callab
     ``a_hat`` as it was, if an entry of K underflows to zero.
     """
     n = market.n_men
-    blocks, whole = _kernel_blocks(n), slice(0, n)
+    if isinstance(market, KernelMarket):
+        yield _blocked_products(n, lambda rows, cols: market.kernel[rows, cols])
+        return
     a_rows, b_rows = _distinct_rows(market.a_hat), _distinct_rows(market.b_hat)
     restore = None
     if a_rows.shape[0] == b_rows.shape[0] == 1:
         a, b = a_rows[0], b_rows[0]
         # Rounding is monotone, so the least entry is the one of the least scores.
         low = a.min() * b.min() / n
-        buffer = np.empty(max(part.stop - part.start for part in blocks) * n)
+        buffer = np.empty(max(part.stop - part.start for part in _kernel_blocks(n)) * n)
 
         def block(rows: slice, cols: slice) -> np.ndarray:
             shape = (rows.stop - rows.start, cols.stop - cols.start)
@@ -359,29 +517,16 @@ def _kernel_products(market: CanonicalMarket) -> Iterator[tuple[Callable, Callab
         def block(rows: slice, cols: slice) -> np.ndarray:
             return kernel[rows, cols]
     if not low > 0.0:
-        raise NonPositiveEntry("the balancing kernel a_hat * b_hat^T / n underflows to zero")
-
-    def times(v: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        for rows in blocks:
-            np.matmul(block(rows, whole), v, out=out[rows])
-        return out
-
-    def transposed_times(v: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        for cols in blocks:
-            np.matmul(block(whole, cols).T, v, out=out[cols])
-        return out
-
+        raise NonPositiveEntry(_UNDERFLOW)
     try:
-        yield times, transposed_times
+        yield _blocked_products(n, block)
     finally:
         if restore is not None:
             restore()
 
 
 def sinkhorn_balance(
-    market: CanonicalMarket, tol: float = 1e-10, max_iters: int = 10_000
+    market: CanonicalMarket | KernelMarket, tol: float = 1e-10, max_iters: int = 10_000
 ) -> BalancedMarket:
     """Balance a square canonical market by alternating row/column normalization.
 
@@ -391,12 +536,14 @@ def sinkhorn_balance(
     an ill-conditioned input rather than a modeling situation.  A ``tol``
     that is not positive and finite or a ``max_iters`` below 1 raises ConfigError.
 
-    On a dense market (C-bounded, or a backfilled public-scores stack) whose
-    ``a_hat`` is writable and C-ordered, the balancing kernel is written over
-    ``a_hat`` during the call (``_kernel_products``), with a 1-byte offset a
-    cell to undo it, instead of taking 8 bytes a cell of its own.  ``a_hat``
-    is restored, bit for bit, before this returns or raises, whatever it
-    raises; no other thread may read the market in the meantime.
+    A market held as its kernel (:class:`KernelMarket`) is balanced on that
+    kernel, which the result keeps.  On a held dense market (a market
+    file's, a backfilled public-scores stack) whose ``a_hat`` is writable
+    and C-ordered, the balancing kernel is written over ``a_hat`` during the
+    call (``_kernel_products``), with a 1-byte offset a cell to undo it,
+    instead of taking 8 bytes a cell of its own.  ``a_hat`` is restored, bit
+    for bit, before this returns or raises, whatever it raises; no other
+    thread may read the market in the meantime.
     """
     if not market.is_square:
         raise NonSquare(
@@ -433,64 +580,102 @@ def sinkhorn_balance(
         phi = c * r
         psi = s / c
     return BalancedMarket(
-        a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi, sinkhorn_iters=iters
+        a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi, sinkhorn_iters=iters,
+        kernel=market.kernel if isinstance(market, KernelMarket) else None,
     )
 
 
+def _check_cbounded(n_men: int, n_women: int, c_target: float) -> None:
+    if n_men < 1 or n_women < 1:
+        raise ShapeMismatch("market needs at least one agent per side")
+    if c_target < 1.0:
+        raise ValueError("c_target must be >= 1")
+
+
 def random_cbounded_market(
-    n_men: int, c_target: float, seed: int, n_women: int | None = None, k: int = 0
+    n_men: int, c_target: float, seed: int, n_women: int | None = None
 ) -> CanonicalMarket:
-    """Random market with raw scores log-uniform on [1/c_target, c_target].
+    """Random market with raw scores log-uniform on [1/c_target, c_target], held.
 
     Within each canonical row the score ratio is therefore at most c_target**2.
     c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
     Deterministic in the seed.  Each row block of uniforms becomes canonical
     scores, checked as the constructor checks them, while it is in cache.
-
-    Given k, the market has the scores of
-    ``backfill_imbalanced(random_cbounded_market(n_men, c_target, seed,
-    n_women), k)``, bit for bit, built in place: the real scores are drawn
-    into the first n_men rows of the men's square stack and the first n_men
-    columns of the women's, so the real market is never held beside the
-    stacks.
+    These are the scores that :func:`cbounded_kernel_market` draws again by
+    counter instead of holding, with the same bits; trials use that form.
     """
     if n_women is None:
         n_women = n_men
-    if n_men < 1 or n_women < 1:
-        raise ShapeMismatch("market needs at least one agent per side")
-    if c_target < 1.0:
-        raise ValueError("c_target must be >= 1")
-    _check_backfill(n_men, k, n_women)
-    a, b = np.empty((n_men + k, n_women)), np.empty((n_women, n_men + k))
-    _cbounded_scores(seed, "a", a[:n_men], c_target)
-    _cbounded_scores(seed, "b", b[:, :n_men], c_target)
-    if k == 0:
-        return CanonicalMarket._checked(a, b)
-    return _backfilled(a, b, n_men)
+    _check_cbounded(n_men, n_women, c_target)
+    a, b = np.empty((n_men, n_women)), np.empty((n_women, n_men))
+    for side, out in (("a", a), ("b", b)):
+
+        def keep(rows, block, out=out):
+            out[rows] = block
+
+        _cbounded_pass(seed, side, out.shape, c_target, keep)
+    return CanonicalMarket._checked(a, b)
 
 
-def _cbounded_scores(seed: int, side: str, out: np.ndarray, c_target: float) -> None:
-    """Write one side's canonical scores into ``out``, built from its uniforms as they are drawn.
+_UNDERFLOW = "the balancing kernel a_hat * b_hat^T / n underflows to zero"
 
-    Each row block of uniforms u becomes c ** (2u - 1), is checked as raw
-    scores (``a_raw`` or ``b_raw``), normalised and checked as canonical
-    scores (``a_hat`` or ``b_hat``) while it is in cache.  ``out`` may be a
-    column slice of a wider array.
+
+def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> KernelMarket:
+    """The market ``backfill_imbalanced(random_cbounded_market(n - k, c_target, seed, n), k)``,
+    held as its balancing kernel.
+
+    k = 0 gives the square ``random_cbounded_market(n, c_target, seed)``.
+    Only K = a_hat * b_hat^T / n is held (8 bytes a cell), with each side's
+    row sums: the scores are :class:`CounterScores`, with the held market's
+    bits.  Two score passes on the row-block threads build K: each row block
+    of the women's scores is written transposed into K, then each of the
+    men's is multiplied in and divided by n.  Every block is checked as the
+    constructors check it.  Raises NonPositiveEntry if an entry of K
+    underflows to zero.
     """
-    raw_name, name = f"{side}_raw", f"{side}_hat"
-    # np.power runs faster on a row of c than on the scalar, with the same bits.
-    base = np.full(out.shape[1], float(c_target))
-    worst: list[float] = []  # list.append is atomic under the interpreter lock
+    m = n - k
+    _check_backfill(m, k, n)
+    _check_cbounded(m, n, c_target)
+    kernel = np.empty((n, n))
+    resums = np.empty(n) if k else None
+    worst: list[float] = [0.0]
 
-    def score_rows(rows, raw, _spare):
-        raw *= 2.0
-        raw -= 1.0
-        np.power(base, raw, out=raw)
-        _check_scores(name, _normalized(raw_name, raw, in_place=True))
-        worst.append(_row_sum_deviation(raw))
+    def women(rows, block):
+        if k:
+            # The dummies' columns appended and the rows normalised again,
+            # as backfill_imbalanced does.
+            wide = np.empty((block.shape[0], n))
+            wide[:, :m] = block
+            wide[:, m:] = 1.0 / m
+            resums[rows] = _row_sums("b_raw", _check_scores("b_raw", wide))[:, 0]
+            wide /= resums[rows, None]
+            worst.append(_row_sum_deviation(_check_scores("b_hat", wide)))
+            block = wide
+        kernel[:, rows] = block.T
 
-    unit_uniforms(stream_key(seed, raw_name), out.shape, consume=score_rows, out=out)
-    _check_normalized(name, max(worst))
+    def men(rows, block):
+        _multiply_in(kernel[rows], block, n)
+
+    b_sums = _cbounded_pass(seed, "b", (n, m), c_target, women)
+    _check_normalized("b_hat", max(worst))
+    a_sums = _cbounded_pass(seed, "a", (m, n), c_target, men)
+    if k:
+        _multiply_in(kernel[m:], 1.0 / n, n)
+    return KernelMarket(
+        CounterScores(stream_key(seed, "a_raw"), c_target, (n, n), n, a_sums, fill=1.0 / n),
+        CounterScores(
+            stream_key(seed, "b_raw"), c_target, (n, n), m, b_sums, fill=1.0 / m, resums=resums
+        ),
+        kernel,
+    )
+
+
+def _multiply_in(part: np.ndarray, scores: np.ndarray | float, n: int) -> None:
+    """Rows of K holding b_hat^T times the men's scores, then divided by n, in place."""
+    part *= scores
+    part /= n
+    if not part.min() > 0.0:
+        raise NonPositiveEntry(_UNDERFLOW)
 
 
 def _check_backfill(n_men: int, k: int, n_women: int) -> None:
@@ -500,20 +685,6 @@ def _check_backfill(n_men: int, k: int, n_women: int) -> None:
         raise ShapeMismatch(
             f"backfill needs n_men + k == n_women, got {n_men} + {k} != {n_women}"
         )
-
-
-def _backfilled(a: np.ndarray, b: np.ndarray, m: int) -> CanonicalMarket:
-    """The square market whose m real men's scores are a's first m rows and b's first m columns.
-
-    The dummies' scores are written into the other rows of ``a`` and columns
-    of ``b``, and b's rows are normalised, in place.  A one-row ``a`` or
-    ``b`` is the row every agent of its side shares, and is broadcast.
-    """
-    n = a.shape[1]
-    a[m:] = 1.0 / n
-    b[:, m:] = 1.0 / m
-    b = _normalized("b_raw", b, in_place=True)
-    return CanonicalMarket(*(np.broadcast_to(s, (n, n)) if s.shape[0] == 1 else s for s in (a, b)))
 
 
 def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
@@ -540,9 +711,12 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
         # the kernel's layout sets Sinkhorn's bits.
         a = np.empty((n, n))
         a[:m] = market.a_hat
+        a[m:] = 1.0 / n
     b = np.empty((b_rows.shape[0], n))
     b[:, :m] = b_rows
-    return _backfilled(a, b, m)
+    b[:, m:] = 1.0 / m
+    b = _normalized("b_raw", b, in_place=True)
+    return CanonicalMarket(*(np.broadcast_to(s, (n, n)) if s.shape[0] == 1 else s for s in (a, b)))
 
 
 # --- matrix file format ------------------------------------------------------

@@ -16,6 +16,9 @@ not be stored at all: :func:`exponential_blocks` hands each block to a
 consumer, and :func:`exponential_cells` draws the cells at chosen (row,
 column) pairs from their counters alone.  Blocks and cells share one copy of
 the per-cell arithmetic, so a cell has the same bits however it is drawn.
+Nor need the rates be stored: a :class:`CounterRates` source draws each
+block's or cell's rates again from uniforms at their own counters, and
+where those are the values' counters the two draws share the first mix.
 
 The fill is the one stage that runs on threads, through
 :func:`map_row_blocks`: the counter draw of every screened pass, score build
@@ -129,7 +132,9 @@ def single_threaded_blas() -> Iterator[None]:
         set_(saved)
 
 
-def map_row_blocks(fn: Callable, nrows: int, ncols: int, scratch: Callable) -> None:
+def map_row_blocks(
+    fn: Callable, nrows: int, ncols: int, scratch: Callable, cells: int = BLOCK
+) -> None:
     """Call ``fn(blocks, scratch())`` on the row blocks of an nrows x ncols matrix.
 
     ``fn`` walks the blocks it is given in order; each block must write only
@@ -151,7 +156,7 @@ def map_row_blocks(fn: Callable, nrows: int, ncols: int, scratch: Callable) -> N
     keep them between calls.
     """
     threads = _budget or usable_cores()
-    blocks = row_blocks(nrows, ncols)
+    blocks = row_blocks(nrows, ncols, cells)
     if threads > 1:
         blocks = list(blocks)
         threads = min(threads, len(blocks))
@@ -243,28 +248,58 @@ def _counter_words(z: np.ndarray, first: int) -> None:
     np.add(_STEPS[:rest], heads[whole], out=z[whole * _CHUNK :])
 
 
-def _cell_values(
-    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
-    rates: np.ndarray | None, neg_scale: np.ndarray | None,
-) -> None:
-    """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
+class CounterRates:
+    """Rates that are drawn again from their own uniforms rather than held.
 
-    z holds ``(counter + 1) * golden`` per cell of ``out``, and t is scratch
-    of z's size; ``out`` may be t's float view.  Both are spent: the hash
-    runs in z with t as its scratch, and once its words are converted into
-    ``out``, z holds the rate product.  Given ``neg_scale``, a cell's rate
-    is ``-neg_scale * rates``, and its draw ``log(u) / (neg_scale * rates)``:
-    the same bits as ``-log(u)`` over a materialised rate matrix.  Row
-    blocks and gathered cells both come here, so a cell has the same bits
-    however it is drawn.
+    A subclass sets ``key``, ``shape`` and ``width``: the rate of cell (i, j)
+    of the ``shape`` grid is a function of row i and of the uniform of
+    ``key`` at counter ``i * width + j`` (garbage where j >= width), and it
+    turns those uniforms into rates in place, by rows (:meth:`rows`) and by
+    gathered cells (:meth:`cells`).  The rates read the same either way.
     """
-    _mix(z, t)
+
+    key: int
+    shape: tuple[int, int]
+    width: int
+
+    def rows(self, rows: slice, out: np.ndarray) -> None:
+        """Rewrite ``out[:, :width]``, the uniforms of ``rows``, into out's rates."""
+        raise NotImplementedError
+
+    def cells(self, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+        """Rewrite ``out``, the uniforms of cells (r, c) broadcast together, into their rates."""
+        raise NotImplementedError
+
+
+def _unit_floats(z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray) -> None:
+    """Write into ``out`` key's uniforms of z's counter words, once mixed.
+
+    t is scratch of z's size, and ``out`` may be t's or z's float view.
+    """
     z ^= key
     _mix(z, t)
     z >>= _U64(11)
     # Every word is below 2^53, so the int64 view converts exactly.
     np.add(z.view(np.int64).reshape(out.shape), 0.5, out=out)
     out *= 2.0**-53
+
+
+def _cell_values(
+    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
+    rates: np.ndarray | None, neg_scale: np.ndarray | None,
+) -> None:
+    """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
+
+    z holds ``(counter + 1) * golden`` per cell of ``out``, once mixed
+    (``_mix``), and t is scratch of z's size; ``out`` may be t's float
+    view.  Both are spent: the hash runs in z with t as its scratch, and
+    once its words are converted into ``out``, z holds the rate product.
+    Given ``neg_scale``, a cell's rate is ``-neg_scale * rates``, and its
+    draw ``log(u) / (neg_scale * rates)``: the same bits as ``-log(u)``
+    over a materialised rate matrix.  Row blocks and gathered cells both
+    come here, so a cell has the same bits however it is drawn.
+    """
+    _unit_floats(z, t, key, out)
     if rates is None:
         return
     np.log(out, out=out)
@@ -279,8 +314,37 @@ def _cell_values(
             out /= product
 
 
+def _counter_rows(
+    source: CounterRates, rows: slice, z: np.ndarray | None, t: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """The rates of ``rows``, drawn into r's float view of the block's shape.
+
+    Given z, the block's counter words once mixed, the rates' uniforms sit
+    at the same counters and share that mix; else their counter words are
+    made and mixed here.  t is scratch, and z is left as it was.
+    """
+    nrows, width = rows.stop - rows.start, source.width
+    out = r.view(np.float64).reshape(nrows, source.shape[1])
+    if z is not None:
+        words, scratch = r, t
+        np.copyto(words, z)
+    else:
+        words, scratch = t[: nrows * width], r[: nrows * width]
+        _counter_words(words, rows.start * width)
+        _mix(words, scratch)
+    _unit_floats(words, scratch, _U64(source.key), out[:, :width])
+    source.rows(rows, out)
+    return out
+
+
+# Cells per block of a walk whose rates are drawn by counter: its three
+# buffers take 768 KiB, less than the two of a held-rate walk, at the same
+# one-thread speed at n = 1000.
+_COUNTED_BLOCK = BLOCK // 2
+
+
 def _fill(
-    key: int, offset: int, shape: tuple[int, ...], rates: np.ndarray | None,
+    key: int, offset: int, shape: tuple[int, ...], rates: np.ndarray | CounterRates | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
     consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
 ) -> None:
@@ -289,83 +353,99 @@ def _fill(
     Flat cell c gets counter offset + c.  The cells are walked in row blocks
     of about BLOCK cells (a 1-d grid counts as one column), so any blocking
     yields the same bits.  Each walk reuses two uint64 buffers of a block's
-    size.  A block is written into its rows of ``out``, or, without ``out``,
-    into the spent hash scratch; then ``consume(rows, block, spare)`` is
-    called on it, with ``spare`` the other buffer, spent, as floats of the
-    block's shape that the consumer may overwrite.  Every step writes in
-    place, so the only full-size array is ``out``.
+    size, or, for the rates of a :class:`CounterRates` source, three of half
+    that size.  A block is written into its rows of ``out``, or, without
+    ``out``, into the spent hash scratch; then ``consume(rows, block,
+    spare)`` is called on it, with ``spare`` the other buffer, spent, as
+    floats of the block's shape that the consumer may overwrite.  Every
+    step writes in place, so the only full-size array is ``out``.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
     grid = None if out is None else out.reshape(nrows, ncols)
-    if rates is not None:
+    counted = isinstance(rates, CounterRates)
+    if rates is not None and not counted:
         rates = rates.reshape(nrows, ncols)
+    # The rates' uniforms at the values' counters share their first mix.
+    shared = counted and offset == 0 and rates.width == ncols
     key = _U64(key)
-    size = min(nrows * ncols, max(1, BLOCK // ncols) * ncols)
+    cells = _COUNTED_BLOCK if counted else BLOCK
+    size = min(nrows * ncols, max(1, cells // ncols) * ncols)
 
-    def scratch() -> tuple[np.ndarray, np.ndarray]:
-        z = np.empty(size, dtype=np.uint64)
-        return z, np.empty_like(z)
+    def scratch() -> tuple[np.ndarray, ...]:
+        return tuple(np.empty(size, dtype=np.uint64) for _ in range(3 if counted else 2))
 
-    def fill_rows(blocks: Iterable[slice], buffers: tuple[np.ndarray, np.ndarray]) -> None:
-        z, t = buffers
+    def fill_rows(blocks: Iterable[slice], buffers: tuple[np.ndarray, ...]) -> None:
+        z, t = buffers[:2]
         for rows in blocks:
             k = (rows.stop - rows.start) * ncols
             zb, tb, start = z[:k], t[:k], rows.start * ncols
             ob = tb.view(np.float64).reshape(-1, ncols) if grid is None else grid[rows]
             _counter_words(zb, offset + start)
+            _mix(zb, tb)
             _cell_values(
                 zb, tb, key, ob,
-                None if rates is None else rates[rows],
+                _counter_rows(rates, rows, zb if shared else None, tb, buffers[2][:k])
+                if counted else None if rates is None else rates[rows],
                 None if scale is None else np.negative(scale[rows, None]),
             )
             if consume is not None:
                 consume(rows, ob, zb.view(np.float64).reshape(ob.shape))
 
-    map_row_blocks(fill_rows, nrows, ncols, scratch)
+    map_row_blocks(fill_rows, nrows, ncols, scratch, cells)
 
 
 def unit_uniforms(
-    key: int, shape: int | tuple[int, ...], offset: int = 0,
-    consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
-    out: np.ndarray | None = None,
+    key: int, shape: int | tuple[int, ...], offset: int = 0, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform draws in the open interval (0, 1) at counters offset, offset + 1, ...
 
     Values are centered on (k + 0.5) * 2^-53, so 0 and 1 are unreachable and
-    logs of either tail stay finite.  Given ``consume``, ``consume(rows,
-    block, spare)`` is called on each row block of the result right after it
-    is drawn, on the thread that drew it, and may rewrite the block in place
-    and overwrite ``spare``, float scratch of the block's shape.  Given
-    ``out``, a float array of the shape (a 2-d one may be a column slice of
-    a wider array), the draws are written into it and it is returned.
+    logs of either tail stay finite.  Given ``out``, a float array of the
+    shape (a 2-d one may be a column slice of a wider array), the draws are
+    written into it and it is returned.
     """
     if out is None:
         out = np.empty(shape)
-    _fill(key, offset, out.shape, None, None, out=out, consume=consume)
+    _fill(key, offset, out.shape, None, None, out=out)
     return out
 
 
+def uniform_blocks(
+    key: int, shape: tuple[int, int], consume: Callable[[slice, np.ndarray, np.ndarray], None]
+) -> None:
+    """``consume(rows, block, spare)`` on each row block of ``unit_uniforms(key, shape)``.
+
+    As :func:`exponential_blocks`: the blocks run on the thread budget, each
+    in a buffer of its walk's, valid only during the call, that the
+    consumer may rewrite in place, and so is ``spare``, float scratch of the
+    block's shape; no full-size array is allocated.
+    """
+    _fill(key, 0, shape, None, None, consume=consume)
+
+
 def _exponential_rates(
-    rates: np.ndarray, scale: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    rates = np.asarray(rates, dtype=np.float64)
+    rates: np.ndarray | CounterRates, scale: np.ndarray | None
+) -> tuple[np.ndarray | CounterRates, np.ndarray | None]:
+    if not isinstance(rates, CounterRates):
+        rates = np.asarray(rates, dtype=np.float64)
     if scale is not None:
         scale = np.asarray(scale, dtype=np.float64)
-        if rates.ndim != 2 or scale.shape != rates.shape[:1]:
+        if len(rates.shape) != 2 or scale.shape != rates.shape[:1]:
             raise ValueError("scale needs one entry per row of a 2-d rate matrix")
     return rates, scale
 
 
 def exponentials(
-    key: int, rates: np.ndarray, scale: np.ndarray | None = None
+    key: int, rates: np.ndarray | CounterRates, scale: np.ndarray | None = None
 ) -> np.ndarray:
     """Exponential draws with the given (elementwise) rates, one counter per cell.
 
     Cell (i, j) of a matrix of rates always consumes counter i*ncols + j,
     regardless of how many draws are requested elsewhere.  Given ``scale``,
     the rate of cell (i, j) is ``scale[i] * rates[i, j]``, and ``rates`` may
-    be a broadcast view: no rate matrix is materialised.
+    be a broadcast view or a :class:`CounterRates` source: no rate matrix is
+    materialised.
     """
     rates, scale = _exponential_rates(rates, scale)
     out = np.empty(rates.shape)
@@ -374,8 +454,8 @@ def exponentials(
 
 
 def exponential_blocks(
-    key: int, rates: np.ndarray, consume: Callable[[slice, np.ndarray, np.ndarray], None],
-    scale: np.ndarray | None = None,
+    key: int, rates: np.ndarray | CounterRates,
+    consume: Callable[[slice, np.ndarray, np.ndarray], None], scale: np.ndarray | None = None,
 ) -> None:
     """``consume(rows, block, spare)`` on each row block of ``exponentials(key, rates, scale)``.
 
@@ -388,13 +468,47 @@ def exponential_blocks(
     _fill(key, 0, rates.shape, rates, scale, consume=consume)
 
 
-# Cells per block of a gather: its two uint64 buffers take 128 KiB whatever
-# it gathers, a fixed cost beside tables of n x 64 cells.
+# Cells per block of a gather: its two uint64 buffers (three for counter
+# rates) take 128 KiB (192) whatever it gathers, a fixed cost beside tables
+# of n x 64 cells.
 _GATHER_BLOCK = BLOCK // 8
 
 
+def _cell_words(
+    z: np.ndarray, rows: np.ndarray, cols: np.ndarray, ncols: int, shape: tuple[int, ...]
+) -> None:
+    """Write into z the words ``(c + 1) * golden`` of counters c = rows * ncols + cols."""
+    # Counters are below 2^63, so the int64 view holds them exactly; the
+    # product is taken in int64 whatever the indices' type.
+    counter = z.view(np.int64).reshape(shape)
+    np.multiply(rows, ncols, out=counter, dtype=np.int64)
+    counter += cols
+    counter += 1
+    z *= _GOLDEN
+
+
+def _counter_cells(
+    source: CounterRates, rows: np.ndarray, cols: np.ndarray, z: np.ndarray | None,
+    t: np.ndarray, words: np.ndarray, shape: tuple[int, ...],
+) -> np.ndarray:
+    """The rates of cells (rows, cols), drawn into the float view of ``words``.
+
+    As :func:`_counter_rows`: given z, the cells' counter words once mixed
+    are shared; t is scratch.
+    """
+    if z is not None:
+        np.copyto(words, z)
+    else:
+        _cell_words(words, rows, cols, source.width, shape)
+        _mix(words, t)
+    out = words.view(np.float64).reshape(shape)
+    _unit_floats(words, t, _U64(source.key), out)
+    source.cells(rows, cols, out)
+    return out
+
+
 def exponential_cells(
-    key: int, rates: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    key: int, rates: np.ndarray | CounterRates, rows: np.ndarray, cols: np.ndarray,
     scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """``exponentials(key, rates, scale=scale)[rows, cols]``, drawn from the cells' counters alone.
@@ -405,9 +519,11 @@ def exponential_cells(
     against a column of rows is read in place, and no full-size index array
     is made.  Only the chosen cells are drawn, each with the bits of the
     full draw; each rate is read once, from the one row of a broadcast rate
-    view.
+    view, or drawn again from a :class:`CounterRates` source.
     """
     rates, scale = _exponential_rates(rates, scale)
+    counted = isinstance(rates, CounterRates)
+    shared = counted and rates.width == rates.shape[1]
     rows, cols = np.asarray(rows), np.asarray(cols)
     out = np.empty(np.broadcast_shapes(rows.shape, cols.shape))
     # A 0-d result counts as one cell.  Each index gets the result's axes, so
@@ -416,20 +532,18 @@ def exponential_cells(
     rows, cols = (a.reshape((1,) * (grid.ndim - a.ndim) + a.shape) for a in (rows, cols))
     width = math.prod(grid.shape[1:])
     key = _U64(key)
-    z = np.empty(min(grid.size, max(1, _GATHER_BLOCK // max(width, 1)) * width), dtype=np.uint64)
-    t = np.empty_like(z)
+    size = min(grid.size, max(1, _GATHER_BLOCK // max(width, 1)) * width)
+    z, t, *words = (np.empty(size, dtype=np.uint64) for _ in range(3 if counted else 2))
     for block in row_blocks(grid.shape[0], width, _GATHER_BLOCK):
         r, c = (a if a.shape[0] == 1 else a[block] for a in (rows, cols))
         ob = grid[block]
-        zb = z[: ob.size]
-        # Counters are below 2^63, so the int64 view holds them exactly; the
-        # product is taken in int64 whatever the indices' type.
-        counter = zb.view(np.int64).reshape(ob.shape)
-        np.multiply(r, rates.shape[1], out=counter, dtype=np.int64)
-        counter += c
-        counter += 1
-        zb *= _GOLDEN
-        _cell_values(zb, t[: ob.size], key, ob,
-                     rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
-                     None if scale is None else np.negative(scale.take(r)))
+        zb, tb = z[: ob.size], t[: ob.size]
+        _cell_words(zb, r, c, rates.shape[1], ob.shape)
+        _mix(zb, tb)
+        _cell_values(
+            zb, tb, key, ob,
+            _counter_cells(rates, r, c, zb if shared else None, tb, words[0][: ob.size], ob.shape)
+            if counted else rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
+            None if scale is None else np.negative(scale.take(r)),
+        )
     return out

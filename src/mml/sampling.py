@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
-from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
+from .market import BalancedMarket, CanonicalMarket, KernelMarket, sinkhorn_balance
+from .rng import CounterRates
 from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks, stream_key
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
@@ -84,7 +85,9 @@ class LatentValues:
         _screen_matrix("Y", y)
 
 
-def sample_latent(market: BalancedMarket | CanonicalMarket, seed: int) -> LatentValues:
+def sample_latent(
+    market: BalancedMarket | CanonicalMarket | KernelMarket, seed: int
+) -> LatentValues:
     """Draw one matrix of values per side from per-cell streams of ``seed``."""
     x, y = latent_streams(market, seed)
     return LatentValues(
@@ -100,11 +103,15 @@ class ValueStream:
     Cell (i, j) is ``Exp(scale[i] * rates[i, j])`` at counter
     ``i * ncols + j`` of ``key`` (a None scale leaves the rates as they are):
     the cell of :func:`sample_latent`'s matrix ``name``, with its bits.
+    The rates are held (a broadcast row or a matrix) or drawn again by
+    counter (a :class:`~mml.rng.CounterRates` source, the scores of a market
+    held as its kernel), and read the same way: a pass draws each block's
+    rates beside its values, and a gather its cells'.
     """
 
     name: str
     key: int
-    rates: np.ndarray
+    rates: np.ndarray | CounterRates
     scale: np.ndarray | None
 
     @property
@@ -160,7 +167,7 @@ class ValueStream:
 
 
 def latent_streams(
-    market: BalancedMarket | CanonicalMarket, seed: int
+    market: BalancedMarket | CanonicalMarket | KernelMarket, seed: int
 ) -> tuple[ValueStream, ValueStream]:
     """The streams of the men's values X and the women's values Y of ``seed``.
 
@@ -169,7 +176,7 @@ def latent_streams(
     rates: preferences depend only on within-row rate ratios, so the
     preference law is the same.
     """
-    if isinstance(market, CanonicalMarket) and market.is_square:
+    if not isinstance(market, BalancedMarket) and market.is_square:
         market = sinkhorn_balance(market)
     phi, psi = (market.phi, market.psi) if isinstance(market, BalancedMarket) else (None, None)
     return (

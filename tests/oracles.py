@@ -115,10 +115,13 @@ def strided_mutual_matmul(bal: BalancedMarket, y: np.ndarray) -> np.ndarray:
     return (out.T * (bal.phi / bal.n)).T
 
 
-def held_kernel_balance(market: CanonicalMarket, tol: float = 1e-10) -> BalancedMarket:
-    """Sinkhorn's sweeps as whole products of the held kernel ``a_hat * b_hat^T / n``."""
+def held_kernel_balance(market, tol: float = 1e-10) -> BalancedMarket:
+    """Sinkhorn's sweeps as whole products of the held kernel ``a_hat * b_hat^T / n``.
+
+    A market held as its kernel has its scores materialised first.
+    """
     n = market.n_men
-    kernel = market.a_hat * market.b_hat.T
+    kernel = np.asarray(market.a_hat) * np.asarray(market.b_hat).T
     kernel /= n
     ks = kernel @ np.ones(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

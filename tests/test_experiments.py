@@ -45,6 +45,7 @@ from mml.rng import usable_cores
 from oracles import bounds_run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 FULL_CONFIG = """
 # exercise every key the parser knows about
@@ -511,6 +512,27 @@ def test_uniform_trial_holds_only_its_two_value_matrices():
     assert peak < 2.5 * 8 * n * n
 
 
+def test_cbounded_trial_holds_only_its_kernel():
+    # A C-bounded trial holds its balancing kernel, 8 bytes a cell, and draws
+    # its scores again by counter wherever it reads them: beside the kernel,
+    # only DA's tables, the walks' block buffers and the gathers' scratch.
+    # Holding both sides' scores (and the offsets of the kernel written over
+    # the men's) read about 18.7 MB here.
+    n = 1000
+    cfg = parse_config(
+        TINY_VALUE_DIST.replace("n = 30", f"n = {n}")
+        .replace("value_dist", "rank_dist").replace("market = uniform", "market = cbounded")
+    )
+    run_trial(cfg, 0)
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n + 4_000_000, f"{peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("experiment", ["value_dist", "rank_dist", "hyperbola",
                                         "approx_stable", "imbalance"])
 @pytest.mark.parametrize("market", ["uniform", "public_scores", "cbounded"])
@@ -690,37 +712,14 @@ print(peak, experiments.memory_estimate(cfg, threads))
 """
 
 
-PEAK_CONFIGS = {p.stem: p.read_text(encoding="utf-8") for p in sorted(CONFIG_DIR.glob("*.cfg"))}
-# Added men are most of this market: the allocator keeps the most between its
-# trials, beside a kernel and stacked men's scores that are rebuilt each trial.
-PEAK_CONFIGS["imbalance_public_scores_k1500"] = """
-experiment = imbalance
-market = public_scores
-n = 2000
-k = 1500
-trials = 3
-master_seed = 7
-"""
-# A C-bounded market backfilled in its square stacks: the model counts the
-# balance's 17 bytes a cell.
-PEAK_CONFIGS["imbalance_cbounded_n1500"] = """
-experiment = imbalance
-market = cbounded
-n = 1500
-k = 10
-trials = 3
-master_seed = 601
-"""
-# Public scores at c = 100: the least fit proposers walk deep, and the model's
-# deep-walk term follows c.
-PEAK_CONFIGS["value_dist_public_scores_c100"] = """
-experiment = value_dist
-market = public_scores
-c = 100
-n = 4000
-trials = 3
-master_seed = 3
-"""
+# Every shipped config, and the test configs that reach what no shipped one
+# does: a crowded backfilled public-scores market, backfilled C-bounded ones
+# and public scores at c = 100.
+PEAK_CONFIGS = {
+    p.stem: p.read_text(encoding="utf-8")
+    for directory in (CONFIG_DIR, TEST_CONFIG_DIR)
+    for p in sorted(directory.glob("*.cfg"))
+}
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")

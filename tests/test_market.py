@@ -22,6 +22,7 @@ from mml.market import (
     _kernel_over_scores,
     backfill_imbalanced,
     canonical_from_raw,
+    cbounded_kernel_market,
     public_scores_market,
     random_cbounded_market,
     read_market,
@@ -30,7 +31,15 @@ from mml.market import (
     uniform_market,
     write_matrix_pair,
 )
-from mml.rng import row_blocks, single_threaded_blas, stream_key, thread_budget, unit_uniforms
+from mml.rng import (
+    exponential_cells,
+    exponentials,
+    row_blocks,
+    single_threaded_blas,
+    stream_key,
+    thread_budget,
+    unit_uniforms,
+)
 from oracles import separate_kernel_balance, two_pass_cbounded_market
 
 BUDGETS = (1, 2, 3)
@@ -474,30 +483,91 @@ def test_backfill_dummy_weights():
 
 
 @pytest.mark.parametrize("n, k, c", [(2, 1, 2.0), (65, 10, 3.0), (300, 7, 10.0), (1001, 500, 1e6)])
-def test_cbounded_market_backfilled_in_place_matches_the_stacked_one(n, k, c):
+def test_backfilled_counter_scores_match_the_stacked_ones(n, k, c):
     real = random_cbounded_market(n - k, c, seed=n, n_women=n)
     b_raw = np.hstack([real.b_hat, np.full((n, k), 1.0 / (n - k))])
     stacked = (np.vstack([real.a_hat, np.full((k, n), 1.0 / n)]),
                b_raw / b_raw.sum(axis=1, keepdims=True))
-    in_place = random_cbounded_market(n - k, c, n, n_women=n, k=k)
-    for market in (in_place, backfill_imbalanced(real, k)):
+    counted = cbounded_kernel_market(n, c, n, k)
+    for market in (counted, backfill_imbalanced(real, k)):
         for got, want in zip((market.a_hat, market.b_hat), stacked):
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
+            assert np.asarray(got).tobytes() == want.tobytes()
 
 
-def test_cbounded_market_backfilled_in_place_holds_only_the_stacks():
-    # The two n x n stacks and two row-block buffers: drawing the real market
-    # apart and stacking it took 32 bytes a cell.
-    n, k = 1000, 10
-    tracemalloc.start()
-    try:
-        with thread_budget(1):
-            random_cbounded_market(n - k, 2.0, 8, n_women=n, k=k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * n * n + 64 * n * 32
+def held_cbounded(n, c, seed, k):
+    """The held market whose scores ``cbounded_kernel_market(n, c, seed, k)`` draws by counter."""
+    return backfill_imbalanced(random_cbounded_market(n - k, c, seed, n_women=n), k)
+
+
+def kernel_cases():
+    for n in (1, 64, 65, 257, 1001):
+        for k in sorted({0, *(k for k in (1, n // 2) if 0 < k < n)}):
+            yield n, k
+
+
+@pytest.mark.parametrize("c", [2.0, 10.0, 1e6])
+@pytest.mark.parametrize("n, k", list(kernel_cases()))
+def test_counter_rows_and_cells_equal_the_held_scores(n, k, c):
+    held = held_cbounded(n, c, n, k)
+    rng = np.random.default_rng(n + k)
+    # A column of rows against a table of columns, as the gathers read them,
+    # and single cells.
+    rows, cols = rng.integers(0, n, (70, 1)), rng.integers(0, n, (70, 5))
+    fitness = rng.uniform(0.5, 2.0, n)
+    for budget in BUDGETS[:2]:
+        with thread_budget(budget):
+            counted = cbounded_kernel_market(n, c, n, k)
+            for source, scores in ((counted.a_hat, held.a_hat), (counted.b_hat, held.b_hat)):
+                scores = np.ascontiguousarray(scores)
+                assert np.asarray(source).tobytes() == scores.tobytes()
+                # The rates of every row block and of gathered cells: the
+                # values divide by them, so equal values mean equal rates.
+                for scale in (None, fitness):
+                    assert (exponentials(9, source, scale).tobytes()
+                            == exponentials(9, scores, scale).tobytes())
+                    for r, c_ in ((rows, cols), (rows[:, 0], cols[:, 0]), (n - 1, 0)):
+                        assert (exponential_cells(9, source, r, c_, scale).tobytes()
+                                == exponential_cells(9, scores, r, c_, scale).tobytes())
+
+
+@pytest.mark.parametrize("c", [2.0, 10.0, 1e6])
+@pytest.mark.parametrize("n, k", list(kernel_cases()))
+def test_kernel_built_balance_equals_the_held_balance(n, k, c):
+    held = held_cbounded(n, c, n, k)
+    counted = cbounded_kernel_market(n, c, n, k)
+    kernel = np.ascontiguousarray(held.a_hat) * held.b_hat.T
+    kernel /= n
+    assert counted.kernel.tobytes() == kernel.tobytes()
+    with single_threaded_blas():
+        bal = sinkhorn_balance(counted)
+        assert balance_bits(bal) == balance_bits(sinkhorn_balance(held))
+    assert bal.kernel is counted.kernel
+    # M @ y from the kernel against the materialised M.
+    y = np.random.default_rng(n).uniform(0.1, 3.0, (n, 2))
+    np.testing.assert_allclose(bal.mutual_matmul(y), bal.M @ y, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(bal.mutual_matmul(y[:, 0]), bal.M @ y[:, 0], rtol=1e-13, atol=0)
+
+
+def test_kernel_market_holds_only_its_kernel():
+    # The kernel, 8 bytes a cell, and a walk's two block buffers: the held
+    # scores took 16, and a backfilled market's stacks as much.
+    n = 1000
+    for k in (0, 10):
+        tracemalloc.start()
+        try:
+            with thread_budget(1):
+                cbounded_kernel_market(n, 2.0, 8, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + 64 * n * 32
+
+
+def test_kernel_that_underflows_is_refused():
+    # Scores spread over c^2 = 1e300 a row: many cells of a man and a woman
+    # who score each other low multiply to below the least subnormal.
+    with pytest.raises(NonPositiveEntry, match="balancing kernel"):
+        cbounded_kernel_market(50, 1e150, 0)
 
 
 def test_backfill_uniform_completes_to_uniform():
@@ -512,9 +582,9 @@ def test_backfill_validation():
     with pytest.raises(ShapeMismatch):
         backfill_imbalanced(uniform_market(3, 5), 1)
     with pytest.raises(ValueError):
-        random_cbounded_market(3, 2.0, 1, n_women=5, k=-1)
+        cbounded_kernel_market(5, 2.0, 1, k=-1)
     with pytest.raises(ShapeMismatch):
-        random_cbounded_market(3, 2.0, 1, n_women=5, k=1)
+        cbounded_kernel_market(5, 2.0, 1, k=5)
 
 
 def test_market_file_round_trip_is_bit_exact(tmp_path):
