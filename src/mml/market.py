@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,29 +182,30 @@ def _raw_scores(u: np.ndarray, base: float | np.ndarray) -> np.ndarray:
 
 def _cbounded_pass(
     seed: int, side: str, shape: tuple[int, int], c_target: float,
-    into: Callable[[slice, np.ndarray], None],
+    into: Callable[[slice, np.ndarray, np.ndarray], None], spare_cols: int | None = None,
 ) -> np.ndarray:
     """Draw one side's canonical C-bounded scores a row block at a time; their raw row sums.
 
     Each block of uniforms u of ``(seed, "a_raw")`` or ``(seed, "b_raw")``
     becomes ``c ** (2u - 1)``, checked as raw scores, then its rows are
     divided by their sums and checked as canonical scores, as the
-    constructors check them, while it is in cache; ``into(rows, block)``
-    then reads it, on the thread that drew it.
+    constructors check them, while it is in cache; ``into(rows, block,
+    spare)`` then reads it, on the thread that drew it, with the walk's
+    float scratch of ``spare_cols`` columns (see :func:`uniform_blocks`).
     """
     base = np.full(shape[1], float(c_target))
     sums = np.empty(shape[0])
     worst: list[float] = []  # list.append is atomic under the interpreter lock
 
-    def score_rows(rows, raw, _spare):
+    def score_rows(rows, raw, spare):
         _check_scores(f"{side}_raw", _raw_scores(raw, base))
         block_sums = _row_sums(f"{side}_raw", raw)
         raw /= block_sums
         worst.append(_row_sum_deviation(_check_scores(f"{side}_hat", raw)))
         sums[rows] = block_sums[:, 0]
-        into(rows, raw)
+        into(rows, raw, spare)
 
-    uniform_blocks(stream_key(seed, f"{side}_raw"), shape, score_rows)
+    uniform_blocks(stream_key(seed, f"{side}_raw"), shape, score_rows, spare_cols)
     _check_normalized(f"{side}_hat", max(worst))
     return sums
 
@@ -229,6 +230,11 @@ class CounterScores(CounterRates):
     sums: np.ndarray
     fill: float = 0.0
     resums: np.ndarray | None = None
+    # The row of c that np.power takes, made once.
+    base: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "base", np.full(self.width, self.c))
 
     @property
     def _dummies(self) -> bool:
@@ -236,7 +242,7 @@ class CounterScores(CounterRates):
 
     def rows(self, rows: slice, out: np.ndarray) -> None:
         drawn = out[: max(0, min(rows.stop, self.sums.size) - rows.start), : self.width]
-        _raw_scores(drawn, np.full(self.width, self.c))
+        _raw_scores(drawn, self.base)
         drawn /= self.sums[rows.start : rows.start + drawn.shape[0], None]
         if self._dummies:
             out[drawn.shape[0] :] = self.fill
@@ -610,7 +616,7 @@ def random_cbounded_market(
     a, b = np.empty((n_men, n_women)), np.empty((n_women, n_men))
     for side, out in (("a", a), ("b", b)):
 
-        def keep(rows, block, out=out):
+        def keep(rows, block, _spare, out=out):
             out[rows] = block
 
         _cbounded_pass(seed, side, out.shape, c_target, keep)
@@ -640,11 +646,10 @@ def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> Ke
     resums = np.empty(n) if k else None
     worst: list[float] = [0.0]
 
-    def women(rows, block):
+    def women(rows, block, wide):
         if k:
             # The dummies' columns appended and the rows normalised again,
-            # as backfill_imbalanced does.
-            wide = np.empty((block.shape[0], n))
+            # as backfill_imbalanced does, in the walk's spare n columns.
             wide[:, :m] = block
             wide[:, m:] = 1.0 / m
             resums[rows] = _row_sums("b_raw", _check_scores("b_raw", wide))[:, 0]
@@ -653,10 +658,10 @@ def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> Ke
             block = wide
         kernel[:, rows] = block.T
 
-    def men(rows, block):
+    def men(rows, block, _spare):
         _multiply_in(kernel[rows], block, n)
 
-    b_sums = _cbounded_pass(seed, "b", (n, m), c_target, women)
+    b_sums = _cbounded_pass(seed, "b", (n, m), c_target, women, n)
     _check_normalized("b_hat", max(worst))
     a_sums = _cbounded_pass(seed, "a", (m, n), c_target, men)
     if k:

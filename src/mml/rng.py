@@ -271,12 +271,15 @@ class CounterRates:
         raise NotImplementedError
 
 
-def _unit_floats(z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray) -> None:
+def _unit_floats(
+    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray, words: np.ndarray | None = None,
+) -> None:
     """Write into ``out`` key's uniforms of z's counter words, once mixed.
 
     t is scratch of z's size, and ``out`` may be t's or z's float view.
+    Given ``words``, the counter words are read from it, and z is scratch.
     """
-    z ^= key
+    np.bitwise_xor(z if words is None else words, key, out=z)
     _mix(z, t)
     z >>= _U64(11)
     # Every word is below 2^53, so the int64 view converts exactly.
@@ -327,12 +330,11 @@ def _counter_rows(
     out = r.view(np.float64).reshape(nrows, source.shape[1])
     if z is not None:
         words, scratch = r, t
-        np.copyto(words, z)
     else:
         words, scratch = t[: nrows * width], r[: nrows * width]
         _counter_words(words, rows.start * width)
         _mix(words, scratch)
-    _unit_floats(words, scratch, _U64(source.key), out[:, :width])
+    _unit_floats(words, scratch, _U64(source.key), out[:, :width], z)
     source.rows(rows, out)
     return out
 
@@ -347,6 +349,7 @@ def _fill(
     key: int, offset: int, shape: tuple[int, ...], rates: np.ndarray | CounterRates | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
     consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
+    spare_cols: int | None = None,
 ) -> None:
     """Draw the uniforms (or, given rates, exponentials) of a ``shape`` grid.
 
@@ -357,8 +360,9 @@ def _fill(
     that size.  A block is written into its rows of ``out``, or, without
     ``out``, into the spent hash scratch; then ``consume(rows, block,
     spare)`` is called on it, with ``spare`` the other buffer, spent, as
-    floats of the block's shape that the consumer may overwrite.  Every
-    step writes in place, so the only full-size array is ``out``.
+    floats of the block's shape (``spare_cols`` columns if given) that the
+    consumer may overwrite.  Every step writes in place, so the only
+    full-size array is ``out``.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
@@ -370,10 +374,12 @@ def _fill(
     shared = counted and offset == 0 and rates.width == ncols
     key = _U64(key)
     cells = _COUNTED_BLOCK if counted else BLOCK
-    size = min(nrows * ncols, max(1, cells // ncols) * ncols)
+    step = min(nrows, max(1, cells // ncols))
+    spare_cols = ncols if spare_cols is None else spare_cols
+    sizes = (step * max(ncols, spare_cols), step * ncols, step * ncols)
 
     def scratch() -> tuple[np.ndarray, ...]:
-        return tuple(np.empty(size, dtype=np.uint64) for _ in range(3 if counted else 2))
+        return tuple(np.empty(size, dtype=np.uint64) for size in sizes[: 3 if counted else 2])
 
     def fill_rows(blocks: Iterable[slice], buffers: tuple[np.ndarray, ...]) -> None:
         z, t = buffers[:2]
@@ -390,7 +396,8 @@ def _fill(
                 None if scale is None else np.negative(scale[rows, None]),
             )
             if consume is not None:
-                consume(rows, ob, zb.view(np.float64).reshape(ob.shape))
+                spare = z[: (rows.stop - rows.start) * spare_cols]
+                consume(rows, ob, spare.view(np.float64).reshape(-1, spare_cols))
 
     map_row_blocks(fill_rows, nrows, ncols, scratch, cells)
 
@@ -412,16 +419,18 @@ def unit_uniforms(
 
 
 def uniform_blocks(
-    key: int, shape: tuple[int, int], consume: Callable[[slice, np.ndarray, np.ndarray], None]
+    key: int, shape: tuple[int, int], consume: Callable[[slice, np.ndarray, np.ndarray], None],
+    spare_cols: int | None = None,
 ) -> None:
     """``consume(rows, block, spare)`` on each row block of ``unit_uniforms(key, shape)``.
 
     As :func:`exponential_blocks`: the blocks run on the thread budget, each
     in a buffer of its walk's, valid only during the call, that the
     consumer may rewrite in place, and so is ``spare``, float scratch of the
-    block's shape; no full-size array is allocated.
+    block's rows and ``spare_cols`` columns (default the block's); no
+    full-size array is allocated.
     """
-    _fill(key, 0, shape, None, None, consume=consume)
+    _fill(key, 0, shape, None, None, consume=consume, spare_cols=spare_cols)
 
 
 def _exponential_rates(
@@ -496,13 +505,11 @@ def _counter_cells(
     As :func:`_counter_rows`: given z, the cells' counter words once mixed
     are shared; t is scratch.
     """
-    if z is not None:
-        np.copyto(words, z)
-    else:
+    if z is None:
         _cell_words(words, rows, cols, source.width, shape)
         _mix(words, t)
     out = words.view(np.float64).reshape(shape)
-    _unit_floats(words, t, _U64(source.key), out)
+    _unit_floats(words, t, _U64(source.key), out, z)
     source.cells(rows, cols, out)
     return out
 

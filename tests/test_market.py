@@ -491,7 +491,11 @@ def test_backfilled_counter_scores_match_the_stacked_ones(n, k, c):
     counted = cbounded_kernel_market(n, c, n, k)
     for market in (counted, backfill_imbalanced(real, k)):
         for got, want in zip((market.a_hat, market.b_hat), stacked):
-            assert np.asarray(got).tobytes() == want.tobytes()
+            # A held stack is C-ordered and writable: the kernel's layout
+            # sets Sinkhorn's bits, and _kernel_over_scores writes K over it.
+            got = np.asarray(got)
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
 
 
 def held_cbounded(n, c, seed, k):
