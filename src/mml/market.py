@@ -19,8 +19,7 @@ read rather than kept.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,10 +97,7 @@ class CanonicalMarket:
     Markets whose rows all agree (uniform, public scores) hold their shared
     row as a read-only broadcast view, so they take O(n) memory.
 
-    The arrays are the caller's, not copies.  ``sinkhorn_balance`` on a dense
-    market writes its balancing kernel into a writable, C-ordered ``a_hat``
-    during the call and restores ``a_hat``, bit for bit, before it returns or
-    raises; no other thread may read the market in the meantime.
+    The arrays are the caller's, not copies.
     """
 
     a_hat: np.ndarray
@@ -383,74 +379,12 @@ class BalancedMarket:
 # products have the bits of the whole ones.  The last block takes the
 # remainder (64 to 127 rows), as a block of 1 to 3 rows would not.
 _KERNEL_ROWS = 64
-# The least positive normal float64.
-_NORMAL = np.finfo(np.float64).tiny
 
 
 def _kernel_blocks(n: int) -> list[slice]:
     """Blocks of 64 consecutive indices of 0..n-1, the last one taking the remainder."""
     stops = [*range(_KERNEL_ROWS, n - _KERNEL_ROWS + 1, _KERNEL_ROWS), n]
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
-
-
-def _kernel_over_scores(market: CanonicalMarket) -> Callable[[], None] | None:
-    """Write the kernel K = a_hat * b_hat^T / n over ``a_hat``; the call that restores it.
-
-    Only a held dense market comes here: a market file's, or a backfilled
-    public-scores stack.  A trial's C-bounded market is built as its kernel
-    (:func:`cbounded_kernel_market`) and holds no scores to write over.
-    ``a_hat`` is rewritten one row block at a time, and each block keeps, in
-    an n x n int8 array, the ulp offset of the old ``a_hat`` from
-    ``K / b_hat^T * n``.  The restore recomputes that quotient from K and
-    ``b_hat`` and adds the offsets, giving ``a_hat`` back bit for bit.
-    Returns None, with ``a_hat`` as it was, if ``a_hat`` is read-only, not
-    C-ordered or shares memory with ``b_hat``, or if an entry of K is below
-    the normal float range; ``a_hat`` is restored too if building raises.
-    """
-    a_hat, b_hat = market.a_hat, market.b_hat
-    if not (a_hat.flags.c_contiguous and a_hat.flags.writeable) or np.may_share_memory(
-        a_hat, b_hat
-    ):
-        return None
-    n = market.n_men
-    offsets = np.empty((n, n), dtype=np.int8)
-    # Two buffers of a row block: b_hat's block transposed into C order, and K's.
-    buffers = np.empty((2, max(1, BLOCK // n) * n))
-    written: list[slice] = []
-
-    def restore() -> None:
-        for rows in written:
-            scores = a_hat[rows]
-            b_t = buffers[0, : scores.size].reshape(scores.shape)
-            np.copyto(b_t, b_hat[:, rows].T)
-            scores /= b_t
-            scores *= n
-            ulps = scores.view(np.int64)
-            ulps += offsets[rows]
-
-    try:
-        for rows in row_blocks(n, n):
-            scores = a_hat[rows]
-            b_t, k = (buffer[: scores.size].reshape(scores.shape) for buffer in buffers)
-            np.copyto(b_t, b_hat[:, rows].T)
-            np.multiply(scores, b_t, out=k)
-            k /= n
-            if not k.min() >= _NORMAL:
-                restore()
-                return None
-            # Four roundings of relative size at most 2^-53 each, none of them
-            # below the normal range: the quotient is within 8 ulps of a_hat.
-            np.divide(k, b_t, out=b_t)
-            b_t *= n
-            np.subtract(
-                scores.view(np.int64), b_t.view(np.int64), out=offsets[rows], casting="unsafe"
-            )
-            np.copyto(scores, k)
-            written.append(rows)
-    except BaseException:
-        restore()
-        raise
-    return restore
 
 
 def _blocked_products(n: int, block: Callable[[slice, slice], np.ndarray]) -> tuple[Callable, Callable]:
@@ -472,63 +406,37 @@ def _blocked_products(n: int, block: Callable[[slice, slice], np.ndarray]) -> tu
     return times, transposed_times
 
 
-@contextmanager
-def _kernel_products(
-    market: CanonicalMarket | KernelMarket,
-) -> Iterator[tuple[Callable, Callable]]:
+def _kernel_products(market: CanonicalMarket | KernelMarket) -> tuple[Callable, Callable]:
     """``v -> K @ v`` and ``v -> K.T @ v`` for the kernel K = a_hat * b_hat^T / n.
 
     The products walk K in blocks of rows (``K @ v``) or of columns
     (``K.T @ v``).  A market held as its kernel gives the blocks as views
-    of it.  When both sides share one row (uniform and public scores),
-    K[i, j] = a[j] * b[i] / n and each block is built from the two rows
-    into one reused buffer, so no n x n array is allocated.  Any other
-    market holds K, and the blocks are views of it.  K is written over
-    ``a_hat`` while the context is open (``_kernel_over_scores``), so a dense
-    balance writes into ``a_hat`` during the call; ``a_hat`` is restored bit
-    for bit when the context exits, by a return or by an exception, and no
-    other thread may read the market until then.  A read-only or
-    non-C-ordered ``a_hat``, or a K with an entry below the normal float
-    range, takes an array of its own instead.  Raises NonPositiveEntry, with
-    ``a_hat`` as it was, if an entry of K underflows to zero.
+    of it.  Any other market builds each block from its scores into one
+    reused buffer, so no n x n array is allocated and the scores are only
+    read: on a market whose sides share one row (uniform and public scores)
+    K[i, j] = a[j] * b[i] / n.  Raises NonPositiveEntry if an entry of K
+    underflows to zero.
     """
     n = market.n_men
     if isinstance(market, KernelMarket):
-        yield _blocked_products(n, lambda rows, cols: market.kernel[rows, cols])
-        return
-    a_rows, b_rows = _distinct_rows(market.a_hat), _distinct_rows(market.b_hat)
-    restore = None
-    if a_rows.shape[0] == b_rows.shape[0] == 1:
-        a, b = a_rows[0], b_rows[0]
-        # Rounding is monotone, so the least entry is the one of the least scores.
-        low = a.min() * b.min() / n
-        buffer = np.empty(max(part.stop - part.start for part in _kernel_blocks(n)) * n)
+        return _blocked_products(n, lambda rows, cols: market.kernel[rows, cols])
+    a_hat, b_hat = market.a_hat, market.b_hat
+    buffer = np.empty(max(part.stop - part.start for part in _kernel_blocks(n)) * n)
 
-        def block(rows: slice, cols: slice) -> np.ndarray:
-            shape = (rows.stop - rows.start, cols.stop - cols.start)
-            out = buffer[: shape[0] * shape[1]].reshape(shape)
-            np.multiply(a[cols], b[rows, None], out=out)
-            out /= n
-            return out
-    else:
-        restore = _kernel_over_scores(market)
-        if restore is None:
-            kernel = market.a_hat * market.b_hat.T
-            kernel /= n
-            low = kernel.min()
-        else:
-            # Every entry of K written over a_hat is normal, so positive.
-            kernel, low = market.a_hat, 1.0
+    def block(rows: slice, cols: slice) -> np.ndarray:
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        out = buffer[: shape[0] * shape[1]].reshape(shape)
+        np.multiply(a_hat[rows, cols], b_hat[cols, rows].T, out=out)
+        out /= n
+        return out
 
-        def block(rows: slice, cols: slice) -> np.ndarray:
-            return kernel[rows, cols]
-    if not low > 0.0:
+    # Rounding is monotone, so no entry of K is below the one of the least
+    # scores, which is K's least entry when the sides share one row.  Only
+    # when it underflows are the blocks read.
+    low = _distinct_rows(a_hat).min() * _distinct_rows(b_hat).min() / n
+    if not (low > 0.0 or min(block(rows, slice(0, n)).min() for rows in _kernel_blocks(n)) > 0.0):
         raise NonPositiveEntry(_UNDERFLOW)
-    try:
-        yield _blocked_products(n, block)
-    finally:
-        if restore is not None:
-            restore()
+    return _blocked_products(n, block)
 
 
 def sinkhorn_balance(
@@ -543,13 +451,9 @@ def sinkhorn_balance(
     that is not positive and finite or a ``max_iters`` below 1 raises ConfigError.
 
     A market held as its kernel (:class:`KernelMarket`) is balanced on that
-    kernel, which the result keeps.  On a held dense market (a market
-    file's, a backfilled public-scores stack) whose ``a_hat`` is writable
-    and C-ordered, the balancing kernel is written over ``a_hat`` during the
-    call (``_kernel_products``), with a 1-byte offset a cell to undo it,
-    instead of taking 8 bytes a cell of its own.  ``a_hat`` is restored, bit
-    for bit, before this returns or raises, whatever it raises; no other
-    thread may read the market in the meantime.
+    kernel, which the result keeps.  Any other market's kernel is built a
+    block at a time from its scores (``_kernel_products``), which are only
+    read, so the result does not depend on how the scores are laid out.
     """
     if not market.is_square:
         raise NonSquare(
@@ -567,9 +471,8 @@ def sinkhorn_balance(
     # after the s update, so a sweep checks the rows, with K @ s serving
     # that check and the next r.  A sweep that overflows reads a non-finite
     # residual and stops, without a warning.
-    with _kernel_products(market) as (times, transposed_times), np.errstate(
-        divide="ignore", over="ignore", invalid="ignore"
-    ):
+    times, transposed_times = _kernel_products(market)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ks = times(np.ones(n))
         for iters in range(1, max_iters + 1):
             r = 1.0 / ks
@@ -712,8 +615,6 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
     if a_rows.shape[0] == 1 and np.array_equal(a_rows, dummy):
         a = dummy
     else:
-        # A dense stack is C-ordered whatever the real scores' layout, and
-        # the kernel's layout sets Sinkhorn's bits.
         a = np.empty((n, n))
         a[:m] = market.a_hat
         a[m:] = 1.0 / n

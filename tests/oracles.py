@@ -24,9 +24,9 @@
 * ``held_kernel_balance``: ``sinkhorn_balance`` on the whole n x n kernel,
   each sweep two full matvecs, the form its blocked products realize.
 * ``separate_kernel_balance``: ``sinkhorn_balance`` with the kernel held in
-  an array of its own, its products walking 64-row blocks (the last taking
-  the remainder), as every dense market balanced before the kernel was
-  written over ``a_hat``.
+  an array of its own, its products walking views of its 64-row blocks (the
+  last taking the remainder), where a held market's products build each
+  block from the scores.
 * ``scalar_ks_exp``: the exact KS distance to Exp(rate), one rate per call.
 * ``loop_truncate_delta``: ``truncate_delta`` with a Python loop over the men.
 * ``profile_table`` / ``exact_laws``: every profile of strict orders of a

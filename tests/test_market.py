@@ -1,6 +1,7 @@
 """Canonical/balanced market construction and the market file format."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from mml.errors import (
 from mml.market import (
     ROW_SUM_TOL,
     CanonicalMarket,
-    _kernel_over_scores,
     backfill_imbalanced,
     canonical_from_raw,
     cbounded_kernel_market,
@@ -34,7 +34,6 @@ from mml.market import (
 from mml.rng import (
     exponential_cells,
     exponentials,
-    row_blocks,
     single_threaded_blas,
     stream_key,
     thread_budget,
@@ -350,8 +349,8 @@ def balance_bits(bal):
     return bal.phi.tobytes(), bal.psi.tobytes(), bal.sinkhorn_iters
 
 
-def assert_balances_in_place(market):
-    """The balance gives a_hat back to the bit, with the separate kernel's phi and psi."""
+def assert_balances_without_writing(market):
+    """The balance leaves a_hat as it was and has the separate kernel's phi and psi."""
     before = market.a_hat.tobytes()
     with single_threaded_blas():
         bal = sinkhorn_balance(market)
@@ -362,25 +361,20 @@ def assert_balances_in_place(market):
 
 @pytest.mark.parametrize("c", [2.0, 10.0, 1e6])
 @pytest.mark.parametrize("n", [1, 64, 65, 257, 1001])
-def test_dense_balance_restores_a_hat_bit_for_bit(n, c):
-    market = random_cbounded_market(n, c, seed=n)
-    # The kernel goes over a_hat, not into an array of its own.
-    restore = _kernel_over_scores(market)
-    assert restore is not None
-    restore()
-    assert_balances_in_place(market)
+def test_dense_balance_leaves_a_hat_as_it_was(n, c):
+    assert_balances_without_writing(random_cbounded_market(n, c, seed=n))
 
 
-def test_backfilled_public_scores_balance_restores_a_hat_bit_for_bit():
+def test_backfilled_public_scores_balance_leaves_a_hat_as_it_was():
     n, k = 300, 200
     u = unit_uniforms(stream_key(5, "public"), 2 * n)
     scores = public_scores_market(10.0 ** (2.0 * u[:n] - 1.0), 10.0 ** (2.0 * u[n + k :] - 1.0))
     market = backfill_imbalanced(scores, k)
     assert market.a_hat.flags.c_contiguous and market.b_hat.strides[0] == 0
-    assert_balances_in_place(market)
+    assert_balances_without_writing(market)
 
 
-def test_balance_restores_a_hat_when_it_does_not_converge():
+def test_balance_leaves_a_hat_as_it_was_when_it_does_not_converge():
     market = random_cbounded_market(300, 10.0, seed=2)
     before = market.a_hat.tobytes()
     with pytest.raises(NoConvergence):
@@ -396,30 +390,37 @@ def cbounded_with_one_small_cell(n, score):
     return canonical_from_raw(a_raw, b_raw)
 
 
-def test_balance_restores_a_hat_when_the_kernel_underflows_mid_build():
-    n = 300
-    # The kernel's last row block underflows after its first one was written.
-    assert len(list(row_blocks(n, n))) > 1
-    market = cbounded_with_one_small_cell(n, 1e-170)
+def test_balance_leaves_a_hat_as_it_was_when_the_kernel_underflows():
+    # Only the kernel's last cell underflows: its blocks are read to the last.
+    market = cbounded_with_one_small_cell(300, 1e-170)
     before = market.a_hat.tobytes()
     with pytest.raises(NonPositiveEntry, match="balancing kernel"):
         sinkhorn_balance(market)
     assert market.a_hat.tobytes() == before
 
 
-def test_a_kernel_below_the_normal_range_is_held_on_its_own():
+def test_a_kernel_below_the_normal_range_balances_as_a_separate_one():
     n = 300
     market = cbounded_with_one_small_cell(n, 1e-154)
     kernel = market.a_hat * market.b_hat.T / n
     assert 0.0 < kernel.min() < np.finfo(np.float64).tiny
-    before = market.a_hat.tobytes()
-    assert _kernel_over_scores(market) is None
-    assert market.a_hat.tobytes() == before
-    assert_balances_in_place(market)
+    assert_balances_without_writing(market)
+
+
+def test_least_scores_that_do_not_meet_leave_the_kernel_positive():
+    n = 300
+    a_raw = np.array(random_cbounded_market(n, 2.0, seed=4).a_hat)
+    b_raw = np.array(random_cbounded_market(n, 2.0, seed=5).b_hat)
+    # The least scores' product underflows, but they are in cells (0, 0) and
+    # (n - 1, n - 1) of K: the blocks are read, and every entry is positive.
+    a_raw[0, 0] = b_raw[-1, -1] = 1e-170
+    market = canonical_from_raw(a_raw, b_raw)
+    assert market.a_hat.min() * market.b_hat.min() / n == 0.0
+    assert_balances_without_writing(market)
 
 
 @pytest.mark.parametrize("layout", ["read-only", "F-ordered", "b_hat is its transpose"])
-def test_a_hat_that_cannot_hold_the_kernel_is_never_written(layout):
+def test_balance_bits_do_not_depend_on_the_scores_layout(layout):
     dense = random_cbounded_market(130, 3.0, seed=6)
     a_hat, b_hat = np.array(dense.a_hat), dense.b_hat
     if layout == "read-only":
@@ -430,14 +431,42 @@ def test_a_hat_that_cannot_hold_the_kernel_is_never_written(layout):
         a_hat = np.full((130, 130), 1.0 / 130)
         b_hat = a_hat.T
     market = CanonicalMarket(a_hat, b_hat)
-    # The kernel takes an array of its own (F-ordered like a_hat in the second
-    # case, which sets other bits than a C-ordered one).
-    assert _kernel_over_scores(market) is None
-    assert_balances_in_place(market)
+    c_ordered = CanonicalMarket(np.array(a_hat, order="C"), np.array(b_hat, order="C"))
+    before = market.a_hat.tobytes()
+    with single_threaded_blas():
+        # The kernel's blocks are built C-ordered whatever the scores' layout.
+        assert balance_bits(sinkhorn_balance(market)) == balance_bits(sinkhorn_balance(c_ordered))
+        assert balance_bits(sinkhorn_balance(c_ordered)) == balance_bits(
+            separate_kernel_balance(c_ordered)
+        )
+    assert market.a_hat.tobytes() == before
 
 
-def test_dense_balance_holds_one_byte_a_cell_beside_the_scores():
-    # Scores 16 bytes a cell, the offsets 1, and two row-block buffers: the
+def test_two_threads_balance_one_dense_market_at_once():
+    market = random_cbounded_market(300, 10.0, seed=7)
+    before = market.a_hat.tobytes()
+    start = threading.Barrier(2)
+    bits = []  # list.append is atomic under the interpreter lock
+
+    def balance():
+        start.wait(timeout=60)
+        for _ in range(3):
+            bits.append(balance_bits(sinkhorn_balance(market)))
+
+    with single_threaded_blas():
+        threads = [threading.Thread(target=balance) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        want = balance_bits(separate_kernel_balance(market))
+    assert bits == [want] * 6
+    assert market.a_hat.tobytes() == before
+
+
+def test_dense_balance_holds_one_block_beside_the_scores():
+    # Scores 16 bytes a cell and one block buffer of up to 127 rows: the
     # separate kernel took 8 bytes a cell more.
     n = 1000
     tracemalloc.start()
@@ -449,7 +478,7 @@ def test_dense_balance_holds_one_byte_a_cell_beside_the_scores():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n * n + 2 * n * n + 64 * n * 32
+    assert peak < 2 * 8 * n * n + 2 * 127 * 8 * n
 
 
 def test_balance_parameter_validation():
@@ -491,8 +520,8 @@ def test_backfilled_counter_scores_match_the_stacked_ones(n, k, c):
     counted = cbounded_kernel_market(n, c, n, k)
     for market in (counted, backfill_imbalanced(real, k)):
         for got, want in zip((market.a_hat, market.b_hat), stacked):
-            # A held stack is C-ordered and writable: the kernel's layout
-            # sets Sinkhorn's bits, and _kernel_over_scores writes K over it.
+            # A held stack is an array of its own, not a view of the real
+            # market's scores.
             got = np.asarray(got)
             assert got.flags.c_contiguous and got.flags.writeable
             assert got.tobytes() == want.tobytes()

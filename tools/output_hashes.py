@@ -3,9 +3,10 @@
 Usage:
     python tools/output_hashes.py [--against FILE] [CONFIG ...]
 
-Runs each config (default: every ``configs/*.cfg``) through ``mml run`` from
-this tree's ``src/``, with ``MML_WORKERS=1`` and ``=2``, each into a new
-temporary directory, and prints one line per output file, sorted:
+Runs each config (default: every ``configs/*.cfg`` and
+``tests/configs/*.cfg``) through ``mml run`` from this tree's ``src/``,
+with ``MML_WORKERS=1`` and ``=2``, each into a new temporary directory,
+and prints one line per output file, sorted:
 
     config workers file sha256
 
@@ -68,7 +69,9 @@ def main(argv: list[str]) -> None:
     parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG")
     parser.add_argument("--against", type=Path, metavar="FILE")
     args = parser.parse_args(argv)
-    configs = args.configs or sorted((ROOT / "configs").glob("*.cfg"))
+    configs = args.configs or [
+        *sorted((ROOT / "configs").glob("*.cfg")), *sorted((ROOT / "tests/configs").glob("*.cfg"))
+    ]
     lines = sorted(line for cfg in configs for w in WORKERS for line in output_hashes(cfg, w))
     if args.against is None:
         print("\n".join(lines))
