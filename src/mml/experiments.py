@@ -27,7 +27,7 @@ from .errors import ConfigError, ShapeMismatch
 from .market import (
     BalancedMarket,
     CanonicalMarket,
-    KernelMarket,
+    _raw_scores,
     backfill_imbalanced,
     cbounded_kernel_market,
     public_scores_market,
@@ -226,7 +226,7 @@ _REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING
 # --- market construction -----------------------------------------------------
 
 
-def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket | KernelMarket:
+def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket:
     """Trial t's square market of ``cfg.n`` agents a side; its last k men are backfilled dummies.
 
     A C-bounded market is held as its balancing kernel, its scores drawn by counter.
@@ -235,8 +235,8 @@ def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket | Ke
     if cfg.market is MarketKind.UNIFORM:
         return backfill_imbalanced(uniform_market(n_men, cfg.n), k)
     if cfg.market is MarketKind.PUBLIC_SCORES:
-        a = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n) - 1.0)
-        b = cfg.c ** (2.0 * unit_uniforms(stream_key(cfg.master_seed, "public_b", t), n_men) - 1.0)
+        a = _raw_scores(unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n), cfg.c)
+        b = _raw_scores(unit_uniforms(stream_key(cfg.master_seed, "public_b", t), n_men), cfg.c)
         return backfill_imbalanced(public_scores_market(a, b), k)
     return cbounded_kernel_market(cfg.n, cfg.c, stream_key(cfg.master_seed, "market", t), k)
 
@@ -345,9 +345,12 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     y.row_max(cfg.n)  # the women never walk: their one pass only screens their values
     matching, outcome = deferred_acceptance(men, Side.MEN)
 
-    # Perturb the stable matching by k random partner swaps.
+    # Perturb the stable matching by k random partner swaps.  A uniform can
+    # round to 1.0 (see unit_uniforms), which would index man n.
     key = stream_key(trial_seed, "swaps")
-    draws = (int(unit_uniforms(key, 1, offset=c)[0] * cfg.n) for c in itertools.count())
+    draws = (
+        min(int(unit_uniforms(key, 1, offset=c)[0] * cfg.n), cfg.n - 1) for c in itertools.count()
+    )
     mu = list(matching.mu)
     for _ in range(cfg.k):
         i1, i2 = next(draws), next(draws)
@@ -491,9 +494,10 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # the size where its rates are drawn by counter), bytes per row and bytes per
 # cell of the n x n stages.  Every trial holds 1.25 KiB per row: a side's best-64 columns
 # and their receivers' values, with what deferred acceptance keeps per agent,
-# or, while a market is balanced, the balancing products' block buffer.  A
-# market balanced every trial (any but the uniform one) adds 12 KiB per row:
-# the tables kept two or three times over by the allocator.  Trials stream
+# or, while a market is balanced or multiplied by M, the kernel products'
+# block buffer.  A market balanced every trial (any but the uniform one)
+# adds 12 KiB per row: the tables kept two or three times over by the
+# allocator.  Trials stream
 # their values, so the n x n terms are what is held: a C-bounded market's
 # balancing kernel, square or backfilled (8), its scores drawn again by
 # counter wherever they are read; a backfilled public-scores market's

@@ -12,10 +12,13 @@ competitive agent.  The leftover scalar gauge (phi, psi) -> (c*phi, psi/c) is
 pinned by making the geometric means of phi and psi equal, which is the unique
 choice that is symmetric between the two sides.
 
-A random C-bounded market in a trial (:func:`cbounded_kernel_market`) is held
-as its balancing kernel alone: every score is a function of its counter and
-of its row's sum (:class:`CounterScores`), so it is drawn again where it is
-read rather than kept.
+A random C-bounded market in a trial (:func:`cbounded_kernel_market`) is a
+canonical market that holds its balancing kernel and no scores: every score
+is a function of its counter and of its row's sum (:class:`CounterScores`),
+so it is drawn again where it is read rather than kept.  Every product with
+the kernel, Sinkhorn's and ``M @ y``'s, walks its blocks through
+``_kernel_products``, which reads them from a held kernel or builds them
+from the scores.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import BLOCK, CounterRates, row_blocks, stream_key, uniform_blocks, unit_uniforms
+from .rng import CounterRates, stream_key, uniform_blocks, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
 
@@ -95,13 +98,19 @@ class CanonicalMarket:
     """Row-stochastic score matrices for the two sides of a market.
 
     Markets whose rows all agree (uniform, public scores) hold their shared
-    row as a read-only broadcast view, so they take O(n) memory.
+    row as a read-only broadcast view, so they take O(n) memory.  A square
+    market built by :func:`cbounded_kernel_market` holds its balancing
+    kernel ``K = a_hat * b_hat^T / n`` as ``kernel`` (8 bytes a cell), and
+    its scores as :class:`CounterScores`: any row or cell of them is drawn
+    again with the held market's bits, and ``np.asarray`` materialises a
+    side.  Every other market's ``kernel`` is None.
 
     The arrays are the caller's, not copies.
     """
 
-    a_hat: np.ndarray
-    b_hat: np.ndarray
+    a_hat: np.ndarray | CounterScores
+    b_hat: np.ndarray | CounterScores
+    kernel: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         a = _check_scores("a_hat", self.a_hat)
@@ -117,11 +126,15 @@ class CanonicalMarket:
         object.__setattr__(self, "b_hat", b)
 
     @classmethod
-    def _checked(cls, a_hat: np.ndarray, b_hat: np.ndarray) -> CanonicalMarket:
-        """A market of scores already checked as the constructor checks them."""
+    def _checked(
+        cls, a_hat: np.ndarray | CounterScores, b_hat: np.ndarray | CounterScores,
+        kernel: np.ndarray | None = None,
+    ) -> CanonicalMarket:
+        """A market of scores already checked as the constructor checks them, and its kernel."""
         market = object.__new__(cls)
         object.__setattr__(market, "a_hat", a_hat)
         object.__setattr__(market, "b_hat", b_hat)
+        object.__setattr__(market, "kernel", kernel)
         return market
 
     @property
@@ -263,32 +276,6 @@ class CounterScores(CounterRates):
 
 
 @dataclass(frozen=True)
-class KernelMarket:
-    """A square market held as its balancing kernel ``K = a_hat * b_hat^T / n`` alone.
-
-    Built by :func:`cbounded_kernel_market`.  ``a_hat`` and ``b_hat`` are
-    :class:`CounterScores`: any row or cell of them is drawn again with
-    the held market's bits, and ``np.asarray`` materialises a side.
-    """
-
-    a_hat: CounterScores
-    b_hat: CounterScores
-    kernel: np.ndarray
-
-    @property
-    def n_men(self) -> int:
-        return self.kernel.shape[0]
-
-    @property
-    def n_women(self) -> int:
-        return self.kernel.shape[1]
-
-    @property
-    def is_square(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
 class BalancedMarket:
     """Balanced form of a square market, held as canonical scores and fitness factors.
 
@@ -351,25 +338,15 @@ class BalancedMarket:
         return c_bound
 
     def mutual_matmul(self, y: np.ndarray) -> np.ndarray:
-        """``M @ y`` for a vector or an n x k matrix y, from the factors.
+        """``M @ y = phi * (K @ (psi * y))`` for a vector or an n x k matrix y.
 
-        ``(M @ y)_i = phi_i / n * sum_j a_ij b_ji (psi_j y_j)``, one row
-        block at a time, or ``phi_i * (K @ (psi * y))_i`` from a held
-        kernel; it agrees with the materialised product to rounding.
+        K's products are the balance's (``_kernel_products``), so
+        ``(M @ y)_i = phi_i * sum_j (a_ij b_ji / n) (psi_j y_j)`` in K's
+        64-row blocks; it agrees with the materialised product to rounding.
         """
-        y = np.asarray(y, dtype=np.float64)
-        weighted = (self.psi * y.T).T
-        if self.kernel is not None:
-            return (np.matmul(self.kernel, weighted).T * self.phi).T
-        out = np.empty(y.shape)
-        buffer = np.empty((min(self.n, max(1, BLOCK // self.n)), self.n))
-        for rows in row_blocks(self.n, self.n):
-            # The block's rows of B^T copied into C order, then times A's rows.
-            kernel = buffer[: rows.stop - rows.start]
-            np.copyto(kernel, self.b_hat[:, rows].T)
-            kernel *= self.a_hat[rows]
-            out[rows] = kernel @ weighted
-        return (out.T * (self.phi / self.n)).T
+        times, _ = _kernel_products(self)
+        weighted = (self.psi * np.asarray(y, dtype=np.float64).T).T
+        return (times(weighted).T * self.phi).T
 
 
 # Rows (or columns) per block of the balancing products.  In single-threaded
@@ -388,17 +365,18 @@ def _kernel_blocks(n: int) -> list[slice]:
 
 
 def _blocked_products(n: int, block: Callable[[slice, slice], np.ndarray]) -> tuple[Callable, Callable]:
-    """``v -> K @ v`` and ``v -> K.T @ v``, walking K's 64-row (or column) blocks from ``block``."""
+    """``v -> K @ v`` and ``v -> K.T @ v`` for an n-vector or an n x k matrix v,
+    walking K's 64-row (or column) blocks from ``block``."""
     blocks, whole = _kernel_blocks(n), slice(0, n)
 
     def times(v: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
+        out = np.empty(v.shape)
         for rows in blocks:
             np.matmul(block(rows, whole), v, out=out[rows])
         return out
 
     def transposed_times(v: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
+        out = np.empty(v.shape)
         for cols in blocks:
             np.matmul(block(whole, cols).T, v, out=out[cols])
         return out
@@ -406,19 +384,20 @@ def _blocked_products(n: int, block: Callable[[slice, slice], np.ndarray]) -> tu
     return times, transposed_times
 
 
-def _kernel_products(market: CanonicalMarket | KernelMarket) -> tuple[Callable, Callable]:
+def _kernel_products(market: CanonicalMarket | BalancedMarket) -> tuple[Callable, Callable]:
     """``v -> K @ v`` and ``v -> K.T @ v`` for the kernel K = a_hat * b_hat^T / n.
 
-    The products walk K in blocks of rows (``K @ v``) or of columns
-    (``K.T @ v``).  A market held as its kernel gives the blocks as views
-    of it.  Any other market builds each block from its scores into one
-    reused buffer, so no n x n array is allocated and the scores are only
-    read: on a market whose sides share one row (uniform and public scores)
-    K[i, j] = a[j] * b[i] / n.  Raises NonPositiveEntry if an entry of K
-    underflows to zero.
+    The one place that forms K's blocks, for Sinkhorn's sweeps and for
+    ``mutual_matmul``.  The products walk K in blocks of rows (``K @ v``)
+    or of columns (``K.T @ v``).  A market that holds its ``kernel`` gives
+    the blocks as views of it.  Any other market builds each block from its
+    scores into one reused buffer, so no n x n array is allocated and the
+    scores are only read: on a market whose sides share one row (uniform
+    and public scores) K[i, j] = a[j] * b[i] / n.  Raises NonPositiveEntry
+    if an entry of K underflows to zero.
     """
-    n = market.n_men
-    if isinstance(market, KernelMarket):
+    n = market.a_hat.shape[0]
+    if market.kernel is not None:
         return _blocked_products(n, lambda rows, cols: market.kernel[rows, cols])
     a_hat, b_hat = market.a_hat, market.b_hat
     buffer = np.empty(max(part.stop - part.start for part in _kernel_blocks(n)) * n)
@@ -440,7 +419,7 @@ def _kernel_products(market: CanonicalMarket | KernelMarket) -> tuple[Callable, 
 
 
 def sinkhorn_balance(
-    market: CanonicalMarket | KernelMarket, tol: float = 1e-10, max_iters: int = 10_000
+    market: CanonicalMarket, tol: float = 1e-10, max_iters: int = 10_000
 ) -> BalancedMarket:
     """Balance a square canonical market by alternating row/column normalization.
 
@@ -450,10 +429,11 @@ def sinkhorn_balance(
     an ill-conditioned input rather than a modeling situation.  A ``tol``
     that is not positive and finite or a ``max_iters`` below 1 raises ConfigError.
 
-    A market held as its kernel (:class:`KernelMarket`) is balanced on that
-    kernel, which the result keeps.  Any other market's kernel is built a
-    block at a time from its scores (``_kernel_products``), which are only
-    read, so the result does not depend on how the scores are laid out.
+    A market that holds its kernel (:func:`cbounded_kernel_market`) is
+    balanced on that kernel, which the result keeps.  Any other market's
+    kernel is built a block at a time from its scores (``_kernel_products``),
+    which are only read, so the result does not depend on how the scores
+    are laid out.
     """
     if not market.is_square:
         raise NonSquare(
@@ -490,7 +470,7 @@ def sinkhorn_balance(
         psi = s / c
     return BalancedMarket(
         a_hat=market.a_hat, b_hat=market.b_hat, phi=phi, psi=psi, sinkhorn_iters=iters,
-        kernel=market.kernel if isinstance(market, KernelMarket) else None,
+        kernel=market.kernel,
     )
 
 
@@ -529,18 +509,18 @@ def random_cbounded_market(
 _UNDERFLOW = "the balancing kernel a_hat * b_hat^T / n underflows to zero"
 
 
-def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> KernelMarket:
+def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> CanonicalMarket:
     """The market ``backfill_imbalanced(random_cbounded_market(n - k, c_target, seed, n), k)``,
     held as its balancing kernel.
 
     k = 0 gives the square ``random_cbounded_market(n, c_target, seed)``.
-    Only K = a_hat * b_hat^T / n is held (8 bytes a cell), with each side's
-    row sums: the scores are :class:`CounterScores`, with the held market's
-    bits.  Two score passes on the row-block threads build K: each row block
-    of the women's scores is written transposed into K, then each of the
-    men's is multiplied in and divided by n.  Every block is checked as the
-    constructors check it.  Raises NonPositiveEntry if an entry of K
-    underflows to zero.
+    Only K = a_hat * b_hat^T / n is held, as the market's ``kernel`` (8
+    bytes a cell), with each side's row sums: the scores are
+    :class:`CounterScores`, with the held market's bits.  Two score passes
+    on the row-block threads build K: each row block of the women's scores
+    is written transposed into K, then each of the men's is multiplied in
+    and divided by n.  Every block is checked as the constructors check
+    it.  Raises NonPositiveEntry if an entry of K underflows to zero.
     """
     m = n - k
     _check_backfill(m, k, n)
@@ -569,7 +549,7 @@ def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> Ke
     a_sums = _cbounded_pass(seed, "a", (m, n), c_target, men)
     if k:
         _multiply_in(kernel[m:], 1.0 / n, n)
-    return KernelMarket(
+    return CanonicalMarket._checked(
         CounterScores(stream_key(seed, "a_raw"), c_target, (n, n), n, a_sums, fill=1.0 / n),
         CounterScores(
             stream_key(seed, "b_raw"), c_target, (n, n), m, b_sums, fill=1.0 / m, resums=resums

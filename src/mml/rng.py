@@ -405,10 +405,12 @@ def _fill(
 def unit_uniforms(
     key: int, shape: int | tuple[int, ...], offset: int = 0, out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform draws in the open interval (0, 1) at counters offset, offset + 1, ...
+    """Uniform draws in (0, 1] at counters offset, offset + 1, ...
 
-    Values are centered on (k + 0.5) * 2^-53, so 0 and 1 are unreachable and
-    logs of either tail stay finite.  Given ``out``, a float array of the
+    Word k of 53 bits gives (k + 0.5) * 2^-53, so 0 is unreachable and the
+    log of the lower tail stays finite.  For k >= 2^52, k + 0.5 is not a
+    double and rounds to even: k = 2^53 - 1 gives exactly 1.0, with
+    probability 2^-53 a draw.  Given ``out``, a float array of the
     shape (a 2-d one may be a column slice of a wider array), the draws are
     written into it and it is returned.
     """

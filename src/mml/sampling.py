@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
-from .market import BalancedMarket, CanonicalMarket, KernelMarket, sinkhorn_balance
+from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
 from .rng import CounterRates
 from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks, stream_key
 
@@ -86,7 +86,7 @@ class LatentValues:
 
 
 def sample_latent(
-    market: BalancedMarket | CanonicalMarket | KernelMarket, seed: int
+    market: BalancedMarket | CanonicalMarket, seed: int
 ) -> LatentValues:
     """Draw one matrix of values per side from per-cell streams of ``seed``."""
     x, y = latent_streams(market, seed)
@@ -167,7 +167,7 @@ class ValueStream:
 
 
 def latent_streams(
-    market: BalancedMarket | CanonicalMarket | KernelMarket, seed: int
+    market: BalancedMarket | CanonicalMarket, seed: int
 ) -> tuple[ValueStream, ValueStream]:
     """The streams of the men's values X and the women's values Y of ``seed``.
 

@@ -156,7 +156,8 @@ def eig_dispersion(e: np.ndarray, zeta: float) -> tuple[float, float]:
     Returns (t_star, violating_fraction) with t_star the median of e and the
     fraction of coordinates where |e_i - t_star| >= sqrt(zeta) * t_star.
     The caller forms the product (``BalancedMarket.mutual_matmul`` does it
-    from the fitness factors, for several y in one pass).
+    from the fitness factors and the balance's kernel products, for several
+    y in one pass).
     """
     if zeta <= 0.0:
         raise ValueError("zeta must be positive")

@@ -20,7 +20,7 @@
 * ``argpartition_lowest_columns``: each row's lowest columns by a selection
   pass and a sort of the selected values.
 * ``strided_mutual_matmul``: ``BalancedMarket.mutual_matmul`` with each
-  kernel block multiplied by a transposed view of ``b_hat``.
+  64-row kernel block multiplied out of a transposed view of ``b_hat``.
 * ``held_kernel_balance``: ``sinkhorn_balance`` on the whole n x n kernel,
   each sweep two full matvecs, the form its blocked products realize.
 * ``separate_kernel_balance``: ``sinkhorn_balance`` with the kernel held in
@@ -65,7 +65,7 @@ from mml.matching import (
     _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
 )
 from mml.rng import (
-    _GOLDEN, _MIX_1, _MIX_2, _U64, exponential_blocks, exponentials, row_blocks, stream_key,
+    _GOLDEN, _MIX_1, _MIX_2, _U64, exponential_blocks, exponentials, stream_key,
     unit_uniforms,
 )
 from mml.sampling import LatentValues, sample_latent
@@ -107,12 +107,15 @@ def argpartition_lowest_columns(block: np.ndarray, width: int) -> np.ndarray:
 
 
 def strided_mutual_matmul(bal: BalancedMarket, y: np.ndarray) -> np.ndarray:
-    """``M @ y`` from the factors, one row block of the kernel at a time."""
+    """``phi * (K @ (psi * y))``, K = a_hat * b_hat^T / n formed 64 rows at a
+    time (the last block taking the remainder)."""
+    n, a_hat, b_hat = bal.n, np.asarray(bal.a_hat), np.asarray(bal.b_hat)
     weighted = (bal.psi * y.T).T
     out = np.empty(y.shape)
-    for rows in row_blocks(bal.n, bal.n):
-        out[rows] = (bal.a_hat[rows] * bal.b_hat[:, rows].T) @ weighted
-    return (out.T * (bal.phi / bal.n)).T
+    stops = [*range(64, n - 63, 64), n]
+    for start, stop in zip([0, *stops], stops):
+        out[start:stop] = (a_hat[start:stop] * b_hat[:, start:stop].T / n) @ weighted
+    return (out.T * bal.phi).T
 
 
 def held_kernel_balance(market, tol: float = 1e-10) -> BalancedMarket:
@@ -494,7 +497,7 @@ def held_approx_stable_records(cfg, t: int) -> list:
     draws = itertools.count()
 
     def draw_index() -> int:
-        return int(unit_uniforms(key, 1, offset=next(draws))[0] * cfg.n)
+        return min(int(unit_uniforms(key, 1, offset=next(draws))[0] * cfg.n), cfg.n - 1)
 
     for _ in range(cfg.k):
         i1 = draw_index()

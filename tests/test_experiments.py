@@ -275,6 +275,31 @@ def test_worker_count_is_invisible_in_output(monkeypatch):
     assert records_to_csv(serial) == records_to_csv(parallel)
 
 
+def test_approx_stable_swap_of_a_uniform_of_one_draws_the_last_man(monkeypatch):
+    # The counter word 2^53 - 1 gives a uniform of exactly 1.0 (probability
+    # 2^-53 a draw): the first swap then picks man n - 1, as (n - 0.5) / n does.
+    assert np.add(np.int64(2**53 - 1), 0.5) * 2.0**-53 == 1.0
+    cfg = parse_config(TINY_VALUE_DIST.replace("value_dist", "approx_stable") + "k = 3\n")
+    draw = mml.experiments.unit_uniforms
+
+    def records_with_first_swap(u):
+        forced = []
+
+        def first_draw_forced(key, shape, offset=0, out=None):
+            values = draw(key, shape, offset, out)
+            if not forced:
+                forced.append(offset)
+                values[0] = u
+            return values
+
+        monkeypatch.setattr(mml.experiments, "unit_uniforms", first_draw_forced)
+        records = run_trial(cfg, 0)
+        assert forced == [0]
+        return records_to_csv(records)
+
+    assert records_with_first_swap(1.0) == records_with_first_swap((cfg.n - 0.5) / cfg.n)
+
+
 def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
     # The men's tables and the women's largest values come from one streamed
     # pass per side; no value matrix is held, so none is screened.

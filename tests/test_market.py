@@ -534,7 +534,7 @@ def held_cbounded(n, c, seed, k):
 
 def kernel_cases():
     for n in (1, 64, 65, 257, 1001):
-        for k in sorted({0, *(k for k in (1, n // 2) if 0 < k < n)}):
+        for k in sorted({0, *(k for k in (1, 10, n // 2) if 0 < k < n)}):
             yield n, k
 
 
@@ -571,12 +571,16 @@ def test_kernel_built_balance_equals_the_held_balance(n, k, c):
     kernel = np.ascontiguousarray(held.a_hat) * held.b_hat.T
     kernel /= n
     assert counted.kernel.tobytes() == kernel.tobytes()
+    y = np.random.default_rng(n).uniform(0.1, 3.0, (n, 2))
     with single_threaded_blas():
-        bal = sinkhorn_balance(counted)
-        assert balance_bits(bal) == balance_bits(sinkhorn_balance(held))
+        bal, held_bal = sinkhorn_balance(counted), sinkhorn_balance(held)
+        assert balance_bits(bal) == balance_bits(held_bal)
+        # M @ y walks the same blocks of K, read from the kernel or built
+        # from the scores, so it has the same bits.
+        for part in (y, y[:, 0]):
+            assert bal.mutual_matmul(part).tobytes() == held_bal.mutual_matmul(part).tobytes()
     assert bal.kernel is counted.kernel
     # M @ y from the kernel against the materialised M.
-    y = np.random.default_rng(n).uniform(0.1, 3.0, (n, 2))
     np.testing.assert_allclose(bal.mutual_matmul(y), bal.M @ y, rtol=1e-13, atol=0)
     np.testing.assert_allclose(bal.mutual_matmul(y[:, 0]), bal.M @ y[:, 0], rtol=1e-13, atol=0)
 
