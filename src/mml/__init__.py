@@ -30,7 +30,6 @@ from .market import (
     canonical_from_raw,
     cbounded_kernel_market,
     public_scores_market,
-    random_cbounded_market,
     read_market,
     read_matrix_pair,
     sinkhorn_balance,

@@ -500,9 +500,7 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # allocator.  Trials stream
 # their values, so the n x n terms are what is held: a C-bounded market's
 # balancing kernel, square or backfilled (8), its scores drawn again by
-# counter wherever they are read; a backfilled public-scores market's
-# stacked men's scores (8), whose kernel is built a block at a time; and
-# approx_stable's blocking mask (1).  A
+# counter wherever they are read, and approx_stable's blocking mask (1).  A
 # public-scores market's least fit proposers walk past their best 64
 # columns, the further the wider the fitness spread and the larger n: its
 # peaks at c = 2, 10, 100 and 10^10 and n = 2000 to 8000 (README) grow by
@@ -516,14 +514,13 @@ _REBALANCED_ROW_BYTES = 12 << 10
 def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     """Estimated peak bytes of one process running cfg's trials on ``threads`` threads."""
     base = _BASE_BYTES + (threads - 1) * _THREAD_BYTES + _ROW_BYTES * cfg.n
-    imbalance = cfg.experiment is ExperimentKind.IMBALANCE
     per_cell = 0.0
     if cfg.market is not MarketKind.UNIFORM:
         base += _REBALANCED_ROW_BYTES * cfg.n
     if cfg.market is MarketKind.CBOUNDED:
         per_cell += 8
     if cfg.market is MarketKind.PUBLIC_SCORES:
-        per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0)) + (8 if imbalance else 0)
+        per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0))
     if cfg.experiment is ExperimentKind.APPROX_STABLE:
         per_cell += 1
     return base + math.ceil(per_cell * cfg.n**2)

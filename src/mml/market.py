@@ -35,24 +35,21 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import CounterRates, stream_key, uniform_blocks, unit_uniforms
+from .rng import CounterRates, DistinctRows, stream_key, uniform_blocks, unit_uniforms
 
 ROW_SUM_TOL = 1e-12
 
 
-def _distinct_rows(scores: np.ndarray) -> np.ndarray:
-    """The rows worth reading: one row of a broadcast view (row stride 0), else all."""
-    return scores[:1] if scores.strides[0] == 0 else scores
-
-
-def _check_scores(name: str, scores: np.ndarray) -> np.ndarray:
+def _check_scores(name: str, scores: np.ndarray | DistinctRows) -> np.ndarray | DistinctRows:
+    if isinstance(scores, DistinctRows):
+        _check_scores(name, scores.table)
+        return scores
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.size == 0:
         raise ShapeMismatch(f"{name} must be a non-empty 2-d array, got shape {scores.shape}")
-    rows = _distinct_rows(scores)
     # The extremes decide it without an n x n mask: NaN fails both comparisons.
-    low = float(rows.min())
-    if not (low > 0.0 and rows.max() < np.inf):
+    low = float(scores.min())
+    if not (low > 0.0 and scores.max() < np.inf):
         raise NonPositiveEntry(f"{name} must have strictly positive finite entries")
     # A score too small for a finite reciprocal (a subnormal) cannot be balanced.
     if 1.0 / low == np.inf:
@@ -69,20 +66,17 @@ def _row_sums(name: str, raw: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _normalized(name: str, raw: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Checked raw scores divided by their row sums (in place if the caller owns them)."""
+def _normalized(name: str, raw: np.ndarray) -> np.ndarray:
+    """Checked raw scores divided by their row sums."""
     raw = _check_scores(name, raw)
-    sums = _row_sums(name, raw)
-    if in_place:
-        raw /= sums
-        return raw
-    return raw / sums
+    return raw / _row_sums(name, raw)
 
 
-def _row_sum_deviation(scores: np.ndarray) -> float:
+def _row_sum_deviation(scores: np.ndarray | DistinctRows) -> float:
+    rows = scores.table if isinstance(scores, DistinctRows) else scores
     # Unchecked scores may overflow their sums (or meet inf - inf): those read inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(_distinct_rows(scores).sum(axis=1) - 1.0)))
+        return float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
 
 
 def _check_normalized(name: str, deviation: float) -> None:
@@ -97,8 +91,9 @@ def _check_normalized(name: str, deviation: float) -> None:
 class CanonicalMarket:
     """Row-stochastic score matrices for the two sides of a market.
 
-    Markets whose rows all agree (uniform, public scores) hold their shared
-    row as a read-only broadcast view, so they take O(n) memory.  A square
+    Markets whose rows are few (uniform, public scores) hold each side as a
+    table of its distinct rows (:class:`~mml.rng.DistinctRows`), so they
+    take O(n) memory.  A square
     market built by :func:`cbounded_kernel_market` holds its balancing
     kernel ``K = a_hat * b_hat^T / n`` as ``kernel`` (8 bytes a cell), and
     its scores as :class:`CounterScores`: any row or cell of them is drawn
@@ -108,8 +103,8 @@ class CanonicalMarket:
     The arrays are the caller's, not copies.
     """
 
-    a_hat: np.ndarray | CounterScores
-    b_hat: np.ndarray | CounterScores
+    a_hat: np.ndarray | DistinctRows | CounterScores
+    b_hat: np.ndarray | DistinctRows | CounterScores
     kernel: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -174,10 +169,9 @@ def public_scores_market(a_scores: np.ndarray, b_scores: np.ndarray) -> Canonica
     b_scores = np.asarray(b_scores, dtype=np.float64)
     if a_scores.ndim != 1 or b_scores.ndim != 1:
         raise ShapeMismatch("public score vectors must be 1-d")
-    shape = (b_scores.size, a_scores.size)
     return CanonicalMarket(
-        np.broadcast_to(_normalized("a_raw", a_scores[None, :]), shape),
-        np.broadcast_to(_normalized("b_raw", b_scores[None, :]), shape[::-1]),
+        DistinctRows(_normalized("a_raw", a_scores[None, :]), np.zeros(b_scores.size, int)),
+        DistinctRows(_normalized("b_raw", b_scores[None, :]), np.zeros(a_scores.size, int)),
     )
 
 
@@ -225,7 +219,7 @@ class CounterScores(CounterRates):
 
     Cell (i, j) with i < ``sums.size`` and j < ``width`` is
     ``c ** (2u - 1) / sums[i]``, u the uniform of ``key`` at counter
-    ``i * width + j``: the bits ``random_cbounded_market`` holds.  Every
+    ``i * width + j``, the score built from it in one row-block pass.  Every
     other cell, a backfilled market's dummy, is ``fill``.  Given
     ``resums``, row i is then divided by ``resums[i]``: a backfilled
     market's women's rows, normalised again once the dummies' columns are
@@ -284,18 +278,18 @@ class BalancedMarket:
     ``M = A * B^T / n`` is doubly stochastic.  Built only by
     ``sinkhorn_balance``, which establishes these identities.
 
-    ``a_hat`` and ``b_hat`` are the canonical market's: broadcast views of
-    one row on the uniform and public-scores markets, and
-    :class:`CounterScores` on a market held as its kernel, which is then
-    kept as ``kernel``, the one n x n array a balanced market may hold.  A,
-    B and M, with the ``residual`` and ``c_bound`` read from them, are
-    materialised only on request.  Trials use the factors:
+    ``a_hat`` and ``b_hat`` are the canonical market's: tables of distinct
+    rows (:class:`~mml.rng.DistinctRows`) on the uniform and public-scores
+    markets, and :class:`CounterScores` on a market held as its kernel,
+    which is then kept as ``kernel``, the one n x n array a balanced market
+    may hold.  A, B and M, with the ``residual`` and ``c_bound`` read from
+    them, are materialised only on request.  Trials use the factors:
     ``exponentials(key, a_hat, scale=phi)`` draws with the rates of A, and
     ``mutual_matmul`` multiplies by M.
     """
 
-    a_hat: np.ndarray | CounterScores
-    b_hat: np.ndarray | CounterScores
+    a_hat: np.ndarray | DistinctRows | CounterScores
+    b_hat: np.ndarray | DistinctRows | CounterScores
     phi: np.ndarray
     psi: np.ndarray
     sinkhorn_iters: int
@@ -392,9 +386,9 @@ def _kernel_products(market: CanonicalMarket | BalancedMarket) -> tuple[Callable
     or of columns (``K.T @ v``).  A market that holds its ``kernel`` gives
     the blocks as views of it.  Any other market builds each block from its
     scores into one reused buffer, so no n x n array is allocated and the
-    scores are only read: on a market whose sides share one row (uniform
-    and public scores) K[i, j] = a[j] * b[i] / n.  Raises NonPositiveEntry
-    if an entry of K underflows to zero.
+    scores are only read: where a block's rows of each side are one row of
+    its table (:class:`~mml.rng.DistinctRows`), K[i, j] = a[j] * b[i] / n.
+    Raises NonPositiveEntry if an entry of K underflows to zero.
     """
     n = market.a_hat.shape[0]
     if market.kernel is not None:
@@ -410,9 +404,9 @@ def _kernel_products(market: CanonicalMarket | BalancedMarket) -> tuple[Callable
         return out
 
     # Rounding is monotone, so no entry of K is below the one of the least
-    # scores, which is K's least entry when the sides share one row.  Only
-    # when it underflows are the blocks read.
-    low = _distinct_rows(a_hat).min() * _distinct_rows(b_hat).min() / n
+    # scores, which is K's least entry when each side has one distinct row.
+    # Only when it underflows are the blocks read.
+    low = a_hat.min() * b_hat.min() / n
     if not (low > 0.0 or min(block(rows, slice(0, n)).min() for rows in _kernel_blocks(n)) > 0.0):
         raise NonPositiveEntry(_UNDERFLOW)
     return _blocked_products(n, block)
@@ -481,42 +475,16 @@ def _check_cbounded(n_men: int, n_women: int, c_target: float) -> None:
         raise ValueError("c_target must be >= 1")
 
 
-def random_cbounded_market(
-    n_men: int, c_target: float, seed: int, n_women: int | None = None
-) -> CanonicalMarket:
-    """Random market with raw scores log-uniform on [1/c_target, c_target], held.
-
-    Within each canonical row the score ratio is therefore at most c_target**2.
-    c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
-    Deterministic in the seed.  Each row block of uniforms becomes canonical
-    scores, checked as the constructor checks them, while it is in cache.
-    These are the scores that :func:`cbounded_kernel_market` draws again by
-    counter instead of holding, with the same bits; trials use that form.
-    """
-    if n_women is None:
-        n_women = n_men
-    _check_cbounded(n_men, n_women, c_target)
-    a, b = np.empty((n_men, n_women)), np.empty((n_women, n_men))
-    for side, out in (("a", a), ("b", b)):
-
-        def keep(rows, block, _spare, out=out):
-            out[rows] = block
-
-        _cbounded_pass(seed, side, out.shape, c_target, keep)
-    return CanonicalMarket._checked(a, b)
-
-
 _UNDERFLOW = "the balancing kernel a_hat * b_hat^T / n underflows to zero"
 
 
 def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> CanonicalMarket:
-    """The market ``backfill_imbalanced(random_cbounded_market(n - k, c_target, seed, n), k)``,
-    held as its balancing kernel.
+    """A random n x n market, raw scores log-uniform on [1/c_target, c_target]
+    and its last k men ``backfill_imbalanced`` dummies, held as its kernel.
 
-    k = 0 gives the square ``random_cbounded_market(n, c_target, seed)``.
     Only K = a_hat * b_hat^T / n is held, as the market's ``kernel`` (8
     bytes a cell), with each side's row sums: the scores are
-    :class:`CounterScores`, with the held market's bits.  Two score passes
+    :class:`CounterScores`, drawn again where they are read.  Two score passes
     on the row-block threads build K: each row block of the women's scores
     is written transposed into K, then each of the men's is multiplied in
     and divided by n.  Every block is checked as the constructors check
@@ -581,28 +549,24 @@ def backfill_imbalanced(market: CanonicalMarket, k: int) -> CanonicalMarket:
     The k appended men score every woman equally, and every woman scores each
     of them at her mean canonical score (the weight of an average real man), so
     after renormalization each dummy carries weight exactly 1/n.  k = 0 returns
-    the market unchanged.
+    the market unchanged.  The sides are held as :class:`~mml.rng.DistinctRows`,
+    a dense side as the table of all its rows.
     """
     n, m = market.n_women, market.n_men
     _check_backfill(m, k, n)
     if k == 0:
         return market
-    # Shared rows (broadcast views) stay shared: the women's rows still agree
-    # once the k columns are appended, and the men's rows agree with the
-    # dummies' only when every man scores each woman 1/n (the uniform market).
-    dummy = np.full((1, n), 1.0 / n)
-    a_rows, b_rows = _distinct_rows(market.a_hat), _distinct_rows(market.b_hat)
-    if a_rows.shape[0] == 1 and np.array_equal(a_rows, dummy):
-        a = dummy
-    else:
-        a = np.empty((n, n))
-        a[:m] = market.a_hat
-        a[m:] = 1.0 / n
-    b = np.empty((b_rows.shape[0], n))
-    b[:, :m] = b_rows
-    b[:, m:] = 1.0 / m
-    b = _normalized("b_raw", b, in_place=True)
-    return CanonicalMarket(*(np.broadcast_to(s, (n, n)) if s.shape[0] == 1 else s for s in (a, b)))
+    a, b = (
+        s if isinstance(s, DistinctRows) else DistinctRows(np.asarray(s), np.arange(s.shape[0]))
+        for s in (market.a_hat, market.b_hat)
+    )
+    # The men's table gains the dummies' row, the women's the k columns.
+    a_table = np.vstack([a.table, np.full((1, n), 1.0 / n)])
+    b_table = np.hstack([b.table, np.full((b.table.shape[0], k), 1.0 / m)])
+    return CanonicalMarket(
+        DistinctRows(a_table, np.concatenate([a.index, np.full(k, a.table.shape[0])])),
+        DistinctRows(_normalized("b_raw", b_table), b.index),
+    )
 
 
 # --- matrix file format ------------------------------------------------------

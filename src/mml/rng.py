@@ -16,9 +16,10 @@ not be stored at all: :func:`exponential_blocks` hands each block to a
 consumer, and :func:`exponential_cells` draws the cells at chosen (row,
 column) pairs from their counters alone.  Blocks and cells share one copy of
 the per-cell arithmetic, so a cell has the same bits however it is drawn.
-Nor need the rates be stored: a :class:`CounterRates` source draws each
-block's or cell's rates again from uniforms at their own counters, and
-where those are the values' counters the two draws share the first mix.
+Nor need the rates be stored in full: :class:`DistinctRows` holds their
+distinct rows, and a :class:`CounterRates` source draws each block's or
+cell's rates again from uniforms at their own counters, and where those
+are the values' counters the two draws share the first mix.
 
 The fill is the one stage that runs on threads, through
 :func:`map_row_blocks`: the counter draw of every screened pass, score build
@@ -51,6 +52,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,6 +273,42 @@ class CounterRates:
         raise NotImplementedError
 
 
+@dataclass(frozen=True, eq=False)
+class DistinctRows:
+    """An n x w matrix held as a d x w ``table`` of its distinct rows: row i is ``table[index[i]]``.
+
+    It is read as a dense array is read, by rows or (rows, cols), each a
+    slice or index arrays broadcast together; ``np.asarray`` materialises
+    it.  Where every selected row is one table row, the result is a
+    read-only broadcast view of that row (its cells taken, for index
+    columns); else the cells are gathered.
+    """
+
+    table: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.index.size, self.table.shape[1]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        picked = self.index[rows]
+        if self.table.shape[0] > 1 and not (picked.size and (picked == picked.flat[0]).all()):
+            return self.table[picked, cols]
+        row = self.table[picked.flat[0] if picked.size else 0]
+        if isinstance(cols, slice):
+            row = row[cols]
+            return np.broadcast_to(row, picked.shape + row.shape)
+        return np.broadcast_to(row.take(cols), np.broadcast_shapes(picked.shape, np.shape(cols)))
+
+    def min(self) -> float:
+        return self.table.min()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.table[self.index]
+
+
 def _unit_floats(
     z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray, words: np.ndarray | None = None,
 ) -> None:
@@ -346,7 +384,8 @@ _COUNTED_BLOCK = BLOCK // 2
 
 
 def _fill(
-    key: int, offset: int, shape: tuple[int, ...], rates: np.ndarray | CounterRates | None,
+    key: int, offset: int, shape: tuple[int, ...],
+    rates: np.ndarray | DistinctRows | CounterRates | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
     consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
     spare_cols: int | None = None,
@@ -368,7 +407,7 @@ def _fill(
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
     grid = None if out is None else out.reshape(nrows, ncols)
     counted = isinstance(rates, CounterRates)
-    if rates is not None and not counted:
+    if isinstance(rates, np.ndarray):
         rates = rates.reshape(nrows, ncols)
     # The rates' uniforms at the values' counters share their first mix.
     shared = counted and offset == 0 and rates.width == ncols
@@ -436,9 +475,9 @@ def uniform_blocks(
 
 
 def _exponential_rates(
-    rates: np.ndarray | CounterRates, scale: np.ndarray | None
-) -> tuple[np.ndarray | CounterRates, np.ndarray | None]:
-    if not isinstance(rates, CounterRates):
+    rates: np.ndarray | DistinctRows | CounterRates, scale: np.ndarray | None
+) -> tuple[np.ndarray | DistinctRows | CounterRates, np.ndarray | None]:
+    if not isinstance(rates, (DistinctRows, CounterRates)):
         rates = np.asarray(rates, dtype=np.float64)
     if scale is not None:
         scale = np.asarray(scale, dtype=np.float64)
@@ -448,15 +487,15 @@ def _exponential_rates(
 
 
 def exponentials(
-    key: int, rates: np.ndarray | CounterRates, scale: np.ndarray | None = None
+    key: int, rates: np.ndarray | DistinctRows | CounterRates, scale: np.ndarray | None = None
 ) -> np.ndarray:
     """Exponential draws with the given (elementwise) rates, one counter per cell.
 
     Cell (i, j) of a matrix of rates always consumes counter i*ncols + j,
     regardless of how many draws are requested elsewhere.  Given ``scale``,
     the rate of cell (i, j) is ``scale[i] * rates[i, j]``, and ``rates`` may
-    be a broadcast view or a :class:`CounterRates` source: no rate matrix is
-    materialised.
+    be held as :class:`DistinctRows` or drawn again by a :class:`CounterRates`
+    source: no rate matrix is materialised.
     """
     rates, scale = _exponential_rates(rates, scale)
     out = np.empty(rates.shape)
@@ -465,7 +504,7 @@ def exponentials(
 
 
 def exponential_blocks(
-    key: int, rates: np.ndarray | CounterRates,
+    key: int, rates: np.ndarray | DistinctRows | CounterRates,
     consume: Callable[[slice, np.ndarray, np.ndarray], None], scale: np.ndarray | None = None,
 ) -> None:
     """``consume(rows, block, spare)`` on each row block of ``exponentials(key, rates, scale)``.
@@ -517,7 +556,7 @@ def _counter_cells(
 
 
 def exponential_cells(
-    key: int, rates: np.ndarray | CounterRates, rows: np.ndarray, cols: np.ndarray,
+    key: int, rates: np.ndarray | DistinctRows | CounterRates, rows: np.ndarray, cols: np.ndarray,
     scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """``exponentials(key, rates, scale=scale)[rows, cols]``, drawn from the cells' counters alone.
@@ -527,8 +566,8 @@ def exponential_cells(
     given, at most BLOCK / 8 cells unless one row holds more: an int32 table
     against a column of rows is read in place, and no full-size index array
     is made.  Only the chosen cells are drawn, each with the bits of the
-    full draw; each rate is read once, from the one row of a broadcast rate
-    view, or drawn again from a :class:`CounterRates` source.
+    full draw; each rate is read once, as ``rates[rows, cols]``, or drawn
+    again from a :class:`CounterRates` source.
     """
     rates, scale = _exponential_rates(rates, scale)
     counted = isinstance(rates, CounterRates)
@@ -552,7 +591,7 @@ def exponential_cells(
         _cell_values(
             zb, tb, key, ob,
             _counter_cells(rates, r, c, zb if shared else None, tb, words[0][: ob.size], ob.shape)
-            if counted else rates[0].take(c) if rates.strides[0] == 0 else rates[r, c],
+            if counted else rates[r, c],
             None if scale is None else np.negative(scale.take(r)),
         )
     return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DuplicateValue, ShapeMismatch
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
-from .rng import CounterRates
+from .rng import CounterRates, DistinctRows
 from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks, stream_key
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
@@ -103,15 +103,15 @@ class ValueStream:
     Cell (i, j) is ``Exp(scale[i] * rates[i, j])`` at counter
     ``i * ncols + j`` of ``key`` (a None scale leaves the rates as they are):
     the cell of :func:`sample_latent`'s matrix ``name``, with its bits.
-    The rates are held (a broadcast row or a matrix) or drawn again by
-    counter (a :class:`~mml.rng.CounterRates` source, the scores of a market
-    held as its kernel), and read the same way: a pass draws each block's
-    rates beside its values, and a gather its cells'.
+    The rates are held (a :class:`~mml.rng.DistinctRows` table or a matrix)
+    or drawn again by counter (a :class:`~mml.rng.CounterRates` source, the
+    scores of a market held as its kernel), and read the same way: a pass
+    draws each block's rates beside its values, and a gather its cells'.
     """
 
     name: str
     key: int
-    rates: np.ndarray | CounterRates
+    rates: np.ndarray | DistinctRows | CounterRates
     scale: np.ndarray | None
 
     @property

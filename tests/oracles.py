@@ -14,6 +14,9 @@
   to check the exact ``ks_distance_to_exp``.
 * ``reference_uniforms``: the counter stream computed in one shot over all
   counters, the formula the blocked in-place kernel of ``mml.rng`` realizes.
+* ``random_cbounded_market``: a C-bounded market with its scores held, built
+  by ``cbounded_kernel_market``'s score passes: the held reference of the
+  market that a trial draws again by counter.
 * ``two_pass_cbounded_market``: a C-bounded market built in two passes (all
   uniforms, then all scores), the arithmetic ``random_cbounded_market`` fuses
   into its draw.
@@ -59,7 +62,9 @@ import numpy as np
 
 from mml import experiments
 from mml.errors import EmptySample, NotNormalized, TooLarge
-from mml.market import BalancedMarket, CanonicalMarket, sinkhorn_balance
+from mml.market import (
+    BalancedMarket, CanonicalMarket, _cbounded_pass, _check_cbounded, sinkhorn_balance,
+)
 from mml.matching import (
     Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
     _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
@@ -84,6 +89,31 @@ def reference_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     counters = np.arange(offset, offset + count, dtype=np.uint64)
     bits = _mix(_mix(counters * _GOLDEN + _GOLDEN) ^ _U64(key))
     return ((bits >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def random_cbounded_market(
+    n_men: int, c_target: float, seed: int, n_women: int | None = None
+) -> CanonicalMarket:
+    """Random market with raw scores log-uniform on [1/c_target, c_target], held.
+
+    Within each canonical row the score ratio is therefore at most c_target**2.
+    c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
+    Deterministic in the seed.  Each row block of uniforms becomes canonical
+    scores, checked as the constructor checks them, while it is in cache.
+    These are the scores that ``cbounded_kernel_market`` draws again by
+    counter instead of holding, with the same bits.
+    """
+    if n_women is None:
+        n_women = n_men
+    _check_cbounded(n_men, n_women, c_target)
+    a, b = np.empty((n_men, n_women)), np.empty((n_women, n_men))
+    for side, out in (("a", a), ("b", b)):
+
+        def keep(rows, block, _spare, out=out):
+            out[rows] = block
+
+        _cbounded_pass(seed, side, out.shape, c_target, keep)
+    return CanonicalMarket._checked(a, b)
 
 
 def two_pass_cbounded_market(
@@ -141,7 +171,7 @@ def held_kernel_balance(market, tol: float = 1e-10) -> BalancedMarket:
 def separate_kernel_balance(market: CanonicalMarket, tol: float = 1e-10) -> BalancedMarket:
     """Sinkhorn's sweeps on a separate kernel ``a_hat * b_hat^T / n``, in 64-row blocks."""
     n = market.n_men
-    kernel = market.a_hat * market.b_hat.T
+    kernel = np.asarray(market.a_hat) * np.asarray(market.b_hat).T
     kernel /= n
     starts = list(range(0, max(n - 64, 0) + 1, 64))
     blocks = [slice(start, stop) for start, stop in zip(starts, [*starts[1:], n])]

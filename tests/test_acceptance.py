@@ -25,7 +25,6 @@ from mml import (
     is_stable,
     load_config,
     public_scores_market,
-    random_cbounded_market,
     run_experiment,
     sample_latent,
     sinkhorn_balance,
@@ -33,7 +32,7 @@ from mml import (
     uniform_market,
 )
 import oracles
-from oracles import exact_laws, g_test, p_mu
+from oracles import exact_laws, g_test, p_mu, random_cbounded_market
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

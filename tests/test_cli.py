@@ -11,7 +11,6 @@ from mml import (
     CSV_COLUMNS,
     CanonicalMarket,
     TrialRecord,
-    random_cbounded_market,
     read_matrix_pair,
     records_to_csv,
     sinkhorn_balance,
@@ -20,6 +19,7 @@ from mml import (
 import mml.experiments
 from mml.cli import main
 from mml.rng import _openblas
+from oracles import random_cbounded_market
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"

@@ -14,11 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mml.market import public_scores_market, random_cbounded_market, sinkhorn_balance, uniform_market
+from mml.market import public_scores_market, sinkhorn_balance, uniform_market
 from mml.matching import Matching, Side, deferred_acceptance, enumerate_stable, is_stable
 from mml.rng import stream_key
 from mml.sampling import sample_latent
-from oracles import exact_laws, g_test, profile_probabilities, profile_table, values_from_prefs
+from oracles import (
+    exact_laws, g_test, profile_probabilities, profile_table, random_cbounded_market,
+    values_from_prefs,
+)
 
 DRAWS = 10_000
 FAMILY_ALPHA = 1e-3

@@ -24,7 +24,6 @@ from mml.market import (
     canonical_from_raw,
     cbounded_kernel_market,
     public_scores_market,
-    random_cbounded_market,
     read_market,
     read_matrix_pair,
     sinkhorn_balance,
@@ -32,6 +31,8 @@ from mml.market import (
     write_matrix_pair,
 )
 from mml.rng import (
+    DistinctRows,
+    exponential_blocks,
     exponential_cells,
     exponentials,
     single_threaded_blas,
@@ -39,7 +40,7 @@ from mml.rng import (
     thread_budget,
     unit_uniforms,
 )
-from oracles import separate_kernel_balance, two_pass_cbounded_market
+from oracles import random_cbounded_market, separate_kernel_balance, two_pass_cbounded_market
 
 BUDGETS = (1, 2, 3)
 
@@ -81,7 +82,7 @@ def test_canonical_market_rejects_nonpositive_and_nonfinite():
 
 
 def test_canonical_checks_read_every_row_of_dense_scores():
-    # Only a broadcast view (row stride 0) is checked through its one row.
+    # Scores held as distinct rows are checked through their table.
     good = np.full((4, 4), 0.25)
     for bad in (0.0, -1.0, np.inf, np.nan):
         a = good.copy()
@@ -93,7 +94,16 @@ def test_canonical_checks_read_every_row_of_dense_scores():
     with pytest.raises(NotNormalized):
         CanonicalMarket(a, good)
     shared = uniform_market(4, 4)
-    assert shared.a_hat.strides[0] == 0 and shared.b_hat.strides[0] == 0
+    for scores in (shared.a_hat, shared.b_hat):
+        assert scores.table.shape == (1, 4) and scores.index.tolist() == [0] * 4
+    table = np.full((2, 4), 0.25)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        table[1, 2] = bad
+        with pytest.raises(NonPositiveEntry):
+            CanonicalMarket(DistinctRows(table, np.array([0, 1, 0, 0])), good)
+    table[1] = [0.25, 0.25, 0.25, 0.375]
+    with pytest.raises(NotNormalized):
+        CanonicalMarket(good, DistinctRows(table, np.array([0, 0, 1, 0])))
 
 
 def test_canonical_market_rejects_bad_shapes():
@@ -351,10 +361,10 @@ def balance_bits(bal):
 
 def assert_balances_without_writing(market):
     """The balance leaves a_hat as it was and has the separate kernel's phi and psi."""
-    before = market.a_hat.tobytes()
+    before = np.asarray(market.a_hat).tobytes()
     with single_threaded_blas():
         bal = sinkhorn_balance(market)
-        assert market.a_hat.tobytes() == before
+        assert np.asarray(market.a_hat).tobytes() == before
         assert balance_bits(bal) == balance_bits(separate_kernel_balance(market))
     assert bal.a_hat is market.a_hat
 
@@ -370,7 +380,11 @@ def test_backfilled_public_scores_balance_leaves_a_hat_as_it_was():
     u = unit_uniforms(stream_key(5, "public"), 2 * n)
     scores = public_scores_market(10.0 ** (2.0 * u[:n] - 1.0), 10.0 ** (2.0 * u[n + k :] - 1.0))
     market = backfill_imbalanced(scores, k)
-    assert market.a_hat.flags.c_contiguous and market.b_hat.strides[0] == 0
+    # The men's table holds the real men's row and the dummies' row, the
+    # women's their one shared row, with the k columns appended.
+    assert market.a_hat.table.shape == (2, n) and market.b_hat.table.shape == (1, n)
+    assert market.a_hat.index.tolist() == [0] * (n - k) + [1] * k
+    assert market.b_hat.index.tolist() == [0] * n
     assert_balances_without_writing(market)
 
 
@@ -511,6 +525,67 @@ def test_backfill_dummy_weights():
     np.testing.assert_allclose(new, orig, rtol=1e-12)
 
 
+def stacked_backfill(real, k):
+    """``backfill_imbalanced(real, k)`` of a public-scores or uniform market as
+    the men's dense n x n stack and a broadcast view of the women's one row."""
+    n, m = real.n_women, real.n_men
+    a = np.empty((n, n))
+    a[:m] = np.asarray(real.a_hat)
+    a[m:] = 1.0 / n
+    b = np.empty((1, n))
+    b[:, :m] = np.asarray(real.b_hat)[:1]
+    b[:, m:] = 1.0 / m
+    b /= b.sum(axis=1, keepdims=True)
+    return CanonicalMarket(a, np.broadcast_to(b, (n, n)))
+
+
+def backfill_cases():
+    for n in (1, 2, 65, 257, 1001):
+        # k = 1, k = n - 1, and a k whose n - k real men end inside a 64-row block.
+        off = next(k for k in range(n // 3, n) if (n - k) % 64)
+        for k in sorted({k for k in (1, n - 1, off) if 0 <= k < n}):
+            for kind in ("public_scores", "uniform"):
+                yield n, k, kind
+
+
+@pytest.mark.parametrize("n, k, kind", list(backfill_cases()))
+def test_backfilled_tables_have_the_dense_stacks_bits(n, k, kind):
+    if kind == "uniform":
+        real = uniform_market(n - k, n)
+    else:
+        u = unit_uniforms(stream_key(n, k, "public"), 2 * n - k)
+        real = public_scores_market(2.5 ** (2.0 * u[:n] - 1.0), 2.5 ** (2.0 * u[n:] - 1.0))
+    tables, stacked = backfill_imbalanced(real, k), stacked_backfill(real, k)
+    # Each side holds its d distinct rows, d * n * 8 bytes: the men's real
+    # row and, once backfilled, the dummies' row; the women's one row.
+    assert tables.a_hat.table.shape == (2 if k else 1, n)
+    assert tables.a_hat.index.tolist() == [0] * (n - k) + [1] * k
+    assert tables.b_hat.table.shape == (1, n) and tables.b_hat.index.tolist() == [0] * n
+    for side in ("a_hat", "b_hat"):
+        got, want = (np.asarray(getattr(market, side)) for market in (tables, stacked))
+        assert got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(n + k)
+    y = rng.uniform(0.1, 3.0, (n, 2))
+    rows, cols = np.arange(n)[:, None], rng.integers(0, n, (n, 5)).astype(np.int32)
+    with single_threaded_blas():
+        bal, held = sinkhorn_balance(tables), sinkhorn_balance(stacked)
+        assert balance_bits(bal) == balance_bits(held)
+        for part in (y, y[:, 0]):
+            assert bal.mutual_matmul(part).tobytes() == held.mutual_matmul(part).tobytes()
+    for side, scale in (("a_hat", bal.phi), ("b_hat", bal.psi)):
+        drawn = []
+        for rates in (getattr(tables, side), getattr(stacked, side)):
+            out = np.empty((n, n))
+
+            def keep(block_rows, block, _spare, out=out):
+                out[block_rows] = block
+
+            exponential_blocks(7, rates, keep, scale=scale)
+            cells = exponential_cells(7, rates, rows, cols, scale)
+            drawn.append((out.tobytes(), cells.tobytes()))
+        assert drawn[0] == drawn[1]
+
+
 @pytest.mark.parametrize("n, k, c", [(2, 1, 2.0), (65, 10, 3.0), (300, 7, 10.0), (1001, 500, 1e6)])
 def test_backfilled_counter_scores_match_the_stacked_ones(n, k, c):
     real = random_cbounded_market(n - k, c, seed=n, n_women=n)
@@ -568,7 +643,7 @@ def test_counter_rows_and_cells_equal_the_held_scores(n, k, c):
 def test_kernel_built_balance_equals_the_held_balance(n, k, c):
     held = held_cbounded(n, c, n, k)
     counted = cbounded_kernel_market(n, c, n, k)
-    kernel = np.ascontiguousarray(held.a_hat) * held.b_hat.T
+    kernel = np.asarray(held.a_hat) * np.asarray(held.b_hat).T
     kernel /= n
     assert counted.kernel.tobytes() == kernel.tobytes()
     y = np.random.default_rng(n).uniform(0.1, 3.0, (n, 2))
@@ -679,16 +754,18 @@ def test_read_market_file_errors(tmp_path):
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (5, 9), (9, 5), (2000, 2000)])
-def test_uniform_market_is_the_broadcast_of_one_over_n(m, n):
+def test_uniform_market_is_one_row_of_one_over_n(m, n):
     market = uniform_market(m, n)
-    for got, want in (
-        (market.a_hat, np.broadcast_to(np.full(n, 1.0 / n), (m, n))),
-        (market.b_hat, np.broadcast_to(np.full(m, 1.0 / m), (n, m))),
-    ):
-        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
-        assert not got.flags.writeable and not want.flags.writeable
-        # Row stride 0: one row holds every byte of the view.
-        assert got.strides[0] == 0 and got[0].tobytes() == want[0].tobytes()
+    for got, rows, width in ((market.a_hat, m, n), (market.b_hat, n, m)):
+        # One table row holds every score: d * width * 8 bytes, d = 1.
+        assert got.shape == (rows, width)
+        assert got.table.shape == (1, width) and got.table.dtype == np.float64
+        assert got.table.tobytes() == np.full(width, 1.0 / width).tobytes()
+        assert got.index.tolist() == [0] * rows
+        # Its rows read as one read-only row, the dense array's bytes.
+        block = got[: min(rows, 64)]
+        assert np.shares_memory(block, got.table) and not block.flags.writeable
+        assert np.asarray(got).tobytes() == np.full((rows, width), 1.0 / width).tobytes()
 
 
 @pytest.mark.parametrize("side", ["a", "b"])

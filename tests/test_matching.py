@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mml import sampling as sampling_module
 from mml.errors import DeltaOutOfRange, ShapeMismatch, TooLarge
-from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
+from mml.market import sinkhorn_balance, uniform_market
 from mml.matching import (
     ENUMERATION_LIMIT,
     Matching,
@@ -37,6 +37,7 @@ from oracles import (
     list_deferred_acceptance,
     loop_truncate_delta,
     prefs_from_values,
+    random_cbounded_market,
     rebuilt_alpha_certificate,
     values_from_prefs,
 )

@@ -62,6 +62,12 @@ INLINE_CONFIGS = {
         "experiment = approx_stable\nmarket = public_scores\nc = 2.5\nn = 200\nk = 7\n"
         "trials = 3\ndelta = 0.05\nmaster_seed = 512\n"
     ),
+    # At n = 300 the last kernel block holds rows 192-299, and the 199 real
+    # men end inside it: one block mixes real and dummy rows.
+    "imbalance_public_scores_blocks": (
+        "experiment = imbalance\nmarket = public_scores\nc = 2.5\nn = 300\nk = 101\n"
+        "trials = 3\ndelta = 0.05\nmaster_seed = 613\n"
+    ),
     # The 150 added men walk past their presorted columns 7 times over the 3 trials.
     "imbalance_deep_walks": (
         "experiment = imbalance\nmarket = uniform\nn = 200\nk = 150\n"
@@ -89,6 +95,9 @@ PINS = [
     ("imbalance_public_scores", None,
      "5e473500ef5505e81d07efa894a843407865032bf57c2cb4654ed6e36b5f70bc",
      "8a54c3386b81e63ef7720e103cbbc4ea6b816e1d5bc717b6b6b2ca85eeab6335"),
+    ("imbalance_public_scores_blocks", None,
+     "561f2bda40b4ab058ff140dccc845f6058a0640639ca79229bd530ff48c0509f",
+     "70ed23e70e6004ee08fc661a6768b274ca900fcd134742bb296a282496cf07a3"),
     ("value_dist_public_scores", None,
      "a936064261279b96659649956c95eec3c2f0954c1592413dafbf82ec00c7f1d9",
      "f2608589d012cf253d1c954c54f8268218ad06746c95e3652a7ac919674a1814"),

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from mml.errors import NotNormalized
-from mml.market import random_cbounded_market, sinkhorn_balance, uniform_market
+from mml.market import sinkhorn_balance, uniform_market
 from mml.matching import Matching, Side, deferred_acceptance, truncate_delta
 from mml.sampling import sample_latent
-from oracles import chernoff_lower_tail, dkw_bound, naive_p_upper, p_mu, q_xy
+from oracles import (
+    chernoff_lower_tail, dkw_bound, naive_p_upper, p_mu, q_xy, random_cbounded_market,
+)
 
 
 def random_instance(n, seed, c=2.0):

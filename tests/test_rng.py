@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from mml.errors import ConfigError
 from mml.rng import (
     BLOCK,
+    DistinctRows,
     exponential_cells,
     exponentials,
     stream_key,
@@ -155,30 +156,35 @@ def test_blocked_draws_match_the_one_shot_reference(count, offset):
      (3, BLOCK // 8 - 1), (2, BLOCK // 8), (9, BLOCK // 8 + 1)],
 )
 def test_factored_rates_match_the_one_shot_reference(shape):
-    # Row i's rates are scale[i] * rates[i], for dense and broadcast rates,
+    # Row i's rates are scale[i] * rates[i], for dense rates and rates held
+    # as distinct rows (one shared row, or rows of a three-row table),
     # including rows longer than a block.
     rows, cols = shape
     key = stream_key(rows, cols, "factored")
     scale = np.linspace(0.5, 2.0, rows)
     reference = reference_uniforms(key, rows * cols).reshape(shape)
+    table = np.linspace(0.25, 4.0, 3 * cols).reshape(3, cols)
     for rates in (np.linspace(0.25, 4.0, rows * cols).reshape(shape),
-                  np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)):
-        expected = -np.log(reference) / (scale[:, None] * rates)
+                  DistinctRows(table[:1], np.zeros(rows, np.intp)),
+                  DistinctRows(table, np.arange(rows) % 3)):
+        expected = -np.log(reference) / (scale[:, None] * np.asarray(rates))
         np.testing.assert_array_equal(exponentials(key, rates, scale=scale), expected)
     with pytest.raises(ValueError, match="scale"):
         exponentials(key, np.ones(shape), scale=np.ones(rows + 1))
 
 
-@pytest.mark.parametrize("layout", ["broadcast_row", "dense"])
+@pytest.mark.parametrize("layout", ["shared_row", "two_rows", "dense"])
 def test_gathered_cells_equal_the_full_draw_across_blocks(layout):
     # An int32 (n, L) table against an (n, 1) column, as the walks gather
     # them, over more than one block of cells, and 0-d and 1-d indices:
-    # broadcast-row rates are read from their row, dense ones by the cells'
-    # two indices.
+    # rates held as distinct rows are taken from their one shared row or
+    # gathered from their table, dense ones by the cells' two indices.
     n, width = 1100, 64
     key = stream_key(n, "cells")
+    rate_rows = np.linspace(0.25, 4.0, 2 * n).reshape(2, n)
     rates = {
-        "broadcast_row": np.broadcast_to(np.linspace(0.25, 4.0, n), (n, n)),
+        "shared_row": DistinctRows(rate_rows[:1], np.zeros(n, np.intp)),
+        "two_rows": DistinctRows(rate_rows, (np.arange(n) >= 700).astype(np.intp)),
         "dense": np.linspace(0.25, 4.0, n * n).reshape(n, n),
     }[layout]
     table = np.random.default_rng(n).integers(0, n, (n, width)).astype(np.int32)
@@ -203,14 +209,14 @@ def test_gathered_cells_equal_the_full_draw_across_blocks(layout):
 
 
 def test_gather_scratch_does_not_grow_with_the_table():
-    # A walk's (n, 64) table against its column of rows, with a broadcast
+    # A walk's (n, 64) table against its column of rows, with one shared
     # rate row and a scale, as the trials gather the receivers' values.  The
     # scratch is two uint64 buffers of BLOCK / 8 cells and block-sized
     # temporaries (the rates taken, numpy's casting buffer): about 260 KB at
     # every n, where buffers of BLOCK cells took 2.1 MB.
     extras = []
     for n in (1000, 3000):
-        rates = np.broadcast_to(np.linspace(0.25, 4.0, n), (n, n))
+        rates = DistinctRows(np.linspace(0.25, 4.0, n)[None], np.zeros(n, np.intp))
         scale = np.linspace(0.5, 2.0, n)
         table = np.random.default_rng(n).integers(0, n, (n, 64)).astype(np.int32)
         column = np.arange(n)[:, None]

@@ -8,14 +8,16 @@ from mml.market import (
     CanonicalMarket,
     backfill_imbalanced,
     public_scores_market,
-    random_cbounded_market,
     sinkhorn_balance,
     uniform_market,
 )
 from mml.matching import Side, _matrix_tables
 from mml.rng import BLOCK, exponentials, stream_key, thread_budget
 from mml.sampling import TOP_L, LatentValues, latent_streams, sample_latent
-from oracles import argpartition_lowest_columns, logit_sample_prefs, strided_mutual_matmul
+from oracles import (
+    argpartition_lowest_columns, logit_sample_prefs, random_cbounded_market,
+    strided_mutual_matmul,
+)
 
 CHI2_99_DF2 = 9.210
 CHI2_99_DF5 = 15.086
@@ -237,17 +239,20 @@ def test_top_columns_equal_the_argpartition_selection(n_men, n_women):
 
 @pytest.mark.parametrize("n", [80, 1000])
 def test_backfilled_uniform_market_keeps_shared_rows_and_bits(n):
-    # The completion of a uniform market is uniform again: both sides stay
-    # broadcast views, with the values and draws of the stacked matrices.
+    # The completion of a uniform market is uniform again: the men's table
+    # holds the real men's row and the dummies' (both 1/n), the women's their
+    # one row, with the values and draws of the stacked matrices.
     k = n // 10
     real = uniform_market(n - k, n)
     full = backfill_imbalanced(real, k)
-    assert full.a_hat.strides[0] == full.b_hat.strides[0] == 0
-    a_stacked = np.vstack([real.a_hat, np.full((k, n), 1.0 / n)])
-    b_raw = np.hstack([real.b_hat, np.full((n, k), 1.0 / (n - k))])
+    assert full.a_hat.table.shape == (2, n) and full.b_hat.table.shape == (1, n)
+    assert full.a_hat.index.tolist() == [0] * (n - k) + [1] * k
+    assert full.b_hat.index.tolist() == [0] * n
+    a_stacked = np.vstack([np.asarray(real.a_hat), np.full((k, n), 1.0 / n)])
+    b_raw = np.hstack([np.asarray(real.b_hat), np.full((n, k), 1.0 / (n - k))])
     b_stacked = b_raw / b_raw.sum(axis=1, keepdims=True)
-    assert full.a_hat.tobytes() == a_stacked.tobytes()
-    assert full.b_hat.tobytes() == b_stacked.tobytes()
+    assert np.asarray(full.a_hat).tobytes() == a_stacked.tobytes()
+    assert np.asarray(full.b_hat).tobytes() == b_stacked.tobytes()
     values = sample_latent(sinkhorn_balance(full), seed=n)
     stacked = sample_latent(sinkhorn_balance(CanonicalMarket(a_stacked, b_stacked)), seed=n)
     assert values.X.tobytes() == stacked.X.tobytes()

@@ -25,13 +25,13 @@ import mml.sampling
 from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_trial
-from mml.market import random_cbounded_market, sinkhorn_balance
+from mml.market import sinkhorn_balance
 from mml.matching import Side, deferred_acceptance, proposer_tables
 from mml.rng import (
     BLOCK, row_blocks, single_threaded_blas, stream_key, thread_budget, usable_cores,
 )
 from mml.sampling import latent_streams, sample_latent
-from oracles import held_approx_stable_records, held_imbalance_records
+from oracles import held_approx_stable_records, held_imbalance_records, random_cbounded_market
 
 BUDGETS = (1, 2, 3)
 EXPERIMENTS = ("value_dist", "rank_dist", "hyperbola")

@@ -22,14 +22,14 @@ import mml
 from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_experiment, run_trial
-from mml.market import random_cbounded_market, sinkhorn_balance
+from mml.market import sinkhorn_balance
 from mml.matching import Side, _matrix_tables, deferred_acceptance
 from mml.rng import (
-    BLOCK, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
+    BLOCK, DistinctRows, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
     single_threaded_blas, stream_key, thread_budget, unit_uniforms,
 )
 from mml.sampling import LatentValues
-from oracles import bounds_records, held_kernel_balance
+from oracles import bounds_records, held_kernel_balance, random_cbounded_market
 
 BUDGETS = (1, 2, 3)
 # Square sizes below, at and above one block of 256^2 cells, and a
@@ -65,14 +65,14 @@ def test_draws_are_bit_identical_at_every_budget(shape):
     rows, cols = shape
     key = stream_key(rows, cols, "budget")
     dense = np.linspace(0.25, 4.0, rows * cols).reshape(shape)
-    broadcast = np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)
+    shared = DistinctRows(np.linspace(0.25, 4.0, cols)[None], np.zeros(rows, np.intp))
     scale = np.linspace(0.5, 2.0, rows)
 
     def draws():
         return [
             exponentials(key, dense),
-            exponentials(key, broadcast),
-            exponentials(key, broadcast, scale=scale),
+            exponentials(key, shared),
+            exponentials(key, shared, scale=scale),
             exponentials(key, dense, scale=scale),
             unit_uniforms(key, rows * cols, offset=7),
         ]
@@ -85,7 +85,7 @@ def test_gathered_cells_equal_the_full_draw_at_every_budget(shape):
     rows, cols = shape
     key = stream_key(rows, cols, "gather")
     dense = np.linspace(0.25, 4.0, rows * cols).reshape(shape)
-    broadcast = np.broadcast_to(np.linspace(0.25, 4.0, cols), shape)
+    shared = DistinctRows(np.linspace(0.25, 4.0, cols)[None], np.zeros(rows, np.intp))
     scale = np.linspace(0.5, 2.0, rows)
     # More cells than two gather blocks, and not a multiple of one.
     picked = np.random.default_rng(rows * cols).integers(0, rows * cols, 2 * BLOCK + 17)
@@ -97,10 +97,10 @@ def test_gathered_cells_equal_the_full_draw_at_every_budget(shape):
     cases = [
         (dense, i, j, None),
         (dense, i, j, scale),
-        (broadcast, i, j, None),
-        (broadcast, i, j, scale),
+        (shared, i, j, None),
+        (shared, i, j, scale),
         (dense, table, proposers, scale),
-        (broadcast, table, proposers, scale),
+        (shared, table, proposers, scale),
     ]
     expected = [exponentials(key, rates, scale=scale)[r, c] for rates, r, c, scale in cases]
 
