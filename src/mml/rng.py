@@ -9,9 +9,8 @@ The generator is a stateless splitmix64-style hash: the counter is spread with
 one 64-bit finalizer, folded into the key, and finalized again.  All hot-path
 arithmetic is vectorized uint64 (wraparound is the intended modular
 arithmetic), which keeps tiny markets cheap (no per-stream object setup) and
-large matrices fast: matrices are filled in place, one block of cells at a
-time, at 60-75M exponential draws/s on one core of a 2-core Xeon and
-85-110M/s on both (n = 2000, depending on the host's load).  A matrix need
+large matrices fast, drawn a block of cells at a time: 60-75M exponentials/s
+on one core of a 2-core Xeon, 85-110M/s on both (n = 2000).  A matrix need
 not be stored at all: :func:`exponential_blocks` hands each block to a
 consumer, and :func:`exponential_cells` draws the cells at chosen (row,
 column) pairs from their counters alone.  Blocks and cells share one copy of
@@ -21,12 +20,13 @@ distinct rows, and a :class:`CounterRates` source draws each block's or
 cell's rates again from uniforms at their own counters, and where those
 are the values' counters the two draws share the first mix.
 
-The fill is the one stage that runs on threads, through
-:func:`map_row_blocks`: the counter draw of every screened pass, score build
-and batch.  It spreads the row blocks over the process's thread budget:
-every usable core in a serial run, an equal share of them in each worker
-process of a pool.  A block computes the same bits on any thread, so no
-output depends on the budget.  Each walk's block scratch is allocated by the
+The fill is the one stage that runs on threads, and it has one path: the
+walks of :func:`map_row_blocks` claim row blocks, draw each into their
+scratch and hand it to a consumer (a copy into the matrix, where one is
+asked for).  Its threads are the process's budget: every usable core in a
+serial run, an equal share of them in each worker process of a pool.  A
+block has the same bits on any thread and at any block size, so no output
+depends on either.  Each walk's block scratch is allocated by the
 calling thread before the helper threads start, so a helper allocates no
 block buffer and its malloc arena holds none between calls.  The other
 blocked stages (the cell gather, ``M @ y`` and the held draw's screen) walk
@@ -52,7 +52,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,31 +141,23 @@ def map_row_blocks(
 
     ``fn`` walks the blocks it is given in order; each block must write only
     its own rows' slice of the output, so the bits do not depend on which
-    thread runs it.  With a budget of one thread, or with a single block,
-    this is ``fn(row_blocks(nrows, ncols), scratch())``.  Otherwise the
-    caller and up to budget - 1 threads started for the call each run ``fn``
-    once, on blocks they claim in increasing order from a shared counter, so
-    a thread that starts late or runs slow takes fewer blocks.  The threads
-    are joined before this returns: none outlives the call, so a forked
-    process inherits none.  No thread claims a block after one has raised,
-    and every block below a failed one was claimed before it and runs to its
-    end: the exception of the lowest failed block, raised once all threads
-    stop, is the sequential walk's.
+    thread runs it.  The caller and up to budget - 1 threads started for the
+    call each run ``fn`` once, on blocks they claim in increasing order from
+    a shared counter, so a slow thread takes fewer blocks; at a budget of
+    one thread, or with one block, no thread starts.  The threads are joined
+    before this returns: none outlives the call, so a forked process
+    inherits none.  No thread claims a block after one has raised, and every
+    block below a failed one was claimed before it and runs to its end: the
+    exception of the lowest failed block, raised once all threads stop, is
+    the sequential walk's.
 
     Each walk gets its own set of buffers from ``scratch()``, and the calling
     thread makes every walk's set before any thread starts.  A helper thread
     then allocates no block buffers, so its malloc arena does not grow to
     keep them between calls.
     """
-    threads = _budget or usable_cores()
-    blocks = row_blocks(nrows, ncols, cells)
-    if threads > 1:
-        blocks = list(blocks)
-        threads = min(threads, len(blocks))
-    sets = [scratch() for _ in range(max(threads, 1))]
-    if threads <= 1:
-        fn(blocks, sets[0])
-        return
+    blocks = list(row_blocks(nrows, ncols, cells))
+    sets = [scratch() for _ in range(max(1, min(_budget or usable_cores(), len(blocks))))]
     # next() on a count and list.append are atomic under the interpreter lock.
     counter = itertools.count()
     failures: list[tuple[int, BaseException]] = []
@@ -277,15 +269,16 @@ class CounterRates:
 class DistinctRows:
     """An n x w matrix held as a d x w ``table`` of its distinct rows: row i is ``table[index[i]]``.
 
-    It is read as a dense array is read, by rows or (rows, cols), each a
-    slice or index arrays broadcast together; ``np.asarray`` materialises
-    it.  Where every selected row is one table row, the result is a
-    read-only broadcast view of that row (its cells taken, for index
-    columns); else the cells are gathered.
+    It is read as a dense array is read, by rows or (rows, cols), both slices
+    or index arrays broadcast together; ``np.asarray`` materialises it.  If
+    every selected row is one table row (always at d = 1: no index is read),
+    the result is a read-only view: a slice of that row's n x w broadcast,
+    made once, or its cells taken for index columns.  Else cells are gathered.
     """
 
     table: np.ndarray
     index: np.ndarray
+    _views: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -293,14 +286,19 @@ class DistinctRows:
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        picked = self.index[rows]
-        if self.table.shape[0] > 1 and not (picked.size and (picked == picked.flat[0]).all()):
-            return self.table[picked, cols]
-        row = self.table[picked.flat[0] if picked.size else 0]
-        if isinstance(cols, slice):
-            row = row[cols]
-            return np.broadcast_to(row, picked.shape + row.shape)
-        return np.broadcast_to(row.take(cols), np.broadcast_shapes(picked.shape, np.shape(cols)))
+        k = 0
+        if self.table.shape[0] > 1:
+            picked = self.index[rows]
+            if not (picked.size and (picked == picked.flat[0]).all()):
+                return self.table[picked, cols]
+            k = picked.flat[0]
+        if not isinstance(cols, slice):
+            shape = np.broadcast_shapes(np.shape(rows), np.shape(cols))
+            return np.broadcast_to(self.table[k].take(cols), shape)
+        view = self._views.get(k)
+        if view is None:  # setdefault is atomic: every row-block thread gets one view
+            view = self._views.setdefault(k, np.broadcast_to(self.table[k], self.shape))
+        return view[rows, cols]
 
     def min(self) -> float:
         return self.table.min()
@@ -327,7 +325,7 @@ def _unit_floats(
 
 def _cell_values(
     z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
-    rates: np.ndarray | None, neg_scale: np.ndarray | None,
+    rates: np.ndarray | None, neg_scale: np.ndarray | float,
 ) -> None:
     """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
 
@@ -335,24 +333,21 @@ def _cell_values(
     (``_mix``), and t is scratch of z's size; ``out`` may be t's float
     view.  Both are spent: the hash runs in z with t as its scratch, and
     once its words are converted into ``out``, z holds the rate product.
-    Given ``neg_scale``, a cell's rate is ``-neg_scale * rates``, and its
-    draw ``log(u) / (neg_scale * rates)``: the same bits as ``-log(u)``
-    over a materialised rate matrix.  Row blocks and gathered cells both
-    come here, so a cell has the same bits however it is drawn.
+    A cell's rate is ``-neg_scale * rates`` (-1.0 where no scale is given),
+    and its draw ``log(u) / (neg_scale * rates)``: IEEE division is sign
+    symmetric, so these are the bits of ``-log(u) / rate``, signed zeros
+    included.  Row blocks and gathered cells both come here, so a cell has
+    the same bits however it is drawn.
     """
     _unit_floats(z, t, key, out)
     if rates is None:
         return
     np.log(out, out=out)
+    product = z.view(np.float64).reshape(out.shape)
     # A rate too small for a finite value draws inf, which the screens refuse.
     with np.errstate(over="ignore", divide="ignore"):
-        if neg_scale is None:
-            np.negative(out, out=out)
-            out /= rates
-        else:
-            product = z.view(np.float64).reshape(out.shape)
-            np.multiply(neg_scale, rates, out=product)
-            out /= product
+        np.multiply(neg_scale, rates, out=product)
+        out /= product
 
 
 def _counter_rows(
@@ -378,9 +373,14 @@ def _counter_rows(
 
 
 # Cells per block of a walk whose rates are drawn by counter: its three
-# buffers take 768 KiB, less than the two of a held-rate walk, at the same
-# one-thread speed at n = 1000.
+# buffers take 768 KiB, so a two-thread C-bounded trial at n = 1000 traces
+# 10.6 MB, inside 8n^2 + 4 MB (12.7 at BLOCK).  Its trials run 9 % (CPU) to
+# 13 % (wall) longer than at BLOCK on two threads, as long on one (README).
 _COUNTED_BLOCK = BLOCK // 2
+
+
+def _copy_block(grid: np.ndarray, rows: slice, block: np.ndarray, _spare: np.ndarray) -> None:
+    grid[rows] = block
 
 
 def _fill(
@@ -396,16 +396,16 @@ def _fill(
     of about BLOCK cells (a 1-d grid counts as one column), so any blocking
     yields the same bits.  Each walk reuses two uint64 buffers of a block's
     size, or, for the rates of a :class:`CounterRates` source, three of half
-    that size.  A block is written into its rows of ``out``, or, without
-    ``out``, into the spent hash scratch; then ``consume(rows, block,
-    spare)`` is called on it, with ``spare`` the other buffer, spent, as
-    floats of the block's shape (``spare_cols`` columns if given) that the
-    consumer may overwrite.  Every step writes in place, so the only
-    full-size array is ``out``.
+    that size.  A block is drawn into the spent hash scratch and handed to
+    ``consume(rows, block, spare)``, with ``spare`` the other buffer, spent,
+    as floats of the block's shape (``spare_cols`` columns if given) that the
+    consumer may overwrite; given ``out`` instead, the consumer copies it
+    into its rows of ``out``, the only full-size array.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
-    grid = None if out is None else out.reshape(nrows, ncols)
+    if out is not None:
+        consume = functools.partial(_copy_block, out.reshape(nrows, ncols))
     counted = isinstance(rates, CounterRates)
     if isinstance(rates, np.ndarray):
         rates = rates.reshape(nrows, ncols)
@@ -424,19 +424,18 @@ def _fill(
         z, t = buffers[:2]
         for rows in blocks:
             k = (rows.stop - rows.start) * ncols
-            zb, tb, start = z[:k], t[:k], rows.start * ncols
-            ob = tb.view(np.float64).reshape(-1, ncols) if grid is None else grid[rows]
-            _counter_words(zb, offset + start)
+            zb, tb = z[:k], t[:k]
+            block = tb.view(np.float64).reshape(-1, ncols)
+            _counter_words(zb, offset + rows.start * ncols)
             _mix(zb, tb)
             _cell_values(
-                zb, tb, key, ob,
+                zb, tb, key, block,
                 _counter_rows(rates, rows, zb if shared else None, tb, buffers[2][:k])
                 if counted else None if rates is None else rates[rows],
-                None if scale is None else np.negative(scale[rows, None]),
+                -1.0 if scale is None else np.negative(scale[rows, None]),
             )
-            if consume is not None:
-                spare = z[: (rows.stop - rows.start) * spare_cols]
-                consume(rows, ob, spare.view(np.float64).reshape(-1, spare_cols))
+            spare = z[: (rows.stop - rows.start) * spare_cols].view(np.float64)
+            consume(rows, block, spare.reshape(-1, spare_cols))
 
     map_row_blocks(fill_rows, nrows, ncols, scratch, cells)
 
@@ -453,8 +452,7 @@ def unit_uniforms(
     shape (a 2-d one may be a column slice of a wider array), the draws are
     written into it and it is returned.
     """
-    if out is None:
-        out = np.empty(shape)
+    out = np.empty(shape) if out is None else out
     _fill(key, offset, out.shape, None, None, out=out)
     return out
 
@@ -592,6 +590,6 @@ def exponential_cells(
             zb, tb, key, ob,
             _counter_cells(rates, r, c, zb if shared else None, tb, words[0][: ob.size], ob.shape)
             if counted else rates[r, c],
-            None if scale is None else np.negative(scale.take(r)),
+            -1.0 if scale is None else np.negative(scale.take(r)),
         )
     return out

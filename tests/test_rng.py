@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mml import rng
 from mml.errors import ConfigError
 from mml.rng import (
     BLOCK,
@@ -124,7 +125,20 @@ def test_exponentials_counter_layout():
     key = stream_key(21, "layout")
     rates = np.full((3, 4), 2.0)
     expected = -np.log(unit_uniforms(key, 12).reshape(3, 4)) / 2.0
-    np.testing.assert_array_equal(exponentials(key, rates), expected)
+    assert exponentials(key, rates).tobytes() == expected.tobytes()
+
+
+def test_a_uniform_of_one_draws_a_negative_zero(monkeypatch):
+    # log(1) / -rate is -0.0, as -log(1) / rate is: the draw keeps signed zeros.
+    def ones(z, t, key, out, words=None):
+        out[...] = 1.0
+
+    monkeypatch.setattr(rng, "_unit_floats", ones)
+    rates = np.array([[0.5, 2.0, np.inf]])
+    cells = exponential_cells(3, rates, np.zeros(3, int), np.arange(3))
+    for drawn in (exponentials(3, rates), cells):
+        assert drawn.tobytes() == (-np.log(np.ones(3)) / rates).reshape(drawn.shape).tobytes()
+        assert np.signbit(drawn).all()
 
 
 # Around a chunk of counter words (BLOCK / 8) and a block.
@@ -136,18 +150,16 @@ def test_exponentials_counter_layout():
 def test_blocked_draws_match_the_one_shot_reference(count, offset):
     key = stream_key(count, offset, "blocked")
     reference = reference_uniforms(key, count, offset)
-    np.testing.assert_array_equal(unit_uniforms(key, count, offset), reference)
+    assert unit_uniforms(key, count, offset).tobytes() == reference.tobytes()
     # The same counters as one or two rows: an odd count above BLOCK is one
     # row wider than a block.
     rows = 2 if count % 2 == 0 else 1
-    np.testing.assert_array_equal(
-        unit_uniforms(key, (rows, count // rows), offset), reference.reshape(rows, -1)
-    )
+    assert unit_uniforms(key, (rows, count // rows), offset).tobytes() == reference.tobytes()
     # A matrix whose rows straddle block boundaries, with distinct rates.
     cols = max(d for d in range(1, 301) if count % d == 0)
     rates = np.linspace(0.5, 3.0, count).reshape(count // cols, cols)
     expected = -np.log(reference_uniforms(key, count).reshape(rates.shape)) / rates
-    np.testing.assert_array_equal(exponentials(key, rates), expected)
+    assert exponentials(key, rates).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

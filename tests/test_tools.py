@@ -60,3 +60,52 @@ def test_peak_memory_prints_the_peak_beside_the_model():
     assert [line[:2] for line in lines] == [["value_dist_small", "1"], ["value_dist_small", "2"]]
     for _, _, peak, model in lines:
         assert 0.0 < float(floor[2]) <= float(peak) <= float(model)
+
+
+TINY_CONFIG = """
+experiment = hyperbola
+market = uniform
+n = 60
+trials = 2
+master_seed = 3
+"""
+
+
+def ab_time(tree, config, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_time.py"), *args, str(tree), str(config)],
+        capture_output=True, text=True,
+    )
+
+
+def test_ab_time_of_the_tree_against_itself_prints_its_report(tmp_path):
+    # The interval is not checked: an A/A interval misses 1 by chance.
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    run = ab_time(ROOT, config, "--rounds", "3", "--trials", "1", "--threads", "2")
+    assert run.returncode == 0, run.stderr
+    records, *clocks = run.stdout.splitlines()
+    assert records == "records equal: trial 0, 2 records" and len(clocks) == 2
+    for name, line in zip(("cpu", "wall"), clocks):
+        fields = line.split()
+        assert [fields[i] for i in (0, 1, 3, 6, 8, 10)] == [
+            name, "median", "interval", "level", "a_s", "b_s"
+        ]
+        median, low, high, level, a_s, b_s = (float(fields[i]) for i in (2, 4, 5, 7, 9, 11))
+        assert 0 < low <= median <= high and 0 < a_s and 0 < b_s
+        assert level == 0.75  # three rounds: the whole range, 1 - 2 / 2**3
+
+
+def test_ab_time_refuses_trees_whose_records_differ(tmp_path):
+    package = tmp_path / "mml"
+    package.mkdir()
+    for source in (ROOT / "src" / "mml").glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        if source.name == "rng.py":
+            text = text.replace("0x9E3779B97F4A7C15", "0x9E3779B97F4A7C17")
+        (package / source.name).write_text(text, encoding="utf-8")
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    run = ab_time(package, config, "--rounds", "1")
+    assert run.returncode == 1
+    assert "records differ" in run.stderr and run.stdout == ""
