@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConfigError, ShapeMismatch
 from .market import (
     BalancedMarket,
-    CanonicalMarket,
     _raw_scores,
     backfill_imbalanced,
     cbounded_kernel_market,
@@ -219,37 +218,30 @@ class TrialRecord:
 
 
 CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
-_INT_COLUMNS = {"trial_id", "proposal_count", "stable_count", "da_agree"}
+_RECORD_TYPES = typing.get_type_hints(TrialRecord)
+_INT_COLUMNS = {name for name, hint in _RECORD_TYPES.items() if hint in (int, int | None)}
 _REQUIRED_COLUMNS = [f.name for f in fields(TrialRecord) if f.default is MISSING]
 
 
 # --- market construction -----------------------------------------------------
 
 
-def _build_market(cfg: ExperimentConfig, t: int, k: int) -> CanonicalMarket:
-    """Trial t's square market of ``cfg.n`` agents a side; its last k men are backfilled dummies.
+def _trial_market(cfg: ExperimentConfig, t: int) -> BalancedMarket:
+    """Trial t's market of ``cfg.n`` agents a side, balanced to its fitness.
 
-    A C-bounded market is held as its balancing kernel, its scores drawn by counter.
-    """
-    n_men = cfg.n - k
-    if cfg.market is MarketKind.UNIFORM:
-        return backfill_imbalanced(uniform_market(n_men, cfg.n), k)
-    if cfg.market is MarketKind.PUBLIC_SCORES:
-        a = _raw_scores(unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n), cfg.c)
-        b = _raw_scores(unit_uniforms(stream_key(cfg.master_seed, "public_b", t), n_men), cfg.c)
-        return backfill_imbalanced(public_scores_market(a, b), k)
-    return cbounded_kernel_market(cfg.n, cfg.c, stream_key(cfg.master_seed, "market", t), k)
-
-
-def _build_balanced(cfg: ExperimentConfig, t: int) -> BalancedMarket:
-    """Trial t's square market, balanced; the uniform one is balanced once per (n, k).
-
-    ``imbalance`` backfills its last ``cfg.k`` men; elsewhere k adds none.
+    ``imbalance``'s last ``cfg.k`` men are backfilled dummies; elsewhere k adds
+    none.  The uniform market is balanced once per (n, k) (``_uniform_balanced``);
+    a C-bounded one is held as its balancing kernel, its scores drawn by counter.
     """
     k = cfg.k if cfg.experiment is ExperimentKind.IMBALANCE else 0
     if cfg.market is MarketKind.UNIFORM:
         return _uniform_balanced(cfg.n, k)
-    return sinkhorn_balance(_build_market(cfg, t, k))
+    if cfg.market is MarketKind.PUBLIC_SCORES:
+        a = _raw_scores(unit_uniforms(stream_key(cfg.master_seed, "public_a", t), cfg.n), cfg.c)
+        b = _raw_scores(unit_uniforms(stream_key(cfg.master_seed, "public_b", t), cfg.n - k), cfg.c)
+        return sinkhorn_balance(backfill_imbalanced(public_scores_market(a, b), k))
+    market_key = stream_key(cfg.master_seed, "market", t)
+    return sinkhorn_balance(cbounded_kernel_market(cfg.n, cfg.c, market_key, k))
 
 
 @functools.cache
@@ -317,9 +309,9 @@ def _optimal_matchings(bal: BalancedMarket, seed: int) -> list[tuple[Matching, M
     ]
 
 
-def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
-    trial_seed = stream_key(cfg.master_seed, "trial", t)
-    bal = _build_balanced(cfg, t)
+def _value_family_records(
+    cfg: ExperimentConfig, t: int, trial_seed: int, bal: BalancedMarket
+) -> list[TrialRecord]:
     solved = _optimal_matchings(bal, trial_seed)
     # Both matchings' M @ y in one pass over the factors.
     mutual_y = bal.mutual_matmul(np.column_stack([o.value_women for _, o in solved]))
@@ -337,9 +329,9 @@ def _value_family_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     return records
 
 
-def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
-    trial_seed = stream_key(cfg.master_seed, "trial", t)
-    bal = _build_balanced(cfg, t)
+def _approx_stable_records(
+    cfg: ExperimentConfig, t: int, trial_seed: int, bal: BalancedMarket
+) -> list[TrialRecord]:
     x, y = latent_streams(bal, trial_seed)
     men, _ = proposer_tables(x, y)
     y.row_max(cfg.n)  # the women never walk: their one pass only screens their values
@@ -368,20 +360,21 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     value_men, value_women = outcome.value_men.copy(), outcome.value_women.copy()
     value_men[moved] = x.cells(moved, women)
     value_women[women] = y.cells(women, moved)
+    x_moved = x.cells(moved[:, None], agents)  # the moved men's rows
     rank_men = outcome.rank_men.copy()
-    rank_men[moved] = (x.cells(moved[:, None], agents) <= value_men[moved, None]).sum(axis=1)
+    rank_men[moved] = (x_moved <= value_men[moved, None]).sum(axis=1)
     pert_outcome = MatchingOutcome(value_men, value_women, rank_men, outcome.proposal_count)
 
-    def blocking(i, j):
-        """Whether each pair of man i and woman j, broadcast together, blocks."""
-        return (x.cells(i, j) < value_men[i]) & (y.cells(j, i) < value_women[j])
+    def blocking(x_ij, i, j):
+        """Whether each pair of man i and woman j, broadcast together, blocks; X[i, j] is x_ij."""
+        return (x_ij < value_men[i]) & (y.cells(j, i) < value_women[j])
 
     # A pair of two unmoved agents keeps both thresholds, so it would block the
     # stable matching too: only the moved men's rows and the moved women's
     # columns can block.
     block = np.zeros((cfg.n, cfg.n), dtype=bool)
-    block[moved] = blocking(moved[:, None], agents)
-    block[:, women] = blocking(agents[:, None], women)
+    block[moved] = blocking(x_moved, moved[:, None], agents)
+    block[:, women] = blocking(x.cells(agents[:, None], women), agents[:, None], women)
     block[moved, women] = False
     alpha_cert, _ = peel_blocking_pairs(perturbed, block)
 
@@ -392,10 +385,11 @@ def _approx_stable_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     return [replace(record, alpha_cert=alpha_cert)]
 
 
-def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
-    trial_seed = stream_key(cfg.master_seed, "trial", t)
+def _imbalance_records(
+    cfg: ExperimentConfig, t: int, trial_seed: int, bal: BalancedMarket
+) -> list[TrialRecord]:
     m = cfg.n - cfg.k
-    x, y = latent_streams(_build_balanced(cfg, t), trial_seed)
+    x, y = latent_streams(bal, trial_seed)
     men, _ = proposer_tables(x, y)
     worst = y.row_max(m)  # each woman's largest value over the real men
 
@@ -417,9 +411,9 @@ def _imbalance_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     return [replace(record, da_agree=int(agree))]
 
 
-def _stable_count_records(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
-    trial_seed = stream_key(cfg.master_seed, "trial", t)
-    bal = _build_balanced(cfg, t)
+def _stable_count_records(
+    cfg: ExperimentConfig, t: int, trial_seed: int, bal: BalancedMarket
+) -> list[TrialRecord]:
     values = sample_latent(bal, trial_seed)
     count = len(enumerate_stable(values))
     return [TrialRecord(trial_id=t, matching_kind="all", stable_count=count)]
@@ -472,14 +466,17 @@ def _keep_heap() -> bool:
 def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     """All records of trial t; a pure function of (cfg, t).
 
-    BLAS runs every call on the calling thread, so the row-block threads
+    Trial t's seed, keyed (master_seed, "trial", t), and its balanced market
+    (``_trial_market``) are made here, once, and handed to the experiment's
+    body.  BLAS runs every call on the calling thread, so the row-block threads
     (``rng.map_row_blocks``) and the pool's worker processes own the cores.
     Before a process's first trial malloc returns the heap the import freed,
     and from then on it keeps its heap between trials (``_keep_heap``).
     """
     _keep_heap()
     with single_threaded_blas():
-        return _TRIAL_BODIES[cfg.experiment](cfg, t)
+        trial_seed = stream_key(cfg.master_seed, "trial", t)
+        return _TRIAL_BODIES[cfg.experiment](cfg, t, trial_seed, _trial_market(cfg, t))
 
 
 def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
@@ -526,6 +523,11 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     return base + math.ceil(per_cell * cfg.n**2)
 
 
+def _thread_share(workers: int) -> int:
+    """Row-block threads per process when ``workers`` processes share the usable cores."""
+    return max(1, usable_cores() // workers)
+
+
 def _pool_size(cfg: ExperimentConfig) -> int:
     """The worker processes of cfg's run: ``MML_WORKERS`` if set, else one per
     usable core, or as many as the memory model fits in physical memory if
@@ -533,7 +535,7 @@ def _pool_size(cfg: ExperimentConfig) -> int:
     market is built, if the count does not fit.
     """
     env = os.environ.get("MML_WORKERS")
-    cores = workers = usable_cores()
+    workers = usable_cores()
     if env is not None:
         try:
             workers = int(env)
@@ -546,11 +548,10 @@ def _pool_size(cfg: ExperimentConfig) -> int:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (ValueError, OSError):  # not reported on this platform
         return workers
-    # A worker runs its row blocks on its share of the cores.
-    per_process = memory_estimate(cfg, max(1, cores // workers))
+    per_process = memory_estimate(cfg, _thread_share(workers))
     while env is None and workers > 1 and workers * per_process > physical:
         workers -= 1
-        per_process = memory_estimate(cfg, max(1, cores // workers))
+        per_process = memory_estimate(cfg, _thread_share(workers))
     if workers * per_process > physical:
         raise MemoryError(
             f"n = {cfg.n} needs an estimated {workers * per_process / 2**30:.1f} GiB "
@@ -579,9 +580,7 @@ def run_experiment(
             for t in range(cfg.trials):
                 records.extend(run_trial(cfg, t))
         else:
-            # The worker processes share the usable cores; a worker with a
-            # budget of one thread runs its row blocks inline.
-            trial = functools.partial(_budgeted_trial, max(1, usable_cores() // workers), cfg)
+            trial = functools.partial(_budgeted_trial, _thread_share(workers), cfg)
             # Ctrl-C keeps only the chunks that came back: at most 16 trials each.
             chunk = max(1, min(16, cfg.trials // (workers * 4)))
             import concurrent.futures  # only a pool run pays for the import

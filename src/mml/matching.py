@@ -211,7 +211,6 @@ def deferred_acceptance(
     # a table sits at p * width + k.  A deep walk's arrays are read the same way.
     top, recv = memoryview(tables.top.ravel()), memoryview(tables.recv.ravel())
     deep: dict[int, tuple[memoryview, memoryview]] = {}  # each deep walk's best receivers
-    deep_end = [width] * n_prop  # where each walk's current table ends
 
     next_idx = [0] * n_prop
     match_of = [-1] * n_recv
@@ -224,11 +223,10 @@ def deferred_acceptance(
             if k < width:
                 r, v = top[p * width + k], recv[p * width + k]
             else:
-                if k == deep_end[p]:
-                    deep[p] = tuple(map(memoryview, tables.deep(p, 16 * k)))
-                    deep_end[p] = len(deep[p][0])
-                walk_r, walk_v = deep[p]
-                r, v = walk_r[k], walk_v[k]
+                walk = deep.get(p)
+                if walk is None or k == len(walk[0]):  # past the top-L, or this walk's end
+                    walk = deep[p] = tuple(map(memoryview, tables.deep(p, 16 * k)))
+                r, v = walk[0][k], walk[1][k]
             next_idx[p] = k + 1
             cur = match_of[r]
             if cur < 0:

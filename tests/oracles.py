@@ -62,9 +62,7 @@ import numpy as np
 
 from mml import experiments
 from mml.errors import EmptySample, NotNormalized, TooLarge
-from mml.market import (
-    BalancedMarket, CanonicalMarket, _cbounded_pass, _check_cbounded, sinkhorn_balance,
-)
+from mml.market import BalancedMarket, CanonicalMarket, _cbounded_pass, _check_cbounded
 from mml.matching import (
     Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
     _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
@@ -519,7 +517,7 @@ def g_test(observed: np.ndarray, law: np.ndarray) -> tuple[float, int, float]:
 def held_approx_stable_records(cfg, t: int) -> list:
     """The approx_stable trial on both held matrices."""
     trial_seed = stream_key(cfg.master_seed, "trial", t)
-    bal = experiments._build_balanced(cfg, t)
+    bal = experiments._trial_market(cfg, t)
     values = sample_latent(bal, trial_seed)
     matching, outcome = deferred_acceptance(values, Side.MEN)
     mu = list(matching.mu)
@@ -549,7 +547,7 @@ def held_imbalance_records(cfg, t: int) -> list:
     """The imbalance trial on both held matrices, the completion written into Y."""
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     m = cfg.n - cfg.k
-    bal = sinkhorn_balance(experiments._build_market(cfg, t, cfg.k))
+    bal = experiments._trial_market(cfg, t)
     values = sample_latent(bal, trial_seed)
     y = values.Y
     y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)

@@ -266,7 +266,7 @@ def test_run_past_the_memory_model_exits_two_before_building(tmp_path, capsys, m
     def refuse(*args, **kwargs):
         raise AssertionError("a market was built")
 
-    monkeypatch.setattr(mml.experiments, "_build_market", refuse)
+    monkeypatch.setattr(mml.experiments, "_trial_market", refuse)
     monkeypatch.setenv("MML_WORKERS", "2")
     cfg_file = tmp_path / "big.cfg"
     cfg_file.write_text(

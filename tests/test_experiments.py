@@ -22,6 +22,7 @@ from mml import (
     TrialRecord,
     deferred_acceptance,
     format_summary,
+    hyperbola_product,
     ks_distance_to_exp,
     load_config,
     parse_config,
@@ -266,6 +267,26 @@ def test_value_dist_records_the_finite_n_value_law():
             assert record.ks_ysum != ks_distance_to_exp(outcome.value_men, rate)
 
 
+@pytest.mark.parametrize("experiment", ["hyperbola", "value_dist"])
+def test_delta_zero_reads_the_untruncated_outcome(experiment):
+    # At delta = 0 nobody is dropped: the welfare product is the whole
+    # outcome's, and the first-order rate is the women's whole value sum.
+    cfg = parse_config(
+        TINY_VALUE_DIST.replace("value_dist", experiment).replace("delta = 0.1", "delta = 0")
+    )
+    bal = sinkhorn_balance(uniform_market(cfg.n))
+    for t in range(cfg.trials):
+        values = sample_latent(bal, stream_key(cfg.master_seed, "trial", t))
+        recorded = {r.matching_kind: r for r in run_trial(cfg, t)}
+        for side, kind in ((Side.MEN, "mosm"), (Side.WOMEN, "wosm")):
+            _, outcome = deferred_acceptance(values, side)
+            x, y = outcome.value_men, outcome.value_women
+            assert recorded[kind].hyperbola == hyperbola_product(x, y, cfg.n)
+            # value_dist records the finite-n rate, which delta does not touch.
+            rate = float(y.sum()) if experiment == "hyperbola" else float((-np.expm1(-y)).sum())
+            assert recorded[kind].lambda_ysum == rate
+
+
 def test_worker_count_is_invisible_in_output(monkeypatch):
     cfg = parse_config(TINY_VALUE_DIST)
     monkeypatch.setenv("MML_WORKERS", "1")
@@ -431,6 +452,26 @@ def test_fraction_check_boundary_is_inclusive():
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_shipped_configs_set_only_keys_their_trials_read(name):
+    # c shapes the public-scores and C-bounded markets, delta truncates the
+    # outcomes of every experiment but stable_count, and k is approx_stable's
+    # swaps and imbalance's dummy men.
+    path = CONFIG_DIR / f"{name}.cfg"
+    keys = {
+        line.split("=", 1)[0].strip().lower()
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.split("#", 1)[0].strip()
+    }
+    cfg = load_config(path)
+    if "c" in keys:
+        assert cfg.market in (MarketKind.PUBLIC_SCORES, MarketKind.CBOUNDED)
+    if "delta" in keys:
+        assert cfg.experiment is not ExperimentKind.STABLE_COUNT
+    if "k" in keys:
+        assert cfg.experiment in (ExperimentKind.APPROX_STABLE, ExperimentKind.IMBALANCE)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
 def test_checks_without_records_fail(name):
     summary = summarize_experiment(load_config(CONFIG_DIR / f"{name}.cfg"), [])
     assert summary["checks"]
@@ -578,7 +619,7 @@ def _refuse_to_build(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a market was built")
 
-    for name in ("_build_market", "_build_balanced", "sinkhorn_balance"):
+    for name in ("_trial_market", "_uniform_balanced", "sinkhorn_balance"):
         monkeypatch.setattr(mml.experiments, name, refuse)
 
 

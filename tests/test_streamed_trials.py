@@ -52,7 +52,7 @@ def config(experiment, market, n):
 
 def solutions(cfg):
     """Trial 0's streamed and matrix solutions, as comparable bytes."""
-    bal = experiments._build_balanced(cfg, 0)
+    bal = experiments._trial_market(cfg, 0)
     seed = stream_key(cfg.master_seed, "trial", 0)
     out = []
     for solve in (experiments._optimal_matchings, matrix_matchings):
@@ -91,7 +91,7 @@ def test_deep_walks_keep_the_matchings(monkeypatch, market):
             assert solutions(cfg) == full_top
             assert records_to_csv(run_trial(cfg, 0)) == records
     # Most walks of both sides went past the two presorted columns.
-    bal = experiments._build_balanced(cfg, 0)
+    bal = experiments._trial_market(cfg, 0)
     values = sample_latent(bal, stream_key(cfg.master_seed, "trial", 0))
     (_, mosm), (_, wosm) = matrix_matchings(bal, stream_key(cfg.master_seed, "trial", 0))
     women_ranks = (values.Y <= wosm.value_women[:, None]).sum(axis=1)
@@ -108,7 +108,7 @@ def test_deep_walks_read_sixteen_times_their_depth(monkeypatch):
         "experiment = value_dist\nmarket = public_scores\nc = 100\nn = 600\n"
         "trials = 1\nmaster_seed = 17\n"
     )
-    bal = experiments._build_balanced(cfg, 0)
+    bal = experiments._trial_market(cfg, 0)
     seed = stream_key(cfg.master_seed, "trial", 0)
     tables, _ = proposer_tables(*latent_streams(bal, seed))
     asked = []

@@ -22,7 +22,10 @@ import mml
 from mml import experiments
 from mml.errors import DuplicateValue
 from mml.experiments import parse_config, records_to_csv, run_experiment, run_trial
-from mml.market import sinkhorn_balance
+from mml.market import (
+    _raw_scores, backfill_imbalanced, cbounded_kernel_market, public_scores_market,
+    sinkhorn_balance, uniform_market,
+)
 from mml.matching import Side, _matrix_tables, deferred_acceptance
 from mml.rng import (
     BLOCK, DistinctRows, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
@@ -335,14 +338,23 @@ def blas_threads():
 
 
 def market_of(kind, n):
-    """Trial 0's square market of the given kind, each side of size n."""
+    """A square market of the given kind, each side of size n: trial 0's at master_seed = 3, c = 2.5.
+
+    A backfilled market's last min(10, n - 1) men are dummies, as in an
+    ``imbalance`` trial.
+    """
     market = kind.removesuffix(" backfilled")
-    cfg = parse_config(
-        f"experiment = rank_dist\nmarket = {market}\nc = 2.5\nn = {n}\n"
-        "trials = 1\nmaster_seed = 3\n"
-    )
     # k = 0 (n = 1) leaves the market as it is.
-    return experiments._build_market(cfg, 0, 0 if kind == market else min(10, n - 1))
+    k = 0 if kind == market else min(10, n - 1)
+    if market == "uniform":
+        return backfill_imbalanced(uniform_market(n - k, n), k)
+    if market == "public_scores":
+        a, b = (
+            _raw_scores(unit_uniforms(stream_key(3, side, 0), size), 2.5)
+            for side, size in (("public_a", n), ("public_b", n - k))
+        )
+        return backfill_imbalanced(public_scores_market(a, b), k)
+    return cbounded_kernel_market(n, 2.5, stream_key(3, "market", 0), k)
 
 
 def balance_fields(bal):
@@ -451,7 +463,7 @@ def test_run_trial_holds_blas_at_one_thread_and_restores_it(monkeypatch, blas_th
     cfg = parse_config("experiment = stable_count\nn = 5\ntrials = 1\nmaster_seed = 4\n")
     seen = []
 
-    def body(cfg, t):
+    def body(cfg, t, trial_seed, bal):
         seen.append(get())
         if t:
             raise KeyError(t)
