@@ -116,6 +116,12 @@ _FIELD_TYPES = {
     if name != "tolerances"
 }
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig) if f.default is MISSING]
+# The keys that only some experiments or markets read: setting one elsewhere is refused.
+_READ_BY = {
+    "k": ("experiment", {ExperimentKind.APPROX_STABLE, ExperimentKind.IMBALANCE}),
+    "c": ("market", {MarketKind.PUBLIC_SCORES, MarketKind.CBOUNDED}),
+    "delta": ("experiment", set(ExperimentKind) - {ExperimentKind.STABLE_COUNT}),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -183,9 +189,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("k: imbalance needs 1 <= k < n")
     if cfg.experiment is ExperimentKind.APPROX_STABLE and cfg.k > 0 and cfg.n < 2:
         raise ConfigError("k: approx_stable swaps the partners of two men and needs n >= 2")
-    reads_k = (ExperimentKind.APPROX_STABLE, ExperimentKind.IMBALANCE)
-    if cfg.k > 0 and cfg.experiment not in reads_k:
-        raise ConfigError(f"k: {cfg.experiment.value} runs a square market and reads no k")
+    for key, (field, readers) in _READ_BY.items():
+        if key in data and getattr(cfg, field) not in readers:
+            raise ConfigError(f"{key}: {field} = {getattr(cfg, field).value} reads no {key}")
     return cfg
 
 
@@ -336,6 +342,7 @@ def _approx_stable_records(
     men, _ = proposer_tables(x, y)
     y.row_max(cfg.n)  # the women never walk: their one pass only screens their values
     matching, outcome = deferred_acceptance(men, Side.MEN)
+    del men  # what the certificate and statistics read is drawn by counter
 
     # Perturb the stable matching by k random partner swaps.  A uniform can
     # round to 1.0 (see unit_uniforms), which would index man n.
@@ -371,12 +378,13 @@ def _approx_stable_records(
 
     # A pair of two unmoved agents keeps both thresholds, so it would block the
     # stable matching too: only the moved men's rows and the moved women's
-    # columns can block.
-    block = np.zeros((cfg.n, cfg.n), dtype=bool)
-    block[moved] = blocking(x_moved, moved[:, None], agents)
-    block[:, women] = blocking(x.cells(agents[:, None], women), agents[:, None], women)
-    block[moved, women] = False
-    alpha_cert, _ = peel_blocking_pairs(perturbed, block)
+    # columns can block, the columns' moved men being in the rows already.
+    rows = np.nonzero(blocking(x_moved, moved[:, None], agents))
+    del x_moved
+    unmoved = np.flatnonzero(pert == matching.mu_array)
+    cols = np.nonzero(blocking(x.cells(unmoved[:, None], women), unmoved[:, None], women))
+    pairs = (moved[rows[0]], unmoved[cols[0]]), (rows[1], women[cols[1]])  # men, then women
+    alpha_cert, _ = peel_blocking_pairs(perturbed, *map(np.concatenate, pairs))
 
     fitness = (bal.mutual_matmul(value_women), bal.phi)
     record = _matching_stats(
@@ -494,18 +502,22 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 # or, while a market is balanced or multiplied by M, the kernel products'
 # block buffer.  A market balanced every trial (any but the uniform one)
 # adds 12 KiB per row: the tables kept two or three times over by the
-# allocator.  Trials stream
-# their values, so the n x n terms are what is held: a C-bounded market's
-# balancing kernel, square or backfilled (8), its scores drawn again by
-# counter wherever they are read, and approx_stable's blocking mask (1).  A
-# public-scores market's least fit proposers walk past their best 64
-# columns, the further the wider the fitness spread and the larger n: its
-# peaks at c = 2, 10, 100 and 10^10 and n = 2000 to 8000 (README) grow by
-# about 0, 0.8, 5.5 and 12 bytes a cell, and a walk holds at most its row (16).
+# allocator.  Trials stream their values, so the n x n terms are what is
+# held: a C-bounded market's balancing kernel, square or backfilled (8), its
+# scores drawn again by counter wherever they are read.  A public-scores
+# market's least fit proposers walk past their best 64 columns, the further
+# the wider the fitness spread and the larger n: its peaks at c = 2, 10, 100
+# and 10^10 and n = 2000 to 8000 (README) grow by about 0, 0.8, 5.5 and 12
+# bytes a cell, and a walk holds at most its row (16).  approx_stable's
+# certificate screens its moved men's rows, then their women's columns, at
+# most min(2k, n) x n cells at a time: 8 + 8 + 1 + 1 bytes a cell (the men's
+# values, the women's gathered for them, two comparisons).  Its peel's 48
+# bytes a blocking pair come to 12 a cell, as at most about a quarter block.
 _BASE_BYTES = 40 << 20
 _THREAD_BYTES = 2 << 20
 _ROW_BYTES = 5 << 8
 _REBALANCED_ROW_BYTES = 12 << 10
+_MOVED_CELL_BYTES = 8 + 8 + 1 + 1
 
 
 def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
@@ -519,7 +531,7 @@ def memory_estimate(cfg: ExperimentConfig, threads: int) -> int:
     if cfg.market is MarketKind.PUBLIC_SCORES:
         per_cell += min(16.0, max(0.0, 6.0 * math.log10(cfg.c) - 5.0))
     if cfg.experiment is ExperimentKind.APPROX_STABLE:
-        per_cell += 1
+        base += _MOVED_CELL_BYTES * min(2 * cfg.k, cfg.n) * cfg.n
     return base + math.ceil(per_cell * cfg.n**2)
 
 

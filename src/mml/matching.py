@@ -268,22 +268,16 @@ def _blocking_mask(
     thr_women = np.full(n_women, np.inf)
     thr_women[sup_w] = y[sup_w, inv[sup_w]]
 
-    block = (x < thr_men[:, None]) & (y.T < thr_women[None, :])
+    block = (x < thr_men[:, None]) & (y.T < thr_women[None, :])  # strict: no matched pair blocks
     if not count_unmatched:
         block[mu_arr < 0, :] = False
         block[:, inv < 0] = False
-    if sup_m.size:
-        block[sup_m, mu_arr[sup_m]] = False
     return block
 
 
-def is_stable(
-    mu: Matching, values: LatentValues, count_unmatched_agents: bool = False
-) -> bool:
+def is_stable(mu: Matching, values: LatentValues, count_unmatched_agents: bool = False) -> bool:
     _check_values_shape(mu, values)
-    return not _blocking_mask(
-        values.X, values.Y, mu.mu_array, count_unmatched_agents
-    ).any()
+    return not _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents).any()
 
 
 def enumerate_stable(values: LatentValues) -> list[Matching]:
@@ -386,37 +380,36 @@ def truncate_delta(
     return x_delta, y_delta
 
 
-def greedy_alpha_certificate(
-    mu: Matching, values: LatentValues
-) -> tuple[float, Matching]:
-    """Upper-bound the instability fraction by peeling off troublesome pairs.
-
-    The peel of :func:`peel_blocking_pairs` on the blocking pairs among
-    ``mu``'s matched agents.
-    """
+def greedy_alpha_certificate(mu: Matching, values: LatentValues) -> tuple[float, Matching]:
+    """Upper-bound the instability fraction: the peel of :func:`peel_blocking_pairs`
+    on the blocking pairs among ``mu``'s matched agents."""
     _check_values_shape(mu, values)
     block = _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched=False)
-    return peel_blocking_pairs(mu, block)
+    return peel_blocking_pairs(mu, *np.nonzero(block))
 
 
-def peel_blocking_pairs(mu: Matching, block: np.ndarray) -> tuple[float, Matching]:
-    """Peel ``mu`` until none of the blocking pairs in ``block`` is left.
+def peel_blocking_pairs(mu: Matching, men: np.ndarray, women: np.ndarray) -> tuple[float, Matching]:
+    """Peel ``mu`` until none of the blocking pairs (``men[p]``, ``women[p]``) is left.
 
-    ``block[i, j]`` marks (man i, woman j) as blocking; the mask is consumed.
+    The pairs are distinct, in any order, and join matched agents; neither array is written.
     Repeatedly removes the matched pair whose man appears in the most blocking
     pairs (ties toward the lowest index) until the remaining sub-matching is
     internally stable.  Returns (removed / n_men, remaining matching).
     """
     cur = mu.mu_array
-    degree = block.sum(axis=1)
+    degree = np.bincount(men, minlength=mu.n_men)
+    # Each woman's men: by_woman[start[j]:start[j + 1]].
+    order = np.argsort(women)
+    by_woman = men[order]
+    start = np.searchsorted(women, np.arange(mu.n_women + 1), sorter=order)
     removed = 0
-    # A peel zeroes the man's row and his partner's column; no other threshold moves.
+    # A peel drops the man's pairs and his partner's; no other threshold moves.
+    # A man of her slice with pairs left is unpeeled, so he loses his pair with her.
     while degree.any():
         i = int(np.argmax(degree))
-        degree -= block[:, cur[i]]
         degree[i] = 0
-        block[:, cur[i]] = block[i] = False
+        col = by_woman[start[cur[i]] : start[cur[i] + 1]]
+        degree[col] -= degree[col] > 0
         cur[i] = -1
         removed += 1
-    remaining = Matching(mu=tuple(int(v) for v in cur), n_women=mu.n_women)
-    return removed / mu.n_men, remaining
+    return removed / mu.n_men, Matching(mu=tuple(cur.tolist()), n_women=mu.n_women)

@@ -103,10 +103,15 @@ def test_malformed_lines_are_rejected():
         ("experiment = mystery\nn = 4\ntrials = 1\nmaster_seed = 0\n", "mystery"),
         ("experiment = value_dist\nmarket = bazaar\nn = 4\ntrials = 1\nmaster_seed = 0\n", "bazaar"),
         *(
-            (f"experiment = {kind}\nn = 4\ntrials = 1\nmaster_seed = 0\nk = 10\n",
-             f"^k: {kind} runs a square market and reads no k$")
+            (f"experiment = {kind}\nn = 4\ntrials = 1\nmaster_seed = 0\nk = {k}\n",
+             f"^k: experiment = {kind} reads no k$")
             for kind in ("value_dist", "rank_dist", "hyperbola", "stable_count")
+            for k in (0, 10)
         ),
+        ("experiment = value_dist\nmarket = uniform\nc = 2\nn = 4\ntrials = 1\nmaster_seed = 0\n",
+         "^c: market = uniform reads no c$"),
+        ("experiment = stable_count\ndelta = 0.05\nn = 4\ntrials = 1\nmaster_seed = 0\n",
+         "^delta: experiment = stable_count reads no delta$"),
     ]
     for text, fragment in bad_texts:
         with pytest.raises(ConfigError, match=fragment):
@@ -172,7 +177,7 @@ def test_semantic_validation():
             parse_config(text)
     # boundary values that must be accepted
     assert parse_config(cfg_text(delta=0.0)).delta == 0.0
-    assert parse_config(cfg_text(c=1.0)).c == 1.0
+    assert parse_config(cfg_text(market="cbounded", c=1.0)).c == 1.0
     assert parse_config(cfg_text(experiment="stable_count", n=10)).n == 10
     assert parse_config(cfg_text(experiment="imbalance", n=5, k=4)).k == 4
     assert parse_config(cfg_text(experiment="approx_stable", n=1, k=0)).k == 0

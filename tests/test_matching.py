@@ -29,6 +29,7 @@ from mml.matching import (
     greedy_alpha_certificate,
     is_stable,
     outcome_of,
+    peel_blocking_pairs,
     truncate_delta,
 )
 from mml.sampling import TOP_L, LatentValues, sample_latent
@@ -502,11 +503,13 @@ def test_greedy_certificate_is_certified_by_exact_search():
     n_men=st.integers(1, 40),
     extra_women=st.integers(0, 3),
     unmatched=st.floats(0.0, 0.5),
+    shuffle=st.randoms(use_true_random=False),
 )
 @settings(max_examples=200, deadline=None)
-def test_greedy_certificate_equals_the_rebuilt_peel(seed, n_men, extra_women, unmatched):
+def test_greedy_certificate_equals_the_rebuilt_peel(seed, n_men, extra_women, unmatched, shuffle):
     # Integer-permutation rows make blocking degrees tie often, and random
-    # partial matchings take many peels.
+    # partial matchings take many peels.  The pair peel takes its pairs in
+    # any order and writes neither index array.
     rng = np.random.default_rng(seed)
     n_women = n_men + extra_women
     values = LatentValues(
@@ -515,7 +518,15 @@ def test_greedy_certificate_equals_the_rebuilt_peel(seed, n_men, extra_women, un
     )
     partners = rng.permutation(n_women)[:n_men]
     mu = Matching(tuple(np.where(rng.random(n_men) < unmatched, -1, partners).tolist()), n_women)
-    assert greedy_alpha_certificate(mu, values) == rebuilt_alpha_certificate(mu, values)
+    rebuilt = rebuilt_alpha_certificate(mu, values)
+    assert greedy_alpha_certificate(mu, values) == rebuilt
+    men, women = np.nonzero(_blocking_mask(values.X, values.Y, mu.mu_array, False))
+    order = np.arange(men.size)
+    shuffle.shuffle(order)
+    men, women = men[order], women[order]
+    held = men.copy(), women.copy()
+    assert peel_blocking_pairs(mu, men, women) == rebuilt
+    assert np.array_equal(men, held[0]) and np.array_equal(women, held[1])
 
 
 def test_exact_alpha_boundary():
