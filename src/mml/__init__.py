@@ -36,7 +36,7 @@ from .market import (
     uniform_market,
     write_matrix_pair,
 )
-from .sampling import LatentValues, sample_latent
+from .sampling import latent_streams
 from .matching import (
     ENUMERATION_LIMIT,
     Matching,
@@ -44,9 +44,7 @@ from .matching import (
     Side,
     deferred_acceptance,
     enumerate_stable,
-    greedy_alpha_certificate,
-    is_stable,
-    outcome_of,
+    proposer_tables,
     truncate_delta,
 )
 from .stats import (

@@ -22,7 +22,9 @@ import sys
 
 from .errors import MmlError, ShapeMismatch
 from .market import read_market, sinkhorn_balance, write_matrix_pair
-from .matching import Side, deferred_acceptance, enumerate_stable
+from .matching import (
+    Side, check_enumerable, deferred_acceptance, enumerate_stable, proposer_tables,
+)
 from .experiments import (
     format_stats,
     format_summary,
@@ -34,7 +36,7 @@ from .experiments import (
     write_outputs,
 )
 from .rng import single_threaded_blas
-from .sampling import sample_latent
+from .sampling import latent_streams
 
 
 def _cmd_balance(args: argparse.Namespace) -> int:
@@ -81,10 +83,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     market = read_market(args.market)
-    values = sample_latent(market, args.seed)
-    stable = enumerate_stable(values)
-    man_optimal, _ = deferred_acceptance(values, Side.MEN)
-    woman_optimal, _ = deferred_acceptance(values, Side.WOMEN)
+    check_enumerable(market.n_men, market.n_women)  # before the balance and the draw
+    x, y = latent_streams(market, args.seed)
+    stable = enumerate_stable(x.matrix(), y.matrix())
+    man_optimal, _ = deferred_acceptance(proposer_tables(x, y)[0], Side.MEN)
+    woman_optimal, _ = deferred_acceptance(proposer_tables(y, x)[0], Side.WOMEN)
     print(f"stable matchings: {len(stable)}")
     for idx, matching in enumerate(stable, start=1):
         tags = []

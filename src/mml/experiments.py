@@ -44,7 +44,7 @@ from .matching import (
     truncate_delta,
 )
 from .rng import single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores
-from .sampling import latent_streams, sample_latent
+from .sampling import latent_streams
 from .stats import (
     best_fit_exponential,
     eig_dispersion,
@@ -422,8 +422,8 @@ def _imbalance_records(
 def _stable_count_records(
     cfg: ExperimentConfig, t: int, trial_seed: int, bal: BalancedMarket
 ) -> list[TrialRecord]:
-    values = sample_latent(bal, trial_seed)
-    count = len(enumerate_stable(values))
+    x, y = latent_streams(bal, trial_seed)
+    count = len(enumerate_stable(x.matrix(), y.matrix()))
     return [TrialRecord(trial_id=t, matching_kind="all", stable_count=count)]
 
 

@@ -4,10 +4,6 @@ Conventions used throughout:
 
 * A matching is stored man-side: ``mu[i]`` is the woman matched to man i, or
   -1 when he is unmatched.  Matched women are always distinct.
-* Blocking is evaluated among matched pairs (the sub-market spanned by the
-  matching).  Pass ``count_unmatched_agents=True`` to additionally let
-  unmatched agents block — the right notion for imbalanced markets, where an
-  unmatched agent prefers any partner to staying single.
 * Ranks are counted over the full market even for partial matchings:
   ``rank_men[i]`` is the number of women whose value to man i is at most his
   partner's value (so the best partner has rank 1).
@@ -23,7 +19,7 @@ import numpy as np
 
 from . import sampling
 from .errors import DeltaOutOfRange, ShapeMismatch, TooLarge
-from .sampling import LatentValues, ValueStream
+from .sampling import ValueStream
 
 ENUMERATION_LIMIT = 10
 
@@ -84,41 +80,14 @@ class Matching:
 class MatchingOutcome:
     """Per-agent values of a matching, the men's ranks, and the proposal count.
 
-    Off-support entries are 0 by convention.  ``rank_men`` is None when a
-    walk on streamed values had the men receive: it read no man's whole row.
+    Off-support entries are 0 by convention.  ``rank_men`` is None when the
+    men received: no walk read a man's whole row.
     """
 
     value_men: np.ndarray
     value_women: np.ndarray
     rank_men: np.ndarray | None
     proposal_count: int = 0
-
-
-def _check_values_shape(mu: Matching, values: LatentValues) -> None:
-    if values.X.shape != (mu.n_men, mu.n_women) or values.Y.shape != (mu.n_women, mu.n_men):
-        raise ShapeMismatch(
-            f"latent values {values.X.shape}/{values.Y.shape} do not match a "
-            f"{mu.n_men} x {mu.n_women} matching"
-        )
-
-
-def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> MatchingOutcome:
-    """Values of every matched agent under ``mu``, and the men's full-market ranks."""
-    _check_values_shape(mu, values)
-    x, y = values.X, values.Y
-    mu_arr = mu.mu_array
-    inv = mu.inverse()
-
-    value_men = np.zeros(mu.n_men)
-    sup_m = np.nonzero(mu_arr >= 0)[0]
-    value_men[sup_m] = x[sup_m, mu_arr[sup_m]]
-    # Values are positive, so an unmatched man's threshold 0 counts rank 0.
-    rank_men = (x <= value_men[:, None]).sum(axis=1)
-
-    value_women = np.zeros(mu.n_women)
-    sup_w = np.nonzero(inv >= 0)[0]
-    value_women[sup_w] = y[sup_w, inv[sup_w]]
-    return MatchingOutcome(value_men, value_women, rank_men, proposal_count)
 
 
 @dataclass(frozen=True)
@@ -139,22 +108,6 @@ class ProposerTables:
     n_recv: int
     own: Callable[[np.ndarray, np.ndarray], np.ndarray]
     deep: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
-
-
-def _matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
-    """The proposers' tables from one argsort of each of their held rows."""
-    prop, recv = (values.X, values.Y) if proposing_side == Side.MEN else (values.Y, values.X)
-    order = np.argsort(prop, axis=1)
-    top = order[:, : sampling.TOP_L].astype(np.int32)
-    proposers = np.arange(prop.shape[0])[:, None]
-
-    def own(rows, cols):
-        return prop[rows, cols]
-
-    def deep(p: int, stop: int):
-        return order[p, :stop], recv[order[p, :stop], p]
-
-    return ProposerTables(top, recv[top, proposers], prop.shape[1], own, deep)
 
 
 def proposer_tables(
@@ -182,7 +135,7 @@ def proposer_tables(
 
 
 def deferred_acceptance(
-    values: LatentValues | ProposerTables, proposing_side: Side = Side.MEN
+    tables: ProposerTables, proposing_side: Side = Side.MEN
 ) -> tuple[Matching, MatchingOutcome]:
     """Proposal-queue deferred acceptance; optimal for the proposing side.
 
@@ -200,11 +153,8 @@ def deferred_acceptance(
 
     The outcome holds the values the walks read, and a proposer's rank of
     its partner is its walk's depth.  When the men receive, no walk read
-    their rows: on a draw's matrices their ranks are counted over those
-    rows, and on the tables of ``proposer_tables`` they are None.
+    their rows, and their ranks are None.
     """
-    streamed = isinstance(values, ProposerTables)
-    tables = values if streamed else _matrix_tables(values, proposing_side)
     n_prop, width = tables.top.shape
     n_recv = tables.n_recv
     # Flat views whose items read as Python ints and floats: cell (p, k) of
@@ -247,57 +197,34 @@ def deferred_acceptance(
         rank[proposers] = np.array(next_idx, dtype=np.int64)[proposers]
         matching = Matching(mu=tuple(_inverse(partner_of, n_prop).tolist()), n_women=n_recv)
         return matching, MatchingOutcome(own, np.array(held), rank, proposals)
-    value_men = np.array(held)
-    # Values are positive, so an unmatched man's held 0 counts rank 0.
-    rank = None if streamed else (values.X <= value_men[:, None]).sum(axis=1)
     matching = Matching(mu=tuple(match_of), n_women=n_prop)
-    return matching, MatchingOutcome(value_men, own, rank, proposals)
+    return matching, MatchingOutcome(np.array(held), own, None, proposals)
 
 
-def _blocking_mask(
-    x: np.ndarray, y: np.ndarray, mu_arr: np.ndarray, count_unmatched: bool
-) -> np.ndarray:
-    n_men, n_women = x.shape
-    sup_m = np.nonzero(mu_arr >= 0)[0]
-    inv = _inverse(mu_arr, n_women)
-    sup_w = np.nonzero(inv >= 0)[0]
-
-    # Unmatched agents prefer anyone to staying single: threshold +inf.
-    thr_men = np.full(n_men, np.inf)
-    thr_men[sup_m] = x[sup_m, mu_arr[sup_m]]
-    thr_women = np.full(n_women, np.inf)
-    thr_women[sup_w] = y[sup_w, inv[sup_w]]
-
-    block = (x < thr_men[:, None]) & (y.T < thr_women[None, :])  # strict: no matched pair blocks
-    if not count_unmatched:
-        block[mu_arr < 0, :] = False
-        block[:, inv < 0] = False
-    return block
+def check_enumerable(n_men: int, n_women: int) -> None:
+    """Refuse a market :func:`enumerate_stable` cannot take, before any draw."""
+    if n_men > n_women:
+        raise ShapeMismatch("enumeration expects n_men <= n_women")
+    if n_women > ENUMERATION_LIMIT:
+        raise TooLarge(n_women, ENUMERATION_LIMIT, "enumerate_stable")
 
 
-def is_stable(mu: Matching, values: LatentValues, count_unmatched_agents: bool = False) -> bool:
-    _check_values_shape(mu, values)
-    return not _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents).any()
-
-
-def enumerate_stable(values: LatentValues) -> list[Matching]:
+def enumerate_stable(x: np.ndarray, y: np.ndarray) -> list[Matching]:
     """All stable matchings, in lexicographic order of (mu[0], mu[1], ...).
 
+    ``x`` and ``y`` are one draw's X and Y (:meth:`ValueStream.matrix`).
     Backtracking over men with incremental blocking checks: a blocking pair
     between two already-placed pairs survives any extension, so such branches
     are pruned immediately.  For markets with more women than men, leaves are
     additionally screened against blocks by women left unmatched.  Exhaustive,
     so limited to markets with at most 10 agents per side.
     """
-    n_men, n_women = values.X.shape
-    if n_men > n_women:
-        raise ShapeMismatch("enumeration expects n_men <= n_women")
-    if n_women > ENUMERATION_LIMIT:
-        raise TooLarge(n_women, ENUMERATION_LIMIT, "enumerate_stable")
+    n_men, n_women = x.shape
+    check_enumerable(n_men, n_women)
 
     # Python floats: the backtracking reads single cells, at most 10 x 10.
-    x = values.X.tolist()
-    y = values.Y.tolist()
+    x = x.tolist()
+    y = y.tolist()
     mu = [-1] * n_men
     used = [False] * n_women
     found: list[Matching] = []
@@ -378,14 +305,6 @@ def truncate_delta(
     x_delta[kept_men] = outcome.value_men[kept_men]
     y_delta[kept_women] = outcome.value_women[kept_women]
     return x_delta, y_delta
-
-
-def greedy_alpha_certificate(mu: Matching, values: LatentValues) -> tuple[float, Matching]:
-    """Upper-bound the instability fraction: the peel of :func:`peel_blocking_pairs`
-    on the blocking pairs among ``mu``'s matched agents."""
-    _check_values_shape(mu, values)
-    block = _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched=False)
-    return peel_blocking_pairs(mu, *np.nonzero(block))
 
 
 def peel_blocking_pairs(mu: Matching, men: np.ndarray, women: np.ndarray) -> tuple[float, Matching]:

@@ -29,7 +29,7 @@ block has the same bits on any thread and at any block size, so no output
 depends on either.  Each walk's block scratch is allocated by the
 calling thread before the helper threads start, so a helper allocates no
 block buffer and its malloc arena holds none between calls.  The other
-blocked stages (the cell gather, ``M @ y`` and the held draw's screen) walk
+blocked stages (the cell gather and ``M @ y``) walk
 their blocks in order on the calling thread, where their threads did not
 measurably pay.
 

@@ -12,8 +12,8 @@ The trials hold each side as a :class:`ValueStream`: one screened pass over
 its rows, block by block, keeps what the trial reads of them (the proposers'
 best columns, a count or a row maximum), and any cell, the values at those
 columns too, is drawn from its counter on demand, with the bits the matrix
-would have.  Only exhaustive enumeration, at most 10 agents per side, draws
-both matrices (:func:`sample_latent`).
+would have.  Only exhaustive enumeration, at most 10 agents per side, holds
+both matrices (:meth:`ValueStream.matrix`).
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateValue, ShapeMismatch
+from .errors import DuplicateValue
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
 from .rng import CounterRates, DistinctRows
-from .rng import exponential_blocks, exponential_cells, exponentials, row_blocks, stream_key
+from .rng import exponential_blocks, exponential_cells, exponentials, stream_key
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
 # walk ends at its final partner's rank: mean 6-10, peak 39-81 for n = 1000-4000
@@ -54,55 +54,13 @@ def _screened_rows(name: str, block: np.ndarray, out: np.ndarray | None = None) 
     return ordered
 
 
-def _screen_matrix(name: str, values: np.ndarray) -> None:
-    """Screen per row block, so that a fault names the lowest block that has one."""
-    for rows in row_blocks(*values.shape):
-        _screened_rows(name, values[rows])
-
-
-@dataclass(frozen=True)
-class LatentValues:
-    """Realized values for one market draw; X is men's, Y is women's.
-
-    ``X[i, j]`` is man i's value for woman j (rate ``A[i, j]``), ``Y[j, i]``
-    woman j's value for man i (rate ``B[j, i]``).  Man i prefers j1 to j2 iff
-    ``X[i, j1] < X[i, j2]``.  Construction rejects mismatched shapes and
-    non-finite, non-positive or tied values, so every row is a strict order.
-    Holding both matrices is the small-market form: the trials stream their
-    values (:class:`ValueStream`), and this one serves enumeration and tests.
-    """
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    def __post_init__(self):
-        x, y = self.X, self.Y
-        if x.ndim != 2 or y.shape != x.shape[::-1]:
-            raise ShapeMismatch(
-                f"value matrices must have transposed shapes, got {x.shape} and {y.shape}"
-            )
-        _screen_matrix("X", x)
-        _screen_matrix("Y", y)
-
-
-def sample_latent(
-    market: BalancedMarket | CanonicalMarket, seed: int
-) -> LatentValues:
-    """Draw one matrix of values per side from per-cell streams of ``seed``."""
-    x, y = latent_streams(market, seed)
-    return LatentValues(
-        X=exponentials(x.key, x.rates, scale=x.scale),
-        Y=exponentials(y.key, y.rates, scale=y.scale),
-    )
-
-
 @dataclass(frozen=True)
 class ValueStream:
     """One side's values, held as their stream rather than as a matrix.
 
     Cell (i, j) is ``Exp(scale[i] * rates[i, j])`` at counter
-    ``i * ncols + j`` of ``key`` (a None scale leaves the rates as they are):
-    the cell of :func:`sample_latent`'s matrix ``name``, with its bits.
+    ``i * ncols + j`` of ``key`` (a None scale leaves the rates as they are),
+    the same bits however it is drawn: in a pass, a gather or :meth:`matrix`.
     The rates are held (a :class:`~mml.rng.DistinctRows` table or a matrix)
     or drawn again by counter (a :class:`~mml.rng.CounterRates` source, the
     scores of a market held as its kernel), and read the same way: a pass
@@ -122,12 +80,18 @@ class ValueStream:
         """The values at (rows, cols), broadcast together, drawn by counter."""
         return exponential_cells(self.key, self.rates, rows, cols, self.scale)
 
+    def matrix(self) -> np.ndarray:
+        """Every value at once, screened as one block: for at most 10 agents a side."""
+        values = exponentials(self.key, self.rates, scale=self.scale)
+        _screened_rows(self.name, values)
+        return values
+
     def screen(
         self, width: int, thresholds: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One pass over the rows, block by block, holding no full-size array.
 
-        Blocks are screened as :class:`LatentValues` screens a matrix.
+        Blocks are screened by :func:`_screened_rows`.
         Returns each row's ``width`` lowest columns (int32), lowest first, and,
         given ``thresholds``, the count of row i's values at most
         ``thresholds[i]``.  The values themselves are not kept: any of them

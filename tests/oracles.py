@@ -1,5 +1,11 @@
 """Reference implementations the package is checked against; tests only.
 
+* ``LatentValues`` / ``sample_latent``: both value matrices of a draw held
+  whole and screened row block by row block, the cells ``latent_streams``
+  draws by counter.  ``outcome_of``, ``blocking_mask``, ``is_stable`` and
+  ``greedy_alpha_certificate`` read them by definition, and
+  ``held_deferred_acceptance`` walks tables sorted from the held rows
+  (``matrix_tables``), the receiving men's ranks counted over their rows.
 * ``list_deferred_acceptance``: deferred acceptance on explicit preference
   lists with inverse-rank tables, the textbook form of Gale and Shapley.
 * ``logit_sample_prefs``: preference lists drawn by sequential logit choice,
@@ -60,18 +66,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mml import experiments
-from mml.errors import EmptySample, NotNormalized, TooLarge
+from mml import experiments, sampling
+from mml.errors import EmptySample, NotNormalized, ShapeMismatch, TooLarge
 from mml.market import BalancedMarket, CanonicalMarket, _cbounded_pass, _check_cbounded
 from mml.matching import (
-    Matching, MatchingOutcome, Side, _blocking_mask, _check_values_shape, _floor_stable,
-    _matrix_tables, deferred_acceptance, greedy_alpha_certificate, outcome_of,
+    Matching, MatchingOutcome, ProposerTables, Side, _floor_stable, _inverse,
+    deferred_acceptance, peel_blocking_pairs,
 )
 from mml.rng import (
-    _GOLDEN, _MIX_1, _MIX_2, _U64, exponential_blocks, exponentials, stream_key,
+    _GOLDEN, _MIX_1, _MIX_2, _U64, exponential_blocks, exponentials, row_blocks, stream_key,
     unit_uniforms,
 )
-from mml.sampling import LatentValues, sample_latent
+from mml.sampling import _screened_rows, latent_streams
 
 EXACT_ALPHA_LIMIT = 12
 
@@ -228,6 +234,148 @@ def loop_truncate_delta(
     return x_delta, y_delta
 
 
+# --- Both value matrices held -------------------------------------------------
+#
+# A draw's X and Y held whole, and the references that read them: outcomes,
+# blocking and stability by definition, and deferred acceptance on tables
+# sorted from the held rows.  The program streams every side it walks.
+
+
+def _screen_matrix(name: str, values: np.ndarray) -> None:
+    """Screen per row block, so that a fault names the lowest block that has one."""
+    for rows in row_blocks(*values.shape):
+        _screened_rows(name, values[rows])
+
+
+@dataclass(frozen=True)
+class LatentValues:
+    """Realized values for one market draw; X is men's, Y is women's.
+
+    ``X[i, j]`` is man i's value for woman j (rate ``A[i, j]``), ``Y[j, i]``
+    woman j's value for man i (rate ``B[j, i]``).  Man i prefers j1 to j2 iff
+    ``X[i, j1] < X[i, j2]``.  Construction rejects mismatched shapes and
+    non-finite, non-positive or tied values, so every row is a strict order.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+
+    def __post_init__(self):
+        x, y = self.X, self.Y
+        if x.ndim != 2 or y.shape != x.shape[::-1]:
+            raise ShapeMismatch(
+                f"value matrices must have transposed shapes, got {x.shape} and {y.shape}"
+            )
+        _screen_matrix("X", x)
+        _screen_matrix("Y", y)
+
+
+def sample_latent(market, seed: int) -> LatentValues:
+    """Draw one matrix of values per side from the streams of ``latent_streams``."""
+    x, y = latent_streams(market, seed)
+    return LatentValues(
+        X=exponentials(x.key, x.rates, scale=x.scale),
+        Y=exponentials(y.key, y.rates, scale=y.scale),
+    )
+
+
+def _check_values_shape(mu: Matching, values: LatentValues) -> None:
+    if values.X.shape != (mu.n_men, mu.n_women) or values.Y.shape != (mu.n_women, mu.n_men):
+        raise ShapeMismatch(
+            f"latent values {values.X.shape}/{values.Y.shape} do not match a "
+            f"{mu.n_men} x {mu.n_women} matching"
+        )
+
+
+def outcome_of(mu: Matching, values: LatentValues, proposal_count: int = 0) -> MatchingOutcome:
+    """Values of every matched agent under ``mu``, and the men's full-market ranks."""
+    _check_values_shape(mu, values)
+    x, y = values.X, values.Y
+    mu_arr = mu.mu_array
+    inv = mu.inverse()
+
+    value_men = np.zeros(mu.n_men)
+    sup_m = np.nonzero(mu_arr >= 0)[0]
+    value_men[sup_m] = x[sup_m, mu_arr[sup_m]]
+    # Values are positive, so an unmatched man's threshold 0 counts rank 0.
+    rank_men = (x <= value_men[:, None]).sum(axis=1)
+
+    value_women = np.zeros(mu.n_women)
+    sup_w = np.nonzero(inv >= 0)[0]
+    value_women[sup_w] = y[sup_w, inv[sup_w]]
+    return MatchingOutcome(value_men, value_women, rank_men, proposal_count)
+
+
+def matrix_tables(values: LatentValues, proposing_side: Side) -> ProposerTables:
+    """The proposers' tables from one argsort of each of their held rows."""
+    prop, recv = (values.X, values.Y) if proposing_side == Side.MEN else (values.Y, values.X)
+    order = np.argsort(prop, axis=1)
+    top = order[:, : sampling.TOP_L].astype(np.int32)
+    proposers = np.arange(prop.shape[0])[:, None]
+
+    def own(rows, cols):
+        return prop[rows, cols]
+
+    def deep(p: int, stop: int):
+        return order[p, :stop], recv[order[p, :stop], p]
+
+    return ProposerTables(top, recv[top, proposers], prop.shape[1], own, deep)
+
+
+def held_deferred_acceptance(
+    values: LatentValues, proposing_side: Side = Side.MEN
+) -> tuple[Matching, MatchingOutcome]:
+    """``deferred_acceptance`` on ``matrix_tables``; when the men receive,
+    their ranks are counted over their held rows."""
+    matching, outcome = deferred_acceptance(matrix_tables(values, proposing_side), proposing_side)
+    if proposing_side == Side.WOMEN:
+        # Values are positive, so an unmatched man's held 0 counts rank 0.
+        rank = (values.X <= outcome.value_men[:, None]).sum(axis=1)
+        outcome = dataclasses.replace(outcome, rank_men=rank)
+    return matching, outcome
+
+
+def blocking_mask(
+    x: np.ndarray, y: np.ndarray, mu_arr: np.ndarray, count_unmatched: bool
+) -> np.ndarray:
+    """Which pairs (i, j) block ``mu_arr``: both strictly prefer each other to their partners.
+
+    Blocking is evaluated among matched pairs (the sub-market spanned by the
+    matching).  ``count_unmatched`` additionally lets unmatched agents block,
+    the right notion for imbalanced markets, where an unmatched agent prefers
+    any partner to staying single.
+    """
+    n_men, n_women = x.shape
+    sup_m = np.nonzero(mu_arr >= 0)[0]
+    inv = _inverse(mu_arr, n_women)
+    sup_w = np.nonzero(inv >= 0)[0]
+
+    # Unmatched agents prefer anyone to staying single: threshold +inf.
+    thr_men = np.full(n_men, np.inf)
+    thr_men[sup_m] = x[sup_m, mu_arr[sup_m]]
+    thr_women = np.full(n_women, np.inf)
+    thr_women[sup_w] = y[sup_w, inv[sup_w]]
+
+    block = (x < thr_men[:, None]) & (y.T < thr_women[None, :])  # strict: no matched pair blocks
+    if not count_unmatched:
+        block[mu_arr < 0, :] = False
+        block[:, inv < 0] = False
+    return block
+
+
+def is_stable(mu: Matching, values: LatentValues, count_unmatched_agents: bool = False) -> bool:
+    _check_values_shape(mu, values)
+    return not blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents).any()
+
+
+def greedy_alpha_certificate(mu: Matching, values: LatentValues) -> tuple[float, Matching]:
+    """Upper-bound the instability fraction: the peel of ``peel_blocking_pairs``
+    on the blocking pairs among ``mu``'s matched agents."""
+    _check_values_shape(mu, values)
+    block = blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched=False)
+    return peel_blocking_pairs(mu, *np.nonzero(block))
+
+
 def prefs_from_values(values: LatentValues) -> tuple[np.ndarray, np.ndarray]:
     """Men's and women's preference lists: each value row sorted ascending."""
     return np.argsort(values.X, axis=1), np.argsort(values.Y, axis=1)
@@ -345,7 +493,7 @@ def is_alpha_stable_exact(mu: Matching, values: LatentValues, alpha: float) -> b
     if need > men.size:
         return False
 
-    block = _blocking_mask(values.X, values.Y, mu_arr, count_unmatched=False)
+    block = blocking_mask(values.X, values.Y, mu_arr, count_unmatched=False)
     # conflict[p, q]: pairs p and q cannot coexist in a stable subset.
     adj = block[np.ix_(men, mu_arr[men])]
     conflict = adj | adj.T
@@ -365,7 +513,7 @@ def rebuilt_alpha_certificate(mu: Matching, values: LatentValues) -> tuple[float
     cur = np.array(mu.mu, dtype=np.int64)
     removed = 0
     while True:
-        block = _blocking_mask(values.X, values.Y, cur, count_unmatched=False)
+        block = blocking_mask(values.X, values.Y, cur, count_unmatched=False)
         if not block.any():
             break
         cur[int(np.argmax(block.sum(axis=1)))] = -1
@@ -519,7 +667,7 @@ def held_approx_stable_records(cfg, t: int) -> list:
     trial_seed = stream_key(cfg.master_seed, "trial", t)
     bal = experiments._trial_market(cfg, t)
     values = sample_latent(bal, trial_seed)
-    matching, outcome = deferred_acceptance(values, Side.MEN)
+    matching, outcome = held_deferred_acceptance(values, Side.MEN)
     mu = list(matching.mu)
     key = stream_key(trial_seed, "swaps")
     draws = itertools.count()
@@ -551,7 +699,7 @@ def held_imbalance_records(cfg, t: int) -> list:
     values = sample_latent(bal, trial_seed)
     y = values.Y
     y[:, m:] = y[:, :m].max(axis=1, keepdims=True) + np.arange(1, cfg.k + 1)
-    men = _matrix_tables(values, Side.MEN)
+    men = matrix_tables(values, Side.MEN)
     rect = dataclasses.replace(men, top=men.top[:m], recv=men.recv[:m])
     rect_match, rect_outcome = deferred_acceptance(rect, Side.MEN)
     completed_match, _ = deferred_acceptance(men, Side.MEN)

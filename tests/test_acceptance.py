@@ -22,17 +22,17 @@ from mml import (
     canonical_from_raw,
     deferred_acceptance,
     enumerate_stable,
-    is_stable,
+    latent_streams,
     load_config,
+    proposer_tables,
     public_scores_market,
     run_experiment,
-    sample_latent,
     sinkhorn_balance,
     stream_key,
     uniform_market,
 )
 import oracles
-from oracles import exact_laws, g_test, p_mu, random_cbounded_market
+from oracles import LatentValues, exact_laws, g_test, is_stable, p_mu, random_cbounded_market
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -84,11 +84,12 @@ def test_criterion_02_enumeration_agrees_with_acceptance():
         c = (1.0, 2.0, 3.0)[i % 3]
         market = random_cbounded_market(n, c, stream_key(4242, "market", i))
         bal = sinkhorn_balance(market)
-        values = sample_latent(bal, stream_key(4242, "values", i))
-        stable = enumerate_stable(values)
+        x, y = latent_streams(bal, stream_key(4242, "values", i))
+        values = LatentValues(X=x.matrix(), Y=y.matrix())
+        stable = enumerate_stable(values.X, values.Y)
         assert all(is_stable(m, values) for m in stable)
-        mosm, _ = deferred_acceptance(values, Side.MEN)
-        wosm, _ = deferred_acceptance(values, Side.WOMEN)
+        mosm, _ = deferred_acceptance(proposer_tables(x, y)[0], Side.MEN)
+        wosm, _ = deferred_acceptance(proposer_tables(y, x)[0], Side.WOMEN)
         assert mosm in stable and wosm in stable
         x_mosm = values.X[np.arange(n), mosm.mu_array]
         for m in stable:

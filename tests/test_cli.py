@@ -17,6 +17,7 @@ from mml import (
     write_matrix_pair,
 )
 import mml.experiments
+import mml.sampling
 from mml.cli import main
 from mml.rng import _openblas
 from oracles import random_cbounded_market
@@ -376,6 +377,31 @@ def test_enumerate_handles_rectangular_markets(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("stable matchings: ")
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((11, 11), "enumerate_stable supports n <= 10, got n = 11"),
+        ((3, 2), "enumeration expects n_men <= n_women"),
+    ],
+    ids=["too-large", "more-men"],
+)
+def test_enumerate_refuses_a_market_before_balancing_or_drawing(
+    tmp_path, capsys, monkeypatch, shape, message
+):
+    n_men, n_women = shape
+    market_file = tmp_path / "market.txt"
+    write_market(market_file, np.full(shape, 1.0 / n_women), np.full(shape[::-1], 1.0 / n_men))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the market was balanced or drawn")
+
+    for name in ("sinkhorn_balance", "exponentials", "exponential_blocks"):
+        monkeypatch.setattr(mml.sampling, name, unreachable)
+    rc = main(["enumerate", str(market_file), "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_summarize_with_and_without_config(tmp_path, capsys):

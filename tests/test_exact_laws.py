@@ -2,8 +2,9 @@
 
 The logit model's order law is Plackett-Luce, so at n <= 3 the law of every
 quantity the gate samples is a finite sum over profiles of strict orders
-(``oracles.exact_laws``).  The G-tests compare ``sample_latent`` followed by
-enumeration and deferred acceptance against those laws on three 3 x 3
+(``oracles.exact_laws``).  The G-tests compare the program's draw,
+``latent_streams``, followed by enumeration of the held matrices and deferred
+acceptance on the men's tables against those laws on three 3 x 3
 markets.  N and the level were fixed before any run: 10,000 draws per
 market, and a family-wise level of 1e-3 over the six tests (Bonferroni), so
 each test rejects at p < 1e-3 / 6.
@@ -15,12 +16,12 @@ import numpy as np
 import pytest
 
 from mml.market import public_scores_market, sinkhorn_balance, uniform_market
-from mml.matching import Matching, Side, deferred_acceptance, enumerate_stable, is_stable
+from mml.matching import Matching, Side, deferred_acceptance, enumerate_stable, proposer_tables
 from mml.rng import stream_key
-from mml.sampling import sample_latent
+from mml.sampling import latent_streams
 from oracles import (
-    exact_laws, g_test, profile_probabilities, profile_table, random_cbounded_market,
-    values_from_prefs,
+    exact_laws, g_test, held_deferred_acceptance, is_stable, profile_probabilities,
+    profile_table, random_cbounded_market, values_from_prefs,
 )
 
 DRAWS = 10_000
@@ -50,8 +51,8 @@ def test_stable_sets_agree_with_the_package_on_every_two_by_two_profile():
         values = profile_values(table, p)
         stable = [m for m, ok in zip(matchings, table.stable[p]) if ok]
         assert [is_stable(m, values) for m in matchings] == table.stable[p].tolist()
-        assert enumerate_stable(values) == stable
-        assert deferred_acceptance(values, Side.MEN)[0] == matchings[table.mosm[p]]
+        assert enumerate_stable(values.X, values.Y) == stable
+        assert held_deferred_acceptance(values, Side.MEN)[0] == matchings[table.mosm[p]]
 
 
 def test_stable_sets_agree_with_the_package_on_sampled_three_by_three_profiles():
@@ -60,8 +61,9 @@ def test_stable_sets_agree_with_the_package_on_sampled_three_by_three_profiles()
     matchings = [Matching(mu=tuple(int(w) for w in order), n_women=3) for order in table.orders]
     for p in np.random.default_rng(2103).choice(len(table.men), 300, replace=False):
         values = profile_values(table, p)
-        assert enumerate_stable(values) == [m for m, ok in zip(matchings, table.stable[p]) if ok]
-        assert deferred_acceptance(values, Side.MEN)[0] == matchings[table.mosm[p]]
+        stable = [m for m, ok in zip(matchings, table.stable[p]) if ok]
+        assert enumerate_stable(values.X, values.Y) == stable
+        assert held_deferred_acceptance(values, Side.MEN)[0] == matchings[table.mosm[p]]
 
 
 @pytest.mark.parametrize("name", MARKETS)
@@ -100,9 +102,9 @@ def drawn(request):
     mosm = np.zeros(mosm_law.size, dtype=np.int64)
     seed = stream_key("exact_laws", request.param)
     for d in range(DRAWS):
-        values = sample_latent(bal, stream_key(seed, d))
-        counts[len(enumerate_stable(values))] += 1
-        mosm[index[deferred_acceptance(values, Side.MEN)[0].mu]] += 1
+        x, y = latent_streams(bal, stream_key(seed, d))
+        counts[len(enumerate_stable(x.matrix(), y.matrix()))] += 1
+        mosm[index[deferred_acceptance(proposer_tables(x, y)[0], Side.MEN)[0].mu]] += 1
     return request.param, (counts, count_law), (mosm, mosm_law)
 
 

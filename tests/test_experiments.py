@@ -20,7 +20,6 @@ from mml import (
     MarketKind,
     Side,
     TrialRecord,
-    deferred_acceptance,
     format_summary,
     hyperbola_product,
     ks_distance_to_exp,
@@ -30,7 +29,6 @@ from mml import (
     records_to_csv,
     records_to_jsonl,
     run_experiment,
-    sample_latent,
     sinkhorn_balance,
     stream_key,
     summarize,
@@ -43,7 +41,7 @@ import mml.market
 import mml.sampling
 from mml.experiments import _pool_size, run_trial
 from mml.rng import usable_cores
-from oracles import bounds_run
+from oracles import bounds_run, held_deferred_acceptance, sample_latent
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 TEST_CONFIG_DIR = Path(__file__).resolve().parent / "configs"
@@ -263,7 +261,7 @@ def test_value_dist_records_the_finite_n_value_law():
     for t in range(cfg.trials):
         values = sample_latent(bal, stream_key(cfg.master_seed, "trial", t))
         for side, kind in ((Side.MEN, "mosm"), (Side.WOMEN, "wosm")):
-            _, outcome = deferred_acceptance(values, side)
+            _, outcome = held_deferred_acceptance(values, side)
             u = -np.expm1(-outcome.value_men)
             rate = float((-np.expm1(-outcome.value_women)).sum())
             record = recorded[(t, kind)]
@@ -284,7 +282,7 @@ def test_delta_zero_reads_the_untruncated_outcome(experiment):
         values = sample_latent(bal, stream_key(cfg.master_seed, "trial", t))
         recorded = {r.matching_kind: r for r in run_trial(cfg, t)}
         for side, kind in ((Side.MEN, "mosm"), (Side.WOMEN, "wosm")):
-            _, outcome = deferred_acceptance(values, side)
+            _, outcome = held_deferred_acceptance(values, side)
             x, y = outcome.value_men, outcome.value_women
             assert recorded[kind].hyperbola == hyperbola_product(x, y, cfg.n)
             # value_dist records the finite-n rate, which delta does not touch.
@@ -336,11 +334,11 @@ def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
         screened.append((name, block.shape))
         return screen(name, block, out)
 
-    def refuse(name, values):
-        raise AssertionError(f"a held {name} was screened")
+    def refuse(stream):
+        raise AssertionError(f"a held {stream.name} was screened")
 
     monkeypatch.setattr(mml.sampling, "_screened_rows", recording_screen)
-    monkeypatch.setattr(mml.sampling, "_screen_matrix", refuse)
+    monkeypatch.setattr(mml.sampling.ValueStream, "matrix", refuse)
     cfg = parse_config(TINY_VALUE_DIST.replace("value_dist", "imbalance") + "k = 3\n")
     records = run_trial(cfg, 0)
     for side in ("X", "Y"):
@@ -548,7 +546,7 @@ def test_rank_and_proposal_laws_on_uniform_market():
     for t in range(trials):
         values = sample_latent(bal, stream_key(424242, "trial", t))
         for side in (Side.MEN, Side.WOMEN):
-            _, outcome = deferred_acceptance(values, side)
+            _, outcome = held_deferred_acceptance(values, side)
             mean_men = outcome.rank_men.mean()
             mean_women = (values.Y <= outcome.value_women[:, None]).sum(axis=1).mean()
             mean_prop, mean_recv = (

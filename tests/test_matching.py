@@ -23,23 +23,26 @@ from mml.matching import (
     Matching,
     MatchingOutcome,
     Side,
-    _blocking_mask,
-    deferred_acceptance,
+    check_enumerable,
     enumerate_stable,
-    greedy_alpha_certificate,
-    is_stable,
-    outcome_of,
     peel_blocking_pairs,
     truncate_delta,
 )
-from mml.sampling import TOP_L, LatentValues, sample_latent
+from mml.sampling import TOP_L
 from oracles import (
+    LatentValues,
+    blocking_mask,
+    greedy_alpha_certificate,
+    held_deferred_acceptance,
     is_alpha_stable_exact,
+    is_stable,
     list_deferred_acceptance,
     loop_truncate_delta,
+    outcome_of,
     prefs_from_values,
     random_cbounded_market,
     rebuilt_alpha_certificate,
+    sample_latent,
     values_from_prefs,
 )
 
@@ -58,7 +61,7 @@ def matched_count(mu):
 
 
 def blocking_pairs(mu, values, count_unmatched_agents=False):
-    mask = _blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents)
+    mask = blocking_mask(values.X, values.Y, mu.mu_array, count_unmatched_agents)
     return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
@@ -119,7 +122,7 @@ def test_matching_text_round_trip_partial(seed, n):
 
 def test_da_single_agent():
     values = LatentValues(X=np.array([[0.5]]), Y=np.array([[0.7]]))
-    mu, outcome = deferred_acceptance(values)
+    mu, outcome = held_deferred_acceptance(values)
     assert mu.mu == (0,)
     assert outcome.value_men[0] == 0.5
     assert outcome.rank_men[0] == 1
@@ -131,13 +134,13 @@ def test_da_hand_worked_three_by_three():
     women = np.array([[1, 0, 2], [2, 0, 1], [0, 1, 2]])
     values = values_from_prefs(men, women)
 
-    mu, outcome = deferred_acceptance(values)
+    mu, outcome = held_deferred_acceptance(values)
     assert mu.mu == (2, 0, 1)
     # m0 walks his whole list (w0 prefers m1, w1 upgrades to m2), so 3 + 1 + 1.
     assert outcome.proposal_count == 5
     np.testing.assert_array_equal(outcome.rank_men, [3, 1, 1])
 
-    mu_w, outcome_w = deferred_acceptance(values, proposing_side=Side.WOMEN)
+    mu_w, outcome_w = held_deferred_acceptance(values, proposing_side=Side.WOMEN)
     assert mu_w.mu == (2, 0, 1)  # unique stable matching here
     assert outcome_w.proposal_count == 3
 
@@ -155,7 +158,7 @@ def test_da_on_values_matches_the_list_oracle(seed, n_men, n_women, side):
         X=rng.exponential(1.0, (n_men, n_women)),
         Y=rng.exponential(1.0, (n_women, n_men)),
     )
-    mu, outcome = deferred_acceptance(values, proposing_side=side)
+    mu, outcome = held_deferred_acceptance(values, proposing_side=side)
     oracle_mu, oracle_proposals = list_deferred_acceptance(*prefs_from_values(values), side)
     assert mu.mu == oracle_mu
     assert outcome.proposal_count == oracle_proposals
@@ -181,7 +184,7 @@ def test_deep_walks_match_the_list_oracle():
             X=1.0 + rng.random(n_women) + noise * rng.random((n_men, n_women)),
             Y=1.0 + rng.random(n_men) + noise * rng.random((n_women, n_men)),
         )
-        mu, outcome = deferred_acceptance(values, proposing_side=side)
+        mu, outcome = held_deferred_acceptance(values, proposing_side=side)
         men_prefs, women_prefs = prefs_from_values(values)
         oracle_mu, oracle_proposals = list_deferred_acceptance(men_prefs, women_prefs, side)
         assert mu.mu == oracle_mu
@@ -219,7 +222,7 @@ def test_da_outputs_are_stable():
     for seed in range(50):
         values = draw_instance(n=12, seed=seed)
         for side in (Side.MEN, Side.WOMEN):
-            mu, _ = deferred_acceptance(values, proposing_side=side)
+            mu, _ = held_deferred_acceptance(values, proposing_side=side)
             assert matched_count(mu) == 12
             assert is_stable(mu, values), f"seed {seed}, side {side}"
 
@@ -229,11 +232,11 @@ def test_da_proposal_count_equals_total_list_walk():
     # each unmatched man to everyone; the count is order-invariant.
     for seed in range(20):
         values = draw_instance(n=9, seed=100 + seed)
-        mu, outcome = deferred_acceptance(values)
+        mu, outcome = held_deferred_acceptance(values)
         assert outcome.proposal_count == int(outcome.rank_men.sum())
     for seed in range(10):
         values = draw_instance(n=4, seed=200 + seed, n_women=6)
-        mu, outcome = deferred_acceptance(values)
+        mu, outcome = held_deferred_acceptance(values)
         assert outcome.proposal_count == int(outcome.rank_men.sum())
 
 
@@ -241,7 +244,7 @@ def test_da_rectangular_long_side_unmatched():
     # 5 women, 3 men, women propose: exactly two women end unmatched and the
     # result is stable even counting them.
     values = draw_instance(n=3, seed=7, n_women=5)
-    mu, _ = deferred_acceptance(values, proposing_side=Side.WOMEN)
+    mu, _ = held_deferred_acceptance(values, proposing_side=Side.WOMEN)
     assert sorted(mu.mu) != [-1, -1, -1]
     assert matched_count(mu) == 3
     assert is_stable(mu, values, count_unmatched_agents=True)
@@ -251,7 +254,7 @@ def test_swapping_partners_breaks_stability():
     broken = 0
     for seed in range(100):
         values = draw_instance(n=50, seed=300 + seed)
-        mu, _ = deferred_acceptance(values)
+        mu, _ = held_deferred_acceptance(values)
         arr = list(mu.mu)
         arr[3], arr[17] = arr[17], arr[3]
         if not is_stable(Matching(mu=tuple(arr), n_women=50), values):
@@ -293,7 +296,7 @@ def test_enumeration_matches_brute_force_square():
     for seed in range(40):
         n = 2 + seed % 5
         values = draw_instance(n=n, seed=400 + seed)
-        found = enumerate_stable(values)
+        found = enumerate_stable(values.X, values.Y)
         oracle = brute_force_stable(values)
         assert found == sorted(oracle, key=lambda m: m.mu)
         assert [m.mu for m in found] == sorted(m.mu for m in found)
@@ -302,7 +305,7 @@ def test_enumeration_matches_brute_force_square():
 def test_enumeration_matches_brute_force_rectangular():
     for seed in range(15):
         values = draw_instance(n=3, seed=500 + seed, n_women=5)
-        found = enumerate_stable(values)
+        found = enumerate_stable(values.X, values.Y)
         oracle = brute_force_stable(values)
         assert sorted(found, key=lambda m: m.mu) == sorted(oracle, key=lambda m: m.mu)
         assert found, "every finite market has a stable matching"
@@ -312,9 +315,9 @@ def test_da_endpoints_of_the_enumeration():
     for seed in range(30):
         n = 2 + seed % 6
         values = draw_instance(n=n, seed=600 + seed)
-        stable_set = enumerate_stable(values)
-        mosm, out_m = deferred_acceptance(values)
-        wosm, out_w = deferred_acceptance(values, proposing_side=Side.WOMEN)
+        stable_set = enumerate_stable(values.X, values.Y)
+        mosm, out_m = held_deferred_acceptance(values)
+        wosm, out_w = held_deferred_acceptance(values, proposing_side=Side.WOMEN)
         assert mosm in stable_set and wosm in stable_set
         for other in stable_set:
             vals = outcome_of(other, values)
@@ -323,13 +326,18 @@ def test_da_endpoints_of_the_enumeration():
 
 
 def test_enumeration_limits():
+    values = sample_latent(sinkhorn_balance(uniform_market(ENUMERATION_LIMIT + 1)), 0)
     with pytest.raises(TooLarge):
-        enumerate_stable(sample_latent(
-            sinkhorn_balance(uniform_market(ENUMERATION_LIMIT + 1)), 0
-        ))
+        enumerate_stable(values.X, values.Y)
     values = draw_instance(n=3, seed=1, n_women=2)
     with pytest.raises(ShapeMismatch):
-        enumerate_stable(values)
+        enumerate_stable(values.X, values.Y)
+    # The same refusals, from the shape alone.
+    with pytest.raises(TooLarge, match=f"got n = {ENUMERATION_LIMIT + 1}"):
+        check_enumerable(ENUMERATION_LIMIT + 1, ENUMERATION_LIMIT + 1)
+    with pytest.raises(ShapeMismatch, match="enumeration expects n_men <= n_women"):
+        check_enumerable(3, 2)
+    check_enumerable(ENUMERATION_LIMIT, ENUMERATION_LIMIT)
 
 
 # --- outcome_of ---------------------------------------------------------------
@@ -375,7 +383,7 @@ def test_da_outcome_on_held_values_is_outcome_of(monkeypatch, top_l, side, n_men
     for seed in range(3):
         square = n_men == n_women
         values = draw_instance(n_men, seed, n_women=None if square else n_women)
-        mu, outcome = deferred_acceptance(values, side)
+        mu, outcome = held_deferred_acceptance(values, side)
         assert_same_outcome(outcome, outcome_of(mu, values, outcome.proposal_count))
 
 
@@ -478,7 +486,7 @@ def test_truncate_validation():
 
 def test_da_outcome_is_alpha_zero():
     values = draw_instance(n=10, seed=42)
-    mu, _ = deferred_acceptance(values)
+    mu, _ = held_deferred_acceptance(values)
     alpha, remaining = greedy_alpha_certificate(mu, values)
     assert alpha == 0.0
     assert remaining == mu
@@ -488,7 +496,7 @@ def test_da_outcome_is_alpha_zero():
 def test_greedy_certificate_is_certified_by_exact_search():
     for seed in range(12):
         values = draw_instance(n=8, seed=700 + seed)
-        mu, _ = deferred_acceptance(values)
+        mu, _ = held_deferred_acceptance(values)
         arr = list(mu.mu)
         arr[0], arr[4] = arr[4], arr[0]
         perturbed = Matching(mu=tuple(arr), n_women=8)
@@ -520,7 +528,7 @@ def test_greedy_certificate_equals_the_rebuilt_peel(seed, n_men, extra_women, un
     mu = Matching(tuple(np.where(rng.random(n_men) < unmatched, -1, partners).tolist()), n_women)
     rebuilt = rebuilt_alpha_certificate(mu, values)
     assert greedy_alpha_certificate(mu, values) == rebuilt
-    men, women = np.nonzero(_blocking_mask(values.X, values.Y, mu.mu_array, False))
+    men, women = np.nonzero(blocking_mask(values.X, values.Y, mu.mu_array, False))
     order = np.arange(men.size)
     shuffle.shuffle(order)
     men, women = men[order], women[order]
@@ -533,7 +541,7 @@ def test_exact_alpha_boundary():
     # A single swapped pair at n = 5: some size-4 subset is stable, the full
     # matching is not, so 0.2 passes and anything needing all 5 pairs fails.
     values = draw_instance(n=5, seed=61)
-    mu, _ = deferred_acceptance(values)
+    mu, _ = held_deferred_acceptance(values)
     arr = list(mu.mu)
     arr[1], arr[3] = arr[3], arr[1]
     perturbed = Matching(mu=tuple(arr), n_women=5)

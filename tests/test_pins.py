@@ -5,10 +5,11 @@ that keeps the statistics keeps these bytes.  A deliberate change to a
 statistic must update its pin here and say so in CHANGES.md.  The pinned
 configs are the cheap shipped ones plus tiny inline configs for the market
 kinds that no shipped config runs through an experiment, and criterion 8's
-bounds records (``tests/oracles.py``), written as a run writes them.  The two benchmark
-workloads are pinned in ``mmlbench/pins.json``, which is read here too, so a
-change to their bytes fails this suite as well as the benchmark; a C-bounded
-rank_dist run small enough for Tier-1 is pinned inline.
+bounds records (``tests/oracles.py``), written as a run writes them, and the
+stdout of ``mml enumerate`` on two small market files at several seeds.  The
+two benchmark workloads are pinned in ``mmlbench/pins.json``, which is read
+here too, so a change to their bytes fails this suite as well as the
+benchmark; a C-bounded rank_dist run small enough for Tier-1 is pinned inline.
 """
 
 import dataclasses
@@ -17,8 +18,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mml.cli import main
 from mml.experiments import (
     load_config,
     parse_config,
@@ -26,6 +29,7 @@ from mml.experiments import (
     run_experiment,
     write_outputs,
 )
+from mml.market import write_matrix_pair
 from oracles import bounds_run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -161,3 +165,33 @@ def test_benchmark_workload_bytes_match_its_pin(workload, monkeypatch):
     cfg = dataclasses.replace(cfg, master_seed=pin["seed"], trials=pin["trials"])
     _, records = run_experiment(cfg)
     assert sha256(records_to_csv(records).encode("utf-8")) == pin["sha256"]
+
+
+# (market, seed, sha256 of ``mml enumerate`` stdout).  skew_4x4 is a committed
+# raw-score file; rect_2x4 is the 2 x 4 market of
+# test_cli.py::test_enumerate_handles_rectangular_markets.  The seeds reach 1
+# to 5 stable matchings on skew_4x4 and 1 or 2 on rect_2x4.
+ENUMERATE_PINS = [
+    ("skew_4x4", 0, "b5ff44ba4dfd135b1a5d22677b99168de993a1ef26d50fcf8c608529b667c44b"),
+    ("skew_4x4", 1, "c2c58dcc7e7f6aaf96a0e6c2462baa9ed3724ccaf9e643b1f9d92f0b10ad7938"),
+    ("skew_4x4", 5, "7c1aca734d4efa5bd75ac83fa008f1660b93fffc99d612319dafb1e9bb186c8b"),
+    ("skew_4x4", 35, "c43383c3e80c6d6c431fce93e606ede11dee069f4f26c910e83c05364a289777"),
+    ("skew_4x4", 138, "7d3421f5a23ca7651211e0a1a18fe02a4fae878517ecf65c4a488279e338ade3"),
+    ("skew_4x4", 279, "57585f0fb05ec807cc1a911ae8cf052080417964812d3d934f086fce31cf64a2"),
+    ("rect_2x4", 0, "22c8617e3bc288d1c16e2a2f43b245f2a9b7dd98c3e370640d3274255172ba11"),
+    ("rect_2x4", 9, "58ecdbd9366843377a3c1eaeb2d6bb0a127d5eb89a2951493683a6e9362f9fdb"),
+    ("rect_2x4", 78, "b4c799b0729978507343b8b9efaa2973e1f1aab8ef426caf90026d51d7867da4"),
+    ("rect_2x4", 141, "97d17b6bf42e8a7d47bf8e25237356788c028a634da89ff5f31c34678624a6c6"),
+    ("rect_2x4", 202, "b4c799b0729978507343b8b9efaa2973e1f1aab8ef426caf90026d51d7867da4"),
+]
+
+
+@pytest.mark.parametrize("market, seed, stdout_sha256", ENUMERATE_PINS)
+def test_enumerate_stdout_is_pinned(market, seed, stdout_sha256, tmp_path, capsys):
+    if market == "rect_2x4":
+        path = tmp_path / "rect.txt"
+        write_matrix_pair(path, np.full((2, 4), 0.25), np.full((4, 2), 0.5))
+    else:
+        path = ROOT / "tests" / "markets" / f"{market}.txt"
+    assert main(["enumerate", str(path), "--seed", str(seed)]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == stdout_sha256

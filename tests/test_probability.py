@@ -7,10 +7,10 @@ import pytest
 
 from mml.errors import NotNormalized
 from mml.market import sinkhorn_balance, uniform_market
-from mml.matching import Matching, Side, deferred_acceptance, truncate_delta
-from mml.sampling import sample_latent
+from mml.matching import Matching, Side, truncate_delta
 from oracles import (
-    chernoff_lower_tail, dkw_bound, naive_p_upper, p_mu, q_xy, random_cbounded_market,
+    chernoff_lower_tail, dkw_bound, held_deferred_acceptance, naive_p_upper, p_mu, q_xy,
+    random_cbounded_market, sample_latent,
 )
 
 
@@ -109,7 +109,7 @@ def test_log_q_tracks_log_p_on_stable_outcomes():
     for seed in range(6):
         values = sample_latent(bal, seed)
         for side in (Side.MEN, Side.WOMEN):
-            mu, outcome = deferred_acceptance(values, proposing_side=side)
+            mu, outcome = held_deferred_acceptance(values, proposing_side=side)
             # Dropped agents have value 0, so they contribute factors of 1.
             x_d, y_d = truncate_delta(mu, outcome, 0.05)
             lp = math.log(p_mu(x_d, y_d, bal.A, bal.B, mu))

@@ -1,8 +1,11 @@
 """Latent-value sampling, its screen, and the sequential-logit cross-check."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import mml.sampling
 from mml.errors import DuplicateValue, ShapeMismatch
 from mml.market import (
     CanonicalMarket,
@@ -11,12 +14,12 @@ from mml.market import (
     sinkhorn_balance,
     uniform_market,
 )
-from mml.matching import Side, _matrix_tables
+from mml.matching import Side
 from mml.rng import BLOCK, exponentials, stream_key, thread_budget
-from mml.sampling import TOP_L, LatentValues, latent_streams, sample_latent
+from mml.sampling import TOP_L, ValueStream, latent_streams
 from oracles import (
-    argpartition_lowest_columns, logit_sample_prefs, random_cbounded_market,
-    strided_mutual_matmul,
+    LatentValues, argpartition_lowest_columns, logit_sample_prefs, matrix_tables,
+    random_cbounded_market, sample_latent, strided_mutual_matmul,
 )
 
 CHI2_99_DF2 = 9.210
@@ -29,45 +32,53 @@ def skewed_market():
     return sinkhorn_balance(CanonicalMarket(a, b))
 
 
+def held_draw(x, y):
+    """``ValueStream.matrix`` of X, then of Y, each side's draw giving ``x`` and ``y``."""
+    for name, values in (("X", x), ("Y", y)):
+        stream = ValueStream(name, 0, np.ones(values.shape), None)
+        with mock.patch.object(mml.sampling, "exponentials", return_value=values):
+            assert stream.matrix() is values
+
+
 def test_tied_values_are_rejected():
     x = np.array([[0.3, 0.3], [0.1, 0.2]])
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(DuplicateValue):
-        LatentValues(X=x, Y=y)
-    with pytest.raises(DuplicateValue):
-        LatentValues(X=y, Y=x)
+    with pytest.raises(DuplicateValue, match="^tied X values drawn"):
+        held_draw(x, y)
+    with pytest.raises(DuplicateValue, match="^tied Y values drawn"):
+        held_draw(y, x)
 
 
 def test_nonpositive_and_nonfinite_values_are_rejected():
     y = np.array([[1.0, 2.0], [3.0, 4.0]])
     for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
-        with pytest.raises(DuplicateValue):
-            LatentValues(X=np.array([[bad, 1.0], [1.0, 2.0]]), Y=y)
-        with pytest.raises(DuplicateValue):
-            LatentValues(X=y, Y=np.array([[1.0, 2.0], [3.0, bad]]))
+        with pytest.raises(DuplicateValue, match="^non-finite or non-positive X value"):
+            held_draw(np.array([[bad, 1.0], [1.0, 2.0]]), y)
+        with pytest.raises(DuplicateValue, match="^non-finite or non-positive Y value"):
+            held_draw(y, np.array([[1.0, 2.0], [3.0, bad]]))
 
 
 def test_equal_values_in_different_rows_are_not_ties():
     # The screen compares neighbours of the flat sorted block; the pairs that
     # straddle two rows are not ties.
     x = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
-    LatentValues(X=x, Y=np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
+    held_draw(x, np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]))
 
 
 def test_ties_are_caught_in_every_row_block():
-    # 700 rows of 300 span four screen blocks; a bad cell in any row raises,
-    # including the last row of the last, partial block.
+    # 700 rows of 300, four row blocks of a pass, screened as one block: a
+    # bad cell in any row raises, including the last row.
     base = 1.0 + np.arange(700 * 300, dtype=np.float64).reshape(700, 300)
     other = 1.0 + np.arange(300 * 700, dtype=np.float64).reshape(300, 700)
-    LatentValues(X=base, Y=other)
+    held_draw(base, other)
     for row in (0, 217, 218, 699):
         for bad in ("tie", np.nan, 0.0):
             x = base.copy()
             x[row, 7] = x[row, 123] if bad == "tie" else bad
-            with pytest.raises(DuplicateValue):
-                LatentValues(X=x, Y=other)
-            with pytest.raises(DuplicateValue):
-                LatentValues(X=other, Y=x)
+            with pytest.raises(DuplicateValue, match=" X value"):
+                held_draw(x, other)
+            with pytest.raises(DuplicateValue, match=" Y value"):
+                held_draw(other, x)
 
 
 def test_latent_values_shape_validation():
@@ -87,6 +98,10 @@ def test_sample_latent_streams_and_determinism():
     again = sample_latent(bal, seed=31)
     np.testing.assert_array_equal(values.X, again.X)
     assert not np.array_equal(values.X, sample_latent(bal, seed=32).X)
+    # The program's held draw has the same bits.
+    x, y = latent_streams(bal, seed=31)
+    assert x.matrix().tobytes() == values.X.tobytes()
+    assert y.matrix().tobytes() == values.Y.tobytes()
 
 
 def test_top_choice_frequencies_follow_scores():
@@ -229,7 +244,7 @@ def test_top_columns_equal_the_argpartition_selection(n_men, n_women):
                     np.testing.assert_array_equal(top, expected)
                     lowest = stream.cells(proposers, top)
                     assert lowest.tobytes() == np.take_along_axis(matrix, expected, 1).tobytes()
-                tables = _matrix_tables(screened, side)
+                tables = matrix_tables(screened, side)
                 top, lowest = tables.top, tables.own(proposers, tables.top)
                 expected = argpartition_lowest_columns(matrix, min(TOP_L, matrix.shape[1]))
                 assert top.dtype == np.int32

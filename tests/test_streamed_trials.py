@@ -3,8 +3,8 @@
 A value_dist, rank_dist or hyperbola trial draws X and Y once, a row block
 at a time: each block is screened and keeps its rows' best columns, and the
 few other cells the walks read are drawn from their counters.  Its records
-must equal those of the matrix path: ``sample_latent``, then
-``deferred_acceptance`` and ``outcome_of`` on both matrices.
+must equal those of the held path of ``oracles``: ``sample_latent``, then
+``held_deferred_acceptance`` and ``outcome_of`` on both matrices.
 
 The approx_stable and imbalance trials stream their values too.  Their
 records must equal those of the same trials on both held matrices: the
@@ -30,8 +30,11 @@ from mml.matching import Side, deferred_acceptance, proposer_tables
 from mml.rng import (
     BLOCK, row_blocks, single_threaded_blas, stream_key, thread_budget, usable_cores,
 )
-from mml.sampling import latent_streams, sample_latent
-from oracles import held_approx_stable_records, held_imbalance_records, random_cbounded_market
+from mml.sampling import latent_streams
+from oracles import (
+    held_approx_stable_records, held_deferred_acceptance, held_imbalance_records,
+    random_cbounded_market, sample_latent,
+)
 
 BUDGETS = (1, 2, 3)
 EXPERIMENTS = ("value_dist", "rank_dist", "hyperbola")
@@ -40,7 +43,7 @@ EXPERIMENTS = ("value_dist", "rank_dist", "hyperbola")
 def matrix_matchings(bal, seed):
     """The man- and woman-optimal matchings and outcomes, from both matrices."""
     values = sample_latent(bal, seed)
-    return [deferred_acceptance(values, side) for side in (Side.MEN, Side.WOMEN)]
+    return [held_deferred_acceptance(values, side) for side in (Side.MEN, Side.WOMEN)]
 
 
 def spread(market):
@@ -124,7 +127,7 @@ def test_deep_walks_read_sixteen_times_their_depth(monkeypatch):
         return order, recv
 
     matching, outcome = deferred_acceptance(dataclasses.replace(tables, deep=deep), Side.MEN)
-    held_matching, held = deferred_acceptance(sample_latent(bal, seed), Side.MEN)
+    held_matching, held = held_deferred_acceptance(sample_latent(bal, seed), Side.MEN)
     assert matching == held_matching
     assert outcome.value_men.tobytes() == held.value_men.tobytes()
     assert outcome.rank_men.tobytes() == held.rank_men.tobytes()

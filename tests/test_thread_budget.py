@@ -26,13 +26,15 @@ from mml.market import (
     _raw_scores, backfill_imbalanced, cbounded_kernel_market, public_scores_market,
     sinkhorn_balance, uniform_market,
 )
-from mml.matching import Side, _matrix_tables, deferred_acceptance
+from mml.matching import Side
 from mml.rng import (
     BLOCK, DistinctRows, _openblas, exponential_cells, exponentials, map_row_blocks, row_blocks,
     single_threaded_blas, stream_key, thread_budget, unit_uniforms,
 )
-from mml.sampling import LatentValues
-from oracles import bounds_records, held_kernel_balance, random_cbounded_market
+from oracles import (
+    LatentValues, bounds_records, held_deferred_acceptance, held_kernel_balance, matrix_tables,
+    random_cbounded_market,
+)
 
 BUDGETS = (1, 2, 3)
 # Square sizes below, at and above one block of 256^2 cells, and a
@@ -126,10 +128,10 @@ def test_top_l_and_ranks_are_bit_identical_at_every_budget(shape):
         screened = LatentValues(X=values.X, Y=values.Y)
         out = []
         for side in Side:
-            tables = _matrix_tables(screened, side)
+            tables = matrix_tables(screened, side)
             own = tables.own(np.arange(tables.top.shape[0])[:, None], tables.top)
             out += [tables.top, own, tables.recv]
-            matching, outcome = deferred_acceptance(screened, side)
+            matching, outcome = held_deferred_acceptance(screened, side)
             out += [matching.mu_array, outcome.rank_men]
         return out
 
