@@ -175,40 +175,41 @@ def public_scores_market(a_scores: np.ndarray, b_scores: np.ndarray) -> Canonica
     )
 
 
-def _raw_scores(u: np.ndarray, base: float | np.ndarray) -> np.ndarray:
-    """The raw C-bounded scores ``c ** (2u - 1)`` of uniforms u, in place; base is c or a row of c."""
+def _raw_scores(u: np.ndarray, c: float) -> np.ndarray:
+    """The raw C-bounded scores ``c ** (2u - 1)`` of uniforms u, in place."""
     u *= 2.0
     u -= 1.0
     # np.power runs faster on a row of c than on the scalar, with the same bits.
-    return np.power(base, u, out=u)
+    return np.power(np.full(u.shape[-1], float(c)), u, out=u)
 
 
 def _cbounded_pass(
     seed: int, side: str, shape: tuple[int, int], c_target: float,
-    into: Callable[[slice, np.ndarray, np.ndarray], None], spare_cols: int | None = None,
+    into: Callable[[slice, np.ndarray], None], width: int | None = None,
 ) -> np.ndarray:
     """Draw one side's canonical C-bounded scores a row block at a time; their raw row sums.
 
-    Each block of uniforms u of ``(seed, "a_raw")`` or ``(seed, "b_raw")``
-    becomes ``c ** (2u - 1)``, checked as raw scores, then its rows are
-    divided by their sums and checked as canonical scores, as the
-    constructors check them, while it is in cache; ``into(rows, block,
-    spare)`` then reads it, on the thread that drew it, with the walk's
-    float scratch of ``spare_cols`` columns (see :func:`uniform_blocks`).
+    Each block of uniforms u of ``(seed, "a_raw")`` or ``(seed, "b_raw")``,
+    drawn at the cells of the ``shape`` grid, becomes ``c ** (2u - 1)`` in
+    its first ``width`` columns (default all), checked as raw scores; then
+    those rows are divided by their sums and checked as canonical scores,
+    as the constructors check them, while the block is in cache.
+    ``into(rows, block)`` then reads the whole block, on the thread that
+    drew it, and may rewrite it (see :func:`uniform_blocks`).
     """
-    base = np.full(shape[1], float(c_target))
     sums = np.empty(shape[0])
     worst: list[float] = []  # list.append is atomic under the interpreter lock
 
-    def score_rows(rows, raw, spare):
-        _check_scores(f"{side}_raw", _raw_scores(raw, base))
+    def score_rows(rows, block, _spare):
+        raw = block[:, :width]
+        _check_scores(f"{side}_raw", _raw_scores(raw, c_target))
         block_sums = _row_sums(f"{side}_raw", raw)
         raw /= block_sums
         worst.append(_row_sum_deviation(_check_scores(f"{side}_hat", raw)))
         sums[rows] = block_sums[:, 0]
-        into(rows, raw, spare)
+        into(rows, block)
 
-    uniform_blocks(stream_key(seed, f"{side}_raw"), shape, score_rows, spare_cols)
+    uniform_blocks(stream_key(seed, f"{side}_raw"), shape, score_rows)
     _check_normalized(f"{side}_hat", max(worst))
     return sums
 
@@ -217,55 +218,35 @@ def _cbounded_pass(
 class CounterScores(CounterRates):
     """One side's canonical C-bounded scores, held as their raw row sums and drawn by counter.
 
-    Cell (i, j) with i < ``sums.size`` and j < ``width`` is
+    Cell (i, j) with i < ``sums.size`` and j < ``cols`` is
     ``c ** (2u - 1) / sums[i]``, u the uniform of ``key`` at counter
-    ``i * width + j``, the score built from it in one row-block pass.  Every
-    other cell, a backfilled market's dummy, is ``fill``.  Given
-    ``resums``, row i is then divided by ``resums[i]``: a backfilled
-    market's women's rows, normalised again once the dummies' columns are
-    appended.  ``np.asarray`` materialises the scores.
+    ``i * shape[1] + j``, the score built from it in one row-block pass: the
+    counter of the value it rates.  Every other cell, a backfilled market's
+    dummy, is ``fill``.  Given ``resums``, row i is then divided by
+    ``resums[i]``: a backfilled market's women's rows, normalised again
+    with the dummies' columns.  ``np.asarray`` materialises the scores.
     """
 
     key: int
     c: float
     shape: tuple[int, int]
-    width: int
+    cols: int
     sums: np.ndarray
     fill: float = 0.0
     resums: np.ndarray | None = None
-    # The row of c that np.power takes, made once.
-    base: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", np.full(self.width, self.c))
-
-    @property
-    def _dummies(self) -> bool:
-        return self.sums.size < self.shape[0] or self.width < self.shape[1]
-
-    def rows(self, rows: slice, out: np.ndarray) -> None:
-        drawn = out[: max(0, min(rows.stop, self.sums.size) - rows.start), : self.width]
-        _raw_scores(drawn, self.base)
-        drawn /= self.sums[rows.start : rows.start + drawn.shape[0], None]
-        if self._dummies:
-            out[drawn.shape[0] :] = self.fill
-            out[:, self.width :] = self.fill
-        if self.resums is not None:
-            out /= self.resums[rows, None]
 
     def cells(self, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
         _raw_scores(out, self.c)
         # A dummy row's index may pass the sums; its cells are overwritten.
         out /= self.sums.take(r, mode="clip")
-        if self._dummies:
-            np.copyto(out, self.fill, where=(r >= self.sums.size) | (c >= self.width))
+        if self.sums.size < self.shape[0] or self.cols < self.shape[1]:
+            np.copyto(out, self.fill, where=(r >= self.sums.size) | (c >= self.cols))
         if self.resums is not None:
             out /= self.resums.take(r)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.empty(self.shape, dtype=np.float64)
-        unit_uniforms(self.key, (self.sums.size, self.width), out=out[: self.sums.size, : self.width])
-        self.rows(slice(0, self.shape[0]), out)
+        out = unit_uniforms(self.key, self.shape)
+        self.cells(np.arange(self.shape[0])[:, None], np.arange(self.shape[1]), out)
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
@@ -487,8 +468,11 @@ def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> Ca
     :class:`CounterScores`, drawn again where they are read.  Two score passes
     on the row-block threads build K: each row block of the women's scores
     is written transposed into K, then each of the men's is multiplied in
-    and divided by n.  Every block is checked as the constructors check
-    it.  Raises NonPositiveEntry if an entry of K underflows to zero.
+    and divided by n.  Every score's uniform sits at the counter of the
+    value it rates: a backfilled market's women's fill an n x n grid, the
+    first n - k columns scored and the dummies' written into the block in
+    place.  Every block is checked as the constructors check it.  Raises
+    NonPositiveEntry if an entry of K underflows to zero.
     """
     m = n - k
     _check_backfill(m, k, n)
@@ -497,22 +481,20 @@ def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> Ca
     resums = np.empty(n) if k else None
     worst: list[float] = [0.0]
 
-    def women(rows, block, wide):
+    def women(rows, block):
         if k:
-            # The dummies' columns appended and the rows normalised again,
-            # as backfill_imbalanced does, in the walk's spare n columns.
-            wide[:, :m] = block
-            wide[:, m:] = 1.0 / m
-            resums[rows] = _row_sums("b_raw", _check_scores("b_raw", wide))[:, 0]
-            wide /= resums[rows, None]
-            worst.append(_row_sum_deviation(_check_scores("b_hat", wide)))
-            block = wide
+            # The dummies' columns written and the rows normalised again,
+            # as backfill_imbalanced does.
+            block[:, m:] = 1.0 / m
+            resums[rows] = _row_sums("b_raw", _check_scores("b_raw", block))[:, 0]
+            block /= resums[rows, None]
+            worst.append(_row_sum_deviation(_check_scores("b_hat", block)))
         kernel[:, rows] = block.T
 
-    def men(rows, block, _spare):
+    def men(rows, block):
         _multiply_in(kernel[rows], block, n)
 
-    b_sums = _cbounded_pass(seed, "b", (n, m), c_target, women, n)
+    b_sums = _cbounded_pass(seed, "b", (n, n), c_target, women, m)
     _check_normalized("b_hat", max(worst))
     a_sums = _cbounded_pass(seed, "a", (m, n), c_target, men)
     if k:

@@ -17,8 +17,8 @@ column) pairs from their counters alone.  Blocks and cells share one copy of
 the per-cell arithmetic, so a cell has the same bits however it is drawn.
 Nor need the rates be stored in full: :class:`DistinctRows` holds their
 distinct rows, and a :class:`CounterRates` source draws each block's or
-cell's rates again from uniforms at their own counters, and where those
-are the values' counters the two draws share the first mix.
+cell's rates again from uniforms at the values' own counters, so the two
+draws share the first mix.
 
 The fill is the one stage that runs on threads, and it has one path: the
 walks of :func:`map_row_blocks` claim row blocks, draw each into their
@@ -245,20 +245,15 @@ def _counter_words(z: np.ndarray, first: int) -> None:
 class CounterRates:
     """Rates that are drawn again from their own uniforms rather than held.
 
-    A subclass sets ``key``, ``shape`` and ``width``: the rate of cell (i, j)
-    of the ``shape`` grid is a function of row i and of the uniform of
-    ``key`` at counter ``i * width + j`` (garbage where j >= width), and it
-    turns those uniforms into rates in place, by rows (:meth:`rows`) and by
-    gathered cells (:meth:`cells`).  The rates read the same either way.
+    A subclass sets ``key`` and ``shape``: the rate of cell (i, j) of the
+    ``shape`` grid is a function of (i, j) and of the uniform of ``key`` at
+    counter ``i * shape[1] + j``, the counter of the value it rates, and
+    :meth:`cells` turns those uniforms into rates in place.  A row block's
+    rates are the cells of its grid, so they read the same either way.
     """
 
     key: int
     shape: tuple[int, int]
-    width: int
-
-    def rows(self, rows: slice, out: np.ndarray) -> None:
-        """Rewrite ``out[:, :width]``, the uniforms of ``rows``, into out's rates."""
-        raise NotImplementedError
 
     def cells(self, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
         """Rewrite ``out``, the uniforms of cells (r, c) broadcast together, into their rates."""
@@ -350,28 +345,6 @@ def _cell_values(
         out /= product
 
 
-def _counter_rows(
-    source: CounterRates, rows: slice, z: np.ndarray | None, t: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """The rates of ``rows``, drawn into r's float view of the block's shape.
-
-    Given z, the block's counter words once mixed, the rates' uniforms sit
-    at the same counters and share that mix; else their counter words are
-    made and mixed here.  t is scratch, and z is left as it was.
-    """
-    nrows, width = rows.stop - rows.start, source.width
-    out = r.view(np.float64).reshape(nrows, source.shape[1])
-    if z is not None:
-        words, scratch = r, t
-    else:
-        words, scratch = t[: nrows * width], r[: nrows * width]
-        _counter_words(words, rows.start * width)
-        _mix(words, scratch)
-    _unit_floats(words, scratch, _U64(source.key), out[:, :width], z)
-    source.rows(rows, out)
-    return out
-
-
 # Cells per block of a walk whose rates are drawn by counter: its three
 # buffers take 768 KiB, so a two-thread C-bounded trial at n = 1000 traces
 # 10.6 MB, inside 8n^2 + 4 MB (12.7 at BLOCK).  Its trials run 9 % (CPU) to
@@ -388,7 +361,6 @@ def _fill(
     rates: np.ndarray | DistinctRows | CounterRates | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
     consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
-    spare_cols: int | None = None,
 ) -> None:
     """Draw the uniforms (or, given rates, exponentials) of a ``shape`` grid.
 
@@ -396,9 +368,10 @@ def _fill(
     of about BLOCK cells (a 1-d grid counts as one column), so any blocking
     yields the same bits.  Each walk reuses two uint64 buffers of a block's
     size, or, for the rates of a :class:`CounterRates` source, three of half
-    that size.  A block is drawn into the spent hash scratch and handed to
-    ``consume(rows, block, spare)``, with ``spare`` the other buffer, spent,
-    as floats of the block's shape (``spare_cols`` columns if given) that the
+    that size: their uniforms sit at the values' counters (offset 0) and
+    share the block's first mix.  A block is drawn into the spent hash
+    scratch and handed to ``consume(rows, block, spare)``, with ``spare``
+    the other buffer, spent, as floats of the block's shape that the
     consumer may overwrite; given ``out`` instead, the consumer copies it
     into its rows of ``out``, the only full-size array.
     """
@@ -409,16 +382,13 @@ def _fill(
     counted = isinstance(rates, CounterRates)
     if isinstance(rates, np.ndarray):
         rates = rates.reshape(nrows, ncols)
-    # The rates' uniforms at the values' counters share their first mix.
-    shared = counted and offset == 0 and rates.width == ncols
     key = _U64(key)
     cells = _COUNTED_BLOCK if counted else BLOCK
-    step = min(nrows, max(1, cells // ncols))
-    spare_cols = ncols if spare_cols is None else spare_cols
-    sizes = (step * max(ncols, spare_cols), step * ncols, step * ncols)
+    size = min(nrows, max(1, cells // ncols)) * ncols
+    cols = np.arange(ncols)
 
     def scratch() -> tuple[np.ndarray, ...]:
-        return tuple(np.empty(size, dtype=np.uint64) for size in sizes[: 3 if counted else 2])
+        return tuple(np.empty(size, dtype=np.uint64) for _ in range(3 if counted else 2))
 
     def fill_rows(blocks: Iterable[slice], buffers: tuple[np.ndarray, ...]) -> None:
         z, t = buffers[:2]
@@ -430,12 +400,12 @@ def _fill(
             _mix(zb, tb)
             _cell_values(
                 zb, tb, key, block,
-                _counter_rows(rates, rows, zb if shared else None, tb, buffers[2][:k])
+                _counter_cells(rates, np.arange(rows.start, rows.stop)[:, None], cols, zb, tb,
+                               buffers[2][:k], block.shape)
                 if counted else None if rates is None else rates[rows],
                 -1.0 if scale is None else np.negative(scale[rows, None]),
             )
-            spare = z[: (rows.stop - rows.start) * spare_cols].view(np.float64)
-            consume(rows, block, spare.reshape(-1, spare_cols))
+            consume(rows, block, zb.view(np.float64).reshape(-1, ncols))
 
     map_row_blocks(fill_rows, nrows, ncols, scratch, cells)
 
@@ -459,17 +429,15 @@ def unit_uniforms(
 
 def uniform_blocks(
     key: int, shape: tuple[int, int], consume: Callable[[slice, np.ndarray, np.ndarray], None],
-    spare_cols: int | None = None,
 ) -> None:
     """``consume(rows, block, spare)`` on each row block of ``unit_uniforms(key, shape)``.
 
     As :func:`exponential_blocks`: the blocks run on the thread budget, each
     in a buffer of its walk's, valid only during the call, that the
     consumer may rewrite in place, and so is ``spare``, float scratch of the
-    block's rows and ``spare_cols`` columns (default the block's); no
-    full-size array is allocated.
+    block's shape; no full-size array is allocated.
     """
-    _fill(key, 0, shape, None, None, consume=consume, spare_cols=spare_cols)
+    _fill(key, 0, shape, None, None, consume=consume)
 
 
 def _exponential_rates(
@@ -536,17 +504,15 @@ def _cell_words(
 
 
 def _counter_cells(
-    source: CounterRates, rows: np.ndarray, cols: np.ndarray, z: np.ndarray | None,
+    source: CounterRates, rows: np.ndarray, cols: np.ndarray, z: np.ndarray,
     t: np.ndarray, words: np.ndarray, shape: tuple[int, ...],
 ) -> np.ndarray:
-    """The rates of cells (rows, cols), drawn into the float view of ``words``.
+    """The rates of cells (rows, cols), a row block's grid or gathered cells,
+    drawn into the float view of ``words``.
 
-    As :func:`_counter_rows`: given z, the cells' counter words once mixed
-    are shared; t is scratch.
+    z holds the cells' counter words once mixed, which the rates' uniforms
+    share, and is left as it was; t is scratch.
     """
-    if z is None:
-        _cell_words(words, rows, cols, source.width, shape)
-        _mix(words, t)
     out = words.view(np.float64).reshape(shape)
     _unit_floats(words, t, _U64(source.key), out, z)
     source.cells(rows, cols, out)
@@ -569,7 +535,6 @@ def exponential_cells(
     """
     rates, scale = _exponential_rates(rates, scale)
     counted = isinstance(rates, CounterRates)
-    shared = counted and rates.width == rates.shape[1]
     rows, cols = np.asarray(rows), np.asarray(cols)
     out = np.empty(np.broadcast_shapes(rows.shape, cols.shape))
     # A 0-d result counts as one cell.  Each index gets the result's axes, so
@@ -588,7 +553,7 @@ def exponential_cells(
         _mix(zb, tb)
         _cell_values(
             zb, tb, key, ob,
-            _counter_cells(rates, r, c, zb if shared else None, tb, words[0][: ob.size], ob.shape)
+            _counter_cells(rates, r, c, zb, tb, words[0][: ob.size], ob.shape)
             if counted else rates[r, c],
             -1.0 if scale is None else np.negative(scale.take(r)),
         )

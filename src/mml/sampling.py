@@ -138,12 +138,14 @@ def latent_streams(
     Balanced rates, in their factored form, when the market is balanced or
     square.  An off-square market has no balanced form and uses its canonical
     rates: preferences depend only on within-row rate ratios, so the
-    preference law is the same.
+    preference law is the same.  A seed that ``stream_key`` refuses is
+    refused before any balance.
     """
+    x_key, y_key = stream_key(seed, "X"), stream_key(seed, "Y")
     if not isinstance(market, BalancedMarket) and market.is_square:
         market = sinkhorn_balance(market)
     phi, psi = (market.phi, market.psi) if isinstance(market, BalancedMarket) else (None, None)
     return (
-        ValueStream("X", stream_key(seed, "X"), market.a_hat, phi),
-        ValueStream("Y", stream_key(seed, "Y"), market.b_hat, psi),
+        ValueStream("X", x_key, market.a_hat, phi),
+        ValueStream("Y", y_key, market.b_hat, psi),
     )

@@ -22,10 +22,11 @@
   counters, the formula the blocked in-place kernel of ``mml.rng`` realizes.
 * ``random_cbounded_market``: a C-bounded market with its scores held, built
   by ``cbounded_kernel_market``'s score passes: the held reference of the
-  market that a trial draws again by counter.
+  square market that a trial draws again by counter.
 * ``two_pass_cbounded_market``: a C-bounded market built in two passes (all
   uniforms, then all scores), the arithmetic ``random_cbounded_market`` fuses
-  into its draw.
+  into its draw; given k, the backfilled market ``cbounded_kernel_market``
+  draws by counter, its women's uniforms laid out at their values' counters.
 * ``argpartition_lowest_columns``: each row's lowest columns by a selection
   pass and a sort of the selected values.
 * ``strided_mutual_matmul``: ``BalancedMarket.mutual_matmul`` with each
@@ -104,8 +105,8 @@ def random_cbounded_market(
     c_target = 1 gives the uniform market. Square unless ``n_women`` is given.
     Deterministic in the seed.  Each row block of uniforms becomes canonical
     scores, checked as the constructor checks them, while it is in cache.
-    These are the scores that ``cbounded_kernel_market`` draws again by
-    counter instead of holding, with the same bits.
+    Square, these are the scores that ``cbounded_kernel_market`` draws
+    again by counter instead of holding, with the same bits.
     """
     if n_women is None:
         n_women = n_men
@@ -113,7 +114,7 @@ def random_cbounded_market(
     a, b = np.empty((n_men, n_women)), np.empty((n_women, n_men))
     for side, out in (("a", a), ("b", b)):
 
-        def keep(rows, block, _spare, out=out):
+        def keep(rows, block, out=out):
             out[rows] = block
 
         _cbounded_pass(seed, side, out.shape, c_target, keep)
@@ -121,15 +122,26 @@ def random_cbounded_market(
 
 
 def two_pass_cbounded_market(
-    n_men: int, c_target: float, seed: int, n_women: int | None = None
+    n_men: int, c_target: float, seed: int, n_women: int | None = None, k: int = 0
 ) -> CanonicalMarket:
-    """The market of ``random_cbounded_market``: every uniform, then every score."""
+    """The market of ``random_cbounded_market``: every uniform, then every score.
+
+    Given k, the square market of ``cbounded_kernel_market(n_men, c_target,
+    seed, k)``: its last k men score every woman 1/n, and the women's
+    uniforms fill an n x n grid whose first n - k columns are real; the
+    dummies' columns are 1/(n - k), and the rows are normalised again.
+    """
     n_women = n_men if n_women is None else n_women
+    m = n_men - k
     scores = []
-    for name, shape in (("a_raw", (n_men, n_women)), ("b_raw", (n_women, n_men))):
-        u = unit_uniforms(stream_key(seed, name), shape[0] * shape[1]).reshape(shape)
+    for name, shape, real in (("a_raw", (m, n_women), n_women), ("b_raw", (n_women, n_men), m)):
+        u = unit_uniforms(stream_key(seed, name), shape[0] * shape[1]).reshape(shape)[:, :real]
         raw = c_target ** (2.0 * u - 1.0)
         scores.append(raw / raw.sum(axis=1, keepdims=True))
+    if k:
+        b_raw = np.hstack([scores[1], np.full((n_women, k), 1.0 / m)])
+        scores = [np.vstack([scores[0], np.full((k, n_women), 1.0 / n_women)]),
+                  b_raw / b_raw.sum(axis=1, keepdims=True)]
     return CanonicalMarket(*scores)
 
 

@@ -360,9 +360,15 @@ def test_enumerate_tags_the_optimal_matchings(tmp_path, capsys):
     assert len(pair_lines) == 3 * count
 
 
-def test_enumerate_with_an_out_of_range_seed_exits_two(tmp_path, capsys):
+def test_enumerate_with_an_out_of_range_seed_exits_two(tmp_path, capsys, monkeypatch):
     market_file = tmp_path / "market.txt"
     skew_market_file(market_file)
+
+    def no_balance(*args, **kwargs):
+        raise AssertionError("the seed must be refused before any balance")
+
+    # The square market is balanced only once the seed's stream keys are derived.
+    monkeypatch.setattr(mml.sampling, "sinkhorn_balance", no_balance)
     rc = main(["enumerate", str(market_file), "--seed", str(-(2**200))])
     err = capsys.readouterr().err
     assert rc == 2

@@ -288,12 +288,20 @@ def test_cbounded_scores_equal_the_two_pass_build(n, c):
 
 
 @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 2.5, 3.0, 10.0, 1e300, math.inf, math.nan])
-def test_power_of_a_row_of_c_equals_the_power_of_the_scalar(c):
-    # random_cbounded_market raises a row of c, not the scalar, to its
-    # exponents 2u - 1, in place; both forms must give the same bits.
-    exponents = 2.0 * unit_uniforms(stream_key(7, "power"), (2048, 1000)) - 1.0
+@pytest.mark.parametrize(
+    "shape",
+    # A score pass's block, a gather of n x 64 cells, a column of rows
+    # against a table of columns and its one column, and a 1-d row of n.
+    [(2048, 1000), (1001, 64), (70, 5), (70, 1), (1001,)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_power_of_a_row_of_c_equals_the_power_of_the_scalar(c, shape):
+    # The scores raise a row of c as wide as the block's last axis, not the
+    # scalar, to their exponents 2u - 1, in place; both forms must give the
+    # same bits.
+    exponents = 2.0 * unit_uniforms(stream_key(7, "power"), shape) - 1.0
     expected = np.power(c, exponents)
-    np.power(np.full(1000, c), exponents, out=exponents)
+    np.power(np.full(shape[-1], c), exponents, out=exponents)
     assert exponents.tobytes() == expected.tobytes()
 
 
@@ -592,19 +600,19 @@ def test_backfilled_counter_scores_match_the_stacked_ones(n, k, c):
     b_raw = np.hstack([real.b_hat, np.full((n, k), 1.0 / (n - k))])
     stacked = (np.vstack([real.a_hat, np.full((k, n), 1.0 / n)]),
                b_raw / b_raw.sum(axis=1, keepdims=True))
-    counted = cbounded_kernel_market(n, c, n, k)
-    for market in (counted, backfill_imbalanced(real, k)):
-        for got, want in zip((market.a_hat, market.b_hat), stacked):
+    # The counted women's uniforms sit at their values' counters, an n x n
+    # grid, where the real market's fill an n x (n - k) one.
+    reference = two_pass_cbounded_market(n, c, n, k=k)
+    for market, want_sides in (
+        (cbounded_kernel_market(n, c, n, k), (reference.a_hat, reference.b_hat)),
+        (backfill_imbalanced(real, k), stacked),
+    ):
+        for got, want in zip((market.a_hat, market.b_hat), want_sides):
             # A held stack is an array of its own, not a view of the real
             # market's scores.
             got = np.asarray(got)
             assert got.flags.c_contiguous and got.flags.writeable
             assert got.tobytes() == want.tobytes()
-
-
-def held_cbounded(n, c, seed, k):
-    """The held market whose scores ``cbounded_kernel_market(n, c, seed, k)`` draws by counter."""
-    return backfill_imbalanced(random_cbounded_market(n - k, c, seed, n_women=n), k)
 
 
 def kernel_cases():
@@ -616,7 +624,7 @@ def kernel_cases():
 @pytest.mark.parametrize("c", [2.0, 10.0, 1e6])
 @pytest.mark.parametrize("n, k", list(kernel_cases()))
 def test_counter_rows_and_cells_equal_the_held_scores(n, k, c):
-    held = held_cbounded(n, c, n, k)
+    held = two_pass_cbounded_market(n, c, n, k=k)
     rng = np.random.default_rng(n + k)
     # A column of rows against a table of columns, as the gathers read them,
     # and single cells.
@@ -641,7 +649,7 @@ def test_counter_rows_and_cells_equal_the_held_scores(n, k, c):
 @pytest.mark.parametrize("c", [2.0, 10.0, 1e6])
 @pytest.mark.parametrize("n, k", list(kernel_cases()))
 def test_kernel_built_balance_equals_the_held_balance(n, k, c):
-    held = held_cbounded(n, c, n, k)
+    held = two_pass_cbounded_market(n, c, n, k=k)
     counted = cbounded_kernel_market(n, c, n, k)
     kernel = np.asarray(held.a_hat) * np.asarray(held.b_hat).T
     kernel /= n

@@ -21,8 +21,6 @@ from mml.rng import (
     exponential_cells,
     exponentials,
     stream_key,
-    thread_budget,
-    uniform_blocks,
     unit_uniforms,
 )
 from oracles import reference_uniforms
@@ -240,23 +238,6 @@ def test_gather_scratch_does_not_grow_with_the_table():
             tracemalloc.stop()
     assert abs(extras[0] - extras[1]) < 4096, extras
     assert max(extras) < 5 * 8 * (BLOCK // 8), extras
-
-
-@pytest.mark.parametrize("budget", [1, 2])
-def test_uniform_blocks_spare_takes_the_given_width(budget):
-    # The spare is the walk's own scratch, wider than the block when asked:
-    # a consumer that fills it leaves every block's uniforms as they were.
-    shape, wide = (1200, 70), 130
-    got = np.empty(shape)
-
-    def consume(rows, block, spare):
-        assert spare.shape == (block.shape[0], wide)
-        spare[:] = -1.0
-        got[rows] = block
-
-    with thread_budget(budget):
-        uniform_blocks(5, shape, consume, spare_cols=wide)
-    assert got.tobytes() == unit_uniforms(5, shape).tobytes()
 
 
 def test_exponentials_rate_scaling_is_exact():

@@ -45,7 +45,41 @@ def test_output_hashes_against_a_saved_run_fails_on_a_doctored_line(tmp_path):
     saved.write_text("\n".join([*lines[:2], doctored, *lines[3:]]) + "\n", encoding="utf-8")
     run = hashes("--against", str(saved))
     assert run.returncode == 1
-    assert sorted(run.stdout.splitlines()) == sorted([f"now {lines[2]}", f"saved {doctored}"])
+    out = run.stdout.splitlines()
+    assert sorted(out[:2]) == sorted([f"now {lines[2]}", f"saved {doctored}"])
+    assert out[2:] == [f"moved {config}: {name}", f"0 of 1 configs match {saved}"]
+
+
+def test_output_hashes_names_each_config_whose_bytes_moved(tmp_path):
+    # The same config under a second name, so that one config matches and
+    # one moves: two of its files at one worker count, one of them at both.
+    twin = tmp_path / "twin.cfg"
+    twin.write_text((ROOT / "configs" / "value_dist_small.cfg").read_text(encoding="utf-8"),
+                    encoding="utf-8")
+
+    def hashes(*args):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "output_hashes.py"), *args,
+             str(ROOT / "configs" / "value_dist_small.cfg"), str(twin)],
+            capture_output=True, text=True,
+        )
+
+    lines = hashes().stdout.splitlines()
+    doctored = []
+    for line in lines:
+        config, workers, name, digest = line.split()
+        if config == "twin.cfg" and (name, workers) in {("trials.csv", "1"), ("trials.csv", "2"),
+                                                        ("summary.json", "2")}:
+            line = f"{config} {workers} {name} {'0' if digest[0] != '0' else '1'}{digest[1:]}"
+        doctored.append(line)
+    saved = tmp_path / "saved.txt"
+    saved.write_text("\n".join(doctored) + "\n", encoding="utf-8")
+    run = hashes("--against", str(saved))
+    assert run.returncode == 1, run.stdout + run.stderr
+    out = run.stdout.splitlines()
+    assert len(out) == 2 * 3 + 2
+    assert {line.split()[0] for line in out[:6]} == {"now", "saved"}
+    assert out[6:] == ["moved twin.cfg: summary.json trials.csv", f"1 of 2 configs match {saved}"]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")

@@ -14,10 +14,16 @@ Diff this output between two trees to check that a change keeps every
 output byte, or save it from one tree and pass it to the other with
 ``--against FILE``.  The script then compares its lines with the saved
 lines of the configs it ran, prints each line found on one side only,
-marked ``saved`` or ``now``, and exits 1 if there is one; else it prints
-how many lines match.  A run that exits 1 (a check failed) still writes
-its files and is hashed; any other exit code stops the script, which
-prints the run's error output and exits 1.
+marked ``saved`` or ``now``, then one line per config whose bytes moved
+and how many configs match:
+
+    moved config: file ...
+    matched of ran configs match FILE
+
+and exits 1 if a line differs; else it prints how many lines match.  A
+run that exits 1 (a check failed) still writes its files and is hashed;
+any other exit code stops the script, which prints the run's error
+output and exits 1.
 """
 from __future__ import annotations
 
@@ -64,6 +70,15 @@ def differences(saved: list[str], lines: list[str]) -> list[str]:
     )
 
 
+def moved(differ: list[str]) -> list[str]:
+    """One ``moved config: file ...`` line per config of the marked lines."""
+    files: dict[str, set[str]] = {}
+    for line in differ:
+        _, config, _, name, _ = line.split()
+        files.setdefault(config, set()).add(name)
+    return [f"moved {config}: {' '.join(sorted(names))}" for config, names in sorted(files.items())]
+
+
 def main(argv: list[str]) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("configs", nargs="*", type=Path, metavar="CONFIG")
@@ -79,7 +94,10 @@ def main(argv: list[str]) -> None:
     saved = args.against.read_text(encoding="utf-8").splitlines()
     differ = differences([line for line in saved if line.strip()], lines)
     if differ:
-        print("\n".join(differ))
+        closing = moved(differ)
+        ran = len({line.split()[0] for line in lines})
+        print("\n".join([*differ, *closing]))
+        print(f"{ran - len(closing)} of {ran} configs match {args.against}")
         sys.exit(1)
     print(f"{len(lines)} lines match {args.against}")
 
