@@ -94,8 +94,8 @@ PINS = [
      "c86e56b8901d826f74491d1e8b00723e3ed19f47514e4a4f508a9ee17e7116da",
      "9264893f28835c531f0dd18353fb5d50b4b44351e3e1a47aaba909a416874150"),
     ("imbalance_cbounded", None,
-     "dc31d4e937a7804ff305fe12dd188b73718657166bf2a0a00ecb11a1a077a9b1",
-     "dbca2375594b42af3edb9342d977ba9ba1906460057ebf338f9d77c38a853f67"),
+     "6ba7100646185efc6384e1cbc113ffb79e9775136e42455cc1338bce58a3c9fd",
+     "f2413d696417ebde26c1cbfe3c3d94161b4237bdc800cb89dd738f257fdd0002"),
     ("imbalance_public_scores", None,
      "5e473500ef5505e81d07efa894a843407865032bf57c2cb4654ed6e36b5f70bc",
      "8a54c3386b81e63ef7720e103cbbc4ea6b816e1d5bc717b6b6b2ca85eeab6335"),
