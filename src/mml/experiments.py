@@ -308,7 +308,7 @@ def _optimal_matchings(bal: BalancedMarket, seed: int) -> list[tuple[Matching, M
     """
     x, y = latent_streams(bal, seed)
     wosm, wosm_outcome = deferred_acceptance(proposer_tables(y, x)[0], Side.WOMEN)
-    men, wosm_ranks = proposer_tables(x, y, thresholds=wosm_outcome.value_men)
+    men, wosm_ranks = proposer_tables(x, y, partners=wosm.mu_array)
     return [
         deferred_acceptance(men, Side.MEN),
         (wosm, replace(wosm_outcome, rank_men=wosm_ranks)),

@@ -368,7 +368,8 @@ def _kernel_products(market: CanonicalMarket | BalancedMarket) -> tuple[Callable
     the blocks as views of it.  Any other market builds each block from its
     scores into one reused buffer, so no n x n array is allocated and the
     scores are only read: where a block's rows of each side are one row of
-    its table (:class:`~mml.rng.DistinctRows`), K[i, j] = a[j] * b[i] / n.
+    its table (:class:`~mml.rng.DistinctRows`), K[i, j] = a[j] * b[i] / n,
+    and where each table holds one score, the one buffer is every block.
     Raises NonPositiveEntry if an entry of K underflows to zero.
     """
     n = market.a_hat.shape[0]
@@ -376,12 +377,20 @@ def _kernel_products(market: CanonicalMarket | BalancedMarket) -> tuple[Callable
         return _blocked_products(n, lambda rows, cols: market.kernel[rows, cols])
     a_hat, b_hat = market.a_hat, market.b_hat
     buffer = np.empty(max(part.stop - part.start for part in _kernel_blocks(n)) * n)
+    # Where each side's table holds one score (the uniform market), every
+    # entry of K is that one product: the buffer, filled once, is every block.
+    constant = all(isinstance(s, DistinctRows) and s.constant() for s in (a_hat, b_hat))
+    if constant:
+        np.multiply(a_hat.table.flat[0], b_hat.table.flat[0], out=buffer[:1])
+        buffer[:1] /= n
+        buffer.fill(buffer[0])
 
     def block(rows: slice, cols: slice) -> np.ndarray:
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         out = buffer[: shape[0] * shape[1]].reshape(shape)
-        np.multiply(a_hat[rows, cols], b_hat[cols, rows].T, out=out)
-        out /= n
+        if not constant:
+            np.multiply(a_hat[rows, cols], b_hat[cols, rows].T, out=out)
+            out /= n
         return out
 
     # Rounding is monotone, so no entry of K is below the one of the least

@@ -111,16 +111,17 @@ class ProposerTables:
 
 
 def proposer_tables(
-    prop: ValueStream, recv: ValueStream, thresholds: np.ndarray | None = None
+    prop: ValueStream, recv: ValueStream, partners: np.ndarray | None = None
 ) -> tuple[ProposerTables, np.ndarray | None]:
-    """The proposers' tables from one screened pass over their rows, and its counts.
+    """The proposers' tables from one screened pass over their rows, and its ranks.
 
     No matrix is held: the receivers' values at the proposers' top cells, the
     proposers' own values and a deep walk's row and cells are drawn by
-    counter.  The counts are ``ValueStream.screen``'s.
+    counter.  Given ``partners`` (a receiver per proposer, or -1), the ranks
+    are each proposer's rank of its partner, ``ValueStream.screen``'s.
     """
     n_prop, n_recv = prop.shape
-    top, counts = prop.screen(min(sampling.TOP_L, n_recv), thresholds)
+    top, ranks = prop.screen(min(sampling.TOP_L, n_recv), partners)
 
     def deep(p: int, stop: int):
         row = prop.cells(p, np.arange(n_recv))
@@ -131,7 +132,7 @@ def proposer_tables(
     tables = ProposerTables(
         top, recv.cells(top, np.arange(n_prop)[:, None]), n_recv, prop.cells, deep
     )
-    return tables, counts
+    return tables, ranks
 
 
 def deferred_acceptance(

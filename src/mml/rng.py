@@ -12,9 +12,11 @@ arithmetic), which keeps tiny markets cheap (no per-stream object setup) and
 large matrices fast, drawn a block of cells at a time: 60-75M exponentials/s
 on one core of a 2-core Xeon, 85-110M/s on both (n = 2000).  A matrix need
 not be stored at all: :func:`exponential_blocks` hands each block to a
-consumer, and :func:`exponential_cells` draws the cells at chosen (row,
-column) pairs from their counters alone.  Blocks and cells share one copy of
-the per-cell arithmetic, so a cell has the same bits however it is drawn.
+consumer (:func:`exponential_words` hands it the block's 53-bit words
+first, and its values only if asked), and :func:`exponential_cells` draws
+the cells at chosen (row, column) pairs from their counters alone.  Blocks,
+cells and chosen words (:func:`word_cells`) share one copy of the per-cell
+arithmetic, so a cell has the same bits however it is drawn.
 Nor need the rates be stored in full: :class:`DistinctRows` holds their
 distinct rows, and a :class:`CounterRates` source draws each block's or
 cell's rates again from uniforms at the values' own counters, so the two
@@ -298,51 +300,71 @@ class DistinctRows:
     def min(self) -> float:
         return self.table.min()
 
+    def constant(self, rows: bool = False) -> bool:
+        """Whether the table holds one value bit for bit: in all, or (``rows``) in each row."""
+        bits = np.ascontiguousarray(self.table, dtype=np.float64).view(np.uint64)
+        return bool((bits == (bits[:, :1] if rows else bits.flat[0])).all())
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.table[self.index]
 
 
-def _unit_floats(
-    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray, words: np.ndarray | None = None,
+def _unit_words(
+    z: np.ndarray, t: np.ndarray, key: np.uint64, words: np.ndarray | None = None
 ) -> None:
-    """Write into ``out`` key's uniforms of z's counter words, once mixed.
+    """Write into z key's 53-bit words of z's counter words, once mixed; t is scratch.
 
-    t is scratch of z's size, and ``out`` may be t's or z's float view.
     Given ``words``, the counter words are read from it, and z is scratch.
     """
     np.bitwise_xor(z if words is None else words, key, out=z)
     _mix(z, t)
     z >>= _U64(11)
-    # Every word is below 2^53, so the int64 view converts exactly.
-    np.add(z.view(np.int64).reshape(out.shape), 0.5, out=out)
-    out *= 2.0**-53
 
 
-def _cell_values(
-    z: np.ndarray, t: np.ndarray, key: np.uint64, out: np.ndarray,
-    rates: np.ndarray | None, neg_scale: np.ndarray | float,
+def _word_values(
+    words: np.ndarray, out: np.ndarray, rates: np.ndarray | None = None,
+    neg_scale: np.ndarray | float = -1.0, product: np.ndarray | None = None,
 ) -> None:
-    """Write into ``out`` the uniforms (or, given rates, exponentials) of z's cells.
+    """Write into ``out`` the uniforms (or, given rates, exponentials) of 53-bit ``words``.
 
-    z holds ``(counter + 1) * golden`` per cell of ``out``, once mixed
-    (``_mix``), and t is scratch of z's size; ``out`` may be t's float
-    view.  Both are spent: the hash runs in z with t as its scratch, and
-    once its words are converted into ``out``, z holds the rate product.
-    A cell's rate is ``-neg_scale * rates`` (-1.0 where no scale is given),
-    and its draw ``log(u) / (neg_scale * rates)``: IEEE division is sign
-    symmetric, so these are the bits of ``-log(u) / rate``, signed zeros
-    included.  Row blocks and gathered cells both come here, so a cell has
-    the same bits however it is drawn.
+    The tail of every draw.  ``words`` (int64, of out's shape) may be
+    ``out``'s memory or ``product``'s, float scratch of out's shape that
+    the rates' product is written into once the words are converted.  Word
+    k gives the uniform (k + 0.5) * 2^-53 (exact: every word is below
+    2^53).  A cell's rate is ``-neg_scale * rates``, and its draw
+    ``log(u) / (neg_scale * rates)``: IEEE division is sign symmetric, so
+    these are the bits of ``-log(u) / rate``, signed zeros included.  Row
+    blocks, gathered cells and a key screen's chosen words all come here,
+    so a cell has the same bits however it is drawn.
     """
-    _unit_floats(z, t, key, out)
+    np.add(words, 0.5, out=out)
+    out *= 2.0**-53
     if rates is None:
         return
     np.log(out, out=out)
-    product = z.view(np.float64).reshape(out.shape)
+    product = np.empty(out.shape) if product is None else product
     # A rate too small for a finite value draws inf, which the screens refuse.
     with np.errstate(over="ignore", divide="ignore"):
         np.multiply(neg_scale, rates, out=product)
         out /= product
+
+
+def _cell_values(
+    z: np.ndarray, out: np.ndarray, rates: np.ndarray | None, neg_scale: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write into ``out`` the draws of the 53-bit words in z (:func:`_word_values`).
+
+    z is spent: it takes the rates' product.  Returns ``out`` and z's
+    float view of out's shape.
+    """
+    spare = z.view(np.float64).reshape(out.shape)
+    _word_values(z.view(np.int64).reshape(out.shape), out, rates, neg_scale, spare)
+    return out, spare
+
+
+def _on_values(consume: Callable[[slice, np.ndarray, np.ndarray], None]) -> Callable:
+    """A consumer of words that draws each block's values for ``consume(rows, block, spare)``."""
+    return lambda rows, words, scratch, values: consume(rows, *values())
 
 
 # Cells per block of a walk whose rates are drawn by counter: its three
@@ -360,25 +382,29 @@ def _fill(
     key: int, offset: int, shape: tuple[int, ...],
     rates: np.ndarray | DistinctRows | CounterRates | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
-    consume: Callable[[slice, np.ndarray, np.ndarray], None] | None = None,
+    consume: Callable[[slice, np.ndarray, np.ndarray, Callable], None] | None = None,
 ) -> None:
-    """Draw the uniforms (or, given rates, exponentials) of a ``shape`` grid.
+    """Draw the words, then the uniforms (or, given rates, exponentials), of a ``shape`` grid.
 
     Flat cell c gets counter offset + c.  The cells are walked in row blocks
     of about BLOCK cells (a 1-d grid counts as one column), so any blocking
     yields the same bits.  Each walk reuses two uint64 buffers of a block's
     size, or, for the rates of a :class:`CounterRates` source, three of half
     that size: their uniforms sit at the values' counters (offset 0) and
-    share the block's first mix.  A block is drawn into the spent hash
-    scratch and handed to ``consume(rows, block, spare)``, with ``spare``
-    the other buffer, spent, as floats of the block's shape that the
-    consumer may overwrite; given ``out`` instead, the consumer copies it
-    into its rows of ``out``, the only full-size array.
+    share the block's first mix.  Each block's 53-bit words are handed to
+    ``consume(rows, words, scratch, values)``: ``words`` an int64 view of
+    the block's shape, ``scratch`` the walk's other uint64 buffer, of the
+    block's size, and ``values()`` the block's draws, which the consumer
+    may call once, spending its words and its scratch: it returns the
+    block, written over the scratch as floats, and ``spare``, the spent
+    words as floats, both of the block's shape and the consumer's to
+    overwrite.  Given ``out`` instead, each block's draws are copied into
+    its rows of ``out``, the only full-size array.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
     if out is not None:
-        consume = functools.partial(_copy_block, out.reshape(nrows, ncols))
+        consume = _on_values(functools.partial(_copy_block, out.reshape(nrows, ncols)))
     counted = isinstance(rates, CounterRates)
     if isinstance(rates, np.ndarray):
         rates = rates.reshape(nrows, ncols)
@@ -395,17 +421,19 @@ def _fill(
         for rows in blocks:
             k = (rows.stop - rows.start) * ncols
             zb, tb = z[:k], t[:k]
-            block = tb.view(np.float64).reshape(-1, ncols)
             _counter_words(zb, offset + rows.start * ncols)
             _mix(zb, tb)
-            _cell_values(
-                zb, tb, key, block,
+            block_rates = (
                 _counter_cells(rates, np.arange(rows.start, rows.stop)[:, None], cols, zb, tb,
-                               buffers[2][:k], block.shape)
-                if counted else None if rates is None else rates[rows],
+                               buffers[2][:k], (rows.stop - rows.start, ncols))
+                if counted else None if rates is None else rates[rows]
+            )
+            _unit_words(zb, tb, key)
+            values = functools.partial(
+                _cell_values, zb, tb.view(np.float64).reshape(-1, ncols), block_rates,
                 -1.0 if scale is None else np.negative(scale[rows, None]),
             )
-            consume(rows, block, zb.view(np.float64).reshape(-1, ncols))
+            consume(rows, zb.view(np.int64).reshape(-1, ncols), tb, values)
 
     map_row_blocks(fill_rows, nrows, ncols, scratch, cells)
 
@@ -437,7 +465,7 @@ def uniform_blocks(
     consumer may rewrite in place, and so is ``spare``, float scratch of the
     block's shape; no full-size array is allocated.
     """
-    _fill(key, 0, shape, None, None, consume=consume)
+    _fill(key, 0, shape, None, None, consume=_on_values(consume))
 
 
 def _exponential_rates(
@@ -481,7 +509,43 @@ def exponential_blocks(
     allocated.
     """
     rates, scale = _exponential_rates(rates, scale)
+    _fill(key, 0, rates.shape, rates, scale, consume=_on_values(consume))
+
+
+def exponential_words(
+    key: int, rates: np.ndarray | DistinctRows | CounterRates,
+    consume: Callable[[slice, np.ndarray, np.ndarray, Callable], None],
+    scale: np.ndarray | None = None,
+) -> None:
+    """``consume(rows, words, scratch, values)`` on each row block of
+    ``exponentials(key, rates, scale)``, before its values are drawn.
+
+    ``words`` are the block's 53-bit words (int64, of the block's shape),
+    from which each value is drawn: on a row of one rate, a larger word
+    gives a value at most as large.  ``scratch`` is uint64 scratch of the
+    block's size, and ``values()`` returns ``(block, spare)`` as
+    :func:`exponential_blocks` hands them, spending the words and the
+    scratch (see ``_fill``).  The blocks run on the thread budget.
+    """
+    rates, scale = _exponential_rates(rates, scale)
     _fill(key, 0, rates.shape, rates, scale, consume=consume)
+
+
+def word_cells(
+    words: np.ndarray, rates: np.ndarray | DistinctRows, rows: np.ndarray, cols: np.ndarray,
+    scale: np.ndarray | None = None,
+) -> np.ndarray:
+    """The values of cells (rows, cols) of ``exponentials(key, rates, scale)``
+    whose 53-bit words (from :func:`exponential_words`) are ``words``.
+
+    The three arrays are broadcast together to ``words``' shape.  A
+    gather's tail without its hash: each value has the bits of the full draw.
+    """
+    out = np.empty(words.shape)
+    _word_values(
+        words, out, rates[rows, cols], -1.0 if scale is None else np.negative(scale.take(rows))
+    )
+    return out
 
 
 # Cells per block of a gather: its two uint64 buffers (three for counter
@@ -514,7 +578,8 @@ def _counter_cells(
     share, and is left as it was; t is scratch.
     """
     out = words.view(np.float64).reshape(shape)
-    _unit_floats(words, t, _U64(source.key), out, z)
+    _unit_words(words, t, _U64(source.key), z)
+    _word_values(words.view(np.int64).reshape(shape), out)
     source.cells(rows, cols, out)
     return out
 
@@ -551,10 +616,11 @@ def exponential_cells(
         zb, tb = z[: ob.size], t[: ob.size]
         _cell_words(zb, r, c, rates.shape[1], ob.shape)
         _mix(zb, tb)
-        _cell_values(
-            zb, tb, key, ob,
+        cell_rates = (
             _counter_cells(rates, r, c, zb, tb, words[0][: ob.size], ob.shape)
-            if counted else rates[r, c],
-            -1.0 if scale is None else np.negative(scale.take(r)),
+            if counted else rates[r, c]
         )
+        _unit_words(zb, tb, key)
+        _cell_values(zb, ob, cell_rates, -1.0 if scale is None else np.negative(scale.take(r)))
+        del cell_rates  # so that no two blocks' rates are held at once
     return out

@@ -10,10 +10,19 @@ are the only representation of preferences.
 
 The trials hold each side as a :class:`ValueStream`: one screened pass over
 its rows, block by block, keeps what the trial reads of them (the proposers'
-best columns, a count or a row maximum), and any cell, the values at those
+best columns, a rank or a row maximum), and any cell, the values at those
 columns too, is drawn from its counter on demand, with the bits the matrix
 would have.  Only exhaustive enumeration, at most 10 agents per side, holds
 both matrices (:meth:`ValueStream.matrix`).
+
+Where a side is screened: a side whose rows each have one rate (the
+uniform market's sides, a backfilled uniform market's men and women) is
+screened from its counter words, since a row of one rate orders its
+values in reverse word order (:func:`_key_screened_rows`); its blocks'
+values are drawn only where that screen cannot clear them.  Every other
+side (public scores, C-bounded and held dense rates) and every held
+matrix is screened from its values (:func:`_screened_rows`).  Both give
+the same tables, ranks, maxima and messages.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ import numpy as np
 from .errors import DuplicateValue
 from .market import BalancedMarket, CanonicalMarket, sinkhorn_balance
 from .rng import CounterRates, DistinctRows
-from .rng import exponential_blocks, exponential_cells, exponentials, stream_key
+from .rng import exponential_cells, exponential_words, exponentials, stream_key, word_cells
 
 # Lowest columns kept per row, the depth of a proposer's presorted list.  A
 # walk ends at its final partner's rank: mean 6-10, peak 39-81 for n = 1000-4000
@@ -76,6 +85,11 @@ class ValueStream:
     def shape(self) -> tuple[int, int]:
         return self.rates.shape
 
+    @property
+    def one_rate(self) -> bool:
+        """Whether each row has one rate: a table of distinct rows, each constant bit for bit."""
+        return isinstance(self.rates, DistinctRows) and self.rates.constant(rows=True)
+
     def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The values at (rows, cols), broadcast together, drawn by counter."""
         return exponential_cells(self.key, self.rates, rows, cols, self.scale)
@@ -87,33 +101,45 @@ class ValueStream:
         return values
 
     def screen(
-        self, width: int, thresholds: np.ndarray | None = None
+        self, width: int, partners: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """One pass over the rows, block by block, holding no full-size array.
 
-        Blocks are screened by :func:`_screened_rows`.
-        Returns each row's ``width`` lowest columns (int32), lowest first, and,
-        given ``thresholds``, the count of row i's values at most
-        ``thresholds[i]``.  The values themselves are not kept: any of them
-        is drawn again by :meth:`cells`.
+        Blocks are screened by :func:`_key_screened_rows` where each row has
+        one rate, else (and where the key screen cannot clear a block) by
+        :func:`_screened_rows`.  Returns each row's ``width`` lowest columns
+        (int32), lowest first, and, given ``partners``, row i's rank of its
+        column ``partners[i]``: the count of its values at most that one's
+        (0 for a partner of -1).  The values themselves are not kept: any
+        of them is drawn again by :meth:`cells`.
         """
         nrows = self.shape[0]
         top = np.empty((nrows, width), dtype=np.int32)
-        counts = None if thresholds is None else np.empty(nrows, dtype=np.int64)
+        ranks = None if partners is None else np.empty(nrows, dtype=np.int64)
+        keyed = self.one_rate
 
-        def consume(rows, block, spare):
-            ordered = _screened_rows(self.name, block, spare)
-            # A row's columns at most its width-th value are exactly its width
-            # lowest, in column order: row r's sit at flat[r * width : (r + 1) * width].
-            flat = np.flatnonzero(block <= ordered[:, width - 1 : width])
-            order = np.argsort(block.reshape(-1)[flat].reshape(-1, width), axis=1)
-            order += np.arange(0, order.size, width)[:, None]
-            top[rows] = flat[order] - np.arange(0, block.size, block.shape[1])[:, None]
-            if counts is not None:
-                counts[rows] = (block <= thresholds[rows, None]).sum(axis=1)
+        def consume(rows, words, scratch, values):
+            bound = _key_screened_rows(self, rows, words, scratch, width) if keyed else None
+            if bound is not None:
+                # Values run in reverse word order: a row's width lowest
+                # values are its width largest words, and its rank of a
+                # column counts the words at least that column's.
+                top[rows] = _best_columns(words >= bound, words, width, True)
+                cells = words
+                better = np.greater_equal
+            else:
+                block, spare = values()
+                ordered = _screened_rows(self.name, block, spare)
+                top[rows] = _best_columns(block <= ordered[:, width - 1 : width], block, width)
+                cells = block
+                better = np.less_equal
+            if partners is not None:
+                own = partners[rows]
+                counts = better(cells, np.take_along_axis(cells, own.clip(0)[:, None], axis=1))
+                ranks[rows] = np.where(own >= 0, counts.sum(axis=1), 0)
 
-        exponential_blocks(self.key, self.rates, consume, scale=self.scale)
-        return top, counts
+        exponential_words(self.key, self.rates, consume, scale=self.scale)
+        return top, ranks
 
     def row_max(self, ncols: int) -> np.ndarray:
         """One pass over the rows, screened as :meth:`screen` screens them.
@@ -121,13 +147,92 @@ class ValueStream:
         Returns each row's largest value among its first ``ncols`` columns.
         """
         largest = np.empty(self.shape[0])
+        keyed = self.one_rate
 
-        def consume(rows, block, spare):
+        def consume(rows, words, scratch, values):
+            if keyed and _key_screened_rows(self, rows, words, scratch, 1) is not None:
+                # The largest value is the one of the least word.
+                local = np.arange(words.shape[0])
+                cols = words[:, :ncols].argmin(axis=1)
+                largest[rows] = word_cells(
+                    words[local, cols], self.rates, local + rows.start, cols, self.scale
+                )
+                return
+            block, spare = values()
             _screened_rows(self.name, block, spare)
             largest[rows] = block[:, :ncols].max(axis=1)
 
-        exponential_blocks(self.key, self.rates, consume, scale=self.scale)
+        exponential_words(self.key, self.rates, consume, scale=self.scale)
         return largest
+
+
+def _best_columns(
+    chosen: np.ndarray, cells: np.ndarray, width: int, descending: bool = False
+) -> np.ndarray:
+    """Each row's ``width`` columns where ``chosen`` holds, in the order of their ``cells``.
+
+    ``chosen`` holds at exactly ``width`` columns of each row, and their
+    cells differ: they are ordered lowest first, or highest first if
+    ``descending``.  Row r's sit at ``flat[r * width : (r + 1) * width]``.
+    """
+    flat = np.flatnonzero(chosen)
+    picked = cells.reshape(-1)[flat].reshape(-1, width)
+    order = np.argsort(np.negative(picked) if descending else picked, axis=1)
+    order += np.arange(0, order.size, width)[:, None]
+    return flat[order] - np.arange(0, chosen.size, chosen.shape[1])[:, None]
+
+
+# Words more than G apart have strictly ordered values on one rate, as long
+# as those are normal: their uniforms differ by at least 2^-37, so their
+# logs by far more than the few ulps np.log may be off, and so do the
+# quotients by the row's one rate product (tests/test_key_screen.py checks
+# the logs on the CPU it runs on).  A row's words are keyed by their top 31
+# bits, and keys at least 2 apart belong to words more than 2^22 apart.
+_WORD_MARGIN = 1 << 16
+_KEY_SHIFT = 22
+
+
+def _key_screened_rows(
+    stream: ValueStream, rows: slice, words: np.ndarray, scratch: np.ndarray, width: int
+) -> np.ndarray | None:
+    """A block of one-rate rows screened from its words: each row's
+    ``width``-th largest word (a column), or None where the block must be
+    screened from its values.
+
+    Each row's keys ``words >> 22`` are sorted as int32 in ``scratch``.  A
+    row whose keys are at least 2 apart, or, failing that, whose sorted
+    words are, has its words more than G = 2^16 apart, so on its one rate
+    its values are strictly in reverse word order, as long as they are
+    normal: the values of its least and its largest word, drawn exactly
+    (``word_cells``), must be normal, positive and finite.  A row with two
+    words within G, or an extreme value outside that range, is not
+    cleared: the block is then screened from its values, by
+    :func:`_screened_rows`, whose message names any fault.
+    """
+    nrows, ncols = words.shape
+    halves = scratch.view(np.int32)
+    keys = halves[: words.size].reshape(words.shape)
+    np.right_shift(words, _KEY_SHIFT, out=keys)
+    keys.sort(axis=1)
+    bound = keys[:, ncols - width : ncols - width + 1].astype(np.int64)
+    bound <<= _KEY_SHIFT
+    flat = keys.reshape(-1)
+    # Neighbours in the flat sorted block, but for the pairs that straddle two rows.
+    gaps = np.subtract(flat[1:], flat[:-1], out=halves[words.size : 2 * words.size - 1])
+    gaps[ncols - 1 :: ncols] = 2
+    if gaps.size and gaps.min() < 2:
+        near = np.flatnonzero(np.bincount(np.flatnonzero(gaps < 2) // ncols, minlength=nrows))
+        ordered = np.sort(words[near], axis=1)
+        if (np.diff(ordered, axis=1) <= _WORD_MARGIN).any():
+            return None
+        bound[near, 0] = ordered[:, ncols - width]
+    index = np.arange(rows.start, rows.stop)
+    extremes = np.stack([words.argmin(axis=1), words.argmax(axis=1)], axis=1)
+    least_and_most = np.take_along_axis(words, extremes, axis=1)
+    values = word_cells(least_and_most, stream.rates, index[:, None], extremes, stream.scale)
+    if not ((values >= np.finfo(np.float64).tiny) & (values < np.inf)).all():
+        return None
+    return bound
 
 
 def latent_streams(

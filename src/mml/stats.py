@@ -31,22 +31,37 @@ def _check_sample(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _ks_exp_sorted(xs: np.ndarray, rate: float) -> float:
-    return float(_ks_exp_grid(xs, np.array([rate]))[0])
+class _ExpKS:
+    """Exact KS distances of one sorted sample ``xs`` to exponential laws.
 
+    The plotting positions i/n and (i - 1)/n and one rate's cdf buffers are
+    built once per sample, so a fit's golden-section steps only fill them.
+    """
 
-def _ks_exp_grid(xs: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """The KS distance of the sorted sample ``xs`` to Exp(rate), for each rate."""
-    # Exact sup-distance: the extremes sit just before/after the sample jumps.
-    n = xs.size
-    i = np.arange(1, n + 1, dtype=np.float64)
-    above, below = i / n, (i - 1.0) / n
-    out = np.empty(rates.size)
-    for block in row_blocks(rates.size, n):
-        cdf = np.multiply(np.negative(rates[block, None]), xs)
+    def __init__(self, xs: np.ndarray):
+        n = xs.size
+        i = np.arange(1, n + 1, dtype=np.float64)
+        self.xs, self.above, self.below = xs, i / n, (i - 1.0) / n
+        self.buffers = np.empty((1, n)), np.empty((1, n))
+
+    def grid(self, rates: np.ndarray) -> np.ndarray:
+        """The distance to Exp(rate) for each rate, a block of rates at a time."""
+        out = np.empty(rates.size)
+        for block in row_blocks(rates.size, self.xs.size):
+            shape = (block.stop - block.start, self.xs.size)
+            cdf, gap = np.empty(shape), np.empty(shape)
+            out[block] = self._rows(np.negative(rates[block, None]), cdf, gap)
+        return out
+
+    def at(self, rate: float) -> float:
+        return float(self._rows(np.array([[-rate]]), *self.buffers)[0])
+
+    def _rows(self, neg_rates: np.ndarray, cdf: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        # Exact sup-distance: the extremes sit just before/after the sample jumps.
+        np.multiply(neg_rates, self.xs, out=cdf)
         np.negative(np.expm1(cdf, out=cdf), out=cdf)
-        out[block] = np.maximum((above - cdf).max(axis=1), (cdf - below).max(axis=1))
-    return out
+        above = np.subtract(self.above, cdf, out=gap).max(axis=1)
+        return np.maximum(above, np.subtract(cdf, self.below, out=gap).max(axis=1))
 
 
 def ks_distance_to_exp(samples: np.ndarray, rate: float) -> float:
@@ -54,7 +69,7 @@ def ks_distance_to_exp(samples: np.ndarray, rate: float) -> float:
     samples = _check_sample(samples)
     if not (rate > 0.0) or not math.isfinite(rate):
         raise NonPositiveRate(f"rate must be positive and finite, got {rate}")
-    return _ks_exp_sorted(np.sort(samples), rate)
+    return _ExpKS(np.sort(samples)).at(rate)
 
 
 @dataclass(frozen=True)
@@ -75,10 +90,10 @@ def best_fit_exponential(samples: np.ndarray) -> ExponentialFit:
     mean = float(samples.mean())
     if mean <= 0.0:
         raise DegenerateSample("cannot fit an exponential to an all-zero sample")
-    xs = np.sort(samples)
+    ks_at = _ExpKS(np.sort(samples))
 
     log_grid = np.linspace(math.log(0.01 / mean), math.log(100.0 / mean), _GRID_POINTS)
-    ks_grid = _ks_exp_grid(xs, np.array([math.exp(g) for g in log_grid]))
+    ks_grid = ks_at.grid(np.array([math.exp(g) for g in log_grid]))
     best = int(np.argmin(ks_grid))
     lo = log_grid[max(best - 1, 0)]
     hi = log_grid[min(best + 1, _GRID_POINTS - 1)]
@@ -86,17 +101,17 @@ def best_fit_exponential(samples: np.ndarray) -> ExponentialFit:
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc = _ks_exp_sorted(xs, math.exp(c))
-    fd = _ks_exp_sorted(xs, math.exp(d))
+    fc = ks_at.at(math.exp(c))
+    fd = ks_at.at(math.exp(d))
     for _ in range(_GOLDEN_STEPS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
-            fc = _ks_exp_sorted(xs, math.exp(c))
+            fc = ks_at.at(math.exp(c))
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
-            fd = _ks_exp_sorted(xs, math.exp(d))
+            fd = ks_at.at(math.exp(d))
     log_rate, ks = (c, fc) if fc <= fd else (d, fd)
 
     grid_best = float(ks_grid[best])

@@ -38,6 +38,8 @@
   last taking the remainder), where a held market's products build each
   block from the scores.
 * ``scalar_ks_exp``: the exact KS distance to Exp(rate), one rate per call.
+* ``scalar_best_fit``: ``best_fit_exponential`` with each KS distance, of
+  its grid and of its golden-section steps, taken by ``scalar_ks_exp``.
 * ``loop_truncate_delta``: ``truncate_delta`` with a Python loop over the men.
 * ``profile_table`` / ``exact_laws``: every profile of strict orders of a
   small square market, each checked against the definition of stability,
@@ -216,6 +218,33 @@ def scalar_ks_exp(xs: np.ndarray, rate: float) -> float:
     cdf = -np.expm1(-rate * xs)
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1.0) / n)))
+
+
+def scalar_best_fit(samples: np.ndarray) -> tuple[float, float]:
+    """``best_fit_exponential``'s (rate, KS distance), one ``scalar_ks_exp`` per rate."""
+    samples = np.asarray(samples, dtype=np.float64)
+    mean = float(samples.mean())
+    xs = np.sort(samples)
+    points, steps, inv_golden = 64, 40, (math.sqrt(5.0) - 1.0) / 2.0
+    log_grid = np.linspace(math.log(0.01 / mean), math.log(100.0 / mean), points)
+    ks_grid = [scalar_ks_exp(xs, math.exp(g)) for g in log_grid]
+    best = int(np.argmin(ks_grid))
+    a, b = log_grid[max(best - 1, 0)], log_grid[min(best + 1, points - 1)]
+    c, d = b - inv_golden * (b - a), a + inv_golden * (b - a)
+    fc, fd = scalar_ks_exp(xs, math.exp(c)), scalar_ks_exp(xs, math.exp(d))
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_golden * (b - a)
+            fc = scalar_ks_exp(xs, math.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_golden * (b - a)
+            fd = scalar_ks_exp(xs, math.exp(d))
+    log_rate, ks = (c, fc) if fc <= fd else (d, fd)
+    if ks_grid[best] < ks:
+        log_rate, ks = log_grid[best], ks_grid[best]
+    return math.exp(log_rate), ks
 
 
 def loop_truncate_delta(

@@ -33,13 +33,16 @@ def draw_bytes() -> list[bytes]:
     for market in markets[1:]:
         out += [market.kernel.tobytes(), market.a_hat.sums.tobytes(), market.b_hat.sums.tobytes()]
     rows = np.arange(N)[:, None]
+    partners = np.arange(N) * 7 % N
+    partners[::11] = -1
     for market in markets:
         with single_threaded_blas():
             streams = latent_streams(market, 21)
         for stream in streams:
-            top, counts = stream.screen(64, 20.0 / stream.scale)
-            out += [top.tobytes(), counts.tobytes(), stream.cells(rows, top).tobytes(),
-                    stream.cells(rows[::7, 0], top[::7, 3]).tobytes()]
+            top, ranks = stream.screen(64, partners)
+            out += [top.tobytes(), ranks.tobytes(), stream.cells(rows, top).tobytes(),
+                    stream.cells(rows[::7, 0], top[::7, 3]).tobytes(),
+                    stream.row_max(N - 40).tobytes()]
     for text in CONFIGS:
         cfg = parse_config(text)
         out += [records_to_csv(run_trial(cfg, t)).encode() for t in range(cfg.trials)]

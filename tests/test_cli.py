@@ -403,7 +403,7 @@ def test_enumerate_refuses_a_market_before_balancing_or_drawing(
     def unreachable(*args, **kwargs):
         raise AssertionError("the market was balanced or drawn")
 
-    for name in ("sinkhorn_balance", "exponentials", "exponential_blocks"):
+    for name in ("sinkhorn_balance", "exponentials", "exponential_words"):
         monkeypatch.setattr(mml.sampling, name, unreachable)
     rc = main(["enumerate", str(market_file), "--seed", "1"])
     assert rc == 2

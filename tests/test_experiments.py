@@ -326,18 +326,28 @@ def test_approx_stable_swap_of_a_uniform_of_one_draws_the_last_man(monkeypatch):
 
 def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
     # The men's tables and the women's largest values come from one streamed
-    # pass per side; no value matrix is held, so none is screened.
-    screened = []
-    screen = mml.sampling._screened_rows
+    # pass per side; no value matrix is held, so none is screened.  Each row
+    # of the uniform market has one rate, so a block is screened from its
+    # words (the key screen), or from its values where that cannot clear it.
+    screened, keyed = [], set()
+    screen, key_screen = mml.sampling._screened_rows, mml.sampling._key_screened_rows
 
     def recording_screen(name, block, out=None):
         screened.append((name, block.shape))
         return screen(name, block, out)
 
+    def recording_key_screen(stream, rows, words, scratch, width):
+        bound = key_screen(stream, rows, words, scratch, width)
+        if bound is not None:
+            screened.append((stream.name, words.shape))
+            keyed.add(stream.name)
+        return bound
+
     def refuse(stream):
         raise AssertionError(f"a held {stream.name} was screened")
 
     monkeypatch.setattr(mml.sampling, "_screened_rows", recording_screen)
+    monkeypatch.setattr(mml.sampling, "_key_screened_rows", recording_key_screen)
     monkeypatch.setattr(mml.sampling.ValueStream, "matrix", refuse)
     cfg = parse_config(TINY_VALUE_DIST.replace("value_dist", "imbalance") + "k = 3\n")
     records = run_trial(cfg, 0)
@@ -345,6 +355,7 @@ def test_imbalance_trial_screens_only_its_fresh_draw(monkeypatch):
         shapes = [shape for name, shape in screened if name == side]
         assert {cols for _, cols in shapes} == {30}
         assert sum(rows for rows, _ in shapes) == 30
+    assert keyed == {"X", "Y"}
     assert records[0].da_agree == 1
 
 

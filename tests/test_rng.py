@@ -128,10 +128,11 @@ def test_exponentials_counter_layout():
 
 def test_a_uniform_of_one_draws_a_negative_zero(monkeypatch):
     # log(1) / -rate is -0.0, as -log(1) / rate is: the draw keeps signed zeros.
-    def ones(z, t, key, out, words=None):
-        out[...] = 1.0
+    # Every cell gets the top word, 2^53 - 1, whose uniform rounds to 1.0.
+    def top_words(z, t, key, words=None):
+        z[...] = 2**53 - 1
 
-    monkeypatch.setattr(rng, "_unit_floats", ones)
+    monkeypatch.setattr(rng, "_unit_words", top_words)
     rates = np.array([[0.5, 2.0, np.inf]])
     cells = exponential_cells(3, rates, np.zeros(3, int), np.arange(3))
     for drawn in (exponentials(3, rates), cells):

@@ -11,8 +11,7 @@ from mml.errors import DegenerateSample, EmptySample, NonPositiveRate, ShapeMism
 from mml.matching import MatchingOutcome
 from mml.stats import (
     _GRID_POINTS,
-    _ks_exp_grid,
-    _ks_exp_sorted,
+    _ExpKS,
     best_fit_exponential,
     eig_dispersion,
     hyperbola_product,
@@ -20,7 +19,7 @@ from mml.stats import (
     rank_value_ratio_report,
     rescaled_ranks,
 )
-from oracles import EmpiricalCDF, scalar_ks_exp
+from oracles import EmpiricalCDF, scalar_best_fit, scalar_ks_exp
 
 
 def exp_quantile_sample(n, rate):
@@ -234,7 +233,20 @@ def test_ks_grid_equals_the_per_rate_distance_bit_for_bit(n):
     mean = float(xs.mean())
     grid = np.linspace(math.log(0.01 / mean), math.log(100.0 / mean), _GRID_POINTS)
     rates = np.array([math.exp(g) for g in grid])
-    ks = _ks_exp_grid(xs, rates)
+    ks = _ExpKS(xs).grid(rates)
     assert ks.shape == (_GRID_POINTS,)
     for rate, value in zip(rates, ks.tolist()):
-        assert value == _ks_exp_sorted(xs, float(rate)) == scalar_ks_exp(xs, float(rate))
+        assert value == _ExpKS(xs).at(float(rate)) == scalar_ks_exp(xs, float(rate))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000, 2500])
+def test_fit_and_distance_equal_the_per_rate_formulas_bit_for_bit(n):
+    # One set of plotting positions and buffers serves a fit's 64 grid rates
+    # and its 42 golden-section steps: each distance keeps the bits of the
+    # one-rate formula, so the fit does too.
+    rng = np.random.default_rng(n + 7)
+    for samples in (rng.exponential(0.7, n), rng.uniform(0.0, 3.0, n) ** 3):
+        fit = best_fit_exponential(samples)
+        assert (fit.rate, fit.ks_distance) == scalar_best_fit(samples)
+        for rate in (fit.rate, 1.0, float(rng.uniform(0.01, 100.0))):
+            assert ks_distance_to_exp(samples, rate) == scalar_ks_exp(np.sort(samples), rate)

@@ -130,6 +130,21 @@ def test_ab_time_of_the_tree_against_itself_prints_its_report(tmp_path):
         assert level == 0.75  # three rounds: the whole range, 1 - 2 / 2**3
 
 
+def test_ab_time_times_the_matchings_stage(tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_CONFIG, encoding="utf-8")
+    run = ab_time(ROOT, config, "--rounds", "2", "--trials", "2", "--stage", "matchings")
+    assert run.returncode == 0, run.stderr
+    matchings, *clocks = run.stdout.splitlines()
+    assert matchings == "matchings equal: trial 0, 2 matchings"
+    assert [line.split()[:2] for line in clocks] == [["cpu", "median"], ["wall", "median"]]
+    # A trial that solves no pair of optimal matchings has no such stage.
+    config.write_text(TINY_CONFIG.replace("hyperbola", "approx_stable") + "k = 3\n",
+                      encoding="utf-8")
+    run = ab_time(ROOT, config, "--rounds", "1", "--stage", "matchings")
+    assert run.returncode == 1 and "--stage matchings needs" in run.stderr
+
+
 def test_ab_time_refuses_trees_whose_records_differ(tmp_path):
     package = tmp_path / "mml"
     package.mkdir()
@@ -143,3 +158,6 @@ def test_ab_time_refuses_trees_whose_records_differ(tmp_path):
     run = ab_time(package, config, "--rounds", "1")
     assert run.returncode == 1
     assert "records differ" in run.stderr and run.stdout == ""
+    run = ab_time(package, config, "--rounds", "1", "--stage", "matchings")
+    assert run.returncode == 1
+    assert "matchings differ" in run.stderr and run.stdout == ""

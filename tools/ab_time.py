@@ -1,7 +1,8 @@
 """Time whole trials of one config in two trees of ``mml``, alternating in one process.
 
 Usage:
-    python tools/ab_time.py [--rounds R] [--trials K] [--threads T] REV|PATH CONFIG
+    python tools/ab_time.py [--rounds R] [--trials K] [--threads T]
+                            [--stage trial|matchings] REV|PATH CONFIG
 
 Side A is ``src/mml`` at git revision REV, exported with ``git archive``,
 or the ``src/mml`` of the tree at PATH (PATH may also be an ``mml``
@@ -28,10 +29,19 @@ and R + 1 - k, k the largest whose coverage LEVEL is at least 95 % (k = 3,
 LEVEL 0.961 at R = 12; at R < 6 no k reaches it, and k = 1).  An interval
 that holds 1 shows no difference; at R = 12 one that excludes it needs 10
 rounds on one side of 1.
+
+``--stage matchings`` times one layer instead of whole trials: each side's
+``experiments._optimal_matchings`` (both latent passes and both deferred
+acceptance walks) on the markets of trials 0 .. K-1, which each side
+builds once, before any round, and trial t's seed.  CONFIG must then be a
+``value_dist``, ``rank_dist`` or ``hyperbola`` config, and the first line
+reads ``matchings equal: trial 0, N matchings``: both sides' matchings,
+values, ranks and proposal counts of trial 0, compared as bytes.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib
 import importlib.util
@@ -87,6 +97,7 @@ def main(argv: list[str]) -> None:
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--stage", choices=("trial", "matchings"), default="trial")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         sides = [load("mml_a", package_dir(args.tree, Path(scratch))),
@@ -94,23 +105,62 @@ def main(argv: list[str]) -> None:
         compare(sides, args)
 
 
+# The experiments whose trials solve both optimal matchings of one draw.
+MATCHING_EXPERIMENTS = ("value_dist", "rank_dist", "hyperbola")
+
+
+def solved_bytes(solved: list) -> list:
+    """``_optimal_matchings``'s matchings and outcomes, as comparable values."""
+    return [
+        (matching.mu, outcome.value_men.tobytes(), outcome.value_women.tobytes(),
+         None if outcome.rank_men is None else outcome.rank_men.tobytes(),
+         outcome.proposal_count)
+        for matching, outcome in solved
+    ]
+
+
+def stage_calls(side: tuple, config, stage: str, count: int) -> list:
+    """The timed calls of trials 0 .. count-1 of one side: whole trials, or their matchings."""
+    experiments, rng = side
+    if stage == "trial":
+        return [functools.partial(experiments.run_trial, config, t) for t in range(count)]
+    seeds = [rng.stream_key(config.master_seed, "trial", t) for t in range(count)]
+    with rng.single_threaded_blas():
+        markets = [experiments._trial_market(config, t) for t in range(count)]
+
+    def matchings(bal, seed):
+        with rng.single_threaded_blas():
+            return experiments._optimal_matchings(bal, seed)
+
+    return [functools.partial(matchings, bal, seed) for bal, seed in zip(markets, seeds)]
+
+
 def compare(sides: list, args: argparse.Namespace) -> None:
-    """Check trial 0's records on both sides, then time and print the rounds."""
+    """Check trial 0's results on both sides, then time and print the rounds."""
     configs = [experiments.load_config(args.config) for experiments, _ in sides]
+    if args.stage == "matchings" and configs[1].experiment.value not in MATCHING_EXPERIMENTS:
+        sys.exit(f"--stage matchings needs a {', '.join(MATCHING_EXPERIMENTS)} config")
+    calls = [stage_calls(side, config, args.stage, args.trials)
+             for side, config in zip(sides, configs)]
 
     def trials(side: int, count: int) -> tuple[float, float, list]:
-        """CPU and wall seconds of side's trials 0 .. count-1, and trial 0's records."""
-        experiments, rng = sides[side]
+        """CPU and wall seconds of side's calls 0 .. count-1, and call 0's result."""
+        _, rng = sides[side]
         gc.collect()
         with rng.thread_budget(args.threads):
             cpu, wall = time.process_time(), time.perf_counter()
-            records = [experiments.run_trial(configs[side], t) for t in range(count)]
-            return time.process_time() - cpu, time.perf_counter() - wall, records[0]
+            results = [call() for call in calls[side][:count]]
+            return time.process_time() - cpu, time.perf_counter() - wall, results[0]
 
     first = [trials(side, 1)[2] for side in (0, 1)]
-    if sides[0][0].records_to_csv(first[0]) != sides[1][0].records_to_csv(first[1]):
-        sys.exit("records differ: the two trees give trial 0 different records")
-    print(f"records equal: trial 0, {len(first[0])} records", flush=True)
+    if args.stage == "trial":
+        if sides[0][0].records_to_csv(first[0]) != sides[1][0].records_to_csv(first[1]):
+            sys.exit("records differ: the two trees give trial 0 different records")
+        print(f"records equal: trial 0, {len(first[0])} records", flush=True)
+    else:
+        if solved_bytes(first[0]) != solved_bytes(first[1]):
+            sys.exit("matchings differ: the two trees give trial 0 different matchings")
+        print(f"matchings equal: trial 0, {len(first[0])} matchings", flush=True)
     seconds: list[list[tuple[float, float]]] = [[], []]
     for round_ in range(args.rounds):
         for side in (0, 1) if round_ % 2 == 0 else (1, 0):
