@@ -23,9 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from . import sampling
+from .errors import ConfigError, NonPositiveEntry, NotNormalized, ShapeMismatch
 from .market import (
     BalancedMarket,
+    KernelBuild,
     _raw_scores,
     backfill_imbalanced,
     cbounded_kernel_market,
@@ -41,10 +43,11 @@ from .matching import (
     enumerate_stable,
     peel_blocking_pairs,
     proposer_tables,
+    screened_tables,
     truncate_delta,
 )
 from .rng import single_threaded_blas, stream_key, thread_budget, unit_uniforms, usable_cores
-from .sampling import latent_streams
+from .sampling import RawRateScreen, Uncertified, ValueStream, latent_streams
 from .stats import (
     best_fit_exponential,
     eig_dispersion,
@@ -315,10 +318,85 @@ def _optimal_matchings(bal: BalancedMarket, seed: int) -> list[tuple[Matching, M
     ]
 
 
+def _balanced_outcome(
+    matching: Matching, outcome: MatchingOutcome, x: ValueStream, y: ValueStream
+) -> MatchingOutcome:
+    """``outcome`` with each matched pair's two values drawn from the streams x and y."""
+    mu = matching.mu_array
+    men = np.flatnonzero(mu >= 0)
+    value_men, value_women = np.zeros(mu.size), np.zeros(matching.n_women)
+    value_men[men] = x.cells(men, mu[men])
+    value_women[mu[men]] = y.cells(mu[men], men)
+    return replace(outcome, value_men=value_men, value_women=value_women)
+
+
+def _two_pass_matchings(
+    cfg: ExperimentConfig, t: int, seed: int
+) -> tuple[BalancedMarket, list[tuple[Matching, MatchingOutcome]]]:
+    """Trial t's C-bounded market, balanced, and ``_optimal_matchings(bal, seed)``, in
+    one n^2 pass a side; raises Uncertified where a row's order is not certified.
+
+    Within a row, the balanced values are the raw-rate ones
+    (``RawRateScreen``) times a row constant, to within four roundings, so
+    both sides' orders, and with them both matchings, the ranks and the
+    proposal counts, are found at the raw scores, before the balance.  The
+    women's pass writes K's columns and screens Y at the raw scores; the
+    woman-proposing walks run on the men's raw-rate values, drawn by counter;
+    the men's pass multiplies in K's rows, screens X and counts each man's
+    rank of his partner.  After the balance and the man-proposing walks, the
+    rows' certificates are finished at the balanced rates, and only the
+    matched pairs' values are drawn at them.
+    """
+    build = KernelBuild(cfg.n, cfg.c, stream_key(cfg.master_seed, "market", t))
+    x_raw = ValueStream("X", stream_key(seed, "X"), build.raw_scores("a"), None)
+    y_raw = ValueStream("Y", stream_key(seed, "Y"), build.raw_scores("b"), None)
+    width = min(sampling.TOP_L, cfg.n)
+    women = RawRateScreen(y_raw, width)
+    build.women((y_raw.key, women))
+    wosm, wosm_outcome = deferred_acceptance(
+        screened_tables(y_raw, x_raw, women.top), Side.WOMEN
+    )
+    women.top = None  # read by no later step: the men's pass holds only the men's
+    men = RawRateScreen(x_raw, width, wosm.mu_array)
+    bal = sinkhorn_balance(build.men((x_raw.key, men)))
+    mosm, mosm_outcome = deferred_acceptance(screened_tables(x_raw, y_raw, men.top), Side.MEN)
+    x, y = latent_streams(bal, seed)
+    women.certify(y)
+    men.certify(x)
+    return bal, [
+        (mosm, _balanced_outcome(mosm, mosm_outcome, x, y)),
+        (wosm, _balanced_outcome(wosm, replace(wosm_outcome, rank_men=men.ranks), x, y)),
+    ]
+
+
+def _cbounded_matchings(
+    cfg: ExperimentConfig, t: int, seed: int
+) -> tuple[BalancedMarket, list[tuple[Matching, MatchingOutcome]]]:
+    """Trial t's C-bounded market, balanced, and its optimal matchings of ``seed``'s draw.
+
+    Found in two n^2 passes (``_two_pass_matchings``).  Where a row is not
+    certified, or the kernel build raises, that work is dropped and the
+    trial runs again as every other trial runs, with ``_trial_market`` and
+    ``_optimal_matchings``: those give its market and matchings, or its
+    exception.
+    """
+    try:
+        return _two_pass_matchings(cfg, t, seed)
+    except (Uncertified, NonPositiveEntry, NotNormalized):
+        bal = _trial_market(cfg, t)
+        return bal, _optimal_matchings(bal, seed)
+
+
 def _value_family_records(
     cfg: ExperimentConfig, t: int, trial_seed: int, bal: BalancedMarket
 ) -> list[TrialRecord]:
-    solved = _optimal_matchings(bal, trial_seed)
+    return _value_family_stats(cfg, t, bal, _optimal_matchings(bal, trial_seed))
+
+
+def _value_family_stats(
+    cfg: ExperimentConfig, t: int, bal: BalancedMarket,
+    solved: list[tuple[Matching, MatchingOutcome]],
+) -> list[TrialRecord]:
     # Both matchings' M @ y in one pass over the factors.
     mutual_y = bal.mutual_matmul(np.column_stack([o.value_women for _, o in solved]))
     records = []
@@ -476,7 +554,9 @@ def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
 
     Trial t's seed, keyed (master_seed, "trial", t), and its balanced market
     (``_trial_market``) are made here, once, and handed to the experiment's
-    body.  BLAS runs every call on the calling thread, so the row-block threads
+    body; a C-bounded value-family trial builds its market with its
+    matchings, in one pass a side (``_cbounded_matchings``).  BLAS runs
+    every call on the calling thread, so the row-block threads
     (``rng.map_row_blocks``) and the pool's worker processes own the cores.
     Before a process's first trial malloc returns the heap the import freed,
     and from then on it keeps its heap between trials (``_keep_heap``).
@@ -484,7 +564,10 @@ def run_trial(cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
     _keep_heap()
     with single_threaded_blas():
         trial_seed = stream_key(cfg.master_seed, "trial", t)
-        return _TRIAL_BODIES[cfg.experiment](cfg, t, trial_seed, _trial_market(cfg, t))
+        body = _TRIAL_BODIES[cfg.experiment]
+        if cfg.market is MarketKind.CBOUNDED and body is _value_family_records:
+            return _value_family_stats(cfg, t, *_cbounded_matchings(cfg, t, trial_seed))
+        return body(cfg, t, trial_seed, _trial_market(cfg, t))
 
 
 def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRecord]:
@@ -495,8 +578,9 @@ def _budgeted_trial(threads: int, cfg: ExperimentConfig, t: int) -> list[TrialRe
 
 # Memory model of one trial process (README, "Memory and scale"): the
 # interpreter and numpy with one row-block thread's block scratch, 2 MiB of
-# scratch per further thread (a walk's two block buffers, or three of half
-# the size where its rates are drawn by counter), bytes per row and bytes per
+# scratch per further thread (a walk's two block buffers, 1 MiB, or three of
+# half the size where its rates are drawn by counter, as in a C-bounded
+# value trial's kernel build, which screens its values), bytes per row and bytes per
 # cell of the n x n stages.  Every trial holds 1.25 KiB per row: a side's best-64 columns
 # and their receivers' values, with what deferred acceptance keeps per agent,
 # or, while a market is balanced or multiplied by M, the kernel products'

@@ -15,7 +15,11 @@ choice that is symmetric between the two sides.
 A random C-bounded market in a trial (:func:`cbounded_kernel_market`) is a
 canonical market that holds its balancing kernel and no scores: every score
 is a function of its counter and of its row's sum (:class:`CounterScores`),
-so it is drawn again where it is read rather than kept.  Every product with
+so it is drawn again where it is read rather than kept.  Its kernel is
+built in two score passes, one a side (:class:`KernelBuild`), which run one
+at a time and may hand each block to a consumer: a C-bounded value trial
+screens each side's values at its raw scores in the pass that builds that
+side's part of the kernel (``sampling.RawRateScreen``).  Every product with
 the kernel, Sinkhorn's and ``M @ y``'s, walks its blocks through
 ``_kernel_products``, which reads them from a held kernel or builds them
 from the scores.
@@ -35,7 +39,14 @@ from .errors import (
     NotNormalized,
     ShapeMismatch,
 )
-from .rng import CounterRates, DistinctRows, stream_key, uniform_blocks, unit_uniforms
+from .rng import (
+    CounterRates,
+    DistinctRows,
+    exponential_words,
+    stream_key,
+    uniform_blocks,
+    unit_uniforms,
+)
 
 ROW_SUM_TOL = 1e-12
 
@@ -186,6 +197,7 @@ def _raw_scores(u: np.ndarray, c: float) -> np.ndarray:
 def _cbounded_pass(
     seed: int, side: str, shape: tuple[int, int], c_target: float,
     into: Callable[[slice, np.ndarray], None], width: int | None = None,
+    screen: tuple[int, Callable] | None = None,
 ) -> np.ndarray:
     """Draw one side's canonical C-bounded scores a row block at a time; their raw row sums.
 
@@ -196,26 +208,64 @@ def _cbounded_pass(
     as the constructors check them, while the block is in cache.
     ``into(rows, block)`` then reads the whole block, on the thread that
     drew it, and may rewrite it (see :func:`uniform_blocks`).
+
+    Given ``screen = (key, consume)``, the pass walks the words of the
+    values of ``key`` at the side's :class:`RawScores` instead, sharing
+    each cell's first mix, its raw score and its ``np.power``, and hands
+    each block to ``consume(rows, words, scratch, values, raw)`` (see
+    :func:`exponential_words`) before it scores it.
     """
     sums = np.empty(shape[0])
     worst: list[float] = []  # list.append is atomic under the interpreter lock
 
-    def score_rows(rows, block, _spare):
+    def score_rows(rows, block):
         raw = block[:, :width]
-        _check_scores(f"{side}_raw", _raw_scores(raw, c_target))
+        _check_scores(f"{side}_raw", raw)
         block_sums = _row_sums(f"{side}_raw", raw)
         raw /= block_sums
         worst.append(_row_sum_deviation(_check_scores(f"{side}_hat", raw)))
         sums[rows] = block_sums[:, 0]
         into(rows, block)
 
-    uniform_blocks(stream_key(seed, f"{side}_raw"), shape, score_rows)
+    if screen is None:
+        def scored(rows, block, _spare):
+            _raw_scores(block[:, :width], c_target)
+            score_rows(rows, block)
+
+        uniform_blocks(stream_key(seed, f"{side}_raw"), shape, scored)
+    else:
+        key, consume = screen
+
+        def screened(rows, words, scratch, values, raw):
+            consume(rows, words, scratch, values, raw)
+            score_rows(rows, raw)
+
+        source = RawScores(stream_key(seed, f"{side}_raw"), c_target, shape)
+        exponential_words(key, source, screened)
     _check_normalized(f"{side}_hat", max(worst))
     return sums
 
 
 @dataclass(frozen=True, eq=False)
-class CounterScores(CounterRates):
+class RawScores(CounterRates):
+    """One side's raw C-bounded scores ``c ** (2u - 1)``, drawn by counter.
+
+    u is the uniform of ``key`` at counter ``i * shape[1] + j``, as for
+    :class:`CounterScores`.  As rates, these draw the values ``-log(u) /
+    raw``, which order each row as its balanced values do, but for a
+    rounding margin (``sampling.RawRateScreen``).
+    """
+
+    key: int
+    c: float
+    shape: tuple[int, int]
+
+    def cells(self, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+        _raw_scores(out, self.c)
+
+
+@dataclass(frozen=True, eq=False)
+class CounterScores(RawScores):
     """One side's canonical C-bounded scores, held as their raw row sums and drawn by counter.
 
     Cell (i, j) with i < ``sums.size`` and j < ``cols`` is
@@ -227,16 +277,13 @@ class CounterScores(CounterRates):
     with the dummies' columns.  ``np.asarray`` materialises the scores.
     """
 
-    key: int
-    c: float
-    shape: tuple[int, int]
     cols: int
     sums: np.ndarray
     fill: float = 0.0
     resums: np.ndarray | None = None
 
     def cells(self, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-        _raw_scores(out, self.c)
+        super().cells(r, c, out)
         # A dummy row's index may pass the sums; its cells are overwritten.
         out /= self.sums.take(r, mode="clip")
         if self.sums.size < self.shape[0] or self.cols < self.shape[1]:
@@ -474,47 +521,82 @@ def cbounded_kernel_market(n: int, c_target: float, seed: int, k: int = 0) -> Ca
 
     Only K = a_hat * b_hat^T / n is held, as the market's ``kernel`` (8
     bytes a cell), with each side's row sums: the scores are
-    :class:`CounterScores`, drawn again where they are read.  Two score passes
-    on the row-block threads build K: each row block of the women's scores
-    is written transposed into K, then each of the men's is multiplied in
-    and divided by n.  Every score's uniform sits at the counter of the
-    value it rates: a backfilled market's women's fill an n x n grid, the
-    first n - k columns scored and the dummies' written into the block in
-    place.  Every block is checked as the constructors check it.  Raises
-    NonPositiveEntry if an entry of K underflows to zero.
+    :class:`CounterScores`, drawn again where they are read.  The two score
+    passes of a :class:`KernelBuild`, run one after the other, build K.
+    Raises NonPositiveEntry if an entry of K underflows to zero.
     """
-    m = n - k
-    _check_backfill(m, k, n)
-    _check_cbounded(m, n, c_target)
-    kernel = np.empty((n, n))
-    resums = np.empty(n) if k else None
-    worst: list[float] = [0.0]
+    build = KernelBuild(n, c_target, seed, k)
+    build.women()
+    return build.men()
 
-    def women(rows, block):
+
+class KernelBuild:
+    """The two score passes of :func:`cbounded_kernel_market`, run one at a time.
+
+    Both run on the row-block threads.  :meth:`women` writes each row block
+    of the women's scores transposed into K; :meth:`men` then multiplies in
+    each of the men's, divides by n and returns the market.  Every score's
+    uniform sits at the counter of the value it rates: a backfilled
+    market's women's fill an n x n grid, the first n - k columns scored and
+    the dummies' written into the block in place.  Every block is checked
+    as the constructors check it.  Each pass takes an optional ``screen =
+    (key, consume)``, a block consumer of the values of ``key`` at the
+    side's raw scores (:meth:`raw_scores`; see ``_cbounded_pass``), so that a
+    trial screens a side's values in the pass that builds its part of K.
+    """
+
+    def __init__(self, n: int, c_target: float, seed: int, k: int = 0):
+        m = n - k
+        _check_backfill(m, k, n)
+        _check_cbounded(m, n, c_target)
+        self.n, self.k, self.c_target, self.seed = n, k, c_target, seed
+        self.kernel = np.empty((n, n))
+        self.b_sums: np.ndarray | None = None
+        self.resums = np.empty(n) if k else None
+
+    def raw_scores(self, side: str) -> RawScores:
+        """The raw scores of side ``"a"`` (the men's) or ``"b"``, as its pass draws them."""
+        shape = (self.n - self.k, self.n) if side == "a" else (self.n, self.n)
+        return RawScores(stream_key(self.seed, f"{side}_raw"), self.c_target, shape)
+
+    def women(self, screen: tuple[int, Callable] | None = None) -> None:
+        """The women's pass: K's columns, the women's scores transposed."""
+        n, k, kernel, resums = self.n, self.k, self.kernel, self.resums
+        m = n - k
+        worst: list[float] = [0.0]
+
+        def columns(rows, block):
+            if k:
+                # The dummies' columns written and the rows normalised again,
+                # as backfill_imbalanced does.
+                block[:, m:] = 1.0 / m
+                resums[rows] = _row_sums("b_raw", _check_scores("b_raw", block))[:, 0]
+                block /= resums[rows, None]
+                worst.append(_row_sum_deviation(_check_scores("b_hat", block)))
+            kernel[:, rows] = block.T
+
+        self.b_sums = _cbounded_pass(self.seed, "b", (n, n), self.c_target, columns, m, screen)
+        _check_normalized("b_hat", max(worst))
+
+    def men(self, screen: tuple[int, Callable] | None = None) -> CanonicalMarket:
+        """The men's pass, after :meth:`women`: K's rows multiplied in; the market."""
+        n, k, kernel, seed, c_target = self.n, self.k, self.kernel, self.seed, self.c_target
+        m = n - k
+
+        def rows_in(rows, block):
+            _multiply_in(kernel[rows], block, n)
+
+        a_sums = _cbounded_pass(seed, "a", (m, n), c_target, rows_in, screen=screen)
         if k:
-            # The dummies' columns written and the rows normalised again,
-            # as backfill_imbalanced does.
-            block[:, m:] = 1.0 / m
-            resums[rows] = _row_sums("b_raw", _check_scores("b_raw", block))[:, 0]
-            block /= resums[rows, None]
-            worst.append(_row_sum_deviation(_check_scores("b_hat", block)))
-        kernel[:, rows] = block.T
-
-    def men(rows, block):
-        _multiply_in(kernel[rows], block, n)
-
-    b_sums = _cbounded_pass(seed, "b", (n, n), c_target, women, m)
-    _check_normalized("b_hat", max(worst))
-    a_sums = _cbounded_pass(seed, "a", (m, n), c_target, men)
-    if k:
-        _multiply_in(kernel[m:], 1.0 / n, n)
-    return CanonicalMarket._checked(
-        CounterScores(stream_key(seed, "a_raw"), c_target, (n, n), n, a_sums, fill=1.0 / n),
-        CounterScores(
-            stream_key(seed, "b_raw"), c_target, (n, n), m, b_sums, fill=1.0 / m, resums=resums
-        ),
-        kernel,
-    )
+            _multiply_in(kernel[m:], 1.0 / n, n)
+        return CanonicalMarket._checked(
+            CounterScores(stream_key(seed, "a_raw"), c_target, (n, n), n, a_sums, fill=1.0 / n),
+            CounterScores(
+                stream_key(seed, "b_raw"), c_target, (n, n), m, self.b_sums, fill=1.0 / m,
+                resums=self.resums,
+            ),
+            kernel,
+        )
 
 
 def _multiply_in(part: np.ndarray, scores: np.ndarray | float, n: int) -> None:

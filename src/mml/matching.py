@@ -115,13 +115,21 @@ def proposer_tables(
 ) -> tuple[ProposerTables, np.ndarray | None]:
     """The proposers' tables from one screened pass over their rows, and its ranks.
 
+    Given ``partners`` (a receiver per proposer, or -1), the ranks are each
+    proposer's rank of its partner, ``ValueStream.screen``'s.
+    """
+    top, ranks = prop.screen(min(sampling.TOP_L, prop.shape[1]), partners)
+    return screened_tables(prop, recv, top), ranks
+
+
+def screened_tables(prop: ValueStream, recv: ValueStream, top: np.ndarray) -> ProposerTables:
+    """The proposers' tables of their screened best columns ``top``, lowest first.
+
     No matrix is held: the receivers' values at the proposers' top cells, the
     proposers' own values and a deep walk's row and cells are drawn by
-    counter.  Given ``partners`` (a receiver per proposer, or -1), the ranks
-    are each proposer's rank of its partner, ``ValueStream.screen``'s.
+    counter.
     """
     n_prop, n_recv = prop.shape
-    top, ranks = prop.screen(min(sampling.TOP_L, n_recv), partners)
 
     def deep(p: int, stop: int):
         row = prop.cells(p, np.arange(n_recv))
@@ -129,10 +137,9 @@ def proposer_tables(
         order = best[np.argsort(row[best])]
         return order, recv.cells(order, p)
 
-    tables = ProposerTables(
+    return ProposerTables(
         top, recv.cells(top, np.arange(n_prop)[:, None]), n_recv, prop.cells, deep
     )
-    return tables, ranks
 
 
 def deferred_acceptance(

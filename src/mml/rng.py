@@ -11,16 +11,17 @@ arithmetic is vectorized uint64 (wraparound is the intended modular
 arithmetic), which keeps tiny markets cheap (no per-stream object setup) and
 large matrices fast, drawn a block of cells at a time: 60-75M exponentials/s
 on one core of a 2-core Xeon, 85-110M/s on both (n = 2000).  A matrix need
-not be stored at all: :func:`exponential_blocks` hands each block to a
-consumer (:func:`exponential_words` hands it the block's 53-bit words
-first, and its values only if asked), and :func:`exponential_cells` draws
-the cells at chosen (row, column) pairs from their counters alone.  Blocks,
+not be stored at all: :func:`exponential_words` hands each block's 53-bit
+words to a consumer, with its rates and its values only if asked, and
+:func:`exponential_cells` draws the cells at chosen (row, column) pairs
+from their counters alone.  Blocks,
 cells and chosen words (:func:`word_cells`) share one copy of the per-cell
 arithmetic, so a cell has the same bits however it is drawn.
 Nor need the rates be stored in full: :class:`DistinctRows` holds their
 distinct rows, and a :class:`CounterRates` source draws each block's or
 cell's rates again from uniforms at the values' own counters, so the two
-draws share the first mix.
+draws share the first mix, and a walk's consumer reads the block's rates
+beside its words.
 
 The fill is the one stage that runs on threads, and it has one path: the
 walks of :func:`map_row_blocks` claim row blocks, draw each into their
@@ -364,7 +365,7 @@ def _cell_values(
 
 def _on_values(consume: Callable[[slice, np.ndarray, np.ndarray], None]) -> Callable:
     """A consumer of words that draws each block's values for ``consume(rows, block, spare)``."""
-    return lambda rows, words, scratch, values: consume(rows, *values())
+    return lambda rows, words, scratch, values, rates: consume(rows, *values())
 
 
 # Cells per block of a walk whose rates are drawn by counter: its three
@@ -382,7 +383,7 @@ def _fill(
     key: int, offset: int, shape: tuple[int, ...],
     rates: np.ndarray | DistinctRows | CounterRates | None,
     scale: np.ndarray | None, out: np.ndarray | None = None,
-    consume: Callable[[slice, np.ndarray, np.ndarray, Callable], None] | None = None,
+    consume: Callable[..., None] | None = None,
 ) -> None:
     """Draw the words, then the uniforms (or, given rates, exponentials), of a ``shape`` grid.
 
@@ -392,14 +393,17 @@ def _fill(
     size, or, for the rates of a :class:`CounterRates` source, three of half
     that size: their uniforms sit at the values' counters (offset 0) and
     share the block's first mix.  Each block's 53-bit words are handed to
-    ``consume(rows, words, scratch, values)``: ``words`` an int64 view of
-    the block's shape, ``scratch`` the walk's other uint64 buffer, of the
-    block's size, and ``values()`` the block's draws, which the consumer
+    ``consume(rows, words, scratch, values, rates)``: ``words`` an int64
+    view of the block's shape, ``scratch`` the walk's other uint64 buffer,
+    of the block's size, ``values()`` the block's draws, which the consumer
     may call once, spending its words and its scratch: it returns the
     block, written over the scratch as floats, and ``spare``, the spent
     words as floats, both of the block's shape and the consumer's to
-    overwrite.  Given ``out`` instead, each block's draws are copied into
-    its rows of ``out``, the only full-size array.
+    overwrite; and ``rates`` the block's rates (None without), which the
+    draws read: a counter-drawn block of them sits in the walk's third
+    buffer, the consumer's to rewrite once ``values()`` has run or will not.
+    Given ``out`` instead, each block's draws are copied into its rows of
+    ``out``, the only full-size array.
     """
     nrows = shape[0]
     ncols = math.prod(shape[1:]) if len(shape) >= 2 else 1
@@ -433,7 +437,7 @@ def _fill(
                 _cell_values, zb, tb.view(np.float64).reshape(-1, ncols), block_rates,
                 -1.0 if scale is None else np.negative(scale[rows, None]),
             )
-            consume(rows, zb.view(np.int64).reshape(-1, ncols), tb, values)
+            consume(rows, zb.view(np.int64).reshape(-1, ncols), tb, values, block_rates)
 
     map_row_blocks(fill_rows, nrows, ncols, scratch, cells)
 
@@ -460,10 +464,10 @@ def uniform_blocks(
 ) -> None:
     """``consume(rows, block, spare)`` on each row block of ``unit_uniforms(key, shape)``.
 
-    As :func:`exponential_blocks`: the blocks run on the thread budget, each
-    in a buffer of its walk's, valid only during the call, that the
-    consumer may rewrite in place, and so is ``spare``, float scratch of the
-    block's shape; no full-size array is allocated.
+    The blocks run on the thread budget, each in a buffer of its walk's,
+    valid only during the call, that the consumer may rewrite in place, and
+    so is ``spare``, float scratch of the block's shape; no full-size array
+    is allocated.
     """
     _fill(key, 0, shape, None, None, consume=_on_values(consume))
 
@@ -497,35 +501,23 @@ def exponentials(
     return out
 
 
-def exponential_blocks(
-    key: int, rates: np.ndarray | DistinctRows | CounterRates,
-    consume: Callable[[slice, np.ndarray, np.ndarray], None], scale: np.ndarray | None = None,
-) -> None:
-    """``consume(rows, block, spare)`` on each row block of ``exponentials(key, rates, scale)``.
-
-    The blocks run on the thread budget, each in a buffer of its walk's that
-    is valid only during the call, and so is ``spare``, float scratch of the
-    block's shape that the consumer may overwrite: no full-size array is
-    allocated.
-    """
-    rates, scale = _exponential_rates(rates, scale)
-    _fill(key, 0, rates.shape, rates, scale, consume=_on_values(consume))
-
-
 def exponential_words(
     key: int, rates: np.ndarray | DistinctRows | CounterRates,
-    consume: Callable[[slice, np.ndarray, np.ndarray, Callable], None],
+    consume: Callable[[slice, np.ndarray, np.ndarray, Callable, np.ndarray | None], None],
     scale: np.ndarray | None = None,
 ) -> None:
-    """``consume(rows, words, scratch, values)`` on each row block of
+    """``consume(rows, words, scratch, values, rates)`` on each row block of
     ``exponentials(key, rates, scale)``, before its values are drawn.
 
     ``words`` are the block's 53-bit words (int64, of the block's shape),
     from which each value is drawn: on a row of one rate, a larger word
     gives a value at most as large.  ``scratch`` is uint64 scratch of the
-    block's size, and ``values()`` returns ``(block, spare)`` as
-    :func:`exponential_blocks` hands them, spending the words and the
-    scratch (see ``_fill``).  The blocks run on the thread budget.
+    block's size, ``values()`` returns ``(block, spare)``, the block's
+    values and float scratch of its shape, spending the words and the
+    scratch, and ``rates`` are the block's rows of ``rates`` (see
+    ``_fill``).  The blocks run on the thread budget, each in buffers of its
+    walk's that are valid only during the call: no full-size array is
+    allocated.
     """
     rates, scale = _exponential_rates(rates, scale)
     _fill(key, 0, rates.shape, rates, scale, consume=consume)

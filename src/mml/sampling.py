@@ -19,10 +19,16 @@ Where a side is screened: a side whose rows each have one rate (the
 uniform market's sides, a backfilled uniform market's men and women) is
 screened from its counter words, since a row of one rate orders its
 values in reverse word order (:func:`_key_screened_rows`); its blocks'
-values are drawn only where that screen cannot clear them.  Every other
-side (public scores, C-bounded and held dense rates) and every held
-matrix is screened from its values (:func:`_screened_rows`).  Both give
-the same tables, ranks, maxima and messages.
+values are drawn only where that screen cannot clear them.  A C-bounded
+value trial's sides are screened at their raw scores, in the passes that
+build the market's kernel, before its balance (:class:`RawRateScreen`): a
+row's raw-rate values order it as its balanced values do wherever they
+are certified apart (``_RAW_MARGIN``), and where one row is not, the
+trial drops that work and screens both sides again at the balanced rates.
+Every other side (public scores, held dense rates, and the C-bounded
+sides of ``approx_stable`` and ``imbalance``) and every held matrix is
+screened from its values (:func:`_screened_rows`).  All three give the
+same tables, ranks, maxima and messages.
 """
 from __future__ import annotations
 
@@ -118,7 +124,7 @@ class ValueStream:
         ranks = None if partners is None else np.empty(nrows, dtype=np.int64)
         keyed = self.one_rate
 
-        def consume(rows, words, scratch, values):
+        def consume(rows, words, scratch, values, _rates):
             bound = _key_screened_rows(self, rows, words, scratch, width) if keyed else None
             if bound is not None:
                 # Values run in reverse word order: a row's width lowest
@@ -134,9 +140,7 @@ class ValueStream:
                 cells = block
                 better = np.less_equal
             if partners is not None:
-                own = partners[rows]
-                counts = better(cells, np.take_along_axis(cells, own.clip(0)[:, None], axis=1))
-                ranks[rows] = np.where(own >= 0, counts.sum(axis=1), 0)
+                ranks[rows] = _ranks(cells, partners[rows], better)
 
         exponential_words(self.key, self.rates, consume, scale=self.scale)
         return top, ranks
@@ -149,7 +153,7 @@ class ValueStream:
         largest = np.empty(self.shape[0])
         keyed = self.one_rate
 
-        def consume(rows, words, scratch, values):
+        def consume(rows, words, scratch, values, _rates):
             if keyed and _key_screened_rows(self, rows, words, scratch, 1) is not None:
                 # The largest value is the one of the least word.
                 local = np.arange(words.shape[0])
@@ -164,6 +168,13 @@ class ValueStream:
 
         exponential_words(self.key, self.rates, consume, scale=self.scale)
         return largest
+
+
+def _ranks(cells: np.ndarray, own: np.ndarray, better) -> np.ndarray:
+    """Each row's count of its ``cells`` ``better`` than or equal to its column ``own``, or 0
+    where ``own`` is -1."""
+    counts = better(cells, np.take_along_axis(cells, own.clip(0)[:, None], axis=1))
+    return np.where(own >= 0, counts.sum(axis=1), 0)
 
 
 def _best_columns(
@@ -233,6 +244,94 @@ def _key_screened_rows(
     if not ((values >= np.finfo(np.float64).tiny) & (values < np.inf)).all():
         return None
     return bound
+
+
+class Uncertified(Exception):
+    """A row's raw-rate order could not be certified as its balanced order."""
+
+
+# The raw-rate certificate.  A C-bounded side's balanced value of a cell is
+# V = fl(L / p), with p = fl(-s * b), b = fl(raw / r): L the log of the
+# cell's uniform, raw its raw score, r its row's raw sum and s its row's
+# fitness.  Its raw-rate value is R = fl(L / -raw), with the same L and raw
+# bits.  Where b, p, V and R are normal, each of the four roundings is a
+# factor 1 + e, |e| <= u = 2^-53, so V = (r / s) * R * f, with f in
+# [(1 - u) / (1 + u)^3, (1 + u) / (1 - u)^3], and two cells of one row have
+# f / f' > 1 - 8u.  An ulp of a positive normal R is above u * R, so sorted
+# neighbours R < R' whose bits are more than 32 apart have R' > R (1 + 33u),
+# and then V' / V > (1 + 33u)(1 - 8u) > 1: the row's balanced values are
+# distinct and in its raw-rate order, and so are its best columns, its rank
+# counts and every comparison deferred acceptance makes on it.  Normality:
+# R's extremes come from the sort; b and p are monotone in raw, so they
+# are checked at the row's least raw score (b <= 1, since r is at least
+# each raw score, so p <= s); and with b, p and R normal the exact L / p
+# follow R's order too, so V's extremes, rounded monotonically, sit at R's
+# columns, where ``certify`` draws them at the balanced rates.
+_RAW_MARGIN = 32
+_TINY = np.finfo(np.float64).tiny
+
+
+def _raw_rates_apart(ordered: np.ndarray) -> bool:
+    """Whether each sorted row of raw-rate values is normal, its neighbours
+    more than ``_RAW_MARGIN`` ulps apart."""
+    if not ((ordered[:, 0] >= _TINY).all() and (ordered[:, -1] < np.inf).all()):
+        return False
+    # Positive finite doubles order as their bits: the gap of two is the ulps between them.
+    bits = ordered.view(np.int64).reshape(-1)
+    gaps = np.subtract(bits[1:], bits[:-1])
+    gaps[ordered.shape[1] - 1 :: ordered.shape[1]] = _RAW_MARGIN + 1  # pairs across two rows
+    return not gaps.size or bool(gaps.min() > _RAW_MARGIN)
+
+
+class RawRateScreen:
+    """One side of a C-bounded market screened at its raw scores, as a kernel pass's consumer.
+
+    ``stream`` draws ``-log(u) / raw``: a :class:`ValueStream` over the
+    side's raw scores (``KernelBuild.raw_scores``) with no scale, which needs
+    neither the row sums nor the fitness.  Called on each block of the pass
+    that builds that side's part of the kernel (``KernelBuild.women`` or
+    ``men``), it keeps what :meth:`ValueStream.screen` keeps, ``top`` and,
+    given ``partners``, ``ranks``, once the block's rows are certified (see
+    ``_RAW_MARGIN``), and for :meth:`certify` each row's least raw score and
+    the columns of its least and largest value.  A block it cannot certify
+    raises :class:`Uncertified`.
+    """
+
+    def __init__(self, stream: ValueStream, width: int, partners: np.ndarray | None = None):
+        n = stream.shape[0]
+        self.stream, self.width, self.partners = stream, width, partners
+        self.top = np.empty((n, width), dtype=np.int32)
+        self.ranks = None if partners is None else np.empty(n, dtype=np.int64)
+        self.ends = np.empty((n, 2), dtype=np.int64)
+        self.least_raw = np.empty(n)
+
+    def __call__(self, rows, words, scratch, values, raw) -> None:
+        block, ordered = values()
+        np.copyto(ordered, block)
+        ordered.sort(axis=1)
+        if not _raw_rates_apart(ordered):
+            raise Uncertified(f"{self.stream.name} rows {rows.start}-{rows.stop - 1}")
+        width = self.width
+        top = self.top[rows] = _best_columns(block <= ordered[:, width - 1 : width], block, width)
+        self.ends[rows, 0] = top[:, 0]
+        self.ends[rows, 1] = block.argmax(axis=1)
+        self.least_raw[rows] = raw.min(axis=1)
+        if self.partners is not None:
+            self.ranks[rows] = _ranks(block, self.partners[rows], np.less_equal)
+
+    def certify(self, balanced: ValueStream) -> None:
+        """Raise :class:`Uncertified` unless every row's b, p and balanced extremes are normal.
+
+        ``balanced`` is the side's stream at the balanced rates, whose
+        ``rates.sums`` are the raw row sums and ``scale`` the fitness.
+        """
+        least = self.least_raw / balanced.rates.sums
+        product = balanced.scale * least
+        ends = balanced.cells(np.arange(least.size)[:, None], self.ends)
+        # Written so that NaN fails each bound.
+        if not (least.min() >= _TINY and product.min() >= _TINY
+                and balanced.scale.max() < np.inf and ends.min() >= _TINY and ends.max() < np.inf):
+            raise Uncertified(f"{balanced.name} extremes")
 
 
 def latent_streams(

@@ -20,6 +20,8 @@
   to check the exact ``ks_distance_to_exp``.
 * ``reference_uniforms``: the counter stream computed in one shot over all
   counters, the formula the blocked in-place kernel of ``mml.rng`` realizes.
+* ``exponential_blocks``: a walk of ``rng.exponential_words`` that hands
+  each row block's values to its consumer, for tests that reduce blocks.
 * ``random_cbounded_market``: a C-bounded market with its scores held, built
   by ``cbounded_kernel_market``'s score passes: the held reference of the
   square market that a trial draws again by counter.
@@ -65,6 +67,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +80,8 @@ from mml.matching import (
     deferred_acceptance, peel_blocking_pairs,
 )
 from mml.rng import (
-    _GOLDEN, _MIX_1, _MIX_2, _U64, exponential_blocks, exponentials, row_blocks, stream_key,
-    unit_uniforms,
+    _GOLDEN, _MIX_1, _MIX_2, _U64, _on_values, exponential_words, exponentials, row_blocks,
+    stream_key, unit_uniforms,
 )
 from mml.sampling import _screened_rows, latent_streams
 
@@ -89,6 +92,19 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _U64(30))) * _MIX_1
     z = (z ^ (z >> _U64(27))) * _MIX_2
     return z ^ (z >> _U64(31))
+
+
+def exponential_blocks(
+    key: int, rates, consume: Callable[[slice, np.ndarray, np.ndarray], None],
+    scale: np.ndarray | None = None,
+) -> None:
+    """``consume(rows, block, spare)`` on each row block of ``exponentials(key, rates, scale)``.
+
+    The walk of ``rng.exponential_words``, each block's values drawn for the
+    consumer: ``block`` and ``spare`` (float scratch of its shape) are the
+    walk's buffers, valid only during the call.
+    """
+    exponential_words(key, rates, _on_values(consume), scale)
 
 
 def reference_uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:

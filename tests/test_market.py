@@ -32,7 +32,6 @@ from mml.market import (
 )
 from mml.rng import (
     DistinctRows,
-    exponential_blocks,
     exponential_cells,
     exponentials,
     single_threaded_blas,
@@ -40,7 +39,12 @@ from mml.rng import (
     thread_budget,
     unit_uniforms,
 )
-from oracles import random_cbounded_market, separate_kernel_balance, two_pass_cbounded_market
+from oracles import (
+    exponential_blocks,
+    random_cbounded_market,
+    separate_kernel_balance,
+    two_pass_cbounded_market,
+)
 
 BUDGETS = (1, 2, 3)
 

@@ -138,6 +138,21 @@ def test_ab_time_times_the_matchings_stage(tmp_path):
     matchings, *clocks = run.stdout.splitlines()
     assert matchings == "matchings equal: trial 0, 2 matchings"
     assert [line.split()[:2] for line in clocks] == [["cpu", "median"], ["wall", "median"]]
+    # A C-bounded trial's stage times its market's build and balance too: in
+    # one call where the tree fuses them, else in today's two, with the same
+    # matchings either way.
+    config.write_text(TINY_CONFIG.replace("uniform", "cbounded") + "c = 10\n", encoding="utf-8")
+    package = tmp_path / "mml"
+    package.mkdir()
+    for source in (ROOT / "src" / "mml").glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        if source.name == "experiments.py":
+            text += "\ndel _cbounded_matchings\n"
+        (package / source.name).write_text(text, encoding="utf-8")
+    for tree in (ROOT, package):
+        run = ab_time(tree, config, "--rounds", "2", "--trials", "2", "--stage", "matchings")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[0] == "matchings equal: trial 0, 2 matchings"
     # A trial that solves no pair of optimal matchings has no such stage.
     config.write_text(TINY_CONFIG.replace("hyperbola", "approx_stable") + "k = 3\n",
                       encoding="utf-8")

@@ -36,7 +36,13 @@ acceptance walks) on the markets of trials 0 .. K-1, which each side
 builds once, before any round, and trial t's seed.  CONFIG must then be a
 ``value_dist``, ``rank_dist`` or ``hyperbola`` config, and the first line
 reads ``matchings equal: trial 0, N matchings``: both sides' matchings,
-values, ranks and proposal counts of trial 0, compared as bytes.
+values, ranks and proposal counts of trial 0, compared as bytes.  On a
+C-bounded config the stage also times the market's build and balance:
+a C-bounded trial screens each side's values in the pass that builds
+that side's part of the balancing kernel, so the build does not stand
+apart from the matchings.  A side whose ``experiments`` has
+``_cbounded_matchings`` is timed on it; an older tree, on
+``_trial_market`` then ``_optimal_matchings``.
 """
 from __future__ import annotations
 
@@ -120,11 +126,21 @@ def solved_bytes(solved: list) -> list:
 
 
 def stage_calls(side: tuple, config, stage: str, count: int) -> list:
-    """The timed calls of trials 0 .. count-1 of one side: whole trials, or their matchings."""
+    """The timed calls of trials 0 .. count-1 of one side: whole trials, or their
+    matchings (with the market's build and balance, on a C-bounded config)."""
     experiments, rng = side
     if stage == "trial":
         return [functools.partial(experiments.run_trial, config, t) for t in range(count)]
     seeds = [rng.stream_key(config.master_seed, "trial", t) for t in range(count)]
+    if config.market.value == "cbounded":
+        def built(t, seed):
+            with rng.single_threaded_blas():
+                fused = getattr(experiments, "_cbounded_matchings", None)
+                if fused is not None:
+                    return fused(config, t, seed)[1]
+                return experiments._optimal_matchings(experiments._trial_market(config, t), seed)
+
+        return [functools.partial(built, t, seed) for t, seed in enumerate(seeds)]
     with rng.single_threaded_blas():
         markets = [experiments._trial_market(config, t) for t in range(count)]
 
